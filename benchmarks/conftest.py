@@ -21,8 +21,9 @@ OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 LDBC_SCALE_FACTORS = (0.3, 1, 3, 10)
 LDBC_TIMEOUT = 2.5
 #: Engine for the runtime distributions (Figs. 13, Tables 7-8): the real
-#: SQL backend. Feasibility (Table 5) uses the slower µ-RA engine, where
-#: the timeout cap actually bites at these scales.
+#: SQL backend. Feasibility (Table 5) uses the slower ``ra`` backend
+#: (pure-Python kernel), where the timeout cap actually bites at these
+#: scales.
 DISTRIBUTION_ENGINE = "sqlite"
 YAGO_SCALE = 0.6
 YAGO_TIMEOUT = 20.0

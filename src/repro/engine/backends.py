@@ -4,11 +4,14 @@ Each adapter wraps an existing engine behind the :class:`~repro.engine.
 protocol.Backend` contract. Plan artefacts are tiny frozen carriers of
 whatever the substrate actually executes:
 
-* ``ra``        — the optimised µ-RA term (explained via the Fig. 17
-                  cost-based planner),
-* ``vec``       — the optimised µ-RA term compiled into a vectorized
-                  columnar program (explained as the logical plan plus
-                  the physical operator tree),
+* ``ra`` / ``vec`` — the optimised µ-RA term compiled into a columnar
+                  program for the one physical layer under µ-RA,
+                  :mod:`repro.exec`. ``vec`` runs it on the fastest
+                  kernel with the parallel and out-of-core knobs
+                  (explained as the logical plan plus the physical
+                  operator tree); ``ra`` pins the dependency-free
+                  pure-Python kernel, sequential and in memory
+                  (explained via the Fig. 17 cost-based planner),
 * ``sqlite``    — the generated ``WITH RECURSIVE`` SQL text (explained
                   via SQLite's own ``EXPLAIN QUERY PLAN``),
 * ``gdb``       — the compiled graph patterns (explained as Cypher when
@@ -37,11 +40,10 @@ from repro.gdb.patterns import GraphPattern, ucqt_to_patterns
 from repro.graph.evaluator import EvalBudget, as_budget
 from repro.query.evaluation import evaluate_ucqt
 from repro.query.model import UCQT
-from repro.ra.evaluate import evaluate_term
 from repro.ra.optimizer import optimize_term
 from repro.ra.plan import explain as explain_ra_term
 from repro.ra.stats import Estimator, validate_fixpoint_growth
-from repro.ra.terms import RaTerm, Rel
+from repro.ra.terms import RaTerm
 from repro.ra.translate import TranslationContext, ucqt_to_ra
 from repro.sql.generate import ucqt_to_sql
 from repro.testing.faults import fault_point
@@ -67,97 +69,9 @@ def _estimator_for(session: "GraphSession", options: Mapping | None):
     return Estimator(session.store, fixpoint_growth=growth)
 
 
-# -- µ-RA engine (the PostgreSQL stand-in) ------------------------------------
-#: The backend options the ``ra`` backend accepts.
-RA_OPTIONS = frozenset({"fixpoint_growth"})
-
-
-def _validate_ra_options(options: Mapping | None) -> None:
-    if not options:
-        return
-    unknown = sorted(set(options) - RA_OPTIONS)
-    if unknown:
-        raise ValueError(
-            f"unknown ra backend option(s) {', '.join(map(repr, unknown))}; "
-            f"accepted options: {', '.join(sorted(RA_OPTIONS))}"
-        )
-    _validate_growth_option(options)
-
-
-@dataclass(frozen=True)
-class RaPlan:
-    """An optimised µ-RA term plus the head column contract."""
-
-    term: RaTerm
-    head: tuple[str, ...]
-
-
-class RaBackend:
-    name = "ra"
-
-    def prepare(
-        self,
-        session: "GraphSession",
-        query: UCQT,
-        options: Mapping | None = None,
-    ) -> RaPlan:
-        _validate_ra_options(options)
-        term = optimize_term(
-            ucqt_to_ra(query, TranslationContext()),
-            session.store,
-            estimator=_estimator_for(session, options),
-        )
-        return RaPlan(term=term, head=query.head)
-
-    def prepare_from_term(
-        self,
-        session: "GraphSession",
-        term: RaTerm,
-        query: UCQT,
-        options: Mapping | None = None,
-    ) -> RaPlan:
-        """Wrap a term the cost-based planner already optimised."""
-        _validate_ra_options(options)
-        return RaPlan(term=term, head=query.head)
-
-    def execute(
-        self,
-        session: "GraphSession",
-        plan: RaPlan,
-        timeout_seconds: float | EvalBudget | None = None,
-    ) -> frozenset[tuple]:
-        return self.execute_with_stats(session, plan, timeout_seconds, None)
-
-    def execute_with_stats(
-        self,
-        session: "GraphSession",
-        plan: RaPlan,
-        timeout_seconds: float | EvalBudget | None = None,
-        stats: ExecutionStats | None = None,
-    ) -> frozenset[tuple]:
-        """Execute, optionally collecting per-operator actual row counts
-        and exclusive timings (the calibration telemetry)."""
-        fault_point("backend.execute.ra")
-        columns, rows = evaluate_term(
-            plan.term, session.store, as_budget(timeout_seconds), stats
-        )
-        if stats is not None:
-            stats.programs += 1
-        if columns != plan.head:
-            order = tuple(columns.index(column) for column in plan.head)
-            rows = {tuple(row[i] for i in order) for row in rows}
-        return frozenset(rows)
-
-    def explain(self, session: "GraphSession", plan: RaPlan) -> str:
-        return explain_ra_term(plan.term, session.store)
-
-    def result_token(self, plan: RaPlan):
-        return (plan.term, plan.head)
-
-
-# -- vectorized columnar engine -----------------------------------------------
-#: The backend options the ``vec`` backend accepts (typos are rejected
-#: at prepare time instead of silently ignored).
+# -- the µ-RA backends: one physical layer, two configurations ---------------
+#: The backend options ``vec`` and ``ra`` accept (typos are rejected at
+#: prepare time instead of silently ignored).
 VEC_OPTIONS = frozenset(
     {
         "kernel",
@@ -169,6 +83,7 @@ VEC_OPTIONS = frozenset(
         "shard_workers",
     }
 )
+RA_OPTIONS = frozenset({"fixpoint_growth"})
 
 
 def _positive_int_option(options: Mapping, key: str) -> int | None:
@@ -183,47 +98,13 @@ def _positive_int_option(options: Mapping, key: str) -> int | None:
     return value
 
 
-def _validate_vec_options(
-    options: Mapping | None,
-) -> tuple[
-    str | None, int | None, int | None, str | None, int | None, int | None
-]:
-    """Check option keys and values; returns (kernel, parallelism,
-    morsel_size, spill_path, spill_threshold_bytes, shard_workers)."""
-    if not options:
-        return None, None, None, None, None, None
-    unknown = sorted(set(options) - VEC_OPTIONS)
-    if unknown:
-        raise ValueError(
-            f"unknown vec backend option(s) {', '.join(map(repr, unknown))}; "
-            f"accepted options: {', '.join(sorted(VEC_OPTIONS))}"
-        )
-    kernel = options.get("kernel")
-    if kernel is not None:
-        get_kernel(kernel)  # fail at prepare time, not execute time
-    _validate_growth_option(options)
-    spill_path = options.get("spill_path")
-    if spill_path is not None and not isinstance(spill_path, str):
-        raise ValueError(
-            f"vec backend option 'spill_path' must be a string, "
-            f"got {spill_path!r}"
-        )
-    return (
-        kernel,
-        _positive_int_option(options, "parallelism"),
-        _positive_int_option(options, "morsel_size"),
-        spill_path,
-        _positive_int_option(options, "spill_threshold_bytes"),
-        _positive_int_option(options, "shard_workers"),
-    )
-
-
 @dataclass(frozen=True)
 class VecPlan:
     """An optimised µ-RA term compiled to a columnar program.
 
     ``kernel`` pins a kernel implementation by name (the ``kernel``
-    backend option); ``None`` means the fastest available one.
+    backend option; ``ra`` plans always pin ``"python"``); ``None``
+    means the fastest available one.
     ``parallelism``/``morsel_size`` configure morsel-driven parallel
     execution; ``None`` defers to the ``REPRO_VEC_PARALLELISM``
     environment default (sequential when unset) and the kernel-layer
@@ -247,14 +128,48 @@ class VecPlan:
 
 
 class VecBackend:
-    """Columnar execution of the same optimised plans the ``ra`` backend
-    runs tuple-at-a-time: base tables are dictionary-encoded once per
-    store snapshot, operators move whole integer columns, and fixpoints
-    iterate semi-naively over delta frontiers (:mod:`repro.exec`). With
-    ``{"parallelism": N}`` the heavy operators fan out over row morsels
-    on a thread pool (:mod:`repro.exec.parallel`)."""
+    """Columnar execution of optimised µ-RA plans: base tables are
+    dictionary-encoded once per store snapshot, operators move whole
+    integer columns, and fixpoints iterate semi-naively over delta
+    frontiers (:mod:`repro.exec`). With ``{"parallelism": N}`` the heavy
+    operators fan out over row morsels on a thread pool
+    (:mod:`repro.exec.parallel`)."""
 
     name = "vec"
+    accepted_options = VEC_OPTIONS
+
+    def _knobs(self, options: Mapping | None) -> dict:
+        """Check option keys and values; returns the :class:`VecPlan`
+        knob fields they set."""
+        if not options:
+            return {}
+        unknown = sorted(set(options) - self.accepted_options)
+        if unknown:
+            raise ValueError(
+                f"unknown {self.name} backend option(s) "
+                f"{', '.join(map(repr, unknown))}; accepted options: "
+                f"{', '.join(sorted(self.accepted_options))}"
+            )
+        kernel = options.get("kernel")
+        if kernel is not None:
+            get_kernel(kernel)  # fail at prepare time, not execute time
+        _validate_growth_option(options)
+        spill_path = options.get("spill_path")
+        if spill_path is not None and not isinstance(spill_path, str):
+            raise ValueError(
+                f"vec backend option 'spill_path' must be a string, "
+                f"got {spill_path!r}"
+            )
+        return {
+            "kernel": kernel,
+            "parallelism": _positive_int_option(options, "parallelism"),
+            "morsel_size": _positive_int_option(options, "morsel_size"),
+            "spill_path": spill_path,
+            "spill_threshold_bytes": _positive_int_option(
+                options, "spill_threshold_bytes"
+            ),
+            "shard_workers": _positive_int_option(options, "shard_workers"),
+        }
 
     def prepare(
         self,
@@ -262,25 +177,14 @@ class VecBackend:
         query: UCQT,
         options: Mapping | None = None,
     ) -> VecPlan:
-        (
-            kernel, parallelism, morsel_size,
-            spill_path, spill_threshold_bytes, shard_workers,
-        ) = _validate_vec_options(options)
+        knobs = self._knobs(options)  # reject typos before any planning
         term = optimize_term(
             ucqt_to_ra(query, TranslationContext()),
             session.store,
             estimator=_estimator_for(session, options),
         )
         return VecPlan(
-            term=term,
-            program=compile_term(term, session.store),
-            head=query.head,
-            kernel=kernel,
-            parallelism=parallelism,
-            morsel_size=morsel_size,
-            spill_path=spill_path,
-            spill_threshold_bytes=spill_threshold_bytes,
-            shard_workers=shard_workers,
+            term, compile_term(term, session.store), query.head, **knobs
         )
 
     def prepare_from_term(
@@ -291,20 +195,11 @@ class VecBackend:
         options: Mapping | None = None,
     ) -> VecPlan:
         """Compile a term the cost-based planner already optimised."""
-        (
-            kernel, parallelism, morsel_size,
-            spill_path, spill_threshold_bytes, shard_workers,
-        ) = _validate_vec_options(options)
         return VecPlan(
-            term=term,
-            program=compile_term(term, session.store),
-            head=query.head,
-            kernel=kernel,
-            parallelism=parallelism,
-            morsel_size=morsel_size,
-            spill_path=spill_path,
-            spill_threshold_bytes=spill_threshold_bytes,
-            shard_workers=shard_workers,
+            term,
+            compile_term(term, session.store),
+            query.head,
+            **self._knobs(options),
         )
 
     def execute(
@@ -408,6 +303,46 @@ class VecBackend:
         return (plan.term, plan.head)
 
 
+class RaBackend(VecBackend):
+    """The PostgreSQL stand-in: the same layer with nothing to choose.
+
+    ``ra`` plans are :class:`VecPlan` s pinned to the dependency-free
+    pure-Python kernel and always run sequentially in memory — the
+    ``REPRO_VEC_PARALLELISM`` / ``REPRO_SPILL_*`` / ``REPRO_SHARD_WORKERS``
+    defaults do not reach them — so the backend behaves the same on every
+    install. It explains itself as the Fig. 17 cost-based plan.
+    """
+
+    name = "ra"
+    accepted_options = RA_OPTIONS
+    KERNEL = "python"
+
+    def _knobs(self, options: Mapping | None) -> dict:
+        return {**super()._knobs(options), "kernel": self.KERNEL}
+
+    def execute_with_stats(
+        self,
+        session: "GraphSession",
+        plan: VecPlan,
+        timeout_seconds: float | EvalBudget | None = None,
+        stats: ExecutionStats | None = None,
+        fix_capture: dict | None = None,
+    ) -> frozenset[tuple]:
+        fault_point("backend.execute.ra")
+        return execute_program(
+            plan.program,
+            session.store,
+            head=plan.head,
+            budget=as_budget(timeout_seconds),
+            kernel=get_kernel(self.KERNEL),
+            stats=stats,
+            fix_capture=fix_capture,
+        )
+
+    def explain(self, session: "GraphSession", plan: VecPlan) -> str:
+        return explain_ra_term(plan.term, session.store)
+
+
 def plan_read_relations(plan) -> tuple[str, ...] | None:
     """The store relations a prepared plan reads, when statically known.
 
@@ -419,16 +354,6 @@ def plan_read_relations(plan) -> tuple[str, ...] | None:
     """
     if isinstance(plan, VecPlan):
         return plan.program.scan_tables
-    if isinstance(plan, RaPlan):
-        return tuple(
-            sorted(
-                {
-                    node.name
-                    for node in plan.term.walk()
-                    if isinstance(node, Rel)
-                }
-            )
-        )
     return None
 
 

@@ -1083,9 +1083,10 @@ class GraphSession:
         The tail comes from the calibrated ranking when it can be
         computed (the same memoised ranking ``backend="auto"`` picks
         from), then the remaining fitted/default-pool backends, ending
-        at the interpreters — ``ra`` and ``reference`` share no kernel
-        machinery with ``vec``, so a vec-specific fault cannot follow
-        the query down the whole chain.
+        on substrates independent of :mod:`repro.exec` — ``vec`` and
+        ``ra`` run on the same executor, ``sqlite`` and ``reference``
+        share nothing with it, so a kernel fault cannot follow the query
+        down the whole chain.
         """
         chain = [prepared.backend.name]
 
@@ -1109,7 +1110,7 @@ class GraphSession:
         if state is not None and state.fitted_backends:
             extend(state.fitted_backends)
         extend(self._AUTO_POOL)
-        extend(("ra", "reference"))
+        extend(("sqlite", "reference"))
         return chain
 
     def _fallback_handle(

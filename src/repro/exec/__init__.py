@@ -1,8 +1,8 @@
-"""Vectorized columnar execution engine (the ``vec`` backend).
+"""Columnar execution engine: the one physical layer under µ-RA.
 
-The µ-RA interpreter in :mod:`repro.ra.evaluate` processes one tuple at a
-time over Python sets of heterogeneous values. This subsystem executes the
-*same* optimised :class:`~repro.ra.terms.RaTerm` plans batch-at-a-time
+Everything that executes an optimised :class:`~repro.ra.terms.RaTerm`
+goes through this subsystem — the ``vec`` and ``ra`` backends and
+:func:`repro.ra.evaluate.evaluate_term` alike. Plans run batch-at-a-time
 over columns of dense integer codes:
 
 * :mod:`repro.exec.dictionary` — dictionary-encodes every node id and
@@ -33,7 +33,9 @@ over columns of dense integer codes:
 
 The :class:`~repro.engine.backends.VecBackend` registered in the engine
 layer wires the pieces behind the standard ``prepare``/``execute``/
-``explain`` protocol.
+``explain`` protocol; :class:`~repro.engine.backends.RaBackend` is the
+same wiring with the pure-Python kernel pinned and the parallel and
+out-of-core knobs off.
 """
 
 from repro.exec.compile import CompiledProgram, compile_term, render_program

@@ -1,14 +1,14 @@
 """Compile optimised µ-RA terms into physical columnar programs.
 
-The compiler resolves every column-name computation of the interpreter —
+The compiler resolves every column-name computation of a µ-RA term —
 projection targets, natural-join key columns and output layout, union
 alignment, fixpoint step alignment — into positional indices *once*, so
 the executor moves whole columns without ever touching a column name.
 
-Shared sub-terms compile to shared operator nodes, preserving the
-interpreter's run-shared-work-once behaviour: the executor memoises
-results of ``closed`` operators (those without free recursion variables)
-by node identity. Sharing is *structural*, not by object identity — µ-RA
+Shared sub-terms compile to shared operator nodes, so shared work runs
+once: the executor memoises results of ``closed`` operators (those
+without free recursion variables) by node identity. Sharing is
+*structural*, not by object identity — µ-RA
 terms are frozen dataclasses, so equal closed subtrees hash equally and
 one compiler maps them all onto a single operator node. The module keeps
 one compiler (and a compiled-program cache keyed on the term itself) per

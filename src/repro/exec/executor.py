@@ -7,7 +7,7 @@ iteration over *delta frontiers* — each round binds the recursion
 variable to only the rows discovered in the previous round and the
 round's output is set-differenced against the accumulated state with one
 vectorized membership test (falling back to naive iteration for
-non-linear steps, exactly like the interpreter).
+non-linear steps).
 
 All base tables referenced by the program are dictionary-encoded up
 front, so the value-id space is frozen for the whole execution — packed

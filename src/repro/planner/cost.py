@@ -14,12 +14,13 @@ planner needs and it mirrors measured behaviour:
   operator pays a real kernel-dispatch startup — plans with many small
   operators (e.g. a rewrite exploded into dozens of disjuncts) cost more
   than the same rows through few operators;
-* ``ra`` interprets tuple-at-a-time, so per-row weights dominate and
-  operator count barely matters;
+* ``ra`` runs the same operators on the pure-Python kernel, where every
+  row is interpreter work, so per-row weights dominate and operator
+  count barely matters;
 * ``sqlite`` sits in between (compiled loop, but row-at-a-time VM).
 
 Backends without a profile of their own (``gdb``, ``reference``,
-third-party registrations) fall back to the interpreter-shaped default,
+third-party registrations) fall back to the row-dominated ``ra`` default,
 which keeps ranking purely cardinality-driven for them.
 """
 
@@ -110,7 +111,9 @@ class CostProfile:
         return cls(name=name, **weights)
 
 
-#: The tuple-at-a-time interpreter: per-row work dominates everything.
+#: The pure-Python kernel, sequential: per-row work dominates everything.
+#: Hand-set defaults, not measurements of that kernel — ``calibrate()``
+#: fits them.
 _RA_PROFILE = CostProfile(
     name="ra",
     scan=1.0,
@@ -157,7 +160,7 @@ PROFILES: dict[str, CostProfile] = {
 
 
 def cost_profile(backend: str) -> CostProfile:
-    """The cost profile for ``backend`` (interpreter-shaped fallback)."""
+    """The cost profile for ``backend`` (row-dominated ``ra`` fallback)."""
     return PROFILES.get(backend, _RA_PROFILE)
 
 

@@ -2,8 +2,9 @@
 
 The translator (:mod:`repro.ra.translate`) compiles UCQT queries into RA
 terms including the paper's Table 2 rules for conjunction and branching;
-the evaluator (:mod:`repro.ra.evaluate`) runs them with semi-naive fixpoint
-iteration; the optimizer (:mod:`repro.ra.optimizer`) applies µ-RA-flavoured
+:mod:`repro.ra.evaluate` hands them to the one physical layer that runs
+them (:mod:`repro.exec`: columnar operators, semi-naive fixpoint
+iteration); the optimizer (:mod:`repro.ra.optimizer`) applies µ-RA-flavoured
 rewritings; and :mod:`repro.ra.plan` provides the cost-based EXPLAIN used
 to reproduce Fig. 17.
 """

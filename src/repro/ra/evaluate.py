@@ -1,33 +1,23 @@
-"""Semi-naive evaluation of recursive relational algebra terms.
+"""Evaluate a recursive relational algebra term against a store.
 
-Relations are evaluated bottom-up to ``(columns, row set)`` pairs; natural
-joins are hash joins on the shared columns; fixpoints run semi-naive
-(differential) iteration when the step is linear in the recursion variable,
-falling back to naive iteration otherwise (both terminate: steps are
-monotone over finite domains).
+There is one physical layer under µ-RA: :mod:`repro.exec`. A term is
+compiled to a columnar program (:func:`~repro.exec.compile.compile_term`,
+cached per store snapshot) and run by the executor, which owns the hash
+joins, the memoisation of closed sub-terms and the semi-naive fixpoint
+iteration. This module is the term-level front door to that layer — the
+same configuration the ``ra`` backend runs: the dependency-free
+pure-Python kernel, sequential, in memory.
 
-The evaluator honours the same cooperative :class:`EvalBudget` as the graph
+The executor honours the same cooperative :class:`EvalBudget` as the graph
 evaluator, reproducing the paper's per-query timeout.
 """
 
 from __future__ import annotations
 
-import time
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
-from repro.errors import EvaluationError
 from repro.graph.evaluator import EvalBudget
-from repro.ra.terms import (
-    Fix,
-    Join,
-    Project,
-    RaTerm,
-    RaUnion,
-    Rel,
-    Rename,
-    SelectEq,
-    Var,
-)
+from repro.ra.terms import RaTerm
 from repro.storage.relational import RelationalStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -35,8 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 Rows = set[tuple]
 Result = tuple[tuple[str, ...], Rows]
-
-_NO_BUDGET = EvalBudget(None)
 
 
 def evaluate_term(
@@ -47,289 +35,16 @@ def evaluate_term(
 ) -> Result:
     """Evaluate ``term`` against ``store``; returns (columns, rows).
 
-    ``stats``, when given, accumulates per-operator-kind actual row
-    counts and exclusive wall-clock timings — the same telemetry the
-    vectorized executor records, so profile calibration treats both
-    µ-RA substrates uniformly.
+    ``stats``, when given, accumulates the executor's per-operator-kind
+    actual row counts and exclusive wall-clock timings.
     """
-    budget = budget or _NO_BUDGET
-    memo = _Memo()
-    memo.stats = stats
-    return _eval(term, store, budget, {}, memo)
+    # repro.exec compiles repro.ra terms, so it is imported on use.
+    from repro.exec.compile import compile_term
+    from repro.exec.executor import execute_program
+    from repro.exec.kernels import get_kernel
 
-
-class _Memo:
-    """Per-evaluation cache for shared sub-terms.
-
-    The translator reuses term *objects* for repeated sub-expressions
-    (e.g. the same ``knows+`` fixpoint in every disjunct of a rewritten
-    query), so identity-keyed caching makes shared work run once. Only
-    terms without free recursion variables are cached — a term inside a
-    fixpoint step sees a changing environment.
-
-    The memo also carries the (optional) telemetry sink for this
-    evaluation: ``stats`` plus the child-time stack that turns per-frame
-    wall clock into exclusive per-operator time.
-    """
-
-    def __init__(self) -> None:
-        self.results: dict[int, Result] = {}
-        self._closed: dict[int, bool] = {}
-        self.stats: "ExecutionStats | None" = None
-        self.child_seconds: list[float] = []
-
-    def is_closed(self, term: RaTerm) -> bool:
-        key = id(term)
-        cached = self._closed.get(key)
-        if cached is None:
-            cached = not term.free_vars()
-            self._closed[key] = cached
-        return cached
-
-
-def _eval(
-    term: RaTerm,
-    store: RelationalStore,
-    budget: EvalBudget,
-    env: Mapping[str, Result],
-    memo: _Memo,
-) -> Result:
-    cacheable = not isinstance(term, (Rel, Var)) and memo.is_closed(term)
-    if cacheable:
-        hit = memo.results.get(id(term))
-        if hit is not None:
-            if memo.stats is not None:
-                memo.stats.memo_hits += 1
-            return hit
-    if memo.stats is None:
-        result = _eval_uncached(term, store, budget, env, memo)
-    else:
-        result = _eval_instrumented(term, store, budget, env, memo)
-    # Approximate bytes of this materialised intermediate (a governed
-    # ResourceBudget enforces max_bytes; plain budgets ignore the charge).
-    budget.charge_bytes(len(result[1]) * max(len(result[0]), 1) * 8)
-    if cacheable:
-        memo.results[id(term)] = result
-    return result
-
-
-def _eval_instrumented(
-    term: RaTerm,
-    store: RelationalStore,
-    budget: EvalBudget,
-    env: Mapping[str, Result],
-    memo: _Memo,
-) -> Result:
-    """One `_eval_uncached` frame with row counting and exclusive timing."""
-    stats = memo.stats
-    assert stats is not None
-    started = time.perf_counter()
-    memo.child_seconds.append(0.0)
-    try:
-        result = _eval_uncached(term, store, budget, env, memo)
-    finally:
-        child = memo.child_seconds.pop()
-    elapsed = time.perf_counter() - started
-    if memo.child_seconds:
-        memo.child_seconds[-1] += elapsed
-    exclusive = max(elapsed - child, 0.0)
-    stats.ops_evaluated += 1
-    rows = len(result[1])
-    if isinstance(term, Rel):
-        stats.scan_rows += rows
-        stats.scan_seconds += exclusive
-    elif isinstance(term, Join):
-        stats.join_rows += rows
-        stats.join_seconds += exclusive
-    elif isinstance(term, RaUnion):
-        stats.union_rows += rows
-        stats.union_seconds += exclusive
-    elif isinstance(term, SelectEq):
-        stats.select_rows += rows
-        stats.select_seconds += exclusive
-    elif isinstance(term, Project):
-        stats.project_rows += rows
-        stats.project_seconds += exclusive
-    elif isinstance(term, Fix):
-        stats.fixpoint_rows += rows
-        stats.fixpoint_seconds += exclusive
-    return result
-
-
-def _eval_uncached(
-    term: RaTerm,
-    store: RelationalStore,
-    budget: EvalBudget,
-    env: Mapping[str, Result],
-    memo: _Memo,
-) -> Result:
-    budget.tick()
-    if isinstance(term, Rel):
-        table = store.table(term.name)
-        if term.projection is None or term.projection == table.columns:
-            return table.columns, set(table.rows)
-        indexes = [table.columns.index(c) for c in term.projection]
-        budget.tick(table.row_count)
-        rows = {tuple(row[i] for i in indexes) for row in table.rows}
-        return term.projection, rows
-    if isinstance(term, Var):
-        bound = env.get(term.name)
-        if bound is None:
-            raise EvaluationError(f"unbound recursion variable {term.name!r}")
-        return bound
-    if isinstance(term, Project):
-        columns, rows = _eval(term.child, store, budget, env, memo)
-        indexes = [columns.index(c) for c in term.keep]
-        budget.tick(len(rows))
-        return term.keep, {tuple(row[i] for i in indexes) for row in rows}
-    if isinstance(term, Rename):
-        columns, rows = _eval(term.child, store, budget, env, memo)
-        mapping = dict(term.mapping)
-        return tuple(mapping.get(c, c) for c in columns), rows
-    if isinstance(term, SelectEq):
-        columns, rows = _eval(term.child, store, budget, env, memo)
-        index_a = columns.index(term.column_a)
-        index_b = columns.index(term.column_b)
-        budget.tick(len(rows))
-        return columns, {row for row in rows if row[index_a] == row[index_b]}
-    if isinstance(term, Join):
-        left = _eval(term.left, store, budget, env, memo)
-        right = _eval(term.right, store, budget, env, memo)
-        return _hash_join(left, right, budget)
-    if isinstance(term, RaUnion):
-        left_columns, left_rows = _eval(term.left, store, budget, env, memo)
-        right_columns, right_rows = _eval(term.right, store, budget, env, memo)
-        if right_columns != left_columns:
-            indexes = [right_columns.index(c) for c in left_columns]
-            budget.tick(len(right_rows))
-            right_rows = {tuple(row[i] for i in indexes) for row in right_rows}
-        return left_columns, left_rows | right_rows
-    if isinstance(term, Fix):
-        return _eval_fixpoint(term, store, budget, env, memo)
-    raise EvaluationError(f"unknown RA term {term!r}")
-
-
-def _hash_join(left: Result, right: Result, budget: EvalBudget) -> Result:
-    left_columns, left_rows = left
-    right_columns, right_rows = right
-    shared = [c for c in left_columns if c in right_columns]
-    out_columns = left_columns + tuple(
-        c for c in right_columns if c not in left_columns
+    program = compile_term(term, store)
+    rows = execute_program(
+        program, store, budget=budget, kernel=get_kernel("python"), stats=stats
     )
-
-    # Build the hash table on the smaller side.
-    if len(left_rows) > len(right_rows):
-        return _hash_join_ordered(
-            right_columns, right_rows, left_columns, left_rows, shared,
-            out_columns, build_is_right=False, budget=budget,
-        )
-    return _hash_join_ordered(
-        left_columns, left_rows, right_columns, right_rows, shared,
-        out_columns, build_is_right=True, budget=budget,
-    )
-
-
-def _hash_join_ordered(
-    build_columns: tuple[str, ...],
-    build_rows: Rows,
-    probe_columns: tuple[str, ...],
-    probe_rows: Rows,
-    shared: list[str],
-    out_columns: tuple[str, ...],
-    build_is_right: bool,
-    budget: EvalBudget,
-) -> Result:
-    build_key = [build_columns.index(c) for c in shared]
-    probe_key = [probe_columns.index(c) for c in shared]
-
-    table: dict[tuple, list[tuple]] = {}
-    for row in build_rows:
-        key = tuple(row[i] for i in build_key)
-        table.setdefault(key, []).append(row)
-    budget.tick(len(build_rows))
-
-    # Precompute output projection: for each output column, where it comes
-    # from (probe row or build row).
-    def plan_output(
-        first_cols: tuple[str, ...], second_cols: tuple[str, ...]
-    ) -> list[tuple[int, int]]:
-        layout = []
-        for column in out_columns:
-            if column in first_cols:
-                layout.append((0, first_cols.index(column)))
-            else:
-                layout.append((1, second_cols.index(column)))
-        return layout
-
-    if build_is_right:
-        layout = plan_output(probe_columns, build_columns)
-    else:
-        layout = plan_output(build_columns, probe_columns)
-
-    result: Rows = set()
-    for probe_row in probe_rows:
-        key = tuple(probe_row[i] for i in probe_key)
-        matches = table.get(key)
-        if not matches:
-            continue
-        budget.tick(len(matches))
-        for build_row in matches:
-            if build_is_right:
-                first, second = probe_row, build_row
-            else:
-                first, second = build_row, probe_row
-            result.add(
-                tuple(
-                    first[index] if side == 0 else second[index]
-                    for side, index in layout
-                )
-            )
-    return out_columns, result
-
-
-def _is_linear(term: RaTerm, var: str) -> bool:
-    """True when ``var`` occurs exactly once in ``term``."""
-    count = sum(
-        1 for node in term.walk() if isinstance(node, Var) and node.name == var
-    )
-    return count == 1
-
-
-def _eval_fixpoint(
-    term: Fix,
-    store: RelationalStore,
-    budget: EvalBudget,
-    env: Mapping[str, Result],
-    memo: _Memo,
-) -> Result:
-    columns, total = _eval(term.base, store, budget, env, memo)
-    if memo.stats is not None:
-        memo.stats.fixpoint_base_rows += len(total)
-    if _is_linear(term.step, term.var):
-        # Semi-naive: feed only the newly discovered rows through the step.
-        delta = set(total)
-        while delta:
-            budget.check_now()
-            step_env = dict(env)
-            step_env[term.var] = (columns, delta)
-            step_columns, produced = _eval(term.step, store, budget, step_env, memo)
-            if step_columns != columns:
-                indexes = [step_columns.index(c) for c in columns]
-                produced = {tuple(row[i] for i in indexes) for row in produced}
-            delta = produced - total
-            total |= delta
-        return columns, total
-
-    # Naive fallback for non-linear steps (still monotone, still finite).
-    while True:
-        budget.check_now()
-        step_env = dict(env)
-        step_env[term.var] = (columns, total)
-        step_columns, produced = _eval(term.step, store, budget, step_env, memo)
-        if step_columns != columns:
-            indexes = [step_columns.index(c) for c in columns]
-            produced = {tuple(row[i] for i in indexes) for row in produced}
-        new_total = total | produced
-        if len(new_total) == len(total):
-            return columns, total
-        total = new_total
+    return program.columns, set(rows)

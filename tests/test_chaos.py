@@ -25,6 +25,7 @@ import os
 import pytest
 
 from repro.engine import GraphSession
+from repro.engine.options import ExecOptions
 from repro.errors import InjectedFault, ReproError
 from repro.graph.model import yago_example_graph
 from repro.schema.builder import yago_example_schema
@@ -80,6 +81,28 @@ class TestBackendFaults:
                     session.execute(CLOSURE, "vec", rewrite=False)
             assert session.cache_stats["result"].size == 0
             assert session.execute(CLOSURE, "vec", rewrite=False) == expected
+
+    def test_kernel_fault_degrades_past_both_exec_backends(self, expected):
+        # vec and ra run on one executor, so an unlimited kernel fault
+        # fails them both; the chain still reaches an independent
+        # substrate within the retry budget.
+        with _session() as session:
+            with install(_injector("kernel.op")):
+                rows = session.execute(
+                    CLOSURE,
+                    exec_options=ExecOptions(backend="vec", fallback=True),
+                )
+            assert rows == expected
+            stats = session.resilience_stats()
+            assert stats["degraded"] == 1
+            failures = {
+                name: breaker["consecutive_failures"]
+                for name, breaker in stats["breakers"].items()
+            }
+            assert failures["vec"] == 1 and failures["ra"] == 1
+            answered = [name for name, n in failures.items() if n == 0]
+            assert len(answered) == 1
+            assert answered[0] in ("sqlite", "gdb", "reference")
 
     def test_snapshot_rebuild_fault_surfaces(self):
         with _session() as session:

@@ -4,7 +4,8 @@ Covers the append-only dictionary encoding (code stability, O(delta)
 appends, barrier rebuilds), the result-cache maintenance flow (stale
 recursive results re-seeded from the write delta instead of recomputed,
 with exact agreement against a cold recomputation), the non-maintainable
-fallbacks (barrier writes, non-``vec`` plans, ``REPRO_INCREMENTAL=0``),
+fallbacks (barrier writes, plans that are not columnar programs,
+``REPRO_INCREMENTAL=0``),
 and the SQLite mirror's delta sync.
 
 The queries run with ``rewrite=False``: the schema rewriter's whole
@@ -132,12 +133,13 @@ class TestAppendOnlyEncoding:
 
 
 class TestResultMaintenance:
-    def test_append_maintains_cached_fixpoint(self, session):
+    @pytest.mark.parametrize("backend", ["vec", "ra"])
+    def test_append_maintains_cached_fixpoint(self, session, backend):
         store = session.store
-        stale = session.execute(CLOSURE, "vec", rewrite=False)
+        stale = session.execute(CLOSURE, backend, rewrite=False)
         edge = _new_edge(store)
         store.add_rows("isLocatedIn", [edge])
-        maintained = session.execute(CLOSURE, "vec", rewrite=False)
+        maintained = session.execute(CLOSURE, backend, rewrite=False)
         assert maintained == _fresh_rows(store, CLOSURE)
         assert len(maintained) > len(stale)
         counters = session.cache_stats["maintenance"]
@@ -201,19 +203,12 @@ class TestResultMaintenance:
         assert counters.results_maintained == 1
         assert counters.delta_rows_applied == 0  # no evaluation happened
 
-    def test_ra_plans_use_the_read_set_fast_path(self, session):
+    def test_touched_sqlite_plan_invalidates(self, session):
+        # No columnar program to maintain: invalidate and recompute.
         store = session.store
-        session.execute(CLOSURE, "ra", rewrite=False)
-        store.add_rows("owns", [_new_edge(store, "owns")])
-        session.execute(CLOSURE, "ra", rewrite=False)
-        assert session.cache_stats["maintenance"].results_maintained == 1
-        assert session.cache_stats["result"].hits == 1
-
-    def test_touched_ra_plan_invalidates(self, session):
-        store = session.store
-        session.execute(CLOSURE, "ra", rewrite=False)
+        session.execute(CLOSURE, "sqlite", rewrite=False)
         store.add_rows("isLocatedIn", [_new_edge(store)])
-        rows = session.execute(CLOSURE, "ra", rewrite=False)
+        rows = session.execute(CLOSURE, "sqlite", rewrite=False)
         assert rows == _fresh_rows(store, CLOSURE)
         assert session.cache_stats["maintenance"].results_invalidated == 1
 

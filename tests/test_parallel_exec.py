@@ -340,6 +340,30 @@ class TestVecBackendOptions:
             == expected
         )
 
+    def test_ra_ignores_the_vec_environment_defaults(
+        self, example_session, monkeypatch
+    ):
+        # ``ra`` is the same layer with nothing to choose: whatever the
+        # environment tells ``vec``, it runs sequentially and in memory.
+        import repro.exec.executor as executor
+        import repro.exec.shard as shard
+
+        expected = example_session.execute(CHAIN_QUERY, "ra", rewrite=False)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ra left the sequential in-memory path")
+
+        monkeypatch.setattr(executor, "MorselKernel", refuse)
+        monkeypatch.setattr(executor, "SpillManager", refuse)
+        monkeypatch.setattr(shard, "ProcessMorselKernel", refuse)
+        monkeypatch.setenv("REPRO_VEC_PARALLELISM", "4")
+        monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
+        monkeypatch.setenv("REPRO_SPILL_THRESHOLD_BYTES", "1")
+        example_session.clear_caches()
+        prepared = example_session.prepare(CHAIN_QUERY, "ra", rewrite=False)
+        assert prepared.plan.kernel == "python"
+        assert prepared.execute() == expected
+
 
 # -- budget enforcement inside parallel operators ------------------------------
 class _GilFreeProxy:
