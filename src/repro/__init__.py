@@ -58,6 +58,7 @@ from repro.errors import (
     SchemaError,
     TranslationError,
 )
+from repro.exec.result import ResultSet
 from repro.graph import EvalBudget, PropertyGraph, evaluate_path
 from repro.graph.model import yago_example_graph
 from repro.query import CQT, UCQT, evaluate_ucqt, parse_query
@@ -70,6 +71,7 @@ __version__ = "1.2.0"
 __all__ = [
     "GraphSession",
     "PreparedQuery",
+    "ResultSet",
     "QueryService",
     "BatchOutcome",
     "BatchReport",

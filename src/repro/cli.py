@@ -642,10 +642,10 @@ def _add_governor_arguments(parser) -> None:
 def _add_incremental_argument(parser) -> None:
     parser.add_argument(
         "--no-incremental", action="store_true",
-        help="disable incremental maintenance of caches under store "
-        "writes (same as REPRO_INCREMENTAL=0): stale cached results "
-        "and encodings are rebuilt from scratch instead of maintained "
-        "from the append delta",
+        help="disable incremental maintenance of cached results under "
+        "store writes (same as REPRO_INCREMENTAL=0): stale cached "
+        "results are recomputed instead of maintained from the append "
+        "delta",
     )
 
 

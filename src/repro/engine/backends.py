@@ -20,7 +20,9 @@ whatever the substrate actually executes:
 * ``reference`` — the UCQT itself (the naive Fig. 5 evaluator has no
                   plan to speak of).
 
-All adapters return *head-ordered* row sets, so results are directly
+All adapters answer with one shape, a *head-ordered*
+:class:`~repro.exec.result.ResultSet` (``ra``/``vec`` leave it in coded
+columns, the others wrap their rows), so results are directly
 comparable across backends.
 """
 
@@ -34,6 +36,7 @@ from repro.exec.compile import CompiledProgram, compile_term
 from repro.exec.executor import ExecutionStats, execute_program
 from repro.exec.kernels import default_kernel, get_kernel
 from repro.exec.parallel import DEFAULT_MORSEL_SIZE, default_parallelism
+from repro.exec.result import ResultSet
 from repro.exec.spill import default_shard_workers, default_spill_threshold
 from repro.gdb.cypher import cypher_expressible, to_cypher
 from repro.gdb.patterns import GraphPattern, ucqt_to_patterns
@@ -207,7 +210,7 @@ class VecBackend:
         session: "GraphSession",
         plan: VecPlan,
         timeout_seconds: float | EvalBudget | None = None,
-    ) -> frozenset[tuple]:
+    ) -> ResultSet:
         return self.execute_with_stats(session, plan, timeout_seconds, None)
 
     def execute_with_stats(
@@ -217,7 +220,7 @@ class VecBackend:
         timeout_seconds: float | EvalBudget | None = None,
         stats: ExecutionStats | None = None,
         fix_capture: dict | None = None,
-    ) -> frozenset[tuple]:
+    ) -> ResultSet:
         """Execute, optionally collecting per-operator actual
         cardinalities (the adaptive planner's feedback signal).
 
@@ -327,7 +330,7 @@ class RaBackend(VecBackend):
         timeout_seconds: float | EvalBudget | None = None,
         stats: ExecutionStats | None = None,
         fix_capture: dict | None = None,
-    ) -> frozenset[tuple]:
+    ) -> ResultSet:
         fault_point("backend.execute.ra")
         return execute_program(
             plan.program,
@@ -381,9 +384,11 @@ class SqliteEngineBackend:
         session: "GraphSession",
         plan: SqlPlan,
         timeout_seconds: float | EvalBudget | None = None,
-    ) -> frozenset[tuple]:
+    ) -> ResultSet:
         fault_point("backend.execute.sqlite")
-        return session.sqlite.execute_sql(plan.sql, timeout_seconds)
+        return ResultSet.from_rows(
+            session.sqlite.execute_sql(plan.sql, timeout_seconds)
+        )
 
     def explain(self, session: "GraphSession", plan: SqlPlan) -> str:
         query_plan = session.sqlite.explain_query_plan(plan.sql)
@@ -419,13 +424,13 @@ class GdbBackend:
         session: "GraphSession",
         plan: GdbPlan,
         timeout_seconds: float | EvalBudget | None = None,
-    ) -> frozenset[tuple]:
+    ) -> ResultSet:
         fault_point("backend.execute.gdb")
         budget = as_budget(timeout_seconds)
         result: set[tuple] = set()
         for pattern in plan.patterns:
             result |= session.pattern_engine.evaluate_pattern(pattern, budget)
-        return frozenset(result)
+        return ResultSet.from_rows(result)
 
     def explain(self, session: "GraphSession", plan: GdbPlan) -> str:
         if plan.cypher is not None:
@@ -464,10 +469,12 @@ class ReferenceBackend:
         session: "GraphSession",
         plan: ReferencePlan,
         timeout_seconds: float | EvalBudget | None = None,
-    ) -> frozenset[tuple]:
+    ) -> ResultSet:
         fault_point("backend.execute.reference")
-        return evaluate_ucqt(
-            session.graph, plan.query, as_budget(timeout_seconds)
+        return ResultSet.from_rows(
+            evaluate_ucqt(
+                session.graph, plan.query, as_budget(timeout_seconds)
+            )
         )
 
     def explain(self, session: "GraphSession", plan: ReferencePlan) -> str:

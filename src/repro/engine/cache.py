@@ -19,6 +19,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, TypeVar
 
+from repro.exec.result import ResultSet
+
 V = TypeVar("V")
 
 _MISSING = object()
@@ -76,27 +78,30 @@ def result_cache_key(
 class CachedResult:
     """One result-set cache entry, maintainable in place.
 
-    ``version`` is the store version the rows are valid at — a lookup
-    at a newer version triggers maintenance or eviction. ``fix_states``
-    (``vec`` fixpoint plans only) maps each closed fixpoint's source
-    :class:`~repro.ra.terms.Fix` term to a ``(total, state, domain)``
-    triple — its materialised total as a *kernel-native* table of
-    integer codes, the membership state iteration converged with, and
-    the packing domain of that state — and ``output`` holds the
-    head-ordered root output the decoded ``rows`` came from. Codes are
+    ``answer`` is what the entry serves — for ``ra``/``vec`` plans the
+    head-ordered coded root, the cache's only form: a warm hit hands it
+    out and decodes nothing. ``version`` is the store version it is
+    valid at — a lookup at a newer version triggers maintenance or
+    eviction. ``fix_states`` (fixpoint plans only) maps each closed
+    fixpoint's source :class:`~repro.ra.terms.Fix` term to a ``(total,
+    state, domain)`` triple — its materialised total as a
+    *kernel-native* table of integer codes, the membership state
+    iteration converged with, and the packing domain of that state —
+    and ``seen`` is the ``(membership state, domain)`` of the answer's
+    own table once a maintenance run has built one. Codes are
     domain-independent and survive append-only writes (the dictionary
     is append-only), so maintenance can seed the executor with these
-    tables as-is and continue semi-naive iteration from where the
-    cached execution converged — decoding only the rows the write
-    added. ``kernel_name`` records which kernel produced the tables; a
-    lookup under a different kernel must not reuse them.
+    tables as-is, continue semi-naive iteration from where the cached
+    execution converged and append the coded rows the write added.
+    ``kernel_name`` records which kernel produced the tables; a lookup
+    under a different kernel must not reuse them.
     """
 
-    rows: frozenset
+    answer: ResultSet
     version: int
     fix_states: dict | None = None
-    output: object | None = None
     kernel_name: str | None = None
+    seen: tuple | None = None
 
 
 def _freeze_value(value):

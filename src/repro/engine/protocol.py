@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping, Protocol, runtime_checkable
 
+from repro.exec.result import ResultSet
 from repro.query.model import UCQT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -47,8 +48,9 @@ class Backend(Protocol):
         session: "GraphSession",
         plan: object,
         timeout_seconds: float | None = None,
-    ) -> frozenset[tuple]:
-        """Run a prepared plan, returning head-ordered result tuples."""
+    ) -> ResultSet:
+        """Run a prepared plan, returning the head-ordered answer (rows
+        that were never coded go through ``ResultSet.from_rows``)."""
 
     def explain(self, session: "GraphSession", plan: object) -> str:
         """Render the prepared plan with the substrate's printer.

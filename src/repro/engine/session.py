@@ -32,7 +32,8 @@ a stale entry is **maintained** instead of recomputed — the cached
 built from the store's append delta, and plans that read none of the
 changed relations are simply re-stamped. Barrier writes (new tables,
 replacements, deletions) or non-maintainable plans fall back to
-eviction. ``REPRO_INCREMENTAL=0`` disables maintenance globally. The
+eviction. ``REPRO_INCREMENTAL=0`` disables maintenance globally (the
+store keeps serving its delta log; only this consumer stops). The
 layer is off by default because timed comparisons (the benchmark
 harness) must measure execution, not cache hits; the serving entry
 points (``repro batch`` / ``repro serve``) switch it on.
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 import pathlib
 import time
 from dataclasses import dataclass
@@ -64,7 +66,7 @@ from repro.engine.options import (
 from repro.engine.protocol import Backend, available_backends, get_backend
 from repro.engine.report import ExplainReport
 from repro.exec.dictionary import encoding_appends, tables_encoded
-from repro.exec.executor import CAPTURE_KERNEL, CAPTURE_OUTPUT, ExecutionStats
+from repro.exec.executor import CAPTURE_KERNEL, ExecutionStats
 from repro.exec.kernels import default_kernel, get_kernel
 from repro.exec.spill import (
     SpillManager,
@@ -79,6 +81,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.exec.maintain import maintain_program, maintainable
+from repro.exec.result import EMPTY, ResultSet
 from repro.gdb.engine import PatternEngine
 from repro.graph.evaluator import EvalBudget, ResourceBudget, as_budget
 from repro.graph.model import UNLABELLED, PropertyGraph
@@ -100,7 +103,7 @@ from repro.ra.stats import Estimator, store_statistics
 from repro.schema.model import GraphSchema
 from repro.schema.validation import check_consistency
 from repro.sql.sqlite_backend import SqliteBackend
-from repro.storage.relational import RelationalStore, incremental_enabled
+from repro.storage.relational import RelationalStore
 from repro.testing.faults import fault_point
 
 
@@ -244,7 +247,7 @@ class PreparedQuery:
 
     def execute(
         self, timeout_seconds: "float | EvalBudget | None" = None
-    ) -> frozenset[tuple]:
+    ) -> ResultSet:
         self._refresh_if_stale()
         if self.fallback and not isinstance(timeout_seconds, EvalBudget):
             return self.session._execute_resilient(self, timeout_seconds)
@@ -252,10 +255,10 @@ class PreparedQuery:
 
     def _execute_once(
         self, timeout_seconds: "float | EvalBudget | None" = None
-    ) -> frozenset[tuple]:
+    ) -> ResultSet:
         self._refresh_if_stale()
         if self.plan is None:
-            return frozenset()
+            return EMPTY
         timeout_seconds = self.budget(timeout_seconds)
         key = self.result_cache_key()
         if key is not None:
@@ -487,8 +490,8 @@ class GraphSession:
         replayed from its append deltas on read so the ``gdb`` and
         ``reference`` engines answer over the same data as ``ra``/
         ``vec``/``sqlite``. Barrier writes (replacements, new tables)
-        and disabled maintenance cannot be replayed — the graph then
-        keeps its pre-write contents for those tables.
+        cannot be replayed — the graph then keeps its pre-write
+        contents for those tables.
         """
         self._sync_graph()
         return self._graph
@@ -568,8 +571,7 @@ class GraphSession:
 
         Returns ``self`` when ``version`` is current, ``None`` when no
         append-only delta covers the interval (barrier write, truncated
-        log, maintenance disabled) — callers then fall back to the live
-        session. Snapshot sessions share nothing with the live caches
+        log) — callers then fall back to the live session. Snapshot sessions share nothing with the live caches
         (fresh rewrite/plan caches, no result cache): they exist for
         the rare read that straddled a write, not for the hot path.
         """
@@ -1003,8 +1005,12 @@ class GraphSession:
         backend_options: Mapping | None = None,
         planner: str | None = None,
         exec_options: ExecOptions | None = None,
-    ) -> frozenset[tuple]:
-        """Rewrite, plan (both cached) and run a query on one backend."""
+    ) -> ResultSet:
+        """Rewrite, plan (both cached) and run a query on one backend.
+
+        The answer is an immutable set of head-ordered rows;
+        ``ra``/``vec`` leave it coded until it is read.
+        """
         prepared = self.prepare(
             query, backend,
             rewrite=rewrite, options=options, backend_options=backend_options,
@@ -1023,7 +1029,7 @@ class GraphSession:
         backend_options: Mapping | None = None,
         planner: str | None = None,
         exec_options: ExecOptions | None = None,
-    ) -> list[frozenset[tuple]]:
+    ) -> list[ResultSet]:
         """Execute a batch of queries, sharing work across the batch.
 
         Results come back in input order. Identical normalised queries
@@ -1142,7 +1148,7 @@ class GraphSession:
         self,
         prepared: PreparedQuery,
         timeout_seconds: float | None = None,
-    ) -> frozenset[tuple]:
+    ) -> ResultSet:
         """Execute with retries down the backend chain.
 
         One wall-clock deadline spans every attempt (each retry sees
@@ -1165,12 +1171,12 @@ class GraphSession:
         opens = 0
         last_error: ReproError | None = None
         tried_or_skipped: list[str] = []
-        rows: frozenset[tuple] | None = None
+        rows: ResultSet | None = None
         winner: PreparedQuery | None = None
 
         def attempt(
             handle: PreparedQuery, breaker: CircuitBreaker
-        ) -> frozenset[tuple] | None:
+        ) -> ResultSet | None:
             nonlocal attempts, opens, last_error
             remaining = (
                 None if deadline is None else deadline - time.monotonic()
@@ -1302,7 +1308,7 @@ class GraphSession:
         prepared: "PreparedQuery",
         key: tuple,
         timeout_seconds: "float | EvalBudget | None" = None,
-    ) -> frozenset | None:
+    ) -> ResultSet | None:
         """Serve one result-cache lookup, maintaining stale entries.
 
         A fresh entry is a plain hit. A stale entry (the store moved on)
@@ -1324,7 +1330,7 @@ class GraphSession:
             return None
         if entry.version == self.store.version:
             cache.count_hit(key)
-            return entry.rows
+            return entry.answer
         rows = self._maintain_entry(prepared, entry, timeout_seconds)
         if rows is not None:
             cache.count_hit(key)
@@ -1339,10 +1345,10 @@ class GraphSession:
         prepared: "PreparedQuery",
         entry: CachedResult,
         timeout_seconds: "float | EvalBudget | None",
-    ) -> frozenset | None:
+    ) -> ResultSet | None:
         """Bring one stale cache entry up to the current store version.
 
-        Returns the maintained rows, or None when the entry cannot be
+        Returns the maintained answer, or None when the entry cannot be
         maintained (maintenance disabled, barrier write, unknown read
         set with no seedable fixpoint state). Plans that read none of
         the changed relations are re-stamped without any evaluation.
@@ -1364,7 +1370,7 @@ class GraphSession:
         if reads is not None and not (set(reads) & set(deltas)):
             entry.version = store.version
             self._maintenance.results_maintained += 1
-            return entry.rows
+            return entry.answer
         plan = prepared.plan
         if not isinstance(plan, _backends.VecPlan):
             return None
@@ -1381,29 +1387,28 @@ class GraphSession:
             head=plan.head,
             kernel=kernel,
             budget=as_budget(timeout_seconds),
-            prev_rows=entry.rows,
-            prev_output=entry.output,
+            prev=entry.answer,
+            prev_seen=entry.seen,
         )
-        entry.rows = outcome.rows
+        entry.answer = outcome.answer
         entry.version = store.version
         entry.fix_states = outcome.fix_states
-        entry.output = outcome.output
+        entry.seen = outcome.seen
         self._maintenance.merge(outcome.stats)
         self._maintenance.results_maintained += 1
-        return outcome.rows
+        return outcome.answer
 
     def _store_result(
         self,
         key: tuple,
-        rows: frozenset,
+        rows: ResultSet,
         version: int,
         capture: dict | None = None,
     ) -> None:
         """Cache ``rows`` computed at store ``version`` under ``key``.
 
         ``capture`` is the executor's fix-capture dict: fixpoint totals
-        keyed by Fix term, plus the root output table and kernel name
-        under their sentinel keys.
+        keyed by Fix term, plus the kernel name under its sentinel key.
         """
         try:
             fault_point("result_cache.store")
@@ -1412,13 +1417,9 @@ class GraphSession:
             # result is already computed and correct; nothing partial
             # enters the cache.
             return
-        output = kernel_name = None
-        if capture:
-            kernel_name = capture.pop(CAPTURE_KERNEL, None)
-            output = capture.pop(CAPTURE_OUTPUT, None)
+        kernel_name = capture.pop(CAPTURE_KERNEL, None) if capture else None
         self._result_cache.put(
-            key,
-            CachedResult(rows, version, capture or None, output, kernel_name),
+            key, CachedResult(rows, version, capture or None, kernel_name)
         )
 
     # -- adaptive planner feedback -----------------------------------------
@@ -1474,10 +1475,13 @@ class GraphSession:
 
     # -- calibration (telemetry → fit → exploit) ---------------------------
     def _incremental_active(self) -> bool:
-        """Incremental maintenance, after the session-level toggle."""
+        """Incremental maintenance: the session-level toggle, then the
+        ``REPRO_INCREMENTAL=0`` kill switch. This is the variable's one
+        reader (per call, so tests and CI legs can toggle it) — the
+        store serves its delta log to everyone else regardless."""
         if self._incremental is False:
             return False
-        return incremental_enabled()
+        return os.environ.get("REPRO_INCREMENTAL", "1") != "0"
 
     def _record_telemetry(
         self,

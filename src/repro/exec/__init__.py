@@ -17,6 +17,8 @@ over columns of dense integer codes:
   positional indices at compile time,
 * :mod:`repro.exec.executor` — runs a compiled program, including
   semi-naive fixpoint iteration over delta frontiers,
+* :mod:`repro.exec.result` — the answer type: the coded root plus the
+  value list, decoded once and only when read,
 * :mod:`repro.exec.maintain` — incrementally maintains cached fixpoint
   results after append-only store writes by re-seeding the semi-naive
   iteration with a delta-derived frontier,
@@ -57,6 +59,7 @@ from repro.exec.maintain import (
     maintainable,
 )
 from repro.exec.kernels import available_kernels, default_kernel, get_kernel
+from repro.exec.result import ResultSet
 from repro.exec.parallel import (
     DEFAULT_MORSEL_SIZE,
     MIN_MORSEL_SIZE,
@@ -83,6 +86,7 @@ __all__ = [
     "MaintenanceOutcome",
     "MorselKernel",
     "ProcessMorselKernel",
+    "ResultSet",
     "SpillManager",
     "StoreEncoding",
     "ValueDictionary",

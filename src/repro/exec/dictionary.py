@@ -12,11 +12,10 @@ moves across an append-only write
 (:meth:`~repro.storage.relational.RelationalStore.delta_since`), the
 delta rows are encoded into the existing snapshot — existing codes
 survive, new constants get fresh codes, and the cost is O(delta), not
-O(store). Only barrier writes (new tables, replacements, or
-``REPRO_INCREMENTAL=0``) rebuild the snapshot. Individual tables are
-encoded lazily on first scan and the encoded columns are additionally
-cached per kernel, so repeated executions touch no Python-object hashing
-at all.
+O(store). Only barrier writes (new tables, replacements) rebuild the
+snapshot. Individual tables are encoded lazily on first scan and the
+encoded columns are additionally cached per kernel, so repeated
+executions touch no Python-object hashing at all.
 """
 
 from __future__ import annotations
@@ -31,26 +30,27 @@ class ValueDictionary:
     """Bidirectional mapping between values and dense integer codes.
 
     Codes are assigned in first-seen order starting at 0; ``decode`` is a
-    plain list index. Values must be hashable (node ids, strings, numbers
-    and ``None`` — everything a store row can hold).
+    plain index into ``values``, which only ever grows (a holder of codes
+    can keep the list and decode later). Values must be hashable (node
+    ids, strings, numbers and ``None`` — all a store row can hold).
     """
 
-    __slots__ = ("_codes", "_values")
+    __slots__ = ("_codes", "values")
 
     def __init__(self) -> None:
         self._codes: dict = {}
-        self._values: list = []
+        self.values: list = []
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self.values)
 
     def encode(self, value) -> int:
         """Return the code for ``value``, interning it if new."""
         code = self._codes.get(value)
         if code is None:
-            code = len(self._values)
+            code = len(self.values)
             self._codes[value] = code
-            self._values.append(value)
+            self.values.append(value)
         return code
 
     def lookup(self, value) -> int | None:
@@ -58,10 +58,10 @@ class ValueDictionary:
         return self._codes.get(value)
 
     def decode(self, code: int):
-        return self._values[code]
+        return self.values[code]
 
     def decode_row(self, row) -> tuple:
-        values = self._values
+        values = self.values
         return tuple(values[code] for code in row)
 
 
@@ -205,7 +205,7 @@ def encoding_for(store: RelationalStore) -> StoreEncoding:
     A version mismatch is first reconciled through
     :meth:`RelationalStore.delta_since`: append-only writes are folded
     into the existing snapshot (codes survive, cost O(delta)); barrier
-    writes — or disabled incremental maintenance — rebuild from scratch.
+    writes rebuild from scratch.
     """
     encoding = _ENCODINGS.get(store)
     if encoding is None or encoding.version != store.version:

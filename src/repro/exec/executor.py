@@ -63,6 +63,7 @@ from repro.exec.compile import (
 from repro.exec.dictionary import StoreEncoding, encoding_for
 from repro.exec.kernels import default_kernel
 from repro.exec.parallel import MorselKernel
+from repro.exec.result import ResultSet
 from repro.exec.spill import (
     SpillManager,
     is_spilled,
@@ -75,10 +76,9 @@ from repro.storage.relational import RelationalStore
 
 _NO_BUDGET = EvalBudget(None)
 
-#: Sentinel keys a fix-capture dict carries alongside its Fix-term keys:
-#: the head-ordered root output table and the kernel that produced every
-#: captured table (states from one kernel must not seed another).
-CAPTURE_OUTPUT = "__output__"
+#: Sentinel key a fix-capture dict carries alongside its Fix-term keys:
+#: the kernel that produced every captured table (states from one kernel
+#: must not seed another).
 CAPTURE_KERNEL = "__kernel__"
 
 
@@ -233,8 +233,8 @@ def execute_program(
     spill_path: str | None = None,
     spill_manager: SpillManager | None = None,
     shard_workers: int | None = None,
-) -> frozenset[tuple]:
-    """Run ``program`` on ``store``; returns decoded, head-ordered rows."""
+) -> ResultSet:
+    """Run ``program`` on ``store``; the head-ordered answer stays coded."""
     return execute_batch_programs(
         [program],
         store,
@@ -286,10 +286,11 @@ def execute_batch_programs(
     spill_path: str | None = None,
     spill_manager: SpillManager | None = None,
     shard_workers: int | None = None,
-) -> list[frozenset[tuple]]:
+) -> list[ResultSet]:
     """Run several compiled programs with shared encoding and shared memo.
 
-    ``heads[i]`` optionally reorders program ``i``'s output columns. The
+    ``heads[i]`` optionally reorders program ``i``'s output columns
+    (nothing is decoded: each answer owns its coded root). The
     programs should come from one store snapshot's compiler (the default:
     :func:`~repro.exec.compile.compile_term` caches per store version) so
     their equal closed subtrees are the *same* operator nodes; the
@@ -306,9 +307,9 @@ def execute_batch_programs(
     :class:`~repro.ra.terms.Fix` term, a ``(total, state, domain)``
     triple — the materialised total as a kernel-native coded table, the
     membership state iteration converged with, and the packing domain
-    that state was built at — plus the head-ordered root output table
-    under :data:`CAPTURE_OUTPUT` and the kernel name under
-    :data:`CAPTURE_KERNEL`. These are what the result cache stores so a
+    that state was built at — plus the kernel name under
+    :data:`CAPTURE_KERNEL`. These are what the result cache stores
+    beside the answer (which owns the head-ordered root table) so a
     later write can continue semi-naive iteration instead of
     recomputing. Capturing is O(1) per fixpoint: the tables are the
     runner's own materialisations, shared not copied.
@@ -360,8 +361,8 @@ def execute_batch_programs(
         runner = _Runner(
             programs, encoding, kernel, budget or _NO_BUDGET, spill=spill
         )
-        decode_row = encoding.dictionary.decode_row
-        results: list[frozenset[tuple]] = []
+        values = encoding.dictionary.values
+        results: list[ResultSet] = []
         if fix_captures is None:
             fix_captures = [None] * len(programs)
         for program, head, capture in zip(programs, heads, fix_captures):
@@ -371,25 +372,11 @@ def execute_batch_programs(
                 table = kernel.select_columns(
                     table, [columns.index(column) for column in head]
                 )
-            results.append(
-                frozenset(decode_row(row) for row in kernel.to_rows(table))
-            )
+            results.append(ResultSet(table, values))
             if capture is None:
                 continue
             capture[CAPTURE_KERNEL] = getattr(kernel, "NAME", None)
-            capture[CAPTURE_OUTPUT] = table
-            for op in program.root.walk():
-                if (
-                    isinstance(op, FixOp)
-                    and op.closed
-                    and op.source is not None
-                    and id(op) in runner._memo
-                ):
-                    capture[op.source] = (
-                        runner._memo[id(op)],
-                        runner.fix_final_states.get(id(op)),
-                        runner.domain,
-                    )
+            capture.update(runner.fix_states(program))
     finally:
         if morsel is not None:
             morsel.close()
@@ -445,6 +432,22 @@ class _Runner:
 
     def run(self, program: CompiledProgram):
         return self._eval(program.root, {})
+
+    def fix_states(self, program: CompiledProgram) -> dict:
+        """``(total, state, domain)`` of every closed fixpoint of
+        ``program`` this runner materialised, keyed by its Fix term."""
+        return {
+            op.source: (
+                self._memo[id(op)],
+                self.fix_final_states.get(id(op)),
+                self.domain,
+            )
+            for op in program.root.walk()
+            if isinstance(op, FixOp)
+            and op.closed
+            and op.source is not None
+            and id(op) in self._memo
+        }
 
     def _scan_table(self, name: str):
         """The kernel table for one base-table scan, spilled when big.

@@ -24,7 +24,8 @@ needs over tables of integer-code columns:
 ``join_build``          index a join's build side once (None: key unpackable)
 ``join_probe``          probe one morsel against a prepared build side
 ``empty_state()``       fresh seen-row state for fixpoint difference
-``difference``          rows not yet in the state; returns (delta, state)
+``difference``          rows of a duplicate-free table not yet in the state;
+                        returns (delta, state)
 ======================  ======================================================
 
 :mod:`repro.exec.kernels_numpy` vectorizes these over ``numpy`` arrays;

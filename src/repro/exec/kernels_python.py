@@ -8,6 +8,7 @@ integer columns, dict-of-int hash joins), and always available — the
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable
 
 
@@ -121,21 +122,45 @@ def concat(left: PyTable, right: PyTable) -> PyTable:
 
 class JoinBuild:
     """The shared build side of a hash join: hashed once, probed by any
-    number of probe morsels."""
+    number of probe morsels.
 
-    __slots__ = ("table", "positions")
+    A counting layout, not a list per key: the build rows of key ``k``
+    are ``order[starts[k]:ends[k]]``. Two dicts of ints and one flat
+    list leave the cyclic collector nothing to traverse.
+    """
 
-    def __init__(self, table: PyTable, positions: dict):
+    __slots__ = ("table", "starts", "ends", "order")
+
+    def __init__(self, table: PyTable, starts: dict, ends: dict, order: list):
         self.table = table
-        self.positions = positions
+        self.starts = starts
+        self.ends = ends
+        self.order = order
+
+
+def _join_keys(table: PyTable, key: list[int]):
+    """One hashable per row: the code itself for a single key column
+    (no tuple per row), else the tuple of the key columns' codes."""
+    if len(key) == 1:
+        return table.cols[key[0]]
+    return to_rows(select_columns(table, key))
 
 
 def join_build(build: PyTable, key: list[int], domain: int) -> JoinBuild:
     """Hash the build side's key columns once."""
-    positions: dict[tuple, list[int]] = {}
-    for position, row_key in enumerate(to_rows(select_columns(build, key))):
-        positions.setdefault(row_key, []).append(position)
-    return JoinBuild(build, positions)
+    keys = _join_keys(build, key)
+    starts: dict = {}
+    total = 0
+    for row_key, count in Counter(keys).items():
+        starts[row_key] = total
+        total += count
+    order = [0] * total
+    ends = dict(starts)  # each key's next free slot; its run's end when done
+    for position, row_key in enumerate(keys):
+        slot = ends[row_key]
+        order[slot] = position
+        ends[row_key] = slot + 1
+    return JoinBuild(build, starts, ends, order)
 
 
 def join_probe(
@@ -148,16 +173,16 @@ def join_probe(
 ) -> PyTable:
     """Probe one morsel against a prepared build side."""
     build = handle.table
-    positions = handle.positions
+    starts, ends, order = handle.starts, handle.ends, handle.order
+    find = starts.get
     probe_idx: list[int] = []
     build_idx: list[int] = []
-    for position, row_key in enumerate(
-        to_rows(select_columns(probe, probe_key))
-    ):
-        matches = positions.get(row_key)
-        if matches:
-            probe_idx.extend([position] * len(matches))
-            build_idx.extend(matches)
+    for position, row_key in enumerate(_join_keys(probe, probe_key)):
+        start = find(row_key)
+        if start is not None:
+            end = ends[row_key]
+            probe_idx.extend([position] * (end - start))
+            build_idx.extend(order[start:end])
 
     out_cols: list[list[int]] = []
     for side, column_index in layout:

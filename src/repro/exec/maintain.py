@@ -13,9 +13,10 @@ each closed fixpoint whose previous total was captured
 tables of integer codes — codes survive appends because the dictionary
 encoding is append-only) restarts with ``total = R₀`` and a *round-0
 frontier* derived from the delta instead of from scratch. When the
-previous decoded rows and coded output table are supplied too, only the
-rows the write actually added are decoded — the whole maintenance run
-is then O(delta + vectorized membership), never O(result) Python work.
+previous coded output table is supplied too, the maintained answer is
+that table with the coded rows the write added appended — the whole
+maintenance run is then O(delta + vectorized membership), and no row
+is decoded at all.
 
 The frontier must cover ``F_new(R₀) \\ R₀``. Outside nested fixpoints
 every operator is multilinear in its scan occurrences, so the frontier
@@ -52,6 +53,7 @@ from repro.exec.compile import (
 )
 from repro.exec.dictionary import encoding_for
 from repro.exec.executor import ExecutionStats, _NO_BUDGET, _Runner
+from repro.exec.result import ResultSet
 from repro.graph.evaluator import EvalBudget
 from repro.storage.relational import RelationalStore
 
@@ -128,14 +130,16 @@ def maintainable(program: CompiledProgram, fix_states: dict | None) -> bool:
 class MaintenanceOutcome:
     """Result of one incremental maintenance run.
 
-    ``fix_states`` and ``output`` are kernel-native coded tables, ready
-    to seed the *next* maintenance round without any conversion.
+    ``fix_states`` and ``answer.table`` are kernel-native coded tables,
+    ready to seed the *next* maintenance round without any conversion.
+    ``seen`` is ``(membership state of answer.table, packing domain)``
+    when the run kept one.
     """
 
-    rows: frozenset
+    answer: ResultSet
     fix_states: dict
     stats: ExecutionStats
-    output: object = None
+    seen: tuple | None = None
 
 
 def maintain_program(
@@ -146,8 +150,8 @@ def maintain_program(
     head: tuple[str, ...] | None = None,
     kernel=None,
     budget: EvalBudget | None = None,
-    prev_rows: frozenset | None = None,
-    prev_output=None,
+    prev: ResultSet | None = None,
+    prev_seen: tuple | None = None,
 ) -> MaintenanceOutcome:
     """Bring a cached result of ``program`` up to ``store``'s version.
 
@@ -155,12 +159,14 @@ def maintain_program(
     ``fix_states`` the captured ``(total, state, domain)`` fixpoint
     triples (kernel-native, produced by the *same* kernel that runs
     here — see :data:`~repro.exec.executor.CAPTURE_KERNEL`). When
-    ``prev_rows``/``prev_output`` carry the entry's decoded rows and
-    coded output table, only the newly-derived rows are decoded — every
-    operator is monotone, so the new output is a superset of the old.
-    Returns the maintained rows plus refreshed fixpoint states for the
-    cache entry. Exactness relies on monotonicity only, so the outcome
-    always equals a cold recomputation.
+    ``prev`` is the entry's answer, the new output is its coded table
+    with the newly-derived coded rows appended —
+    every operator is monotone, so the new output is a superset of the
+    old. ``prev_seen`` is the ``seen`` pair of the previous outcome; it
+    saves rebuilding the output's membership state. Nothing is decoded
+    and the previous table is never written to: an answer handed out
+    before keeps its rows. Exactness relies on monotonicity only, so the
+    outcome always equals a cold recomputation.
     """
     if kernel is None:
         from repro.exec.kernels import default_kernel
@@ -176,64 +182,44 @@ def maintain_program(
         if head is not None and head != columns
         else None
     )
-    decode_row = encoding.dictionary.decode_row
-    incremental = prev_rows is not None and prev_output is not None
-    delta_out = runner.root_delta(program) if incremental else None
+    domain = runner.domain
+    seen = None
+    prev_output = prev.table if prev is not None else None
+    delta_out = (
+        runner.root_delta(program) if prev_output is not None else None
+    )
     if delta_out is not None:
         # Root-scope delta propagation: only the new monomials were
-        # evaluated. ``delta_out`` is O(write delta), so the new rows
-        # are filtered against the previous *decoded* set row by row —
-        # no O(result) membership state is ever rebuilt.
+        # evaluated, so ``delta_out`` is O(write delta). It is filtered
+        # against the output's membership state, which is carried from
+        # run to run and rebuilt only when new values moved the packing
+        # domain. Updating that state is the last step that can fail, so
+        # an aborted run leaves the cached pair consistent.
         if head_indices is not None:
             delta_out = kernel.select_columns(delta_out, head_indices)
-        added_coded: list[tuple] = []
-        added_rows: set = set()
-        for coded in kernel.to_rows(delta_out):
-            decoded = decode_row(coded)
-            if decoded not in prev_rows and decoded not in added_rows:
-                added_rows.add(decoded)
-                added_coded.append(coded)
-        if added_rows:
-            rows = prev_rows | added_rows
-            table = kernel.concat(
-                prev_output,
-                kernel.from_rows(added_coded, len(head or columns)),
-            )
+        if prev_seen is not None and prev_seen[1] == domain:
+            state = prev_seen[0]
         else:
-            rows = prev_rows
-            table = prev_output
+            _, state = kernel.difference(
+                prev_output, kernel.empty_state(), domain
+            )
+        added, state = kernel.difference(delta_out, state, domain)
+        table = (
+            kernel.concat(prev_output, added)
+            if kernel.nrows(added)
+            else prev_output
+        )
+        seen = (state, domain)
     else:
         table = runner.run(program)
         if head_indices is not None:
             table = kernel.select_columns(table, head_indices)
-        if incremental:
-            _, seen = kernel.difference(
-                prev_output, kernel.empty_state(), runner.domain
-            )
-            added, _ = kernel.difference(table, seen, runner.domain)
-            rows = prev_rows | frozenset(
-                decode_row(row) for row in kernel.to_rows(added)
-            )
-        else:
-            rows = frozenset(
-                decode_row(row) for row in kernel.to_rows(table)
-            )
-    new_states: dict = {}
-    for op in program.root.walk():
-        if (
-            isinstance(op, FixOp)
-            and op.closed
-            and op.source is not None
-            and id(op) in runner._memo
-        ):
-            new_states[op.source] = (
-                runner._memo[id(op)],
-                runner.fix_final_states.get(id(op)),
-                runner.domain,
-            )
     runner.stats.delta_rows_applied += runner.delta_rows
     return MaintenanceOutcome(
-        rows=rows, fix_states=new_states, stats=runner.stats, output=table
+        answer=ResultSet(table, encoding.dictionary.values),
+        fix_states=runner.fix_states(program),
+        stats=runner.stats,
+        seen=seen,
     )
 
 
@@ -298,12 +284,12 @@ class _MaintainRunner(_Runner):
             self._eval(op, {})
         parts = [
             self._eval(variant, {})
-            for variant in self._root_variants(root)
+            for variant in self._variants(root)
         ]
-        out = kernel.empty(len(program.columns))
-        for part in parts:
-            out = kernel.concat(out, part)
-        return out
+        # Two variants can derive the same row; one variant cannot.
+        return kernel.distinct(
+            kernel.concat_many(parts, len(program.columns)), self.domain
+        )
 
     def _root_scope_ok(self, tree: PhysOp) -> bool:
         if isinstance(tree, FixOp):
@@ -325,9 +311,13 @@ class _MaintainRunner(_Runner):
         for child in tree.children():
             yield from self._root_scope_fixops(child)
 
-    def _root_variants(self, tree: PhysOp) -> list[PhysOp]:
-        """One cloned root path per changed-leaf occurrence, where a
-        leaf is a changed scan or a maintained (changed) fixpoint."""
+    def _variants(self, tree: PhysOp) -> list[PhysOp]:
+        """One cloned operator path per changed-leaf occurrence, where a
+        leaf is a changed scan or a maintained fixpoint that gained rows
+        (under a fixpoint arm that is :meth:`_variant_safe` no fixpoint
+        gained any). Clones carry ``closed=False`` so they are never
+        memoised — their transient ids must not alias a collected
+        node's memo slot."""
         if isinstance(tree, ScanOp):
             if tree.table in self._delta_tables:
                 return [
@@ -348,7 +338,7 @@ class _MaintainRunner(_Runner):
         variants: list[PhysOp] = []
         for field_name in _CHILD_FIELDS.get(type(tree), ()):
             child = getattr(tree, field_name)
-            for cloned in self._root_variants(child):
+            for cloned in self._variants(child):
                 variants.append(
                     dataclasses.replace(
                         tree, closed=False, **{field_name: cloned}
@@ -398,7 +388,7 @@ class _MaintainRunner(_Runner):
             if self._variant_safe(tree):
                 produced = [
                     self._eval(variant, use_env)
-                    for variant in self._delta_variants(tree)
+                    for variant in self._variants(tree)
                 ]
             else:
                 produced = [self._eval(tree, use_env)]
@@ -413,8 +403,11 @@ class _MaintainRunner(_Runner):
             self.fix_final_states[id(op)] = state
             return total
         frontier = parts[0]
-        for part in parts[1:]:
-            frontier = kernel.concat(frontier, part)
+        if len(parts) > 1:
+            # Two variants can derive the same row; one variant cannot.
+            frontier = kernel.distinct(
+                kernel.concat_many(parts, len(op.columns)), self.domain
+            )
         delta, state = kernel.difference(frontier, state, self.domain)
         total = kernel.concat(total, delta)
         # Semi-naive iteration as in :meth:`_iterate_fixpoint`, but the
@@ -450,32 +443,3 @@ class _MaintainRunner(_Runner):
         if isinstance(tree, FixOp):
             return not self._subtree_changed(tree)
         return all(self._variant_safe(child) for child in tree.children())
-
-    def _delta_variants(self, tree: PhysOp) -> list[PhysOp]:
-        """One cloned operator path per changed-scan occurrence.
-
-        Clones carry ``closed=False`` so they are never memoised — their
-        transient ids must not alias a collected node's memo slot.
-        """
-        if isinstance(tree, ScanOp):
-            if tree.table in self._delta_tables:
-                return [
-                    DeltaScanOp(
-                        tree.columns,
-                        False,
-                        tree.table,
-                        tree.indices,
-                        tree.dedup,
-                    )
-                ]
-            return []
-        variants: list[PhysOp] = []
-        for field_name in _CHILD_FIELDS.get(type(tree), ()):
-            child = getattr(tree, field_name)
-            for cloned in self._delta_variants(child):
-                variants.append(
-                    dataclasses.replace(
-                        tree, closed=False, **{field_name: cloned}
-                    )
-                )
-        return variants

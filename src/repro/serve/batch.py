@@ -41,6 +41,7 @@ from repro.errors import ReproError
 from repro.exec.executor import ExecutionStats, execute_batch_programs
 from repro.exec.kernels import get_kernel
 from repro.exec.parallel import default_parallelism
+from repro.exec.result import EMPTY, ResultSet
 from repro.graph.evaluator import EvalBudget, ResourceBudget
 from repro.testing.faults import fault_point
 from repro.planner import OPERATOR_KINDS, estimate_kind_rows
@@ -83,7 +84,7 @@ class BatchReport:
 class BatchOutcome:
     """Results (input order) plus the sharing report for one batch."""
 
-    results: tuple[frozenset[tuple], ...]
+    results: tuple[ResultSet, ...]
     report: BatchReport
 
 
@@ -147,7 +148,7 @@ def execute_batch(
         for key, handle in prepared.items()
         if handle.backend_name == "vec"
     }
-    rows_by_key: dict[str, frozenset[tuple]] = {}
+    rows_by_key: dict[str, ResultSet] = {}
     stats: ExecutionStats | None = None
     if vec_handles:
         rows_by_key, stats = _execute_vec_shared(
@@ -180,7 +181,7 @@ def _execute_vec_shared(
     prepared: Mapping[str, "PreparedQuery"],
     timeout_seconds: float | None,
     exec_options: "ExecOptions | None" = None,
-) -> tuple[dict[str, frozenset[tuple]], ExecutionStats]:
+) -> tuple[dict[str, ResultSet], ExecutionStats]:
     """Run every distinct ``vec`` plan through one shared batch runner.
 
     Plans whose result set is already cached (result cache enabled,
@@ -194,7 +195,7 @@ def _execute_vec_shared(
     per-plan resilient execution instead of failing the batch.
     """
     runnable: list[tuple[str, "PreparedQuery", VecPlan, tuple | None]] = []
-    rows_by_key: dict[str, frozenset[tuple]] = {}
+    rows_by_key: dict[str, ResultSet] = {}
     kernel = None
     parallelism: int | None = None
     morsel_size: int | None = None
@@ -203,7 +204,7 @@ def _execute_vec_shared(
         handle._refresh_if_stale()
         plan = handle.plan
         if plan is None:  # schema proved the query unsatisfiable
-            rows_by_key[key] = frozenset()
+            rows_by_key[key] = EMPTY
             continue
         if not isinstance(plan, VecPlan):  # pragma: no cover - misuse guard
             raise TypeError(

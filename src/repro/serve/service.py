@@ -42,6 +42,7 @@ from typing import Mapping, Sequence
 from repro.engine.options import ExecOptions
 from repro.engine.session import GraphSession
 from repro.errors import QueryTimeout, ServiceClosedError
+from repro.exec.result import ResultSet
 from repro.query.model import UCQT
 from repro.query.parser import parse_query
 from repro.serve.batch import BatchOutcome, execute_batch
@@ -68,7 +69,7 @@ class ServiceStats:
 @dataclass
 class _Request:
     query: UCQT
-    future: "asyncio.Future[frozenset[tuple]]"
+    future: "asyncio.Future[ResultSet]"
 
 
 class QueryService:
@@ -189,7 +190,7 @@ class QueryService:
         await self.close()
 
     # -- the front door ----------------------------------------------------
-    async def submit(self, query: UCQT | str) -> frozenset[tuple]:
+    async def submit(self, query: UCQT | str) -> ResultSet:
         """Enqueue one query; resolves with its rows once its batch ran.
 
         Raises :class:`~repro.errors.ServiceClosedError` once
@@ -223,7 +224,7 @@ class QueryService:
 
     async def map(
         self, queries: Sequence[UCQT | str]
-    ) -> list[frozenset[tuple]]:
+    ) -> list[ResultSet]:
         """Submit many queries concurrently; results in input order."""
         return list(
             await asyncio.gather(*(self.submit(query) for query in queries))
@@ -336,7 +337,7 @@ async def serve_queries(
     queries: Sequence[UCQT | str],
     backend: str = "vec",
     **service_kwargs,
-) -> tuple[list[frozenset[tuple]], ServiceStats]:
+) -> tuple[list[ResultSet], ServiceStats]:
     """Convenience: run one workload through a temporary service."""
     async with QueryService(session, backend, **service_kwargs) as service:
         results = await service.map(queries)

@@ -17,10 +17,12 @@ never map exceptions ad hoc.
 from __future__ import annotations
 
 import math
+from collections.abc import Set
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import ReproError, RequestError
+from repro.exec.result import ResultSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.options import ExecOptions
@@ -362,17 +364,13 @@ class ExplainRequest:
 
 
 # -- response helpers ----------------------------------------------------------
-def rows_payload(rows: frozenset) -> list[list]:
-    """Row sets as deterministic JSON: sorted lists of lists.
-
-    Mixed-type rows sort on ``repr`` as a total-order fallback — the
-    order is presentation, not semantics.
-    """
-    try:
-        ordered = sorted(rows)
-    except TypeError:
-        ordered = sorted(rows, key=repr)
-    return [list(row) for row in ordered]
+def rows_payload(rows: Set) -> list[list]:
+    """Row sets as deterministic JSON: sorted lists of lists
+    (:meth:`~repro.exec.result.ResultSet.sorted_rows`; a coded answer is
+    serialised from its columns)."""
+    if not isinstance(rows, ResultSet):
+        rows = ResultSet.from_rows(rows)
+    return rows.sorted_rows()
 
 
 def quotas_payload(quotas) -> dict:

@@ -46,6 +46,7 @@ from repro.errors import (
     RequestError,
     UnknownTenantError,
 )
+from repro.exec.result import ResultSet
 from repro.serve.batch import BatchOutcome, execute_batch
 from repro.serve.service import _THREAD_SAFE_BACKENDS, QueryService
 from repro.server.models import (
@@ -390,7 +391,7 @@ class Tenant:
             else:
                 budget = max(deadline - loop.time(), 0.001)
 
-                def run() -> list[frozenset]:
+                def run() -> list[ResultSet]:
                     with self.service._session_lock:
                         return self.session.execute_batch(
                             list(request.queries),
@@ -501,13 +502,13 @@ class Tenant:
 
     async def _execute_direct(
         self, request: QueryRequest, deadline: float
-    ) -> frozenset:
+    ) -> ResultSet:
         """Run a bespoke-configuration request outside the batcher
         (still serialised with it via the session lock)."""
         loop = asyncio.get_running_loop()
         budget = max(deadline - loop.time(), 0.001)
 
-        def run() -> frozenset:
+        def run() -> ResultSet:
             with self.service._session_lock:
                 return self.session.execute(
                     request.query,

@@ -18,7 +18,6 @@ invalidate those caches wholesale, as every write used to.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -28,24 +27,11 @@ from repro.schema.model import GraphSchema
 
 Row = tuple
 
-#: Process-wide switch for the incremental write path. When disabled
-#: (``REPRO_INCREMENTAL=0``) :meth:`RelationalStore.delta_since` reports
-#: every write as non-reconstructible, so every derived cache (dictionary
-#: encoding, compiled programs, statistics, result sets) falls back to
-#: full invalidation — the pre-incremental behaviour.
-_ENV_INCREMENTAL = "REPRO_INCREMENTAL"
-
 #: How many per-version delta-log entries a store retains. Reading a
 #: delta across more versions than this returns None (treat as barrier);
 #: the bound keeps long write streams from accumulating history nobody
 #: will ever replay.
 _DELTA_LOG_LIMIT = 64
-
-
-def incremental_enabled() -> bool:
-    """True unless ``$REPRO_INCREMENTAL`` is set to ``0`` (read per call,
-    so tests and CI legs can toggle it without re-importing)."""
-    return os.environ.get(_ENV_INCREMENTAL, "1") != "0"
 
 
 @dataclass
@@ -285,11 +271,8 @@ class RelationalStore:
         changed table and alias view (``{}`` when nothing changed), or
         ``None`` when the interval is not an append-only delta: a
         barrier write occurred (new table/alias, replacement), the log
-        was truncated, the version is unknown, or incremental
-        maintenance is disabled (``REPRO_INCREMENTAL=0``).
+        was truncated or the version is unknown.
         """
-        if not incremental_enabled():
-            return None
         if version == self._version:
             return {}
         if version > self._version or version < 0:
@@ -324,9 +307,8 @@ class RelationalStore:
         Returns ``self`` when ``version`` is current (the live store
         *is* the snapshot), a frozen reconstructed store otherwise, or
         ``None`` when no append-only delta covers the interval (barrier
-        write, truncated log, unknown version, or incremental
-        maintenance disabled) — the caller must then fall back to the
-        live version.
+        write, truncated log, unknown version) — the caller must then
+        fall back to the live version.
         """
         if version == self._version:
             return self

@@ -4,6 +4,7 @@ abandon a future."""
 from __future__ import annotations
 
 import asyncio
+from collections.abc import Set
 
 import pytest
 
@@ -75,8 +76,8 @@ class TestGracefulShutdown:
         first, blocked = asyncio.run(drive())
         # The accepted request drains (or, if the worker already raced
         # past it, is failed with the close error — never abandoned).
-        assert isinstance(first, (frozenset, ServiceClosedError))
-        assert isinstance(blocked, (frozenset, ServiceClosedError))
+        assert isinstance(first, (Set, ServiceClosedError))
+        assert isinstance(blocked, (Set, ServiceClosedError))
 
     def test_leftover_futures_failed_not_abandoned(self, session):
         async def drive():

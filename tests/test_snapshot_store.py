@@ -81,7 +81,12 @@ class TestSnapshotAt:
         store = _store()
         pinned = store.version
         store.add_rows("City", [(3,)])
+        # The maintenance kill switch does not reach the store: the
+        # pinned view is still reconstructible under it. A table
+        # replacement (the barrier the env var used to fake) defeats it.
         monkeypatch.setenv("REPRO_INCREMENTAL", "0")
+        assert store.snapshot_at(pinned).table("City").rows == {(1,), (2,)}
+        store.replace_table(Table("City", ("Sr",), {(1,), (2,), (3,)}))
         assert store.snapshot_at(pinned) is None
 
     def test_snapshot_refuses_writes(self):

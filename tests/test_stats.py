@@ -188,11 +188,10 @@ class TestStoreStatisticsLifecycle:
         second = store_statistics(store)
         assert second._ndv[("other", "Sr")] == 1
 
-    def test_barrier_still_resets_corrections(self, monkeypatch):
+    def test_barrier_still_resets_corrections(self):
         store = _store()
         store_statistics(store).observe_fixpoint_growth(32.0)
-        monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-        store.add_rows("edge", [(4, 40)])
+        store.replace_table(Table("edge", ("Sr", "Tr"), {(4, 40)}))
         assert store_statistics(store).observed_fixpoint_growth is None
 
     def test_weakref_retirement(self):
