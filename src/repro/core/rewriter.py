@@ -100,18 +100,28 @@ class RewriteResult:
         return self.query.is_empty
 
 
-def _relation_alternatives(
-    relation: Relation,
-    schema: GraphSchema,
-    options: RewriteOptions,
-    stats: RewriteStats,
-    fresh,
-) -> list[QueryFragment] | None:
-    """Rewrite one relation into alternative fragments (one per merged
-    triple). Returns None when the rewriter should keep the original
-    relation (nothing gained or guard tripped); [] when the relation is
-    unsatisfiable under the schema."""
-    expr = relation.expr
+#: ``path expression -> (merged triples or None, stats it contributes)``:
+#: the naming-independent half of rewriting a relation, computed once per
+#: distinct expression of a query under one (schema, options) and shared
+#: by the full rewrite and every partial site.
+RelationAnalyses = dict[
+    PathExpr, tuple[list[MergedTriple] | None, RewriteStats]
+]
+
+
+def _analyse_relation(
+    expr: PathExpr, schema: GraphSchema, options: RewriteOptions
+) -> tuple[list[MergedTriple] | None, RewriteStats]:
+    """Inference, merge, redundancy removal, guard and reversion check
+    for one relation's path expression — everything that does not
+    depend on variable names.
+
+    Returns the merged triples the relation rewrites into — None when
+    the rewriter should keep the original relation (nothing gained or
+    guard tripped), [] when it is unsatisfiable under the schema — and
+    the statistics the relation contributes wherever it is rewritten.
+    """
+    stats = RewriteStats()
     if options.apply_simplification:
         expr = simplify(expr)
 
@@ -123,7 +133,7 @@ def _relation_alternatives(
     if not triples:
         stats.relations_unsatisfiable += 1
         _record_closure_stats(expr, engine, [], stats)
-        return []
+        return [], stats
 
     if options.apply_merge:
         merged = merge_triples(triples)
@@ -140,7 +150,7 @@ def _relation_alternatives(
 
     if len(merged) > options.max_disjuncts:
         stats.relations_reverted_by_guard += 1
-        return None
+        return None, stats
 
     # Reversion check (paper §5.2): the schema taught us nothing when the
     # merged triples carry no annotations and no endpoint constraints and
@@ -153,7 +163,37 @@ def _relation_alternatives(
     ):
         expansion = _union_expansion(expr, limit=4 * options.max_disjuncts)
         if expansion is not None and {t.expr for t in merged} == expansion:
-            return None
+            return None, stats
+
+    return merged, stats
+
+
+def _relation_alternatives(
+    relation: Relation,
+    schema: GraphSchema,
+    options: RewriteOptions,
+    stats: RewriteStats,
+    fresh,
+    analyses: RelationAnalyses,
+) -> list[QueryFragment] | None:
+    """Rewrite one relation into alternative fragments (one per merged
+    triple). Returns None when the rewriter should keep the original
+    relation (nothing gained or guard tripped); [] when the relation is
+    unsatisfiable under the schema. Only the translation into fragments,
+    with its ``fresh`` variable names, runs per call; the analysis is
+    taken from (or added to) ``analyses``."""
+    analysis = analyses.get(relation.expr)
+    if analysis is None:
+        analysis = analyses[relation.expr] = _analyse_relation(
+            relation.expr, schema, options
+        )
+    merged, contributed = analysis
+    stats.relations_unsatisfiable += contributed.relations_unsatisfiable
+    stats.relations_reverted_by_guard += contributed.relations_reverted_by_guard
+    stats.closures.extend(contributed.closures)
+    stats.surviving_fixed_lengths.extend(contributed.surviving_fixed_lengths)
+    if merged is None:
+        return None
 
     fragments: list[QueryFragment] = []
     for triple in merged:
@@ -313,6 +353,7 @@ def _rewrite_cqt(
     options: RewriteOptions,
     stats: RewriteStats,
     fresh,
+    analyses: RelationAnalyses,
 ) -> list[CQT] | None:
     """Rewrite every relation of a CQT and distribute the unions.
 
@@ -323,7 +364,7 @@ def _rewrite_cqt(
     for relation in cqt.relations:
         stats.relations_total += 1
         alternatives = _relation_alternatives(
-            relation, schema, options, stats, fresh
+            relation, schema, options, stats, fresh, analyses
         )
         if alternatives == []:
             return []
@@ -377,16 +418,23 @@ def rewrite_query(
     query: UCQT,
     schema: GraphSchema,
     options: RewriteOptions | None = None,
+    analyses: RelationAnalyses | None = None,
 ) -> RewriteResult:
-    """Run the full Rewriter pipeline on a UCQT query."""
+    """Run the full Rewriter pipeline on a UCQT query.
+
+    ``analyses`` lets a caller that goes on rewriting the same query
+    under the same schema and options (:func:`enumerate_rewrites`) keep
+    each relation's analysis instead of repeating it.
+    """
     options = options or RewriteOptions()
+    analyses = {} if analyses is None else analyses
     stats = RewriteStats()
     fresh = _fresh_namer(query)
 
     new_disjuncts: list[CQT] = []
     any_change = False
     for cqt in query.disjuncts:
-        rewritten = _rewrite_cqt(cqt, schema, options, stats, fresh)
+        rewritten = _rewrite_cqt(cqt, schema, options, stats, fresh, analyses)
         if rewritten is None:
             new_disjuncts.append(cqt)
         elif rewritten == []:
@@ -408,6 +456,7 @@ def _rewrite_cqt_site(
     stats: RewriteStats,
     fresh,
     site: int,
+    analyses: RelationAnalyses,
 ) -> list[CQT] | None:
     """Rewrite exactly one relation of a CQT, keeping the others original.
 
@@ -423,7 +472,7 @@ def _rewrite_cqt_site(
             per_relation.append([QueryFragment(relations=[relation])])
             continue
         alternatives = _relation_alternatives(
-            relation, schema, options, stats, fresh
+            relation, schema, options, stats, fresh, analyses
         )
         if alternatives == []:
             return []
@@ -459,11 +508,18 @@ def enumerate_rewrites(
     ``max_disjuncts`` where the full rewrite blew past it — exactly the
     middle ground the boolean revert used to discard.
 
+    Each relation is analysed against the schema once for the whole
+    enumeration (the full rewrite does it, the sites reuse it), so a
+    relation the schema teaches nothing about is skipped before its
+    site is built; only the translation into fragments, with each
+    site's own fresh variable names, runs per site.
+
     The original query itself is *not* in the list — it is always a
     candidate and the caller adds it unconditionally.
     """
     options = options or RewriteOptions()
-    full = rewrite_query(query, schema, options)
+    analyses: RelationAnalyses = {}
+    full = rewrite_query(query, schema, options, analyses)
     candidates: list[tuple[str, RewriteResult]] = []
     seen = {str(query)}
     if not full.reverted:
@@ -477,13 +533,16 @@ def enumerate_rewrites(
 
     partial_count = 0
     for disjunct_index, cqt in enumerate(query.disjuncts):
-        for relation_index in range(len(cqt.relations)):
+        for relation_index, relation in enumerate(cqt.relations):
             if partial_count >= max_partial:
                 return candidates
+            analysis = analyses.get(relation.expr)
+            if analysis is not None and analysis[0] is None:
+                continue  # reverted: nothing to build a site from
             stats = RewriteStats()  # throwaway: stats belong to the full run
             fresh = _fresh_namer(query)
             rewritten = _rewrite_cqt_site(
-                cqt, schema, options, stats, fresh, relation_index
+                cqt, schema, options, stats, fresh, relation_index, analyses
             )
             if rewritten is None:
                 continue

@@ -51,6 +51,10 @@ class ExplainReport:
     #: session has never retried, degraded, or tripped a breaker, so the
     #: rendered text stays byte-identical for untouched sessions.
     resilience: dict | None = None
+    #: What planning this query cost, for cost-planned handles:
+    #: ``{"candidates", "plan_seconds"}``. Data only — the rendered text
+    #: carries no timings.
+    planner: dict | None = None
 
     @property
     def unsatisfiable(self) -> bool:
@@ -116,6 +120,8 @@ class ExplainReport:
         }
         if self.choice is not None:
             payload["candidates"] = self.choice.to_dict()
+        if self.planner is not None:
+            payload["planner"] = dict(self.planner)
         if self.result_cache is not None:
             stats = self.result_cache
             payload["result_cache"] = {

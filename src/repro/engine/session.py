@@ -46,7 +46,7 @@ import hashlib
 import os
 import pathlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.core.rewriter import RewriteOptions, RewriteResult, rewrite_query
@@ -90,11 +90,9 @@ from repro.planner import (
     CalibrationState,
     CostProfile,
     PlanChoice,
+    PlanningPass,
     calibrate_from_log,
-    enumerate_plan_candidates,
     estimate_kind_rows,
-    plan_query,
-    rank_candidates,
     validate_planner,
 )
 from repro.query.model import UCQT, drop_unsatisfiable_disjuncts
@@ -140,6 +138,33 @@ def schema_fingerprint(
 _drop_unsatisfiable_disjuncts = drop_unsatisfiable_disjuncts
 
 
+#: Compiled winners one cost-planned entry keeps (one per backend /
+#: backend-options / byte-cap combination asked for; oldest dropped).
+_MAX_COMPILED_PER_QUERY = 8
+
+
+@dataclass
+class _PlannedQuery:
+    """A query's plan-cache entry under the cost planner.
+
+    Everything planning decided for one (query, rewrite, schema,
+    options, growth): the pass itself, the backend ranking
+    ``backend="auto"`` and the degradation chain read, and each winner
+    compiled so far. One entry, so evicting it re-plans all of it.
+    """
+
+    key: tuple
+    planning: PlanningPass
+    #: Wall-clock spent planning this entry (reported, never decided on).
+    seconds: float = 0.0
+    #: The eligible backends, cheapest winner first (None: not ranked).
+    backends: tuple[str, ...] | None = None
+    #: (backend, frozen backend options, max_bytes) -> (plan, choice).
+    compiled: dict[tuple, tuple[object | None, PlanChoice]] = field(
+        default_factory=dict
+    )
+
+
 @dataclass
 class PreparedQuery:
     """A query bound to one backend with its compiled plan.
@@ -172,7 +197,8 @@ class PreparedQuery:
     backend_options: Mapping | None = None
     planner: str = "greedy"
     choice: PlanChoice | None = None
-    plan_key: tuple | None = None
+    #: The plan-cache entry a cost-planned handle was drawn from.
+    planned: _PlannedQuery | None = None
     last_execution_stats: ExecutionStats | None = None
     #: Whether the schema rewrite actually ran. Differs from ``rewrite``
     #: (the request) when the session's conformance gate disabled
@@ -337,6 +363,10 @@ class PreparedQuery:
             maintenance=maintenance,
             q_error=session._explain_q_error(self.backend_name),
             resilience=resilience,
+            planner=None if self.planned is None else {
+                "candidates": len(self.planned.planning.candidates),
+                "plan_seconds": self.planned.seconds,
+            },
         )
 
 
@@ -414,6 +444,8 @@ class GraphSession:
         self.replan_error_threshold = replan_error_threshold
         self._planner_replans = 0
         self._planner_observations = 0
+        self._candidates_enumerated = 0
+        self._plan_seconds = 0.0
         self._sqlite: SqliteBackend | None = None
         self._pattern_engine: PatternEngine | None = None
         self._fingerprint: str | None = None
@@ -740,13 +772,14 @@ class GraphSession:
         if rewrite and not effective_rewrite:
             self._rewrites_gated += 1
         options = (options or self.rewrite_options) if rewrite else None
-        if backend_name == "auto":
+        auto = backend_name == "auto"
+        if auto:
             growth = resolved.fixpoint_growth
             if growth is None:
                 growth = (backend_options or {}).get("fixpoint_growth")
-            backend_name = self._choose_backend(
+            backend_name = self._rank_backends(
                 query, effective_rewrite, options, growth
-            )
+            )[0]
             planner_mode = "cost"
         backend_impl = get_backend(backend_name)
         planner_mode = validate_planner(planner_mode)
@@ -754,10 +787,12 @@ class GraphSession:
             backend_impl.name, backend_options
         )
         if planner_mode == "cost":
+            if not auto:
+                growth = (effective_options or {}).get("fixpoint_growth")
             return self._governed(
                 self._prepare_cost(
                     query, backend_impl, rewrite, effective_rewrite, options,
-                    effective_options, max_bytes=resolved.max_bytes,
+                    effective_options, growth, max_bytes=resolved.max_bytes,
                 ),
                 resolved,
             )
@@ -815,15 +850,45 @@ class GraphSession:
     #: Backends the auto-chooser ranks when no calibration is loaded.
     _AUTO_POOL = ("vec", "ra", "sqlite")
 
-    def _choose_backend(
+    def _planned(
         self,
         query: UCQT,
         rewrite: bool,
         options: RewriteOptions | None,
         fixpoint_growth: float | None,
-    ) -> str:
-        """Pick the cheapest backend for one query (``backend="auto"``)."""
-        return self._rank_backends(query, rewrite, options, fixpoint_growth)[0]
+    ) -> _PlannedQuery:
+        """The query's cost-planner cache entry, enumerating the
+        candidates on a miss — the one enumeration every backend ranking
+        and every compiled plan of the query is drawn from."""
+        key = (
+            "planner",
+            str(query),
+            rewrite,
+            self.schema_fingerprint,
+            options,
+            fixpoint_growth,
+        )
+
+        def plan() -> _PlannedQuery:
+            started = time.perf_counter()
+            planned = _PlannedQuery(
+                key,
+                PlanningPass.for_query(
+                    query, self._schema, self.store,
+                    rewrite=rewrite, options=options,
+                    fixpoint_growth=fixpoint_growth,
+                ),
+            )
+            self._candidates_enumerated += len(planned.planning.candidates)
+            self._charge_planning(planned, started)
+            return planned
+
+        return self._plan_cache.get_or_create(key, plan)
+
+    def _charge_planning(self, planned: _PlannedQuery, started: float) -> None:
+        elapsed = time.perf_counter() - started
+        planned.seconds += elapsed
+        self._plan_seconds += elapsed
 
     def _rank_backends(
         self,
@@ -834,26 +899,20 @@ class GraphSession:
     ) -> tuple[str, ...]:
         """All eligible backends for one query, cheapest first.
 
-        Ranks the query's candidate plans once per eligible backend and
-        orders the backends by their winning plan's cost. With a loaded
+        Costs the query's one candidate list (:meth:`_planned`) under
+        every eligible backend's profile in a single walk and orders the
+        backends by their winning plan's cost. With a loaded
         :class:`~repro.planner.CalibrationState` the eligible set is the
         fitted backends and costs compare in measured seconds (mutually
         comparable across backends); without one it falls back to the
         built-in profiles over the default pool — never a mix of the two
-        scales. ``backend="auto"`` executes the head; the graceful
-        degradation path walks the tail (cheapest surviving substrate
-        next). The ranking is memoised in the plan cache.
+        scales. ``backend="auto"`` executes the head, compiling the very
+        choice ranked here; the graceful degradation path walks the
+        tail (cheapest surviving substrate next). The ranking lives in
+        the query's plan-cache entry, next to the plans compiled from it.
         """
-        key = (
-            "planner:auto",
-            str(query),
-            rewrite,
-            self.schema_fingerprint,
-            options,
-            fixpoint_growth,
-        )
-
-        def choose() -> tuple[str, ...]:
+        planned = self._planned(query, rewrite, options, fixpoint_growth)
+        if planned.backends is None:
             state = self._calibration
             if state is not None and state.fitted_backends:
                 pool = [
@@ -862,24 +921,14 @@ class GraphSession:
                 ]
             else:
                 pool = [(name, None) for name in self._AUTO_POOL]
-            estimator = Estimator(
-                self.store, fixpoint_growth=fixpoint_growth
-            )
-            candidates = enumerate_plan_candidates(
-                query, self._schema, self.store,
-                rewrite=rewrite, options=options, estimator=estimator,
-            )
-            costs: list[tuple[float, str]] = []
-            for name, profile in pool:
-                choice = rank_candidates(
-                    candidates, self.store, name,
-                    estimator=estimator, profile=profile,
-                )
-                costs.append((choice.winner.cost, name))
-            costs.sort()
-            return tuple(name for _cost, name in costs)
-
-        return self._plan_cache.get_or_create(key, choose)
+            started = time.perf_counter()
+            planned.backends = planned.planning.rank_pool(self.store, pool)
+            self._charge_planning(planned, started)
+            if planned.compiled:
+                # Ranked after the fact (a degradation chain asking):
+                # no compile follows to let the estimator go.
+                planned.planning.release()
+        return planned.backends
 
     def _memory_decision(
         self,
@@ -931,68 +980,79 @@ class GraphSession:
         effective_rewrite: bool,
         options: RewriteOptions | None,
         backend_options: Mapping | None,
+        fixpoint_growth: float | None,
         max_bytes: int | None = None,
     ) -> PreparedQuery:
         """The cost-based planning path of :meth:`prepare`.
 
-        Enumerates candidates, ranks them under the backend's cost
-        profile — the session's calibrated profile when one is loaded —
-        and compiles the winner: via the backend's ``prepare_from_term``
+        Takes the query's planning pass (:meth:`_planned` — already
+        enumerated and ranked when ``backend="auto"`` chose
+        ``backend_impl``), ranks it under the backend's cost profile —
+        the session's calibrated profile when one is loaded — and
+        compiles the winner: via the backend's ``prepare_from_term``
         hook when it executes µ-RA terms directly (``ra``/``vec``), else
         by handing it the winning candidate's query text (``sqlite``/
         ``gdb``/``reference``, whose candidate space is the rewrite
         choice; the RA cost is their proxy). The ``(plan, choice)`` pair
-        is cached like any greedy plan, under a planner-tagged key.
+        is kept inside the query's planner entry.
         """
-        key = (
-            "planner:cost",
-            backend_impl.name,
-            str(query),
-            effective_rewrite,
-            self.schema_fingerprint,
-            options,
-            freeze_options(backend_options),
-            max_bytes,
+        planned = self._planned(
+            query, effective_rewrite, options, fixpoint_growth
         )
-
-        def plan_candidates():
-            growth = (backend_options or {}).get("fixpoint_growth")
-            choice = plan_query(
-                query,
-                self._schema,
+        compiled_key = (
+            backend_impl.name, freeze_options(backend_options), max_bytes
+        )
+        compiled = planned.compiled.get(compiled_key)
+        if compiled is None:
+            started = time.perf_counter()
+            choice = planned.planning.choice(
                 self.store,
                 backend_impl.name,
-                rewrite=effective_rewrite,
-                options=options,
-                fixpoint_growth=growth,
-                profile=self.calibration_profile(backend_impl.name),
+                self.calibration_profile(backend_impl.name),
             )
-            winner = choice.winner.candidate
-            if winner.term is None:
-                return None, choice
-            effective = backend_options
-            if backend_impl.name == "vec":
-                effective, choice = self._memory_decision(
-                    choice, backend_options, max_bytes
-                )
-            from_term = getattr(backend_impl, "prepare_from_term", None)
-            if from_term is not None:
-                plan = from_term(self, winner.term, winner.query, effective)
-            elif effective is None:
-                plan = backend_impl.prepare(self, winner.query)
-            else:
-                plan = backend_impl.prepare(self, winner.query, effective)
-            return plan, choice
-
-        plan, choice = self._plan_cache.get_or_create(key, plan_candidates)
+            # Planned: what stays cached is the candidates and the
+            # rankings, not every estimate behind them.
+            planned.planning.release()
+            self._charge_planning(planned, started)
+            compiled = self._compile_winner(
+                backend_impl, choice, backend_options, max_bytes
+            )
+            if len(planned.compiled) >= _MAX_COMPILED_PER_QUERY:
+                del planned.compiled[next(iter(planned.compiled))]
+            planned.compiled[compiled_key] = compiled
+        plan, choice = compiled
         self._last_peak_estimate = choice.peak_bytes
         winner = choice.winner.candidate
         return PreparedQuery(
             self, backend_impl, query, winner.query, winner.rewrite_result,
             plan, self.schema_fingerprint, rewrite, options, backend_options,
-            planner="cost", choice=choice, plan_key=key,
+            planner="cost", choice=choice, planned=planned,
             rewrite_applied=effective_rewrite,
         )
+
+    def _compile_winner(
+        self,
+        backend_impl: Backend,
+        choice: PlanChoice,
+        backend_options: Mapping | None,
+        max_bytes: int | None,
+    ) -> tuple[object | None, PlanChoice]:
+        winner = choice.winner.candidate
+        if winner.term is None:
+            return None, choice
+        effective = backend_options
+        if backend_impl.name == "vec":
+            effective, choice = self._memory_decision(
+                choice, backend_options, max_bytes
+            )
+        from_term = getattr(backend_impl, "prepare_from_term", None)
+        if from_term is not None:
+            plan = from_term(self, winner.term, winner.query, effective)
+        elif effective is None:
+            plan = backend_impl.prepare(self, winner.query)
+        else:
+            plan = backend_impl.prepare(self, winner.query, effective)
+        return plan, choice
 
     def execute(
         self,
@@ -1436,8 +1496,10 @@ class GraphSession:
         observed fixpoint growth corrects the closure-growth assumption,
         and the root estimated/actual pair is recorded per plan. When
         the error factor exceeds :attr:`replan_error_threshold`, the
-        plan-cache entry is evicted so the next ``prepare`` re-plans
-        against the corrected statistics.
+        query's planner entry — candidates, backend ranking and compiled
+        plans alike — is evicted so the next ``prepare`` re-plans (and
+        ``backend="auto"`` re-chooses its substrate) against the
+        corrected statistics.
 
         Eviction is bounded: when the *previous* recorded feedback for
         this plan already exceeded the threshold, re-planning has been
@@ -1468,9 +1530,9 @@ class GraphSession:
         if (
             error > self.replan_error_threshold
             and not already_replanned
-            and prepared.plan_key is not None
+            and prepared.planned is not None
         ):
-            if self._plan_cache.evict(prepared.plan_key):
+            if self._plan_cache.evict(prepared.planned.key):
                 self._planner_replans += 1
 
     # -- calibration (telemetry → fit → exploit) ---------------------------
@@ -1574,6 +1636,8 @@ class GraphSession:
             "mode": self.planner,
             "observations": self._planner_observations,
             "replans": self._planner_replans,
+            "candidates_enumerated": self._candidates_enumerated,
+            "plan_seconds": self._plan_seconds,
             "observed_fixpoint_growth": store_stats.observed_fixpoint_growth,
             "feedback_entries": len(store_stats.feedback),
             "rewrites_gated": self._rewrites_gated,

@@ -25,6 +25,7 @@ from repro.planner.candidates import (
     DEFAULT_MAX_PARTIAL,
     PlanCandidate,
     PlanChoice,
+    PlanningPass,
     RankedCandidate,
     enumerate_plan_candidates,
     plan_query,
@@ -46,6 +47,7 @@ from repro.planner.cost import (
     TermCost,
     cost_profile,
     cost_term,
+    cost_term_profiles,
     estimate_kind_rows,
     estimate_term_bytes,
 )
@@ -67,6 +69,7 @@ __all__ = [
     "validate_planner",
     "PlanCandidate",
     "PlanChoice",
+    "PlanningPass",
     "RankedCandidate",
     "enumerate_plan_candidates",
     "plan_query",
@@ -77,6 +80,7 @@ __all__ = [
     "OPERATOR_KINDS",
     "cost_profile",
     "cost_term",
+    "cost_term_profiles",
     "estimate_kind_rows",
     "estimate_term_bytes",
     "CalibrationLog",

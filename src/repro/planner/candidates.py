@@ -13,15 +13,22 @@ all guaranteed equivalent to the original query:
 * alternative **join orders** of each rewrite's µ-RA translation, from
   the optimizer's bounded enumeration (pure RA equivalences).
 
-``enumerate_plan_candidates`` produces them; ``rank_candidates`` costs
-each against one backend's :class:`~repro.planner.cost.CostProfile` and
-returns a :class:`PlanChoice` with the winner marked. Sessions execute
-the winner; ``explain`` renders the ranked table.
+A query is planned in **one pass** (:class:`PlanningPass`): its
+candidates are enumerated once against one
+:class:`~repro.ra.stats.Estimator`, and everything else is ranked from
+that list — ``rank_candidates`` costs it against one backend's
+:class:`~repro.planner.cost.CostProfile` and returns a
+:class:`PlanChoice` with the winner marked; ``PlanningPass.rank_pool``
+costs it under several backends' profiles in a single walk per
+candidate, which is how ``backend="auto"`` picks a substrate without
+planning twice. Sessions cache the pass, execute the chosen backend's
+winner, and ``explain`` renders its ranked table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 from repro.core.rewriter import (
     RewriteOptions,
@@ -31,9 +38,11 @@ from repro.core.rewriter import (
 )
 from repro.errors import ReproError
 from repro.planner.cost import (
+    CostMemo,
     CostProfile,
+    TermCost,
     cost_profile,
-    cost_term,
+    cost_term_profiles,
     estimate_term_bytes,
 )
 from repro.query.model import UCQT, drop_unsatisfiable_disjuncts
@@ -227,48 +236,174 @@ def enumerate_plan_candidates(
     return candidates
 
 
+#: What a provably-empty candidate costs under any profile.
+_FREE = TermCost(0.0, 0.0)
+
+
+def _cost_candidates(
+    candidates: list[PlanCandidate],
+    store: RelationalStore,
+    profiles: Sequence[CostProfile],
+    estimator: Estimator,
+) -> list[tuple[TermCost, ...]]:
+    """Every candidate's cost under each of ``profiles``: one walk per
+    candidate, sub-terms costed once across all of them."""
+    memo: CostMemo = {}
+    free = (_FREE,) * len(profiles)
+    return [
+        free if candidate.term is None
+        else cost_term_profiles(
+            candidate.term, store, profiles, estimator, memo
+        )
+        for candidate in candidates
+    ]
+
+
 def rank_candidates(
     candidates: list[PlanCandidate],
     store: RelationalStore,
     backend: str,
     estimator: Estimator | None = None,
     profile: CostProfile | None = None,
+    costs: Sequence[TermCost] | None = None,
 ) -> PlanChoice:
     """Cost every candidate under ``backend``'s profile; mark the winner.
 
     Ties (and the provably-empty plan, which costs nothing) resolve to
     the earliest-enumerated candidate, so selection is deterministic and
     prefers simpler provenance (original before rewritten before
-    partial) at equal cost.
+    partial) at equal cost. ``costs`` hands in the candidates' costs
+    under this profile when the caller already has them
+    (:meth:`PlanningPass.rank_pool` costs every profile in one walk).
+    The choice's ``peak_bytes`` is left for whoever compiles the winner
+    (:meth:`PlanningPass.choice`).
     """
-    profile = profile or cost_profile(backend)
-    estimator = estimator or Estimator(store)
-    costed: list[tuple[float, float, int, PlanCandidate]] = []
-    for index, candidate in enumerate(candidates):
-        if candidate.term is None:
-            costed.append((0.0, 0.0, index, candidate))
-        else:
-            cost = cost_term(candidate.term, store, profile, estimator)
-            costed.append((cost.total, cost.rows, index, candidate))
-    best_index = min(costed, key=lambda entry: (entry[0], entry[2]))[2]
+    costed = costs if costs is not None else [
+        cost
+        for (cost,) in _cost_candidates(
+            candidates,
+            store,
+            (profile or cost_profile(backend),),
+            estimator or Estimator(store),
+        )
+    ]
+    order = sorted(
+        range(len(candidates)), key=lambda index: (costed[index].total, index)
+    )
     ranked = tuple(
         RankedCandidate(
-            candidate=candidate,
-            cost=total,
-            rows=rows,
-            chosen=index == best_index,
+            candidate=candidates[index],
+            cost=costed[index].total,
+            rows=costed[index].rows,
+            chosen=index == order[0],
         )
-        for total, rows, index, candidate in sorted(
-            costed, key=lambda entry: (entry[0], entry[2])
+        for index in order
+    )
+    return PlanChoice(backend=backend, ranked=ranked)
+
+
+@dataclass
+class PlanningPass:
+    """One query planned once: its candidates and what was ranked from them.
+
+    The candidates are enumerated a single time against one
+    :class:`~repro.ra.stats.Estimator`, whose memoised estimates and
+    columns every later step of the pass reuses; ``choices`` fills in
+    per backend as rankings are asked for. The pass is what a session
+    keeps in its plan cache for the query, so once a winner is compiled
+    the estimator (its memos are the bulk of a pass's memory, and it
+    pins the store) is let go with :meth:`release`; a later ranking
+    builds a new one on the same ``fixpoint_growth``.
+    """
+
+    candidates: list[PlanCandidate]
+    #: The closure growth every estimate of this pass assumes.
+    fixpoint_growth: float
+    choices: dict[str, PlanChoice] = field(default_factory=dict)
+    estimator: Estimator | None = field(default=None, repr=False)
+
+    @classmethod
+    def for_query(
+        cls,
+        query: UCQT,
+        schema: GraphSchema,
+        store: RelationalStore,
+        *,
+        rewrite: bool = True,
+        options: RewriteOptions | None = None,
+        fixpoint_growth: float | None = None,
+        max_partial: int = DEFAULT_MAX_PARTIAL,
+        join_orders: int = DEFAULT_JOIN_ORDERS,
+    ) -> "PlanningPass":
+        estimator = Estimator(store, fixpoint_growth=fixpoint_growth)
+        candidates = enumerate_plan_candidates(
+            query,
+            schema,
+            store,
+            rewrite=rewrite,
+            options=options,
+            estimator=estimator,
+            max_partial=max_partial,
+            join_orders=join_orders,
         )
-    )
-    winner_term = candidates[best_index].term
-    peak_bytes = (
-        estimate_term_bytes(winner_term, store, estimator)
-        if winner_term is not None
-        else 0.0
-    )
-    return PlanChoice(backend=backend, ranked=ranked, peak_bytes=peak_bytes)
+        return cls(candidates, estimator.fixpoint_growth, estimator=estimator)
+
+    def _estimator(self, store: RelationalStore) -> Estimator:
+        if self.estimator is None:
+            self.estimator = Estimator(store, self.fixpoint_growth)
+        return self.estimator
+
+    def release(self) -> None:
+        self.estimator = None
+
+    def rank_pool(
+        self,
+        store: RelationalStore,
+        pool: Sequence[tuple[str, CostProfile | None]],
+    ) -> tuple[str, ...]:
+        """Rank the candidates under every ``(backend, profile)`` of
+        ``pool`` (``None``: the backend's built-in profile) from one walk
+        per candidate; returns the backends, cheapest winner first."""
+        profiles = [
+            profile or cost_profile(backend) for backend, profile in pool
+        ]
+        costs = _cost_candidates(
+            self.candidates, store, profiles, self._estimator(store)
+        )
+        winners: list[tuple[float, str]] = []
+        for position, (backend, _profile) in enumerate(pool):
+            choice = rank_candidates(
+                self.candidates, store, backend,
+                costs=[cost[position] for cost in costs],
+            )
+            self.choices[backend] = choice
+            winners.append((choice.winner.cost, backend))
+        winners.sort()
+        return tuple(backend for _cost, backend in winners)
+
+    def choice(
+        self,
+        store: RelationalStore,
+        backend: str,
+        profile: CostProfile | None = None,
+    ) -> PlanChoice:
+        """``backend``'s ranked table with its winner's ``peak_bytes``
+        estimated: the pass's memory walk, paid only for a winner that
+        is about to be compiled. A pass ranks a backend under one
+        profile; ``profile`` is read the first time only."""
+        estimator = self._estimator(store)
+        ranked = self.choices.get(backend)
+        if ranked is None:
+            ranked = self.choices[backend] = rank_candidates(
+                self.candidates, store, backend,
+                estimator=estimator, profile=profile,
+            )
+        term = ranked.winner.candidate.term
+        if term is None:
+            return ranked
+        return replace(
+            ranked, peak_bytes=estimate_term_bytes(term, store, estimator)
+        )
 
 
 def plan_query(
@@ -290,17 +425,13 @@ def plan_query(
     a session's calibrated profile (fitted from measured operator
     timings) enters the planner through.
     """
-    estimator = Estimator(store, fixpoint_growth=fixpoint_growth)
-    candidates = enumerate_plan_candidates(
+    return PlanningPass.for_query(
         query,
         schema,
         store,
         rewrite=rewrite,
         options=options,
-        estimator=estimator,
+        fixpoint_growth=fixpoint_growth,
         max_partial=max_partial,
         join_orders=join_orders,
-    )
-    return rank_candidates(
-        candidates, store, backend, estimator=estimator, profile=profile
-    )
+    ).choice(store, backend, profile)

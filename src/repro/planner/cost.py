@@ -27,6 +27,7 @@ which keeps ranking purely cardinality-driven for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.ra.stats import Estimator
 from repro.ra.terms import (
@@ -172,6 +173,98 @@ class TermCost:
     rows: float
 
 
+#: ``term -> (rows, one total per profile)``: what one planning pass has
+#: costed so far, under one fixed tuple of profiles.
+CostMemo = dict[RaTerm, tuple[float, tuple[float, ...]]]
+
+
+def cost_term_profiles(
+    term: RaTerm,
+    store: RelationalStore,
+    profiles: Sequence[CostProfile],
+    estimator: Estimator | None = None,
+    memo: CostMemo | None = None,
+) -> tuple[TermCost, ...]:
+    """``term``'s cost under each of ``profiles``, from one bottom-up walk.
+
+    The model is linear in a profile's weights, so one visit of a node
+    (one cardinality lookup) yields every profile's total. ``memo``
+    carries costed sub-terms from one candidate of a planning pass to
+    the next; it must only ever see one ``profiles`` tuple.
+    """
+    estimator = estimator or Estimator(store)
+    memo = {} if memo is None else memo
+
+    def visit(node: RaTerm) -> tuple[float, tuple[float, ...]]:
+        if isinstance(node, Rename):
+            # Renames are metadata-only on every substrate.
+            return visit(node.child)
+        cached = memo.get(node)
+        if cached is None:
+            cached = memo[node] = charge(node)
+        return cached
+
+    def charge(node: RaTerm) -> tuple[float, tuple[float, ...]]:
+        rows = max(estimator.rows(node), 0.0)
+        if isinstance(node, Rel):
+            return rows, tuple(p.startup + rows * p.scan for p in profiles)
+        if isinstance(node, Var):
+            # Frontier scans are internal to a fixpoint round; the
+            # fixpoint node charges for them.
+            return rows, tuple(0.0 for _ in profiles)
+        if isinstance(node, Project):
+            child_rows, child = visit(node.child)
+            return rows, tuple(
+                total + p.startup + child_rows * p.dedup
+                for p, total in zip(profiles, child)
+            )
+        if isinstance(node, SelectEq):
+            child_rows, child = visit(node.child)
+            return rows, tuple(
+                total + p.startup + child_rows * p.select
+                for p, total in zip(profiles, child)
+            )
+        if isinstance(node, Join):
+            left_rows, left = visit(node.left)
+            right_rows, right = visit(node.right)
+            build, probe = sorted((left_rows, right_rows))
+            return rows, tuple(
+                left_total
+                + right_total
+                + p.startup
+                + build * p.join_build
+                + probe * p.join_probe
+                + rows * p.join_out
+                for p, left_total, right_total in zip(profiles, left, right)
+            )
+        if isinstance(node, RaUnion):
+            left_rows, left = visit(node.left)
+            right_rows, right = visit(node.right)
+            return rows, tuple(
+                left_total
+                + right_total
+                + p.startup
+                + (left_rows + right_rows) * p.dedup
+                for p, left_total, right_total in zip(profiles, left, right)
+            )
+        if isinstance(node, Fix):
+            _base_rows, base = visit(node.base)
+            _step_rows, step = visit(node.step)
+            # The step body re-runs once per semi-naive round and every
+            # produced row is set-differenced against the state.
+            return rows, tuple(
+                base_total
+                + _FIXPOINT_ROUNDS * step_total
+                + p.startup
+                + rows * p.fixpoint_row
+                for p, base_total, step_total in zip(profiles, base, step)
+            )
+        raise TypeError(f"unknown RA term {node!r}")
+
+    rows, totals = visit(term)
+    return tuple(TermCost(total, rows) for total in totals)
+
+
 def cost_term(
     term: RaTerm,
     store: RelationalStore,
@@ -179,71 +272,7 @@ def cost_term(
     estimator: Estimator | None = None,
 ) -> TermCost:
     """Walk ``term`` bottom-up, charging ``profile`` weights per operator."""
-    estimator = estimator or Estimator(store)
-
-    def visit(node: RaTerm) -> TermCost:
-        rows = max(estimator.rows(node), 0.0)
-        if isinstance(node, Rel):
-            return TermCost(profile.startup + rows * profile.scan, rows)
-        if isinstance(node, Var):
-            # Frontier scans are internal to a fixpoint round; the
-            # fixpoint node charges for them.
-            return TermCost(0.0, rows)
-        if isinstance(node, Rename):
-            # Renames are metadata-only on every substrate.
-            return visit(node.child)
-        if isinstance(node, Project):
-            child = visit(node.child)
-            return TermCost(
-                child.total + profile.startup + child.rows * profile.dedup,
-                rows,
-            )
-        if isinstance(node, SelectEq):
-            child = visit(node.child)
-            return TermCost(
-                child.total + profile.startup + child.rows * profile.select,
-                rows,
-            )
-        if isinstance(node, Join):
-            left = visit(node.left)
-            right = visit(node.right)
-            build, probe = (
-                (left, right) if left.rows <= right.rows else (right, left)
-            )
-            total = (
-                left.total
-                + right.total
-                + profile.startup
-                + build.rows * profile.join_build
-                + probe.rows * profile.join_probe
-                + rows * profile.join_out
-            )
-            return TermCost(total, rows)
-        if isinstance(node, RaUnion):
-            left = visit(node.left)
-            right = visit(node.right)
-            total = (
-                left.total
-                + right.total
-                + profile.startup
-                + (left.rows + right.rows) * profile.dedup
-            )
-            return TermCost(total, rows)
-        if isinstance(node, Fix):
-            base = visit(node.base)
-            step = visit(node.step)
-            # The step body re-runs once per semi-naive round and every
-            # produced row is set-differenced against the state.
-            total = (
-                base.total
-                + _FIXPOINT_ROUNDS * step.total
-                + profile.startup
-                + rows * profile.fixpoint_row
-            )
-            return TermCost(total, rows)
-        raise TypeError(f"unknown RA term {node!r}")
-
-    return visit(term)
+    return cost_term_profiles(term, store, (profile,), estimator)[0]
 
 
 def estimate_term_bytes(
@@ -268,7 +297,7 @@ def estimate_term_bytes(
 
     def bytes_of(node: RaTerm) -> float:
         try:
-            node_width = max(len(node.columns(store)), 1)
+            node_width = max(len(estimator.columns(node)), 1)
         except Exception:  # width unknown: assume the binary-edge shape
             node_width = 2
         return max(estimator.rows(node), 0.0) * node_width * 8.0

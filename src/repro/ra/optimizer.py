@@ -28,9 +28,12 @@ from repro.ra.terms import (
     Rel,
     Rename,
     SelectEq,
-    Var,
 )
 from repro.storage.relational import RelationalStore
+
+
+#: ``term -> (reordered term, whether the seed rank could change it)``.
+_ReorderMemo = dict[RaTerm, tuple[RaTerm, bool]]
 
 
 def optimize_term(
@@ -47,14 +50,7 @@ def optimize_term(
     ``fixpoint_growth``); by default a fresh store-corrected estimator
     drives the join ordering.
     """
-    estimator = estimator or Estimator(store)
-    rewritten = _rewrite_memo(term, store, {})
-    memo: dict[int, tuple[RaTerm, RaTerm]] = {}
-    result = _reorder_memo(rewritten, store, estimator, memo)
-    original_columns = term.columns(store)
-    if result.columns(store) != original_columns:
-        result = Project(result, original_columns)
-    return result
+    return optimize_term_candidates(term, store, 1, estimator)[0]
 
 
 def optimize_term_candidates(
@@ -72,67 +68,57 @@ def optimize_term_candidates(
     then deduplicates — the cost-based planner ranks the survivors
     instead of trusting the k=0 prefix. The first candidate is always
     the plain greedy result, so callers can treat it as the baseline.
+
+    The seed only matters inside a join chain of three or more parts.
+    One memo serves every seed and keeps what a seed cannot change, and
+    a term without such a chain is ordered once.
     """
     estimator = estimator or Estimator(store)
-    rewritten = _rewrite_memo(term, store, {})
-    original_columns = term.columns(store)
-    seen: set[RaTerm] = set()
+    rewritten = _rewrite_memo(term, estimator, {})
+    original_columns = estimator.columns(term)
     candidates: list[RaTerm] = []
+    memo: _ReorderMemo = {}
     for start_rank in range(max(1, limit)):
-        result = _reorder_memo(rewritten, store, estimator, {}, start_rank)
-        if result.columns(store) != original_columns:
+        result, seeded = _reorder_memo(rewritten, estimator, memo, start_rank)
+        if estimator.columns(result) != original_columns:
             result = Project(result, original_columns)
-        if result not in seen:
-            seen.add(result)
+        if result not in candidates:
             candidates.append(result)
+        if not seeded:
+            break
+        memo = {key: hit for key, hit in memo.items() if not hit[1]}
     return candidates
 
 
 def _rewrite_memo(
-    term: RaTerm,
-    store: RelationalStore,
-    memo: dict[int, tuple[RaTerm, RaTerm]],
+    term: RaTerm, estimator: Estimator, memo: dict[RaTerm, RaTerm]
 ) -> RaTerm:
-    """Identity-memoised rewriting: shared sub-term objects stay shared, so
-    the evaluator's sub-term cache keeps working after optimisation.
-
-    The memo stores ``id -> (key term, result)`` and keeps the key object
-    referenced: without that, a temporary term could be garbage-collected
-    and its id reused by a different node, producing stale hits.
-    """
-    hit = memo.get(id(term))
-    if hit is not None and hit[0] is term:
-        return hit[1]
-    result = _rewrite(term, store, memo)
-    memo[id(term)] = (term, result)
+    """Structurally memoised rewriting: equal sub-terms are rewritten
+    once and come back as one shared object, which later structural
+    lookups (estimates, costs, the compile cache) match by identity."""
+    result = memo.get(term)
+    if result is None:
+        result = memo[term] = _rewrite(term, estimator, memo)
     return result
 
 
 def _reorder_memo(
-    term: RaTerm,
-    store: RelationalStore,
-    estimator: Estimator,
-    memo: dict[int, tuple[RaTerm, RaTerm]],
-    start_rank: int = 0,
-) -> RaTerm:
-    hit = memo.get(id(term))
-    if hit is not None and hit[0] is term:
-        return hit[1]
-    result = _reorder_joins(term, store, estimator, memo, start_rank)
-    memo[id(term)] = (term, result)
-    return result
+    term: RaTerm, estimator: Estimator, memo: _ReorderMemo, start_rank: int
+) -> tuple[RaTerm, bool]:
+    hit = memo.get(term)
+    if hit is None:
+        hit = memo[term] = _reorder_joins(term, estimator, memo, start_rank)
+    return hit
 
 
 def _rewrite(
-    term: RaTerm,
-    store: RelationalStore,
-    memo: dict[int, tuple[RaTerm, RaTerm]],
+    term: RaTerm, estimator: Estimator, memo: dict[RaTerm, RaTerm]
 ) -> RaTerm:
     # Rewrite children first.
     if isinstance(term, Project):
-        child = _rewrite_memo(term.child, store, memo)
+        child = _rewrite_memo(term.child, estimator, memo)
         if isinstance(child, Project):
-            return _rewrite_memo(Project(child.child, term.keep), store, memo)
+            return _rewrite_memo(Project(child.child, term.keep), estimator, memo)
         if isinstance(child, Rel):
             return Rel(child.name, term.keep)
         if isinstance(child, Rename):
@@ -140,26 +126,26 @@ def _rewrite(
             mapping = dict(child.mapping)
             inverse = {new: old for old, new in mapping.items()}
             pushed = tuple(inverse.get(c, c) for c in term.keep)
-            inner = _rewrite_memo(Project(child.child, pushed), store, memo)
+            inner = _rewrite_memo(Project(child.child, pushed), estimator, memo)
             keep_mapping = {
                 old: new for old, new in mapping.items() if old in pushed
             }
             if not keep_mapping:
                 return inner
             return Rename.of(inner, keep_mapping)
-        if child.columns(store) == term.keep:
+        if estimator.columns(child) == term.keep:
             return child
         return Project(child, term.keep)
     if isinstance(term, Rename):
-        child = _rewrite_memo(term.child, store, memo)
+        child = _rewrite_memo(term.child, estimator, memo)
         mapping = {old: new for old, new in term.mapping if old != new}
         if isinstance(child, Rename):
-            inner = dict(child.mapping)
+            inner_mapping = dict(child.mapping)
             combined: dict[str, str] = {}
-            for old, new in inner.items():
+            for old, new in inner_mapping.items():
                 combined[old] = mapping.get(new, new)
             for old, new in mapping.items():
-                if old not in inner.values():
+                if old not in inner_mapping.values():
                     combined.setdefault(old, new)
             combined = {old: new for old, new in combined.items() if old != new}
             if not combined:
@@ -168,22 +154,24 @@ def _rewrite(
         if not mapping:
             return child
         return Rename.of(child, mapping)
-    if isinstance(term, Join):
-        left = _rewrite_memo(term.left, store, memo)
-        right = _rewrite_memo(term.right, store, memo)
+    if isinstance(term, (Join, RaUnion)):
+        left = _rewrite_memo(term.left, estimator, memo)
+        right = _rewrite_memo(term.right, estimator, memo)
         if left == right:
-            return left  # phi ∩ phi
-        return Join(left, right)
-    if isinstance(term, RaUnion):
-        left = _rewrite_memo(term.left, store, memo)
-        right = _rewrite_memo(term.right, store, memo)
-        if left == right:
-            return left
-        return RaUnion(left, right)
+            return left  # phi ∩ phi, phi ∪ phi
+        return type(term)(left, right)
     if isinstance(term, SelectEq):
-        return SelectEq(_rewrite_memo(term.child, store, memo), term.column_a, term.column_b)
+        return SelectEq(
+            _rewrite_memo(term.child, estimator, memo),
+            term.column_a,
+            term.column_b,
+        )
     if isinstance(term, Fix):
-        return Fix(term.var, _rewrite_memo(term.base, store, memo), _rewrite_memo(term.step, store, memo))
+        return Fix(
+            term.var,
+            _rewrite_memo(term.base, estimator, memo),
+            _rewrite_memo(term.step, estimator, memo),
+        )
     return term
 
 
@@ -194,19 +182,22 @@ def _flatten_join(term: RaTerm) -> list[RaTerm]:
 
 
 def _reorder_joins(
-    term: RaTerm,
-    store: RelationalStore,
-    estimator: Estimator,
-    memo: dict[int, tuple[RaTerm, RaTerm]],
-    start_rank: int = 0,
-) -> RaTerm:
-    if isinstance(term, Join):
-        parts = [
-            _reorder_memo(p, store, estimator, memo, start_rank)
-            for p in _flatten_join(term)
-        ]
-        if len(parts) <= 2:
-            return Join(parts[0], parts[1]) if len(parts) == 2 else parts[0]
+    term: RaTerm, estimator: Estimator, memo: _ReorderMemo, start_rank: int
+) -> tuple[RaTerm, bool]:
+    """``term`` with its join chains reordered, and whether ``start_rank``
+    had a say in it (some chain below has three or more parts)."""
+    children = (
+        _flatten_join(term) if isinstance(term, Join) else term.children()
+    )
+    if not children:
+        return term, False
+    seeded = False
+    parts: list[RaTerm] = []
+    for child in children:
+        part, part_seeded = _reorder_memo(child, estimator, memo, start_rank)
+        parts.append(part)
+        seeded = seeded or part_seeded
+    if isinstance(term, Join) and len(parts) > 2:
         # Greedy left-deep join ordering by estimated *result* size: start
         # from the smallest base, then repeatedly pick the connected part
         # whose join with the running prefix is estimated cheapest (this is
@@ -214,50 +205,29 @@ def _reorder_joins(
         # Fig. 17 plan shape). ``start_rank`` seeds the loop from the
         # k-th smallest part instead (bounded enumeration for the
         # cost-based planner; 0 = plain greedy).
-        remaining = list(parts)
-        remaining.sort(key=estimator.rows)
+        remaining = sorted(parts, key=estimator.rows)
         current = remaining.pop(min(start_rank, len(remaining) - 1))
-        current_columns = set(current.columns(store))
+        current_columns = set(estimator.columns(current))
         while remaining:
             connected = [
                 p
                 for p in remaining
-                if current_columns & set(p.columns(store))
+                if not current_columns.isdisjoint(estimator.columns(p))
             ]
             pool = connected if connected else remaining
             best = min(pool, key=lambda p: estimator.rows(Join(current, p)))
             remaining.remove(best)
             current = Join(current, best)
-            current_columns |= set(best.columns(store))
-        return current
-    children = term.children()
-    if not children:
-        return term
+            current_columns.update(estimator.columns(best))
+        return current, True
     if isinstance(term, Project):
-        return Project(
-            _reorder_memo(term.child, store, estimator, memo, start_rank),
-            term.keep,
-        )
+        return Project(parts[0], term.keep), seeded
     if isinstance(term, Rename):
-        return Rename(
-            _reorder_memo(term.child, store, estimator, memo, start_rank),
-            term.mapping,
-        )
+        return Rename(parts[0], term.mapping), seeded
     if isinstance(term, SelectEq):
-        return SelectEq(
-            _reorder_memo(term.child, store, estimator, memo, start_rank),
-            term.column_a,
-            term.column_b,
-        )
-    if isinstance(term, RaUnion):
-        return RaUnion(
-            _reorder_memo(term.left, store, estimator, memo, start_rank),
-            _reorder_memo(term.right, store, estimator, memo, start_rank),
-        )
+        return SelectEq(parts[0], term.column_a, term.column_b), seeded
     if isinstance(term, Fix):
-        return Fix(
-            term.var,
-            _reorder_memo(term.base, store, estimator, memo, start_rank),
-            _reorder_memo(term.step, store, estimator, memo, start_rank),
-        )
-    return term
+        return Fix(term.var, parts[0], parts[1]), seeded
+    if isinstance(term, (Join, RaUnion)):
+        return type(term)(parts[0], parts[1]), seeded
+    raise TypeError(f"unknown RA term {term!r}")

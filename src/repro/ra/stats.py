@@ -265,6 +265,11 @@ class Estimator:
     actual fixpoint cardinalities back into the
     :class:`StoreStatistics` snapshot, the observed geometric-mean
     growth replaces the guess.
+
+    One estimator serves one planning pass: estimates and output columns
+    are memoised per structurally distinct term (terms cache their hash,
+    so a lookup is O(1)), and everything that optimises, costs or sizes
+    the pass's candidates shares them through it.
     """
 
     def __init__(
@@ -280,6 +285,11 @@ class Estimator:
                 fixpoint_growth = observed
         self.fixpoint_growth = fixpoint_growth
         self._cache: dict[RaTerm, Estimate] = {}
+        self._columns: dict[RaTerm, tuple[str, ...]] = {}
+
+    def columns(self, term: RaTerm) -> tuple[str, ...]:
+        """``term.columns(store)``, derived once per distinct term."""
+        return term.columns(self.store, self._columns)
 
     def estimate(self, term: RaTerm) -> Estimate:
         cached = self._cache.get(term)
@@ -365,5 +375,3 @@ class Estimator:
             if name not in left_columns:
                 distinct.append((name, min(value, rows) if rows else 0.0))
         return Estimate(rows, tuple(distinct))
-
-

@@ -8,20 +8,59 @@ queries use SELECT DISTINCT).
 
 Column inference (``RaTerm.columns``) needs the store only for base
 relations; every composite node derives its columns structurally.
+
+Terms are the planner's dictionary keys (estimates, costs, optimiser
+memos), so a node is a cheap key: its structural hash is computed once,
+at construction, from its children's already-computed hashes, and
+equality rejects on that hash before comparing fields. The hash depends
+on the process's string-hash seed, so pickling rebuilds a term through
+its constructor and never carries it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from dataclasses import dataclass, field
+from typing import Iterator, Mapping, MutableMapping
 
 from repro.errors import EvaluationError
 from repro.storage.relational import RelationalStore
 
 
-@dataclass(frozen=True)
+#: ``term -> columns`` for the terms one planning pass has seen (all
+#: against one store); see :meth:`RaTerm.columns`.
+ColumnsMemo = MutableMapping["RaTerm", tuple[str, ...]]
+
+
+@dataclass(frozen=True, eq=False)
 class RaTerm:
-    """Base class for RA terms."""
+    """Base class for RA terms (structural equality, cached hash)."""
+
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Field values in declaration order; ``_hash`` is not set yet.
+        object.__setattr__(
+            self, "_hash", hash((self.__class__.__name__, *vars(self).values()))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, RaTerm):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.__class__ is other.__class__
+            and vars(self) == vars(other)
+        )
+
+    def __reduce__(self):
+        return self.__class__, tuple(
+            value for name, value in vars(self).items() if name != "_hash"
+        )
 
     def children(self) -> tuple["RaTerm", ...]:
         return ()
@@ -31,7 +70,25 @@ class RaTerm:
         for child in self.children():
             yield from child.walk()
 
-    def columns(self, store: RelationalStore) -> tuple[str, ...]:
+    def columns(
+        self, store: RelationalStore, memo: ColumnsMemo | None = None
+    ) -> tuple[str, ...]:
+        """The term's output columns, in order.
+
+        ``memo`` makes repeated visits O(1): a planning pass hands the
+        same mapping to every call it makes against one store, and each
+        node's columns are derived once from its children's.
+        """
+        if memo is None:
+            return self._columns(store, None)
+        cached = memo.get(self)
+        if cached is None:
+            cached = memo[self] = self._columns(store, memo)
+        return cached
+
+    def _columns(
+        self, store: RelationalStore, memo: ColumnsMemo | None
+    ) -> tuple[str, ...]:
         raise NotImplementedError
 
     def free_vars(self) -> frozenset[str]:
@@ -42,7 +99,7 @@ class RaTerm:
         return frozenset(result)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rel(RaTerm):
     """Scan of a base table (node or edge relation, or alias view).
 
@@ -53,7 +110,9 @@ class Rel(RaTerm):
     name: str
     projection: tuple[str, ...] | None = None
 
-    def columns(self, store: RelationalStore) -> tuple[str, ...]:
+    def _columns(
+        self, store: RelationalStore, memo: ColumnsMemo | None
+    ) -> tuple[str, ...]:
         table_columns = store.table(self.name).columns
         if self.projection is None:
             return table_columns
@@ -65,21 +124,23 @@ class Rel(RaTerm):
         return self.projection
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(RaTerm):
     """A fixpoint recursion variable; its columns are fixed at binding."""
 
     name: str
     var_columns: tuple[str, ...]
 
-    def columns(self, store: RelationalStore) -> tuple[str, ...]:
+    def _columns(
+        self, store: RelationalStore, memo: ColumnsMemo | None
+    ) -> tuple[str, ...]:
         return self.var_columns
 
     def free_vars(self) -> frozenset[str]:
         return frozenset({self.name})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Project(RaTerm):
     """π — keep only the given columns (duplicates collapse: set semantics)."""
 
@@ -89,8 +150,10 @@ class Project(RaTerm):
     def children(self) -> tuple[RaTerm, ...]:
         return (self.child,)
 
-    def columns(self, store: RelationalStore) -> tuple[str, ...]:
-        child_columns = self.child.columns(store)
+    def _columns(
+        self, store: RelationalStore, memo: ColumnsMemo | None
+    ) -> tuple[str, ...]:
+        child_columns = self.child.columns(store, memo)
         for column in self.keep:
             if column not in child_columns:
                 raise EvaluationError(
@@ -99,7 +162,7 @@ class Project(RaTerm):
         return self.keep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rename(RaTerm):
     """ρ — rename columns according to ``mapping`` (old name -> new name)."""
 
@@ -113,8 +176,10 @@ class Rename(RaTerm):
     def children(self) -> tuple[RaTerm, ...]:
         return (self.child,)
 
-    def columns(self, store: RelationalStore) -> tuple[str, ...]:
-        child_columns = self.child.columns(store)
+    def _columns(
+        self, store: RelationalStore, memo: ColumnsMemo | None
+    ) -> tuple[str, ...]:
+        child_columns = self.child.columns(store, memo)
         rename_map = dict(self.mapping)
         for old in rename_map:
             if old not in child_columns:
@@ -127,7 +192,7 @@ class Rename(RaTerm):
         return renamed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Join(RaTerm):
     """⋈ — natural join on all shared column names."""
 
@@ -137,14 +202,16 @@ class Join(RaTerm):
     def children(self) -> tuple[RaTerm, ...]:
         return (self.left, self.right)
 
-    def columns(self, store: RelationalStore) -> tuple[str, ...]:
-        left_columns = self.left.columns(store)
-        right_columns = self.right.columns(store)
+    def _columns(
+        self, store: RelationalStore, memo: ColumnsMemo | None
+    ) -> tuple[str, ...]:
+        left_columns = self.left.columns(store, memo)
+        right_columns = self.right.columns(store, memo)
         extra = tuple(c for c in right_columns if c not in left_columns)
         return left_columns + extra
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RaUnion(RaTerm):
     """∪ — set union; both sides must expose the same columns."""
 
@@ -154,9 +221,11 @@ class RaUnion(RaTerm):
     def children(self) -> tuple[RaTerm, ...]:
         return (self.left, self.right)
 
-    def columns(self, store: RelationalStore) -> tuple[str, ...]:
-        left_columns = self.left.columns(store)
-        right_columns = self.right.columns(store)
+    def _columns(
+        self, store: RelationalStore, memo: ColumnsMemo | None
+    ) -> tuple[str, ...]:
+        left_columns = self.left.columns(store, memo)
+        right_columns = self.right.columns(store, memo)
         if set(left_columns) != set(right_columns):
             raise EvaluationError(
                 f"union arms disagree on columns: {left_columns} vs {right_columns}"
@@ -164,7 +233,7 @@ class RaUnion(RaTerm):
         return left_columns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fix(RaTerm):
     """µ — least fixpoint: ``X = base ∪ step(X)``.
 
@@ -180,15 +249,17 @@ class Fix(RaTerm):
     def children(self) -> tuple[RaTerm, ...]:
         return (self.base, self.step)
 
-    def columns(self, store: RelationalStore) -> tuple[str, ...]:
-        return self.base.columns(store)
+    def _columns(
+        self, store: RelationalStore, memo: ColumnsMemo | None
+    ) -> tuple[str, ...]:
+        return self.base.columns(store, memo)
 
     def free_vars(self) -> frozenset[str]:
         inner = self.base.free_vars() | self.step.free_vars()
         return frozenset(inner - {self.var})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectEq(RaTerm):
     """σ — keep rows where two columns hold the same value.
 
@@ -203,8 +274,10 @@ class SelectEq(RaTerm):
     def children(self) -> tuple[RaTerm, ...]:
         return (self.child,)
 
-    def columns(self, store: RelationalStore) -> tuple[str, ...]:
-        child_columns = self.child.columns(store)
+    def _columns(
+        self, store: RelationalStore, memo: ColumnsMemo | None
+    ) -> tuple[str, ...]:
+        child_columns = self.child.columns(store, memo)
         for column in (self.column_a, self.column_b):
             if column not in child_columns:
                 raise EvaluationError(

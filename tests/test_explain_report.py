@@ -107,6 +107,19 @@ class TestToDict:
         assert payload["result_cache"]["misses"] == 1
         assert payload["q_error"]["count"] == 1
 
+    def test_planner_section_for_cost_planned_handles_only(self):
+        with _session() as session:
+            planned = session.explain(QUERY, "vec", planner="cost")
+            greedy = session.explain(QUERY, "vec")
+        payload = planned.to_dict()
+        assert payload["planner"]["candidates"] == len(planned.choice.ranked)
+        assert payload["planner"]["plan_seconds"] > 0.0
+        assert "planner" not in greedy.to_dict()
+        # Data only: the text carries no timings.
+        assert planned.render() == (
+            f"{planned.plan_text}\n\n{planned.choice.render()}"
+        )
+
     def test_unsatisfiable_payload(self):
         with _session() as session:
             payload = session.explain(UNSAT_QUERY, "ra").to_dict()

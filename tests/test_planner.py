@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.rewriter import enumerate_rewrites
 from repro.engine import GraphSession
+from repro.engine.options import ExecOptions
 from repro.exec.executor import ExecutionStats
 from repro.graph.model import yago_example_graph
 from repro.planner import (
@@ -257,6 +258,105 @@ class TestSessionIntegration:
             for q in queries
         ]
         assert batched == singles
+
+
+# -- one planning pass per cold query ----------------------------------------
+TWO_DISTINCT_RELATIONS = "x1, x3 <- (x1, livesIn, x2) && (x2, isLocatedIn+, x3)"
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Swap ``module.name`` for a pass-through that logs each call."""
+    original = getattr(module, name)
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestPlanOnce:
+    @pytest.mark.parametrize(
+        "query, distinct_relations",
+        [
+            (RECURSIVE_QUERY, 1),
+            (TWO_RELATION_QUERY, 1),  # the same closure twice
+            (TWO_DISTINCT_RELATIONS, 2),
+        ],
+    )
+    def test_cold_auto_execute_plans_once(
+        self, monkeypatch, query, distinct_relations
+    ):
+        import repro.core.rewriter as rewriter
+        import repro.planner.candidates as candidates
+
+        enumerations = _count_calls(
+            monkeypatch, candidates, "enumerate_plan_candidates"
+        )
+        rewrites = _count_calls(monkeypatch, rewriter, "rewrite_query")
+        inferences = _count_calls(monkeypatch, rewriter, "InferenceEngine")
+        auto = ExecOptions(backend="auto")
+        with GraphSession(
+            yago_example_graph(), yago_example_schema()
+        ) as session:
+            first = session.execute(query, exec_options=auto)
+            assert len(enumerations) == len(rewrites) == 1
+            assert len(inferences) == distinct_relations
+            cold = session.cache_stats["plan"]
+            assert (cold.misses, cold.size) == (1, 1)
+            assert session.execute(query, exec_options=auto) == first
+            warm = session.cache_stats["plan"]
+            assert warm.hits - cold.hits == 2 and warm.misses == 1
+            assert len(enumerations) == len(rewrites) == 1
+            assert len(inferences) == distinct_relations
+            stats = session.planner_stats
+            assert stats["candidates_enumerated"] == len(
+                session.prepare(query, exec_options=auto).choice.ranked
+            )
+            assert stats["plan_seconds"] > 0.0
+
+    def test_auto_compiles_the_choice_it_ranked(self):
+        with GraphSession(
+            yago_example_graph(), yago_example_schema()
+        ) as session:
+            handle = session.prepare(
+                TWO_RELATION_QUERY, exec_options=ExecOptions(backend="auto")
+            )
+            ranking = handle.planned.planning.choices[handle.backend_name]
+            assert handle.choice.ranked == ranking.ranked
+            assert handle.choice.backend == handle.backend_name
+            # The estimator (and with it the store) is not cached.
+            assert handle.planned.planning.estimator is None
+
+    def test_replan_after_q_error_reranks_the_backends(self, monkeypatch):
+        """A Q-error eviction used to drop only the compiled plan and
+        leave the ``auto`` ranking pinned; with one entry per query the
+        next prepare enumerates once more *and* re-ranks the pool."""
+        import repro.planner.candidates as candidates
+
+        enumerations = _count_calls(
+            monkeypatch, candidates, "enumerate_plan_candidates"
+        )
+        rankings = _count_calls(
+            monkeypatch, candidates.PlanningPass, "rank_pool"
+        )
+        auto = ExecOptions(backend="auto")
+        with GraphSession(
+            yago_example_graph(),
+            yago_example_schema(),
+            replan_error_threshold=1.0,
+        ) as session:
+            first = session.prepare(RECURSIVE_QUERY, exec_options=auto)
+            first.execute()  # error factor > 1.0: the entry is evicted
+            assert session.planner_stats["replans"] == 1
+            assert session.cache_stats["plan"].size == 0
+            assert (len(enumerations), len(rankings)) == (1, 1)
+            second = session.prepare(RECURSIVE_QUERY, exec_options=auto)
+            assert (len(enumerations), len(rankings)) == (2, 2)
+            assert second.planned is not first.planned
+            assert second.execute() == first.execute()
 
 
 # -- the fixpoint_growth backend option --------------------------------------

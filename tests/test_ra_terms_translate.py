@@ -192,3 +192,75 @@ class TestCqtTranslation:
         assert columns == ("v",)
         expected = graph.nodes_with_labels(["City", "Country"])
         assert {row[0] for row in rows} == set(expected)
+
+
+class TestTermKeys:
+    """Terms are the planner's dictionary keys: the hash is cached per
+    node, stays structural, and never crosses a pickle boundary."""
+
+    #: Evaluated here and, natively, in the child processes below.
+    SOURCE = (
+        'RaUnion('
+        'Fix("X", Rel("knows"), Project(Join('
+        'Rename.of(Var("X", ("Sr", "Tr")), {"Tr": "m"}), '
+        'Rename.of(Rel("knows"), {"Sr": "m"})), ("Sr", "Tr"))), '
+        'SelectEq(Rel("knows", ("Sr", "Tr")), "Sr", "Tr"))'
+    )
+
+    def _term(self):
+        return eval(self.SOURCE)
+
+    def test_cached_hash_is_the_structural_hash(self):
+        for node in self._term().walk():
+            fields = [
+                value for name, value in vars(node).items() if name != "_hash"
+            ]
+            assert hash(node) == hash((type(node).__name__, *fields))
+
+    def test_equal_terms_built_separately_share_estimates(self, ldbc_small):
+        from repro.ra.stats import Estimator
+
+        first, second = self._term(), self._term()
+        assert first is not second and first == second
+        assert first != RaUnion(first.right, first.left)
+        estimator = Estimator(ldbc_small[2])
+        estimate = estimator.estimate(first)
+        entries = len(estimator._cache)
+        assert second in estimator._cache
+        assert estimator.estimate(second) is estimate
+        assert len(estimator._cache) == entries
+
+    def test_pickle_round_trip_under_another_hash_seed(self):
+        import os
+        import pickle
+        import subprocess
+        import sys
+
+        import repro
+
+        payload = pickle.dumps(self._term())
+        assert b"_hash" not in payload
+        check = (
+            "import pickle, sys\n"
+            "from repro.ra.terms import *\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            f"native = {self.SOURCE}\n"
+            "assert hash(loaded) == hash(native)\n"
+            "assert {native: 'found'}[loaded] == 'found'\n"
+            "assert all(hash(n) == hash(m) for n, m in"
+            " zip(loaded.walk(), native.walk()))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        for seed in ("1", "2"):  # at most one can be this process's seed
+            done = subprocess.run(
+                [sys.executable, "-c", check],
+                input=payload,
+                env={
+                    **os.environ,
+                    "PYTHONHASHSEED": seed,
+                    "PYTHONPATH": src,
+                },
+                capture_output=True,
+                timeout=60,
+            )
+            assert done.returncode == 0, done.stderr.decode()

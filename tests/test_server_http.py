@@ -180,11 +180,19 @@ class TestRoutes:
             async with HTTPGraphServer(_registry(), port=0) as server:
                 return await _request(
                     server.port, "POST", "/v1/toy/explain", {"query": CLOSURE}
+                ), await _request(
+                    server.port, "POST", "/v1/toy/explain",
+                    {"query": CLOSURE, "planner": "cost"},
                 )
 
-        status, body = _run(drive())
+        (status, body), (cost_status, cost_body) = _run(drive())
         assert status == 200
         assert "plan" in body and body["plan"]
+        assert "planner" not in body["report"]
+        assert cost_status == 200
+        planner = cost_body["report"]["planner"]
+        assert planner["candidates"] >= 1 and planner["plan_seconds"] > 0
+        assert "plan_seconds" not in cost_body["plan"]
 
     def test_metrics_shape(self):
         async def drive():
