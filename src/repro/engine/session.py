@@ -97,7 +97,12 @@ from repro.planner import (
 )
 from repro.query.model import UCQT, drop_unsatisfiable_disjuncts
 from repro.query.parser import parse_query
-from repro.ra.stats import Estimator, store_statistics
+from repro.ra.stats import (
+    Estimator,
+    store_statistics,
+    unpinned_fixpoint_growth,
+)
+from repro.ra.terms import Fix, RaTerm
 from repro.schema.model import GraphSchema
 from repro.schema.validation import check_consistency
 from repro.sql.sqlite_backend import SqliteBackend
@@ -159,10 +164,43 @@ class _PlannedQuery:
     seconds: float = 0.0
     #: The eligible backends, cheapest winner first (None: not ranked).
     backends: tuple[str, ...] | None = None
-    #: (backend, frozen backend options, max_bytes) -> (plan, choice).
-    compiled: dict[tuple, tuple[object | None, PlanChoice]] = field(
-        default_factory=dict
-    )
+    #: (backend, frozen backend options, max_bytes) -> (plan, choice,
+    #: the winner's telemetry estimates as the planning pass had them).
+    compiled: dict[
+        tuple, tuple[object | None, PlanChoice, "_Estimates | None"]
+    ] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _Estimates:
+    """What the calibration log records as estimated for one term.
+
+    Valid while a fresh unpinned :class:`Estimator` over the store would
+    walk the same numbers: at store ``version`` and, when the term holds
+    a fixpoint, under closure growth ``growth`` (``None``: no fixpoint,
+    the estimates do not depend on it).
+    """
+
+    version: int
+    growth: float | None
+    op_rows: Mapping[str, float]
+    root_rows: float
+
+    def current(self, store: RelationalStore) -> bool:
+        return self.version == store.version and (
+            self.growth is None
+            or self.growth == unpinned_fixpoint_growth(store)
+        )
+
+    @classmethod
+    def walk(cls, term: RaTerm, estimator: Estimator) -> "_Estimates":
+        recursive = any(isinstance(node, Fix) for node in term.walk())
+        return cls(
+            estimator.version,
+            estimator.fixpoint_growth if recursive else None,
+            estimate_kind_rows(term, estimator.store, estimator),
+            estimator.rows(term),
+        )
 
 
 @dataclass
@@ -200,6 +238,10 @@ class PreparedQuery:
     #: The plan-cache entry a cost-planned handle was drawn from.
     planned: _PlannedQuery | None = None
     last_execution_stats: ExecutionStats | None = None
+    #: The executed term's estimates as last logged (see
+    #: :meth:`GraphSession._record_telemetry`); seeded by the planning
+    #: pass on a cost-planned handle.
+    estimates: "_Estimates | None" = None
     #: Whether the schema rewrite actually ran. Differs from ``rewrite``
     #: (the request) when the session's conformance gate disabled
     #: rewriting over a non-conforming instance (paper Def. 3 — the
@@ -1010,24 +1052,30 @@ class GraphSession:
                 backend_impl.name,
                 self.calibration_profile(backend_impl.name),
             )
+            estimates = None
+            term = choice.winner.candidate.term
+            if term is not None and hasattr(backend_impl, "prepare_from_term"):
+                # The backend executes this very term, so what telemetry
+                # will log for it is already in the pass's estimator.
+                estimates = _Estimates.walk(term, planned.planning.estimator)
             # Planned: what stays cached is the candidates and the
             # rankings, not every estimate behind them.
             planned.planning.release()
             self._charge_planning(planned, started)
             compiled = self._compile_winner(
                 backend_impl, choice, backend_options, max_bytes
-            )
+            ) + (estimates,)
             if len(planned.compiled) >= _MAX_COMPILED_PER_QUERY:
                 del planned.compiled[next(iter(planned.compiled))]
             planned.compiled[compiled_key] = compiled
-        plan, choice = compiled
+        plan, choice, estimates = compiled
         self._last_peak_estimate = choice.peak_bytes
         winner = choice.winner.candidate
         return PreparedQuery(
             self, backend_impl, query, winner.query, winner.rewrite_result,
             plan, self.schema_fingerprint, rewrite, options, backend_options,
             planner="cost", choice=choice, planned=planned,
-            rewrite_applied=effective_rewrite,
+            estimates=estimates, rewrite_applied=effective_rewrite,
         )
 
     def _compile_winner(
@@ -1558,7 +1606,9 @@ class GraphSession:
         cardinality walk over the executed term (ra/vec; black-box
         backends contribute totals-only records), the root estimate
         from the planner's winning candidate when cost-planned, else
-        from the estimator directly.
+        from the estimator directly. The walk is what a fresh unpinned
+        estimator sees at the time of the execution; it is redone only
+        when that could differ from the handle's last one.
         """
         choice = prepared.choice
         estimated_root = choice.winner.rows if choice is not None else None
@@ -1566,10 +1616,14 @@ class GraphSession:
         op_estimates = None
         term = getattr(prepared.plan, "term", None)
         if term is not None:
-            estimator = Estimator(self.store)
-            op_estimates = estimate_kind_rows(term, self.store, estimator)
+            estimates = prepared.estimates
+            if estimates is None or not estimates.current(self.store):
+                estimates = prepared.estimates = _Estimates.walk(
+                    term, Estimator(self.store)
+                )
+            op_estimates = estimates.op_rows
             if estimated_root is None:
-                estimated_root = estimator.rows(term)
+                estimated_root = estimates.root_rows
         self.calibration_log.record_execution(
             backend=prepared.backend_name,
             workload=self.workload_tag,

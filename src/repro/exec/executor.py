@@ -7,7 +7,12 @@ iteration over *delta frontiers* — each round binds the recursion
 variable to only the rows discovered in the previous round and the
 round's output is set-differenced against the accumulated state with one
 vectorized membership test (falling back to naive iteration for
-non-linear steps).
+non-linear steps). On the numpy kernel a round packs and sorts its
+output once: the step's closing ``distinct`` dedups by sorting the
+packed row key and leaves that key on its table, and ``difference``
+searches the sorted state with it. The key is scratch, charged to no
+budget, so it is released from every table the runner keeps (the memo,
+and with it answers and fix captures).
 
 All base tables referenced by the program are dictionary-encoded up
 front, so the value-id space is frozen for the whole execution — packed
@@ -533,7 +538,10 @@ class _Runner:
         else:
             self.budget.charge_bytes(approx_bytes)
         if op.closed:
-            self._memo[id(op)] = result
+            # A memoised table outlives this operator (answers, fix
+            # captures and the result cache are drawn from the memo), so
+            # it must not pin the kernel's uncharged dedup scratch.
+            self._memo[id(op)] = self.kernel.release(result)
         return result
 
     def _spill_result(self, op: PhysOp, result):

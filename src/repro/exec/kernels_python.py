@@ -38,10 +38,10 @@ def from_columns(codes: list[list[int]], nrows: int) -> PyTable:
 
 
 def from_rows(rows: Iterable[tuple[int, ...]], width: int) -> PyTable:
-    rows = list(rows)
-    if not rows:
+    listed = list(rows)
+    if not listed:
         return empty(width)
-    return PyTable([list(column) for column in zip(*rows)], len(rows))
+    return PyTable([list(column) for column in zip(*listed)], len(listed))
 
 
 def to_rows(table: PyTable) -> list[tuple[int, ...]]:
@@ -60,6 +60,11 @@ def width(table: PyTable) -> int:
 
 def empty(width: int) -> PyTable:
     return PyTable([[] for _ in range(width)], 0)
+
+
+def release(table: PyTable) -> PyTable:
+    """Nothing to drop: this kernel's tables carry no scratch."""
+    return table
 
 
 def select_columns(table: PyTable, indices: list[int]) -> PyTable:

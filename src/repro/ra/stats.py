@@ -220,6 +220,15 @@ def store_statistics(store: RelationalStore) -> StoreStatistics:
     return stats
 
 
+def unpinned_fixpoint_growth(store: RelationalStore) -> float:
+    """The closure growth an :class:`Estimator` assumes when none is
+    pinned: the growth observed on ``store`` so far, else the process
+    default."""
+    growth = default_fixpoint_growth()  # validates the variable either way
+    observed = store_statistics(store).observed_fixpoint_growth
+    return growth if observed is None else observed
+
+
 @dataclass(frozen=True)
 class Estimate:
     """Estimated output of a term: row count and per-column distinct counts."""
@@ -276,13 +285,12 @@ class Estimator:
         self, store: RelationalStore, fixpoint_growth: float | None = None
     ):
         self.store = store
+        #: The store version the memoised estimates were taken at.
+        self.version = store.version
         if fixpoint_growth is not None:
             fixpoint_growth = validate_fixpoint_growth(fixpoint_growth)
         else:
-            fixpoint_growth = default_fixpoint_growth()
-            observed = store_statistics(store).observed_fixpoint_growth
-            if observed is not None:
-                fixpoint_growth = observed
+            fixpoint_growth = unpinned_fixpoint_growth(store)
         self.fixpoint_growth = fixpoint_growth
         self._cache: dict[RaTerm, Estimate] = {}
         self._columns: dict[RaTerm, tuple[str, ...]] = {}

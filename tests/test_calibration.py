@@ -131,6 +131,67 @@ class TestCalibrationLog:
             record = session.calibration_log.records[-1]
         assert record.workload == "nightly"
 
+    @pytest.mark.parametrize("planner", ["greedy", "cost"])
+    def test_memoised_estimates_log_what_a_fresh_walk_would(self, planner):
+        """Every record carries the estimates a fresh unpinned estimator
+        walks out of the executed term at that moment — across repeat
+        executions (the growth observations of cost-planned ones move
+        the assumed closure growth under the memo) and a store write."""
+        from repro.planner import estimate_kind_rows
+        from repro.ra.stats import Estimator
+
+        with _session() as session:
+            store = session.store
+            handles = [
+                session.prepare(query, backend, planner=planner)
+                for backend in ("vec", "ra")
+                for query in WORKLOAD
+            ]
+            for round_no in range(3):
+                if round_no == 2:
+                    present = store.table("isLocatedIn").rows
+                    ids = sorted({n for row in present for n in row})
+                    store.add_rows("isLocatedIn", [next(
+                        (a, b) for a in ids for b in ids
+                        if a != b and (a, b) not in present
+                    )])
+                for handle in handles:
+                    handle.execute()
+                    record = session.calibration_log.records[-1]
+                    term = handle.plan.term
+                    fresh = Estimator(store)
+                    assert record.op_estimates == estimate_kind_rows(
+                        term, store, fresh
+                    )
+                    if handle.choice is None:
+                        assert record.estimated_rows == fresh.rows(term)
+                    else:
+                        assert record.estimated_rows == handle.choice.winner.rows
+
+    def test_warm_handle_walks_its_estimates_once(self, monkeypatch):
+        from repro.engine import session as session_module
+
+        built = []
+
+        class Counting(session_module.Estimator):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "Estimator", Counting)
+        with _session() as session:
+            handle = session.prepare(WORKLOAD[2], "vec")
+            for _ in range(4):
+                handle.execute()
+            assert len(built) == 1
+            # A cost-planned handle over a fixpoint-free term starts from
+            # the planning pass's estimates and never walks at all.
+            planned = session.prepare(WORKLOAD[3], "vec", planner="cost")
+            assert planned.estimates is not None
+            for _ in range(3):
+                planned.execute()
+            assert len(built) == 1
+
 
 # -- fitting ------------------------------------------------------------------
 class TestFitting:

@@ -207,6 +207,90 @@ def _walk_ops(op, seen=None):
         yield from _walk_ops(child, seen)
 
 
+@pytest.mark.skipif("numpy" not in KERNELS, reason="numpy kernel only")
+class TestDedupKeyLifetime:
+    """The numpy kernel's ``distinct`` leaves its sorted packed key on
+    the table for the ``difference`` that follows; nothing else may
+    carry it (its bytes are charged to no budget)."""
+
+    @staticmethod
+    def _deduped():
+        kernel = get_kernel("numpy")
+        table = kernel.from_rows([(1, 2), (3, 4), (1, 2), (0, 5)], 2)
+        return kernel, kernel.distinct(table, 10)
+
+    def test_difference_consumes_what_distinct_left(self):
+        kernel, table = self._deduped()
+        domain, key = table.key
+        assert domain == 10 and key.tolist() == [5, 12, 34]
+        _, state = kernel.difference(
+            kernel.from_rows([(3, 4)], 2), kernel.empty_state(), 10
+        )
+        delta, state = kernel.difference(table, state, 10)
+        assert set(kernel.to_rows(delta)) == {(0, 5), (1, 2)}
+        assert delta.key is None and state.tolist() == [5, 12, 34]
+        # Packed at another domain the key means other rows: not reused.
+        delta, _ = kernel.difference(table, kernel.empty_state(), 7)
+        assert set(kernel.to_rows(delta)) == {(0, 5), (1, 2), (3, 4)}
+
+    def test_every_other_constructor_drops_it(self):
+        from repro.exec.spill import SpillManager, spill_kernel_table
+
+        kernel, table = self._deduped()
+        none = kernel.empty(2)
+        derived = [
+            kernel.select_columns(table, [0, 1]),
+            kernel.slice_rows(table, 0, 3),
+            kernel.concat(table, none),
+            kernel.concat(none, table),
+            kernel.concat(table, table),
+            kernel.concat_many([none, table], 2),
+            kernel.concat_many([table, table], 2),
+        ]
+        with SpillManager() as manager:
+            derived.append(spill_kernel_table(manager, kernel, table, "t"))
+            assert [t.key for t in derived] == [None] * len(derived)
+        assert table.key is not None  # and none of them took it away
+        assert kernel.release(table) is table and table.key is None
+
+    def test_nothing_kept_after_an_execution_carries_it(self):
+        from repro.exec.executor import CAPTURE_KERNEL, _NO_BUDGET, _Runner
+
+        store = RelationalStore()
+        edges = {(i, i + 1) for i in range(6)} | {(0, 3)}
+        store.add_table(Table("e", ("Sr", "Tr"), edges), node_label=False)
+        term = Project(_closure_term("e"), ("Tr", "Sr"))  # a dedup at the root
+        program = compile_term(term, store)
+        kernel = get_kernel("numpy")
+        capture: dict = {}
+        answer = execute_program(
+            program, store, kernel=kernel, fix_capture=capture
+        )
+        assert len(answer) == 21 and answer.table.key is None
+        assert capture.pop(CAPTURE_KERNEL) == "numpy"
+        [(total, _state, _domain)] = capture.values()
+        assert total.key is None
+        runner = _Runner([program], encoding_for(store), kernel, _NO_BUDGET)
+        runner.run(program)
+        assert runner._memo and all(
+            table.key is None for table in runner._memo.values()
+        )
+
+    def test_cached_result_carries_none(self):
+        query = "x1, x2 <- (x1, isLocatedIn+, x2)"
+        with GraphSession(
+            yago_example_graph(), yago_example_schema(), result_cache_size=8
+        ) as session:
+            rows = session.execute(query, "vec")
+            assert session.execute(query, "vec") == rows
+            entries = list(session._result_cache._data.values())
+            assert entries
+            for entry in entries:
+                assert entry.answer.table.key is None
+                for total, _state, _domain in (entry.fix_states or {}).values():
+                    assert total.key is None
+
+
 # -- backend integration ------------------------------------------------------
 class TestVecBackend:
     def test_explain_shows_logical_and_physical_plans(self, example_session):
