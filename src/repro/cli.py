@@ -464,7 +464,7 @@ def _run_batch_inner(args: argparse.Namespace) -> int:
             print(
                 json.dumps(
                     [
-                        {"query": text, "rows": sorted(map(list, rows))}
+                        {"query": text, "rows": rows.sorted_rows()}
                         for text, rows in zip(queries, results)
                     ],
                     indent=2,

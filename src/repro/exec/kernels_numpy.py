@@ -56,6 +56,29 @@ class NpTable:
         self.n = n
         self.key = key
 
+    def sorted_ranks(self, values) -> tuple[list, list] | None:
+        """:func:`repro.exec.result._sorted_ranks` in array operations;
+        None when the packed ranks would not fit an int64."""
+        value_of = values.__getitem__
+        ranked_values: list[list] = []
+        key, span = np.zeros(self.n, dtype=_INT), 1
+        for column in self.cols:
+            distinct = np.unique(column)
+            ranked = sorted(distinct.tolist(), key=value_of)  # TypeError
+            span *= len(ranked) or 1
+            if span >= _PACK_LIMIT:
+                return None
+            rank = np.empty(len(ranked), dtype=_INT)
+            rank[np.searchsorted(distinct, ranked)] = np.arange(len(ranked))
+            key = key * len(ranked) + rank[np.searchsorted(distinct, column)]
+            ranked_values.append([value_of(code) for code in ranked])
+        key.sort()
+        ranks = []
+        for ranked in ranked_values[:0:-1]:
+            key, low = np.divmod(key, len(ranked))
+            ranks.append(low.tolist())
+        return ranked_values, [key.tolist(), *reversed(ranks)]
+
 
 def release(table: NpTable) -> NpTable:
     """Drop the dedup key: ``table`` is about to outlive its round."""

@@ -215,8 +215,13 @@ def maintain_program(
         if head_indices is not None:
             table = kernel.select_columns(table, head_indices)
     runner.stats.delta_rows_applied += runner.delta_rows
+    values = encoding.dictionary.values
+    if prev is not None and prev.table is table and prev.values is values:
+        answer = prev  # no row added: the object keeps its JSON text
+    else:
+        answer = ResultSet(table, values)
     return MaintenanceOutcome(
-        answer=ResultSet(table, encoding.dictionary.values),
+        answer=answer,
         fix_states=runner.fix_states(program),
         stats=runner.stats,
         seen=seen,

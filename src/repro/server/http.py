@@ -26,7 +26,7 @@ import asyncio
 import json
 from dataclasses import dataclass
 from http import HTTPStatus
-from typing import Mapping
+from typing import Awaitable, Callable, Mapping
 
 from repro.errors import RequestError
 from repro.server.models import (
@@ -209,13 +209,13 @@ class HTTPGraphServer:
         return _Request(method, target.split("?", 1)[0], version, headers, body)
 
     # -- routing -----------------------------------------------------------
-    async def _dispatch(self, request: _Request) -> tuple[int, dict]:
+    async def _dispatch(self, request: _Request) -> tuple[int, dict | bytes]:
         try:
             return await self._route(request)
         except Exception as error:  # noqa: BLE001 — one mapping for all
             return error_response(error)
 
-    async def _route(self, request: _Request) -> tuple[int, dict]:
+    async def _route(self, request: _Request) -> tuple[int, dict | bytes]:
         path = request.path
         if path in ("/healthz", "/metrics", "/tenants"):
             if request.method != "GET":
@@ -232,12 +232,13 @@ class HTTPGraphServer:
         segments = [piece for piece in path.split("/") if piece]
         if len(segments) == 3 and segments[0] == "v1":
             _, tenant_name, operation = segments
-            handler = {
+            handlers: dict[str, Callable[..., Awaitable[dict | bytes]]] = {
                 "query": self._op_query,
                 "batch": self._op_batch,
                 "write": self._op_write,
                 "explain": self._op_explain,
-            }.get(operation)
+            }
+            handler = handlers.get(operation)
             if handler is None:
                 return 404, self._not_found(path)
             if request.method != "POST":
@@ -291,12 +292,12 @@ class HTTPGraphServer:
 
     # -- operation handlers -------------------------------------------------
     @staticmethod
-    async def _op_query(tenant, payload) -> dict:
-        return await tenant.query(QueryRequest.from_payload(payload))
+    async def _op_query(tenant, payload) -> bytes:
+        return await tenant.query_body(QueryRequest.from_payload(payload))
 
     @staticmethod
-    async def _op_batch(tenant, payload) -> dict:
-        return await tenant.batch(BatchRequest.from_payload(payload))
+    async def _op_batch(tenant, payload) -> bytes:
+        return await tenant.batch_body(BatchRequest.from_payload(payload))
 
     @staticmethod
     async def _op_write(tenant, payload) -> dict:
@@ -311,10 +312,14 @@ class HTTPGraphServer:
     async def _write_response(
         writer: asyncio.StreamWriter,
         status: int,
-        body: dict,
+        body: dict | bytes,
         keep_alive: bool,
     ) -> None:
-        data = json.dumps(body, separators=(",", ":")).encode()
+        # Answers arrive as bytes, rendered already (the text kept on
+        # the ResultSet inside its envelope); the rest are small dicts.
+        data = body if isinstance(body, bytes) else json.dumps(
+            body, separators=(",", ":")
+        ).encode()
         try:
             phrase = HTTPStatus(status).phrase
         except ValueError:

@@ -16,6 +16,7 @@ never map exceptions ad hoc.
 
 from __future__ import annotations
 
+import json
 import math
 from collections.abc import Set
 from dataclasses import asdict, dataclass
@@ -63,7 +64,7 @@ HTTP_STATUS_BY_CODE: Mapping[str, int] = {
 RETRY_AFTER_STATUSES = frozenset({408, 429, 503})
 
 
-def retry_after_seconds(status: int, body: Mapping) -> int | None:
+def retry_after_seconds(status: int, body: object) -> int | None:
     """The ``Retry-After`` value (whole seconds, >= 1) for a response.
 
     ``None`` for statuses outside :data:`RETRY_AFTER_STATUSES`. Errors
@@ -334,6 +335,14 @@ class WriteRequest:
                         "booleans and null are storable",
                         field="rows",
                     )
+                if isinstance(value, float) and not math.isfinite(value):
+                    # json.loads reads NaN/Infinity; an answer that
+                    # returned one would not be JSON.
+                    raise RequestError(
+                        f"rows[{index}] holds {value!r}; only finite "
+                        "numbers are storable",
+                        field="rows",
+                    )
             converted.append(tuple(row))
         return cls(table=table, rows=tuple(converted))
 
@@ -371,6 +380,14 @@ def rows_payload(rows: Set) -> list[list]:
     if not isinstance(rows, ResultSet):
         rows = ResultSet.from_rows(rows)
     return rows.sorted_rows()
+
+
+def spliced_body(head: Mapping, field: str, text: str) -> bytes:
+    """The compact JSON bytes of ``head`` plus one last ``field`` whose
+    value is ``text``, JSON already: what ``json.dumps`` writes for the
+    whole body, without walking the answer again."""
+    envelope = json.dumps(head, separators=(",", ":"))
+    return f'{envelope[:-1]},"{field}":{text}}}'.encode()
 
 
 def quotas_payload(quotas) -> dict:

@@ -55,6 +55,7 @@ from repro.server.models import (
     QueryRequest,
     WriteRequest,
     rows_payload,
+    spliced_body,
 )
 
 #: Backends that evaluate against ``session.store`` and therefore have a
@@ -138,6 +139,17 @@ class TenantMetrics:
     errors: int = 0
     writes: int = 0
     rows_appended: int = 0
+
+
+@dataclass
+class WireMetrics:
+    """What answers cost on the wire: JSON texts rendered against texts
+    an earlier read had left on the same ``ResultSet``, and the bytes of
+    the ``/query`` and ``/batch`` bodies they went out in."""
+
+    texts_built: int = 0
+    texts_reused: int = 0
+    bytes_sent: int = 0
 
 
 class TenantQueryService(QueryService):
@@ -258,6 +270,7 @@ class Tenant:
         self.session = session
         self.quotas = quotas or TenantQuotas()
         self.metrics = TenantMetrics()
+        self.wire = WireMetrics()
         self.dataset = dataset
         self.backend = backend
         # Served sessions degrade gracefully by default: retryable
@@ -347,9 +360,15 @@ class Tenant:
 
     # -- operations --------------------------------------------------------
     async def query(self, request: QueryRequest) -> dict:
-        return await self._guard(self._query(request))
+        head, rows = await self._guard(self._query(request))
+        return {**head, "rows": rows_payload(rows)}
 
-    async def _query(self, request: QueryRequest) -> dict:
+    async def query_body(self, request: QueryRequest) -> bytes:
+        """:meth:`query` as the bytes of its compact JSON."""
+        head, rows = await self._guard(self._query(request))
+        return self._body(head, "rows", self._wire_text(rows))
+
+    async def _query(self, request: QueryRequest) -> tuple[dict, ResultSet]:
         timeout = self.quotas.clamp(request.timeout_seconds)
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
@@ -367,15 +386,23 @@ class Tenant:
                 "backend": request.backend,
                 "store_version": admitted_version,
                 "row_count": len(rows),
-                "rows": rows_payload(rows),
-            }
+            }, rows
         finally:
             self._release()
 
     async def batch(self, request: BatchRequest) -> dict:
-        return await self._guard(self._batch(request))
+        head, results = await self._guard(self._batch(request))
+        return {**head, "results": [rows_payload(rows) for rows in results]}
 
-    async def _batch(self, request: BatchRequest) -> dict:
+    async def batch_body(self, request: BatchRequest) -> bytes:
+        """:meth:`batch` as the bytes of its compact JSON."""
+        head, results = await self._guard(self._batch(request))
+        texts = ",".join(map(self._wire_text, results))
+        return self._body(head, "results", f"[{texts}]")
+
+    async def _batch(
+        self, request: BatchRequest
+    ) -> tuple[dict, list[ResultSet]]:
         timeout = self.quotas.clamp(request.timeout_seconds)
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
@@ -411,8 +438,7 @@ class Tenant:
                 "store_version": admitted_version,
                 "queries": len(results),
                 "row_counts": [len(rows) for rows in results],
-                "results": [rows_payload(rows) for rows in results],
-            }
+            }, results
         finally:
             self._release()
 
@@ -491,6 +517,21 @@ class Tenant:
         finally:
             self._release()
 
+    # -- rendering for the wire --------------------------------------------
+    def _wire_text(self, rows: ResultSet) -> str:
+        """The answer's JSON text, which it keeps: a result-cache hit
+        (or a maintained answer that gained no row) is rendered once."""
+        if rows.json_built:
+            self.wire.texts_reused += 1
+        else:
+            self.wire.texts_built += 1
+        return rows.json_rows()
+
+    def _body(self, head: dict, field: str, text: str) -> bytes:
+        body = spliced_body(head, field, text)
+        self.wire.bytes_sent += len(body)
+        return body
+
     # -- execution helpers -------------------------------------------------
     async def _await_with_deadline(self, awaitable, deadline, timeout):
         loop = asyncio.get_running_loop()
@@ -538,6 +579,7 @@ class Tenant:
             "backend": self.backend,
             "quotas": asdict(self.quotas),
             "requests": asdict(self.metrics),
+            "wire": asdict(self.wire),
             "admission": {
                 "active": self._active,
                 "waiting": self._waiting,

@@ -220,6 +220,34 @@ class TestMaintainedAnswers:
         assert (7, 2) in again and (7, 2) not in after
         assert len(again) == len(again.to_rows())
 
+    def test_an_unchanged_answer_keeps_its_object_and_text(
+        self, kernel, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_INCREMENTAL", "1")
+        session = _session(result_cache_size=4)
+        options = self._options(kernel)
+
+        def read():
+            return session.execute(CLOSURE, rewrite=False, exec_options=options)
+
+        before = read()
+        text = before.json_rows()
+        assert before.json_built and before.json_rows() is text
+        # 1 -> 6 -> 5 is there already: the table grows, the answer not.
+        session.store.add_rows("isLocatedIn", [(1, 5)])
+        same = read()
+        assert session.cache_stats["maintenance"].results_maintained == 1
+        assert same is before and same.json_rows() is text
+        # A row that does change it: a new object with a new text, while
+        # the one handed out before still renders the rows it had.
+        session.store.add_rows("isLocatedIn", [(7, 1)])
+        grown = read()
+        assert grown is not before and not grown.json_built
+        assert json.loads(grown.json_rows()) == rows_payload(grown)
+        assert [7, 1] in json.loads(grown.json_rows())
+        assert before.json_rows() is text
+        assert json.loads(text) == rows_payload(before) and len(before) == 8
+
     def test_two_variants_deriving_one_row_leave_no_duplicate(self, kernel):
         # (1, 4) arrives as an appended edge and, through (1, 5) and the
         # appended (5, 4), from the recursive arm as well.
@@ -321,6 +349,31 @@ def test_payload_of_coded_columns_is_the_row_wise_payload(kernel, query):
     assert rows_payload(answer) == expected
     assert json.dumps(rows_payload(answer)) == json.dumps(expected)
     assert rows_payload(frozenset(answer)) == expected
+
+
+@pytest.mark.parametrize("command", ["batch", "serve"])
+def test_cli_json_orders_rows_as_the_wire_does(
+    command, tmp_path, monkeypatch, capsys
+):
+    from repro import cli
+
+    graph, schema = _mixed_graph()
+    monkeypatch.setattr(
+        cli, "_load_session",
+        lambda dataset, scale, **kwargs: GraphSession(graph, schema, **kwargs),
+    )
+    queries = tmp_path / "queries.txt"
+    queries.write_text("\n".join(MIXED_QUERIES) + "\n")
+    assert cli.main([command, str(queries), "--backend", "vec", "--json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    oracle = GraphSession(graph, schema)
+    assert printed == [
+        {
+            "query": query,
+            "rows": _reference_payload(oracle.execute(query, "reference")),
+        }
+        for query in MIXED_QUERIES
+    ]
 
 
 async def _post(port: int, path: str, payload: dict) -> bytes:

@@ -265,6 +265,9 @@ class TestErrorsOnTheWire:
              {"table": "ghost", "rows": [[1, 2]]}, 400, "bad_request"),
             ("POST", "/v1/toy/write",
              {"table": "isLocatedIn", "rows": [[1]]}, 400, "bad_request"),
+            ("POST", "/v1/toy/write",
+             {"table": "isLocatedIn", "rows": [[1, float("nan")]]}, 400,
+             "bad_request"),
         ],
     )
     def test_structured_errors(self, method, path, payload, status, code):
@@ -425,10 +428,11 @@ class TestSnapshotIsolation:
 
 
 # -- the Retry-After contract on the wire --------------------------------------
-async def _request_headers(
+async def _request_raw(
     port: int, method: str, path: str, payload: object = None
-) -> tuple[int, dict[str, str], dict]:
-    """Like :func:`_request`, but keeps the response headers."""
+) -> tuple[int, dict[str, str], bytes]:
+    """One request on its own connection: status, response headers and
+    the body bytes as sent."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
         body = json.dumps(payload).encode() if payload is not None else b""
@@ -448,13 +452,21 @@ async def _request_headers(
             name, _, value = line.decode().partition(":")
             headers[name.strip().lower()] = value.strip()
         data = await reader.readexactly(int(headers.get("content-length", 0)))
-        return status, headers, json.loads(data)
+        return status, headers, data
     finally:
         writer.close()
         try:
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass
+
+
+async def _request_headers(
+    port: int, method: str, path: str, payload: object = None
+) -> tuple[int, dict[str, str], dict]:
+    """Like :func:`_request`, but keeps the response headers."""
+    status, headers, data = await _request_raw(port, method, path, payload)
+    return status, headers, json.loads(data)
 
 
 class TestRetryAfter:
@@ -563,3 +575,120 @@ class TestRetryAfter:
         assert body["error"]["code"] == "backend_unavailable"
         # The header reflects the breaker horizon, not the 1s default.
         assert int(headers["retry-after"]) >= 2
+
+
+# -- answers are rendered once ---------------------------------------------------
+def _compact(body: dict) -> bytes:
+    return json.dumps(body, separators=(",", ":")).encode()
+
+
+class TestAnswersAreRenderedOnce:
+    """The text kept on a cached answer is what every later read sends;
+    the bodies stay the bytes ``json.dumps`` writes for the whole dict."""
+
+    QUERIES = [CLOSURE, CHAIN, CLOSURE]
+
+    @staticmethod
+    def _cached_registry() -> TenantRegistry:
+        registry = TenantRegistry()
+        session = GraphSession(
+            yago_example_graph(), yago_example_schema(), result_cache_size=8
+        )
+        registry.add(Tenant("toy", session))
+        return registry
+
+    def test_repeated_reads_and_batches_send_the_same_bytes(self):
+        async def drive():
+            async with HTTPGraphServer(
+                self._cached_registry(), port=0
+            ) as server:
+                singles = [
+                    await _request_raw(
+                        server.port, "POST", "/v1/toy/query", {"query": query}
+                    )
+                    for query in self.QUERIES
+                ]
+                batch = await _request_raw(
+                    server.port, "POST", "/v1/toy/batch",
+                    {"queries": self.QUERIES},
+                )
+                _, metrics = await _request(server.port, "GET", "/metrics")
+            return singles, batch, metrics["tenants"]["toy"]["wire"]
+
+        singles, batch, wire = _run(drive())
+        assert [status for status, _, _ in singles] == [200] * 3
+        first, chain, again = (data for _, _, data in singles)
+        assert first == again and first != chain
+        oracle = _session()
+        for query, data in zip(self.QUERIES, (first, chain, again)):
+            rows = [list(r) for r in sorted(oracle.execute(query, "reference"))]
+            assert data == _compact({
+                "tenant": "toy", "backend": "vec",
+                "store_version": oracle.store.version,
+                "row_count": len(rows), "rows": rows,
+            })
+        status, _, data = batch
+        assert status == 200
+        bodies = [json.loads(data) for _, _, data in singles]
+        assert data == _compact({
+            "tenant": "toy", "backend": "vec",
+            "store_version": oracle.store.version,
+            "queries": 3,
+            "row_counts": [body["row_count"] for body in bodies],
+            "results": [body["rows"] for body in bodies],
+        })
+        # Two distinct answers were rendered; the repeat and the whole
+        # batch reused their texts.
+        assert wire["texts_built"] == 2 and wire["texts_reused"] == 4
+        assert wire["bytes_sent"] == sum(
+            len(data) for _, _, data in (*singles, batch)
+        )
+
+    def test_a_write_that_changes_no_answer_keeps_the_text(self, monkeypatch):
+        monkeypatch.setenv("REPRO_INCREMENTAL", "1")
+
+        async def drive():
+            async with HTTPGraphServer(
+                self._cached_registry(), port=0
+            ) as server:
+                query = (server.port, "POST", "/v1/toy/query",
+                         {"query": CLOSURE, "rewrite": False})
+                before = await _request_raw(*query)
+                # 1 -> 6 -> 5 is there already: (1, 5) adds no answer row.
+                await _request(
+                    server.port, "POST", "/v1/toy/write",
+                    {"table": "isLocatedIn", "rows": [[1, 5]]},
+                )
+                after = await _request_raw(*query)
+                _, metrics = await _request(server.port, "GET", "/metrics")
+            return before, after, metrics["tenants"]["toy"]
+
+        (_, _, before), (_, _, after), tenant = _run(drive())
+        assert json.loads(after)["store_version"] == (
+            json.loads(before)["store_version"] + 1
+        )
+        assert json.loads(after)["rows"] == json.loads(before)["rows"]
+        assert tenant["caches"]["maintenance"]["results_maintained"] == 1
+        assert tenant["wire"]["texts_built"] == 1
+        assert tenant["wire"]["texts_reused"] == 1
+
+    def test_error_bodies_and_retry_after_are_the_dict_path(self):
+        async def drive():
+            async with HTTPGraphServer(
+                _registry(timeout_seconds=1e-6), port=0
+            ) as server:
+                return (
+                    await _request_raw(
+                        server.port, "POST", "/v1/toy/query", {"query": "x1 <-"}
+                    ),
+                    await _request_raw(
+                        server.port, "POST", "/v1/toy/query", {"query": CLOSURE}
+                    ),
+                )
+
+        (status, headers, data), (late, late_headers, late_data) = _run(drive())
+        assert status == 400 and "retry-after" not in headers
+        assert data == _compact(json.loads(data))
+        assert json.loads(data)["error"]["code"] == "parse_error"
+        assert late == 408 and late_headers["retry-after"] == "1"
+        assert late_data == _compact(json.loads(late_data))

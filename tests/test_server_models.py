@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import RequestError
@@ -109,6 +111,15 @@ class TestWriteRequest:
     def test_rejections(self, payload):
         with pytest.raises(RequestError):
             WriteRequest.from_payload(payload)
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numbers_are_rejected(self, text):
+        # ``json.loads`` reads them; no answer holding one is valid JSON.
+        payload = json.loads(f'{{"table": "t", "rows": [[1, 2.5], [3, {text}]]}}')
+        with pytest.raises(RequestError) as caught:
+            WriteRequest.from_payload(payload)
+        assert caught.value.payload()["field"] == "rows"
+        assert "rows[1]" in str(caught.value)
 
 
 class TestExplainRequest:
