@@ -1,82 +1,39 @@
-"""Out-of-core vec execution: memmap spill and process-sharded morsels.
+"""Out-of-core vec execution: memmap spill under a hard byte cap.
 
-The out-of-core acceptance gate, in two acts over the recursive YAGO
-workload queries:
-
-* **spill completes under a byte cap where in-memory fails** — the
-  workload's heaviest recursive query runs with a hard
-  ``ResourceBudget.max_bytes`` ceiling sized so the purely in-memory
-  vec run exhausts it (``resource_exhausted``); the same query with a
-  tiny ``spill_threshold_bytes`` re-homes every large intermediate to
-  memmap-backed spill files, stays under the same ceiling, and returns
-  the exact rows of the unbudgeted run.
-* **process-sharded morsels vs single process** — every recursive query
-  timed on the pure-Python kernel (the GIL-bound one, where threads
-  cannot help) with ``shard_workers=1`` vs ``shard_workers=2``. Rows
-  are checked equal before timing. On a multi-core box the pooled
-  recursive speedup must clear ``>= 1.3x``; on one core processes
-  cannot overlap either, so the gate degrades to a no-material-slowdown
-  floor and the artefact says why (``gate`` in the JSON).
+The out-of-core acceptance gate: the YAGO workload's heaviest recursive
+query runs with a hard ``ResourceBudget.max_bytes`` ceiling sized so the
+purely in-memory vec run exhausts it (``resource_exhausted``); the same
+query with a tiny ``spill_threshold_bytes`` re-homes every large
+intermediate to memmap-backed spill files, stays under the same
+ceiling, and returns the exact rows of the unbudgeted run.
 
 The JSON artefact lands in ``benchmarks/output/out_of_core.json``.
 
 Profiles (``REPRO_OOC_BENCH_PROFILE``):
 
-* ``quick`` (default) — YAGO scale 0.6, best of 3,
-* ``smoke`` — tiny dataset, best of 2; the CI step.
+* ``quick`` (default) — YAGO scale 0.6,
+* ``smoke`` — tiny dataset; the CI step.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 
 import pytest
 
 from conftest import OUTPUT_DIR
 
-_PROFILES = {
-    # name: (yago scale, repetitions)
-    "quick": (0.6, 3),
-    "smoke": (0.15, 2),
-}
+#: YAGO scale per profile.
+_PROFILES = {"quick": 0.6, "smoke": 0.15}
 PROFILE = os.environ.get("REPRO_OOC_BENCH_PROFILE", "quick")
-YAGO_SCALE, REPETITIONS = _PROFILES[PROFILE]
+YAGO_SCALE = _PROFILES[PROFILE]
 TIMEOUT = 120.0
-SHARD_WORKERS = 2
-
-#: The >= 1.3x claim holds where worker processes can actually overlap
-#: (at least as many cores as workers) and the data is big enough to
-#: fan out (the quick profile). The smoke profile and single-core
-#: configurations still check row agreement query by query, but
-#: shipping morsels to a second process on one core cannot be faster by
-#: construction — a *ratio* floor is meaningless when the queries take
-#: milliseconds and the transport cost is fixed — so the timing gate
-#: degrades to an absolute bound on the pooled transport overhead.
-SPEEDUP_TARGET = 1.3
-OVERHEAD_BUDGET_SECONDS = 2.0
 
 #: The hard ceiling starts here and halves until the in-memory run
 #: exhausts it, so the gate self-sizes to the profile's data scale.
 CAP_START = 1 << 22
 CAP_FLOOR = 1 << 10
-
-
-def _speedup_gate() -> tuple[str, float, str]:
-    """(mode, threshold, description): ``speedup`` ratio or ``overhead``
-    absolute seconds, depending on whether processes can overlap."""
-    cores = os.cpu_count() or 1
-    if PROFILE == "quick" and cores >= SHARD_WORKERS:
-        return "speedup", SPEEDUP_TARGET, (
-            f">= {SPEEDUP_TARGET}x (multi-core box, "
-            f"{SHARD_WORKERS} worker processes)"
-        )
-    return "overhead", OVERHEAD_BUDGET_SECONDS, (
-        f"pooled transport overhead <= {OVERHEAD_BUDGET_SECONDS}s "
-        f"(profile={PROFILE}, cpu_count={cores}: the {SPEEDUP_TARGET}x "
-        "target needs the quick profile on a multi-core box)"
-    )
 
 
 @pytest.fixture(scope="module")
@@ -85,15 +42,6 @@ def ooc_session():
 
     with yago_session(scale=YAGO_SCALE) as session:
         yield session
-
-
-def _best_of(callable_, repetitions: int) -> float:
-    best = float("inf")
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _measure_spill_under_cap(session, queries) -> dict:
@@ -143,57 +91,6 @@ def _measure_spill_under_cap(session, queries) -> dict:
     }
 
 
-def _measure_sharded(session, queries) -> dict:
-    """Recursive queries on the pure-Python kernel, 1 vs 2 processes."""
-    records = []
-    for workload_query in queries:
-        if not workload_query.recursive:
-            continue
-        single = session.prepare(
-            workload_query.query, "vec", rewrite=False,
-            backend_options={"kernel": "python", "parallelism": 1},
-        )
-        sharded = session.prepare(
-            workload_query.query, "vec", rewrite=False,
-            backend_options={
-                "kernel": "python",
-                "parallelism": SHARD_WORKERS,
-                "shard_workers": SHARD_WORKERS,
-            },
-        )
-        rows_single = single.execute(timeout_seconds=TIMEOUT)
-        rows_sharded = sharded.execute(timeout_seconds=TIMEOUT)
-        assert rows_sharded == rows_single, workload_query.qid
-        seconds_single = _best_of(
-            lambda plan=single: plan.execute(timeout_seconds=TIMEOUT),
-            REPETITIONS,
-        )
-        seconds_sharded = _best_of(
-            lambda plan=sharded: plan.execute(timeout_seconds=TIMEOUT),
-            REPETITIONS,
-        )
-        records.append(
-            {
-                "qid": workload_query.qid,
-                "rows": len(rows_single),
-                "single_seconds": seconds_single,
-                "sharded_seconds": seconds_sharded,
-                "shards_dispatched": (
-                    sharded.last_execution_stats.shards_dispatched
-                ),
-                "speedup": seconds_single / max(seconds_sharded, 1e-9),
-            }
-        )
-    single = sum(r["single_seconds"] for r in records)
-    sharded = sum(r["sharded_seconds"] for r in records)
-    return {
-        "queries": records,
-        "single_seconds": single,
-        "sharded_seconds": sharded,
-        "speedup": single / max(sharded, 1e-9),
-    }
-
-
 @pytest.fixture(scope="module")
 def out_of_core_results(ooc_session):
     from repro.workloads.yago_queries import YAGO_QUERIES
@@ -201,11 +98,7 @@ def out_of_core_results(ooc_session):
     results = {
         "profile": PROFILE,
         "scale": YAGO_SCALE,
-        "shard_workers": SHARD_WORKERS,
-        "cpu_count": os.cpu_count(),
-        "gate": _speedup_gate()[2],
         "spill": _measure_spill_under_cap(ooc_session, YAGO_QUERIES),
-        "sharded": _measure_sharded(ooc_session, YAGO_QUERIES),
     }
     OUTPUT_DIR.mkdir(exist_ok=True)
     (OUTPUT_DIR / "out_of_core.json").write_text(
@@ -228,24 +121,7 @@ def test_spill_completes_under_cap_where_in_memory_fails(
     assert spill["spilled_bytes"] > 0
 
 
-def test_sharded_morsels_speed_up_recursive_workloads(out_of_core_results):
-    """The shard acceptance gate: row agreement (asserted while
-    measuring) and the pooled recursive speedup — >= 1.3x where worker
-    processes can overlap, a bounded absolute transport overhead
-    elsewhere (one core cannot speed up by construction)."""
-    sharded = out_of_core_results["sharded"]
-    assert len(sharded["queries"]) > 0
-    assert any(r["shards_dispatched"] > 0 for r in sharded["queries"])
-    mode, threshold, description = _speedup_gate()
-    if mode == "speedup":
-        assert sharded["speedup"] >= threshold, (description, sharded)
-    else:
-        overhead = sharded["sharded_seconds"] - sharded["single_seconds"]
-        assert overhead <= threshold, (description, sharded)
-
-
 def test_artifact_written(out_of_core_results):
     artifact = json.loads((OUTPUT_DIR / "out_of_core.json").read_text())
     assert artifact["profile"] == PROFILE
-    assert artifact["shard_workers"] == SHARD_WORKERS
-    assert "spill" in artifact and "sharded" in artifact
+    assert "spill" in artifact

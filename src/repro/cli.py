@@ -30,14 +30,11 @@ Five subcommands:
   ``--request-timeout``) and snapshot-isolated reads; ``SIGINT``/
   ``SIGTERM`` drain in-flight requests before exiting.
 
-``query``, ``batch`` and ``serve`` accept ``--parallelism N`` /
-``--morsel-size M`` (morsel-driven parallel ``vec`` execution),
-``--spill-threshold-bytes N`` / ``--spill-path DIR`` /
-``--shard-workers N`` (out-of-core memmap spill and multi-process
-sharded morsels) and
-``--planner {greedy,cost}`` (cost-based candidate selection instead of
-the linear rewrite pipeline); ``repro query --explain --candidates``
-prints the ranked candidate table. The serving subcommands cache whole
+``query``, ``batch`` and ``serve`` accept
+``--spill-threshold-bytes N`` / ``--spill-path DIR`` (out-of-core
+memmap spill on ``vec``) and ``--planner {greedy,cost}`` (cost-based
+candidate selection instead of the linear rewrite pipeline);
+``repro query --explain --candidates`` prints the ranked candidate table. The serving subcommands cache whole
 result sets unless ``--no-result-cache`` is given; after append-only
 store writes, stale cached results are incrementally maintained from
 the write delta unless ``--no-incremental`` (or
@@ -162,16 +159,10 @@ def _load_session(dataset: str, scale: float, **session_kwargs):
 def _vec_backend_options(args) -> dict | None:
     """The ``vec`` execution options carried by the CLI flags."""
     options = {}
-    if getattr(args, "parallelism", None) is not None:
-        options["parallelism"] = args.parallelism
-    if getattr(args, "morsel_size", None) is not None:
-        options["morsel_size"] = args.morsel_size
     if getattr(args, "spill_path", None) is not None:
         options["spill_path"] = args.spill_path
     if getattr(args, "spill_threshold_bytes", None) is not None:
         options["spill_threshold_bytes"] = args.spill_threshold_bytes
-    if getattr(args, "shard_workers", None) is not None:
-        options["shard_workers"] = args.shard_workers
     return options or None
 
 
@@ -190,16 +181,10 @@ def _exec_options(args, planner: str | None = None):
     )
     if planner is not None:
         fields["planner"] = planner
-    if getattr(args, "parallelism", None) is not None:
-        fields["parallelism"] = args.parallelism
-    if getattr(args, "morsel_size", None) is not None:
-        fields["morsel_size"] = args.morsel_size
     if getattr(args, "spill_path", None) is not None:
         fields["spill_path"] = args.spill_path
     if getattr(args, "spill_threshold_bytes", None) is not None:
         fields["spill_threshold_bytes"] = args.spill_threshold_bytes
-    if getattr(args, "shard_workers", None) is not None:
-        fields["shard_workers"] = args.shard_workers
     if getattr(args, "max_rows", None) is not None:
         fields["max_rows"] = args.max_rows
     if getattr(args, "max_bytes", None) is not None:
@@ -444,11 +429,6 @@ def _run_batch_inner(args: argparse.Namespace) -> int:
                         f", {maintenance.results_maintained} cached "
                         "result(s) incrementally maintained"
                     )
-                if execution.parallel_ops:
-                    shared_ops += (
-                        f", {execution.morsels_dispatched} morsel(s) over "
-                        f"{execution.parallel_ops} parallel operator(s)"
-                    )
             summary = (
                 f"-- batch of {report.queries} quer(ies) -> "
                 f"{report.distinct_plans} distinct plan(s) on backend "
@@ -592,17 +572,7 @@ def _run_calibrate_inner(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_parallel_arguments(parser) -> None:
-    parser.add_argument(
-        "--parallelism", type=int, default=None, metavar="N",
-        help="vec backend: worker threads for morsel-driven parallel "
-        "execution (default: sequential, or $REPRO_VEC_PARALLELISM)",
-    )
-    parser.add_argument(
-        "--morsel-size", type=int, default=None, metavar="ROWS",
-        help="vec backend: rows per morsel task (default: adaptive, "
-        "rows/(4*workers) clamped to [256, 4096])",
-    )
+def _add_spill_arguments(parser) -> None:
     parser.add_argument(
         "--spill-path", default=None, metavar="DIR",
         help="vec backend: root directory for memmap spill files "
@@ -613,11 +583,6 @@ def _add_parallel_arguments(parser) -> None:
         help="vec backend: spill encoded tables and intermediates whose "
         "estimated size exceeds N bytes to memmap-backed files "
         "(default: off, or $REPRO_SPILL_THRESHOLD_BYTES)",
-    )
-    parser.add_argument(
-        "--shard-workers", type=int, default=None, metavar="N",
-        help="vec backend: hash-shard morsels across N worker processes "
-        "(default: 1 = in-process, or $REPRO_SHARD_WORKERS)",
     )
 
 
@@ -744,7 +709,7 @@ def main(argv: list[str] | None = None) -> int:
     query.add_argument(
         "--limit", type=int, default=20, help="rows to print (default 20)"
     )
-    _add_parallel_arguments(query)
+    _add_spill_arguments(query)
     _add_governor_arguments(query)
     _add_planner_argument(query)
     _add_incremental_argument(query)
@@ -830,7 +795,7 @@ def main(argv: list[str] | None = None) -> int:
             help="disable the session's result-set cache (on by default "
             "for serving: repeated queries skip execution entirely)",
         )
-        _add_parallel_arguments(sub)
+        _add_spill_arguments(sub)
         _add_governor_arguments(sub)
         _add_planner_argument(sub)
         _add_incremental_argument(sub)
@@ -873,17 +838,6 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     args = parser.parse_args(argv)
-    if (
-        getattr(args, "parallelism", None) is not None
-        or getattr(args, "morsel_size", None) is not None
-    ) and getattr(args, "backend", "vec") not in ("vec", "auto"):
-        # Reject rather than silently ignore — same contract as the vec
-        # backend's unknown-option validation. "auto" may pick vec, so
-        # the knobs stay accepted there.
-        parser.error(
-            "--parallelism/--morsel-size configure the 'vec' backend "
-            f"(got --backend {args.backend!r})"
-        )
     if args.command == "bench":
         return _run_bench(args)
     if args.command == "calibrate":

@@ -7,10 +7,9 @@ whatever the substrate actually executes:
 * ``ra`` / ``vec`` — the optimised µ-RA term compiled into a columnar
                   program for the one physical layer under µ-RA,
                   :mod:`repro.exec`. ``vec`` runs it on the fastest
-                  kernel with the parallel and out-of-core knobs
-                  (explained as the logical plan plus the physical
-                  operator tree); ``ra`` pins the dependency-free
-                  pure-Python kernel, sequential and in memory
+                  kernel with the out-of-core knobs (explained as the
+                  logical plan plus the physical operator tree); ``ra``
+                  pins the dependency-free pure-Python kernel, in memory
                   (explained via the Fig. 17 cost-based planner),
 * ``sqlite``    — the generated ``WITH RECURSIVE`` SQL text (explained
                   via SQLite's own ``EXPLAIN QUERY PLAN``),
@@ -35,9 +34,8 @@ from repro.engine.protocol import register_backend
 from repro.exec.compile import CompiledProgram, compile_term
 from repro.exec.executor import ExecutionStats, execute_program
 from repro.exec.kernels import default_kernel, get_kernel
-from repro.exec.parallel import DEFAULT_MORSEL_SIZE, default_parallelism
 from repro.exec.result import ResultSet
-from repro.exec.spill import default_shard_workers, default_spill_threshold
+from repro.exec.spill import default_spill_threshold
 from repro.gdb.cypher import cypher_expressible, to_cypher
 from repro.gdb.patterns import GraphPattern, ucqt_to_patterns
 from repro.graph.evaluator import EvalBudget, as_budget
@@ -78,12 +76,9 @@ def _estimator_for(session: "GraphSession", options: Mapping | None):
 VEC_OPTIONS = frozenset(
     {
         "kernel",
-        "parallelism",
-        "morsel_size",
         "fixpoint_growth",
         "spill_path",
         "spill_threshold_bytes",
-        "shard_workers",
     }
 )
 RA_OPTIONS = frozenset({"fixpoint_growth"})
@@ -107,36 +102,25 @@ class VecPlan:
 
     ``kernel`` pins a kernel implementation by name (the ``kernel``
     backend option; ``ra`` plans always pin ``"python"``); ``None``
-    means the fastest available one.
-    ``parallelism``/``morsel_size`` configure morsel-driven parallel
-    execution; ``None`` defers to the ``REPRO_VEC_PARALLELISM``
-    environment default (sequential when unset) and the kernel-layer
-    default morsel size. The out-of-core trio works the same way:
-    ``spill_threshold_bytes`` (default ``REPRO_SPILL_THRESHOLD_BYTES``)
+    means the fastest available one. ``spill_threshold_bytes``
+    (``None`` defers to ``REPRO_SPILL_THRESHOLD_BYTES``, off when unset)
     turns on memmap spill of oversized tables under ``spill_path``
-    (default ``REPRO_SPILL_PATH``), and ``shard_workers`` (default
-    ``REPRO_SHARD_WORKERS``) > 1 fans morsels out over worker
-    *processes* instead of threads.
+    (default ``REPRO_SPILL_PATH``).
     """
 
     term: RaTerm
     program: CompiledProgram
     head: tuple[str, ...]
     kernel: str | None = None
-    parallelism: int | None = None
-    morsel_size: int | None = None
     spill_path: str | None = None
     spill_threshold_bytes: int | None = None
-    shard_workers: int | None = None
 
 
 class VecBackend:
     """Columnar execution of optimised µ-RA plans: base tables are
     dictionary-encoded once per store snapshot, operators move whole
     integer columns, and fixpoints iterate semi-naively over delta
-    frontiers (:mod:`repro.exec`). With ``{"parallelism": N}`` the heavy
-    operators fan out over row morsels on a thread pool
-    (:mod:`repro.exec.parallel`)."""
+    frontiers (:mod:`repro.exec`)."""
 
     name = "vec"
     accepted_options = VEC_OPTIONS
@@ -165,13 +149,10 @@ class VecBackend:
             )
         return {
             "kernel": kernel,
-            "parallelism": _positive_int_option(options, "parallelism"),
-            "morsel_size": _positive_int_option(options, "morsel_size"),
             "spill_path": spill_path,
             "spill_threshold_bytes": _positive_int_option(
                 options, "spill_threshold_bytes"
             ),
-            "shard_workers": _positive_int_option(options, "shard_workers"),
         }
 
     def prepare(
@@ -230,25 +211,15 @@ class VecBackend:
         result cache stores for incremental maintenance after writes.
         """
         fault_point("backend.execute.vec")
-        parallelism = (
-            plan.parallelism
-            if plan.parallelism is not None
-            else default_parallelism()
-        )
         spill_threshold = (
             plan.spill_threshold_bytes
             if plan.spill_threshold_bytes is not None
             else default_spill_threshold()
         )
-        shard_workers = (
-            plan.shard_workers
-            if plan.shard_workers is not None
-            else default_shard_workers()
-        )
         # Prefer the session's long-lived spill manager: named base-table
         # spills then persist across executions at the same store version.
         spill_manager = None
-        if spill_threshold is not None or shard_workers > 1:
+        if spill_threshold is not None:
             manager_for = getattr(session, "spill_manager", None)
             if callable(manager_for):
                 spill_manager = manager_for(plan.spill_path)
@@ -258,45 +229,25 @@ class VecBackend:
             head=plan.head,
             budget=as_budget(timeout_seconds),
             kernel=get_kernel(plan.kernel) if plan.kernel else None,
-            parallelism=parallelism,
-            morsel_size=plan.morsel_size,
             stats=stats,
             fix_capture=fix_capture,
             spill_threshold_bytes=spill_threshold,
             spill_path=plan.spill_path,
             spill_manager=spill_manager,
-            shard_workers=shard_workers,
         )
 
     def explain(self, session: "GraphSession", plan: VecPlan) -> str:
         logical = explain_ra_term(plan.term, session.store)
         physical = plan.program.render()
         kernel = plan.kernel or default_kernel().NAME
-        parallelism = (
-            plan.parallelism
-            if plan.parallelism is not None
-            else default_parallelism()
-        )
         config = f"{kernel} kernels"
-        if parallelism > 1:
-            config += (
-                f", parallelism={parallelism}, "
-                f"morsel_size={plan.morsel_size or DEFAULT_MORSEL_SIZE}"
-            )
         spill_threshold = (
             plan.spill_threshold_bytes
             if plan.spill_threshold_bytes is not None
             else default_spill_threshold()
         )
-        shard_workers = (
-            plan.shard_workers
-            if plan.shard_workers is not None
-            else default_shard_workers()
-        )
         if spill_threshold is not None:
             config += f", spill_threshold_bytes={spill_threshold}"
-        if shard_workers > 1:
-            config += f", shard_workers={shard_workers}"
         return (
             f"-- logical µ-RA plan --\n{logical}\n\n"
             f"-- physical columnar plan ({config}) --\n{physical}"
@@ -310,8 +261,7 @@ class RaBackend(VecBackend):
     """The PostgreSQL stand-in: the same layer with nothing to choose.
 
     ``ra`` plans are :class:`VecPlan` s pinned to the dependency-free
-    pure-Python kernel and always run sequentially in memory — the
-    ``REPRO_VEC_PARALLELISM`` / ``REPRO_SPILL_*`` / ``REPRO_SHARD_WORKERS``
+    pure-Python kernel and always run in memory — the ``REPRO_SPILL_*``
     defaults do not reach them — so the backend behaves the same on every
     install. It explains itself as the Fig. 17 cost-based plan.
     """

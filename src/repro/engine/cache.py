@@ -61,7 +61,7 @@ def result_cache_key(
     The schema fingerprint covers sessions whose store was rebuilt from
     scratch. Backend options are canonicalised with
     :func:`freeze_options` and partition entries deliberately — even
-    row-invariant tuning knobs like ``parallelism`` keep separate
+    row-invariant tuning knobs like ``spill_path`` keep separate
     entries. That is conservative (a mixed-options caller re-executes
     once per spelling) but safe for options added later, and the
     serving flow fixes one options dict per service anyway.

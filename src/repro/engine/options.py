@@ -2,11 +2,10 @@
 
 Execution knobs used to be scattered: ``backend=`` and ``planner=``
 parameters, a per-backend ``backend_options`` mapping (``kernel``,
-``parallelism``, ``morsel_size``, ``fixpoint_growth``), and session-level
-result-cache/incremental toggles. :class:`ExecOptions` collapses them
-into one immutable object accepted uniformly by
-``GraphSession.__init__`` / ``prepare`` / ``execute`` / ``execute_batch``,
-the CLI and the HTTP request models.
+``fixpoint_growth``), and session-level result-cache/incremental
+toggles. :class:`ExecOptions` collapses them into one immutable object
+accepted uniformly by ``GraphSession.__init__`` / ``prepare`` /
+``execute`` / ``execute_batch``, the CLI and the HTTP request models.
 
 Resolution order, most specific wins:
 
@@ -17,14 +16,12 @@ Resolution order, most specific wins:
 
 Each backend consumes only the knobs it understands
 (:data:`BACKEND_OPTION_KEYS`): one options object can therefore describe
-a mixed-backend batch — ``vec`` reads ``kernel``/``parallelism``/
-``morsel_size``/``fixpoint_growth`` plus the out-of-core trio
-``spill_path``/``spill_threshold_bytes``/``shard_workers``, ``ra``
-reads ``fixpoint_growth``,
-the rest take nothing. A legacy ``backend_options`` mapping is still
-handed to the backend verbatim (on top of the derived knobs), so
-third-party backends with their own option vocabulary — and option-typo
-validation — keep working.
+a mixed-backend batch — ``vec`` reads ``kernel``/``fixpoint_growth``
+plus the out-of-core pair ``spill_path``/``spill_threshold_bytes``,
+``ra`` reads ``fixpoint_growth``, the rest take nothing. A legacy
+``backend_options`` mapping is still handed to the backend verbatim (on
+top of the derived knobs), so third-party backends with their own option
+vocabulary — and option-typo validation — keep working.
 
 Deprecation warnings for the legacy kwargs are gated behind
 ``REPRO_EXEC_OPTIONS_WARN=1`` so existing callers stay quiet by default;
@@ -50,12 +47,9 @@ EXEC_OPTIONS_WARN_ENV = "REPRO_EXEC_OPTIONS_WARN"
 BACKEND_OPTION_KEYS: dict[str, tuple[str, ...]] = {
     "vec": (
         "kernel",
-        "parallelism",
-        "morsel_size",
         "fixpoint_growth",
         "spill_path",
         "spill_threshold_bytes",
-        "shard_workers",
     ),
     "ra": ("fixpoint_growth",),
 }
@@ -63,12 +57,9 @@ BACKEND_OPTION_KEYS: dict[str, tuple[str, ...]] = {
 #: The ExecOptions fields that travel inside a backend-options mapping.
 _KNOB_FIELDS = (
     "kernel",
-    "parallelism",
-    "morsel_size",
     "fixpoint_growth",
     "spill_path",
     "spill_threshold_bytes",
-    "shard_workers",
 )
 
 
@@ -102,12 +93,9 @@ class ExecOptions:
     backend: str | None = None           # execution substrate ("auto" allowed)
     planner: str | None = None           # "greedy" | "cost"
     kernel: str | None = None            # vec kernel pin ("numpy"/"python")
-    parallelism: int | None = None       # vec morsel-parallel worker count
-    morsel_size: int | None = None       # vec rows per morsel task
     fixpoint_growth: float | None = None # estimator closure-growth override
     spill_path: str | None = None        # out-of-core spill directory root
     spill_threshold_bytes: int | None = None  # spill tables above this size
-    shard_workers: int | None = None     # vec multi-process morsel workers
     result_cache_size: int | None = None # session result-cache capacity
     incremental: bool | None = None      # session maintenance toggle
     max_rows: int | None = None          # ResourceBudget cumulative row cap
@@ -121,14 +109,7 @@ class ExecOptions:
                 raise ValueError(
                     f"exec option {name!r} must be a string, got {value!r}"
                 )
-        for name in (
-            "parallelism",
-            "morsel_size",
-            "max_rows",
-            "max_bytes",
-            "spill_threshold_bytes",
-            "shard_workers",
-        ):
+        for name in ("max_rows", "max_bytes", "spill_threshold_bytes"):
             value = getattr(self, name)
             if value is None:
                 continue

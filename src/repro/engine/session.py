@@ -70,8 +70,8 @@ from repro.exec.executor import CAPTURE_KERNEL, ExecutionStats
 from repro.exec.kernels import default_kernel, get_kernel
 from repro.exec.spill import (
     SpillManager,
-    default_shard_workers,
     default_spill_threshold,
+    spill_supported,
 )
 from repro.engine.resilience import BreakerConfig, CircuitBreaker, RetryPolicy
 from repro.errors import (
@@ -542,7 +542,6 @@ class GraphSession:
         self._spill_manager: SpillManager | None = None
         #: Memory-dimension planning counters (``planner_stats``).
         self._spill_decisions = 0
-        self._shard_decisions = 0
         self._last_peak_estimate = 0.0
 
     # -- derived artefacts (built lazily, owned by the session) -----------
@@ -987,32 +986,27 @@ class GraphSession:
         :class:`~repro.graph.evaluator.ResourceBudget` ``max_bytes``
         ceiling, in which case the ceiling itself becomes the effective
         threshold stamped into the backend options (the plan then spills
-        rather than aborts). Returns the (possibly augmented) options
-        and the choice with the decision recorded.
+        rather than aborts). No decision is stamped for a plan whose
+        kernel cannot memmap: spill is a no-op there, and the footer and
+        counter must not claim otherwise. Returns the (possibly
+        augmented) options and the choice with the decision recorded.
         """
-        opts = dict(backend_options or {})
-        threshold = opts.get("spill_threshold_bytes")
+        options = backend_options or {}
+        threshold = options.get("spill_threshold_bytes")
         if threshold is None:
             threshold = default_spill_threshold()
-        workers = opts.get("shard_workers")
-        if workers is None:
-            workers = default_shard_workers()
-        spill = threshold is not None and choice.peak_bytes > threshold
-        if (
-            not spill
-            and threshold is None
-            and max_bytes is not None
-            and choice.peak_bytes > max_bytes
+        limit = threshold if threshold is not None else max_bytes
+        if limit is None or choice.peak_bytes <= limit:
+            return backend_options, choice
+        kernel = options.get("kernel")
+        if not spill_supported(
+            get_kernel(kernel) if kernel else default_kernel()
         ):
-            opts["spill_threshold_bytes"] = max_bytes
-            spill = True
-        if spill or workers > 1:
-            if spill:
-                self._spill_decisions += 1
-            if workers > 1:
-                self._shard_decisions += 1
-            choice = choice.with_memory(spill=spill, shard_workers=workers)
-        return (opts or None), choice
+            return backend_options, choice
+        self._spill_decisions += 1
+        if threshold is None:
+            backend_options = {**options, "spill_threshold_bytes": max_bytes}
+        return backend_options, choice.with_memory(spill=True)
 
     def _prepare_cost(
         self,
@@ -1701,7 +1695,6 @@ class GraphSession:
             "resilience": self.resilience_stats(),
             "memory": {
                 "spill_decisions": self._spill_decisions,
-                "shard_decisions": self._shard_decisions,
                 "last_peak_estimate_bytes": self._last_peak_estimate,
                 "spilled_bytes": (
                     self._spill_manager.spilled_bytes

@@ -22,22 +22,15 @@ over columns of dense integer codes:
 * :mod:`repro.exec.maintain` — incrementally maintains cached fixpoint
   results after append-only store writes by re-seeding the semi-naive
   iteration with a delta-derived frontier,
-* :mod:`repro.exec.parallel` — morsel-driven parallel execution: the
-  heavy kernel operators fan out over fixed-size row morsels on a
-  shared thread pool (:class:`~repro.exec.parallel.MorselKernel`),
 * :mod:`repro.exec.spill` — out-of-core execution: encoded tables and
   oversized intermediates are rewritten as flat int64 files and mapped
-  back as ``np.memmap`` views (:class:`~repro.exec.spill.SpillManager`),
-* :mod:`repro.exec.shard` — multi-process sharded morsels: the same
-  fan-outs over a persistent worker-process pool, morsels shipped
-  zero-pickle via spill files — real parallelism for the GIL-bound
-  pure-Python kernel (:class:`~repro.exec.shard.ProcessMorselKernel`).
+  back as ``np.memmap`` views (:class:`~repro.exec.spill.SpillManager`).
 
 The :class:`~repro.engine.backends.VecBackend` registered in the engine
 layer wires the pieces behind the standard ``prepare``/``execute``/
 ``explain`` protocol; :class:`~repro.engine.backends.RaBackend` is the
-same wiring with the pure-Python kernel pinned and the parallel and
-out-of-core knobs off.
+same wiring with the pure-Python kernel pinned and the out-of-core
+knobs off.
 """
 
 from repro.exec.compile import CompiledProgram, compile_term, render_program
@@ -60,18 +53,8 @@ from repro.exec.maintain import (
 )
 from repro.exec.kernels import available_kernels, default_kernel, get_kernel
 from repro.exec.result import ResultSet
-from repro.exec.parallel import (
-    DEFAULT_MORSEL_SIZE,
-    MIN_MORSEL_SIZE,
-    MorselKernel,
-    adaptive_morsel_size,
-    default_parallelism,
-    morsel_ranges,
-)
-from repro.exec.shard import ProcessMorselKernel, shutdown_pool
 from repro.exec.spill import (
     SpillManager,
-    default_shard_workers,
     default_spill_path,
     default_spill_threshold,
     is_spilled,
@@ -80,22 +63,15 @@ from repro.exec.spill import (
 
 __all__ = [
     "CompiledProgram",
-    "DEFAULT_MORSEL_SIZE",
     "ExecutionStats",
-    "MIN_MORSEL_SIZE",
     "MaintenanceOutcome",
-    "MorselKernel",
-    "ProcessMorselKernel",
     "ResultSet",
     "SpillManager",
     "StoreEncoding",
     "ValueDictionary",
-    "adaptive_morsel_size",
     "available_kernels",
     "compile_term",
     "default_kernel",
-    "default_parallelism",
-    "default_shard_workers",
     "default_spill_path",
     "default_spill_threshold",
     "encoding_appends",
@@ -106,9 +82,7 @@ __all__ = [
     "is_spilled",
     "maintain_program",
     "maintainable",
-    "morsel_ranges",
     "render_program",
-    "shutdown_pool",
     "spill_supported",
     "tables_encoded",
 ]

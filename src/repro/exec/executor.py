@@ -28,15 +28,6 @@ closed-operator memo spans every program — because the compiler hands
 equal closed subtrees the same operator node, a fixpoint or join shared
 by many queries in the batch is materialised exactly once.
 
-With ``parallelism`` > 1 the runner drives a
-:class:`~repro.exec.parallel.MorselKernel`: hash-join probes, dedup and
-selections fan out over fixed-size row morsels on a shared thread pool
-(numpy kernels release the GIL on large arrays; the pure-Python kernel
-falls back to sequential execution behind the same surface). With
-``shard_workers`` > 1 the same operators fan out over worker
-*processes* instead (:mod:`repro.exec.shard`) — real parallelism for
-the GIL-bound kernel, morsels shipped zero-copy via spill files.
-
 With ``spill_threshold_bytes`` set (and a memmap-capable kernel), base
 tables and operator outputs whose estimated encoded size exceeds the
 threshold are rewritten onto disk (:mod:`repro.exec.spill`) and the
@@ -67,7 +58,6 @@ from repro.exec.compile import (
 )
 from repro.exec.dictionary import StoreEncoding, encoding_for
 from repro.exec.kernels import default_kernel
-from repro.exec.parallel import MorselKernel
 from repro.exec.result import ResultSet
 from repro.exec.spill import (
     SpillManager,
@@ -94,8 +84,6 @@ class ExecutionStats:
     ``memo_hits`` counts closed operators whose materialised result was
     served from the shared memo instead of being recomputed — within one
     program (shared subtrees) and, for batch execution, across programs.
-    ``parallel_ops``/``morsels_dispatched`` describe the morsel-driven
-    fan-outs of a parallel run (zero on sequential or GIL-bound runs);
     ``result_cache_hits``/``result_cache_misses`` count whole queries the
     serving layer answered from (or had to add to) the result-set cache.
 
@@ -124,15 +112,12 @@ class ExecutionStats:
     programs: int = 0
     ops_evaluated: int = 0
     memo_hits: int = 0
-    parallel_ops: int = 0
-    morsels_dispatched: int = 0
     # Out-of-core counters: bytes/files actually written to spill during
-    # this execution, worker-process shards dispatched, tables the lazy
-    # store encoding has materialised, and the planner's peak-memory
-    # estimate for the chosen plan (max-merged, not summed).
+    # this execution, tables the lazy store encoding has materialised,
+    # and the planner's peak-memory estimate for the chosen plan
+    # (max-merged, not summed).
     spilled_bytes: int = 0
     spill_ops: int = 0
-    shards_dispatched: int = 0
     tables_encoded: int = 0
     peak_estimate_bytes: float = 0.0
     result_cache_hits: int = 0
@@ -230,14 +215,11 @@ def execute_program(
     head: tuple[str, ...] | None = None,
     budget: EvalBudget | None = None,
     kernel=None,
-    parallelism: int | None = None,
-    morsel_size: int | None = None,
     stats: ExecutionStats | None = None,
     fix_capture: dict | None = None,
     spill_threshold_bytes: int | None = None,
     spill_path: str | None = None,
     spill_manager: SpillManager | None = None,
-    shard_workers: int | None = None,
 ) -> ResultSet:
     """Run ``program`` on ``store``; the head-ordered answer stays coded."""
     return execute_batch_programs(
@@ -246,14 +228,11 @@ def execute_program(
         heads=[head],
         budget=budget,
         kernel=kernel,
-        parallelism=parallelism,
-        morsel_size=morsel_size,
         stats=stats,
         fix_captures=None if fix_capture is None else [fix_capture],
         spill_threshold_bytes=spill_threshold_bytes,
         spill_path=spill_path,
         spill_manager=spill_manager,
-        shard_workers=shard_workers,
     )[0]
 
 
@@ -284,13 +263,10 @@ def execute_batch_programs(
     budget: EvalBudget | None = None,
     kernel=None,
     stats: ExecutionStats | None = None,
-    parallelism: int | None = None,
-    morsel_size: int | None = None,
     fix_captures: list | None = None,
     spill_threshold_bytes: int | None = None,
     spill_path: str | None = None,
     spill_manager: SpillManager | None = None,
-    shard_workers: int | None = None,
 ) -> list[ResultSet]:
     """Run several compiled programs with shared encoding and shared memo.
 
@@ -301,11 +277,6 @@ def execute_batch_programs(
     their equal closed subtrees are the *same* operator nodes; the
     runner's memo then materialises each shared node once for the whole
     batch. ``stats``, when given, accumulates operator counters.
-
-    ``parallelism`` > 1 runs the heavy kernel operators morsel-parallel
-    over a thread pool (:mod:`repro.exec.parallel`); ``morsel_size``
-    tunes the rows-per-task granularity. Both are no-ops on kernels that
-    hold the GIL — results are identical in every configuration.
 
     ``fix_captures[i]``, when a dict, receives, for every *closed*
     fixpoint in program ``i`` keyed by its source
@@ -324,8 +295,7 @@ def execute_batch_programs(
     above the threshold are rewritten under a spill directory
     (``spill_manager`` when given — typically the session's, so named
     files are reused across executions — else an ephemeral one rooted
-    at ``spill_path``). ``shard_workers`` > 1 replaces the thread-morsel
-    wrapper with the multi-process one (:mod:`repro.exec.shard`).
+    at ``spill_path``).
     """
     kernel = kernel or default_kernel()
     spill: _SpillState | None = None
@@ -340,21 +310,6 @@ def execute_batch_programs(
             spill = _SpillState(
                 SpillManager(spill_path), spill_threshold_bytes, True
             )
-    morsel: MorselKernel | None = None
-    if shard_workers is not None and shard_workers > 1:
-        from repro.exec.shard import ProcessMorselKernel
-
-        morsel = ProcessMorselKernel(
-            kernel,
-            shard_workers,
-            morsel_size,
-            budget=budget,
-            manager=spill.manager if spill is not None else None,
-        )
-        kernel = morsel
-    elif parallelism is not None and parallelism > 1:
-        morsel = MorselKernel(kernel, parallelism, morsel_size, budget=budget)
-        kernel = morsel
     encoding = encoding_for(store)
     programs = list(programs)
     heads = list(heads) if heads is not None else [None] * len(programs)
@@ -380,20 +335,12 @@ def execute_batch_programs(
             results.append(ResultSet(table, values))
             if capture is None:
                 continue
-            capture[CAPTURE_KERNEL] = getattr(kernel, "NAME", None)
+            capture[CAPTURE_KERNEL] = kernel.NAME
             capture.update(runner.fix_states(program))
     finally:
-        if morsel is not None:
-            morsel.close()
         if spill is not None and spill.owns:
             spill.manager.close()
     if stats is not None:
-        if morsel is not None:
-            runner.stats.parallel_ops = morsel.parallel_ops
-            runner.stats.morsels_dispatched = morsel.morsels_dispatched
-            runner.stats.shards_dispatched = getattr(
-                morsel, "shards_dispatched", 0
-            )
         if spill is not None:
             runner.stats.spilled_bytes = (
                 spill.manager.spilled_bytes - spill.base_bytes

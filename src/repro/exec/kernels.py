@@ -5,8 +5,6 @@ needs over tables of integer-code columns:
 
 ======================  ======================================================
 ``NAME``                kernel identifier (``"numpy"`` / ``"python"``)
-``RELEASES_GIL``        True when large ops drop the GIL (morsel tasks can
-                        actually run in parallel threads)
 ``from_columns(c, n)``  build a table from lists of column codes
 ``from_rows(r, w)``     build a table from row tuples (tests, fixpoint glue)
 ``to_rows(t)``          materialise row tuples
@@ -14,20 +12,16 @@ needs over tables of integer-code columns:
 ``width(t)``            column count
 ``empty(w)``            the empty table of ``w`` columns
 ``select_columns``      gather/permute columns by position
-``slice_rows``          the ``[start, stop)`` row morsel of a table
 ``distinct``            the set of a table's rows (one ``()`` for any
                         non-empty zero-width table)
 ``select_eq``           keep rows where two columns hold equal codes
 ``concat``              stack two same-width tables
 ``concat_many``         stack many same-width tables in one pass
-``hash_partition``      split rows so equal rows share a partition
 ``join``                natural join on encoded key columns, as a bag: the
                         smaller side is indexed by key (a counting layout —
                         the build rows of one key are one run of a stable
                         ``order`` — addressed by the code itself in numpy,
                         through a dict in python), the larger side probes it
-``join_build``          index a join's build side once (None: key unpackable)
-``join_probe``          probe one morsel against a prepared build side
 ``empty_state()``       fresh seen-row state for fixpoint difference
 ``difference``          the set of a table's rows not yet in the state
                         (duplicates in the input are dropped, like
@@ -41,14 +35,13 @@ needs over tables of integer-code columns:
 :mod:`repro.exec.kernels_python` is a dependency-free columnar fallback so
 the ``vec`` backend works on a bare CPython install.
 
-The contract is about row *sets* (bags, for ``join``, ``concat*``,
-``select_*`` and ``slice_rows``): both kernels produce the same rows for
-the same input — ``tests/properties/test_kernel_agreement.py`` checks it
-primitive by primitive — but the **row order of a coded table is not
-part of it**. numpy's ``distinct`` and ``difference`` emit packed-key
-order (they dedup by sorting the packed key, not by first occurrence),
-python's emit set-iteration order, and a probe emits matches in probe
-order within a morsel only. Nothing downstream may rely on any of them.
+The contract is about row *sets* (bags, for ``join``, ``concat*`` and
+``select_*``): both kernels produce the same rows for the same input —
+``tests/properties/test_kernel_agreement.py`` checks it primitive by
+primitive — but the **row order of a coded table is not part of it**.
+numpy's ``distinct`` and ``difference`` emit packed-key order (they
+dedup by sorting the packed key, not by first occurrence), python's
+emit set-iteration order. Nothing downstream may rely on either.
 """
 
 from __future__ import annotations

@@ -26,10 +26,6 @@ from repro.exec import kernels_python
 
 NAME = "numpy"
 
-#: Large-array numpy primitives drop the GIL, so morsel tasks running
-#: these kernels genuinely overlap on multiple cores.
-RELEASES_GIL = True
-
 #: Tables can be built over ``np.memmap`` column views — the out-of-core
 #: spill path (:mod:`repro.exec.spill`) is available on this kernel.
 SUPPORTS_MEMMAP = True
@@ -120,14 +116,6 @@ def select_columns(table: NpTable, indices: list[int]) -> NpTable:
     return NpTable([table.cols[i] for i in indices], table.n)
 
 
-def slice_rows(table: NpTable, start: int, stop: int) -> NpTable:
-    """The morsel ``[start, stop)`` of ``table`` (array views, no copy)."""
-    stop = min(stop, table.n)
-    start = max(start, 0)
-    n = max(stop - start, 0)
-    return NpTable([column[start:stop] for column in table.cols], n)
-
-
 def concat_many(tables: list[NpTable], width: int) -> NpTable:
     """Stack same-width tables with one concatenate per column."""
     tables = [table for table in tables if table.n]
@@ -140,28 +128,6 @@ def concat_many(tables: list[NpTable], width: int) -> NpTable:
         for i in range(width)
     ]
     return NpTable(cols, sum(table.n for table in tables))
-
-
-def hash_partition(table: NpTable, nparts: int, domain: int) -> list[NpTable]:
-    """Split rows so equal rows land in the same partition.
-
-    Per-partition dedup is then exact and the merge is concat-only — the
-    parallel-safe union. Falls back to one partition when the row is too
-    wide to pack (callers then just run that partition sequentially).
-    """
-    if nparts <= 1 or table.n == 0 or not table.cols:
-        return [table]
-    key = _pack(table, list(range(len(table.cols))), domain)
-    if key is None:
-        return [table]
-    part = key % nparts
-    out = []
-    for i in range(nparts):
-        mask = part == i
-        out.append(
-            NpTable([column[mask] for column in table.cols], int(mask.sum()))
-        )
-    return out
 
 
 def _keyless(table: NpTable) -> NpTable:
@@ -236,10 +202,9 @@ def concat(left: NpTable, right: NpTable) -> NpTable:
 
 
 class JoinBuild:
-    """The shared build side of a join: indexed once, probed by any
-    number of (possibly concurrent) probe morsels. The build rows of
-    code ``k`` are ``order[starts[k]:starts[k] + counts[k]]`` (a counting
-    layout over the code domain), or, when ``starts`` is None,
+    """The indexed build side of a join. The build rows of code ``k``
+    are ``order[starts[k]:starts[k] + counts[k]]`` (a counting layout
+    over the code domain), or, when ``starts`` is None,
     ``sorted_keys`` holds the packed keys in ``order``."""
 
     __slots__ = ("table", "order", "starts", "counts", "sorted_keys")
@@ -281,7 +246,7 @@ def join_probe(
     build_side: int,
     domain: int,
 ) -> NpTable:
-    """Probe one morsel against a prepared build side.
+    """Probe a prepared build side.
 
     ``layout`` maps output columns to ``(side, column)``; ``build_side``
     says which side number the build table carries. The probe key packs

@@ -24,10 +24,6 @@ class PyTable:
 
 NAME = "python"
 
-#: Pure-Python loops hold the GIL throughout, so morsel tasks cannot
-#: overlap — the parallel executor falls back to sequential execution.
-RELEASES_GIL = False
-
 #: Columns are plain lists copied at construction, so a disk-backed
 #: buffer buys nothing — the spill path degrades to a no-op here.
 SUPPORTS_MEMMAP = False
@@ -71,14 +67,6 @@ def select_columns(table: PyTable, indices: list[int]) -> PyTable:
     return PyTable([table.cols[i] for i in indices], table.n)
 
 
-def slice_rows(table: PyTable, start: int, stop: int) -> PyTable:
-    """The morsel ``[start, stop)`` of ``table``."""
-    stop = min(stop, table.n)
-    start = max(start, 0)
-    n = max(stop - start, 0)
-    return PyTable([column[start:stop] for column in table.cols], n)
-
-
 def concat_many(tables: list[PyTable], width: int) -> PyTable:
     """Stack same-width tables in one pass per column."""
     tables = [table for table in tables if table.n]
@@ -93,16 +81,6 @@ def concat_many(tables: list[PyTable], width: int) -> PyTable:
             merged.extend(table.cols[i])
         cols.append(merged)
     return PyTable(cols, sum(table.n for table in tables))
-
-
-def hash_partition(table: PyTable, nparts: int, domain: int) -> list[PyTable]:
-    """Split rows so equal rows land in the same partition."""
-    if nparts <= 1 or table.n == 0 or not table.cols:
-        return [table]
-    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(nparts)]
-    for row in to_rows(table):
-        buckets[hash(row) % nparts].append(row)
-    return [from_rows(bucket, len(table.cols)) for bucket in buckets]
 
 
 def distinct(table: PyTable, domain: int) -> PyTable:
@@ -126,8 +104,7 @@ def concat(left: PyTable, right: PyTable) -> PyTable:
 
 
 class JoinBuild:
-    """The shared build side of a hash join: hashed once, probed by any
-    number of probe morsels.
+    """The hashed build side of a join.
 
     A counting layout, not a list per key: the build rows of key ``k``
     are ``order[starts[k]:ends[k]]``. Two dicts of ints and one flat
@@ -176,7 +153,7 @@ def join_probe(
     build_side: int,
     domain: int,
 ) -> PyTable:
-    """Probe one morsel against a prepared build side."""
+    """Probe a prepared build side."""
     build = handle.table
     starts, ends, order = handle.starts, handle.ends, handle.order
     find = starts.get

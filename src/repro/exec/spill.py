@@ -31,10 +31,9 @@ fires before a named file is reused and *raises* (retryable — the next
 attempt rewrites the file).
 
 Environment defaults (the CLI flags and ``ExecOptions`` fields override
-them): ``REPRO_SPILL_PATH`` roots the spill directories,
+them): ``REPRO_SPILL_PATH`` roots the spill directories and
 ``REPRO_SPILL_THRESHOLD_BYTES`` turns spilling on for any table whose
-estimated encoded size exceeds it, and ``REPRO_SHARD_WORKERS`` is the
-multi-process morsel fan-out consumed by :mod:`repro.exec.shard`.
+estimated encoded size exceeds it.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ except ImportError:  # pragma: no cover - numpy genuinely absent
 
 SPILL_PATH_ENV = "REPRO_SPILL_PATH"
 SPILL_THRESHOLD_ENV = "REPRO_SPILL_THRESHOLD_BYTES"
-SHARD_WORKERS_ENV = "REPRO_SHARD_WORKERS"
 
 _INT_BYTES = 8
 
@@ -75,16 +73,6 @@ def default_spill_threshold() -> int | None:
     except ValueError:
         return None
     return value if value >= 1 else None
-
-
-def default_shard_workers() -> int:
-    """Worker processes implied by ``REPRO_SHARD_WORKERS`` (min 1)."""
-    raw = os.environ.get(SHARD_WORKERS_ENV, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(value, 1)
 
 
 def spill_supported(kernel) -> bool:
@@ -113,7 +101,8 @@ class SpillManager:
 
     ``spilled_bytes``/``spill_ops`` count what was actually written
     (reuse of a named file is free); ``spill_reuses`` counts the hits.
-    Thread-safe: morsel workers may spill concurrently.
+    The counters and the file sequence are lock-guarded: a session's
+    manager is shared by every execution on it.
     """
 
     def __init__(self, path: str | None = None):

@@ -100,18 +100,16 @@ class PlanChoice:
 
     ``peak_bytes`` is the planner's soft estimate of the winner's peak
     materialised memory (:func:`~repro.planner.cost.estimate_term_bytes`);
-    ``spill``/``shard_workers`` record the session's out-of-core decision
-    for this plan (spill when the estimate exceeds the configured
-    threshold or the hard ``ResourceBudget.max_bytes`` ceiling; shard
-    when multi-process morsels are enabled). Both default to inactive so
-    plans from sessions without the memory dimension render unchanged.
+    ``spill`` records the session's out-of-core decision for this plan
+    (on when the estimate exceeds the configured threshold or the hard
+    ``ResourceBudget.max_bytes`` ceiling). It defaults to off so plans
+    from sessions without the memory dimension render unchanged.
     """
 
     backend: str
     ranked: tuple[RankedCandidate, ...]
     peak_bytes: float = 0.0
     spill: bool = False
-    shard_workers: int = 1
 
     @property
     def winner(self) -> RankedCandidate:
@@ -120,15 +118,9 @@ class PlanChoice:
                 return entry
         return self.ranked[0]
 
-    def with_memory(
-        self, *, spill: bool, shard_workers: int
-    ) -> "PlanChoice":
+    def with_memory(self, *, spill: bool) -> "PlanChoice":
         """This choice with the session's out-of-core decision stamped."""
-        return replace(self, spill=spill, shard_workers=shard_workers)
-
-    @property
-    def memory_active(self) -> bool:
-        return self.spill or self.shard_workers > 1
+        return replace(self, spill=spill)
 
     def to_dict(self) -> dict:
         """JSON-serializable candidate table (the ExplainReport form)."""
@@ -136,11 +128,10 @@ class PlanChoice:
             "backend": self.backend,
             "candidates": [entry.to_dict() for entry in self.ranked],
         }
-        if self.memory_active:
+        if self.spill:
             payload["memory"] = {
                 "peak_bytes": self.peak_bytes,
                 "spill": self.spill,
-                "shard_workers": self.shard_workers,
             }
         return payload
 
@@ -156,15 +147,10 @@ class PlanChoice:
                 f"{marker}{rank:<5} {entry.label:<22} "
                 f"{entry.cost:>14,.1f} {int(entry.rows):>12,}"
             )
-        if self.memory_active:
-            decisions = []
-            if self.spill:
-                decisions.append("spill=on")
-            if self.shard_workers > 1:
-                decisions.append(f"shard_workers={self.shard_workers}")
+        if self.spill:
             lines.append(
                 f"-- memory: est. peak {int(self.peak_bytes):,} bytes, "
-                + ", ".join(decisions)
+                "spill=on"
             )
         return "\n".join(lines)
 

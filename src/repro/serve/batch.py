@@ -21,9 +21,8 @@ is first looked up by ``(backend, structural plan token, schema
 fingerprint, frozen backend options)`` — plans answered under the
 current store version skip execution entirely, entries stale only by an
 append-only write are incrementally *maintained* from the store delta
-(still a hit), and only true misses enter the shared runner
-(morsel-parallel when the plans carry a ``parallelism`` option). Hits
-and misses are counted on the batch's
+(still a hit), and only true misses enter the shared runner. Hits and
+misses are counted on the batch's
 :class:`~repro.exec.executor.ExecutionStats`.
 
 :class:`BatchReport` records what was shared so callers (benchmarks,
@@ -40,7 +39,6 @@ from repro.engine.backends import VecPlan
 from repro.errors import ReproError
 from repro.exec.executor import ExecutionStats, execute_batch_programs
 from repro.exec.kernels import get_kernel
-from repro.exec.parallel import default_parallelism
 from repro.exec.result import EMPTY, ResultSet
 from repro.graph.evaluator import EvalBudget, ResourceBudget
 from repro.testing.faults import fault_point
@@ -197,8 +195,6 @@ def _execute_vec_shared(
     runnable: list[tuple[str, "PreparedQuery", VecPlan, tuple | None]] = []
     rows_by_key: dict[str, ResultSet] = {}
     kernel = None
-    parallelism: int | None = None
-    morsel_size: int | None = None
     stats = ExecutionStats()
     for key, handle in prepared.items():
         handle._refresh_if_stale()
@@ -221,15 +217,7 @@ def _execute_vec_shared(
             stats.result_cache_misses += 1
         if plan.kernel is not None:
             kernel = get_kernel(plan.kernel)
-        if plan.parallelism is not None:
-            parallelism = plan.parallelism
-        if plan.morsel_size is not None:
-            morsel_size = plan.morsel_size
         runnable.append((key, handle, plan, cache_key))
-    if parallelism is None:
-        # No plan pinned a worker count: honour the environment default
-        # (the CI matrix leg that runs everything morsel-parallel).
-        parallelism = default_parallelism()
     if runnable:
         version_before = session.store.version
         captures: list[dict | None] | None = None
@@ -261,8 +249,6 @@ def _execute_vec_shared(
                 budget=budget,
                 kernel=kernel,
                 stats=stats,
-                parallelism=parallelism,
-                morsel_size=morsel_size,
                 fix_captures=captures,
             )
         except ReproError as error:

@@ -6,9 +6,7 @@ admission-batches concurrent submissions and answers each batch through
 together shares plans, the dictionary encoding and common subprograms
 without the callers coordinating. Construct the session with
 ``result_cache_size > 0`` and repeated traffic across batches skips
-execution entirely (whole result sets cached per store version); pass
-``backend_options={"parallelism": N}`` and each ``vec`` batch executes
-its heavy operators morsel-parallel.
+execution entirely (whole result sets cached per store version).
 
 Mechanics:
 

@@ -16,7 +16,6 @@ site                            boundary
 ``maintain.apply``              incremental maintenance of a stale cache entry
 ``spill.write``                 writing a spill file for an out-of-core table
 ``spill.read``                  remapping a spill file reused across executions
-``shard.worker``                dispatching one morsel shard to a worker process
 ==============================  ================================================
 
 ``fault_point(site)`` is a cheap attribute check when no injector is
@@ -25,9 +24,9 @@ active. When one is active, matching rules raise
 contained sites (the cache/maintenance ones, plus ``spill.write``) catch
 the fault locally and degrade (skip the store, treat the load as a miss,
 fall back to invalidation, keep the table in RAM), which the chaos suite
-asserts never corrupts shared state. ``spill.read`` and ``shard.worker``
-are raising — a lost spill file or dead worker aborts the execution with
-a retryable error, so the degradation loop may re-run the query.
+asserts never corrupts shared state. ``spill.read`` is raising — a lost
+spill file aborts the execution with a retryable error, so the
+degradation loop may re-run the query.
 
 Determinism: each rule draws from its own ``random.Random`` seeded with
 ``f"{seed}:{site}"``, so whether the *k*-th arrival at a site fires is a
@@ -80,7 +79,6 @@ KNOWN_SITES: tuple[str, ...] = (
     "maintain.apply",
     "spill.write",
     "spill.read",
-    "shard.worker",
 )
 
 

@@ -1,8 +1,7 @@
 """Property: the numpy kernel and the pure-Python kernel agree row for row.
 
 The same random coded tables go through both kernels' ``join``,
-``join_build``/``join_probe``, ``distinct`` and ``difference``; the
-Python kernel (dict-of-int hash join, sets of row tuples) is the
+``distinct`` and ``difference``; the Python kernel (dict-of-int hash join, sets of row tuples) is the
 reference. Row *order* is not compared — it is not part of a coded
 table's contract — but joins are compared as bags and every set-valued
 output is checked to hold no duplicate.
@@ -120,37 +119,6 @@ def test_foreign_key_probe_passes_through(data):
     )
     assert got.cols[0] is np_probe.cols[0]
     assert got.cols[2] is np_probe.cols[1]
-
-
-@given(st.data(), st.integers(1, 9))
-@settings(max_examples=100, deadline=None)
-def test_probe_morsels_concatenate_to_the_join(data, morsel):
-    domain, width, rows = data.draw(_coded(widths=(2,)))
-    build_rows, probe_rows = data.draw(rows), data.draw(rows)
-    key = data.draw(st.sampled_from([[0], [1], [0, 1]]), label="key")
-    layout = _layout(data, width, width)
-    for kernel in (npk, pyk):
-        build = kernel.from_rows(build_rows, width)
-        probe = kernel.from_rows(probe_rows, width)
-        handle = kernel.join_build(build, key, domain)
-        if handle is None:  # numpy, key too wide to pack: no morsel API
-            assert kernel is npk and domain ** len(key) >= 1 << 62
-            continue
-        partials = [
-            kernel.join_probe(
-                handle,
-                kernel.slice_rows(probe, start, start + morsel),
-                key, layout, 1, domain,
-            )
-            for start in range(0, len(probe_rows), morsel)
-        ]
-        # Side 1 is the build side here, so the probe is the left input.
-        whole = pyk.join(
-            pyk.from_rows(probe_rows, width), pyk.from_rows(build_rows, width),
-            key, key, layout, domain,
-        )
-        merged = kernel.concat_many(partials, len(layout))
-        assert _bag(kernel, merged) == _bag(pyk, whole)
 
 
 @pytest.mark.parametrize("domain", [65_535, 65_536, 65_537, 70_000])

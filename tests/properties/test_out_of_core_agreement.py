@@ -2,13 +2,11 @@
 
 Random schemas, random conforming graphs and random path queries must
 produce identical result sets whether a compiled columnar program runs
-purely in memory, with every large table spilled to memmap-backed files
-(a spill threshold of one byte re-homes everything the kernel
-supports), or hash-sharded across worker processes with a deliberately
-tiny morsel size (forcing many dispatches) — on every available kernel,
-including the pure-Python one that ships its shards as flat int64
-files. A session running the whole stack (spill + shard together) must
-serve the same rows too.
+purely in memory or with every large table spilled to memmap-backed
+files (a spill threshold of one byte re-homes everything the kernel
+supports) — on every available kernel, including the pure-Python one
+where spill is a no-op. A session running with spill on must serve the
+same rows too.
 """
 
 from hypothesis import given, settings
@@ -29,9 +27,7 @@ _SEEDS = st.integers(min_value=0, max_value=10_000)
 
 @given(_SEEDS, _SEEDS, _SEEDS)
 @settings(max_examples=25, deadline=None)
-def test_spilled_and_sharded_agree_with_in_memory(
-    schema_seed, graph_seed, expr_seed
-):
+def test_spilled_agrees_with_in_memory(schema_seed, graph_seed, expr_seed):
     schema = random_schema(schema_seed)
     graph = random_graph(schema, graph_seed, max_nodes=14, max_edges=36)
     expr = random_path_expr(schema, expr_seed, max_depth=3)
@@ -48,23 +44,6 @@ def test_spilled_and_sharded_agree_with_in_memory(
             for label, options in (
                 ("in-memory", {}),
                 ("spilled", {"spill_threshold_bytes": 1}),
-                (
-                    "sharded",
-                    {
-                        "shard_workers": 2,
-                        "parallelism": 2,
-                        "morsel_size": 2,
-                    },
-                ),
-                (
-                    "spilled+sharded",
-                    {
-                        "spill_threshold_bytes": 1,
-                        "shard_workers": 2,
-                        "parallelism": 2,
-                        "morsel_size": 2,
-                    },
-                ),
             ):
                 rows = execute_program(
                     prepared.plan.program,
@@ -88,12 +67,7 @@ def test_out_of_core_session_serves_identical_rows(
     expected = evaluate_path(graph, expr)
 
     with GraphSession(graph, schema, result_cache_size=16) as session:
-        options = {
-            "spill_threshold_bytes": 1,
-            "shard_workers": 2,
-            "parallelism": 2,
-            "morsel_size": 4,
-        }
+        options = {"spill_threshold_bytes": 1}
         cold = session.execute(
             query, "vec", rewrite=False, backend_options=options
         )

@@ -3,7 +3,9 @@
 The engine-layer variant of ``test_engines_agree``: the *same session*
 must produce identical result sets on every registered backend, for
 random schemas, random conforming databases and random path queries —
-baseline and schema-rewritten, cold caches and warm.
+baseline and schema-rewritten, cold caches and warm. A session with the
+result cache on must serve those rows too, the second time from the
+cache.
 """
 
 from hypothesis import given, settings
@@ -41,3 +43,22 @@ def test_session_backends_agree(schema_seed, graph_seed, expr_seed):
             assert first.execute() == expected, backend
             second = session.prepare(query, backend)
             assert second.plan is first.plan, backend
+
+
+@given(_SEEDS, _SEEDS, _SEEDS)
+@settings(max_examples=15, deadline=None)
+def test_result_cached_session_serves_identical_rows(
+    schema_seed, graph_seed, expr_seed
+):
+    schema = random_schema(schema_seed)
+    graph = random_graph(schema, graph_seed, max_nodes=12, max_edges=30)
+    expr = random_path_expr(schema, expr_seed, max_depth=3)
+    query = single_relation_query(expr)
+    expected = evaluate_path(graph, expr)
+
+    with GraphSession(graph, schema, result_cache_size=16) as session:
+        cold = session.execute(query, "vec", rewrite=False)
+        warm = session.execute(query, "vec", rewrite=False)
+        assert cold == warm == expected
+        if session.prepare(query, "vec", rewrite=False).plan is not None:
+            assert session.cache_stats["result"].hits >= 1

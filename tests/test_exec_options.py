@@ -41,10 +41,10 @@ class TestValidation:
             ("backend", 3),
             ("planner", b"cost"),
             ("kernel", 1.5),
-            ("parallelism", 0),
-            ("parallelism", True),
-            ("parallelism", "4"),
-            ("morsel_size", -1),
+            ("spill_threshold_bytes", 0),
+            ("spill_threshold_bytes", True),
+            ("spill_threshold_bytes", "4"),
+            ("max_rows", -1),
             ("fixpoint_growth", "fast"),
             ("fixpoint_growth", True),
             ("result_cache_size", -1),
@@ -60,18 +60,28 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown exec option"):
             ExecOptions.from_mapping({"paralellism": 4})
 
+    @pytest.mark.parametrize(
+        "key", ["parallelism", "morsel_size", "shard_workers"]
+    )
+    def test_knobs_of_the_deleted_parallel_kernels_are_unknown(self, key):
+        # No alias or silent no-op stays behind for them.
+        with pytest.raises(ValueError, match="unknown exec option"):
+            ExecOptions.from_mapping({key: 2})
+
     def test_round_trips_through_dict(self):
-        options = ExecOptions(backend="vec", parallelism=4, incremental=False)
+        options = ExecOptions(
+            backend="vec", spill_threshold_bytes=4, incremental=False
+        )
         assert ExecOptions.from_mapping(options.to_dict()) == options
 
 
 class TestResolution:
     def test_merged_overlays_set_fields_only(self):
-        base = ExecOptions(backend="vec", parallelism=2)
-        override = ExecOptions(parallelism=8, planner="cost")
+        base = ExecOptions(backend="vec", spill_threshold_bytes=2)
+        override = ExecOptions(spill_threshold_bytes=8, planner="cost")
         merged = base.merged(override)
         assert merged == ExecOptions(
-            backend="vec", parallelism=8, planner="cost"
+            backend="vec", spill_threshold_bytes=8, planner="cost"
         )
 
     def test_merged_none_is_identity(self):
@@ -79,24 +89,26 @@ class TestResolution:
         assert options.merged(None) is options
 
     def test_legacy_kwargs_win_over_fields(self):
-        options = ExecOptions(backend="vec", planner="cost", parallelism=2)
+        options = ExecOptions(
+            backend="vec", planner="cost", spill_threshold_bytes=2
+        )
         resolved = options.with_legacy(
-            backend="ra", backend_options={"parallelism": 6}
+            backend="ra", backend_options={"spill_threshold_bytes": 6}
         )
         assert resolved.backend == "ra"
-        assert resolved.parallelism == 6
+        assert resolved.spill_threshold_bytes == 6
         assert resolved.planner == "cost"  # untouched by the overlay
 
 
 class TestProjection:
     def test_vec_receives_its_knobs(self):
         options = ExecOptions(
-            kernel="python", parallelism=3, morsel_size=128,
+            kernel="python", spill_threshold_bytes=3, spill_path="/tmp/s",
             fixpoint_growth=1.5, result_cache_size=9,
         )
         assert options.backend_options_for("vec") == {
-            "kernel": "python", "parallelism": 3, "morsel_size": 128,
-            "fixpoint_growth": 1.5,
+            "kernel": "python", "spill_threshold_bytes": 3,
+            "spill_path": "/tmp/s", "fixpoint_growth": 1.5,
         }
 
     def test_ra_receives_growth_only(self):
@@ -104,19 +116,19 @@ class TestProjection:
         assert options.backend_options_for("ra") == {"fixpoint_growth": 2.0}
 
     def test_black_box_backends_receive_nothing(self):
-        options = ExecOptions(parallelism=3)
+        options = ExecOptions(spill_threshold_bytes=3)
         assert options.backend_options_for("sqlite") is None
 
     def test_legacy_extra_overlays_verbatim(self):
         # Unknown keys must reach the backend so its own validation
         # fires — the options object does not swallow typos.
-        options = ExecOptions(parallelism=3)
+        options = ExecOptions(spill_threshold_bytes=3)
         assert options.backend_options_for(
-            "vec", {"parallelism": 7, "bogus": 1}
-        ) == {"parallelism": 7, "bogus": 1}
+            "vec", {"spill_threshold_bytes": 7, "bogus": 1}
+        ) == {"spill_threshold_bytes": 7, "bogus": 1}
 
     def test_freeze_is_the_single_cache_key_path(self):
-        options = ExecOptions(parallelism=3)
+        options = ExecOptions(spill_threshold_bytes=3)
         assert options.freeze("vec") == options.freeze(
             "vec", None
         ) != options.freeze("sqlite")
@@ -143,10 +155,15 @@ class TestSessionAcceptance:
         # The keying satellite: both spellings resolve to the same
         # backend-options projection, hence the same plan-cache key.
         with _session() as session:
-            session.prepare(QUERY, "vec", backend_options={"parallelism": 2})
+            session.prepare(
+                QUERY, "vec", backend_options={"spill_threshold_bytes": 2}
+            )
             before = session.cache_stats["plan"].hits
             session.prepare(
-                QUERY, exec_options=ExecOptions(backend="vec", parallelism=2)
+                QUERY,
+                exec_options=ExecOptions(
+                    backend="vec", spill_threshold_bytes=2
+                ),
             )
             assert session.cache_stats["plan"].hits == before + 1
 
@@ -188,9 +205,9 @@ class TestSessionAcceptance:
 class TestHTTPModel:
     def test_options_parsed_into_exec_options(self):
         request = QueryRequest.from_payload(
-            {"query": QUERY, "options": {"parallelism": 2, "planner": "cost"}}
+            {"query": QUERY, "options": {"max_rows": 2, "planner": "cost"}}
         )
-        assert request.options == ExecOptions(parallelism=2, planner="cost")
+        assert request.options == ExecOptions(max_rows=2, planner="cost")
 
     def test_invalid_options_are_a_structured_400(self):
         with pytest.raises(RequestError, match="unknown exec option"):

@@ -48,9 +48,9 @@ def plan_rows(session, text: str, rewrite: bool) -> dict:
             text, rewrite=rewrite,
             exec_options=ExecOptions(backend=requested, planner="cost"),
         )
-        # The spill/shard CI legs stamp a memory line on vec plans; the
+        # The spill CI leg stamps a memory line on vec plans; the
         # table records the decision-free rendering plus the estimate.
-        choice = handle.choice.with_memory(spill=False, shard_workers=1)
+        choice = handle.choice.with_memory(spill=False)
         for entry in choice.ranked:
             row["candidates"].setdefault(
                 entry.label, str(entry.candidate.query)

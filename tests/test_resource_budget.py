@@ -16,6 +16,7 @@ import pytest
 from repro.engine import GraphSession
 from repro.engine.options import ExecOptions
 from repro.errors import QueryTimeout, ResourceExhaustedError
+from repro.exec import available_kernels, get_kernel, spill_supported
 from repro.graph.evaluator import EvalBudget, ResourceBudget, as_budget
 
 BACKENDS = ("ra", "vec", "sqlite", "gdb", "reference")
@@ -108,6 +109,34 @@ class TestSessionResourceCaps:
             exec_options=ExecOptions(max_rows=10**9, max_bytes=10**12),
         )
         assert capped == expected
+
+    @pytest.mark.parametrize("kernel", available_kernels())
+    def test_spill_decision_matches_what_the_kernel_does(
+        self, ldbc_session, kernel, monkeypatch
+    ):
+        # A byte cap below the plan's estimated peak turns spill on, but
+        # only where the kernel can memmap: the explain footer, the
+        # decision counter and the bytes actually written must agree.
+        monkeypatch.delenv("REPRO_SPILL_THRESHOLD_BYTES", raising=False)
+        spills = spill_supported(get_kernel(kernel))
+        prepared = ldbc_session.prepare(
+            KNOWS_CLOSURE,
+            exec_options=ExecOptions(
+                backend="vec", kernel=kernel, planner="cost", max_bytes=64
+            ),
+        )
+        assert ("spill=on" in str(prepared.explain())) == spills
+        if spills:
+            assert prepared.execute() == ldbc_session.execute(
+                KNOWS_CLOSURE, "vec"
+            )
+            assert prepared.last_execution_stats.spilled_bytes > 0
+        else:
+            with pytest.raises(ResourceExhaustedError):
+                prepared.execute()
+        memory = ldbc_session.planner_stats["memory"]
+        assert memory["spill_decisions"] == int(spills)
+        assert (memory["spilled_bytes"] > 0) == spills
 
     def test_invalid_caps_rejected(self):
         with pytest.raises(ValueError, match="max_rows"):

@@ -268,6 +268,10 @@ class TestErrorsOnTheWire:
             ("POST", "/v1/toy/write",
              {"table": "isLocatedIn", "rows": [[1, float("nan")]]}, 400,
              "bad_request"),
+            # A knob that was deleted is an unknown option like any other.
+            ("POST", "/v1/toy/query",
+             {"query": CLOSURE, "options": {"shard_workers": 2}}, 400,
+             "bad_request"),
         ],
     )
     def test_structured_errors(self, method, path, payload, status, code):

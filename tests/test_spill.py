@@ -7,8 +7,7 @@ the same encoding version, invalidation on a version move, cleanup on
 close), the anonymous-intermediate unlink trick, the budget exemption
 that makes a hard ``max_bytes`` ceiling satisfiable out of core, the
 contained ``spill.write`` / raising ``spill.read`` fault sites, and the
-satellite knobs (lazy per-table encoding counter, adaptive morsel
-sizing).
+lazy per-table encoding counter.
 """
 
 from __future__ import annotations
@@ -22,11 +21,6 @@ from repro.errors import InjectedFault, ResourceExhaustedError
 from repro.exec import get_kernel
 from repro.exec.dictionary import StoreEncoding
 from repro.exec.executor import execute_program
-from repro.exec.parallel import (
-    MIN_MORSEL_SIZE,
-    MorselKernel,
-    adaptive_morsel_size,
-)
 from repro.exec.spill import (
     SpillManager,
     is_spilled,
@@ -121,7 +115,6 @@ class TestSpilledTables:
         with SpillManager() as manager:
             spilled = spill_kernel_table(manager, kernel, table, "t")
             assert is_spilled(kernel.select_columns(spilled, (1, 0)))
-            assert is_spilled(kernel.slice_rows(spilled, 1, 3))
 
     def test_empty_and_unsupported_tables_do_not_spill(self):
         kernel = _kernel()
@@ -221,36 +214,6 @@ class TestLazyEncoding:
             session.execute(QUERY, "vec", rewrite=False)
             maintenance = session.cache_stats["maintenance"]
             assert maintenance.tables_encoded == 1
-
-
-class TestAdaptiveMorselSize:
-    def test_scales_with_rows_and_workers(self):
-        # 100k rows over 4 workers: 100_000 // 16 = 6250, below the
-        # configured ceiling.
-        assert adaptive_morsel_size(100_000, 4, 8192) == 6250
-
-    def test_clamps_to_minimum(self):
-        assert adaptive_morsel_size(10, 4, 4096) == MIN_MORSEL_SIZE
-
-    def test_clamps_to_configured_ceiling(self):
-        assert adaptive_morsel_size(10**7, 2, 4096) == 4096
-
-    def test_explicit_morsel_size_stays_exact(self):
-        morsel = MorselKernel(_kernel(), parallelism=2, morsel_size=7)
-        try:
-            assert not morsel.adaptive
-            assert morsel._morsel_size_for(10**6) == 7
-        finally:
-            morsel.close()
-
-    def test_default_morsel_size_adapts(self):
-        morsel = MorselKernel(_kernel(), parallelism=2)
-        try:
-            assert morsel.adaptive
-            assert morsel._morsel_size_for(10**6) == morsel.morsel_size
-            assert morsel._morsel_size_for(1000) == MIN_MORSEL_SIZE
-        finally:
-            morsel.close()
 
 
 def test_table_from_memmap_is_zero_copy_views():

@@ -2,17 +2,21 @@
 
 Covers dictionary-encoding round trips, encoding-snapshot invalidation,
 kernel parity (numpy vs pure-Python fallback), empty and degenerate
-fixpoints, the memoised optimizer statistics, and the CLI's live-registry
-backend validation.
+fixpoints, the ``vec`` backend-option validation, the totality of
+:meth:`ExecutionStats.merge`, the memoised optimizer statistics, and the
+CLI's live-registry backend validation.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.engine import GraphSession
 from repro.exec import (
+    ExecutionStats,
     ValueDictionary,
     available_kernels,
     compile_term,
@@ -130,6 +134,30 @@ class TestKernels:
         assert kernel.width(table) == 3
         assert kernel.to_rows(table) == []
 
+    def test_concat_many(self, kernel_name):
+        kernel = get_kernel(kernel_name)
+        parts = [
+            kernel.from_rows([(1, 2)], 2),
+            kernel.from_rows([], 2),
+            kernel.from_rows([(3, 4), (5, 6)], 2),
+        ]
+        merged = kernel.concat_many(parts, 2)
+        assert set(kernel.to_rows(merged)) == {(1, 2), (3, 4), (5, 6)}
+        assert kernel.nrows(kernel.concat_many([], 2)) == 0
+
+    def test_join_build_probe_matches_join(self, kernel_name):
+        kernel = get_kernel(kernel_name)
+        left = kernel.from_rows([(1, 10), (2, 20), (2, 21)], 2)
+        right = kernel.from_rows([(10, 5), (21, 6), (9, 7)], 2)
+        layout = [(0, 0), (0, 1), (1, 1)]
+        expected = set(
+            kernel.to_rows(kernel.join(left, right, [1], [0], layout, 64))
+        )
+        handle = kernel.join_build(left, [1], 64)
+        assert handle is not None
+        probed = kernel.join_probe(handle, right, [0], layout, 0, 64)
+        assert set(kernel.to_rows(probed)) == expected
+
 
 @pytest.mark.parametrize("kernel_name", KERNELS)
 def test_kernels_agree_with_reference_on_example(kernel_name, example_session):
@@ -240,7 +268,6 @@ class TestDedupKeyLifetime:
         none = kernel.empty(2)
         derived = [
             kernel.select_columns(table, [0, 1]),
-            kernel.slice_rows(table, 0, 3),
             kernel.concat(table, none),
             kernel.concat(none, table),
             kernel.concat(table, table),
@@ -322,6 +349,107 @@ class TestVecBackend:
         assert {"livesIn", "isLocatedIn"} <= scans
 
 
+CLOSURE_QUERY = "x1, x2 <- (x1, isLocatedIn+, x2)"
+CHAIN_QUERY = "x1, x2 <- (x1, livesIn/isLocatedIn+, x2)"
+
+
+class TestVecBackendOptions:
+    @pytest.mark.parametrize(
+        "unknown",
+        # A typo, and the knobs of the deleted thread-morsel and
+        # process-shard kernels: no alias stays behind for them.
+        ["kernal", "parallelism", "morsel_size", "shard_workers"],
+    )
+    def test_unknown_option_rejected_with_accepted_list(
+        self, example_session, unknown
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            example_session.prepare(
+                CLOSURE_QUERY, "vec", backend_options={unknown: 8}
+            )
+        message = str(excinfo.value)
+        assert repr(unknown) in message
+        for accepted in ("kernel", "spill_path", "spill_threshold_bytes"):
+            assert accepted in message
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"spill_threshold_bytes": 0},
+            {"spill_threshold_bytes": -2},
+            {"spill_threshold_bytes": "4"},
+            {"spill_threshold_bytes": True},
+            {"spill_threshold_bytes": 2.5},
+            {"spill_path": 7},
+            {"kernel": "fortran"},
+        ],
+    )
+    def test_invalid_values_rejected(self, example_session, options):
+        with pytest.raises(ValueError, match="must be a|unknown kernel"):
+            example_session.prepare(
+                CLOSURE_QUERY, "vec", backend_options=options
+            )
+
+    def test_ra_ignores_the_vec_environment_defaults(
+        self, example_session, monkeypatch
+    ):
+        # ``ra`` is the same layer with nothing to choose: whatever the
+        # environment tells ``vec``, it runs in memory.
+        import repro.exec.executor as executor
+
+        expected = example_session.execute(CHAIN_QUERY, "ra", rewrite=False)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ra left the in-memory path")
+
+        monkeypatch.setattr(executor, "SpillManager", refuse)
+        monkeypatch.setenv("REPRO_SPILL_THRESHOLD_BYTES", "1")
+        monkeypatch.setenv("REPRO_SPILL_PATH", "/nonexistent/spill")
+        example_session.clear_caches()
+        prepared = example_session.prepare(CHAIN_QUERY, "ra", rewrite=False)
+        assert prepared.plan.kernel == "python"
+        assert prepared.execute() == expected
+
+    def test_deleted_environment_defaults_change_nothing(
+        self, example_session, monkeypatch
+    ):
+        def run():
+            example_session.clear_caches()
+            return (
+                example_session.execute(CHAIN_QUERY, "vec", rewrite=False),
+                example_session.explain(
+                    CHAIN_QUERY, "vec", rewrite=False
+                ).plan_text,
+            )
+
+        before = run()
+        monkeypatch.setenv("REPRO_VEC_PARALLELISM", "4")
+        monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
+        assert run() == before
+
+
+class TestExecutionStats:
+    def test_merge_is_total_over_every_field(self):
+        field_names = [f.name for f in dataclasses.fields(ExecutionStats)]
+        ones = ExecutionStats(**{name: 1 for name in field_names})
+        accumulated = ExecutionStats(**{name: 2 for name in field_names})
+        accumulated.merge(ones)
+        for name in field_names:
+            if name == "peak_estimate_bytes":
+                # A peak is a high-water mark, not a flow: merging takes
+                # the max so a batch reports its largest single estimate.
+                assert getattr(accumulated, name) == 2, name
+            else:
+                assert getattr(accumulated, name) == 3, name
+
+    def test_new_counters_default_to_zero(self):
+        stats = ExecutionStats()
+        assert stats.spilled_bytes == 0
+        assert stats.spill_ops == 0
+        assert stats.result_cache_hits == 0
+        assert stats.result_cache_misses == 0
+
+
 def test_benchmark_context_dispatches_to_vec(example_session):
     from repro.bench.runner import ENGINES, BenchmarkContext
     from repro.query.parser import parse_query
@@ -383,6 +511,17 @@ class TestCliBackendValidation:
             cli_main(["query", "--help"])
         assert excinfo.value.code == 0
         assert "vec" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag", ["--parallelism", "--morsel-size", "--shard-workers"]
+    )
+    def test_flags_of_the_deleted_parallel_kernels_are_unrecognised(
+        self, flag, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["query", CLOSURE_QUERY, "--backend", "vec", flag, "4"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_vec_accepted(self, capsys):
         assert (
