@@ -8,9 +8,10 @@ simply never hit again and age out of the LRU order. Result-set entries
 carry the store version they were computed at *inside the value*
 (:class:`CachedResult`) rather than in the key: a stale entry is found
 again after a write, so the session can **maintain** it from the
-store's append delta (re-seeding the semi-naive executor over the
-materialised fixpoint states) instead of recomputing — falling back to
-eviction when no delta exists.
+store's append delta (one delta pass over the plan, re-seeding the
+semi-naive executor over the materialised fixpoint states where the
+plan has fixpoints) instead of recomputing — falling back to eviction
+when no delta exists.
 """
 
 from __future__ import annotations
@@ -82,19 +83,22 @@ class CachedResult:
     head-ordered coded root, the cache's only form: a warm hit hands it
     out and decodes nothing. ``version`` is the store version it is
     valid at — a lookup at a newer version triggers maintenance or
-    eviction. ``fix_states`` (fixpoint plans only) maps each closed
-    fixpoint's source :class:`~repro.ra.terms.Fix` term to a ``(total,
-    state, domain)`` triple — its materialised total as a
+    eviction. The answer is all a fixpoint-free plan needs to be
+    maintained: the delta pass appends the coded rows the write added
+    to its table. ``fix_states`` (None for a fixpoint-free plan) maps
+    each closed fixpoint's source :class:`~repro.ra.terms.Fix` term to
+    a ``(total, state, domain)`` triple — its materialised total as a
     *kernel-native* table of integer codes, the membership state
-    iteration converged with, and the packing domain of that state —
-    and ``seen`` is the ``(membership state, domain)`` of the answer's
-    own table once a maintenance run has built one. Codes are
-    domain-independent and survive append-only writes (the dictionary
-    is append-only), so maintenance can seed the executor with these
-    tables as-is, continue semi-naive iteration from where the cached
-    execution converged and append the coded rows the write added.
-    ``kernel_name`` records which kernel produced the tables; a lookup
-    under a different kernel must not reuse them.
+    iteration converged with, and the packing domain of that state; a
+    maintenance run replaces the triples of the fixpoints it entered
+    and leaves the others as they are. ``seen`` is the ``(membership
+    state, domain)`` of the answer's own table once a maintenance run
+    has built one. Codes are domain-independent and survive append-only
+    writes (the dictionary is append-only), so maintenance can seed the
+    executor with these tables as-is, continue semi-naive iteration
+    from where the cached execution converged and append the coded rows
+    the write added. ``kernel_name`` records which kernel produced the
+    tables; a lookup under a different kernel must not reuse them.
     """
 
     answer: ResultSet

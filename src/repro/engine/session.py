@@ -27,13 +27,15 @@ session with ``result_cache_size > 0`` caches whole result sets keyed on
 options)`` — repeated traffic over an unchanged store becomes an O(1)
 lookup. The store version lives *inside* each entry
 (:class:`~repro.engine.cache.CachedResult`): after an append-only write
-a stale entry is **maintained** instead of recomputed — the cached
-``vec`` fixpoint totals re-seed the semi-naive executor with a frontier
-built from the store's append delta, and plans that read none of the
-changed relations are simply re-stamped. Barrier writes (new tables,
-replacements, deletions) or non-maintainable plans fall back to
-eviction. ``REPRO_INCREMENTAL=0`` disables maintenance globally (the
-store keeps serving its delta log; only this consumer stops). The
+a stale entry is **maintained** instead of recomputed — one delta pass
+over the columnar (``vec``/``ra``) program computes the rows the answer
+gained from the store's append delta, whether or not the plan kept a
+fixpoint (cached fixpoint totals re-seed the semi-naive executor where
+it did), and plans that read none of the changed relations are simply
+re-stamped. Barrier writes (new tables, replacements, deletions), a
+kernel change or a non-columnar backend fall back to eviction.
+``REPRO_INCREMENTAL=0`` disables maintenance globally (the store keeps
+serving its delta log; only this consumer stops). The
 layer is off by default because timed comparisons (the benchmark
 harness) must measure execution, not cache hits; the serving entry
 points (``repro batch`` / ``repro serve``) switch it on.
@@ -146,6 +148,9 @@ _drop_unsatisfiable_disjuncts = drop_unsatisfiable_disjuncts
 #: Compiled winners one cost-planned entry keeps (one per backend /
 #: backend-options / byte-cap combination asked for; oldest dropped).
 _MAX_COMPILED_PER_QUERY = 8
+
+#: Distinct query texts a session keeps parsed; emptied when full.
+_PARSE_MEMO_SIZE = 512
 
 
 @dataclass
@@ -491,6 +496,8 @@ class GraphSession:
         self._sqlite: SqliteBackend | None = None
         self._pattern_engine: PatternEngine | None = None
         self._fingerprint: str | None = None
+        #: Query text -> parsed (frozen) query; see :meth:`_as_query`.
+        self._parsed: dict[str, UCQT] = {}
         self._rewrite_cache = LruCache(cache_size)
         self._plan_cache = LruCache(cache_size)
         # Whole result sets, keyed on (backend, plan token, fingerprint,
@@ -1451,9 +1458,14 @@ class GraphSession:
         """Bring one stale cache entry up to the current store version.
 
         Returns the maintained answer, or None when the entry cannot be
-        maintained (maintenance disabled, barrier write, unknown read
-        set with no seedable fixpoint state). Plans that read none of
-        the changed relations are re-stamped without any evaluation.
+        maintained (maintenance disabled, barrier write, a plan that is
+        not a columnar program of monotone operators, tables coded by
+        another kernel). Plans that read none of the changed relations
+        are re-stamped without any evaluation; the others run one delta
+        pass (:func:`~repro.exec.maintain.maintain_program`), seeded
+        with the entry's fixpoint states when the plan has fixpoints.
+        The entry is updated only once the pass has finished: a run that
+        raises (budget, fault) leaves it as it was.
         """
         if not self._incremental_active():
             return None
@@ -1476,7 +1488,7 @@ class GraphSession:
         plan = prepared.plan
         if not isinstance(plan, _backends.VecPlan):
             return None
-        if not maintainable(plan.program, entry.fix_states):
+        if not maintainable(plan.program):
             return None
         kernel = get_kernel(plan.kernel) if plan.kernel else default_kernel()
         if entry.kernel_name != getattr(kernel, "NAME", None):
@@ -1485,7 +1497,7 @@ class GraphSession:
             plan.program,
             store,
             deltas,
-            entry.fix_states,
+            entry.fix_states or {},
             head=plan.head,
             kernel=kernel,
             budget=as_budget(timeout_seconds),
@@ -1494,7 +1506,7 @@ class GraphSession:
         )
         entry.answer = outcome.answer
         entry.version = store.version
-        entry.fix_states = outcome.fix_states
+        entry.fix_states = outcome.fix_states or None
         entry.seen = outcome.seen
         self._maintenance.merge(outcome.stats)
         self._maintenance.results_maintained += 1
@@ -1758,6 +1770,7 @@ class GraphSession:
         }
 
     def clear_caches(self) -> None:
+        self._parsed.clear()
         self._rewrite_cache.clear()
         self._plan_cache.clear()
         self._result_cache.clear()
@@ -1785,6 +1798,17 @@ class GraphSession:
         )
 
     # -- helpers -----------------------------------------------------------
-    @staticmethod
-    def _as_query(query: UCQT | str) -> UCQT:
-        return parse_query(query) if isinstance(query, str) else query
+    def _as_query(self, query: UCQT | str) -> UCQT:
+        """``query`` parsed, each distinct text once: served traffic
+        repeats its texts. The memo sits in front of the call, and
+        plain dict operations keep it safe from the service's loop
+        thread (``QueryService.submit``) next to a worker's."""
+        if not isinstance(query, str):
+            return query
+        parsed = self._parsed.get(query)
+        if parsed is None:
+            parsed = parse_query(query)  # a ParseError is never stored
+            if len(self._parsed) >= _PARSE_MEMO_SIZE:
+                self._parsed.clear()
+            self._parsed[query] = parsed
+        return parsed

@@ -19,9 +19,9 @@ over columns of dense integer codes:
   semi-naive fixpoint iteration over delta frontiers,
 * :mod:`repro.exec.result` — the answer type: the coded root plus the
   value list, decoded once and only when read,
-* :mod:`repro.exec.maintain` — incrementally maintains cached fixpoint
-  results after append-only store writes by re-seeding the semi-naive
-  iteration with a delta-derived frontier,
+* :mod:`repro.exec.maintain` — incrementally maintains cached results
+  after append-only store writes: one delta pass over the program,
+  re-seeding semi-naive iteration where it kept a fixpoint,
 * :mod:`repro.exec.spill` — out-of-core execution: encoded tables and
   oversized intermediates are rewritten as flat int64 files and mapped
   back as ``np.memmap`` views (:class:`~repro.exec.spill.SpillManager`).

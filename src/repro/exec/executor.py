@@ -431,16 +431,31 @@ class _Runner:
             if hit is not None:
                 self.stats.memo_hits += 1
                 return hit
+        result = self._metered(op, self._eval_uncached, env)
+        if op.closed:
+            # A memoised table outlives this operator (answers, fix
+            # captures and the result cache are drawn from the memo), so
+            # it must not pin the kernel's uncharged dedup scratch.
+            self._memo[id(op)] = self.kernel.release(result)
+        return result
+
+    def _metered(self, op: PhysOp, compute, env: dict):
+        """``compute(op, env)`` as one accounted operator evaluation:
+        fault site, exclusive per-kind time and rows, budget ticks and
+        byte charges, spilling. ``None`` (the maintenance runner's "no
+        row gained") passes through uncounted."""
         fault_point("kernel.op")
         started = time.perf_counter()
         self._child_seconds.append(0.0)
         try:
-            result = self._eval_uncached(op, env)
+            result = compute(op, env)
         finally:
             child = self._child_seconds.pop()
         elapsed = time.perf_counter() - started
         if self._child_seconds:
             self._child_seconds[-1] += elapsed
+        if result is None:
+            return None
         exclusive = max(elapsed - child, 0.0)
         self.stats.ops_evaluated += 1
         rows = self.kernel.nrows(result)
@@ -484,11 +499,6 @@ class _Runner:
                 self.budget.charge_bytes(approx_bytes)
         else:
             self.budget.charge_bytes(approx_bytes)
-        if op.closed:
-            # A memoised table outlives this operator (answers, fix
-            # captures and the result cache are drawn from the memo), so
-            # it must not pin the kernel's uncharged dedup scratch.
-            self._memo[id(op)] = self.kernel.release(result)
         return result
 
     def _spill_result(self, op: PhysOp, result):
@@ -516,11 +526,9 @@ class _Runner:
         kernel = self.kernel
         if isinstance(op, ScanOp):
             table = self._scan_table(op.table)
-            if op.indices is not None:
-                table = kernel.select_columns(table, op.indices)
-                if op.dedup:
-                    table = kernel.distinct(table, self.domain)
-            return table
+            if op.indices is None:
+                return table
+            return self._project(table, op.indices, op.dedup)
         if isinstance(op, VarOp):
             bound = env.get(op.name)
             if bound is None:
@@ -529,12 +537,9 @@ class _Runner:
                 )
             return bound
         if isinstance(op, ProjectOp):
-            table = kernel.select_columns(
-                self._eval(op.child, env), op.indices
+            return self._project(
+                self._eval(op.child, env), op.indices, op.dedup
             )
-            if op.dedup:
-                table = kernel.distinct(table, self.domain)
-            return table
         if isinstance(op, RenameOp):
             return self._eval(op.child, env)
         if isinstance(op, SelectEqOp):
@@ -559,6 +564,10 @@ class _Runner:
         if isinstance(op, FixOp):
             return self._eval_fixpoint(op, env)
         raise EvaluationError(f"unknown physical operator {op!r}")
+
+    def _project(self, table, indices: list[int], dedup: bool):
+        table = self.kernel.select_columns(table, indices)
+        return self.kernel.distinct(table, self.domain) if dedup else table
 
     def _step(self, op: FixOp, env: dict, frontier):
         step_env = dict(env)

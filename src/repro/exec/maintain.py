@@ -1,42 +1,53 @@
-"""Incremental maintenance of cached fixpoint results under appends.
+"""Incremental maintenance of cached columnar results under appends.
 
-A cached ``vec`` result is a materialised least fixpoint. When the store
-takes an *append-only* write (:meth:`RelationalStore.delta_since`
-returns the added rows), the cached result ``R₀`` is a sound starting
-point for the **new** fixpoint: every µ-RA operator is monotone, so
-``R₀ = lfp(F_old) ⊆ lfp(F_new)``, and Kleene iteration restarted from
-any sound point converges to exactly ``lfp(F_new)``.
+A cached ``vec`` result is the output of a program of monotone µ-RA
+operators. When the store takes an *append-only* write
+(:meth:`RelationalStore.delta_since` returns the added rows), the new
+output is a superset of the cached one, and :func:`maintain_program`
+computes only what it gained: one bottom-up **delta pass**
+(:meth:`_MaintainRunner._delta`), memoised per closed operator, that
+returns the rows an operator's output gained, or nothing:
 
-:func:`maintain_program` therefore re-seeds the semi-naive executor:
-each closed fixpoint whose previous total was captured
-(:class:`~repro.engine.cache.CachedResult` stores the kernel-native
-tables of integer codes — codes survive appends because the dictionary
-encoding is append-only) restarts with ``total = R₀`` and a *round-0
-frontier* derived from the delta instead of from scratch. When the
-previous coded output table is supplied too, the maintained answer is
-that table with the coded rows the write added appended — the whole
-maintenance run is then O(delta + vectorized membership), and no row
-is decoded at all.
+* a changed scan yields its appended rows, a recursion variable nothing
+  (it is bound to the previous total ``R₀``),
+* project / rename / select map over the child's delta, a union unions
+  its children's deltas,
+* a join yields ``ΔL ⋈ R_new ∪ L_new ⋈ ΔR``, where a full sibling is
+  taken from the runner's ordinary memoised evaluation *only if the
+  other side's delta is non-empty* — a plan whose changed scans gained
+  nothing that joins evaluates next to nothing,
+* a closed fixpoint whose previous total was captured
+  (:class:`~repro.engine.cache.CachedResult` keeps the kernel-native
+  tables of integer codes — codes survive appends because the
+  dictionary encoding is append-only) yields the rows its total gained.
 
-The frontier must cover ``F_new(R₀) \\ R₀``. Outside nested fixpoints
-every operator is multilinear in its scan occurrences, so the frontier
-is the union of per-occurrence *delta variants*: for each occurrence of
-a changed scan, clone the operator path from the fixpoint arm down to
-that occurrence and replace only it with an :class:`DeltaScanOp` over
-the appended rows — every other scan reads the full new table and the
-recursion variable reads ``R₀``. The ``S = ∅`` monomial (all occurrences
-old) is ``⊆ R₀`` because ``R₀`` is a fixpoint of the old operator, and
-every mixed monomial is dominated by the variant of one of its changed
-occurrences — so variants ∪ ``R₀`` cover the full frontier at O(delta)
-evaluation cost. Arms whose subtree contains a changed scan *inside a
-nested fixpoint* are not multilinear; those fall back to one full
-evaluation of the arm against the new tables (still exact — just one
-non-delta round).
+Soundness is multilinearity: outside fixpoints every operator is
+multilinear in its changed leaves, so ``new(L ⋈ R) \\ old(L ⋈ R) ⊆
+ΔL ⋈ R_new ∪ L_new ⋈ ΔR``. Every delta is a subset of the operator's
+new output; where it is a superset of the gained rows (an appended row
+that projects onto an old one), the answer's membership state and the
+fixpoint states filter it. Every concat is followed by ``distinct``, so
+each delta is a duplicate-free table.
+
+A seeded fixpoint restarts semi-naive iteration from ``R₀``: every
+operator is monotone, so ``R₀ = lfp(F_old) ⊆ lfp(F_new)``, and Kleene
+iteration restarted from any sound point converges to exactly
+``lfp(F_new)``. Its round-0 frontier must cover ``F_new(R₀) \\ R₀``; it
+is the same delta pass over the fixpoint's arms with the variable bound
+to ``R₀`` (``F_old(R₀) ⊆ R₀`` because ``R₀`` is a fixpoint of the old
+operator). A changed fixpoint *without* a captured total (an open
+nested fixpoint) is not multilinear: it is evaluated in full against
+the new tables and its whole output stands in for its delta — still
+exact, just not O(delta).
+
+With the previous coded answer supplied, the maintained answer is that
+table with the coded rows the write added appended — the whole run is
+O(delta + vectorized membership), whether or not the plan kept a
+fixpoint, and no row is decoded at all.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from repro.exec.compile import (
@@ -57,44 +68,10 @@ from repro.exec.result import ResultSet
 from repro.graph.evaluator import EvalBudget
 from repro.storage.relational import RelationalStore
 
-
-@dataclass
-class DeltaScanOp(PhysOp):
-    """Scan only the rows appended to a table since the cached version."""
-
-    table: str
-    indices: list[int] | None
-    dedup: bool
-
-    def label(self) -> str:  # pragma: no cover - debug rendering only
-        return f"AppendScan Δ{self.table}"
-
-
-@dataclass
-class _TableOp(PhysOp):
-    """A leaf yielding an already-materialised kernel table — stands in
-    for a maintained fixpoint's *delta* in root-scope variants."""
-
-    value: object
-
-    def label(self) -> str:  # pragma: no cover - debug rendering only
-        return "FixpointΔ"
-
-
-#: Child attribute names per operator kind, for cloning one operator
-#: path per changed-scan occurrence. ``FixOp`` is deliberately absent:
-#: variants never reach through a nested fixpoint (not multilinear).
-_CHILD_FIELDS: dict[type, tuple[str, ...]] = {
-    ProjectOp: ("child",),
-    RenameOp: ("child",),
-    SelectEqOp: ("child",),
-    JoinOp: ("left", "right"),
-    UnionOp: ("left", "right"),
-}
-
 #: Every operator the maintenance runner understands. All are monotone,
-#: which the seeded-restart argument requires; an unknown operator kind
-#: added later makes ``maintainable`` refuse rather than corrupt.
+#: which the delta pass and the seeded restart require; an unknown
+#: operator kind added later makes ``maintainable`` refuse rather than
+#: corrupt.
 _SUPPORTED_OPS = (
     ScanOp,
     VarOp,
@@ -106,24 +83,17 @@ _SUPPORTED_OPS = (
     FixOp,
 )
 
+_UNSET = object()
 
-def maintainable(program: CompiledProgram, fix_states: dict | None) -> bool:
-    """Can ``program``'s cached result be maintained from ``fix_states``?
 
-    Requires every operator to be a known monotone kind and at least one
-    closed fixpoint with a captured previous total — without a seeded
-    fixpoint, maintenance would be an ordinary recomputation and the
-    caller should just invalidate.
+def maintainable(program: CompiledProgram) -> bool:
+    """Can a cached answer of ``program`` be maintained under appends?
+
+    Requires every operator to be a known monotone kind. A fixpoint is
+    not required: a rewritten (fixpoint-free) plan is maintained by the
+    same delta pass, from its cached answer alone.
     """
-    if not fix_states:
-        return False
-    ops = program.root.walk()
-    if not all(isinstance(op, _SUPPORTED_OPS) for op in ops):
-        return False
-    return any(
-        isinstance(op, FixOp) and op.closed and op.source in fix_states
-        for op in ops
-    )
+    return all(isinstance(op, _SUPPORTED_OPS) for op in program.root.walk())
 
 
 @dataclass
@@ -158,15 +128,19 @@ def maintain_program(
     ``deltas`` is the store's append delta since the cached version and
     ``fix_states`` the captured ``(total, state, domain)`` fixpoint
     triples (kernel-native, produced by the *same* kernel that runs
-    here — see :data:`~repro.exec.executor.CAPTURE_KERNEL`). When
-    ``prev`` is the entry's answer, the new output is its coded table
-    with the newly-derived coded rows appended —
-    every operator is monotone, so the new output is a superset of the
-    old. ``prev_seen`` is the ``seen`` pair of the previous outcome; it
-    saves rebuilding the output's membership state. Nothing is decoded
-    and the previous table is never written to: an answer handed out
-    before keeps its rows. Exactness relies on monotonicity only, so the
-    outcome always equals a cold recomputation.
+    here — see :data:`~repro.exec.executor.CAPTURE_KERNEL`; empty for a
+    fixpoint-free plan). When ``prev`` is the entry's answer, the new
+    output is its coded table with the rows of the root's delta it does
+    not hold yet appended — every operator is monotone, so the new
+    output is a superset of the old. ``prev_seen`` is the ``seen`` pair
+    of the previous outcome; it saves rebuilding the output's membership
+    state. Without ``prev`` the root is evaluated in full over the
+    seeded fixpoints. Nothing is decoded and the previous table is never
+    written to: an answer handed out before keeps its rows, and a run
+    that adds no row hands back ``prev`` itself. The outcome's
+    ``fix_states`` are the given ones with every fixpoint the run
+    entered replaced by its new triple. Exactness relies on monotonicity
+    only, so the outcome always equals a cold recomputation.
     """
     if kernel is None:
         from repro.exec.kernels import default_kernel
@@ -184,32 +158,29 @@ def maintain_program(
     )
     domain = runner.domain
     seen = None
-    prev_output = prev.table if prev is not None else None
-    delta_out = (
-        runner.root_delta(program) if prev_output is not None else None
-    )
-    if delta_out is not None:
-        # Root-scope delta propagation: only the new monomials were
-        # evaluated, so ``delta_out`` is O(write delta). It is filtered
-        # against the output's membership state, which is carried from
-        # run to run and rebuilt only when new values moved the packing
-        # domain. Updating that state is the last step that can fail, so
-        # an aborted run leaves the cached pair consistent.
-        if head_indices is not None:
-            delta_out = kernel.select_columns(delta_out, head_indices)
-        if prev_seen is not None and prev_seen[1] == domain:
-            state = prev_seen[0]
+    if prev is not None:
+        # Only what the root gained is evaluated, O(write delta). It is
+        # filtered against the output's membership state, which is
+        # carried from run to run and rebuilt only when new values moved
+        # the packing domain. Updating that state is the last step that
+        # can fail, so an aborted run leaves the cached pair consistent.
+        table = prev.table
+        delta_out = runner._delta(program.root, {})
+        if delta_out is None:
+            seen = prev_seen
         else:
-            _, state = kernel.difference(
-                prev_output, kernel.empty_state(), domain
-            )
-        added, state = kernel.difference(delta_out, state, domain)
-        table = (
-            kernel.concat(prev_output, added)
-            if kernel.nrows(added)
-            else prev_output
-        )
-        seen = (state, domain)
+            if head_indices is not None:
+                delta_out = kernel.select_columns(delta_out, head_indices)
+            if prev_seen is not None and prev_seen[1] == domain:
+                state = prev_seen[0]
+            else:
+                _, state = kernel.difference(
+                    table, kernel.empty_state(), domain
+                )
+            added, state = kernel.difference(delta_out, state, domain)
+            if kernel.nrows(added):
+                table = kernel.concat(table, added)
+            seen = (state, domain)
     else:
         table = runner.run(program)
         if head_indices is not None:
@@ -222,14 +193,15 @@ def maintain_program(
         answer = ResultSet(table, values)
     return MaintenanceOutcome(
         answer=answer,
-        fix_states=runner.fix_states(program),
+        fix_states={**fix_states, **runner.fix_states(program)},
         stats=runner.stats,
         seen=seen,
     )
 
 
 class _MaintainRunner(_Runner):
-    """A :class:`_Runner` whose fixpoints restart from cached totals."""
+    """A :class:`_Runner` that also evaluates operator *deltas*, and
+    whose fixpoints restart from cached totals."""
 
     def __init__(self, program, encoding, kernel, budget, deltas, fix_states):
         # The superclass encodes every scanned table in full first, so
@@ -238,10 +210,12 @@ class _MaintainRunner(_Runner):
         super().__init__([program], encoding, kernel, budget)
         self._fix_states = fix_states
         self._delta_tables: dict[str, object] = {}
+        #: id(closed op) -> its memoised delta (None: gained nothing).
+        self._delta_memo: dict[int, object] = {}
+        self._changed_memo: dict[int, bool] = {}
         #: id(FixOp) -> rows its maintained total gained over the seed,
-        #: recorded as each seeded fixpoint evaluates — the "changed
-        #: leaf" inputs of root-scope delta propagation.
-        self.fix_deltas: dict[int, object] = {}
+        #: recorded as each seeded fixpoint evaluates.
+        self._fix_gained: dict[int, object] = {}
         self.delta_rows = 0
         encode = encoding.dictionary.encode
         for name in program.scan_tables:
@@ -253,103 +227,76 @@ class _MaintainRunner(_Runner):
             self._delta_tables[name] = kernel.from_rows(coded, width)
             self.delta_rows += len(coded)
 
-    def _eval_uncached(self, op: PhysOp, env: dict):
-        if isinstance(op, DeltaScanOp):
-            kernel = self.kernel
-            table = self._delta_tables[op.table]
-            if op.indices is not None:
-                table = kernel.select_columns(table, op.indices)
-                if op.dedup:
-                    table = kernel.distinct(table, self.domain)
-            return table
-        if isinstance(op, _TableOp):
-            return op.value
-        return super()._eval_uncached(op, env)
+    def _delta(self, op: PhysOp, env: dict):
+        """The rows ``op``'s output gained over the cached run (a
+        duplicate-free subset of its new output that covers them), or
+        None when it gained nothing. ``env`` binds recursion variables
+        to previous totals, which gained nothing by definition."""
+        if not self._changed(op):
+            return None  # not entered: nothing below it was appended to
+        if op.closed:
+            hit = self._delta_memo.get(id(op), _UNSET)
+            if hit is not _UNSET:
+                return hit
+        if isinstance(op, FixOp):
+            # A seeded fixpoint records what its total gained as it
+            # evaluates. One with no captured total to restart from (an
+            # open nested fixpoint) is not multilinear: its whole new
+            # output stands in, a sound superset of what it gained.
+            total = self._eval(op, env)
+            gained = self._fix_gained.get(id(op), total)
+        else:
+            gained = self._metered(op, self._delta_uncached, env)
+        if gained is not None and not self.kernel.nrows(gained):
+            gained = None
+        if op.closed:
+            self._delta_memo[id(op)] = gained
+        return gained
 
-    # -- root-scope delta propagation --------------------------------------
-    def root_delta(self, program):
-        """The rows ``program``'s output gained, or None when the root
-        cannot be maintained incrementally.
-
-        The operators above the fixpoints are multilinear in their
-        changed leaves — changed scans and maintained fixpoints — so the
-        gained rows are covered by one variant per changed-leaf
-        occurrence, each evaluated at O(leaf delta). Requires every
-        changed root-scope fixpoint to be seeded (its delta is known);
-        otherwise the caller falls back to one full root evaluation.
-        """
-        root = program.root
-        if not self._root_scope_ok(root):
-            return None
+    def _delta_uncached(self, op: PhysOp, env: dict):
         kernel = self.kernel
-        # Materialise (and memoise) the root-scope fixpoints first: the
-        # variants reference their totals, and the seeded evaluations
-        # record the deltas the variants substitute.
-        for op in self._root_scope_fixops(root):
-            self._eval(op, {})
-        parts = [
-            self._eval(variant, {})
-            for variant in self._variants(root)
-        ]
-        # Two variants can derive the same row; one variant cannot.
-        return kernel.distinct(
-            kernel.concat_many(parts, len(program.columns)), self.domain
-        )
-
-    def _root_scope_ok(self, tree: PhysOp) -> bool:
-        if isinstance(tree, FixOp):
-            if not self._subtree_changed(tree):
-                return True
-            return (
-                tree.closed
-                and tree.source is not None
-                and self._fix_states.get(tree.source) is not None
-            )
-        return all(
-            self._root_scope_ok(child) for child in tree.children()
-        )
-
-    def _root_scope_fixops(self, tree: PhysOp):
-        if isinstance(tree, FixOp):
-            yield tree
-            return
-        for child in tree.children():
-            yield from self._root_scope_fixops(child)
-
-    def _variants(self, tree: PhysOp) -> list[PhysOp]:
-        """One cloned operator path per changed-leaf occurrence, where a
-        leaf is a changed scan or a maintained fixpoint that gained rows
-        (under a fixpoint arm that is :meth:`_variant_safe` no fixpoint
-        gained any). Clones carry ``closed=False`` so they are never
-        memoised — their transient ids must not alias a collected
-        node's memo slot."""
-        if isinstance(tree, ScanOp):
-            if tree.table in self._delta_tables:
-                return [
-                    DeltaScanOp(
-                        tree.columns,
-                        False,
-                        tree.table,
-                        tree.indices,
-                        tree.dedup,
-                    )
-                ]
-            return []
-        if isinstance(tree, FixOp):
-            delta = self.fix_deltas.get(id(tree))
-            if delta is None or not self.kernel.nrows(delta):
-                return []
-            return [_TableOp(tree.columns, False, delta)]
-        variants: list[PhysOp] = []
-        for field_name in _CHILD_FIELDS.get(type(tree), ()):
-            child = getattr(tree, field_name)
-            for cloned in self._variants(child):
-                variants.append(
-                    dataclasses.replace(
-                        tree, closed=False, **{field_name: cloned}
-                    )
+        if isinstance(op, ScanOp):
+            table = self._delta_tables[op.table]
+            if op.indices is None:
+                return table
+            return self._project(table, op.indices, op.dedup)
+        if isinstance(op, JoinOp):
+            left = self._delta(op.left, env)
+            right = self._delta(op.right, env)
+            key = (op.left_key, op.right_key, op.layout, self.domain)
+            parts = []
+            if left is not None:
+                parts.append(
+                    kernel.join(left, self._eval(op.right, env), *key)
                 )
-        return variants
+            if right is not None:
+                parts.append(
+                    kernel.join(self._eval(op.left, env), right, *key)
+                )
+            return self._union(parts, len(op.columns))
+        if isinstance(op, UnionOp):
+            right = self._delta(op.right, env)
+            if right is not None and op.right_perm is not None:
+                right = kernel.select_columns(right, op.right_perm)
+            return self._union(
+                [self._delta(op.left, env), right], len(op.columns)
+            )
+        child = self._delta(op.child, env)
+        if child is None or isinstance(op, RenameOp):
+            return child
+        if isinstance(op, SelectEqOp):
+            return kernel.select_eq(child, op.index_a, op.index_b)
+        return self._project(child, op.indices, op.dedup)  # ProjectOp
+
+    def _union(self, parts: list, width: int):
+        """The distinct rows of the non-empty ``parts``, None for none:
+        two parts can derive the same row, one part cannot."""
+        parts = [part for part in parts if part is not None]
+        if len(parts) <= 1:
+            return parts[0] if parts else None
+        return self.kernel.distinct(
+            self.kernel.concat_many(parts, width), self.domain
+        )
 
     def _eval_fixpoint(self, op: FixOp, env: dict):
         seed = (
@@ -360,91 +307,58 @@ class _MaintainRunner(_Runner):
         if seed is None:
             return super()._eval_fixpoint(op, env)
         kernel = self.kernel
-        # ``seed`` is (total, state, domain) from the previous run. When
-        # the write interned no new values the packing domain is
-        # unchanged and the converged membership state can be resumed
-        # as-is; otherwise only the state is rebuilt at today's domain.
-        seed_total, seed_state, seed_domain = seed
-        if seed_state is not None and seed_domain == self.domain:
-            if isinstance(seed_state, set):
+        # ``seed`` is (total, state, domain) from the previous run.
+        total, state, seed_domain = seed
+        if seed_domain != self.domain:
+            state = None  # packed at another domain: rebuilt when needed
+        # Round-0 frontier: what each arm gained with the variable bound
+        # to the previous total.
+        step_env = dict(env)
+        step_env[op.var] = total
+        stepped = self._delta(op.step, step_env)
+        if stepped is not None and op.step_perm is not None:
+            stepped = kernel.select_columns(stepped, op.step_perm)
+        frontier = self._union(
+            [self._delta(op.base, env), stepped], len(op.columns)
+        )
+        gained = None
+        if frontier is not None:
+            if state is None:
+                _, state = kernel.difference(
+                    total, kernel.empty_state(), self.domain
+                )
+            elif isinstance(state, set):
                 # Set-based states (pure-Python kernel, unpackable-width
                 # rows) are mutated in place by ``difference`` — resume
                 # from a copy so the cached entry stays intact if this
                 # run aborts mid-way.
-                seed_state = set(seed_state)
-            total, state = seed_total, seed_state
-        else:
-            total, state = kernel.difference(
-                seed_total, kernel.empty_state(), self.domain
-            )
-        # Round-0 frontier: per changed arm, either the union of the
-        # per-occurrence delta variants (O(delta)) or — when a changed
-        # scan hides inside a nested fixpoint — one full evaluation of
-        # the arm against the new tables.
-        parts = []
-        for tree, is_step in ((op.base, False), (op.step, True)):
-            if not self._subtree_changed(tree):
-                continue  # unchanged arm: its contribution is ⊆ total
-            if is_step:
-                use_env = dict(env)
-                use_env[op.var] = total
-            else:
-                use_env = env
-            if self._variant_safe(tree):
-                produced = [
-                    self._eval(variant, use_env)
-                    for variant in self._variants(tree)
-                ]
-            else:
-                produced = [self._eval(tree, use_env)]
-            if is_step and op.step_perm is not None:
-                produced = [
-                    kernel.select_columns(part, op.step_perm)
-                    for part in produced
-                ]
-            parts.extend(produced)
-        if not parts:
-            self.fix_deltas[id(op)] = kernel.empty(len(op.columns))
-            self.fix_final_states[id(op)] = state
-            return total
-        frontier = parts[0]
-        if len(parts) > 1:
-            # Two variants can derive the same row; one variant cannot.
-            frontier = kernel.distinct(
-                kernel.concat_many(parts, len(op.columns)), self.domain
-            )
-        delta, state = kernel.difference(frontier, state, self.domain)
-        total = kernel.concat(total, delta)
-        # Semi-naive iteration as in :meth:`_iterate_fixpoint`, but the
-        # per-round deltas are also accumulated: everything beyond the
-        # seed is this fixpoint's contribution to root-scope delta
-        # propagation, collected at O(gained) instead of re-diffing the
-        # whole total afterwards.
-        gained = delta
-        while kernel.nrows(delta):
-            self.budget.check_now()
-            produced = self._step(op, env, delta if op.linear else total)
-            delta, state = kernel.difference(produced, state, self.domain)
+                state = set(state)
+            # Semi-naive iteration as in :meth:`_iterate_fixpoint`, but
+            # the per-round deltas are also accumulated: everything
+            # beyond the seed is this fixpoint's own delta, collected at
+            # O(gained) instead of re-diffing the whole total afterwards.
+            delta, state = kernel.difference(frontier, state, self.domain)
             total = kernel.concat(total, delta)
-            gained = kernel.concat(gained, delta)
-        self.fix_deltas[id(op)] = gained
+            gained = delta
+            while kernel.nrows(delta):
+                self.budget.check_now()
+                produced = self._step(op, env, delta if op.linear else total)
+                delta, state = kernel.difference(
+                    produced, state, self.domain
+                )
+                total = kernel.concat(total, delta)
+                gained = kernel.concat(gained, delta)
+        self._fix_gained[id(op)] = gained
         self.fix_final_states[id(op)] = state
         return total
 
-    def _subtree_changed(self, tree: PhysOp) -> bool:
-        changed = self._delta_tables
-        return any(
-            isinstance(node, ScanOp) and node.table in changed
-            for node in tree.walk()
-        )
-
-    def _variant_safe(self, tree: PhysOp) -> bool:
-        """Is ``tree`` multilinear in its changed scans?
-
-        True unless a changed scan sits under a nested fixpoint —
-        fixpoints are monotone but not multilinear, so delta variants
-        cannot reach through them.
-        """
-        if isinstance(tree, FixOp):
-            return not self._subtree_changed(tree)
-        return all(self._variant_safe(child) for child in tree.children())
+    def _changed(self, op: PhysOp) -> bool:
+        """Does a scan of an appended-to table sit at or below ``op``?"""
+        hit = self._changed_memo.get(id(op))
+        if hit is None:
+            if isinstance(op, ScanOp):
+                hit = op.table in self._delta_tables
+            else:
+                hit = any(self._changed(child) for child in op.children())
+            self._changed_memo[id(op)] = hit
+        return hit

@@ -44,7 +44,6 @@ from repro.graph.evaluator import EvalBudget, ResourceBudget
 from repro.testing.faults import fault_point
 from repro.planner import OPERATOR_KINDS, estimate_kind_rows
 from repro.query.model import UCQT
-from repro.query.parser import parse_query
 from repro.ra.stats import Estimator, store_statistics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -120,10 +119,7 @@ def execute_batch(
     requested = backend
     if requested is None:
         requested = merged.backend or "vec"
-    parsed = [
-        parse_query(query) if isinstance(query, str) else query
-        for query in queries
-    ]
+    parsed = [session._as_query(query) for query in queries]
     # Collapse duplicates on the normalised query text — the same key the
     # session's caches use, so "distinct" here means "distinct plan".
     prepared: dict[str, "PreparedQuery"] = {}

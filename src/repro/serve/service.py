@@ -42,7 +42,6 @@ from repro.engine.session import GraphSession
 from repro.errors import QueryTimeout, ServiceClosedError
 from repro.exec.result import ResultSet
 from repro.query.model import UCQT
-from repro.query.parser import parse_query
 from repro.serve.batch import BatchOutcome, execute_batch
 
 #: Backends whose session-side state may be driven from a worker thread.
@@ -203,8 +202,7 @@ class QueryService:
             )
         # Parse before enqueueing: a malformed query fails its own
         # submitter here and never reaches (or poisons) a batch.
-        if isinstance(query, str):
-            query = parse_query(query)
+        query = self.session._as_query(query)
         request = _Request(query, asyncio.get_running_loop().create_future())
         async with self._wakeup:
             while self._pending_count >= self.max_pending:

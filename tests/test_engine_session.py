@@ -95,6 +95,34 @@ class TestCaching:
         assert session.cache_stats["rewrite"].misses == 1
         assert session.cache_stats["plan"].hits == 1
 
+    def test_a_text_is_parsed_once_through_the_name_in_scope(
+        self, session, monkeypatch
+    ):
+        # The memo sits in front of the call: whoever swaps the module's
+        # ``parse_query`` by name (the ledger's tracer does) sees every
+        # real parse, and only those.
+        from repro.engine import session as session_module
+        from repro.errors import ParseError
+
+        real, parses = session_module.parse_query, []
+
+        def counting(text):
+            parses.append(text)
+            return real(text)
+
+        monkeypatch.setattr(session_module, "parse_query", counting)
+        first = session.execute(QUERY)
+        assert session.execute(QUERY) == first
+        session.prepare(QUERY)
+        assert parses == [QUERY]
+        for _ in range(2):  # a parse error is never stored
+            with pytest.raises(ParseError):
+                session.execute("x1 <-")
+        assert parses == [QUERY, "x1 <-", "x1 <-"]
+        session.clear_caches()
+        session.execute(QUERY)
+        assert parses[-1] == QUERY and len(parses) == 4
+
     def test_options_partition_the_cache(self, session):
         session.execute(QUERY)
         session.execute(QUERY, options=RewriteOptions(apply_merge=False))

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.datasets.ldbc import ldbc_session
 from repro.engine import GraphSession
 from repro.graph.model import yago_example_graph
 from repro.schema.builder import yago_example_schema
@@ -22,6 +23,7 @@ from repro.server import (
     TenantQuotas,
     TenantRegistry,
 )
+from repro.workloads import LDBC_QUERIES
 
 CLOSURE = "x1, x2 <- (x1, isLocatedIn+, x2)"
 CHAIN = "x1, x2 <- (x1, livesIn/isLocatedIn+, x2)"
@@ -675,6 +677,62 @@ class TestAnswersAreRenderedOnce:
         assert tenant["caches"]["maintenance"]["results_maintained"] == 1
         assert tenant["wire"]["texts_built"] == 1
         assert tenant["wire"]["texts_reused"] == 1
+
+    def test_an_append_a_rewritten_plan_reads_keeps_the_text(
+        self, monkeypatch
+    ):
+        # IC2 (knows/-hasCreator) is fixpoint-free once rewritten. Two
+        # registered newcomers who created no message befriend each
+        # other: the plan's knows scan changed, its answer did not.
+        monkeypatch.setenv("REPRO_INCREMENTAL", "1")
+        session = ldbc_session(0.1, result_cache_size=8)
+        person_columns = session.store.table("Person").columns
+        a = max(session.graph.node_ids()) + 1
+        people = [
+            [person if column == "Sr" else None for column in person_columns]
+            for person in (a, a + 1)
+        ]
+        ic2 = next(q.text for q in LDBC_QUERIES if q.qid == "IC2")
+
+        async def drive():
+            registry = TenantRegistry()
+            registry.add(Tenant("ldbc", session))
+            async with HTTPGraphServer(registry, port=0) as server:
+                port = server.port
+
+                async def write(table, rows):
+                    status, _ = await _request(
+                        port, "POST", "/v1/ldbc/write",
+                        {"table": table, "rows": rows},
+                    )
+                    assert status == 200
+
+                async def metrics():
+                    _, body = await _request(port, "GET", "/metrics")
+                    return body["tenants"]["ldbc"]
+
+                query = (port, "POST", "/v1/ldbc/query", {"query": ic2})
+                await write("Person", people)
+                before = await _request_raw(*query)
+                counters = await metrics()
+                await write("knows", [[a, a + 1], [a + 1, a]])
+                after = await _request_raw(*query)
+                return before, after, counters, await metrics()
+
+        (status, _, before), (_, _, after), old, new = _run(drive())
+        assert status == 200 and json.loads(before)["row_count"] > 0
+        # Byte-identical but for the store version the envelope reports.
+        version = json.loads(before)["store_version"]
+        assert after == before.replace(
+            b'"store_version":%d' % version,
+            b'"store_version":%d' % (version + 1),
+        )
+        was, now = (m["caches"]["maintenance"] for m in (old, new))
+        assert now["results_invalidated"] == was["results_invalidated"]
+        assert now["results_maintained"] == was["results_maintained"] + 1
+        assert now["delta_rows_applied"] == was["delta_rows_applied"] + 2
+        assert new["wire"]["texts_reused"] == old["wire"]["texts_reused"] + 1
+        assert new["wire"]["texts_built"] == old["wire"]["texts_built"]
 
     def test_error_bodies_and_retry_after_are_the_dict_path(self):
         async def drive():
