@@ -45,6 +45,8 @@ import pytest
 
 from conftest import OUTPUT_DIR
 
+from repro.engine.options import ExecOptions
+
 _PROFILES = {
     # name: (yago scale, ldbc scale factor, repetitions)
     "quick": (0.6, 1.0, 3),
@@ -57,6 +59,7 @@ TIMEOUT = 120.0
 #: The pool the calibrated model chooses from (mirrors the session's
 #: ``_AUTO_POOL``).
 BACKENDS = ("vec", "ra", "sqlite")
+COST = ExecOptions(planner="cost")
 
 #: Quick-profile gates: auto must beat the mean uniform backend by this
 #: factor, and stay within noise of the best uniform backend.
@@ -108,7 +111,7 @@ def _measure_workload(session, queries, scale) -> dict:
     for backend in BACKENDS:
         for text in texts:
             session.execute(
-                text, backend, planner="cost", timeout_seconds=TIMEOUT
+                text, backend, exec_options=COST, timeout_seconds=TIMEOUT
             )
 
     # Phase 2 — fit. The session now prices plans in measured seconds.
@@ -120,7 +123,8 @@ def _measure_workload(session, queries, scale) -> dict:
     reference_rows = None
     for backend in BACKENDS:
         handles = [
-            session.prepare(text, backend, planner="cost") for text in texts
+            session.prepare(text, backend, exec_options=COST)
+            for text in texts
         ]
         rows = [handle.execute(TIMEOUT) for handle in handles]
         if reference_rows is None:

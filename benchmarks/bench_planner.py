@@ -39,6 +39,8 @@ import pytest
 
 from conftest import OUTPUT_DIR
 
+from repro.engine.options import ExecOptions
+
 _PROFILES = {
     # name: (yago scale, ldbc scale factor, repetitions)
     "quick": (0.6, 1.0, 3),
@@ -48,6 +50,8 @@ PROFILE = os.environ.get("REPRO_PLANNER_BENCH_PROFILE", "quick")
 YAGO_SCALE, LDBC_SF, REPETITIONS = _PROFILES[PROFILE]
 TIMEOUT = 120.0
 BACKEND = "vec"
+GREEDY = ExecOptions(planner="greedy")
+COST = ExecOptions(planner="cost")
 
 #: Pooled cost/greedy floor per workload: planning quality must not cost
 #: more than timer noise. The measurable-win threshold only applies on
@@ -97,9 +101,11 @@ def _measure_workload(session, queries, scale) -> dict:
     records = []
     for workload_query in queries:
         greedy = session.prepare(
-            workload_query.query, BACKEND, planner="greedy"
+            workload_query.query, BACKEND, exec_options=GREEDY
         )
-        cost = session.prepare(workload_query.query, BACKEND, planner="cost")
+        cost = session.prepare(
+            workload_query.query, BACKEND, exec_options=COST
+        )
         rows_greedy = greedy.execute(timeout_seconds=TIMEOUT)
         rows_cost = cost.execute(timeout_seconds=TIMEOUT)
         assert rows_cost == rows_greedy, workload_query.qid

@@ -156,22 +156,10 @@ def _load_session(dataset: str, scale: float, **session_kwargs):
     )
 
 
-def _vec_backend_options(args) -> dict | None:
-    """The ``vec`` execution options carried by the CLI flags."""
-    options = {}
-    if getattr(args, "spill_path", None) is not None:
-        options["spill_path"] = args.spill_path
-    if getattr(args, "spill_threshold_bytes", None) is not None:
-        options["spill_threshold_bytes"] = args.spill_threshold_bytes
-    return options or None
-
-
 def _exec_options(args, planner: str | None = None):
     """The unified :class:`ExecOptions` carried by the CLI flags.
 
-    ``None`` when no knob was set — the session's defaults apply. The
-    CLI goes through the unified options object rather than the legacy
-    per-call kwargs it deprecates.
+    ``None`` when no knob was set — the session's defaults apply.
     """
     from repro.engine.options import ExecOptions
 
@@ -299,7 +287,7 @@ def _run_http_server(args: argparse.Namespace) -> int:
         (args.dataset, args.dataset, args.scale)
     ]
     result_cache_size = 0 if args.no_result_cache else 256
-    backend_options = _vec_backend_options(args)
+    exec_options = _exec_options(args)
 
     registry = TenantRegistry()
     for name, dataset, scale in specs:
@@ -314,8 +302,7 @@ def _run_http_server(args: argparse.Namespace) -> int:
                 session,
                 quotas,
                 backend=args.backend,
-                backend_options=backend_options,
-                planner=args.planner,
+                exec_options=exec_options,
                 dataset=f"{dataset}:{scale:g}",
             )
         )

@@ -18,7 +18,6 @@ from repro.engine.cache import (
     CachedResult,
     CacheStats,
     LruCache,
-    freeze_options,
     result_cache_key,
 )
 from repro.engine.protocol import (
@@ -48,6 +47,5 @@ __all__ = [
     "CacheStats",
     "CachedResult",
     "LruCache",
-    "freeze_options",
     "result_cache_key",
 ]

@@ -28,14 +28,15 @@ comparable across backends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Sequence
 
+from repro.engine.options import ExecOptions
 from repro.engine.protocol import register_backend
 from repro.exec.compile import CompiledProgram, compile_term
-from repro.exec.executor import ExecutionStats, execute_program
+from repro.exec.executor import ExecutionStats, execute_batch_programs
 from repro.exec.kernels import default_kernel, get_kernel
 from repro.exec.result import ResultSet
-from repro.exec.spill import default_spill_threshold
+from repro.exec.spill import default_spill_threshold, spill_supported
 from repro.gdb.cypher import cypher_expressible, to_cypher
 from repro.gdb.patterns import GraphPattern, ucqt_to_patterns
 from repro.graph.evaluator import EvalBudget, as_budget
@@ -43,7 +44,7 @@ from repro.query.evaluation import evaluate_ucqt
 from repro.query.model import UCQT
 from repro.ra.optimizer import optimize_term
 from repro.ra.plan import explain as explain_ra_term
-from repro.ra.stats import Estimator, validate_fixpoint_growth
+from repro.ra.stats import Estimator
 from repro.ra.terms import RaTerm
 from repro.ra.translate import TranslationContext, ucqt_to_ra
 from repro.sql.generate import ucqt_to_sql
@@ -53,59 +54,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.session import GraphSession
 
 
-def _validate_growth_option(options: Mapping | None) -> float | None:
-    """Validate the shared ``fixpoint_growth`` estimator option."""
-    if not options:
+def _estimator_for(session: "GraphSession", options: ExecOptions):
+    if options.fixpoint_growth is None:
         return None
-    growth = options.get("fixpoint_growth")
-    if growth is None:
-        return None
-    return validate_fixpoint_growth(growth)
-
-
-def _estimator_for(session: "GraphSession", options: Mapping | None):
-    growth = _validate_growth_option(options)
-    if growth is None:
-        return None
-    return Estimator(session.store, fixpoint_growth=growth)
+    return Estimator(session.store, fixpoint_growth=options.fixpoint_growth)
 
 
 # -- the µ-RA backends: one physical layer, two configurations ---------------
-#: The backend options ``vec`` and ``ra`` accept (typos are rejected at
-#: prepare time instead of silently ignored).
-VEC_OPTIONS = frozenset(
-    {
-        "kernel",
-        "fixpoint_growth",
-        "spill_path",
-        "spill_threshold_bytes",
-    }
-)
-RA_OPTIONS = frozenset({"fixpoint_growth"})
-
-
-def _positive_int_option(options: Mapping, key: str) -> int | None:
-    value = options.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(
-            f"vec backend option {key!r} must be a positive integer, "
-            f"got {value!r}"
-        )
-    return value
-
-
 @dataclass(frozen=True)
 class VecPlan:
     """An optimised µ-RA term compiled to a columnar program.
 
     ``kernel`` pins a kernel implementation by name (the ``kernel``
-    backend option; ``ra`` plans always pin ``"python"``); ``None``
-    means the fastest available one. ``spill_threshold_bytes``
-    (``None`` defers to ``REPRO_SPILL_THRESHOLD_BYTES``, off when unset)
-    turns on memmap spill of oversized tables under ``spill_path``
-    (default ``REPRO_SPILL_PATH``).
+    option; ``ra`` plans always pin ``"python"``); ``None`` means the
+    fastest available one. ``spill_threshold_bytes`` (``None`` defers to
+    ``REPRO_SPILL_THRESHOLD_BYTES``, off when unset) turns on memmap
+    spill of oversized tables under ``spill_path`` (default
+    ``REPRO_SPILL_PATH``).
     """
 
     term: RaTerm
@@ -123,68 +88,46 @@ class VecBackend:
     frontiers (:mod:`repro.exec`)."""
 
     name = "vec"
-    accepted_options = VEC_OPTIONS
+    #: The :class:`ExecOptions` fields this backend reads; their values
+    #: are the options part of its plan- and result-cache keys.
+    option_fields: tuple[str, ...] = (
+        "kernel",
+        "fixpoint_growth",
+        "spill_path",
+        "spill_threshold_bytes",
+    )
 
-    def _knobs(self, options: Mapping | None) -> dict:
-        """Check option keys and values; returns the :class:`VecPlan`
-        knob fields they set."""
-        if not options:
-            return {}
-        unknown = sorted(set(options) - self.accepted_options)
-        if unknown:
-            raise ValueError(
-                f"unknown {self.name} backend option(s) "
-                f"{', '.join(map(repr, unknown))}; accepted options: "
-                f"{', '.join(sorted(self.accepted_options))}"
-            )
-        kernel = options.get("kernel")
-        if kernel is not None:
-            get_kernel(kernel)  # fail at prepare time, not execute time
-        _validate_growth_option(options)
-        spill_path = options.get("spill_path")
-        if spill_path is not None and not isinstance(spill_path, str):
-            raise ValueError(
-                f"vec backend option 'spill_path' must be a string, "
-                f"got {spill_path!r}"
-            )
-        return {
-            "kernel": kernel,
-            "spill_path": spill_path,
-            "spill_threshold_bytes": _positive_int_option(
-                options, "spill_threshold_bytes"
-            ),
-        }
+    def _plan(self, term: RaTerm, store, query: UCQT, options: ExecOptions):
+        if options.kernel is not None:
+            get_kernel(options.kernel)  # fail at prepare time, not execute time
+        return VecPlan(
+            term,
+            compile_term(term, store),
+            query.head,
+            options.kernel,
+            options.spill_path,
+            options.spill_threshold_bytes,
+        )
 
     def prepare(
-        self,
-        session: "GraphSession",
-        query: UCQT,
-        options: Mapping | None = None,
+        self, session: "GraphSession", query: UCQT, options: ExecOptions
     ) -> VecPlan:
-        knobs = self._knobs(options)  # reject typos before any planning
         term = optimize_term(
             ucqt_to_ra(query, TranslationContext()),
             session.store,
             estimator=_estimator_for(session, options),
         )
-        return VecPlan(
-            term, compile_term(term, session.store), query.head, **knobs
-        )
+        return self._plan(term, session.store, query, options)
 
     def prepare_from_term(
         self,
         session: "GraphSession",
         term: RaTerm,
         query: UCQT,
-        options: Mapping | None = None,
+        options: ExecOptions,
     ) -> VecPlan:
         """Compile a term the cost-based planner already optimised."""
-        return VecPlan(
-            term,
-            compile_term(term, session.store),
-            query.head,
-            **self._knobs(options),
-        )
+        return self._plan(term, session.store, query, options)
 
     def execute(
         self,
@@ -210,29 +153,59 @@ class VecBackend:
         source :class:`~repro.ra.terms.Fix` term) — the states the
         result cache stores for incremental maintenance after writes.
         """
-        fault_point("backend.execute.vec")
-        spill_threshold = (
-            plan.spill_threshold_bytes
-            if plan.spill_threshold_bytes is not None
-            else default_spill_threshold()
-        )
-        # Prefer the session's long-lived spill manager: named base-table
-        # spills then persist across executions at the same store version.
-        spill_manager = None
-        if spill_threshold is not None:
-            manager_for = getattr(session, "spill_manager", None)
-            if callable(manager_for):
-                spill_manager = manager_for(plan.spill_path)
-        return execute_program(
-            plan.program,
+        return self.run_plans(
+            session,
+            [plan],
+            as_budget(timeout_seconds),
+            stats,
+            None if fix_capture is None else [fix_capture],
+        )[0]
+
+    def run_plans(
+        self,
+        session: "GraphSession",
+        plans: "Sequence[VecPlan]",
+        budget: EvalBudget | None,
+        stats: ExecutionStats | None = None,
+        fix_captures: list | None = None,
+    ) -> list[ResultSet]:
+        """Run prepared plans through one shared executor: the one place
+        a plan's knobs become an ``execute_batch_programs`` call.
+
+        The plans come from one :class:`ExecOptions`, so the first one's
+        kernel and spill path stand for all; the spill threshold is the
+        smallest any plan carries (the cost planner may have stamped a
+        byte cap onto some of them), else ``REPRO_SPILL_THRESHOLD_BYTES``.
+        A kernel that cannot memmap runs in memory whatever the
+        threshold (``ra`` always does); the others spill through the
+        session's long-lived manager, so named base-table spills persist
+        across executions at one store version.
+        """
+        fault_point(f"backend.execute.{self.name}")
+        first = plans[0]
+        kernel = get_kernel(first.kernel) if first.kernel else default_kernel()
+        spill_threshold = spill_manager = None
+        if spill_supported(kernel):
+            spill_threshold = min(
+                (
+                    plan.spill_threshold_bytes
+                    for plan in plans
+                    if plan.spill_threshold_bytes is not None
+                ),
+                default=default_spill_threshold(),
+            )
+            if spill_threshold is not None:
+                spill_manager = session.spill_manager(first.spill_path)
+        return execute_batch_programs(
+            [plan.program for plan in plans],
             session.store,
-            head=plan.head,
-            budget=as_budget(timeout_seconds),
-            kernel=get_kernel(plan.kernel) if plan.kernel else None,
+            heads=[plan.head for plan in plans],
+            budget=budget,
+            kernel=kernel,
             stats=stats,
-            fix_capture=fix_capture,
+            fix_captures=fix_captures,
             spill_threshold_bytes=spill_threshold,
-            spill_path=plan.spill_path,
+            spill_path=first.spill_path,
             spill_manager=spill_manager,
         )
 
@@ -267,11 +240,10 @@ class RaBackend(VecBackend):
     """
 
     name = "ra"
-    accepted_options = RA_OPTIONS
-    KERNEL = "python"
+    option_fields = ("fixpoint_growth",)
 
-    def _knobs(self, options: Mapping | None) -> dict:
-        return {**super()._knobs(options), "kernel": self.KERNEL}
+    def _plan(self, term: RaTerm, store, query: UCQT, options: ExecOptions):
+        return VecPlan(term, compile_term(term, store), query.head, "python")
 
     def execute_with_stats(
         self,
@@ -281,15 +253,9 @@ class RaBackend(VecBackend):
         stats: ExecutionStats | None = None,
         fix_capture: dict | None = None,
     ) -> ResultSet:
-        fault_point("backend.execute.ra")
-        return execute_program(
-            plan.program,
-            session.store,
-            head=plan.head,
-            budget=as_budget(timeout_seconds),
-            kernel=get_kernel(self.KERNEL),
-            stats=stats,
-            fix_capture=fix_capture,
+        # In this class body too: the ledger's tracer resolves it by name.
+        return super().execute_with_stats(
+            session, plan, timeout_seconds, stats, fix_capture
         )
 
     def explain(self, session: "GraphSession", plan: VecPlan) -> str:
@@ -325,7 +291,7 @@ class SqliteEngineBackend:
         self,
         session: "GraphSession",
         query: UCQT,
-        options: Mapping | None = None,
+        options: ExecOptions,
     ) -> SqlPlan:
         return SqlPlan(sql=ucqt_to_sql(query, session.store))
 
@@ -364,7 +330,7 @@ class GdbBackend:
         self,
         session: "GraphSession",
         query: UCQT,
-        options: Mapping | None = None,
+        options: ExecOptions,
     ) -> GdbPlan:
         cypher = to_cypher(query) if cypher_expressible(query) else None
         return GdbPlan(patterns=tuple(ucqt_to_patterns(query)), cypher=cypher)
@@ -410,7 +376,7 @@ class ReferenceBackend:
         self,
         session: "GraphSession",
         query: UCQT,
-        options: Mapping | None = None,
+        options: ExecOptions,
     ) -> ReferencePlan:
         return ReferencePlan(query=query)
 

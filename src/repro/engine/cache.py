@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, TypeVar
+from typing import Callable, Hashable, TypeVar
 
 from repro.exec.result import ResultSet
 
@@ -27,28 +27,11 @@ V = TypeVar("V")
 _MISSING = object()
 
 
-def freeze_options(options: Mapping | None) -> tuple | None:
-    """Canonicalise an options mapping into a hashable cache-key part.
-
-    Mappings become ``(key, value)`` tuples *sorted by key* (recursively,
-    so nested dicts are canonical too) and lists/sets become tuples —
-    two logically identical option dicts built in different insertion
-    orders therefore freeze to the same key instead of fragmenting the
-    LRU with duplicate entries. ``None`` and ``{}`` both freeze to
-    ``None`` (no options).
-    """
-    if not options:
-        return None
-    return tuple(
-        (key, _freeze_value(options[key])) for key in sorted(options)
-    )
-
-
 def result_cache_key(
     backend_name: str,
     plan_token: Hashable,
     fingerprint: str,
-    options: Mapping | None,
+    option_values: tuple,
 ) -> tuple:
     """The result-set cache key for one executable plan.
 
@@ -60,19 +43,15 @@ def result_cache_key(
     lookup after a write still finds the stale entry and the session can
     maintain it from the store's append delta instead of recomputing.
     The schema fingerprint covers sessions whose store was rebuilt from
-    scratch. Backend options are canonicalised with
-    :func:`freeze_options` and partition entries deliberately — even
-    row-invariant tuning knobs like ``spill_path`` keep separate
-    entries. That is conservative (a mixed-options caller re-executes
-    once per spelling) but safe for options added later, and the
-    serving flow fixes one options dict per service anyway.
+    scratch. ``option_values`` are the values of the execution options
+    the backend reads (:meth:`~repro.engine.options.ExecOptions.key_for`)
+    and partition entries deliberately — even row-invariant tuning knobs
+    like ``spill_path`` keep separate entries. That is conservative (a
+    mixed-options caller re-executes once per setting) but safe for
+    options added later, and the serving flow fixes one options object
+    per service anyway.
     """
-    return (
-        backend_name,
-        plan_token,
-        fingerprint,
-        freeze_options(options),
-    )
+    return (backend_name, plan_token, fingerprint, option_values)
 
 
 @dataclass
@@ -106,18 +85,6 @@ class CachedResult:
     fix_states: dict | None = None
     kernel_name: str | None = None
     seen: tuple | None = None
-
-
-def _freeze_value(value):
-    if isinstance(value, Mapping):
-        return tuple(
-            (key, _freeze_value(value[key])) for key in sorted(value)
-        )
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze_value(item) for item in value)
-    if isinstance(value, (set, frozenset)):
-        return tuple(sorted(_freeze_value(item) for item in value))
-    return value
 
 
 @dataclass(frozen=True)

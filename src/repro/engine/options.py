@@ -1,84 +1,34 @@
 """``ExecOptions`` — every execution knob in one frozen dataclass.
 
-Execution knobs used to be scattered: ``backend=`` and ``planner=``
-parameters, a per-backend ``backend_options`` mapping (``kernel``,
-``fixpoint_growth``), and session-level result-cache/incremental
-toggles. :class:`ExecOptions` collapses them into one immutable object
-accepted uniformly by ``GraphSession.__init__`` / ``prepare`` /
-``execute`` / ``execute_batch``, the CLI and the HTTP request models.
+One immutable object carries the knobs from a front door
+(``GraphSession.__init__`` / ``prepare`` / ``execute`` /
+``execute_batch``, the CLI flags, the ``"options"`` object of an HTTP
+request) down to the backend that compiles and runs the plan; nothing in
+between re-spells them as a mapping.
 
 Resolution order, most specific wins:
 
-1. per-call legacy kwargs (``backend=``, ``planner=``,
-   ``backend_options={...}`` — kept as deprecated aliases),
+1. the positional ``backend`` of a call (shorthand for
+   ``ExecOptions(backend=...)``),
 2. the per-call ``exec_options=``,
 3. the session's constructor-time ``exec_options=``.
 
-Each backend consumes only the knobs it understands
-(:data:`BACKEND_OPTION_KEYS`): one options object can therefore describe
-a mixed-backend batch — ``vec`` reads ``kernel``/``fixpoint_growth``
-plus the out-of-core pair ``spill_path``/``spill_threshold_bytes``,
-``ra`` reads ``fixpoint_growth``, the rest take nothing. A legacy
-``backend_options`` mapping is still handed to the backend verbatim (on
-top of the derived knobs), so third-party backends with their own option
-vocabulary — and option-typo validation — keep working.
-
-Deprecation warnings for the legacy kwargs are gated behind
-``REPRO_EXEC_OPTIONS_WARN=1`` so existing callers stay quiet by default;
-a CI leg runs the whole suite with the flag on.
+Every value is checked here, when the object is built, except the one
+check that depends on the install (``kernel`` names a kernel that can be
+imported), which the ``vec`` backend makes in ``prepare``. Each backend
+names the fields it reads in its ``option_fields`` attribute — ``vec``
+the kernel pin, the estimator growth and the out-of-core pair, ``ra``
+the growth only, the rest nothing — and the values of exactly those
+fields (:meth:`ExecOptions.key_for`) are the execution-options part of
+its plan- and result-cache keys, so one object can describe a
+mixed-backend batch without fragmenting anyone's cache.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Mapping
-
-from repro.engine.cache import freeze_options
-
-#: Environment flag turning legacy-kwarg DeprecationWarnings on.
-EXEC_OPTIONS_WARN_ENV = "REPRO_EXEC_OPTIONS_WARN"
-
-#: Which ExecOptions knobs each built-in backend consumes. Backends not
-#: listed (sqlite/gdb/reference, third-party registrations) take no
-#: derived knobs — only a legacy ``backend_options`` mapping reaches
-#: them, verbatim.
-BACKEND_OPTION_KEYS: dict[str, tuple[str, ...]] = {
-    "vec": (
-        "kernel",
-        "fixpoint_growth",
-        "spill_path",
-        "spill_threshold_bytes",
-    ),
-    "ra": ("fixpoint_growth",),
-}
-
-#: The ExecOptions fields that travel inside a backend-options mapping.
-_KNOB_FIELDS = (
-    "kernel",
-    "fixpoint_growth",
-    "spill_path",
-    "spill_threshold_bytes",
-)
-
-
-def exec_options_warnings_enabled() -> bool:
-    return os.environ.get(EXEC_OPTIONS_WARN_ENV, "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
-
-
-def warn_legacy_exec_kwargs(context: str) -> None:
-    """Emit the (env-gated) deprecation warning for legacy kwargs."""
-    if exec_options_warnings_enabled():
-        warnings.warn(
-            f"{context}: the planner=/backend_options= keyword arguments "
-            "are deprecated aliases; pass exec_options=ExecOptions(...) "
-            "instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
 
 
 @dataclass(frozen=True)
@@ -96,8 +46,6 @@ class ExecOptions:
     fixpoint_growth: float | None = None # estimator closure-growth override
     spill_path: str | None = None        # out-of-core spill directory root
     spill_threshold_bytes: int | None = None  # spill tables above this size
-    result_cache_size: int | None = None # session result-cache capacity
-    incremental: bool | None = None      # session maintenance toggle
     max_rows: int | None = None          # ResourceBudget cumulative row cap
     max_bytes: int | None = None         # ResourceBudget intermediate-bytes cap
     fallback: bool | None = None         # retry down the backend chain
@@ -119,25 +67,16 @@ class ExecOptions:
                     f"got {value!r}"
                 )
         growth = self.fixpoint_growth
-        if growth is not None:
-            if isinstance(growth, bool) or not isinstance(growth, (int, float)):
-                raise ValueError(
-                    f"exec option 'fixpoint_growth' must be a number, "
-                    f"got {growth!r}"
-                )
-        size = self.result_cache_size
-        if size is not None:
-            if isinstance(size, bool) or not isinstance(size, int) or size < 0:
-                raise ValueError(
-                    "exec option 'result_cache_size' must be a "
-                    f"non-negative integer, got {size!r}"
-                )
-        if self.incremental is not None and not isinstance(
-            self.incremental, bool
+        if growth is not None and (
+            isinstance(growth, bool)
+            or not isinstance(growth, (int, float))
+            or not math.isfinite(growth)
+            or growth < 1
         ):
+            # A transitive closure contains its base relation.
             raise ValueError(
-                "exec option 'incremental' must be a boolean, "
-                f"got {self.incremental!r}"
+                "exec option 'fixpoint_growth' must be a finite number "
+                f">= 1, got {growth!r}"
             )
         if self.fallback is not None and not isinstance(self.fallback, bool):
             raise ValueError(
@@ -157,55 +96,14 @@ class ExecOptions:
         }
         return replace(self, **updates) if updates else self
 
-    def with_legacy(
-        self,
-        *,
-        backend: str | None = None,
-        planner: str | None = None,
-        backend_options: Mapping | None = None,
-    ) -> "ExecOptions":
-        """Overlay the deprecated per-call aliases onto this object."""
-        updates: dict = {}
-        if backend is not None:
-            updates["backend"] = backend
-        if planner is not None:
-            updates["planner"] = planner
-        for key in _KNOB_FIELDS:
-            if backend_options and backend_options.get(key) is not None:
-                updates[key] = backend_options[key]
-        return replace(self, **updates) if updates else self
-
-    # -- projection to one backend ----------------------------------------
-    def backend_options_for(
-        self, backend: str | None, extra: Mapping | None = None
-    ) -> dict | None:
-        """The backend-options mapping ``backend``'s prepare should see.
-
-        Derived from the knobs ``backend`` consumes
-        (:data:`BACKEND_OPTION_KEYS`); a legacy ``extra`` mapping is laid
-        on top verbatim — unknown keys deliberately reach the backend so
-        its own option validation still fires. ``None`` when nothing
-        applies (the pre-options prepare signature keeps working).
-        """
-        options: dict = {}
-        for key in BACKEND_OPTION_KEYS.get(backend or "", ()):
-            value = getattr(self, key)
-            if value is not None:
-                options[key] = value
-        if extra:
-            options.update(extra)
-        return options or None
-
-    def freeze(
-        self, backend: str | None, extra: Mapping | None = None
-    ) -> tuple | None:
-        """The canonical cache-key part for this object on one backend.
-
-        The single place plan-/result-cache keying derives from
-        execution options: :func:`~repro.engine.cache.freeze_options`
-        over exactly the mapping the backend would receive.
-        """
-        return freeze_options(self.backend_options_for(backend, extra))
+    def key_for(self, backend: object) -> tuple:
+        """The cache-key part of this object on one backend: the values
+        of the fields the backend reads (its ``option_fields``; a
+        backend that names none keys on nothing)."""
+        return tuple(
+            getattr(self, name)
+            for name in getattr(backend, "option_fields", ())
+        )
 
     # -- (de)serialization -------------------------------------------------
     def to_dict(self) -> dict:

@@ -4,7 +4,8 @@ A *backend* adapts one execution substrate (µ-RA engine, the vectorized
 columnar engine, SQLite, the graph-pattern engine, the reference
 evaluator) to the three-step contract
 the session drives: ``prepare`` compiles a (possibly schema-rewritten)
-UCQT into a backend-specific plan artefact, ``execute`` runs a prepared
+UCQT into a backend-specific plan artefact under the call's resolved
+:class:`~repro.engine.options.ExecOptions`, ``execute`` runs a prepared
 plan, ``explain`` renders it human-readably via the substrate's existing
 printer. Backends are stateless — all derived state (relational store,
 SQLite database, pattern engine) lives on the session, so one registry
@@ -13,8 +14,9 @@ entry serves every session.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
+from repro.engine.options import ExecOptions
 from repro.exec.result import ResultSet
 from repro.query.model import UCQT
 
@@ -30,17 +32,17 @@ class Backend(Protocol):
     name: str
 
     def prepare(
-        self,
-        session: "GraphSession",
-        query: UCQT,
-        options: Mapping | None = None,
+        self, session: "GraphSession", query: UCQT, options: ExecOptions
     ) -> object:
         """Compile ``query`` into this backend's plan artefact.
 
-        ``options`` carries backend-specific knobs (e.g. the ``vec``
-        backend's ``{"kernel": ...}``); backends without knobs ignore it.
-        The session canonicalises the mapping into its plan-cache key, so
-        implementations may bake option values into the plan artefact.
+        ``options`` is the call's resolved :class:`ExecOptions`. A
+        backend that reads any of its fields names them in an
+        ``option_fields`` tuple attribute: the session puts the values
+        of exactly those fields into its plan- and result-cache keys
+        (:meth:`ExecOptions.key_for`), so implementations may bake them
+        into the plan artefact. Backends without the attribute read
+        nothing and key on nothing.
         """
 
     def execute(
@@ -61,8 +63,8 @@ class Backend(Protocol):
           identity (e.g. the optimised term plus head, or the generated
           SQL text). Backends that do so opt their executions into the
           session's result-set cache, keyed on ``(backend name, token,
-          schema fingerprint, store version, frozen backend options)``;
-          backends without the hook are never result-cached.
+          schema fingerprint, option-field values)``; backends without
+          the hook are never result-cached.
         * ``prepare_from_term(session, term, query, options) -> plan`` —
           compile a µ-RA term the cost-based planner already optimised,
           skipping the backend's own translate+optimise. Backends

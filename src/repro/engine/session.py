@@ -3,8 +3,13 @@
 Construct a session once from a :class:`~repro.graph.model.PropertyGraph`
 and a :class:`~repro.schema.model.GraphSchema`; it lazily builds and owns
 every derived artefact (relational store, in-memory SQLite database,
-pattern engine) and serves ``session.execute(query, backend=...)`` through
-the uniform :class:`~repro.engine.protocol.Backend` protocol.
+pattern engine) and serves ``session.execute(query, backend)`` through
+the uniform :class:`~repro.engine.protocol.Backend` protocol. Execution
+knobs reach it as one :class:`~repro.engine.options.ExecOptions` (the
+session's defaults overlaid by the per-call ``exec_options=``, the
+positional ``backend`` being shorthand for its ``backend`` field); the
+resolved object is what a backend's ``prepare`` receives and what the
+:class:`PreparedQuery` keeps.
 
 Two cache layers sit between parsing and execution, both keyed on
 ``(normalised query text, schema fingerprint, rewrite options)``:
@@ -23,9 +28,9 @@ fingerprint, so every cached entry stops matching.
 
 A third, **opt-in** layer removes execution too: constructing the
 session with ``result_cache_size > 0`` caches whole result sets keyed on
-``(backend, structural plan token, schema fingerprint, frozen backend
-options)`` — repeated traffic over an unchanged store becomes an O(1)
-lookup. The store version lives *inside* each entry
+``(backend, structural plan token, schema fingerprint, the option values
+the backend reads)`` — repeated traffic over an unchanged store becomes
+an O(1) lookup. The store version lives *inside* each entry
 (:class:`~repro.engine.cache.CachedResult`): after an append-only write
 a stale entry is **maintained** instead of recomputed — one delta pass
 over the columnar (``vec``/``ra``) program computes the rows the answer
@@ -43,12 +48,11 @@ points (``repro batch`` / ``repro serve``) switch it on.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 import pathlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from repro.core.rewriter import RewriteOptions, RewriteResult, rewrite_query
@@ -57,14 +61,9 @@ from repro.engine.cache import (
     CachedResult,
     CacheStats,
     LruCache,
-    freeze_options,
     result_cache_key,
 )
-from repro.engine.options import (
-    DEFAULT_EXEC_OPTIONS,
-    ExecOptions,
-    warn_legacy_exec_kwargs,
-)
+from repro.engine.options import DEFAULT_EXEC_OPTIONS, ExecOptions
 from repro.engine.protocol import Backend, available_backends, get_backend
 from repro.engine.report import ExplainReport
 from repro.exec.dictionary import encoding_appends, tables_encoded
@@ -146,7 +145,7 @@ _drop_unsatisfiable_disjuncts = drop_unsatisfiable_disjuncts
 
 
 #: Compiled winners one cost-planned entry keeps (one per backend /
-#: backend-options / byte-cap combination asked for; oldest dropped).
+#: option-values / byte-cap combination asked for; oldest dropped).
 _MAX_COMPILED_PER_QUERY = 8
 
 #: Distinct query texts a session keeps parsed; emptied when full.
@@ -169,7 +168,7 @@ class _PlannedQuery:
     seconds: float = 0.0
     #: The eligible backends, cheapest winner first (None: not ranked).
     backends: tuple[str, ...] | None = None
-    #: (backend, frozen backend options, max_bytes) -> (plan, choice,
+    #: (backend, its option values, max_bytes) -> (plan, choice,
     #: the winner's telemetry estimates as the planning pass had them).
     compiled: dict[
         tuple, tuple[object | None, PlanChoice, "_Estimates | None"]
@@ -237,8 +236,12 @@ class PreparedQuery:
     fingerprint: str
     rewrite: bool
     options: "RewriteOptions | None"
-    backend_options: Mapping | None = None
-    planner: str = "greedy"
+    #: The execution options the handle was prepared under, resolved
+    #: (session defaults, per-call object, positional backend) and with
+    #: ``backend`` / ``planner`` set to what actually ran: a re-prepare
+    #: from it — after a schema change, or one step down the degradation
+    #: chain — keeps every per-call knob.
+    exec_options: ExecOptions
     choice: PlanChoice | None = None
     #: The plan-cache entry a cost-planned handle was drawn from.
     planned: _PlannedQuery | None = None
@@ -252,13 +255,6 @@ class PreparedQuery:
     #: rewriting over a non-conforming instance (paper Def. 3 — the
     #: rewriting is only sound on instances that conform to the schema).
     rewrite_applied: bool = True
-    #: Resource-governor caps resolved from :class:`ExecOptions` at
-    #: prepare time: cumulative materialised rows / approximate bytes
-    #: (``None`` = ungoverned, wall clock only).
-    max_rows: int | None = None
-    max_bytes: int | None = None
-    #: Whether a retryable failure degrades down the backend chain.
-    fallback: bool = False
 
     @property
     def backend_name(self) -> str:
@@ -280,17 +276,10 @@ class PreparedQuery:
         if stale:
             renewed = self.session.prepare(
                 self.query,
-                self.backend.name,
                 rewrite=self.rewrite,
                 options=self.options,
-                backend_options=self.backend_options,
-                planner=self.planner,
+                exec_options=self.exec_options,
             )
-            # Per-call governance survives the re-prepare (the renewed
-            # handle resolved only the session defaults).
-            renewed.max_rows = self.max_rows
-            renewed.max_bytes = self.max_bytes
-            renewed.fallback = self.fallback
             self.__dict__.update(renewed.__dict__)
 
     def result_cache_key(self) -> tuple | None:
@@ -300,29 +289,33 @@ class PreparedQuery:
         empty, or the backend doesn't expose a structural plan token.
         """
         return self.session._result_key(
-            self.backend, self.plan, self.backend_options
+            self.backend, self.plan, self.exec_options
         )
 
     def budget(self, timeout_seconds: "float | EvalBudget | None"):
         """The budget one execution runs under.
 
         A budget handed in (the batch path's shared budget) passes
-        through; otherwise the handle's governor caps wrap the timeout
-        in a :class:`~repro.graph.evaluator.ResourceBudget`. Ungoverned
+        through; otherwise the options' governor caps (``max_rows`` /
+        ``max_bytes``) wrap the timeout in a
+        :class:`~repro.graph.evaluator.ResourceBudget`. Ungoverned
         handles return the plain float so the historical per-backend
         wall-clock behaviour is bit-identical.
         """
         if isinstance(timeout_seconds, EvalBudget):
             return timeout_seconds
-        if self.max_rows is None and self.max_bytes is None:
+        caps = self.exec_options
+        if caps.max_rows is None and caps.max_bytes is None:
             return timeout_seconds
-        return ResourceBudget(timeout_seconds, self.max_rows, self.max_bytes)
+        return ResourceBudget(timeout_seconds, caps.max_rows, caps.max_bytes)
 
     def execute(
         self, timeout_seconds: "float | EvalBudget | None" = None
     ) -> ResultSet:
         self._refresh_if_stale()
-        if self.fallback and not isinstance(timeout_seconds, EvalBudget):
+        if self.exec_options.fallback and not isinstance(
+            timeout_seconds, EvalBudget
+        ):
             return self.session._execute_resilient(self, timeout_seconds)
         return self._execute_once(timeout_seconds)
 
@@ -438,19 +431,11 @@ class GraphSession:
         breaker_config: BreakerConfig | None = None,
         retry_policy: RetryPolicy | None = None,
     ):
-        #: Session-default execution options; per-call ``exec_options``
-        #: (and the deprecated per-call kwargs) overlay these.
+        #: Session-default execution options; a call's ``exec_options``
+        #: (and its positional ``backend``) overlay these.
         self.exec_options = DEFAULT_EXEC_OPTIONS.merged(exec_options)
         if planner == "greedy" and self.exec_options.planner is not None:
             planner = self.exec_options.planner
-        if (
-            result_cache_size == 0
-            and self.exec_options.result_cache_size is not None
-        ):
-            result_cache_size = self.exec_options.result_cache_size
-        #: Session-level incremental-maintenance toggle (None: follow
-        #: the ``REPRO_INCREMENTAL`` process default).
-        self._incremental = self.exec_options.incremental
         self._graph = graph
         self._schema = schema
         self._store = store
@@ -668,9 +653,7 @@ class GraphSession:
             rewrite_options=self.rewrite_options,
             result_cache_size=0,
             planner=self.planner,
-            exec_options=dataclasses.replace(
-                self.exec_options, result_cache_size=0
-            ),
+            exec_options=self.exec_options,
             calibration=self._calibration,
             workload=self.workload_tag,
         )
@@ -779,19 +762,17 @@ class GraphSession:
         *,
         rewrite: bool = True,
         options: RewriteOptions | None = None,
-        backend_options: Mapping | None = None,
-        planner: str | None = None,
         exec_options: ExecOptions | None = None,
     ) -> PreparedQuery:
         """Compile a query for one backend, through both cache layers.
 
         Execution knobs resolve through :class:`ExecOptions`: the
         session's defaults, overlaid by the per-call ``exec_options``,
-        overlaid by the legacy per-call aliases (``backend``,
-        ``planner``, ``backend_options`` — deprecated but fully
-        supported). The knobs the chosen backend consumes are
-        canonicalised (sorted, recursively) into the plan-cache key, so
-        logically identical settings share one cache entry.
+        overlaid by the positional ``backend``. The resolved object goes
+        to the backend's ``prepare`` as it is, and the values of the
+        fields that backend reads are part of the plan-cache key, so
+        settings that differ only in knobs the backend ignores share
+        one cache entry.
 
         ``rewrite=False`` skips the schema rewriter entirely (the
         baseline variant of the paper's experiments); ``rewrite=True``
@@ -799,9 +780,9 @@ class GraphSession:
         (:meth:`rewrite_sound`) — rewriting is unsound otherwise and
         the session falls back to the unrewritten pipeline.
 
-        ``planner`` selects the pipeline: ``"greedy"`` is the classic
-        linear one (rewrite when profitable per the rewriter's own
-        heuristic, one greedy join order); ``"cost"`` enumerates
+        The ``planner`` field selects the pipeline: ``"greedy"`` is the
+        classic linear one (rewrite when profitable per the rewriter's
+        own heuristic, one greedy join order); ``"cost"`` enumerates
         candidate plans — original, full and partial rewrites,
         alternative join orders — and executes the cheapest under the
         backend's (possibly calibrated) cost profile. A ``backend`` of
@@ -809,39 +790,27 @@ class GraphSession:
         substrate per query.
         """
         query = self._as_query(query)
-        if planner is not None or backend_options is not None:
-            warn_legacy_exec_kwargs("GraphSession.prepare")
-        resolved = self.exec_options.merged(exec_options).with_legacy(
-            backend=backend, planner=planner
-        )
-        backend_name = resolved.backend or "ra"
+        resolved = self.exec_options.merged(exec_options)
+        backend_name = backend or resolved.backend or "ra"
         planner_mode = resolved.planner or self.planner
         effective_rewrite = rewrite and self.rewrite_sound()
         if rewrite and not effective_rewrite:
             self._rewrites_gated += 1
         options = (options or self.rewrite_options) if rewrite else None
-        auto = backend_name == "auto"
-        if auto:
-            growth = resolved.fixpoint_growth
-            if growth is None:
-                growth = (backend_options or {}).get("fixpoint_growth")
+        if backend_name == "auto":
             backend_name = self._rank_backends(
-                query, effective_rewrite, options, growth
+                query, effective_rewrite, options, resolved.fixpoint_growth
             )[0]
             planner_mode = "cost"
         backend_impl = get_backend(backend_name)
-        planner_mode = validate_planner(planner_mode)
-        effective_options = resolved.backend_options_for(
-            backend_impl.name, backend_options
+        resolved = replace(
+            resolved,
+            backend=backend_impl.name,
+            planner=validate_planner(planner_mode),
         )
         if planner_mode == "cost":
-            if not auto:
-                growth = (effective_options or {}).get("fixpoint_growth")
-            return self._governed(
-                self._prepare_cost(
-                    query, backend_impl, rewrite, effective_rewrite, options,
-                    effective_options, growth, max_bytes=resolved.max_bytes,
-                ),
+            return self._prepare_cost(
+                query, backend_impl, rewrite, effective_rewrite, options,
                 resolved,
             )
         rewrite_result = None
@@ -850,50 +819,24 @@ class GraphSession:
             rewrite_result = self.rewrite(query, options)
             executed = rewrite_result.query
         executed = _drop_unsatisfiable_disjuncts(executed)
-        if executed.is_empty:
-            return self._governed(
-                PreparedQuery(
-                    self, backend_impl, query, executed, rewrite_result, None,
-                    self.schema_fingerprint, rewrite, options,
-                    effective_options, rewrite_applied=effective_rewrite,
-                ),
-                resolved,
+        plan = None
+        if not executed.is_empty:
+            key = (
+                backend_impl.name,
+                str(query),
+                effective_rewrite,
+                self.schema_fingerprint,
+                options,
+                resolved.key_for(backend_impl),
             )
-        key = (
-            backend_impl.name,
-            str(query),
-            effective_rewrite,
-            self.schema_fingerprint,
-            options,
-            freeze_options(effective_options),
+            plan = self._plan_cache.get_or_create(
+                key, lambda: backend_impl.prepare(self, executed, resolved)
+            )
+        return PreparedQuery(
+            self, backend_impl, query, executed, rewrite_result, plan,
+            self.schema_fingerprint, rewrite, options, resolved,
+            rewrite_applied=effective_rewrite,
         )
-        def prepare_plan():
-            # Only pass options through when present, so pre-options
-            # backends (third-party adapters with a two-argument
-            # ``prepare``) keep working until actually handed options.
-            if effective_options is None:
-                return backend_impl.prepare(self, executed)
-            return backend_impl.prepare(self, executed, effective_options)
-
-        plan = self._plan_cache.get_or_create(key, prepare_plan)
-        return self._governed(
-            PreparedQuery(
-                self, backend_impl, query, executed, rewrite_result, plan,
-                self.schema_fingerprint, rewrite, options, effective_options,
-                rewrite_applied=effective_rewrite,
-            ),
-            resolved,
-        )
-
-    @staticmethod
-    def _governed(
-        handle: PreparedQuery, resolved: ExecOptions
-    ) -> PreparedQuery:
-        """Stamp the resolved governor/degradation knobs onto a handle."""
-        handle.max_rows = resolved.max_rows
-        handle.max_bytes = resolved.max_bytes
-        handle.fallback = bool(resolved.fallback)
-        return handle
 
     #: Backends the auto-chooser ranks when no calibration is loaded.
     _AUTO_POOL = ("vec", "ra", "sqlite")
@@ -978,12 +921,7 @@ class GraphSession:
                 planned.planning.release()
         return planned.backends
 
-    def _memory_decision(
-        self,
-        choice: "PlanChoice",
-        backend_options: Mapping | None,
-        max_bytes: int | None,
-    ):
+    def _memory_decision(self, choice: "PlanChoice", options: ExecOptions):
         """The out-of-core decision for one cost-planned vec query.
 
         Spill turns on when the planner's soft peak-memory estimate
@@ -992,28 +930,27 @@ class GraphSession:
         configured at all, when the estimate exceeds the **hard**
         :class:`~repro.graph.evaluator.ResourceBudget` ``max_bytes``
         ceiling, in which case the ceiling itself becomes the effective
-        threshold stamped into the backend options (the plan then spills
-        rather than aborts). No decision is stamped for a plan whose
-        kernel cannot memmap: spill is a no-op there, and the footer and
-        counter must not claim otherwise. Returns the (possibly
-        augmented) options and the choice with the decision recorded.
+        threshold of the options the plan is compiled under (the plan
+        then spills rather than aborts). No decision is stamped for a
+        plan whose kernel cannot memmap: spill is a no-op there, and the
+        footer and counter must not claim otherwise. Returns the
+        (possibly augmented) options and the choice with the decision
+        recorded.
         """
-        options = backend_options or {}
-        threshold = options.get("spill_threshold_bytes")
+        threshold = options.spill_threshold_bytes
         if threshold is None:
             threshold = default_spill_threshold()
-        limit = threshold if threshold is not None else max_bytes
+        limit = threshold if threshold is not None else options.max_bytes
         if limit is None or choice.peak_bytes <= limit:
-            return backend_options, choice
-        kernel = options.get("kernel")
+            return options, choice
         if not spill_supported(
-            get_kernel(kernel) if kernel else default_kernel()
+            get_kernel(options.kernel) if options.kernel else default_kernel()
         ):
-            return backend_options, choice
+            return options, choice
         self._spill_decisions += 1
         if threshold is None:
-            backend_options = {**options, "spill_threshold_bytes": max_bytes}
-        return backend_options, choice.with_memory(spill=True)
+            options = replace(options, spill_threshold_bytes=limit)
+        return options, choice.with_memory(spill=True)
 
     def _prepare_cost(
         self,
@@ -1022,9 +959,7 @@ class GraphSession:
         rewrite: bool,
         effective_rewrite: bool,
         options: RewriteOptions | None,
-        backend_options: Mapping | None,
-        fixpoint_growth: float | None,
-        max_bytes: int | None = None,
+        exec_options: ExecOptions,
     ) -> PreparedQuery:
         """The cost-based planning path of :meth:`prepare`.
 
@@ -1040,10 +975,12 @@ class GraphSession:
         is kept inside the query's planner entry.
         """
         planned = self._planned(
-            query, effective_rewrite, options, fixpoint_growth
+            query, effective_rewrite, options, exec_options.fixpoint_growth
         )
         compiled_key = (
-            backend_impl.name, freeze_options(backend_options), max_bytes
+            backend_impl.name,
+            exec_options.key_for(backend_impl),
+            exec_options.max_bytes,
         )
         compiled = planned.compiled.get(compiled_key)
         if compiled is None:
@@ -1064,7 +1001,7 @@ class GraphSession:
             planned.planning.release()
             self._charge_planning(planned, started)
             compiled = self._compile_winner(
-                backend_impl, choice, backend_options, max_bytes
+                backend_impl, choice, exec_options
             ) + (estimates,)
             if len(planned.compiled) >= _MAX_COMPILED_PER_QUERY:
                 del planned.compiled[next(iter(planned.compiled))]
@@ -1074,8 +1011,8 @@ class GraphSession:
         winner = choice.winner.candidate
         return PreparedQuery(
             self, backend_impl, query, winner.query, winner.rewrite_result,
-            plan, self.schema_fingerprint, rewrite, options, backend_options,
-            planner="cost", choice=choice, planned=planned,
+            plan, self.schema_fingerprint, rewrite, options, exec_options,
+            choice=choice, planned=planned,
             estimates=estimates, rewrite_applied=effective_rewrite,
         )
 
@@ -1083,24 +1020,18 @@ class GraphSession:
         self,
         backend_impl: Backend,
         choice: PlanChoice,
-        backend_options: Mapping | None,
-        max_bytes: int | None,
+        exec_options: ExecOptions,
     ) -> tuple[object | None, PlanChoice]:
         winner = choice.winner.candidate
         if winner.term is None:
             return None, choice
-        effective = backend_options
         if backend_impl.name == "vec":
-            effective, choice = self._memory_decision(
-                choice, backend_options, max_bytes
-            )
+            exec_options, choice = self._memory_decision(choice, exec_options)
         from_term = getattr(backend_impl, "prepare_from_term", None)
         if from_term is not None:
-            plan = from_term(self, winner.term, winner.query, effective)
-        elif effective is None:
-            plan = backend_impl.prepare(self, winner.query)
+            plan = from_term(self, winner.term, winner.query, exec_options)
         else:
-            plan = backend_impl.prepare(self, winner.query, effective)
+            plan = backend_impl.prepare(self, winner.query, exec_options)
         return plan, choice
 
     def execute(
@@ -1111,8 +1042,6 @@ class GraphSession:
         timeout_seconds: float | None = None,
         rewrite: bool = True,
         options: RewriteOptions | None = None,
-        backend_options: Mapping | None = None,
-        planner: str | None = None,
         exec_options: ExecOptions | None = None,
     ) -> ResultSet:
         """Rewrite, plan (both cached) and run a query on one backend.
@@ -1122,8 +1051,7 @@ class GraphSession:
         """
         prepared = self.prepare(
             query, backend,
-            rewrite=rewrite, options=options, backend_options=backend_options,
-            planner=planner, exec_options=exec_options,
+            rewrite=rewrite, options=options, exec_options=exec_options,
         )
         return prepared.execute(timeout_seconds)
 
@@ -1135,8 +1063,6 @@ class GraphSession:
         timeout_seconds: float | None = None,
         rewrite: bool = True,
         options: RewriteOptions | None = None,
-        backend_options: Mapping | None = None,
-        planner: str | None = None,
         exec_options: ExecOptions | None = None,
     ) -> list[ResultSet]:
         """Execute a batch of queries, sharing work across the batch.
@@ -1155,8 +1081,7 @@ class GraphSession:
         outcome = execute_batch(
             self, queries, backend,
             timeout_seconds=timeout_seconds, rewrite=rewrite,
-            options=options, backend_options=backend_options,
-            planner=planner, exec_options=exec_options,
+            options=options, exec_options=exec_options,
         )
         return list(outcome.results)
 
@@ -1167,8 +1092,6 @@ class GraphSession:
         *,
         rewrite: bool = True,
         options: RewriteOptions | None = None,
-        backend_options: Mapping | None = None,
-        planner: str | None = None,
         exec_options: ExecOptions | None = None,
     ) -> ExplainReport:
         """The plan the backend would execute, as a structured report.
@@ -1179,8 +1102,7 @@ class GraphSession:
         """
         prepared = self.prepare(
             query, backend,
-            rewrite=rewrite, options=options, backend_options=backend_options,
-            planner=planner, exec_options=exec_options,
+            rewrite=rewrite, options=options, exec_options=exec_options,
         )
         return prepared.explain()
 
@@ -1235,23 +1157,18 @@ class GraphSession:
 
         ``None`` when the query cannot be prepared there (translation
         limits etc.) — the degradation loop then moves further down the
-        chain. Backend-specific knobs are re-derived from the session's
-        options; the governor caps carry over from the failing handle.
+        chain. Every knob of the failing handle carries over; the new
+        backend reads the ones it understands.
         """
         try:
-            handle = self.prepare(
+            return self.prepare(
                 prepared.query,
                 rewrite=prepared.rewrite,
                 options=prepared.options,
-                exec_options=ExecOptions(
-                    backend=backend, planner=prepared.planner
-                ),
+                exec_options=replace(prepared.exec_options, backend=backend),
             )
         except ReproError:
             return None
-        handle.max_rows = prepared.max_rows
-        handle.max_bytes = prepared.max_bytes
-        return handle
 
     def _execute_resilient(
         self,
@@ -1390,7 +1307,7 @@ class GraphSession:
         return self._result_cache.max_size > 0
 
     def _result_key(
-        self, backend: Backend, plan: object | None, backend_options
+        self, backend: Backend, plan: object | None, exec_options: ExecOptions
     ) -> tuple | None:
         """The result-cache key for one prepared plan, or None.
 
@@ -1409,7 +1326,7 @@ class GraphSession:
             backend.name,
             token_of(plan),
             self.schema_fingerprint,
-            backend_options,
+            exec_options.key_for(backend),
         )
 
     def _lookup_result(
@@ -1591,12 +1508,10 @@ class GraphSession:
 
     # -- calibration (telemetry → fit → exploit) ---------------------------
     def _incremental_active(self) -> bool:
-        """Incremental maintenance: the session-level toggle, then the
-        ``REPRO_INCREMENTAL=0`` kill switch. This is the variable's one
-        reader (per call, so tests and CI legs can toggle it) — the
-        store serves its delta log to everyone else regardless."""
-        if self._incremental is False:
-            return False
+        """Incremental maintenance, unless ``REPRO_INCREMENTAL=0``. This
+        is the variable's one reader (per call, so tests and CI legs can
+        toggle it) — the store serves its delta log to everyone else
+        regardless."""
         return os.environ.get("REPRO_INCREMENTAL", "1") != "0"
 
     def _record_telemetry(

@@ -13,8 +13,8 @@ per-backend physical cost model:
   differently.
 
 Sessions opt in with ``GraphSession(..., planner="cost")`` or per call
-(``session.execute(query, planner="cost")``); execution feeds actual
-cardinalities back into the per-store
+(``session.execute(query, exec_options=ExecOptions(planner="cost"))``);
+execution feeds actual cardinalities back into the per-store
 :class:`~repro.ra.stats.StoreStatistics` correction table, and plans
 whose estimates drift past the session's re-plan threshold are planned
 again against the corrected statistics.

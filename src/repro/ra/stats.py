@@ -9,7 +9,6 @@ drive the optimizer's join ordering and the Fig. 17 EXPLAIN costs.
 from __future__ import annotations
 
 import math
-import os
 import weakref
 from dataclasses import dataclass
 from typing import Hashable
@@ -31,12 +30,10 @@ from repro.storage.relational import RelationalStore
 #: Assumed growth of a transitive closure over its base relation. Real
 #: engines estimate recursive CTEs crudely too (PostgreSQL assumes 10x the
 #: non-recursive term); 4x keeps plans sensible at our scales. The
-#: effective value is configurable per process (``REPRO_FIXPOINT_GROWTH``),
-#: per plan (the ``fixpoint_growth`` backend option) and adaptively (the
-#: per-store correction table fed by observed fixpoint cardinalities).
+#: effective value is configurable per plan (``ExecOptions(fixpoint_growth=)``)
+#: and adaptively (the per-store correction table fed by observed
+#: fixpoint cardinalities).
 FIXPOINT_GROWTH = 4.0
-
-_ENV_FIXPOINT_GROWTH = "REPRO_FIXPOINT_GROWTH"
 
 #: Observed fixpoint growth ratios are clamped into this band before they
 #: enter the correction table: a closure is at least its base, and a
@@ -66,15 +63,9 @@ def validate_fixpoint_growth(value) -> float:
 
 
 def default_fixpoint_growth() -> float:
-    """The process-wide fixpoint growth: ``$REPRO_FIXPOINT_GROWTH`` when
-    set (validated), else :data:`FIXPOINT_GROWTH`."""
-    raw = os.environ.get(_ENV_FIXPOINT_GROWTH)
-    if raw is None:
-        return FIXPOINT_GROWTH
-    try:
-        return validate_fixpoint_growth(raw)
-    except ValueError as error:
-        raise ValueError(f"${_ENV_FIXPOINT_GROWTH}: {error}") from None
+    """The fixpoint growth assumed before anything was observed or
+    pinned: :data:`FIXPOINT_GROWTH`."""
+    return FIXPOINT_GROWTH
 
 
 class StoreStatistics:
@@ -224,9 +215,8 @@ def unpinned_fixpoint_growth(store: RelationalStore) -> float:
     """The closure growth an :class:`Estimator` assumes when none is
     pinned: the growth observed on ``store`` so far, else the process
     default."""
-    growth = default_fixpoint_growth()  # validates the variable either way
     observed = store_statistics(store).observed_fixpoint_growth
-    return growth if observed is None else observed
+    return default_fixpoint_growth() if observed is None else observed
 
 
 @dataclass(frozen=True)
@@ -268,12 +258,11 @@ class Estimator:
 
     ``fixpoint_growth`` pins the assumed closure growth for this
     estimator (the validated ``fixpoint_growth`` backend/planner
-    option). When left ``None`` the estimator starts from the process
-    default (``$REPRO_FIXPOINT_GROWTH`` or :data:`FIXPOINT_GROWTH`) and
-    applies the store's adaptive correction: once executions have fed
-    actual fixpoint cardinalities back into the
-    :class:`StoreStatistics` snapshot, the observed geometric-mean
-    growth replaces the guess.
+    option). When left ``None`` the estimator starts from
+    :data:`FIXPOINT_GROWTH` and applies the store's adaptive
+    correction: once executions have fed actual fixpoint cardinalities
+    back into the :class:`StoreStatistics` snapshot, the observed
+    geometric-mean growth replaces the guess.
 
     One estimator serves one planning pass: estimates and output columns
     are memoised per structurally distinct term (terms cache their hash,

@@ -6,7 +6,10 @@ normalised query is rewritten and prepared once, however many times it
 occurs in the batch — and the execution side shares physical work:
 
 * on the ``vec`` backend the whole batch runs through one
-  :func:`~repro.exec.executor.execute_batch_programs` call, so the
+  :meth:`~repro.engine.backends.VecBackend.run_plans` call — the same
+  function a single ``vec``/``ra`` execution goes through, so the
+  kernel pin and the spill knobs of the batch's
+  :class:`~repro.engine.options.ExecOptions` hold here too — and the
   store's dictionary encoding is built once for the union of every
   program's scan manifest and equal closed µ-RA subtrees (common scans,
   joins, transitive-closure fixpoints) are materialised exactly once for
@@ -18,11 +21,11 @@ occurs in the batch — and the execution side shares physical work:
 
 When the session's **result-set cache** is enabled, every distinct plan
 is first looked up by ``(backend, structural plan token, schema
-fingerprint, frozen backend options)`` — plans answered under the
-current store version skip execution entirely, entries stale only by an
-append-only write are incrementally *maintained* from the store delta
-(still a hit), and only true misses enter the shared runner. Hits and
-misses are counted on the batch's
+fingerprint, the option values the backend reads)`` — plans answered
+under the current store version skip execution entirely, entries stale
+only by an append-only write are incrementally *maintained* from the
+store delta (still a hit), and only true misses enter the shared runner.
+Hits and misses are counted on the batch's
 :class:`~repro.exec.executor.ExecutionStats`.
 
 :class:`BatchReport` records what was shared so callers (benchmarks,
@@ -37,11 +40,9 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.engine.backends import VecPlan
 from repro.errors import ReproError
-from repro.exec.executor import ExecutionStats, execute_batch_programs
-from repro.exec.kernels import get_kernel
+from repro.exec.executor import ExecutionStats
 from repro.exec.result import EMPTY, ResultSet
 from repro.graph.evaluator import EvalBudget, ResourceBudget
-from repro.testing.faults import fault_point
 from repro.planner import OPERATOR_KINDS, estimate_kind_rows
 from repro.query.model import UCQT
 from repro.ra.stats import Estimator, store_statistics
@@ -93,8 +94,6 @@ def execute_batch(
     timeout_seconds: float | None = None,
     rewrite: bool = True,
     options: "RewriteOptions | None" = None,
-    backend_options: Mapping | None = None,
-    planner: str | None = None,
     exec_options: "ExecOptions | None" = None,
 ) -> BatchOutcome:
     """Prepare and execute ``queries`` as one batch on ``backend``.
@@ -102,8 +101,9 @@ def execute_batch(
     ``timeout_seconds`` bounds the *whole batch* (one shared budget on
     ``vec``, per distinct plan elsewhere). Results are returned in input
     order; submitting the same query twice returns the same row set
-    twice at the cost of one execution. ``planner="cost"`` plans every
-    distinct query through the shared cost model (the per-store
+    twice at the cost of one execution. ``exec_options`` overlays the
+    session's defaults for the whole batch; its ``planner="cost"`` plans
+    every distinct query through the shared cost model (the per-store
     statistics snapshot and its adaptive corrections are shared across
     the whole batch), and the batch's :class:`ExecutionStats` then carry
     the summed estimated-vs-actual root cardinalities.
@@ -115,9 +115,9 @@ def execute_batch(
     executing per plan. ``BatchReport.backend_choices`` records the
     split.
     """
-    merged = session.exec_options.merged(exec_options)
     requested = backend
     if requested is None:
+        merged = session.exec_options.merged(exec_options)
         requested = merged.backend or "vec"
     parsed = [session._as_query(query) for query in queries]
     # Collapse duplicates on the normalised query text — the same key the
@@ -133,8 +133,6 @@ def execute_batch(
                 requested,
                 rewrite=rewrite,
                 options=options,
-                backend_options=backend_options,
-                planner=planner,
                 exec_options=exec_options,
             )
     vec_handles = {
@@ -146,7 +144,7 @@ def execute_batch(
     stats: ExecutionStats | None = None
     if vec_handles:
         rows_by_key, stats = _execute_vec_shared(
-            session, vec_handles, timeout_seconds, merged
+            session, vec_handles, timeout_seconds
         )
     for key, handle in prepared.items():
         if key not in vec_handles:
@@ -174,7 +172,6 @@ def _execute_vec_shared(
     session: "GraphSession",
     prepared: Mapping[str, "PreparedQuery"],
     timeout_seconds: float | None,
-    exec_options: "ExecOptions | None" = None,
 ) -> tuple[dict[str, ResultSet], ExecutionStats]:
     """Run every distinct ``vec`` plan through one shared batch runner.
 
@@ -182,15 +179,15 @@ def _execute_vec_shared(
     store unchanged) never reach the runner; only the misses execute,
     then back-fill the cache for the next batch.
 
-    ``exec_options`` supplies the batch-wide resource caps (``max_rows``
-    and ``max_bytes`` govern the shared runner as a whole, matching the
+    The handles were prepared under one :class:`ExecOptions`, which
+    supplies the batch-wide resource caps (``max_rows`` and
+    ``max_bytes`` govern the shared runner as a whole, matching the
     whole-batch semantics of ``timeout_seconds``) and the ``fallback``
     flag: when set, a retryable failure of the shared runner degrades to
     per-plan resilient execution instead of failing the batch.
     """
     runnable: list[tuple[str, "PreparedQuery", VecPlan, tuple | None]] = []
     rows_by_key: dict[str, ResultSet] = {}
-    kernel = None
     stats = ExecutionStats()
     for key, handle in prepared.items():
         handle._refresh_if_stale()
@@ -211,10 +208,10 @@ def _execute_vec_shared(
                 stats.result_cache_hits += 1
                 continue
             stats.result_cache_misses += 1
-        if plan.kernel is not None:
-            kernel = get_kernel(plan.kernel)
         runnable.append((key, handle, plan, cache_key))
     if runnable:
+        first = runnable[0][1]
+        exec_options = first.exec_options
         version_before = session.store.version
         captures: list[dict | None] | None = None
         if session._incremental_active():
@@ -224,7 +221,7 @@ def _execute_vec_shared(
                 {} if cache_key is not None else None
                 for _, _, _, cache_key in runnable
             ]
-        if exec_options is not None and (
+        if (
             exec_options.max_rows is not None
             or exec_options.max_bytes is not None
         ):
@@ -237,21 +234,15 @@ def _execute_vec_shared(
             budget = EvalBudget(timeout_seconds)
         started = time.perf_counter()
         try:
-            fault_point("backend.execute.vec")
-            results = execute_batch_programs(
-                [plan.program for _, _, plan, _ in runnable],
-                session.store,
-                heads=[plan.head for _, _, plan, _ in runnable],
-                budget=budget,
-                kernel=kernel,
-                stats=stats,
-                fix_captures=captures,
+            results = first.backend.run_plans(
+                session,
+                [plan for _, _, plan, _ in runnable],
+                budget,
+                stats,
+                captures,
             )
         except ReproError as error:
-            fallback = bool(
-                exec_options is not None and exec_options.fallback
-            )
-            if not (error.retryable and fallback):
+            if not (error.retryable and exec_options.fallback):
                 raise
             # The shared runner failed on a retryable fault. Its partial
             # work and telemetry are discarded wholesale; each plan then

@@ -35,7 +35,7 @@ import asyncio
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.engine.options import ExecOptions
 from repro.engine.session import GraphSession
@@ -93,8 +93,6 @@ class QueryService:
         workers: int = 2,
         timeout_seconds: float | None = None,
         rewrite: bool = True,
-        backend_options: Mapping | None = None,
-        planner: str | None = None,
         exec_options: "ExecOptions | None" = None,
     ):
         if max_batch_size < 1:
@@ -110,13 +108,9 @@ class QueryService:
         self.workers = workers
         self.timeout_seconds = timeout_seconds
         self.rewrite = rewrite
-        self.backend_options = backend_options
-        #: Planning mode for every batch (None: the session's default);
-        #: "cost" routes all admission batches through the shared cost
-        #: model and its adaptive corrections.
-        self.planner = planner
-        #: Unified execution options applied to every batch (overlaid on
-        #: the session's defaults; the legacy kwargs above overlay these).
+        #: Execution options applied to every batch, overlaid on the
+        #: session's defaults (``planner="cost"`` routes all admission
+        #: batches through the shared cost model and its corrections).
         self.exec_options = exec_options
         self.stats = ServiceStats()
         # Pending requests, grouped by the admission key (by default the
@@ -301,8 +295,6 @@ class QueryService:
                     self.backend,
                     timeout_seconds=self.timeout_seconds,
                     rewrite=self.rewrite,
-                    backend_options=self.backend_options,
-                    planner=self.planner,
                     exec_options=self.exec_options,
                 )
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Set
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import ReproError, RequestError
@@ -157,30 +157,40 @@ def _backend_field(payload: Mapping) -> str:
 
 
 def _options_field(payload: Mapping) -> "ExecOptions | None":
-    """The unified ``options`` object (execution knobs), validated."""
-    value = payload.get("options")
-    if value is None:
-        return None
+    """The request's execution knobs as one ``ExecOptions``, validated.
+
+    The ``options`` object, with the top-level ``planner`` field (the
+    older spelling of ``options.planner``; it wins) folded in, so nothing
+    below the model sees two spellings. ``spill_path`` names a directory
+    on the server: a deployment setting (``repro serve --spill-path``),
+    never a request's.
+    """
     from repro.engine.options import ExecOptions
 
-    try:
-        return ExecOptions.from_mapping(
-            _require_mapping(value, "options")
-        )
-    except ValueError as error:
-        raise RequestError(str(error), field="options") from error
-
-
-def _planner_field(payload: Mapping) -> str | None:
+    options = None
+    value = payload.get("options")
+    if value is not None:
+        try:
+            options = ExecOptions.from_mapping(
+                _require_mapping(value, "options")
+            )
+            if options.spill_path is not None:
+                raise ValueError(
+                    "exec option 'spill_path' is a server deployment "
+                    "setting and cannot be set by a request"
+                )
+        except ValueError as error:
+            raise RequestError(str(error), field="options") from error
     planner = payload.get("planner")
-    if planner is None:
-        return None
-    from repro.planner import validate_planner
+    if planner is not None:
+        from repro.planner import validate_planner
 
-    try:
-        return validate_planner(planner)
-    except (ValueError, TypeError) as error:
-        raise RequestError(str(error), field="planner") from error
+        try:
+            validate_planner(planner)
+        except (ValueError, TypeError) as error:
+            raise RequestError(str(error), field="planner") from error
+        options = replace(options or ExecOptions(), planner=planner)
+    return options
 
 
 def _bool_field(payload: Mapping, field: str, default: bool) -> bool:
@@ -218,7 +228,6 @@ class QueryRequest:
     backend: str = DEFAULT_BACKEND
     timeout_seconds: float | None = None
     rewrite: bool = True
-    planner: str | None = None
     options: "ExecOptions | None" = None
 
     FIELDS = frozenset(
@@ -235,7 +244,6 @@ class QueryRequest:
             backend=_backend_field(payload),
             timeout_seconds=_timeout_field(payload),
             rewrite=_bool_field(payload, "rewrite", True),
-            planner=_planner_field(payload),
             options=_options_field(payload),
         )
 
@@ -248,7 +256,6 @@ class BatchRequest:
     backend: str = DEFAULT_BACKEND
     timeout_seconds: float | None = None
     rewrite: bool = True
-    planner: str | None = None
     options: "ExecOptions | None" = None
 
     FIELDS = frozenset(
@@ -288,7 +295,6 @@ class BatchRequest:
             backend=_backend_field(payload),
             timeout_seconds=_timeout_field(payload),
             rewrite=_bool_field(payload, "rewrite", True),
-            planner=_planner_field(payload),
             options=_options_field(payload),
         )
 
@@ -354,7 +360,6 @@ class ExplainRequest:
     query: str
     backend: str = DEFAULT_BACKEND
     rewrite: bool = True
-    planner: str | None = None
     options: "ExecOptions | None" = None
 
     FIELDS = frozenset({"query", "backend", "rewrite", "planner", "options"})
@@ -367,7 +372,6 @@ class ExplainRequest:
             query=_string_field(payload, "query"),
             backend=_backend_field(payload),
             rewrite=_bool_field(payload, "rewrite", True),
-            planner=_planner_field(payload),
             options=_options_field(payload),
         )
 

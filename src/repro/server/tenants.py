@@ -34,7 +34,7 @@ from __future__ import annotations
 import asyncio
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from repro.engine.options import ExecOptions
 from repro.engine.resilience import BreakerConfig, RetryPolicy
@@ -198,8 +198,7 @@ class TenantQueryService(QueryService):
                     self.backend,
                     timeout_seconds=self.timeout_seconds,
                     rewrite=self.rewrite,
-                    backend_options=self.backend_options,
-                    planner=self.planner,
+                    exec_options=self.exec_options,
                 )
 
         if self.backend in _THREAD_SAFE_BACKENDS:
@@ -259,8 +258,7 @@ class Tenant:
         quotas: TenantQuotas | None = None,
         *,
         backend: str = "vec",
-        backend_options: Mapping | None = None,
-        planner: str | None = None,
+        exec_options: ExecOptions | None = None,
         dataset: str | None = None,
         fallback: bool = True,
         breaker_config: BreakerConfig | None = None,
@@ -273,10 +271,15 @@ class Tenant:
         self.wire = WireMetrics()
         self.dataset = dataset
         self.backend = backend
-        # Served sessions degrade gracefully by default: retryable
-        # failures walk the backend chain instead of surfacing, and the
-        # quota's resource caps become the session-wide defaults.
+        # ``exec_options`` are this tenant's server-level defaults (the
+        # ``repro serve`` flags): they hold for batched and bespoke
+        # requests alike. Served sessions degrade gracefully by default:
+        # retryable failures walk the backend chain instead of
+        # surfacing, and the quota's resource caps become the
+        # session-wide defaults.
         session.exec_options = session.exec_options.merged(
+            exec_options
+        ).merged(
             ExecOptions(
                 max_rows=self.quotas.max_rows,
                 max_bytes=self.quotas.max_bytes,
@@ -295,8 +298,6 @@ class Tenant:
             # whatever the gate admits, immediately.
             max_pending=self.quotas.max_concurrent,
             timeout_seconds=self.quotas.timeout_seconds,
-            backend_options=backend_options,
-            planner=planner,
         )
         self._slots = asyncio.Semaphore(self.quotas.max_concurrent)
         self._active = 0
@@ -350,13 +351,16 @@ class Tenant:
         snapshot routing); anything bespoke executes directly under the
         same session lock.
         """
-        return (
-            request.backend == self.service.backend
-            and request.rewrite == self.service.rewrite
-            and (request.planner is None
-                 or request.planner == self.service.planner)
-            and request.options is None
-        )
+        if (
+            request.backend != self.service.backend
+            or request.rewrite != self.service.rewrite
+        ):
+            return False
+        if request.options is None:
+            return True
+        # Options that change nothing the session runs under are its shape.
+        served = self.session.exec_options
+        return served.merged(request.options) == served
 
     # -- operations --------------------------------------------------------
     async def query(self, request: QueryRequest) -> dict:
@@ -425,7 +429,6 @@ class Tenant:
                             request.backend,
                             timeout_seconds=budget,
                             rewrite=request.rewrite,
-                            planner=request.planner,
                             exec_options=self.quotas.clamp_options(
                                 request.options
                             ),
@@ -501,7 +504,6 @@ class Tenant:
                         request.query,
                         request.backend,
                         rewrite=request.rewrite,
-                        planner=request.planner,
                         exec_options=request.options,
                     )
 
@@ -556,7 +558,6 @@ class Tenant:
                     request.backend,
                     timeout_seconds=budget,
                     rewrite=request.rewrite,
-                    planner=request.planner,
                     exec_options=self.quotas.clamp_options(request.options),
                 )
 

@@ -17,11 +17,13 @@ from repro.datasets.random_graphs import (
     random_schema,
 )
 from repro.engine import GraphSession
+from repro.engine.options import ExecOptions
 from repro.query.model import single_relation_query
 
 _SEEDS = st.integers(min_value=0, max_value=10_000)
 
 _BACKENDS = ("vec", "ra", "sqlite")
+COST = ExecOptions(planner="cost")
 
 
 @given(_SEEDS, _SEEDS, st.lists(_SEEDS, min_size=1, max_size=4))
@@ -43,7 +45,7 @@ def test_calibration_never_changes_results(
         # carries estimates to regress against.
         expected = {
             backend: [
-                session.execute(query, backend, planner="cost")
+                session.execute(query, backend, exec_options=COST)
                 for query in queries
             ]
             for backend in _BACKENDS
@@ -55,7 +57,7 @@ def test_calibration_never_changes_results(
         # Calibrated re-execution: same rows on every backend ...
         for backend in _BACKENDS:
             for query, rows in zip(queries, expected[backend]):
-                assert session.execute(query, backend, planner="cost") == rows
+                assert session.execute(query, backend, exec_options=COST) == rows
         # ... and under the calibrated auto choice, whatever substrate
         # it routes each query to.
         for query, rows in zip(queries, expected["ra"]):

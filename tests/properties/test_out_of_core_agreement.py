@@ -18,6 +18,7 @@ from repro.datasets.random_graphs import (
     random_schema,
 )
 from repro.engine import GraphSession
+from repro.engine.options import ExecOptions
 from repro.exec import available_kernels, execute_program, get_kernel
 from repro.graph.evaluator import evaluate_path
 from repro.query.model import single_relation_query
@@ -67,11 +68,11 @@ def test_out_of_core_session_serves_identical_rows(
     expected = evaluate_path(graph, expr)
 
     with GraphSession(graph, schema, result_cache_size=16) as session:
-        options = {"spill_threshold_bytes": 1}
+        options = ExecOptions(spill_threshold_bytes=1)
         cold = session.execute(
-            query, "vec", rewrite=False, backend_options=options
+            query, "vec", rewrite=False, exec_options=options
         )
         warm = session.execute(
-            query, "vec", rewrite=False, backend_options=options
+            query, "vec", rewrite=False, exec_options=options
         )
         assert cold == warm == expected

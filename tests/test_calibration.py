@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.engine import GraphSession
+from repro.engine.options import ExecOptions
 from repro.graph.model import yago_example_graph
 from repro.planner import (
     CalibrationLog,
@@ -30,6 +31,7 @@ WORKLOAD = [
     "x1, x2 <- (x1, livesIn/isLocatedIn+, x2)",
     "x1, x3 <- (x1, isLocatedIn, x2) && (x2, isLocatedIn, x3)",
 ]
+COST = ExecOptions(planner="cost")
 
 
 def _session(**kwargs) -> GraphSession:
@@ -41,7 +43,7 @@ def _session(**kwargs) -> GraphSession:
 def _run_workload(session, backends=("vec", "ra", "sqlite")) -> None:
     for backend in backends:
         for query in WORKLOAD:
-            session.execute(query, backend, planner="cost")
+            session.execute(query, backend, exec_options=COST)
 
 
 # -- Q-error arithmetic -------------------------------------------------------
@@ -127,7 +129,7 @@ class TestCalibrationLog:
     def test_workload_tag_reaches_records(self):
         session = _session(workload="nightly")
         with session:
-            session.execute(WORKLOAD[0], "ra", planner="cost")
+            session.execute(WORKLOAD[0], "ra", exec_options=COST)
             record = session.calibration_log.records[-1]
         assert record.workload == "nightly"
 
@@ -143,7 +145,9 @@ class TestCalibrationLog:
         with _session() as session:
             store = session.store
             handles = [
-                session.prepare(query, backend, planner=planner)
+                session.prepare(
+                    query, backend, exec_options=ExecOptions(planner=planner)
+                )
                 for backend in ("vec", "ra")
                 for query in WORKLOAD
             ]
@@ -186,7 +190,7 @@ class TestCalibrationLog:
             assert len(built) == 1
             # A cost-planned handle over a fixpoint-free term starts from
             # the planning pass's estimates and never walks at all.
-            planned = session.prepare(WORKLOAD[3], "vec", planner="cost")
+            planned = session.prepare(WORKLOAD[3], "vec", exec_options=COST)
             assert planned.estimates is not None
             for _ in range(3):
                 planned.execute()
@@ -260,7 +264,7 @@ class TestPersistence:
             session.calibrate(persist_path=path)
             original = {
                 query: session.prepare(
-                    query, "auto", planner="cost"
+                    query, "auto", exec_options=COST
                 ).backend_name
                 for query in WORKLOAD
             }
@@ -269,7 +273,7 @@ class TestPersistence:
         rebooted = _session(calibration=str(path))
         with rebooted:
             for query, backend_name in original.items():
-                prepared = rebooted.prepare(query, "auto", planner="cost")
+                prepared = rebooted.prepare(query, "auto", exec_options=COST)
                 assert prepared.backend_name == backend_name
 
     def test_rejects_unknown_format(self, tmp_path):
@@ -324,7 +328,7 @@ class TestAutoBackend:
     def test_explain_carries_q_error_after_executions(self):
         session = _session()
         with session:
-            session.execute(WORKLOAD[0], "ra", planner="cost")
+            session.execute(WORKLOAD[0], "ra", exec_options=COST)
             report = session.explain(WORKLOAD[0], "ra")
         assert report.q_error is not None
         assert "-- q-error (ra): " in report.render()

@@ -157,14 +157,14 @@ class TestContainedFaults:
 
 # -- out-of-core sites: a failed write degrades, a lost file aborts cleanly ----
 class TestOutOfCoreFaults:
-    OOC_OPTIONS = {"spill_threshold_bytes": 1}
+    OOC_OPTIONS = ExecOptions(spill_threshold_bytes=1)
 
     def test_spill_write_fault_keeps_tables_in_memory(self, expected):
         with _session() as session:
             with install(_injector("spill.write")):
                 rows = session.execute(
                     CLOSURE, "vec", rewrite=False,
-                    backend_options=self.OOC_OPTIONS,
+                    exec_options=self.OOC_OPTIONS,
                 )
             assert rows == expected
 
@@ -180,7 +180,7 @@ class TestOutOfCoreFaults:
             # second run down the named-file *reuse* path — where
             # spill.read fires.
             assert session.execute(
-                CLOSURE, "vec", rewrite=False, backend_options=options
+                CLOSURE, "vec", rewrite=False, exec_options=options
             ) == expected
             for encoded in encoding_for(session.store)._tables.values():
                 encoded._kernel_tables.clear()
@@ -189,16 +189,16 @@ class TestOutOfCoreFaults:
                     with pytest.raises(InjectedFault):
                         session.execute(
                             CLOSURE, "vec", rewrite=False,
-                            backend_options=options,
+                            exec_options=options,
                         )
                 else:
                     # Spill is a no-op on this kernel: no file, no read.
                     assert session.execute(
                         CLOSURE, "vec", rewrite=False,
-                        backend_options=options,
+                        exec_options=options,
                     ) == expected
             assert session.execute(
-                CLOSURE, "vec", rewrite=False, backend_options=options
+                CLOSURE, "vec", rewrite=False, exec_options=options
             ) == expected
 
     def test_out_of_core_chaos_sweep(self, expected):
@@ -211,7 +211,7 @@ class TestOutOfCoreFaults:
                     try:
                         rows = session.execute(
                             CLOSURE, "vec", rewrite=False,
-                            backend_options=self.OOC_OPTIONS,
+                            exec_options=self.OOC_OPTIONS,
                         )
                     except ReproError:
                         continue
@@ -219,7 +219,7 @@ class TestOutOfCoreFaults:
                     assert rows == expected
             assert session.execute(
                 CLOSURE, "vec", rewrite=False,
-                backend_options=self.OOC_OPTIONS,
+                exec_options=self.OOC_OPTIONS,
             ) == expected
         assert completed >= 0  # documented: the sweep may fault every run
 

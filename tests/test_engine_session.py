@@ -12,6 +12,7 @@ from repro.engine import (
     schema_fingerprint,
 )
 from repro.engine.cache import LruCache
+from repro.engine.options import ExecOptions
 from repro.graph.model import yago_example_graph
 from repro.schema.builder import yago_example_schema
 from repro.schema.model import GraphSchema, SchemaEdge, SchemaNode
@@ -199,6 +200,31 @@ class TestPreparedQuery:
         # store: it re-prepares under the new fingerprint.
         assert prepared.execute() == rows
         assert prepared.fingerprint == session.schema_fingerprint
+
+    def test_refreshed_handle_keeps_what_it_was_prepared_with(self, session):
+        pinned = ExecOptions(
+            kernel="python", spill_threshold_bytes=1, max_rows=10**6
+        )
+        prepared = session.prepare(QUERY, "vec", exec_options=pinned)
+        rows = prepared.execute()
+        stale_plan = prepared.plan
+        schema = yago_example_schema()
+        session.update_schema(
+            GraphSchema(
+                nodes=list(schema.nodes()),
+                edges=[
+                    e for e in schema.edges() if e.edge_label != "dealsWith"
+                ],
+            )
+        )
+        assert prepared.execute() == rows
+        assert prepared.plan is not stale_plan
+        assert prepared.plan.kernel == "python"
+        assert prepared.plan.spill_threshold_bytes == 1
+        assert prepared.exec_options == ExecOptions(
+            backend="vec", planner="greedy", kernel="python",
+            spill_threshold_bytes=1, max_rows=10**6,
+        )
 
     def test_reverted_flag(self, session):
         prepared = session.prepare(QUERY)

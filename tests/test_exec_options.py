@@ -1,20 +1,15 @@
 """Tests for the unified :class:`ExecOptions` surface: validation,
-resolution order, per-backend knob projection, cache-key derivation,
-uniform acceptance across session/batch/HTTP models, and the env-gated
-deprecation of the legacy kwargs."""
+resolution order, the fields each backend reads (and keys its caches
+on), and uniform acceptance across session/batch/HTTP models."""
 
 from __future__ import annotations
 
-import warnings
+import dataclasses
 
 import pytest
 
-from repro.engine import GraphSession
-from repro.engine.options import (
-    DEFAULT_EXEC_OPTIONS,
-    EXEC_OPTIONS_WARN_ENV,
-    ExecOptions,
-)
+from repro.engine import GraphSession, get_backend
+from repro.engine.options import DEFAULT_EXEC_OPTIONS, ExecOptions
 from repro.errors import RequestError
 from repro.graph.model import yago_example_graph
 from repro.schema.builder import yago_example_schema
@@ -47,9 +42,8 @@ class TestValidation:
             ("max_rows", -1),
             ("fixpoint_growth", "fast"),
             ("fixpoint_growth", True),
-            ("result_cache_size", -1),
-            ("result_cache_size", True),
-            ("incremental", "no"),
+            ("fixpoint_growth", 0.5),
+            ("fixpoint_growth", float("nan")),
         ],
     )
     def test_rejects_ill_typed_values(self, field, value):
@@ -68,9 +62,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown exec option"):
             ExecOptions.from_mapping({key: 2})
 
+    @pytest.mark.parametrize("key", ["result_cache_size", "incremental"])
+    def test_session_scoped_values_are_not_exec_options(self, key):
+        # They configure a session, not a call: a request that set them
+        # used to be accepted and ignored.
+        assert len(dataclasses.fields(ExecOptions)) == 9
+        with pytest.raises(ValueError, match="unknown exec option"):
+            ExecOptions.from_mapping({key: 0})
+
     def test_round_trips_through_dict(self):
         options = ExecOptions(
-            backend="vec", spill_threshold_bytes=4, incremental=False
+            backend="vec", spill_threshold_bytes=4, fallback=False
         )
         assert ExecOptions.from_mapping(options.to_dict()) == options
 
@@ -88,50 +90,47 @@ class TestResolution:
         options = ExecOptions(backend="ra")
         assert options.merged(None) is options
 
-    def test_legacy_kwargs_win_over_fields(self):
-        options = ExecOptions(
-            backend="vec", planner="cost", spill_threshold_bytes=2
-        )
-        resolved = options.with_legacy(
-            backend="ra", backend_options={"spill_threshold_bytes": 6}
-        )
-        assert resolved.backend == "ra"
-        assert resolved.spill_threshold_bytes == 6
-        assert resolved.planner == "cost"  # untouched by the overlay
-
 
 class TestProjection:
+    """Each backend names the fields it reads; their values are the
+    options part of its plan- and result-cache keys."""
+
+    OPTIONS = ExecOptions(
+        kernel="python", spill_threshold_bytes=3, spill_path="/tmp/s",
+        fixpoint_growth=1.5, max_rows=9, planner="cost",
+    )
+
     def test_vec_receives_its_knobs(self):
-        options = ExecOptions(
-            kernel="python", spill_threshold_bytes=3, spill_path="/tmp/s",
-            fixpoint_growth=1.5, result_cache_size=9,
-        )
-        assert options.backend_options_for("vec") == {
+        vec = get_backend("vec")
+        assert dict(zip(vec.option_fields, self.OPTIONS.key_for(vec))) == {
             "kernel": "python", "spill_threshold_bytes": 3,
             "spill_path": "/tmp/s", "fixpoint_growth": 1.5,
         }
 
     def test_ra_receives_growth_only(self):
-        options = ExecOptions(kernel="python", fixpoint_growth=2.0)
-        assert options.backend_options_for("ra") == {"fixpoint_growth": 2.0}
+        ra = get_backend("ra")
+        assert ra.option_fields == ("fixpoint_growth",)
+        assert self.OPTIONS.key_for(ra) == (1.5,)
 
     def test_black_box_backends_receive_nothing(self):
-        options = ExecOptions(spill_threshold_bytes=3)
-        assert options.backend_options_for("sqlite") is None
+        for backend in ("sqlite", "gdb", "reference"):
+            assert self.OPTIONS.key_for(get_backend(backend)) == ()
 
-    def test_legacy_extra_overlays_verbatim(self):
-        # Unknown keys must reach the backend so its own validation
-        # fires — the options object does not swallow typos.
-        options = ExecOptions(spill_threshold_bytes=3)
-        assert options.backend_options_for(
-            "vec", {"spill_threshold_bytes": 7, "bogus": 1}
-        ) == {"spill_threshold_bytes": 7, "bogus": 1}
-
-    def test_freeze_is_the_single_cache_key_path(self):
-        options = ExecOptions(spill_threshold_bytes=3)
-        assert options.freeze("vec") == options.freeze(
-            "vec", None
-        ) != options.freeze("sqlite")
+    def test_option_fields_are_the_single_cache_key_path(self):
+        # Knobs a backend ignores do not fragment its plan cache; knobs
+        # it reads do.
+        with _session() as session:
+            session.prepare(QUERY, "ra")
+            before = session.cache_stats["plan"]
+            session.prepare(
+                QUERY, "ra", exec_options=ExecOptions(kernel="numpy")
+            )
+            hit = session.cache_stats["plan"]
+            assert (hit.hits, hit.misses) == (before.hits + 1, before.misses)
+            session.prepare(
+                QUERY, "ra", exec_options=ExecOptions(fixpoint_growth=2.0)
+            )
+            assert session.cache_stats["plan"].misses == before.misses + 1
 
 
 # -- uniform acceptance -------------------------------------------------------
@@ -151,41 +150,6 @@ class TestSessionAcceptance:
             )
             assert prepared.backend_name == "vec"
 
-    def test_legacy_and_unified_spellings_share_cache_entries(self):
-        # The keying satellite: both spellings resolve to the same
-        # backend-options projection, hence the same plan-cache key.
-        with _session() as session:
-            session.prepare(
-                QUERY, "vec", backend_options={"spill_threshold_bytes": 2}
-            )
-            before = session.cache_stats["plan"].hits
-            session.prepare(
-                QUERY,
-                exec_options=ExecOptions(
-                    backend="vec", spill_threshold_bytes=2
-                ),
-            )
-            assert session.cache_stats["plan"].hits == before + 1
-
-    def test_result_cache_size_via_options(self):
-        with _session(
-            exec_options=ExecOptions(result_cache_size=4)
-        ) as session:
-            session.execute(QUERY, "vec")
-            session.execute(QUERY, "vec")
-            assert session.cache_stats["result"].hits == 1
-
-    def test_same_rows_through_both_spellings(self):
-        with _session() as session:
-            legacy = session.execute(
-                QUERY, "vec", backend_options={"kernel": "python"}
-            )
-            unified = session.execute(
-                QUERY,
-                exec_options=ExecOptions(backend="vec", kernel="python"),
-            )
-        assert legacy == unified
-
     def test_batch_accepts_exec_options(self):
         with _session() as session:
             outcome = execute_batch(
@@ -195,10 +159,12 @@ class TestSessionAcceptance:
         assert outcome.report.backend == "ra"
 
     def test_unknown_backend_option_still_rejected(self):
+        with pytest.raises(TypeError, match="bogus"):
+            ExecOptions(bogus=True)
         with _session() as session:
-            with pytest.raises(Exception, match="bogus"):
+            with pytest.raises(ValueError, match="unknown kernel"):
                 session.prepare(
-                    QUERY, "vec", backend_options={"bogus": True}
+                    QUERY, "vec", exec_options=ExecOptions(kernel="bogus")
                 )
 
 
@@ -220,25 +186,3 @@ class TestHTTPModel:
             {"query": QUERY, "backend": "auto"}
         )
         assert request.backend == "auto"
-
-
-# -- deprecation gating -------------------------------------------------------
-class TestDeprecationWarnings:
-    def test_quiet_by_default(self, monkeypatch):
-        monkeypatch.delenv(EXEC_OPTIONS_WARN_ENV, raising=False)
-        with _session() as session:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                session.prepare(QUERY, "ra", planner="cost")
-
-    def test_warns_when_env_enabled(self, monkeypatch):
-        monkeypatch.setenv(EXEC_OPTIONS_WARN_ENV, "1")
-        with _session() as session:
-            with pytest.warns(DeprecationWarning, match="exec_options"):
-                session.prepare(QUERY, "ra", planner="cost")
-            # The unified spelling never warns.
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                session.prepare(
-                    QUERY, exec_options=ExecOptions(backend="ra")
-                )

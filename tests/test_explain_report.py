@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 
 from repro.engine import GraphSession
+from repro.engine.options import ExecOptions
 from repro.engine.report import UNSATISFIABLE_TEXT, ExplainReport
 from repro.graph.model import yago_example_graph
 from repro.schema.builder import yago_example_schema
@@ -16,6 +17,7 @@ QUERY = "x1, x2 <- (x1, isLocatedIn+, x2)"
 # 'livesIn' ends at CITY and starts at PERSON: composing it with
 # itself admits no schema typing, so inference proves the empty result.
 UNSAT_QUERY = "x1, x2 <- (x1, livesIn/livesIn, x2)"
+COST = ExecOptions(planner="cost")
 
 
 def _session(**kwargs) -> GraphSession:
@@ -109,7 +111,7 @@ class TestToDict:
 
     def test_planner_section_for_cost_planned_handles_only(self):
         with _session() as session:
-            planned = session.explain(QUERY, "vec", planner="cost")
+            planned = session.explain(QUERY, "vec", exec_options=COST)
             greedy = session.explain(QUERY, "vec")
         payload = planned.to_dict()
         assert payload["planner"]["candidates"] == len(planned.choice.ranked)

@@ -30,6 +30,8 @@ RECURSIVE_QUERY = "x1, x2 <- (x1, livesIn/isLocatedIn+, x2)"
 TWO_RELATION_QUERY = (
     "x1, x3 <- (x1, isLocatedIn+, x2) && (x2, isLocatedIn+, x3)"
 )
+COST = ExecOptions(planner="cost")
+GREEDY = ExecOptions(planner="greedy")
 
 
 @pytest.fixture(scope="module")
@@ -168,16 +170,16 @@ class TestSessionIntegration:
     @pytest.mark.parametrize("query", [RECURSIVE_QUERY, TWO_RELATION_QUERY])
     def test_cost_agrees_with_greedy_everywhere(self, example_session, query):
         for backend in example_session.backends:
-            greedy = example_session.execute(query, backend, planner="greedy")
-            cost = example_session.execute(query, backend, planner="cost")
+            greedy = example_session.execute(query, backend, exec_options=GREEDY)
+            cost = example_session.execute(query, backend, exec_options=COST)
             assert cost == greedy, backend
 
     def test_explain_includes_candidates(self, example_session):
-        text = example_session.explain(RECURSIVE_QUERY, "vec", planner="cost")
+        text = example_session.explain(RECURSIVE_QUERY, "vec", exec_options=COST)
         assert "planner candidates (cost model: vec)" in text
         assert " * " in text
         greedy = example_session.explain(
-            RECURSIVE_QUERY, "vec", planner="greedy"
+            RECURSIVE_QUERY, "vec", exec_options=GREEDY
         )
         assert "planner candidates" not in greedy
 
@@ -190,7 +192,7 @@ class TestSessionIntegration:
             assert second.plan is first.plan
             assert second.choice is first.choice
             # The greedy and cost entries are distinct cache entries.
-            greedy = session.prepare(RECURSIVE_QUERY, "vec", planner="greedy")
+            greedy = session.prepare(RECURSIVE_QUERY, "vec", exec_options=GREEDY)
             assert greedy.choice is None
 
     def test_execution_stats_surface_cardinality_error(self):
@@ -251,10 +253,10 @@ class TestSessionIntegration:
     def test_batch_planner_threading(self, example_session):
         queries = [RECURSIVE_QUERY, TWO_RELATION_QUERY, RECURSIVE_QUERY]
         batched = example_session.execute_batch(
-            queries, "vec", planner="cost"
+            queries, "vec", exec_options=COST
         )
         singles = [
-            example_session.execute(q, "vec", planner="greedy")
+            example_session.execute(q, "vec", exec_options=GREEDY)
             for q in queries
         ]
         assert batched == singles
@@ -366,24 +368,26 @@ class TestGrowthOption:
         rows = example_session.execute(
             RECURSIVE_QUERY,
             backend,
-            backend_options={"fixpoint_growth": 16.0},
+            exec_options=ExecOptions(fixpoint_growth=16.0),
         )
         assert rows == example_session.execute(RECURSIVE_QUERY, backend)
 
     @pytest.mark.parametrize("backend", ["ra", "vec"])
     @pytest.mark.parametrize("bad", ["high", 0.0, -1, float("nan")])
     def test_rejected(self, example_session, backend, bad):
-        with pytest.raises(ValueError, match="fixpoint growth"):
+        with pytest.raises(ValueError, match="fixpoint_growth"):
             example_session.prepare(
                 RECURSIVE_QUERY,
                 backend,
-                backend_options={"fixpoint_growth": bad},
+                exec_options=ExecOptions(fixpoint_growth=bad),
             )
 
     def test_unknown_ra_option_rejected(self, example_session):
-        with pytest.raises(ValueError, match="unknown ra backend option"):
+        with pytest.raises(ValueError, match="unknown exec option"):
             example_session.prepare(
-                RECURSIVE_QUERY, "ra", backend_options={"growth": 2}
+                RECURSIVE_QUERY,
+                "ra",
+                exec_options=ExecOptions.from_mapping({"growth": 2}),
             )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import GraphSession
+from repro.engine.options import ExecOptions
 from repro.graph.model import yago_example_graph
 from repro.schema.builder import yago_example_schema
 from repro.schema.model import GraphSchema
@@ -72,7 +73,7 @@ class TestResultCache:
     def test_backend_options_partition_entries(self, session):
         baseline = session.execute(CLOSURE, "vec")
         configured = session.execute(
-            CLOSURE, "vec", backend_options={"kernel": "python"}
+            CLOSURE, "vec", exec_options=ExecOptions(kernel="python")
         )
         assert baseline == configured
         assert session.cache_stats["result"].misses == 2

@@ -7,8 +7,9 @@ import asyncio
 import pytest
 
 from repro.cli import main as cli_main
-from repro.engine import GraphSession, freeze_options
-from repro.exec import ExecutionStats
+from repro.engine import GraphSession
+from repro.engine.options import ExecOptions
+from repro.exec import ExecutionStats, default_kernel, spill_supported
 from repro.graph.model import yago_example_graph
 from repro.schema.builder import yago_example_schema
 from repro.serve import QueryService, execute_batch, serve_queries
@@ -61,7 +62,8 @@ class TestExecuteBatch:
 
     def test_kernel_backend_option(self, session):
         outcome = execute_batch(
-            session, QUERIES, "vec", backend_options={"kernel": "python"}
+            session, QUERIES, "vec",
+            exec_options=ExecOptions(kernel="python"),
         )
         assert list(outcome.results) == [
             session.execute(q, "ra") for q in QUERIES
@@ -81,17 +83,44 @@ class TestExecuteBatch:
         assert session.execute_batch([CLOSURE], "vec") == before
 
 
-class TestCacheKeyCanonicalisation:
-    def test_option_dict_order_does_not_fragment_the_cache(self, session):
-        scrambled = dict([("b", 2), ("a", {"y": 1, "x": 2})])
-        ordered = dict([("a", {"x": 2, "y": 1}), ("b", 2)])
-        assert freeze_options(scrambled) == freeze_options(ordered)
-        assert freeze_options({}) is None is freeze_options(None)
-        assert freeze_options({"k": [1, 2]}) == freeze_options({"k": (1, 2)})
+@pytest.mark.skipif(
+    not spill_supported(default_kernel()), reason="spill is numpy-only"
+)
+class TestBatchSpills:
+    """The shared batch runner honours the spill knobs a single
+    execution does (it used to drop them)."""
 
+    def test_spill_threshold_reaches_the_batch_runner(self, session):
+        outcome = execute_batch(
+            session, QUERIES,
+            exec_options=ExecOptions(backend="vec", spill_threshold_bytes=1),
+        )
+        assert outcome.report.execution.spill_ops > 0
+        assert list(outcome.results) == [
+            session.execute(q, "vec") for q in QUERIES
+        ]
+
+    def test_byte_cap_is_satisfied_by_spilling(self, ldbc_small, monkeypatch):
+        # The planner stamps the cap onto the plan as its spill
+        # threshold; the batch must then spill instead of aborting.
+        monkeypatch.delenv("REPRO_SPILL_THRESHOLD_BYTES", raising=False)
+        schema, graph, _ = ldbc_small
+        query = "x1, x2 <- (x1, knows+, x2)"
+        capped = ExecOptions(backend="vec", planner="cost", max_bytes=64)
+        with GraphSession(graph, schema) as ldbc:
+            expected = ldbc.execute(query, exec_options=capped)
+            outcome = execute_batch(ldbc, [query], exec_options=capped)
+            assert outcome.results[0] == expected == ldbc.execute(query)
+        assert outcome.report.execution.spill_ops > 0
+
+
+class TestCacheKeyCanonicalisation:
     def test_identical_batch_requests_share_one_plan_entry(self, session):
-        a = session.prepare(CLOSURE, "vec", backend_options={"kernel": "python"})
-        b = session.prepare(CLOSURE, "vec", backend_options={"kernel": "python"})
+        pinned = ExecOptions(kernel="python")
+        a = session.prepare(CLOSURE, "vec", exec_options=pinned)
+        b = session.prepare(
+            CLOSURE, exec_options=ExecOptions(backend="vec", kernel="python")
+        )
         assert a.plan is b.plan
         stats = session.cache_stats["plan"]
         assert stats.hits >= 1

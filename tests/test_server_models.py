@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.engine.options import ExecOptions
 from repro.errors import RequestError
 from repro.server.models import (
     MAX_BATCH_QUERIES,
@@ -28,7 +29,7 @@ class TestQueryRequest:
         assert request.backend == "vec"
         assert request.rewrite is True
         assert request.timeout_seconds is None
-        assert request.planner is None
+        assert request.options is None
 
     def test_full_payload(self):
         request = QueryRequest.from_payload(
@@ -43,7 +44,7 @@ class TestQueryRequest:
         assert request.backend == "ra"
         assert request.timeout_seconds == 2.5
         assert request.rewrite is False
-        assert request.planner == "cost"
+        assert request.options == ExecOptions(planner="cost")
 
     @pytest.mark.parametrize(
         "payload,field",

@@ -76,17 +76,14 @@ class TestFixpointGrowth:
         with pytest.raises(ValueError):
             validate_fixpoint_growth(bad)
 
-    def test_default_reads_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FIXPOINT_GROWTH", raising=False)
-        assert default_fixpoint_growth() == FIXPOINT_GROWTH
+    def test_deleted_environment_default_changes_nothing(self, monkeypatch):
+        # The knob is ``ExecOptions(fixpoint_growth=)``; no process-wide
+        # spelling stays behind.
         monkeypatch.setenv("REPRO_FIXPOINT_GROWTH", "9")
-        assert default_fixpoint_growth() == 9.0
-        monkeypatch.setenv("REPRO_FIXPOINT_GROWTH", "zero")
-        with pytest.raises(ValueError, match="REPRO_FIXPOINT_GROWTH"):
-            default_fixpoint_growth()
+        assert default_fixpoint_growth() == FIXPOINT_GROWTH
+        assert Estimator(_store()).fixpoint_growth == FIXPOINT_GROWTH
 
-    def test_estimator_uses_growth(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FIXPOINT_GROWTH", raising=False)
+    def test_estimator_uses_growth(self):
         store = _store()
         closure = Fix(
             "X",
@@ -96,11 +93,6 @@ class TestFixpointGrowth:
         default = Estimator(store).rows(closure)
         doubled = Estimator(store, fixpoint_growth=8.0).rows(closure)
         assert doubled == pytest.approx(2.0 * default)
-
-    def test_estimator_env_growth(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FIXPOINT_GROWTH", "12")
-        store = _store()
-        assert Estimator(store).fixpoint_growth == 12.0
 
     def test_observed_growth_replaces_default(self):
         store = _store()

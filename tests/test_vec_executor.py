@@ -15,6 +15,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.engine import GraphSession
+from repro.engine.options import ExecOptions
 from repro.exec import (
     ExecutionStats,
     ValueDictionary,
@@ -360,13 +361,9 @@ class TestVecBackendOptions:
         # process-shard kernels: no alias stays behind for them.
         ["kernal", "parallelism", "morsel_size", "shard_workers"],
     )
-    def test_unknown_option_rejected_with_accepted_list(
-        self, example_session, unknown
-    ):
+    def test_unknown_option_rejected_with_accepted_list(self, unknown):
         with pytest.raises(ValueError) as excinfo:
-            example_session.prepare(
-                CLOSURE_QUERY, "vec", backend_options={unknown: 8}
-            )
+            ExecOptions.from_mapping({unknown: 8})
         message = str(excinfo.value)
         assert repr(unknown) in message
         for accepted in ("kernel", "spill_path", "spill_threshold_bytes"):
@@ -387,7 +384,7 @@ class TestVecBackendOptions:
     def test_invalid_values_rejected(self, example_session, options):
         with pytest.raises(ValueError, match="must be a|unknown kernel"):
             example_session.prepare(
-                CLOSURE_QUERY, "vec", backend_options=options
+                CLOSURE_QUERY, "vec", exec_options=ExecOptions(**options)
             )
 
     def test_ra_ignores_the_vec_environment_defaults(
