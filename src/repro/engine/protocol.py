@@ -10,6 +10,11 @@ plan, ``explain`` renders it human-readably via the substrate's existing
 printer. Backends are stateless — all derived state (relational store,
 SQLite database, pattern engine) lives on the session, so one registry
 entry serves every session.
+
+The session calls the execution hooks from one place
+(:meth:`~repro.engine.session.GraphSession._run`): ``run_plans`` for
+the plans of one columnar backend that run together, ``execute_with_stats``
+for a lone plan of such a backend, ``execute`` for everything else.
 """
 
 from __future__ import annotations
@@ -74,8 +79,15 @@ class Backend(Protocol):
         * ``execute_with_stats(session, plan, timeout, stats) -> rows``
           — like ``execute`` but filling an
           :class:`~repro.exec.executor.ExecutionStats` with actual
-          per-operator cardinalities; cost-planned sessions use it to
-          close the adaptive feedback loop.
+          per-operator cardinalities; the session runs a lone plan of
+          such a backend through it and feeds the counters to the
+          calibration log and the adaptive feedback loop.
+        * ``run_plans(session, plans, budget, stats, fix_captures) ->
+          [rows]`` — the batched hook: several plans prepared under one
+          :class:`ExecOptions` run through one executor under one
+          budget, sharing its encoding and operator memo. The session
+          sends every batch of two or more plans of such a (columnar)
+          backend through it.
         """
 
 

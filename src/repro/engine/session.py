@@ -11,6 +11,13 @@ positional ``backend`` being shorthand for its ``backend`` field); the
 resolved object is what a backend's ``prepare`` receives and what the
 :class:`PreparedQuery` keeps.
 
+One method executes prepared handles, :meth:`GraphSession._run`: a
+single ``execute`` is a batch of one, and a batch
+(:func:`repro.serve.batch.execute_batch`) hands it every distinct
+handle. It owns the result-cache lookup and store, the shared columnar
+runner (one ``run_plans`` call per columnar backend), the degradation
+hand-off, the planner feedback and one calibration record per run.
+
 Two cache layers sit between parsing and execution, both keyed on
 ``(normalised query text, schema fingerprint, rewrite options)``:
 
@@ -52,8 +59,9 @@ import hashlib
 import os
 import pathlib
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.core.rewriter import RewriteOptions, RewriteResult, rewrite_query
 from repro.engine import backends as _backends  # noqa: F401 - registers adapters
@@ -295,10 +303,9 @@ class PreparedQuery:
     def budget(self, timeout_seconds: "float | EvalBudget | None"):
         """The budget one execution runs under.
 
-        A budget handed in (the batch path's shared budget) passes
-        through; otherwise the options' governor caps (``max_rows`` /
-        ``max_bytes``) wrap the timeout in a
-        :class:`~repro.graph.evaluator.ResourceBudget`. Ungoverned
+        A budget handed in passes through; otherwise the options'
+        governor caps (``max_rows`` / ``max_bytes``) wrap the timeout in
+        a :class:`~repro.graph.evaluator.ResourceBudget`. Ungoverned
         handles return the plain float so the historical per-backend
         wall-clock behaviour is bit-identical.
         """
@@ -312,68 +319,8 @@ class PreparedQuery:
     def execute(
         self, timeout_seconds: "float | EvalBudget | None" = None
     ) -> ResultSet:
-        self._refresh_if_stale()
-        if self.exec_options.fallback and not isinstance(
-            timeout_seconds, EvalBudget
-        ):
-            return self.session._execute_resilient(self, timeout_seconds)
-        return self._execute_once(timeout_seconds)
-
-    def _execute_once(
-        self, timeout_seconds: "float | EvalBudget | None" = None
-    ) -> ResultSet:
-        self._refresh_if_stale()
-        if self.plan is None:
-            return EMPTY
-        timeout_seconds = self.budget(timeout_seconds)
-        key = self.result_cache_key()
-        if key is not None:
-            hit = self.session._lookup_result(self, key, timeout_seconds)
-            if hit is not None:
-                return hit
-        version = self.session.store.version
-        capture: dict | None = None
-        if (
-            key is not None
-            and isinstance(self.plan, _backends.VecPlan)
-            and self.session._incremental_active()
-        ):
-            capture = {}
-        stats: ExecutionStats | None = None
-        runner = getattr(self.backend, "execute_with_stats", None)
-        started = time.perf_counter()
-        if runner is not None:
-            # Stats-capable backends (ra/vec) always run instrumented:
-            # per-operator (estimate, actual) pairs and exclusive
-            # timings feed the session's calibration log.
-            stats = ExecutionStats()
-            if capture is not None:
-                rows = runner(
-                    self.session, self.plan, timeout_seconds, stats,
-                    fix_capture=capture,
-                )
-            else:
-                rows = runner(self.session, self.plan, timeout_seconds, stats)
-        else:
-            rows = self.backend.execute(
-                self.session, self.plan, timeout_seconds
-            )
-        elapsed = time.perf_counter() - started
-        if self.choice is not None:
-            if stats is None:
-                stats = ExecutionStats(programs=1)
-            stats.estimated_rows += self.choice.winner.rows
-            stats.actual_rows += len(rows)
-            stats.peak_estimate_bytes = max(
-                stats.peak_estimate_bytes, self.choice.peak_bytes
-            )
-            self.session._observe_execution(self, len(rows), stats)
-        if stats is not None:
-            self.last_execution_stats = stats
-        self.session._record_telemetry(self, len(rows), stats, elapsed)
-        if key is not None:
-            self.session._store_result(key, rows, version, capture)
-        return rows
+        """Answer the query: a batch of one (:meth:`GraphSession._run`)."""
+        return self.session._run([self], timeout_seconds)[0][0]
 
     def explain(self) -> ExplainReport:
         """The structured explain report (renders to the classic text)."""
@@ -1068,13 +1015,14 @@ class GraphSession:
         """Execute a batch of queries, sharing work across the batch.
 
         Results come back in input order. Identical normalised queries
-        are prepared and executed once; on the ``vec`` backend the whole
-        batch additionally runs through one shared executor, so the
-        dictionary encoding, base-relation scans and any compiled
-        subprograms common to several queries (equal closed µ-RA
-        subtrees, e.g. a shared transitive closure) are materialised
-        exactly once for the batch. See :mod:`repro.serve` for the
-        asyncio front door and richer per-batch statistics.
+        are prepared and executed once; on the columnar backends
+        (``vec``/``ra``) the batch additionally runs through one shared
+        executor per backend, so the dictionary encoding, base-relation
+        scans and any compiled subprograms common to several queries
+        (equal closed µ-RA subtrees, e.g. a shared transitive closure)
+        are materialised exactly once for the batch. See
+        :mod:`repro.serve` for the asyncio front door and richer
+        per-batch statistics.
         """
         from repro.serve.batch import execute_batch
 
@@ -1105,6 +1053,164 @@ class GraphSession:
             rewrite=rewrite, options=options, exec_options=exec_options,
         )
         return prepared.explain()
+
+    # -- running prepared handles ------------------------------------------
+    def _run(
+        self,
+        handles: "Sequence[PreparedQuery]",
+        timeout_seconds: "float | EvalBudget | None" = None,
+        *,
+        attempt: bool = False,
+    ) -> "tuple[list[ResultSet], ExecutionStats | None]":
+        """Answer prepared handles: the one code path that executes them.
+
+        Each handle is refreshed (schema, conformance gate); an empty
+        plan answers ``EMPTY``; a cacheable plan is looked up in the
+        result cache (a stale entry maintained) and only misses run. The
+        columnar (``vec``/``ra``) misses of one backend and option set
+        share one ``run_plans`` call under one budget — one encoding, one
+        operator memo; a lone columnar plan goes through
+        ``execute_with_stats``, any other plan through ``execute`` under
+        :meth:`PreparedQuery.budget`. Each run then stores its answers,
+        closes the planner feedback loop and writes one calibration
+        record (:meth:`_record_telemetry`); the handles it carried report
+        its counters as ``last_execution_stats``.
+
+        With ``fallback`` set, a plan running alone takes the degradation
+        loop (:meth:`_execute_resilient`). A retryable failure of a shared
+        run is recorded once on the backend's breaker and counts as the
+        first attempt of each plan the run carried, which continue in
+        that loop; answers of the other runs stand. ``attempt`` marks one
+        attempt of the loop: the read has consulted the cache already,
+        and a failure goes back to the loop.
+
+        Returns the answers in handle order and — when any handle is
+        columnar — the pooled counters of the columnar runs plus the
+        cache hits and misses (``None`` otherwise).
+        """
+        answers: list = [None] * len(handles)
+        keys: list[tuple | None] = [None] * len(handles)
+        runs: dict[object, list[int]] = {}
+        pooled = ExecutionStats()
+        any_columnar = False
+        for index, handle in enumerate(handles):
+            handle._refresh_if_stale()
+            columnar = hasattr(handle.backend, "run_plans")
+            any_columnar = any_columnar or columnar
+            if handle.plan is None:  # the schema proved it unsatisfiable
+                answers[index] = EMPTY
+                continue
+            key = keys[index] = handle.result_cache_key()
+            if key is not None and not attempt:
+                hit = self._lookup_result(
+                    handle, key, handle.budget(timeout_seconds)
+                )
+                if hit is not None:
+                    answers[index] = hit
+                    pooled.result_cache_hits += 1
+                    continue
+                pooled.result_cache_misses += 1
+            group = (
+                (handle.backend_name, handle.exec_options)
+                if columnar
+                else index
+            )
+            runs.setdefault(group, []).append(index)
+        # The degradation loop splits a wall-clock timeout over its
+        # attempts: it takes over from a read that is not itself one of
+        # them and was handed no budget object.
+        wall_clock: float | None = None
+        degrade = False
+        if not isinstance(timeout_seconds, EvalBudget):
+            wall_clock = timeout_seconds
+            degrade = not attempt
+
+        def resilient(index: int, failed: ReproError | None = None) -> None:
+            handle = handles[index]
+            answers[index] = self._execute_resilient(handle, wall_clock, failed)
+            stats = handle.last_execution_stats
+            if stats is not None and hasattr(handle.backend, "run_plans"):
+                pooled.merge(stats)
+
+        for run in runs.values():
+            first = handles[run[0]]
+            # run_plans / execute_with_stats are optional protocol hooks.
+            backend: Any = first.backend
+            columnar = hasattr(backend, "run_plans")
+            fallback = degrade and first.exec_options.fallback
+            if fallback and len(run) == 1:
+                resilient(run[0])
+                continue
+            captures = None
+            if columnar and self._incremental_active():
+                # Closed-fixpoint totals of cacheable plans, so the stored
+                # entries can be maintained after append-only writes.
+                captures = [{} if keys[i] is not None else None for i in run]
+            stats = ExecutionStats() if columnar else None
+            budget = first.budget(timeout_seconds)
+            version = self.store.version
+            started = time.perf_counter()
+            try:
+                if len(run) > 1:
+                    rows = backend.run_plans(
+                        self,
+                        [handles[i].plan for i in run],
+                        as_budget(budget),
+                        stats,
+                        captures,
+                    )
+                elif columnar:
+                    rows = [
+                        backend.execute_with_stats(
+                            self, first.plan, budget, stats,
+                            fix_capture=captures[0] if captures else None,
+                        )
+                    ]
+                else:
+                    rows = [backend.execute(self, first.plan, budget)]
+            except ReproError as error:
+                if not (fallback and error.retryable):
+                    raise
+                if self._breaker(first.backend_name).record_failure():
+                    self._resilience["breaker_opens"] += 1
+                for index in run:
+                    resilient(index, error)
+                continue
+            elapsed = time.perf_counter() - started
+            carried = [handles[i] for i in run]
+            if any(handle.choice is not None for handle in carried):
+                if stats is None:
+                    stats = ExecutionStats(programs=1)
+                # Memoised subtrees make the run's fixpoint counters
+                # unattributable per plan: their growth is fed once.
+                growth = stats.observed_fixpoint_growth
+                if growth is not None:
+                    store_statistics(self.store).observe_fixpoint_growth(
+                        growth
+                    )
+            for position, (index, handle, answer) in enumerate(
+                zip(run, carried, rows)
+            ):
+                answers[index] = answer
+                if stats is not None:
+                    choice = handle.choice
+                    if choice is not None:
+                        stats.estimated_rows += choice.winner.rows
+                        stats.actual_rows += len(answer)
+                        stats.peak_estimate_bytes = max(
+                            stats.peak_estimate_bytes, choice.peak_bytes
+                        )
+                        self._observe_execution(handle, len(answer))
+                    handle.last_execution_stats = stats
+                if keys[index] is not None:
+                    self._store_result(
+                        keys[index], answer, version,
+                        captures[position] if captures else None,
+                    )
+            self._record_telemetry(carried, rows, stats, elapsed)
+            if columnar and stats is not None:
+                pooled.merge(stats)
+        return answers, pooled if any_columnar else None
 
     # -- graceful degradation ----------------------------------------------
     def _breaker(self, backend: str) -> CircuitBreaker:
@@ -1174,6 +1280,7 @@ class GraphSession:
         self,
         prepared: PreparedQuery,
         timeout_seconds: float | None = None,
+        failed: ReproError | None = None,
     ) -> ResultSet:
         """Execute with retries down the backend chain.
 
@@ -1185,6 +1292,10 @@ class GraphSession:
         skips its backend outright. Non-retryable errors raise
         immediately. Success stamps ``retries``/``degraded``/
         ``breaker_opens`` onto the handle's ``last_execution_stats``.
+
+        ``failed`` is the retryable error of a shared run that carried
+        this plan (already on the breaker): it counts as the first
+        attempt, and the plan then tries its own backend alone.
         """
         policy = self.retry_policy
         deadline = (
@@ -1193,9 +1304,9 @@ class GraphSession:
             else time.monotonic() + timeout_seconds
         )
         counters = self._resilience
-        attempts = 0
+        attempts = 0 if failed is None else 1
         opens = 0
-        last_error: ReproError | None = None
+        last_error = failed
         tried_or_skipped: list[str] = []
         rows: ResultSet | None = None
         winner: PreparedQuery | None = None
@@ -1209,7 +1320,7 @@ class GraphSession:
             )
             attempts += 1
             try:
-                result = handle._execute_once(remaining)
+                result = self._run([handle], remaining, attempt=True)[0][0]
             except ReproError as error:
                 if not error.retryable:
                     raise
@@ -1229,7 +1340,7 @@ class GraphSession:
         breaker = self._breaker(primary)
         if breaker.allow():
             rows = attempt(prepared, breaker)
-            if rows is not None and opens == 0:
+            if rows is not None and attempts == 1:
                 return rows
             winner = prepared if rows is not None else None
         else:
@@ -1455,17 +1566,15 @@ class GraphSession:
 
     # -- adaptive planner feedback -----------------------------------------
     def _observe_execution(
-        self,
-        prepared: PreparedQuery,
-        actual_rows: int,
-        stats: "ExecutionStats | None" = None,
+        self, prepared: PreparedQuery, actual_rows: int
     ) -> None:
         """Close the planning loop after one cost-planned execution.
 
         Actual cardinalities flow into the per-store
-        :class:`~repro.ra.stats.StoreStatistics` correction table —
-        observed fixpoint growth corrects the closure-growth assumption,
-        and the root estimated/actual pair is recorded per plan. When
+        :class:`~repro.ra.stats.StoreStatistics` correction table: the
+        root estimated/actual pair is recorded per plan (the observed
+        fixpoint growth, which corrects the closure-growth assumption,
+        is fed once per run by :meth:`_run`). When
         the error factor exceeds :attr:`replan_error_threshold`, the
         query's planner entry — candidates, backend ranking and compiled
         plans alike — is evicted so the next ``prepare`` re-plans (and
@@ -1484,10 +1593,6 @@ class GraphSession:
             return
         store_stats = store_statistics(self.store)
         self._planner_observations += 1
-        if stats is not None:
-            growth = stats.observed_fixpoint_growth
-            if growth is not None:
-                store_stats.observe_fixpoint_growth(growth)
         # Per-backend token: the same query may be planned to different
         # candidates (and estimates) on different backends.
         token = f"{prepared.backend.name}:{prepared.query}"
@@ -1516,43 +1621,59 @@ class GraphSession:
 
     def _record_telemetry(
         self,
-        prepared: PreparedQuery,
-        row_count: int,
+        handles: "Sequence[PreparedQuery]",
+        answers: "Sequence[ResultSet]",
         stats: "ExecutionStats | None",
         seconds: float,
     ) -> None:
-        """Append one execution's telemetry to the calibration log.
+        """Append one run's telemetry to the calibration log.
 
-        Per-operator estimates come from the cost model's own
-        cardinality walk over the executed term (ra/vec; black-box
-        backends contribute totals-only records), the root estimate
-        from the planner's winning candidate when cost-planned, else
-        from the estimator directly. The walk is what a fresh unpinned
-        estimator sees at the time of the execution; it is redone only
-        when that could differ from the handle's last one.
+        One record per run: a shared run memoises common subtrees, so
+        its operator timings cannot be attributed per plan, and its
+        estimates are the sums over the plans it carried. Per-operator
+        estimates come from the cost model's own cardinality walk over
+        each executed term (ra/vec; black-box backends contribute
+        totals-only records), a root estimate from the planner's winning
+        candidate when cost-planned, else from the estimator directly;
+        the predicted cost is known when every plan was cost-planned.
+        The walk is what a fresh unpinned estimator sees at the time of
+        the execution; it is redone only when that could differ from
+        the handle's last one.
         """
-        choice = prepared.choice
-        estimated_root = choice.winner.rows if choice is not None else None
-        predicted = choice.winner.cost if choice is not None else None
-        op_estimates = None
-        term = getattr(prepared.plan, "term", None)
-        if term is not None:
-            estimates = prepared.estimates
-            if estimates is None or not estimates.current(self.store):
-                estimates = prepared.estimates = _Estimates.walk(
-                    term, Estimator(self.store)
-                )
-            op_estimates = estimates.op_rows
-            if estimated_root is None:
-                estimated_root = estimates.root_rows
+        op_estimates: Counter | None = None
+        estimated: float | None = None
+        predicted: float | None = 0.0
+        for handle in handles:
+            choice = handle.choice
+            root: float | None = None
+            if choice is not None:
+                root = choice.winner.rows
+                if predicted is not None:
+                    predicted += choice.winner.cost
+            else:
+                predicted = None
+            term = getattr(handle.plan, "term", None)
+            if term is not None:
+                estimates = handle.estimates
+                if estimates is None or not estimates.current(self.store):
+                    estimates = handle.estimates = _Estimates.walk(
+                        term, Estimator(self.store)
+                    )
+                if op_estimates is None:
+                    op_estimates = Counter()
+                op_estimates.update(estimates.op_rows)
+                if root is None:
+                    root = estimates.root_rows
+            if root is not None:
+                estimated = root if estimated is None else estimated + root
         self.calibration_log.record_execution(
-            backend=prepared.backend_name,
+            backend=handles[0].backend_name,
             workload=self.workload_tag,
             seconds=seconds,
             stats=stats,
             op_estimates=op_estimates,
-            estimated_rows=estimated_root,
-            actual_rows=row_count,
+            estimated_rows=estimated,
+            actual_rows=sum(map(len, answers)),
             predicted_cost=predicted,
         )
 

@@ -1,4 +1,4 @@
-"""Batched multi-query serving over prepared ``vec`` plans.
+"""Batched multi-query serving over prepared plans.
 
 The serving layer turns the optimiser + executor stack into something
 that answers *traffic*: many queries against one

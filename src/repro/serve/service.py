@@ -25,8 +25,8 @@ Mechanics:
   result fan-out with execution, they do not run batches in parallel.
 * **event-loop hygiene** — batches run in a worker thread
   (:func:`asyncio.to_thread`) serialised by one lock, keeping the loop
-  responsive; the ``sqlite`` backend's connection is single-threaded, so
-  its batches run inline on the loop instead.
+  responsive; ``sqlite`` batches run inline on the loop instead
+  (:func:`offload`, which the tenants use too).
 """
 
 from __future__ import annotations
@@ -44,8 +44,18 @@ from repro.exec.result import ResultSet
 from repro.query.model import UCQT
 from repro.serve.batch import BatchOutcome, execute_batch
 
-#: Backends whose session-side state may be driven from a worker thread.
+#: Backends whose work runs on a worker thread; the rest (``sqlite``, and
+#: ``auto``, which may pick it) run inline on the loop.
 _THREAD_SAFE_BACKENDS = frozenset({"ra", "vec", "gdb", "reference"})
+
+
+async def offload(backend: str, fn):
+    """Run ``fn`` for ``backend``: on a worker thread for the backends in
+    ``_THREAD_SAFE_BACKENDS``, inline on the loop for the rest — the one
+    thread choice of the service and the tenants."""
+    if backend in _THREAD_SAFE_BACKENDS:
+        return await asyncio.to_thread(fn)
+    return fn()
 
 
 @dataclass
@@ -284,13 +294,12 @@ class QueryService:
     async def _execute(
         self, queries: list[UCQT], key: object = None
     ) -> BatchOutcome:
-        """Run one admission batch. ``key`` is the batch's admission key
-        (subclasses route on it — e.g. to a snapshot session); the base
-        service always executes against the live session."""
+        """Run one admission batch on the session its admission ``key``
+        routes to (:meth:`_session_for`)."""
         def run() -> BatchOutcome:
             with self._session_lock:
                 return execute_batch(
-                    self.session,
+                    self._session_for(key),
                     queries,
                     self.backend,
                     timeout_seconds=self.timeout_seconds,
@@ -298,10 +307,13 @@ class QueryService:
                     exec_options=self.exec_options,
                 )
 
-        if self.backend in _THREAD_SAFE_BACKENDS:
-            return await asyncio.to_thread(run)
-        # e.g. sqlite: its connection must stay on one thread
-        return run()
+        return await offload(self.backend, run)
+
+    def _session_for(self, key: object) -> GraphSession:
+        """The session a batch admitted under ``key`` runs on; the base
+        service always uses the live one (subclasses route on the key —
+        e.g. to a snapshot session). Caller holds ``_session_lock``."""
+        return self.session
 
     async def _run_requests_individually(
         self, key: object, batch: list[_Request]

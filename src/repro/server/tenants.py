@@ -47,8 +47,7 @@ from repro.errors import (
     UnknownTenantError,
 )
 from repro.exec.result import ResultSet
-from repro.serve.batch import BatchOutcome, execute_batch
-from repro.serve.service import _THREAD_SAFE_BACKENDS, QueryService
+from repro.serve.service import QueryService, offload
 from repro.server.models import (
     BatchRequest,
     ExplainRequest,
@@ -185,25 +184,6 @@ class TenantQueryService(QueryService):
 
     def _admission_key(self) -> object:
         return (self.session.schema_fingerprint, self.session.store.version)
-
-    async def _execute(
-        self, queries: list, key: object = None
-    ) -> BatchOutcome:
-        def run() -> BatchOutcome:
-            with self._session_lock:
-                session = self._session_for(key)
-                return execute_batch(
-                    session,
-                    queries,
-                    self.backend,
-                    timeout_seconds=self.timeout_seconds,
-                    rewrite=self.rewrite,
-                    exec_options=self.exec_options,
-                )
-
-        if self.backend in _THREAD_SAFE_BACKENDS:
-            return await asyncio.to_thread(run)
-        return run()
 
     def _session_for(self, key: object) -> GraphSession:
         """The session a batch admitted under ``key`` must run on.
@@ -434,7 +414,7 @@ class Tenant:
                             ),
                         )
 
-                results = await self._offload(request.backend, run)
+                results = await offload(request.backend, run)
             return {
                 "tenant": self.name,
                 "backend": request.backend,
@@ -507,7 +487,7 @@ class Tenant:
                         exec_options=request.options,
                     )
 
-            report = await self._offload(request.backend, run)
+            report = await offload(request.backend, run)
             # "plan" stays the rendered text (the pre-report wire shape);
             # "report" is the same ExplainReport, structured.
             return {
@@ -561,14 +541,7 @@ class Tenant:
                     exec_options=self.quotas.clamp_options(request.options),
                 )
 
-        return await self._offload(request.backend, run)
-
-    async def _offload(self, backend: str, fn):
-        """Run ``fn`` off-loop when the backend tolerates worker threads
-        (sqlite's connection is pinned to its creating thread)."""
-        if backend in _THREAD_SAFE_BACKENDS:
-            return await asyncio.to_thread(fn)
-        return fn()
+        return await offload(request.backend, run)
 
     # -- introspection -----------------------------------------------------
     def metrics_payload(self) -> dict:

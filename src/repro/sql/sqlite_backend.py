@@ -23,13 +23,21 @@ from repro.testing.faults import fault_point
 _SQL_TYPE = {int: "INTEGER", float: "REAL", str: "TEXT", bool: "INTEGER"}
 
 
+def _connect() -> sqlite3.Connection:
+    # Not pinned to the opening thread: the serving tier holds its
+    # session lock around every use, and a served read degrading from
+    # vec/ra reaches sqlite on whichever worker thread the failed run
+    # was on.
+    return sqlite3.connect(":memory:", check_same_thread=False)
+
+
 class SqliteBackend:
     """An in-memory SQLite database loaded from a relational store."""
 
     def __init__(self, store: RelationalStore):
         self.store = store
         self.version = store.version
-        self.connection = sqlite3.connect(":memory:")
+        self.connection = _connect()
         self._load()
 
     # -- loading -----------------------------------------------------------
@@ -78,7 +86,7 @@ class SqliteBackend:
         if deltas is None:
             fault_point("snapshot.rebuild.sqlite")
             self.connection.close()
-            self.connection = sqlite3.connect(":memory:")
+            self.connection = _connect()
             self._load()
         else:
             cursor = self.connection.cursor()

@@ -29,6 +29,7 @@ from repro.engine.options import ExecOptions
 from repro.errors import InjectedFault, ReproError
 from repro.graph.model import yago_example_graph
 from repro.schema.builder import yago_example_schema
+from repro.serve import QueryService, execute_batch
 from repro.server import HTTPGraphServer, Tenant, TenantRegistry
 from repro.storage.relational import Table
 from repro.testing.faults import (
@@ -41,6 +42,7 @@ from repro.testing.faults import (
 SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 BACKENDS = ("ra", "vec", "sqlite", "gdb", "reference")
 CLOSURE = "x1, x2 <- (x1, isLocatedIn+, x2)"
+CHAIN = "x1, x2 <- (x1, livesIn/isLocatedIn+, x2)"
 
 
 def _session(**kwargs) -> GraphSession:
@@ -245,6 +247,50 @@ class TestChaosSweep:
             # Injection off: the session is fully serviceable again.
             assert session.execute(CLOSURE, "vec") == expected
         assert completed > 0  # the sweep exercised the success path too
+
+    def test_wildcard_chaos_through_the_shared_runner(self):
+        """The same chaos through batches: every request — of a direct
+        ``execute_batch`` or of a ``QueryService`` admission batch — gets
+        its reference rows or a taxonomy error, never partial rows."""
+        queries = [CLOSURE, CHAIN, CLOSURE]
+        with _session() as control:
+            reference = [control.execute(q, "reference") for q in queries]
+        options = ExecOptions(backend="vec", fallback=True)
+
+        async def serve(session):
+            async with QueryService(
+                session, "vec", exec_options=options, max_batch_size=4
+            ) as service:
+                return await asyncio.gather(
+                    *(service.submit(q) for q in queries * 2),
+                    return_exceptions=True,
+                )
+
+        answered = 0
+        with _session(result_cache_size=8) as session:
+            with install(
+                FaultInjector([FaultRule("*", rate=0.5)], seed=SEED)
+            ):
+                for _ in range(4):
+                    try:
+                        outcome = execute_batch(
+                            session, queries, exec_options=options
+                        )
+                    except ReproError:
+                        continue
+                    answered += len(queries)
+                    assert list(outcome.results) == reference
+                served = asyncio.run(serve(session))
+            for rows, expected_rows in zip(served, reference * 2):
+                if isinstance(rows, BaseException):
+                    assert isinstance(rows, ReproError), rows
+                    continue
+                answered += 1
+                assert rows == expected_rows
+            # Injection off: the batch path is fully serviceable again.
+            outcome = execute_batch(session, queries, exec_options=options)
+            assert list(outcome.results) == reference
+        assert answered > 0
 
     def test_known_sites_is_the_complete_roster(self):
         for backend in BACKENDS:

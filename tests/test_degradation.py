@@ -11,10 +11,13 @@ half-open after the cool-down, and the whole story surfaces in
 
 from __future__ import annotations
 
+import asyncio
+import sys
 import time
 
 import pytest
 
+from repro.datasets.ldbc import ldbc_session
 from repro.engine import BreakerConfig, CircuitBreaker, GraphSession, RetryPolicy
 from repro.engine.options import ExecOptions
 from repro.errors import (
@@ -24,10 +27,13 @@ from repro.errors import (
 )
 from repro.graph.model import yago_example_graph
 from repro.schema.builder import yago_example_schema
+from repro.serve import QueryService, execute_batch
 from repro.testing.faults import FaultInjector, FaultRule, install
+from repro.workloads.ldbc_queries import LDBC_QUERIES
 
 CLOSURE = "x1, x2 <- (x1, isLocatedIn+, x2)"
 FALLBACK = ExecOptions(fallback=True)
+LDBC = {query.qid: query.text for query in LDBC_QUERIES}
 
 
 def _session(**kwargs) -> GraphSession:
@@ -248,6 +254,83 @@ class TestSessionDegradation:
             assert isinstance(outcome, BackendUnavailableError)
             assert outcome.retry_after_seconds > 0
             assert outcome.payload()["code"] == "backend_unavailable"
+
+    def test_degrades_to_sqlite_from_worker_threads(self, expected_rows):
+        # Served vec batches run on worker threads, while this thread
+        # opened sqlite's connection: the degradation steps share it,
+        # serialised by the service's session lock.
+        with _session() as session:
+            assert session.execute(CLOSURE, "sqlite") == expected_rows
+
+            async def serve():
+                async with QueryService(
+                    session, "vec", exec_options=FALLBACK,
+                    max_batch_size=1, workers=4,
+                ) as service:
+                    return await asyncio.wait_for(
+                        asyncio.gather(
+                            *(service.submit(CLOSURE) for _ in range(16))
+                        ),
+                        60.0,
+                    )
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                with install(
+                    FaultInjector(
+                        [
+                            FaultRule("backend.execute.vec"),
+                            FaultRule("backend.execute.ra"),
+                        ]
+                    )
+                ):
+                    answers = asyncio.run(serve())
+            finally:
+                sys.setswitchinterval(interval)
+            assert answers == [expected_rows] * 16
+            assert session.resilience_stats()["degraded"] == 16
+
+    def test_failed_shared_run_is_each_plans_first_attempt(self):
+        # The shared vec run of a batch fails once: every plan it carried
+        # retries alone on vec (one retry each, nothing degraded), and
+        # each key is still one result-cache miss for the read.
+        batch = [LDBC[qid] for qid in ("IC1", "IC2", "IC6")]
+        options = ExecOptions(backend="vec", fallback=True)
+        with ldbc_session(0.1) as control:
+            expected = [control.execute(query, "vec") for query in batch]
+        with ldbc_session(0.1, result_cache_size=64) as session:
+            with install(
+                FaultInjector([FaultRule("backend.execute.vec", limit=1)])
+            ):
+                outcome = execute_batch(session, batch, exec_options=options)
+            assert list(outcome.results) == expected
+            stats = session.resilience_stats()
+            assert stats["retries"] == 3
+            assert stats["degraded"] == 0
+            assert session.cache_stats["result"].misses == 3
+
+    def test_failed_shared_run_is_one_breaker_failure(self):
+        # With a one-failure threshold the shared failure opens vec's
+        # breaker exactly once; the plans then skip vec and degrade.
+        batch = [LDBC[qid] for qid in ("IC1", "IC2", "IC6")]
+        config = BreakerConfig(failure_threshold=1, cooldown_seconds=600.0)
+        with ldbc_session(0.1) as control:
+            expected = [control.execute(query, "vec") for query in batch]
+        with ldbc_session(0.1, breaker_config=config) as session:
+            with install(
+                FaultInjector([FaultRule("backend.execute.vec", limit=1)])
+            ):
+                outcome = execute_batch(
+                    session, batch,
+                    exec_options=ExecOptions(backend="vec", fallback=True),
+                )
+            assert list(outcome.results) == expected
+            stats = session.resilience_stats()
+            assert stats["breaker_opens"] == 1
+            assert stats["breakers"]["vec"]["opens"] == 1
+            assert stats["breaker_skips"] == 3
+            assert stats["degraded"] == 3
 
     def test_explain_reports_resilience_only_after_degradation(self):
         with _session() as session:

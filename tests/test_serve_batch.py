@@ -3,20 +3,24 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import pytest
 
 from repro.cli import main as cli_main
+from repro.datasets.ldbc import ldbc_session
 from repro.engine import GraphSession
 from repro.engine.options import ExecOptions
 from repro.exec import ExecutionStats, default_kernel, spill_supported
 from repro.graph.model import yago_example_graph
 from repro.schema.builder import yago_example_schema
 from repro.serve import QueryService, execute_batch, serve_queries
+from repro.workloads.ldbc_queries import LDBC_QUERIES
 
 CLOSURE = "x1, x2 <- (x1, isLocatedIn+, x2)"
 CHAIN = "x1, x2 <- (x1, livesIn/isLocatedIn+, x2)"
 QUERIES = [CLOSURE, CHAIN, CLOSURE]  # one duplicate
+LDBC = {query.qid: query.text for query in LDBC_QUERIES}
 
 
 @pytest.fixture
@@ -75,7 +79,13 @@ class TestExecuteBatch:
             outcome = execute_batch(session, QUERIES, backend)
             assert list(outcome.results) == expected, backend
             assert outcome.report.distinct_plans == 2
-            assert outcome.report.execution is None
+            if backend != "ra":
+                assert outcome.report.execution is None
+        # ra is the same executor on the python kernel: one shared runner.
+        outcome = execute_batch(session, [CLOSURE, CHAIN], "ra")
+        execution = outcome.report.execution
+        assert execution.programs == 2
+        assert execution.memo_hits > 0
 
     def test_batch_respects_schema_change(self, session):
         before = session.execute_batch([CLOSURE], "vec")
@@ -112,6 +122,101 @@ class TestBatchSpills:
             outcome = execute_batch(ldbc, [query], exec_options=capped)
             assert outcome.results[0] == expected == ldbc.execute(query)
         assert outcome.report.execution.spill_ops > 0
+
+
+def _spy_prepare(session, monkeypatch):
+    """Record the handles ``execute_batch`` prepares on ``session``."""
+    handles = []
+    prepare = session.prepare
+
+    def spy(*args, **kwargs):
+        handles.append(prepare(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(session, "prepare", spy)
+    return handles
+
+
+def _untimed(stats):
+    if stats is None:
+        return None
+    return {
+        name: value
+        for name, value in dataclasses.asdict(stats).items()
+        if not name.endswith("_seconds")
+    }
+
+
+def _last_record(session):
+    if not session.calibration_log.records:
+        return None
+    record = session.calibration_log.records[-1].to_dict()
+    del record["seconds"], record["op_seconds"]
+    return record
+
+
+class TestBatchOfOne:
+    """A batch of one and a single execution are the same run."""
+
+    def test_cost_planned_batch_keeps_memory_estimate_and_stats(
+        self, monkeypatch
+    ):
+        options = ExecOptions(backend="vec", planner="cost")
+        with ldbc_session(0.1) as single:
+            prepared = single.prepare(LDBC["IC1"], exec_options=options)
+            prepared.execute()
+            expected = prepared.last_execution_stats.peak_estimate_bytes
+        assert expected > 0
+        with ldbc_session(0.1) as batched:
+            handles = _spy_prepare(batched, monkeypatch)
+            outcome = execute_batch(
+                batched, [LDBC["IC1"]], exec_options=options
+            )
+        assert outcome.report.execution.peak_estimate_bytes == expected
+        assert handles[0].last_execution_stats.peak_estimate_bytes == expected
+
+    @pytest.mark.parametrize("cache", [0, 64])
+    @pytest.mark.parametrize("planner", ["greedy", "cost"])
+    @pytest.mark.parametrize("backend", ["vec", "ra", "sqlite"])
+    def test_same_run_as_a_single_execution(
+        self, backend, planner, cache, monkeypatch
+    ):
+        options = ExecOptions(backend=backend, planner=planner)
+        query = LDBC["IC1"]
+        with (
+            ldbc_session(0.05, seed=3, result_cache_size=cache) as single,
+            ldbc_session(0.05, seed=3, result_cache_size=cache) as batched,
+        ):
+            handles = _spy_prepare(batched, monkeypatch)
+            for step in range(3 if cache else 1):
+                if step == 2:  # both cached entries go stale
+                    for session in (single, batched):
+                        _befriend_two_persons(session)
+                prepared = single.prepare(query, exec_options=options)
+                rows = prepared.execute()
+                outcome = execute_batch(batched, [query], exec_options=options)
+                assert outcome.results == (rows,)
+                assert _last_record(batched) == _last_record(single)
+                assert _untimed(handles[-1].last_execution_stats) == (
+                    _untimed(prepared.last_execution_stats)
+                )
+                for layer in ("rewrite", "plan", "result"):
+                    assert batched.cache_stats[layer] == (
+                        single.cache_stats[layer]
+                    ), layer
+            assert len(batched.calibration_log) == len(single.calibration_log)
+
+
+def _befriend_two_persons(session):
+    """Append one ``knows`` edge between two persons not yet linked."""
+    store = session.store
+    persons = sorted(store.table("Person").column_values("Sr"))
+    known = store.table("knows").rows
+    pair = next(
+        (a, b) for a in persons for b in persons
+        if a != b and (a, b) not in known
+    )
+    assert store.add_rows("knows", [pair]) == 1
 
 
 class TestCacheKeyCanonicalisation:
@@ -207,8 +312,7 @@ class TestQueryService:
         assert "nosuchlabel" in str(bad_error)
 
     def test_sqlite_batches_run_inline(self, session):
-        # The sqlite connection is bound to its creating thread; the
-        # service must not hand its batches to a worker thread.
+        # sqlite batches run inline on the loop, not on a worker thread.
         async def drive():
             async with QueryService(session, "sqlite") as service:
                 return await service.map(QUERIES)
