@@ -20,10 +20,10 @@ Quickstart::
 
     session = GraphSession(yago_example_graph(), yago_example_schema())
     query = "x1, x2 <- (x1, livesIn/isLocatedIn+/dealsWith+, x2)"
-    rows = session.execute(query)                      # µ-RA engine
+    rows = session.execute(query)                      # µ-RA on vec
     assert rows == session.execute(query, "sqlite")    # same on SQLite
     assert rows == session.execute(query, "gdb")       # and on patterns
-    print(session.explain(query))                      # Fig. 17 plan
+    print(session.explain(query, "ra"))                # Fig. 17 plan
     prepared = session.prepare(query, "sqlite")        # skip rewrite+plan
     prepared.execute()
 

@@ -9,7 +9,9 @@ Five subcommands:
   still works.
 * ``query "<ucqt>" [--dataset D] [--backend B] [--explain] ...`` — run an
   ad-hoc UCQT through a :class:`~repro.engine.session.GraphSession` on
-  any registered backend, optionally printing the chosen plan.
+  any registered backend (without ``--backend``, the session's default,
+  ``vec``, like ``batch`` and ``serve``), optionally printing the chosen
+  plan, and report the backend that ran it.
 * ``batch [FILE] [--backend B] [--json] ...`` — read one UCQT per line
   from FILE (or stdin), execute them as one shared batch
   (:func:`repro.serve.batch.execute_batch`) and report what was shared.
@@ -458,13 +460,14 @@ def _run_query_inner(args: argparse.Namespace) -> int:
         # only exists where candidates were enumerated and ranked.
         planner = "cost" if args.candidates else args.planner
         exec_options = _exec_options(args, planner=planner)
+        # No --backend: the session's default decides.
+        prepared = session.prepare(
+            args.text,
+            args.backend,
+            rewrite=rewrite,
+            exec_options=exec_options,
+        )
         if args.explain or args.candidates:
-            prepared = session.prepare(
-                args.text,
-                args.backend,
-                rewrite=rewrite,
-                exec_options=exec_options,
-            )
             if args.explain:
                 print(prepared.explain())
             elif prepared.choice is not None:
@@ -475,17 +478,11 @@ def _run_query_inner(args: argparse.Namespace) -> int:
             if not result.reverted:
                 print(f"-- rewritten into {len(result.query.disjuncts)} "
                       f"disjunct(s): {result.query}")
-        rows = session.execute(
-            args.text,
-            args.backend,
-            timeout_seconds=args.timeout,
-            rewrite=rewrite,
-            exec_options=exec_options,
-        )
+        rows = prepared.execute(args.timeout)
         for row in sorted(rows)[: args.limit]:
             print(row)
         shown = min(len(rows), args.limit)
-        print(f"-- {len(rows)} row(s) on backend {args.backend!r} "
+        print(f"-- {len(rows)} row(s) on backend {prepared.backend_name!r} "
               f"({shown} shown)")
     return 0
 
@@ -628,6 +625,8 @@ def _add_calibration_argument(parser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.engine.options import DEFAULT_BACKEND
+
     argv = list(sys.argv[1:] if argv is None else argv)
     # Legacy spelling: ``repro-bench table6`` (or flag-first
     # ``repro-bench --full table6``) without the subcommand word.
@@ -673,11 +672,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     query.add_argument(
         "--backend",
-        default="ra",
+        default=None,
         type=_backend_argument,
         metavar="BACKEND",
-        help="execution backend "
-        f"(registered: {', '.join(_backend_names())})",
+        help="execution backend (default: the session's, "
+        f"{DEFAULT_BACKEND}; registered: {', '.join(_backend_names())})",
     )
     query.add_argument(
         "--baseline", action="store_true",
@@ -755,11 +754,11 @@ def main(argv: list[str] | None = None) -> int:
         )
         sub.add_argument(
             "--backend",
-            default="vec",
+            default=DEFAULT_BACKEND,
             type=_backend_argument,
             metavar="BACKEND",
-            help="execution backend "
-            f"(registered: {', '.join(_backend_names())})",
+            help=f"execution backend (default: {DEFAULT_BACKEND}; "
+            f"registered: {', '.join(_backend_names())})",
         )
         sub.add_argument(
             "--baseline", action="store_true",

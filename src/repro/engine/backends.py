@@ -6,11 +6,14 @@ whatever the substrate actually executes:
 
 * ``ra`` / ``vec`` — the optimised µ-RA term compiled into a columnar
                   program for the one physical layer under µ-RA,
-                  :mod:`repro.exec`. ``vec`` runs it on the fastest
-                  kernel with the out-of-core knobs (explained as the
-                  logical plan plus the physical operator tree); ``ra``
-                  pins the dependency-free pure-Python kernel, in memory
-                  (explained via the Fig. 17 cost-based planner),
+                  :mod:`repro.exec`. ``vec``, the backend an unset
+                  ``backend`` resolves to, runs it on the fastest kernel
+                  that imports (numpy, else pure Python) with the
+                  out-of-core knobs (explained as the logical plan plus
+                  the physical operator tree); ``ra``, only ever asked
+                  for by name, pins the dependency-free pure-Python
+                  kernel, in memory (explained via the Fig. 17
+                  cost-based planner),
 * ``sqlite``    — the generated ``WITH RECURSIVE`` SQL text (explained
                   via SQLite's own ``EXPLAIN QUERY PLAN``),
 * ``gdb``       — the compiled graph patterns (explained as Cypher when

@@ -11,7 +11,8 @@ Resolution order, most specific wins:
 1. the positional ``backend`` of a call (shorthand for
    ``ExecOptions(backend=...)``),
 2. the per-call ``exec_options=``,
-3. the session's constructor-time ``exec_options=``.
+3. the session's constructor-time ``exec_options=``,
+4. :data:`DEFAULT_BACKEND` for a ``backend`` none of them set.
 
 Every value is checked here, when the object is built, except the one
 check that depends on the install (``kernel`` names a kernel that can be
@@ -137,3 +138,8 @@ class ExecOptions:
 
 #: The all-unset object resolution starts from.
 DEFAULT_EXEC_OPTIONS = ExecOptions()
+
+#: What a ``backend`` still unset after resolution means, at every front
+#: door (API, CLI, serving tier): the exec layer on the fastest kernel
+#: :func:`~repro.exec.kernels.default_kernel` can import.
+DEFAULT_BACKEND = "vec"

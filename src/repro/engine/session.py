@@ -9,7 +9,9 @@ knobs reach it as one :class:`~repro.engine.options.ExecOptions` (the
 session's defaults overlaid by the per-call ``exec_options=``, the
 positional ``backend`` being shorthand for its ``backend`` field); the
 resolved object is what a backend's ``prepare`` receives and what the
-:class:`PreparedQuery` keeps.
+:class:`PreparedQuery` keeps. A backend left unset everywhere is
+``vec``, the exec layer on the fastest kernel that imports, so an
+unconfigured ``session.execute(text)`` takes the fast path.
 
 One method executes prepared handles, :meth:`GraphSession._run`: a
 single ``execute`` is a batch of one, and a batch
@@ -71,7 +73,11 @@ from repro.engine.cache import (
     LruCache,
     result_cache_key,
 )
-from repro.engine.options import DEFAULT_EXEC_OPTIONS, ExecOptions
+from repro.engine.options import (
+    DEFAULT_BACKEND,
+    DEFAULT_EXEC_OPTIONS,
+    ExecOptions,
+)
 from repro.engine.protocol import Backend, available_backends, get_backend
 from repro.engine.report import ExplainReport
 from repro.exec.dictionary import encoding_appends, tables_encoded
@@ -156,8 +162,9 @@ _drop_unsatisfiable_disjuncts = drop_unsatisfiable_disjuncts
 #: option-values / byte-cap combination asked for; oldest dropped).
 _MAX_COMPILED_PER_QUERY = 8
 
-#: Distinct query texts a session keeps parsed; emptied when full.
-_PARSE_MEMO_SIZE = 512
+#: Entries each keyed memo of a session keeps (parsed query texts,
+#: telemetry estimates per executed term); a full memo is emptied.
+_MEMO_SIZE = 512
 
 
 @dataclass
@@ -176,11 +183,10 @@ class _PlannedQuery:
     seconds: float = 0.0
     #: The eligible backends, cheapest winner first (None: not ranked).
     backends: tuple[str, ...] | None = None
-    #: (backend, its option values, max_bytes) -> (plan, choice,
-    #: the winner's telemetry estimates as the planning pass had them).
-    compiled: dict[
-        tuple, tuple[object | None, PlanChoice, "_Estimates | None"]
-    ] = field(default_factory=dict)
+    #: (backend, its option values, max_bytes) -> (plan, choice).
+    compiled: dict[tuple, tuple[object | None, PlanChoice]] = field(
+        default_factory=dict
+    )
 
 
 @dataclass(frozen=True)
@@ -190,7 +196,9 @@ class _Estimates:
     Valid while a fresh unpinned :class:`Estimator` over the store would
     walk the same numbers: at store ``version`` and, when the term holds
     a fixpoint, under closure growth ``growth`` (``None``: no fixpoint,
-    the estimates do not depend on it).
+    the estimates do not depend on it). The session memoises one per
+    executed term (:meth:`GraphSession._term_estimates`), so every
+    handle of a cached plan shares it.
     """
 
     version: int
@@ -254,10 +262,6 @@ class PreparedQuery:
     #: The plan-cache entry a cost-planned handle was drawn from.
     planned: _PlannedQuery | None = None
     last_execution_stats: ExecutionStats | None = None
-    #: The executed term's estimates as last logged (see
-    #: :meth:`GraphSession._record_telemetry`); seeded by the planning
-    #: pass on a cost-planned handle.
-    estimates: "_Estimates | None" = None
     #: Whether the schema rewrite actually ran. Differs from ``rewrite``
     #: (the request) when the session's conformance gate disabled
     #: rewriting over a non-conforming instance (paper Def. 3 — the
@@ -430,6 +434,9 @@ class GraphSession:
         self._fingerprint: str | None = None
         #: Query text -> parsed (frozen) query; see :meth:`_as_query`.
         self._parsed: dict[str, UCQT] = {}
+        #: Executed term -> its telemetry estimates; see
+        #: :meth:`_term_estimates`.
+        self._estimates: dict[RaTerm, _Estimates] = {}
         self._rewrite_cache = LruCache(cache_size)
         self._plan_cache = LruCache(cache_size)
         # Whole result sets, keyed on (backend, plan token, fingerprint,
@@ -611,6 +618,7 @@ class GraphSession:
         self._schema = schema
         self._fingerprint = None
         self._conformance = None
+        self._estimates.clear()  # walked over the store being dropped
         if self._sqlite is not None:
             self._sqlite.close()
         self._sqlite = None
@@ -738,7 +746,7 @@ class GraphSession:
         """
         query = self._as_query(query)
         resolved = self.exec_options.merged(exec_options)
-        backend_name = backend or resolved.backend or "ra"
+        backend_name = backend or resolved.backend or DEFAULT_BACKEND
         planner_mode = resolved.planner or self.planner
         effective_rewrite = rewrite and self.rewrite_sound()
         if rewrite and not effective_rewrite:
@@ -937,30 +945,29 @@ class GraphSession:
                 backend_impl.name,
                 self.calibration_profile(backend_impl.name),
             )
-            estimates = None
             term = choice.winner.candidate.term
             if term is not None and hasattr(backend_impl, "prepare_from_term"):
                 # The backend executes this very term, so what telemetry
                 # will log for it is already in the pass's estimator.
-                estimates = _Estimates.walk(term, planned.planning.estimator)
+                self._term_estimates(term, planned.planning.estimator)
             # Planned: what stays cached is the candidates and the
             # rankings, not every estimate behind them.
             planned.planning.release()
             self._charge_planning(planned, started)
             compiled = self._compile_winner(
                 backend_impl, choice, exec_options
-            ) + (estimates,)
+            )
             if len(planned.compiled) >= _MAX_COMPILED_PER_QUERY:
                 del planned.compiled[next(iter(planned.compiled))]
             planned.compiled[compiled_key] = compiled
-        plan, choice, estimates = compiled
+        plan, choice = compiled
         self._last_peak_estimate = choice.peak_bytes
         winner = choice.winner.candidate
         return PreparedQuery(
             self, backend_impl, query, winner.query, winner.rewrite_result,
             plan, self.schema_fingerprint, rewrite, options, exec_options,
             choice=choice, planned=planned,
-            estimates=estimates, rewrite_applied=effective_rewrite,
+            rewrite_applied=effective_rewrite,
         )
 
     def _compile_winner(
@@ -1637,8 +1644,8 @@ class GraphSession:
         candidate when cost-planned, else from the estimator directly;
         the predicted cost is known when every plan was cost-planned.
         The walk is what a fresh unpinned estimator sees at the time of
-        the execution; it is redone only when that could differ from
-        the handle's last one.
+        the execution, memoised per executed term
+        (:meth:`_term_estimates`).
         """
         op_estimates: Counter | None = None
         estimated: float | None = None
@@ -1654,11 +1661,7 @@ class GraphSession:
                 predicted = None
             term = getattr(handle.plan, "term", None)
             if term is not None:
-                estimates = handle.estimates
-                if estimates is None or not estimates.current(self.store):
-                    estimates = handle.estimates = _Estimates.walk(
-                        term, Estimator(self.store)
-                    )
+                estimates = self._term_estimates(term)
                 if op_estimates is None:
                     op_estimates = Counter()
                 op_estimates.update(estimates.op_rows)
@@ -1676,6 +1679,28 @@ class GraphSession:
             actual_rows=sum(map(len, answers)),
             predicted_cost=predicted,
         )
+
+    def _term_estimates(
+        self, term: RaTerm, estimator: Estimator | None = None
+    ) -> _Estimates:
+        """The telemetry estimates of one executed term, walked once.
+
+        Keyed by the term, so every handle drawn from one cached plan —
+        a fresh handle per ``execute(text)`` — shares one walk. The walk
+        is redone (over ``estimator``, else a fresh unpinned one) only
+        when a write or a change in fixpoint growth could have moved its
+        numbers (:meth:`_Estimates.current`). Plain dict operations: two
+        threads racing here cost at most a duplicate walk.
+        """
+        estimates = self._estimates.get(term)
+        if estimates is None or not estimates.current(self.store):
+            if estimator is None:
+                estimator = Estimator(self.store)
+            estimates = _Estimates.walk(term, estimator)
+            if len(self._estimates) >= _MEMO_SIZE:
+                self._estimates.clear()
+            self._estimates[term] = estimates
+        return estimates
 
     def calibration_profile(self, backend: str) -> "CostProfile | None":
         """The fitted cost profile for ``backend`` (None: uncalibrated)."""
@@ -1807,6 +1832,7 @@ class GraphSession:
 
     def clear_caches(self) -> None:
         self._parsed.clear()
+        self._estimates.clear()
         self._rewrite_cache.clear()
         self._plan_cache.clear()
         self._result_cache.clear()
@@ -1844,7 +1870,7 @@ class GraphSession:
         parsed = self._parsed.get(query)
         if parsed is None:
             parsed = parse_query(query)  # a ParseError is never stored
-            if len(self._parsed) >= _PARSE_MEMO_SIZE:
+            if len(self._parsed) >= _MEMO_SIZE:
                 self._parsed.clear()
             self._parsed[query] = parsed
         return parsed

@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from repro.engine.options import DEFAULT_BACKEND
 from repro.exec.executor import ExecutionStats
 from repro.exec.result import ResultSet
 from repro.query.model import UCQT
@@ -117,7 +118,7 @@ def execute_batch(
     requested = backend
     if requested is None:
         merged = session.exec_options.merged(exec_options)
-        requested = merged.backend or "vec"
+        requested = merged.backend or DEFAULT_BACKEND
     parsed = [session._as_query(query) for query in queries]
     # Collapse duplicates on the normalised query text — the same key the
     # session's caches use, so "distinct" here means "distinct plan".

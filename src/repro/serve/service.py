@@ -37,7 +37,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.engine.options import ExecOptions
+from repro.engine.options import DEFAULT_BACKEND, ExecOptions
 from repro.engine.session import GraphSession
 from repro.errors import QueryTimeout, ServiceClosedError
 from repro.exec.result import ResultSet
@@ -96,7 +96,7 @@ class QueryService:
     def __init__(
         self,
         session: GraphSession,
-        backend: str = "vec",
+        backend: str = DEFAULT_BACKEND,
         *,
         max_batch_size: int = 16,
         max_pending: int = 1024,
@@ -335,7 +335,7 @@ class QueryService:
 async def serve_queries(
     session: GraphSession,
     queries: Sequence[UCQT | str],
-    backend: str = "vec",
+    backend: str = DEFAULT_BACKEND,
     **service_kwargs,
 ) -> tuple[list[ResultSet], ServiceStats]:
     """Convenience: run one workload through a temporary service."""

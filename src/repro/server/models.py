@@ -22,6 +22,7 @@ from collections.abc import Set
 from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Mapping
 
+from repro.engine.options import DEFAULT_BACKEND
 from repro.errors import ReproError, RequestError
 from repro.exec.result import ResultSet
 
@@ -32,8 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 MAX_QUERY_CHARS = 20_000
 MAX_BATCH_QUERIES = 1_024
 MAX_WRITE_ROWS = 100_000
-
-DEFAULT_BACKEND = "vec"
 
 #: The one errors -> HTTP statuses table (satellite: unified taxonomy).
 #: Codes come from :mod:`repro.errors`; anything unlisted is a 500.

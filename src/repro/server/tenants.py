@@ -36,7 +36,7 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
 from typing import Iterator
 
-from repro.engine.options import ExecOptions
+from repro.engine.options import DEFAULT_BACKEND, ExecOptions
 from repro.engine.resilience import BreakerConfig, RetryPolicy
 from repro.engine.session import GraphSession
 from repro.errors import (
@@ -168,7 +168,7 @@ class TenantQueryService(QueryService):
     def __init__(
         self,
         session: GraphSession,
-        backend: str = "vec",
+        backend: str = DEFAULT_BACKEND,
         *,
         snapshot_cache_size: int = 4,
         **kwargs,
@@ -237,7 +237,7 @@ class Tenant:
         session: GraphSession,
         quotas: TenantQuotas | None = None,
         *,
-        backend: str = "vec",
+        backend: str = DEFAULT_BACKEND,
         exec_options: ExecOptions | None = None,
         dataset: str | None = None,
         fallback: bool = True,

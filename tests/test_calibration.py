@@ -191,10 +191,77 @@ class TestCalibrationLog:
             # A cost-planned handle over a fixpoint-free term starts from
             # the planning pass's estimates and never walks at all.
             planned = session.prepare(WORKLOAD[3], "vec", exec_options=COST)
-            assert planned.estimates is not None
+            assert planned.plan.term in session._estimates
             for _ in range(3):
                 planned.execute()
             assert len(built) == 1
+
+    def test_fresh_handles_of_one_plan_walk_once(self, monkeypatch):
+        """The memo belongs to the cached plan, not to the handle: N
+        ``execute(text)`` calls (a fresh handle each) walk the term once,
+        and a write to a table the plan reads forces one more walk."""
+        from repro.engine import session as session_module
+
+        walked = []
+        walk = session_module._Estimates.walk
+
+        def counting(cls, term, estimator):
+            walked.append(term)
+            return walk(term, estimator)
+
+        monkeypatch.setattr(
+            session_module._Estimates, "walk", classmethod(counting)
+        )
+        with _session() as session:
+            for _ in range(5):
+                session.execute(WORKLOAD[2])
+            assert len(walked) == 1
+            handle = session.prepare(WORKLOAD[2])
+            assert "isLocatedIn" in handle.plan.program.scan_tables
+            present = session.store.table("isLocatedIn").rows
+            ids = sorted({n for row in present for n in row})
+            session.store.add_rows("isLocatedIn", [next(
+                (a, b) for a in ids for b in ids
+                if a != b and (a, b) not in present
+            )])
+            for _ in range(3):
+                session.execute(WORKLOAD[2])
+            assert len(walked) == 2
+            assert walked[0] == walked[1] == handle.plan.term
+
+    @pytest.mark.parametrize("planner", ["greedy", "cost"])
+    def test_fresh_handles_log_what_a_per_handle_walk_would(self, planner):
+        """The per-plan memo changes no record: each fresh handle's
+        record holds exactly the estimates a walk of its own term, by a
+        fresh unpinned estimator, gives at that moment."""
+        from repro.planner import estimate_kind_rows
+        from repro.ra.stats import Estimator
+
+        options = ExecOptions(planner=planner)
+        with _session() as session:
+            store = session.store
+            for round_no in range(3):
+                if round_no == 2:
+                    present = store.table("isLocatedIn").rows
+                    ids = sorted({n for row in present for n in row})
+                    store.add_rows("isLocatedIn", [next(
+                        (a, b) for a in ids for b in ids
+                        if a != b and (a, b) not in present
+                    )])
+                for query in WORKLOAD:
+                    # What ``execute(text)`` does: a fresh handle per call.
+                    handle = session.prepare(query, exec_options=options)
+                    handle.execute()
+                    record = session.calibration_log.records[-1]
+                    term = handle.plan.term
+                    fresh = Estimator(store)
+                    assert record.op_estimates == estimate_kind_rows(
+                        term, store, fresh
+                    )
+                    if handle.choice is None:
+                        assert record.estimated_rows == fresh.rows(term)
+                    else:
+                        assert record.estimated_rows == handle.choice.winner.rows
 
 
 # -- fitting ------------------------------------------------------------------

@@ -70,6 +70,77 @@ class TestCrossBackendAgreement:
                     assert rows == expected, (workload_query.qid, backend)
 
 
+class TestDefaultBackend:
+    """What an unconfigured call runs on: ``vec`` on the fastest kernel
+    that imports."""
+
+    def test_unset_backend_is_vec(self, session):
+        assert session.prepare(QUERY).backend_name == "vec"
+        assert session.execute_batch([QUERY]) == [session.execute(QUERY)]
+        from repro.serve import execute_batch
+
+        assert execute_batch(session, [QUERY]).report.backend == "vec"
+
+    @pytest.mark.parametrize("numpy_present", [True, False])
+    def test_default_runs_the_default_kernel(
+        self, monkeypatch, numpy_present
+    ):
+        from repro.engine import backends
+        from repro.exec import kernels
+
+        if not numpy_present:
+            # What a bare install sees: no numpy kernel to default to.
+            monkeypatch.setattr(kernels, "_DEFAULT", kernels.kernels_python)
+        ran = []
+        run = backends.execute_batch_programs
+
+        def spy(*args, **kwargs):
+            ran.append(kwargs["kernel"])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(backends, "execute_batch_programs", spy)
+        with GraphSession(yago_example_graph(), yago_example_schema()) as s:
+            prepared = s.prepare(QUERY)
+            rows = prepared.execute()
+            assert ran == [kernels.default_kernel()]
+            if not numpy_present:
+                assert ran == [kernels.kernels_python]
+            assert f"({kernels.default_kernel().NAME} kernels" in str(
+                prepared.explain()
+            )
+            assert rows == s.execute(QUERY, "reference", rewrite=False)
+
+    def test_default_spills_when_asked(self):
+        from repro.exec.kernels import default_kernel
+        from repro.exec.spill import spill_supported
+
+        if not spill_supported(default_kernel()):
+            pytest.skip("spill is numpy-only")
+        with GraphSession(
+            yago_example_graph(), yago_example_schema(),
+            exec_options=ExecOptions(spill_threshold_bytes=1),
+        ) as session:
+            prepared = session.prepare(QUERY)
+            rows = prepared.execute()
+            assert prepared.last_execution_stats.spill_ops > 0
+            assert rows == session.execute(QUERY, "reference", rewrite=False)
+
+    @pytest.mark.parametrize("rewrite", [True, False])
+    @pytest.mark.parametrize("dataset", ["yago_small", "ldbc_small"])
+    def test_default_matches_reference_on_the_workloads(
+        self, request, dataset, rewrite
+    ):
+        schema, graph, store = request.getfixturevalue(dataset)
+        queries = YAGO_QUERIES if dataset == "yago_small" else LDBC_QUERIES
+        with GraphSession(graph, schema, store=store) as session:
+            for workload_query in queries:
+                expected = session.execute(
+                    workload_query.query, "reference", rewrite=False
+                )
+                rows = session.execute(workload_query.query, rewrite=rewrite)
+                assert rows == expected, workload_query.qid
+
+
 class TestCaching:
     def test_rewrite_cache_hit_on_repeat(self, session):
         session.execute(QUERY)

@@ -529,3 +529,42 @@ class TestCliBackendValidation:
             == 0
         )
         assert "on backend 'vec'" in capsys.readouterr().out
+
+    @staticmethod
+    def _count_prepares(monkeypatch) -> list:
+        from repro.engine.session import GraphSession
+
+        calls: list = []
+        prepare = GraphSession.prepare
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return prepare(self, *args, **kwargs)
+
+        monkeypatch.setattr(GraphSession, "prepare", counting)
+        return calls
+
+    def test_no_backend_runs_the_session_default(self, capsys, monkeypatch):
+        prepares = self._count_prepares(monkeypatch)
+        assert cli_main(["query", CLOSURE_QUERY, "--explain"]) == 0
+        out = capsys.readouterr().out
+        assert len(prepares) == 1  # explained and executed: one handle
+        assert "-- physical columnar plan" in out  # vec's explain
+        assert out.rstrip().splitlines()[-1].startswith(
+            "-- 8 row(s) on backend 'vec'"
+        )
+
+    def test_auto_reports_the_backend_that_ran(self, capsys, monkeypatch):
+        from repro.engine import available_backends
+
+        prepares = self._count_prepares(monkeypatch)
+        assert (
+            cli_main(
+                ["query", CLOSURE_QUERY, "--backend", "auto", "--explain"]
+            )
+            == 0
+        )
+        last = capsys.readouterr().out.rstrip().splitlines()[-1]
+        assert len(prepares) == 1
+        ran = last.split("on backend ")[1].split()[0].strip("'")
+        assert ran in available_backends(), last
