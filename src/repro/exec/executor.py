@@ -7,12 +7,20 @@ iteration over *delta frontiers* — each round binds the recursion
 variable to only the rows discovered in the previous round and the
 round's output is set-differenced against the accumulated state with one
 vectorized membership test (falling back to naive iteration for
-non-linear steps). On the numpy kernel a round packs and sorts its
+non-linear steps); the frontiers are stacked into the total once, when
+the fixpoint converges. On the numpy kernel a round packs and sorts its
 output once: the step's closing ``distinct`` dedups by sorting the
 packed row key and leaves that key on its table, and ``difference``
-searches the sorted state with it. The key is scratch, charged to no
-budget, so it is released from every table the runner keeps (the memo,
-and with it answers and fix captures).
+tests it against the state (sorted runs, or a bitmap once that is
+cheap). The key is scratch, charged to no budget, so it is released
+from every table the runner keeps (the memo, and with it answers and fix
+captures).
+
+Path concatenation compiles to ``ProjectOp(distinct)`` over a single-key
+``JoinOp`` keeping one non-key column of each side; a kernel with the
+optional ``compose`` hook runs that pair as one operation that never
+materialises the join, which still counts as a join of its real size in
+the stats and the budget.
 
 All base tables referenced by the program are dictionary-encoded up
 front, so the value-id space is frozen for the whole execution — packed
@@ -374,6 +382,7 @@ class _Runner:
         #: and a later maintenance run can resume without re-sorting
         #: the whole total back into a state.
         self.fix_final_states: dict[int, object] = {}
+        self._compose_kernel = getattr(kernel, "compose", None)
         # Encode every table referenced anywhere in the batch before
         # executing: operators never intern new values, so the packing
         # domain is fixed from here on — across all programs.
@@ -456,9 +465,31 @@ class _Runner:
             self._child_seconds[-1] += elapsed
         if result is None:
             return None
-        exclusive = max(elapsed - child, 0.0)
-        self.stats.ops_evaluated += 1
         rows = self.kernel.nrows(result)
+        self._count(op, rows, max(elapsed - child, 0.0))
+        # Approximate bytes of this materialised intermediate: every
+        # encoded column is one int64 code per row. Disk-backed tables
+        # (already spilled, or rewritten to spill just below) are not
+        # charged — ``max_bytes`` caps materialised RAM and spilling is
+        # exactly the trade of that RAM for disk.
+        approx_bytes = rows * max(self.kernel.width(result), 1) * 8
+        spill = self.spill
+        if spill is not None and is_spilled(result):
+            pass
+        elif spill is not None and approx_bytes > spill.threshold:
+            spilled = self._spill_result(op, result)
+            if spilled is not None:
+                result = spilled
+            else:
+                self.budget.charge_bytes(approx_bytes)
+        else:
+            self.budget.charge_bytes(approx_bytes)
+        return result
+
+    def _count(self, op: PhysOp, rows: int, exclusive: float) -> None:
+        """One evaluation of ``op`` with ``rows`` output rows, taking
+        ``exclusive`` seconds of its own, in the stats and the budget."""
+        self.stats.ops_evaluated += 1
         # Actual cardinalities and exclusive timings per operator kind:
         # the feedback the adaptive planner compares against its
         # estimates, and the measurements profile calibration fits.
@@ -482,24 +513,6 @@ class _Runner:
             stats.fixpoint_rows += rows
             stats.fixpoint_seconds += exclusive
         self.budget.tick(rows)
-        # Approximate bytes of this materialised intermediate: every
-        # encoded column is one int64 code per row. Disk-backed tables
-        # (already spilled, or rewritten to spill just below) are not
-        # charged — ``max_bytes`` caps materialised RAM and spilling is
-        # exactly the trade of that RAM for disk.
-        approx_bytes = rows * max(self.kernel.width(result), 1) * 8
-        spill = self.spill
-        if spill is not None and is_spilled(result):
-            pass
-        elif spill is not None and approx_bytes > spill.threshold:
-            spilled = self._spill_result(op, result)
-            if spilled is not None:
-                result = spilled
-            else:
-                self.budget.charge_bytes(approx_bytes)
-        else:
-            self.budget.charge_bytes(approx_bytes)
-        return result
 
     def _spill_result(self, op: PhysOp, result):
         """Rewrite one oversized operator output onto disk.
@@ -537,6 +550,9 @@ class _Runner:
                 )
             return bound
         if isinstance(op, ProjectOp):
+            sides = self._composition(op)
+            if sides is not None:
+                return self._compose(op.child, sides, env)
             return self._project(
                 self._eval(op.child, env), op.indices, op.dedup
             )
@@ -565,6 +581,51 @@ class _Runner:
             return self._eval_fixpoint(op, env)
         raise EvaluationError(f"unknown physical operator {op!r}")
 
+    def _composition(self, op: ProjectOp):
+        """``((side, key, column), (side, key, column))`` when ``op`` is
+        ``distinct`` of one non-key column from each side of a single-key
+        join the kernel can compose (in output order), else None. A
+        spilling run keeps the join, so that it can go to disk, and a
+        closed join already in the memo is reused, not recomputed."""
+        join = op.child
+        if (
+            self._compose_kernel is None
+            or not op.dedup
+            or not isinstance(join, JoinOp)
+            or len(op.indices) != 2
+            or len(join.left_key) != 1
+            or self.spill is not None
+            or id(join) in self._memo
+        ):
+            return None
+        keys = (join.left_key[0], join.right_key[0])
+        sides = [join.layout[index] for index in op.indices]
+        if {side for side, _ in sides} != {0, 1} or (0, keys[0]) in sides:
+            return None
+        return tuple((side, keys[side], column) for side, column in sides)
+
+    def _compose(self, join: JoinOp, sides, env: dict):
+        """``distinct`` of ``sides`` of ``join``, through the kernel's
+        ``compose``: the join is never materialised, but it still counts
+        as an evaluated join of its real size — one ``kernel.op`` fault
+        site, its rows in the stats and the budget's row ticks, its
+        bytes charged — so budgets trip and ``ExecutionStats`` read as
+        they would with the join run."""
+        tables = (self._eval(join.left, env), self._eval(join.right, env))
+        (outer, outer_key, outer_col), (inner, inner_key, inner_col) = sides
+        fault_point("kernel.op")
+        started = time.perf_counter()
+        pairs, joined = self._compose_kernel(
+            tables[outer], outer_key, outer_col,
+            tables[inner], inner_key, inner_col,
+            self.domain,
+        )
+        elapsed = time.perf_counter() - started
+        self._child_seconds[-1] += elapsed
+        self._count(join, joined, elapsed)
+        self.budget.charge_bytes(joined * len(join.columns) * 8)
+        return pairs
+
     def _project(self, table, indices: list[int], dedup: bool):
         table = self.kernel.select_columns(table, indices)
         return self.kernel.distinct(table, self.domain) if dedup else table
@@ -583,24 +644,38 @@ class _Runner:
         self.stats.fixpoint_base_rows += kernel.nrows(base)
         state = kernel.empty_state()
         delta, state = kernel.difference(base, state, self.domain)
-        return self._iterate_fixpoint(op, env, state, delta, delta)
+        empty = kernel.empty(len(op.columns))
+        return self._iterate_fixpoint(op, env, state, empty, delta)[0]
 
     def _iterate_fixpoint(self, op: FixOp, env: dict, state, total, delta):
         """Semi-naive iteration from an arbitrary sound starting point.
 
-        ``state`` must already contain ``total`` and ``delta`` must be
-        the current frontier (rows of ``total`` not yet fed to the
-        step). Shared with the incremental maintenance runner, which
-        seeds ``total`` with a previously materialised fixpoint and
-        ``delta`` with the frontier derived from a store append.
+        ``total`` is what the fixpoint already holds, ``delta`` the
+        current frontier — rows not in ``total`` and not yet fed to the
+        step — and ``state`` must contain both. Returns
+        ``(total, rounds)``: the converged total and the frontiers it
+        gained, ``delta`` first. Shared with the incremental maintenance
+        runner, which seeds ``total`` with a previously materialised
+        fixpoint and ``delta`` with the frontier derived from a store
+        append.
+
+        The frontiers are stacked once, at the end; only a non-linear
+        step, which must see the whole accumulated relation, has the
+        total rebuilt every round.
         """
         kernel = self.kernel
+        width = len(op.columns)
+        rounds = []
         while kernel.nrows(delta):
             self.budget.check_now()
-            # Semi-naive: only the frontier feeds a linear step; a
-            # non-linear step must see the whole accumulated relation.
-            produced = self._step(op, env, delta if op.linear else total)
+            rounds.append(delta)
+            if op.linear:  # semi-naive: only the frontier feeds the step
+                frontier = delta
+            else:
+                total = frontier = kernel.concat_many([total, delta], width)
+            produced = self._step(op, env, frontier)
             delta, state = kernel.difference(produced, state, self.domain)
-            total = kernel.concat(total, delta)
         self.fix_final_states[id(op)] = state
-        return total
+        if op.linear:
+            total = kernel.concat_many([total, *rounds], width)
+        return total, rounds

@@ -25,7 +25,23 @@ needs over tables of integer-code columns:
 ``empty_state()``       fresh seen-row state for fixpoint difference
 ``difference``          the set of a table's rows not yet in the state
                         (duplicates in the input are dropped, like
-                        ``distinct``); returns (delta, state)
+                        ``distinct``); returns (delta, state) and may
+                        update the state it was given in place (python: a
+                        set of rows; numpy: sorted runs of packed row keys,
+                        or a bitmap over the packed span once that is
+                        cheap next to the rows held)
+``fork_state``          a copy of a state ``difference`` may update while the
+                        original stays as it is (what a resumed fixpoint
+                        starts from)
+``compose`` (optional)  ``compose(outer, ok, oc, inner, ik, ic, domain)``:
+                        ``distinct`` of the ``(oc, ic)`` columns of the
+                        single-key join ``outer.ok = inner.ik`` and the
+                        join's row count, without materialising the join
+                        (numpy: a boolean product of bit-packed rows over
+                        locally renumbered codes, or one fused gather-and-
+                        dedup pass). The executor runs ``ProjectOp(distinct)``
+                        over such a ``JoinOp`` through it; a kernel without
+                        it runs the join, then ``distinct``
 ``release``             drop any scratch a table carries before it is kept
                         (numpy: the sorted key ``distinct`` leaves for the
                         ``difference`` that follows); returns the table

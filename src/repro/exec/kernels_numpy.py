@@ -8,10 +8,20 @@ and a probe is two gathers, nothing sorted or searched. And a row over
 ``k`` columns packs into the one integer ``c_0·domain^(k-1) + … + c_k``
 whenever ``domain^k`` fits in an int64, so ``distinct`` is an in-place
 ``sort`` of the packed key, a neighbour mask and a ``divmod`` unpack of
-the survivors, and ``difference`` one ``searchsorted`` of that sorted
-key in the sorted state: ``distinct`` leaves the key on its table for
-the ``difference`` that follows (every other constructor drops it;
-:func:`release` strips it from a table that is kept). Multi-column join
+the survivors. ``distinct`` leaves that key on its table for the
+``difference`` that follows (every other constructor drops it;
+:func:`release` strips it from a table that is kept), which tests it
+against a fixpoint's state: sorted runs of packed keys, binary-searched
+and merged as they grow, or a bitmap over the packed span once the
+state is big enough for one bit per possible row to be cheap.
+
+``compose`` is path concatenation, ``distinct`` of one column from each
+side of a single-key join, without the join: over locally renumbered
+codes it is the set cells of a dense boolean product of bit-packed rows
+when that product is cheap next to the join, else pair codes built
+from the probe and build gathers and deduplicated in one pass. No
+kernel calls BLAS: its worker threads would compete with a caller
+pinned to one CPU. Multi-column join
 keys sort the packed key once and binary-search it per probe row; rows
 too wide to pack fall back to ``np.unique(axis=0)`` / tuple handling.
 """
@@ -33,10 +43,17 @@ SUPPORTS_MEMMAP = True
 #: Packed keys must stay below this bound (headroom under 2^63 - 1).
 _PACK_LIMIT = 1 << 62
 
-#: A counting layout costs O(domain) to lay out, so a join build side
-#: gets one only while ``domain <= 4 * rows + _DIRECT_SLACK``; a small
-#: build side in a huge domain keeps the sorted layout.
+#: A counting layout costs O(domain) to lay out, so a join gets one only
+#: while ``domain <= 4 * rows + _DIRECT_SLACK``, ``rows`` counting both
+#: sides; small tables in a huge domain keep the sorted layout.
 _DIRECT_SLACK = 4096
+
+#: A composition runs as a bit-matrix product while the cells, rows and
+#: 64-bit words that product touches stay within this many per join row
+#: it stands for (the fused pass spends several array passes on each);
+#: the product gathers at most ``_GATHER_WORDS`` words at a time.
+_BITS_PER_JOIN_ROW = 8
+_GATHER_WORDS = 1 << 16
 
 _INT = np.int64
 
@@ -218,19 +235,19 @@ class JoinBuild:
 
 
 def join_build(
-    build: NpTable, key: list[int], domain: int
+    build: NpTable, key: list[int], domain: int, probe_rows: int = 0
 ) -> JoinBuild | None:
-    """Index the build side once; ``None`` when the key won't pack."""
-    if len(key) == 1 and domain <= 4 * build.n + _DIRECT_SLACK:
+    """Index the build side once; ``None`` when the key won't pack.
+
+    ``probe_rows`` is the size of the side that will probe: the counting
+    layout's O(domain) is paid once for both sides, so a small build
+    side probed by a big one still gets it."""
+    if len(key) == 1 and domain <= 4 * (build.n + probe_rows) + _DIRECT_SLACK:
         codes = build.cols[key[0]]
         counts = np.bincount(codes, minlength=domain)
         starts = np.cumsum(counts)
         starts -= counts
-        if domain <= 1 << 16:  # 16-bit keys get numpy's radix sort
-            codes = codes.astype(np.uint16)
-        return JoinBuild(
-            build, np.argsort(codes, kind="stable"), starts, counts
-        )
+        return JoinBuild(build, _stable_order(codes, domain), starts, counts)
     packed = _pack(build, key, domain)
     if packed is None:
         return None
@@ -308,7 +325,7 @@ def join(
         build_key, probe_key = right_key, left_key
         build_side = 1
 
-    handle = join_build(build, build_key, domain)
+    handle = join_build(build, build_key, domain, probe.n)
     if handle is None:
         return _join_unpackable(left, right, left_key, right_key, layout)
     return join_probe(handle, probe, probe_key, layout, build_side, domain)
@@ -333,16 +350,231 @@ def _join_unpackable(
     return from_columns(joined.cols, joined.n)
 
 
+def compose(
+    outer: NpTable,
+    outer_key: int,
+    outer_col: int,
+    inner: NpTable,
+    inner_key: int,
+    inner_col: int,
+    domain: int,
+) -> tuple[NpTable, int]:
+    """``distinct`` of the ``(outer_col, inner_col)`` pairs of ``outer ⋈
+    inner`` on one key column each, without the join's columns.
+
+    Returns ``(pairs, join_rows)``: the pairs as ``distinct`` of the
+    join's two columns leaves them (the same rows and ``key``; in key
+    order, which is ``distinct``'s own order whenever it drops a row)
+    and the row count of the join they stand for.
+
+    In a domain too big for a counting layout, or for a join too small
+    to pay for O(domain) passes, that join and ``distinct`` are what
+    runs. Otherwise the per-key row counts of both sides give the join
+    size (their dot product) and the keys both sides hold, and the codes
+    of each column are renumbered ``0..n`` in code order. While a dense
+    boolean product (outer x key) · (key x inner) is cheap next to the
+    join (``_BITS_PER_JOIN_ROW``) the pairs are the set cells of that
+    product, computed over bit-packed rows. Else one local pair code per
+    join row comes straight from the probe and build gathers and is
+    deduplicated by a mark over the local pair space, or a sort when
+    that space is large. Either way the cells come out row-major, which
+    is packed-key order.
+    """
+    ok, ik = outer.cols[outer_key], inner.cols[inner_key]
+    joined = 0
+    if domain <= 4 * (outer.n + inner.n) + _DIRECT_SLACK:
+        outer_per_key = np.bincount(ok, minlength=domain)
+        inner_per_key = np.bincount(ik, minlength=domain)
+        joined = int(outer_per_key @ inner_per_key)
+    if joined <= 2 * domain + _DIRECT_SLACK:
+        # A huge domain, or too few join rows to pay for the O(domain)
+        # renumbering passes.
+        pairs = join(
+            outer, inner, [outer_key], [inner_key],
+            [(0, outer_col), (1, inner_col)], domain,
+        )
+        return distinct(pairs, domain), pairs.n
+    # Only rows whose key both sides hold take part, and from here on a
+    # code is its rank among the codes of its column in use.
+    shared = (outer_per_key != 0) & (inner_per_key != 0)
+    ok, oc = _rows_on(shared, ok, outer.cols[outer_col])
+    ik, ic = _rows_on(shared, ik, inner.cols[inner_col])
+    per_key = inner_per_key[shared]
+    ok, ik = _ranks(shared, ok), _ranks(shared, ik)
+    outs, oc = _renumber(oc, domain)
+    ins, ic = _renumber(ic, domain)
+    n_out, n_key, n_in = len(outs), len(per_key), len(ins)
+    # The bit product packs one side's rows into a key x code bit matrix
+    # and ORs the packed rows of the other's; the side packed is the one
+    # that makes that cheaper. Counted in cells, rows and words touched.
+    by_outer = n_key * n_in + len(ic) + len(oc) * _words(n_in)
+    by_inner = n_key * n_out + len(oc) + len(ic) * _words(n_out)
+    if min(by_outer, by_inner) + n_out * n_in <= _BITS_PER_JOIN_ROW * joined:
+        if by_outer <= by_inner:
+            cells = _bit_product(ik, ic, n_in, ok, oc, n_out, n_key)
+        else:
+            cells = _bit_product(ok, oc, n_out, ik, ic, n_in, n_key).T
+        pair = np.flatnonzero(cells)
+    else:
+        pair = _fused_pairs(ok, oc, ik, ic, per_key, joined, n_out, n_in)
+    # Ascending local pair codes are ascending (first, second) codes.
+    first = pair // n_in
+    pair -= first * n_in
+    first = outs.take(first, out=first, mode="clip")
+    second = ins.take(pair, out=pair, mode="clip")
+    key = first * domain
+    key += second
+    # ``distinct`` keys whatever it dedups, and passes one row through.
+    dedup_key = (domain, key) if joined > 1 else None
+    return NpTable([first, second], len(key), dedup_key), joined
+
+
+def _rows_on(keys: np.ndarray, key: np.ndarray, column: np.ndarray):
+    """``key`` and ``column`` at the rows whose key ``keys`` marks."""
+    keep = keys[key]
+    if keep.all():
+        return key, column
+    return key[keep], column[keep]
+
+
+def _ranks(used: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Each of ``codes``' position among the codes ``used`` marks."""
+    rank = np.empty(len(used), dtype=_INT)
+    marked = np.flatnonzero(used)
+    rank[marked] = np.arange(len(marked))
+    return rank.take(codes)
+
+
+def _renumber(codes: np.ndarray, domain: int):
+    """The distinct ``codes`` ascending, and each code's position among
+    them (direct address over the domain, no sort)."""
+    used = np.zeros(domain, dtype=bool)
+    used[codes] = True
+    return np.flatnonzero(used), _ranks(used, codes)
+
+
+def _stable_order(codes: np.ndarray, bound: int) -> np.ndarray:
+    """The stable sorting order of ``codes``, all below ``bound``; 16-bit
+    codes get numpy's radix sort."""
+    if bound <= 1 << 16:
+        codes = codes.astype(np.uint16)
+    return np.argsort(codes, kind="stable")
+
+
+def _words(bits: int) -> int:
+    return (bits + 63) >> 6
+
+
+def _bit_product(
+    packed_key, packed_code, n_packed, probe_key, probe_code, n_probe, n_key
+):
+    """The boolean product of two sides of a join on local keys, as an
+    ``(n_probe, n_packed)`` 0/1 ``uint8`` matrix: cell ``(q, p)`` is set
+    when some key has a packed-side row ``(key, p)`` and a probe-side
+    row ``(key, q)``. Every probe code ``q`` must be in use.
+
+    The packed side becomes one row of ``n_packed`` bits per key; the
+    probe rows, grouped by code, OR the rows of their keys together
+    (``reduceat``), a block of words at a time so the gathered rows stay
+    small. No BLAS call: a multithreaded one would compete with a caller
+    pinned to one CPU."""
+    marks = np.zeros((n_key, n_packed), dtype=bool)
+    marks[packed_key, packed_code] = True
+    words = _words(n_packed)
+    rows = np.zeros((n_key, words * 8), dtype=np.uint8)
+    rows[:, : (n_packed + 7) >> 3] = np.packbits(marks, axis=1, bitorder="little")
+    rows = rows.view(np.uint64)
+    order = _stable_order(probe_code, n_probe)
+    probe_key, probe_code = probe_key[order], probe_code[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], probe_code[1:] != probe_code[:-1]))
+    )
+    product = np.empty((n_probe, words), dtype=np.uint64)
+    block = max(1, _GATHER_WORDS // len(probe_key))
+    for low in range(0, words, block):
+        product[:, low : low + block] = np.bitwise_or.reduceat(
+            rows[probe_key, low : low + block], starts, axis=0
+        )
+    return np.unpackbits(
+        product.view(np.uint8), axis=1, count=n_packed, bitorder="little"
+    )
+
+
+def _fused_pairs(ok, oc, ik, ic, per_key, joined: int, n_out: int, n_in: int):
+    """The distinct local pair codes ``oc * n_in + ic`` of the join on
+    local keys ``ok`` = ``ik``, ascending. The inner side is a counting
+    layout over the local keys (``per_key`` rows each); every outer row
+    repeats once per inner row of its key."""
+    counts = per_key.take(ok)
+    by_key = ic.take(_stable_order(ik, len(per_key)))
+    index = np.cumsum(per_key)
+    index -= per_key  # each key's first inner slot...
+    index = np.repeat(index.take(ok) - (np.cumsum(counts) - counts), counts)
+    index += np.arange(joined, dtype=_INT)  # ...plus the row's rank in it
+    pair = np.repeat(oc * n_in, counts)
+    pair += by_key.take(index, out=index, mode="clip")
+    del index
+    if n_out * n_in <= 8 * joined + _DIRECT_SLACK:
+        seen = np.zeros(n_out * n_in, dtype=bool)
+        seen[pair] = True
+        return np.flatnonzero(seen)
+    return _sorted_unique(pair)
+
+
+#: A fixpoint's membership state is sorted runs of packed row keys (64
+#: bits a row) until a bitmap over the whole packed span costs at most
+#: ``_BITS_PER_ROW`` bits per row the state holds or is about to test.
+#: Below ``_BITS_MIN_ROWS`` held rows a binary search is as cheap as a
+#: bit test, so small states stay runs whatever the span.
+_BITS_PER_ROW = 128
+_BITS_MIN_ROWS = 1024
+
+
 def empty_state():
     return None
+
+
+class _Bits:
+    """A membership state over packed row keys in ``[0, span)``, one bit
+    per key; :func:`difference` sets bits in place."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: np.ndarray):
+        self.bits = bits
+
+    def holds(self, key: np.ndarray) -> np.ndarray:
+        return self.bits[key >> 3] & _bit(key) != 0
+
+    def add(self, key: np.ndarray) -> None:
+        np.bitwise_or.at(self.bits, key >> 3, _bit(key))
+
+
+def _bit(key: np.ndarray) -> np.ndarray:
+    return np.left_shift(np.uint8(1), (key & 7).astype(np.uint8))
+
+
+def fork_state(state):
+    """A state :func:`difference` may update while ``state`` stays as it
+    is (sorted runs are never written to, so they are shared)."""
+    if isinstance(state, _Bits):
+        return _Bits(state.bits.copy())
+    if isinstance(state, set):
+        return set(state)
+    return state
 
 
 def difference(table: NpTable, state, domain: int):
     """Rows of ``table`` not yet in ``state``; returns (delta, state).
 
-    The state is a sorted array of packed row keys when the row width
-    packs into int64, else a Python set of row tuples. ``delta`` is a
-    set whatever ``table`` held, in key order.
+    When the row width packs into int64 the state holds packed row keys:
+    sorted runs (one array, or a tuple of them) that are searched one by
+    one and never copied to take a delta — the delta becomes a run of
+    its own and runs of similar size merge — or, once big enough for
+    its bits to be cheap (``_BITS_*``), a bitmap over the packed span,
+    updated in place. Rows too wide to pack keep a Python set of row
+    tuples, also updated in place. ``delta`` is a set whatever ``table``
+    held, in key order.
     """
     if table.key is not None and table.key[0] == domain:
         key = table.key[1]  # distinct already packed, sorted and deduped
@@ -355,13 +587,37 @@ def difference(table: NpTable, state, domain: int):
             state.update(fresh)
             return from_rows(fresh, len(table.cols)), state
         key = _sorted_unique(key)
-    if state is None or not len(state):
+    if state is None:
         return _unpacked(table, key, domain), key
-    # Both sides are sorted, so one binary search answers membership
-    # and says where the fresh keys go: they merge in with one linear
-    # pass (np.insert), no per-round re-sort of the accumulated set.
-    positions = np.searchsorted(state, key)
-    fresh = state.take(positions, mode="clip") != key
-    if not fresh.all():
-        key, positions = key[fresh], positions[fresh]
-    return _unpacked(table, key, domain), np.insert(state, positions, key)
+    if not isinstance(state, _Bits):
+        runs = state if isinstance(state, tuple) else (state,)
+        held = sum(len(run) for run in runs)
+        span = domain ** len(table.cols)
+        if held < _BITS_MIN_ROWS or span > _BITS_PER_ROW * (held + len(key)):
+            for run in runs:
+                if len(run) and len(key):
+                    positions = np.searchsorted(run, key)
+                    fresh = run.take(positions, mode="clip") != key
+                    if not fresh.all():
+                        key = key[fresh]
+            return _unpacked(table, key, domain), _add_run(runs, key)
+        state = _Bits(np.zeros((span + 7) >> 3, dtype=np.uint8))
+        for run in runs:
+            state.add(run)
+    key = key[~state.holds(key)]
+    state.add(key)
+    return _unpacked(table, key, domain), state
+
+
+def _add_run(runs: tuple, key: np.ndarray):
+    """``runs`` plus the sorted run ``key``. A run merges into the one
+    before it while that one is at most twice its size, so a state of
+    ``n`` keys keeps O(log n) runs and each key is copied O(log n)
+    times, not once per round."""
+    if len(key):
+        runs = (*runs, key)
+        while len(runs) > 1 and len(runs[-2]) <= 2 * len(runs[-1]):
+            merged = np.concatenate(runs[-2:])
+            merged.sort(kind="stable")  # two sorted runs: one merge pass
+            runs = (*runs[:-2], merged)
+    return runs[0] if len(runs) == 1 else runs

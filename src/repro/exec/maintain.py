@@ -322,34 +322,26 @@ class _MaintainRunner(_Runner):
             [self._delta(op.base, env), stepped], len(op.columns)
         )
         gained = None
-        if frontier is not None:
+        if frontier is None:
+            self.fix_final_states[id(op)] = state
+        else:
             if state is None:
                 _, state = kernel.difference(
                     total, kernel.empty_state(), self.domain
                 )
-            elif isinstance(state, set):
-                # Set-based states (pure-Python kernel, unpackable-width
-                # rows) are mutated in place by ``difference`` — resume
-                # from a copy so the cached entry stays intact if this
+            else:
+                # ``difference`` may update a state in place: resume
+                # from a fork so the cached entry stays intact if this
                 # run aborts mid-way.
-                state = set(state)
-            # Semi-naive iteration as in :meth:`_iterate_fixpoint`, but
-            # the per-round deltas are also accumulated: everything
-            # beyond the seed is this fixpoint's own delta, collected at
-            # O(gained) instead of re-diffing the whole total afterwards.
+                state = kernel.fork_state(state)
             delta, state = kernel.difference(frontier, state, self.domain)
-            total = kernel.concat(total, delta)
-            gained = delta
-            while kernel.nrows(delta):
-                self.budget.check_now()
-                produced = self._step(op, env, delta if op.linear else total)
-                delta, state = kernel.difference(
-                    produced, state, self.domain
-                )
-                total = kernel.concat(total, delta)
-                gained = kernel.concat(gained, delta)
+            # Everything beyond the seed is this fixpoint's own delta,
+            # collected at O(gained) instead of re-diffing the total.
+            total, rounds = self._iterate_fixpoint(
+                op, env, state, total, delta
+            )
+            gained = kernel.concat_many(rounds, len(op.columns))
         self._fix_gained[id(op)] = gained
-        self.fix_final_states[id(op)] = state
         return total
 
     def _changed(self, op: PhysOp) -> bool:

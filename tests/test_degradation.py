@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import asyncio
 import sys
-import time
 
 import pytest
 
@@ -217,8 +216,15 @@ class TestSessionDegradation:
             assert stats["breakers"]["vec"]["state"] == "open"
 
     def test_breaker_half_opens_and_recovers(self, expected_rows):
-        config = BreakerConfig(failure_threshold=1, cooldown_seconds=0.02)
+        config = BreakerConfig(failure_threshold=1, cooldown_seconds=60.0)
+        now = [0.0]
         with _session(breaker_config=config) as session:
+            # The vec breaker reads a clock the test drives, so the
+            # cool-down lapses exactly when the test says, not when a
+            # busy box happens to get round to the next assertion.
+            session._breakers["vec"] = CircuitBreaker(
+                config, clock=lambda: now[0]
+            )
             # One injected failure opens the vec breaker...
             with install(
                 FaultInjector([FaultRule("backend.execute.vec", limit=1)])
@@ -228,7 +234,7 @@ class TestSessionDegradation:
                     session.resilience_stats()["breakers"]["vec"]["state"]
                     == "open"
                 )
-                time.sleep(0.03)
+                now[0] += 60.0
                 # ...the cool-down elapses, the probe succeeds (the
                 # rule's limit is spent) and the breaker closes again.
                 rows = session.execute(CLOSURE, "vec", exec_options=FALLBACK)

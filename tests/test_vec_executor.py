@@ -10,12 +10,14 @@ CLI's live-registry backend validation.
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.engine import GraphSession
 from repro.engine.options import ExecOptions
+from repro.errors import ResourceExhaustedError
 from repro.exec import (
     ExecutionStats,
     ValueDictionary,
@@ -26,6 +28,7 @@ from repro.exec import (
     get_kernel,
 )
 from repro.exec.compile import FixOp, ScanOp
+from repro.graph.evaluator import ResourceBudget
 from repro.graph.model import yago_example_graph
 from repro.ra.stats import Estimator, store_statistics
 from repro.ra.terms import Fix, Join, Project, Rel, Rename, Var
@@ -317,6 +320,120 @@ class TestDedupKeyLifetime:
                 assert entry.answer.table.key is None
                 for total, _state, _domain in (entry.fix_states or {}).values():
                     assert total.key is None
+
+
+class _WithoutCompose:
+    """The numpy kernel minus its optional ``compose`` hook."""
+
+    def __init__(self, kernel):
+        self._kernel = kernel
+
+    def __getattr__(self, name):
+        if name == "compose":
+            raise AttributeError(name)
+        return getattr(self._kernel, name)
+
+
+class _RecordingBudget(ResourceBudget):
+    """A row cap that also records every tick and byte charge."""
+
+    def __init__(self, max_rows=None):
+        super().__init__(None, max_rows=max_rows)
+        self.ticks: list[int] = []
+        self.charges: list[int] = []
+
+    def tick(self, amount=1):
+        self.ticks.append(amount)
+        super().tick(amount)
+
+    def charge_bytes(self, count):
+        self.charges.append(count)
+        super().charge_bytes(count)
+
+
+@pytest.mark.skipif("numpy" not in KERNELS, reason="compose is numpy's")
+class TestComposition:
+    """``π distinct(L ⋈ R)`` through the kernel's ``compose`` is still
+    one join plus one project to the stats and the budget."""
+
+    @pytest.fixture(scope="class")
+    def bi10(self):
+        from repro.datasets.ldbc import ldbc_session
+        from repro.workloads.ldbc_queries import LDBC_QUERIES
+
+        text = next(q.text for q in LDBC_QUERIES if q.qid == "BI10")
+        with ldbc_session(0.3) as session:
+            plan = session.prepare(text, "vec").plan
+            yield plan.program, session.store
+
+    @staticmethod
+    def _run(bi10, kernel, budget):
+        program, store = bi10
+        stats = ExecutionStats()
+        answer = execute_program(
+            program, store, budget=budget, kernel=kernel, stats=stats
+        )
+        return answer, stats
+
+    def test_same_answer_stats_ticks_and_charges_as_join_then_distinct(
+        self, bi10, monkeypatch
+    ):
+        from repro.exec import kernels_numpy
+
+        numpy_kernel = get_kernel("numpy")
+        composed = mock.Mock(wraps=kernels_numpy.compose)
+        monkeypatch.setattr(kernels_numpy, "compose", composed)
+        fused_budget, plain_budget = _RecordingBudget(), _RecordingBudget()
+        fused, fused_stats = self._run(bi10, numpy_kernel, fused_budget)
+        plain, plain_stats = self._run(
+            bi10, _WithoutCompose(numpy_kernel), plain_budget
+        )
+        assert composed.call_count >= 3  # the fixpoint step and the chain
+        assert fused == plain
+        assert fused_budget.ticks == plain_budget.ticks
+        assert fused_budget.charges == plain_budget.charges
+        for name in ("ops_evaluated", "join_rows", "project_rows", "memo_hits"):
+            assert getattr(fused_stats, name) == getattr(plain_stats, name)
+
+    def test_row_cap_still_trips_on_the_largest_join(self, bi10):
+        numpy_kernel = get_kernel("numpy")
+        probe = _RecordingBudget()
+        self._run(bi10, _WithoutCompose(numpy_kernel), probe)
+        # A cap halfway through the largest intermediate, which is a join
+        # the composition never materialises.
+        largest = max(range(len(probe.ticks)), key=probe.ticks.__getitem__)
+        cap = sum(probe.ticks[:largest]) + probe.ticks[largest] // 2
+        for kernel in (numpy_kernel, _WithoutCompose(numpy_kernel)):
+            budget = _RecordingBudget(max_rows=cap)
+            with pytest.raises(ResourceExhaustedError):
+                self._run(bi10, kernel, budget)
+            assert budget.ticks == probe.ticks[: largest + 1]
+
+    def test_a_memoised_closed_join_is_reused_not_composed(self, monkeypatch):
+        from repro.exec import kernels_numpy
+        from repro.exec.executor import execute_batch_programs
+
+        store = RelationalStore()
+        edges = {(i, i + 1) for i in range(6)} | {(0, 3)}
+        store.add_table(Table("e", ("Sr", "Tr"), edges), node_label=False)
+        join = Join(
+            Rename.of(Rel("e"), {"Tr": "m"}), Rename.of(Rel("e"), {"Sr": "m"})
+        )
+        programs = [
+            compile_term(join, store),
+            compile_term(Project(join, ("Sr", "Tr")), store),
+        ]
+        assert programs[1].root.child is programs[0].root  # one shared node
+        composed = mock.Mock(wraps=kernels_numpy.compose)
+        monkeypatch.setattr(kernels_numpy, "compose", composed)
+        stats = ExecutionStats()
+        _, pairs = execute_batch_programs(
+            programs, store, kernel=get_kernel("numpy"), stats=stats
+        )
+        assert not composed.called and stats.memo_hits >= 1
+        assert set(pairs) == {
+            (a, d) for a, b in edges for c, d in edges if b == c
+        }
 
 
 # -- backend integration ------------------------------------------------------
