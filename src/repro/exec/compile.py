@@ -8,11 +8,11 @@ the executor moves whole columns without ever touching a column name.
 Shared sub-terms compile to shared operator nodes, so shared work runs
 once: the executor memoises results of ``closed`` operators (those
 without free recursion variables) by node identity. Sharing is
-*structural*, not by object identity — µ-RA
-terms are frozen dataclasses, so equal closed subtrees hash equally and
-one compiler maps them all onto a single operator node. The module keeps
-one compiler (and a compiled-program cache keyed on the term itself) per
-store snapshot, which makes the sharing span whole query batches:
+*structural*: µ-RA terms are interned, so equal closed subtrees are one
+term object and one compiler maps them onto a single operator node. The
+module keeps one compiler (and a compiled-program cache keyed on the
+term itself) per store snapshot, which makes the sharing span whole
+query batches:
 sixteen queries that each contain ``µX. isLocatedIn ∪ ...`` share one
 ``FixOp`` node, and a batch executor that memoises by node identity runs
 that fixpoint once for the entire batch.
@@ -178,10 +178,10 @@ class FixOp(PhysOp):
     step: PhysOp
     step_perm: list[int] | None
     linear: bool
-    #: The source :class:`~repro.ra.terms.Fix` term (a frozen, value-
-    #: hashable dataclass). Cached fixpoint states are keyed on it, so
-    #: incremental maintenance survives recompilation: a logically equal
-    #: fixpoint in a rebuilt program finds the state of its predecessor.
+    #: The source :class:`~repro.ra.terms.Fix` term (interned). Cached
+    #: fixpoint states are keyed on it, so incremental maintenance
+    #: survives recompilation: a logically equal fixpoint in a rebuilt
+    #: program is the same term and finds the state of its predecessor.
     source: object | None = field(default=None, repr=False)
 
     def children(self) -> tuple[PhysOp, ...]:
@@ -256,9 +256,9 @@ def _cache_for(store: RelationalStore) -> _CompileCache:
 def compile_term(term: RaTerm, store: RelationalStore) -> CompiledProgram:
     """Compile ``term`` (columns resolved against ``store``) to a program.
 
-    Compilation is cached per store snapshot and keyed on the term's
-    structural hash; distinct terms compiled against the same snapshot
-    share the operator nodes of their equal closed subtrees.
+    Compilation is cached per store snapshot and keyed on the (interned)
+    term; distinct terms compiled against the same snapshot share the
+    operator nodes of their equal closed subtrees.
     """
     cache = _cache_for(store)
     program = cache.programs.get(term)
@@ -318,8 +318,8 @@ class _Compiler:
     ) -> PhysOp:
         # Mirror the evaluator's memo: only closed terms are shared — a
         # term under a fixpoint compiles against its binding's columns.
-        # Keying on the term *value* (terms are frozen dataclasses) makes
-        # equal subtrees from different queries share one operator node.
+        # Terms are interned, so keying on the term makes equal subtrees
+        # from different queries share one operator node.
         cacheable = not isinstance(term, Var) and not term.free_vars()
         if cacheable:
             hit = self._memo.get(term)

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.errors import EvaluationError
 from repro.ra.stats import Estimator
 from repro.ra.terms import (
     Fix,
@@ -298,7 +299,7 @@ def estimate_term_bytes(
     def bytes_of(node: RaTerm) -> float:
         try:
             node_width = max(len(estimator.columns(node)), 1)
-        except Exception:  # width unknown: assume the binary-edge shape
+        except EvaluationError:  # width unknown: assume the binary-edge shape
             node_width = 2
         return max(estimator.rows(node), 0.0) * node_width * 8.0
 

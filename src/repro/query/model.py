@@ -9,7 +9,8 @@ A UCQT is a union of union-compatible CQTs (same head variables).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from repro.algebra.ast import PathExpr
@@ -133,6 +134,12 @@ class UCQT:
         return iter(self.disjuncts)
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        # Rendered once per (frozen) query: the text keys the session's
+        # rewrite, plan and planner caches.
         if not self.disjuncts:
             return f"{', '.join(self.head)} <- FALSE"
         return " || ".join(str(cqt) for cqt in self.disjuncts)

@@ -93,9 +93,9 @@ def optimize_term_candidates(
 def _rewrite_memo(
     term: RaTerm, estimator: Estimator, memo: dict[RaTerm, RaTerm]
 ) -> RaTerm:
-    """Structurally memoised rewriting: equal sub-terms are rewritten
-    once and come back as one shared object, which later structural
-    lookups (estimates, costs, the compile cache) match by identity."""
+    """Memoised rewriting: a sub-term shared within the term (terms are
+    interned, so equal means identical) is rewritten once. A node whose
+    children all come back unchanged is returned as it is."""
     result = memo.get(term)
     if result is None:
         result = memo[term] = _rewrite(term, estimator, memo)
@@ -135,6 +135,8 @@ def _rewrite(
             return Rename.of(inner, keep_mapping)
         if estimator.columns(child) == term.keep:
             return child
+        if child is term.child:
+            return term
         return Project(child, term.keep)
     if isinstance(term, Rename):
         child = _rewrite_memo(term.child, estimator, memo)
@@ -157,21 +159,22 @@ def _rewrite(
     if isinstance(term, (Join, RaUnion)):
         left = _rewrite_memo(term.left, estimator, memo)
         right = _rewrite_memo(term.right, estimator, memo)
-        if left == right:
+        if left is right:
             return left  # phi ∩ phi, phi ∪ phi
+        if left is term.left and right is term.right:
+            return term
         return type(term)(left, right)
     if isinstance(term, SelectEq):
-        return SelectEq(
-            _rewrite_memo(term.child, estimator, memo),
-            term.column_a,
-            term.column_b,
-        )
+        child = _rewrite_memo(term.child, estimator, memo)
+        if child is term.child:
+            return term
+        return SelectEq(child, term.column_a, term.column_b)
     if isinstance(term, Fix):
-        return Fix(
-            term.var,
-            _rewrite_memo(term.base, estimator, memo),
-            _rewrite_memo(term.step, estimator, memo),
-        )
+        base = _rewrite_memo(term.base, estimator, memo)
+        step = _rewrite_memo(term.step, estimator, memo)
+        if base is term.base and step is term.step:
+            return term
+        return Fix(term.var, base, step)
     return term
 
 
@@ -220,6 +223,8 @@ def _reorder_joins(
             current = Join(current, best)
             current_columns.update(estimator.columns(best))
         return current, True
+    if all(part is child for part, child in zip(parts, children)):
+        return term, seeded
     if isinstance(term, Project):
         return Project(parts[0], term.keep), seeded
     if isinstance(term, Rename):

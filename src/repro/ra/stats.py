@@ -265,8 +265,8 @@ class Estimator:
     geometric-mean growth replaces the guess.
 
     One estimator serves one planning pass: estimates and output columns
-    are memoised per structurally distinct term (terms cache their hash,
-    so a lookup is O(1)), and everything that optimises, costs or sizes
+    are memoised per distinct term (terms are interned, so a lookup is
+    by identity), and everything that optimises, costs or sizes
     the pass's candidates shares them through it.
     """
 

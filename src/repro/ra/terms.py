@@ -10,17 +10,26 @@ Column inference (``RaTerm.columns``) needs the store only for base
 relations; every composite node derives its columns structurally.
 
 Terms are the planner's dictionary keys (estimates, costs, optimiser
-memos), so a node is a cheap key: its structural hash is computed once,
-at construction, from its children's already-computed hashes, and
-equality rejects on that hash before comparing fields. The hash depends
-on the process's string-hash seed, so pickling rebuilds a term through
-its constructor and never carries it.
+memos), so they are interned: a constructor call returns the one live
+term of that structure (class and field values, the children being
+interned already), building it only on a miss. Equal terms are
+therefore the same object, and equality and hashing are object
+identity. That holds for every way a term is made: a constructor,
+``Rename.of``, ``dataclasses.replace``, ``copy`` and unpickling, which
+rebuilds a term through its constructor in the receiving process.
+
+The intern table holds its terms weakly, so a term lives exactly as long
+as some plan, cache or caller holds it. Nothing may order output by a
+term's hash, which is its address: iterate term-keyed dicts in insertion
+order, never sets of terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, MutableMapping
+import threading
+from dataclasses import dataclass
+from typing import Any, Iterator, Mapping, MutableMapping
+from weakref import WeakValueDictionary
 
 from repro.errors import EvaluationError
 from repro.storage.relational import RelationalStore
@@ -30,37 +39,35 @@ from repro.storage.relational import RelationalStore
 #: against one store); see :meth:`RaTerm.columns`.
 ColumnsMemo = MutableMapping["RaTerm", tuple[str, ...]]
 
+#: ``(class, *field values) -> the live term of that structure``.
+_INTERNED: "WeakValueDictionary[tuple, RaTerm]" = WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
+
+
+class _Interned(type):
+    """Metaclass of the term classes: construction goes through the
+    intern table, so equal terms built separately are one object."""
+
+    def __call__(cls, *args: Any, **kwargs: Any):
+        if not kwargs:
+            # With every field given positionally the arguments are the
+            # key; a call that leans on a default misses here and is
+            # keyed by the fields of the term it builds.
+            term = _INTERNED.get((cls, *args))
+            if term is not None:
+                return term
+        term = super().__call__(*args, **kwargs)
+        key = (cls, *vars(term).values())
+        with _INTERN_LOCK:
+            return _INTERNED.setdefault(key, term)
+
 
 @dataclass(frozen=True, eq=False)
-class RaTerm:
-    """Base class for RA terms (structural equality, cached hash)."""
-
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # Field values in declaration order; ``_hash`` is not set yet.
-        object.__setattr__(
-            self, "_hash", hash((self.__class__.__name__, *vars(self).values()))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, RaTerm):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.__class__ is other.__class__
-            and vars(self) == vars(other)
-        )
+class RaTerm(metaclass=_Interned):
+    """Base class for RA terms (interned: equal means identical)."""
 
     def __reduce__(self):
-        return self.__class__, tuple(
-            value for name, value in vars(self).items() if name != "_hash"
-        )
+        return self.__class__, tuple(vars(self).values())
 
     def children(self) -> tuple["RaTerm", ...]:
         return ()

@@ -1,11 +1,14 @@
 """Unit tests for RA terms and the UCQT2RRA translator (incl. Table 2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.parser import parse
 from repro.errors import EvaluationError, TranslationError
 from repro.graph.evaluator import evaluate_path
 from repro.query.parser import parse_query
+from repro.ra import terms
 from repro.ra.evaluate import evaluate_term
 from repro.ra.terms import (
     Fix,
@@ -194,9 +197,57 @@ class TestCqtTranslation:
         assert {row[0] for row in rows} == set(expected)
 
 
+#: A term spec is ``(class name, *fields)``, with a nested spec in each
+#: field that holds a sub-term; these are those fields' positions.
+_CHILD_FIELDS = {
+    "Project": (0,), "Rename": (0,), "SelectEq": (0,),
+    "Join": (0, 1), "RaUnion": (0, 1), "Fix": (1, 2),
+}
+_COLUMN = st.sampled_from(["Sr", "Tr", "m"])
+_COLUMNS = st.lists(_COLUMN, min_size=1, max_size=3).map(tuple)
+_TERM_SPECS = st.recursive(
+    st.one_of(
+        st.tuples(
+            st.just("Rel"), st.sampled_from(["knows", "workAt"]),
+            st.none() | _COLUMNS,
+        ),
+        st.tuples(st.just("Var"), st.sampled_from(["X", "Y"]), _COLUMNS),
+    ),
+    lambda child: st.one_of(
+        st.tuples(st.just("Project"), child, _COLUMNS),
+        st.tuples(
+            st.just("Rename"), child,
+            st.lists(st.tuples(_COLUMN, _COLUMN), max_size=2).map(tuple),
+        ),
+        st.tuples(st.just("SelectEq"), child, _COLUMN, _COLUMN),
+        st.tuples(st.just("Join"), child, child),
+        st.tuples(st.just("RaUnion"), child, child),
+        st.tuples(st.just("Fix"), st.sampled_from(["X", "Y"]), child, child),
+    ),
+    max_leaves=10,
+)
+
+
+def _build(spec):
+    """The term ``spec`` describes, built bottom-up."""
+    kind, *fields = spec
+    children = _CHILD_FIELDS.get(kind, ())
+    return getattr(terms, kind)(
+        *(_build(f) if i in children else f for i, f in enumerate(fields))
+    )
+
+
+def _subspecs(spec):
+    yield spec
+    kind, *fields = spec
+    for index in _CHILD_FIELDS.get(kind, ()):
+        yield from _subspecs(fields[index])
+
+
 class TestTermKeys:
-    """Terms are the planner's dictionary keys: the hash is cached per
-    node, stays structural, and never crosses a pickle boundary."""
+    """Terms are the planner's dictionary keys, so they are interned:
+    equal terms are one object however and wherever they were built,
+    and the intern table keeps no term alive on its own."""
 
     #: Evaluated here and, natively, in the child processes below.
     SOURCE = (
@@ -210,24 +261,37 @@ class TestTermKeys:
     def _term(self):
         return eval(self.SOURCE)
 
-    def test_cached_hash_is_the_structural_hash(self):
-        for node in self._term().walk():
-            fields = [
-                value for name, value in vars(node).items() if name != "_hash"
-            ]
-            assert hash(node) == hash((type(node).__name__, *fields))
+    def test_equal_terms_built_separately_are_the_same_object(self):
+        import copy
+        import dataclasses
+        import pickle
+
+        first, second = self._term(), self._term()
+        assert first is second
+        assert first is not RaUnion(first.right, first.left)
+        for node in first.walk():  # identity, not a structural walk
+            assert type(node).__eq__ is object.__eq__
+            assert type(node).__hash__ is object.__hash__
+        # Every way of making a term lands on the interned one.
+        scan = Rel("knows", ("Sr", "Tr"))
+        assert Rel(name="knows", projection=("Sr", "Tr")) is scan
+        assert Rel("knows") is Rel("knows", None) is Rel("knows", projection=None)
+        assert dataclasses.replace(Rel("knows"), projection=("Sr", "Tr")) is scan
+        assert Rename.of(scan, {"Tr": "m", "Sr": "n"}) is Rename(
+            scan, (("Sr", "n"), ("Tr", "m"))
+        )
+        assert copy.copy(first) is first
+        assert copy.deepcopy(first) is first
+        assert pickle.loads(pickle.dumps(first)) is first
 
     def test_equal_terms_built_separately_share_estimates(self, ldbc_small):
         from repro.ra.stats import Estimator
 
-        first, second = self._term(), self._term()
-        assert first is not second and first == second
-        assert first != RaUnion(first.right, first.left)
         estimator = Estimator(ldbc_small[2])
-        estimate = estimator.estimate(first)
+        estimate = estimator.estimate(self._term())
         entries = len(estimator._cache)
-        assert second in estimator._cache
-        assert estimator.estimate(second) is estimate
+        assert self._term() in estimator._cache
+        assert estimator.estimate(self._term()) is estimate
         assert len(estimator._cache) == entries
 
     def test_pickle_round_trip_under_another_hash_seed(self):
@@ -239,16 +303,14 @@ class TestTermKeys:
         import repro
 
         payload = pickle.dumps(self._term())
-        assert b"_hash" not in payload
         check = (
             "import pickle, sys\n"
             "from repro.ra.terms import *\n"
             "loaded = pickle.loads(sys.stdin.buffer.read())\n"
             f"native = {self.SOURCE}\n"
-            "assert hash(loaded) == hash(native)\n"
+            "assert loaded is native\n"
             "assert {native: 'found'}[loaded] == 'found'\n"
-            "assert all(hash(n) == hash(m) for n, m in"
-            " zip(loaded.walk(), native.walk()))\n"
+            "assert all(n is m for n, m in zip(loaded.walk(), native.walk()))\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         for seed in ("1", "2"):  # at most one can be this process's seed
@@ -264,3 +326,84 @@ class TestTermKeys:
                 timeout=60,
             )
             assert done.returncode == 0, done.stderr.decode()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_TERM_SPECS, _TERM_SPECS)
+    def test_rebuilt_trees_are_identical_and_different_ones_distinct(
+        self, spec, other
+    ):
+        term = _build(spec)
+        assert _build(spec) is term
+        assert (_build(other) is term) == (other == spec)
+        # Within one tree: one object per distinct sub-structure.
+        subspecs = list(_subspecs(spec))
+        subterms = [_build(sub) for sub in subspecs]
+        assert len({id(sub) for sub in subterms}) == len(set(subspecs))
+        assert all(
+            (a is b) == (x == y)
+            for x, a in zip(subspecs, subterms)
+            for y, b in zip(subspecs, subterms)
+        )
+
+    def test_threads_racing_to_build_a_term_get_one_object(self):
+        import sys
+        import threading
+
+        nonce = f"race{id(object())}"
+        barrier = threading.Barrier(8)
+        results: list[list] = [[] for _ in range(8)]
+
+        def build(slot: int) -> None:
+            barrier.wait(timeout=60)
+            for index in range(2000):
+                scan = Rel(f"{nonce}-{index}", ("Sr", "Tr"))
+                results[slot].append(
+                    Project(
+                        Join(scan, Rename.of(scan, {"Sr": "m", "Tr": "Sr"})),
+                        ("Sr",),
+                    )
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=build, args=(slot,)) for slot in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(len(built) == 2000 for built in results)
+        for built in zip(*results):
+            assert all(term is built[0] for term in built)
+            for nodes in zip(*(term.walk() for term in built)):
+                assert all(node is nodes[0] for node in nodes)
+
+    def test_intern_table_lets_go_of_dropped_plans(self):
+        import gc
+
+        from repro.datasets.ldbc import ldbc_session
+        from repro.datasets.yago import yago_session
+        from repro.engine.options import ExecOptions
+        from repro.workloads import LDBC_QUERIES, YAGO_QUERIES
+
+        gc.collect()
+        before = len(terms._INTERNED)
+        cost = ExecOptions(planner="cost")
+        for queries, open_session in (
+            (YAGO_QUERIES, lambda: yago_session(0.02)),
+            (LDBC_QUERIES, lambda: ldbc_session(0.05)),
+        ):
+            with open_session() as session:
+                for query in queries:
+                    session.prepare(query.text, exec_options=cost)
+                    session.prepare(query.text, rewrite=False)
+            assert len(terms._INTERNED) > before
+        del session
+        gc.collect()
+        assert len(terms._INTERNED) == before
+
