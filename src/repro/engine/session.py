@@ -374,7 +374,6 @@ class GraphSession:
         rewrite_options: RewriteOptions | None = None,
         cache_size: int = 256,
         result_cache_size: int = 0,
-        planner: str = "greedy",
         replan_error_threshold: float = 8.0,
         exec_options: ExecOptions | None = None,
         calibration: "CalibrationState | str | pathlib.Path | None" = None,
@@ -385,8 +384,7 @@ class GraphSession:
         #: Session-default execution options; a call's ``exec_options``
         #: (and its positional ``backend``) overlay these.
         self.exec_options = DEFAULT_EXEC_OPTIONS.merged(exec_options)
-        if planner == "greedy" and self.exec_options.planner is not None:
-            planner = self.exec_options.planner
+        validate_planner(self.planner)
         self._graph = graph
         self._schema = schema
         self._store = store
@@ -413,9 +411,6 @@ class GraphSession:
         else:
             self._aliases = {k: tuple(v) for k, v in (aliases or {}).items()}
         self.rewrite_options = rewrite_options or RewriteOptions()
-        #: Default planning mode: ``"greedy"`` runs the classic linear
-        #: pipeline; ``"cost"`` enumerates candidates and picks by cost.
-        self.planner = validate_planner(planner)
         if replan_error_threshold < 1.0:
             raise ValueError(
                 "replan_error_threshold is an error *factor* "
@@ -552,6 +547,13 @@ class GraphSession:
                     graph.add_edge(source, name, target)
 
     @property
+    def planner(self) -> str:
+        """The default planning mode, ``exec_options.planner`` (unset is
+        ``"greedy"``): ``"greedy"`` runs the classic linear pipeline;
+        ``"cost"`` enumerates candidates and picks by cost."""
+        return self.exec_options.planner or "greedy"
+
+    @property
     def store(self) -> RelationalStore:
         if self._store is None:
             store = RelationalStore.from_graph(self._graph, self._schema)
@@ -606,7 +608,6 @@ class GraphSession:
             store=snapshot,
             rewrite_options=self.rewrite_options,
             result_cache_size=0,
-            planner=self.planner,
             exec_options=self.exec_options,
             calibration=self._calibration,
             workload=self.workload_tag,

@@ -12,8 +12,9 @@ per-backend physical cost model:
   weights, so ``vec``, ``ra`` and ``sqlite`` cost the same logical plan
   differently.
 
-Sessions opt in with ``GraphSession(..., planner="cost")`` or per call
-(``session.execute(query, exec_options=ExecOptions(planner="cost"))``);
+Sessions opt in with ``ExecOptions(planner="cost")``, as the session
+default (``GraphSession(..., exec_options=...)``) or per call
+(``session.execute(query, exec_options=...)``);
 execution feeds actual cardinalities back into the per-store
 :class:`~repro.ra.stats.StoreStatistics` correction table, and plans
 whose estimates drift past the session's re-plan threshold are planned

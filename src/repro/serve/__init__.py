@@ -12,7 +12,8 @@ Three entry points, thinnest first:
 * :func:`repro.serve.batch.execute_batch` — the same plus a
   :class:`~repro.serve.batch.BatchReport` of what was shared,
 * :class:`repro.serve.service.QueryService` — the asyncio front door
-  with a bounded worker pool and per-fingerprint admission batching.
+  with a bounded worker pool and admission batching per configuration
+  and store version (snapshot-isolated reads).
 
 The ``repro batch`` and ``repro serve`` CLI subcommands expose the
 synchronous and asynchronous paths respectively.

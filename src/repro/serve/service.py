@@ -10,29 +10,41 @@ execution entirely (whole result sets cached per store version).
 
 Mechanics:
 
-* **per-fingerprint admission batching** — every submission is filed
-  under the session's schema fingerprint *at submission time*; a worker
-  drains up to ``max_batch_size`` requests of one fingerprint per batch,
-  so requests straddling a ``session.update_schema`` never share a
-  batch. (Plans are still prepared under the schema current when the
-  batch *executes* — the grouping guarantees batch homogeneity, not a
+* **admission per configuration and store version** — every submission
+  is filed under ``(schema fingerprint, store version, backend, rewrite,
+  effective exec options)`` as they stand *at submission time*; a
+  worker drains up to ``max_batch_size`` requests of one key per batch,
+  so only requests that would run the same way share a batch, and
+  requests straddling a ``session.update_schema`` or a write never do.
+  (Plans are still prepared under the schema current when the batch
+  *executes* — the grouping guarantees batch homogeneity, not a
   snapshot of the schema at submission.)
+* **snapshot-isolated reads** — a batch that executes *after*
+  append-only writes moved the store on runs on a session pinned at the
+  version it was admitted under
+  (:meth:`~repro.engine.session.GraphSession.snapshot_session`), so a
+  read never sees rows newer than its admission. Pinned views exist
+  for the backends that read the store (``ra``/``vec``); the others
+  fall back to the live session and ``snapshot_fallbacks`` says so.
+* **one budget per batch** — a request carries its remaining wall
+  clock into the queue; a batch runs under the longest remaining
+  budget of its members, so an abandoned batch stops at its members'
+  deadline.
 * **bounded worker pool** — ``workers`` drain tasks; admission control
   blocks ``submit`` once ``max_pending`` requests are queued
-  (backpressure, not an exception). Batches *execute* one at a time —
-  the session's derived state is not safe under concurrent mutation, so
-  a lock serialises execution; extra workers overlap draining and
-  result fan-out with execution, they do not run batches in parallel.
-* **event-loop hygiene** — batches run in a worker thread
-  (:func:`asyncio.to_thread`) serialised by one lock, keeping the loop
-  responsive; ``sqlite`` batches run inline on the loop instead
-  (:func:`offload`, which the tenants use too).
+  (backpressure, not an exception). Batches *execute* one at a time on
+  a worker thread (:func:`asyncio.to_thread`), serialised by one lock —
+  the session's derived state is not safe under concurrent mutation —
+  so the loop stays responsive while a batch waits or runs; extra
+  workers overlap draining and result fan-out with execution, they do
+  not run batches in parallel.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
+import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Sequence
@@ -44,18 +56,13 @@ from repro.exec.result import ResultSet
 from repro.query.model import UCQT
 from repro.serve.batch import BatchOutcome, execute_batch
 
-#: Backends whose work runs on a worker thread; the rest (``sqlite``, and
-#: ``auto``, which may pick it) run inline on the loop.
-_THREAD_SAFE_BACKENDS = frozenset({"ra", "vec", "gdb", "reference"})
+#: Backends that evaluate against ``session.store`` and therefore have a
+#: meaningful pinned view; the rest derive state from the graph object
+#: and fall back to the live session.
+_SNAPSHOT_BACKENDS = frozenset({"ra", "vec"})
 
-
-async def offload(backend: str, fn):
-    """Run ``fn`` for ``backend``: on a worker thread for the backends in
-    ``_THREAD_SAFE_BACKENDS``, inline on the loop for the rest — the one
-    thread choice of the service and the tenants."""
-    if backend in _THREAD_SAFE_BACKENDS:
-        return await asyncio.to_thread(fn)
-    return fn()
+#: Pinned sessions kept per ``(pinned, live)`` store-version pair.
+_SNAPSHOT_CACHE_SIZE = 4
 
 
 @dataclass
@@ -76,6 +83,8 @@ class ServiceStats:
 @dataclass
 class _Request:
     query: UCQT
+    #: ``time.monotonic()`` past which the caller no longer waits.
+    deadline: float | None
     future: "asyncio.Future[ResultSet]"
 
 
@@ -87,10 +96,11 @@ class QueryService:
         async with QueryService(session, backend="vec") as service:
             rows = await service.submit("x1, x2 <- (x1, isLocatedIn+, x2)")
 
-    or drive a whole workload with :meth:`map`. All batching parameters
-    are fixed at construction; per-request rewrite options are not
-    supported — a service serves one configuration, which is what makes
-    its batches shareable.
+    or drive a whole workload with :meth:`map`. Batching parameters are
+    fixed at construction; the constructor's ``backend``, ``rewrite``,
+    ``exec_options`` and ``timeout_seconds`` are the defaults a
+    submission may override, and submissions that end up configured
+    alike share batches.
     """
 
     def __init__(
@@ -118,22 +128,29 @@ class QueryService:
         self.workers = workers
         self.timeout_seconds = timeout_seconds
         self.rewrite = rewrite
-        #: Execution options applied to every batch, overlaid on the
-        #: session's defaults (``planner="cost"`` routes all admission
-        #: batches through the shared cost model and its corrections).
         self.exec_options = exec_options
         self.stats = ServiceStats()
-        # Pending requests, grouped by the admission key (by default the
-        # schema fingerprint) they were submitted under; OrderedDict
-        # keeps key arrival order so draining is fair across a schema
-        # change.
-        self._pending: "OrderedDict[object, deque[_Request]]" = OrderedDict()
+        # Pending requests, grouped by the admission key they were
+        # submitted under; OrderedDict keeps key arrival order so
+        # draining is fair across configurations and versions.
+        self._pending: "OrderedDict[tuple, deque[_Request]]" = OrderedDict()
         self._pending_count = 0
         self._wakeup: asyncio.Condition | None = None
         self._tasks: list[asyncio.Task] = []
         self._session_lock = threading.Lock()
         self._closed = False
         self._was_closed = False
+        # Pinned sessions per (pinned, live) version pair — the live half
+        # matters because a snapshot shares unchanged tables with the
+        # live store *by reference*: once another write lands, a view
+        # built earlier could watch shared tables mutate, so keying on
+        # the live version retires it instead.
+        self._snapshots: "OrderedDict[tuple[int, int], GraphSession]" = (
+            OrderedDict()
+        )
+        self.snapshot_reads = 0
+        self.snapshot_fallbacks = 0
+        self.snapshot_sessions_built = 0
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> "QueryService":
@@ -175,7 +192,7 @@ class QueryService:
         self._pending.clear()
         self._pending_count = 0
         for request in leftovers:
-            if not request.future.done():
+            if not request.future.cancelled():
                 request.future.set_exception(
                     ServiceClosedError(
                         "QueryService closed before this request was served"
@@ -183,6 +200,9 @@ class QueryService:
                 )
         self._tasks = []
         self._wakeup = None
+        for snapshot in self._snapshots.values():
+            snapshot.close()
+        self._snapshots.clear()
 
     async def __aenter__(self) -> "QueryService":
         return await self.start()
@@ -191,12 +211,59 @@ class QueryService:
         await self.close()
 
     # -- the front door ----------------------------------------------------
-    async def submit(self, query: UCQT | str) -> ResultSet:
+    async def submit(
+        self,
+        query: UCQT | str,
+        *,
+        backend: str | None = None,
+        rewrite: bool | None = None,
+        exec_options: "ExecOptions | None" = None,
+        timeout_seconds: float | None = None,
+    ) -> ResultSet:
         """Enqueue one query; resolves with its rows once its batch ran.
+
+        Unset arguments take the constructor's values; a
+        ``timeout_seconds`` above the service's is capped to it. The
+        rows are those of the store version current when ``submit`` was
+        called.
 
         Raises :class:`~repro.errors.ServiceClosedError` once
         :meth:`close` has begun — accepted requests drain, new ones are
         rejected immediately.
+        """
+        key, deadline = self._admission(
+            backend, rewrite, exec_options, timeout_seconds
+        )
+        return await self._enqueue(query, key, deadline)
+
+    async def map(
+        self,
+        queries: Sequence[UCQT | str],
+        *,
+        backend: str | None = None,
+        rewrite: bool | None = None,
+        exec_options: "ExecOptions | None" = None,
+        timeout_seconds: float | None = None,
+    ) -> list[ResultSet]:
+        """:meth:`submit` for many queries at once, all configured alike
+        and admitted at one store version; results in input order."""
+        key, deadline = self._admission(
+            backend, rewrite, exec_options, timeout_seconds
+        )
+        return list(
+            await asyncio.gather(
+                *(self._enqueue(query, key, deadline) for query in queries)
+            )
+        )
+
+    # -- admission ---------------------------------------------------------
+    def _admission(
+        self, backend, rewrite, exec_options, timeout_seconds
+    ) -> tuple[tuple, float | None]:
+        """A call's admission key and deadline.
+
+        Read before the call can suspend, so a caller that read the
+        store version just before calling is answered from that version.
         """
         if self._wakeup is None:
             if self._was_closed:
@@ -204,10 +271,35 @@ class QueryService:
             raise RuntimeError(
                 "QueryService is not running; use 'async with' or start()"
             )
+        session = self.session
+        key = (
+            session.schema_fingerprint,
+            session.store.version,
+            self.backend if backend is None else backend,
+            self.rewrite if rewrite is None else rewrite,
+            session.exec_options.merged(
+                self.exec_options if exec_options is None else exec_options
+            ),
+        )
+        timeout = self.timeout_seconds
+        if timeout_seconds is not None and (
+            timeout is None or timeout_seconds < timeout
+        ):
+            timeout = timeout_seconds
+        return key, None if timeout is None else time.monotonic() + timeout
+
+    async def _enqueue(
+        self, query: UCQT | str, key: tuple, deadline: float | None
+    ) -> ResultSet:
         # Parse before enqueueing: a malformed query fails its own
         # submitter here and never reaches (or poisons) a batch.
-        query = self.session._as_query(query)
-        request = _Request(query, asyncio.get_running_loop().create_future())
+        request = _Request(
+            self.session._as_query(query),
+            deadline,
+            asyncio.get_running_loop().create_future(),
+        )
+        if self._closed:
+            raise ServiceClosedError("QueryService is closing")
         async with self._wakeup:
             while self._pending_count >= self.max_pending:
                 if self._closed:
@@ -215,31 +307,11 @@ class QueryService:
                 await self._wakeup.wait()
             if self._closed:
                 raise ServiceClosedError("QueryService is closing")
-            key = self._admission_key()
             self._pending.setdefault(key, deque()).append(request)
             self._pending_count += 1
             self.stats.submitted += 1
             self._wakeup.notify_all()
         return await request.future
-
-    async def map(
-        self, queries: Sequence[UCQT | str]
-    ) -> list[ResultSet]:
-        """Submit many queries concurrently; results in input order."""
-        return list(
-            await asyncio.gather(*(self.submit(query) for query in queries))
-        )
-
-    # -- admission ---------------------------------------------------------
-    def _admission_key(self) -> object:
-        """The bucket a submission is filed under (hashable).
-
-        Requests only share a batch when their keys are equal. The base
-        service groups by the session's schema fingerprint at submission
-        time; the HTTP tier's subclass extends the key with the store
-        version, which is what pins snapshot-isolated reads.
-        """
-        return self.session.schema_fingerprint
 
     # -- workers -----------------------------------------------------------
     async def _worker(self) -> None:
@@ -255,7 +327,7 @@ class QueryService:
                 self._wakeup.notify_all()  # room for blocked submitters
             await self._run_batch(key, batch)
 
-    def _drain_one_key(self) -> tuple[object, list[_Request]]:
+    def _drain_one_key(self) -> tuple[tuple, list[_Request]]:
         """Up to ``max_batch_size`` requests of the oldest admission key."""
         key, queue = next(iter(self._pending.items()))
         batch = [
@@ -266,9 +338,14 @@ class QueryService:
             del self._pending[key]
         return key, batch
 
-    async def _run_batch(self, key: object, batch: list[_Request]) -> None:
+    async def _run_batch(self, key: tuple, batch: list[_Request]) -> None:
+        # A caller that stopped waiting (its deadline passed) has
+        # nothing left to receive: its query is not run.
+        batch = [r for r in batch if not r.future.cancelled()]
+        if not batch:
+            return
         try:
-            outcome = await self._execute([r.query for r in batch], key)
+            outcome = await self._execute(key, batch)
         except QueryTimeout as error:
             # The budget bounds the *batch*; retrying its requests one
             # by one with fresh budgets would multiply the very work the
@@ -292,35 +369,73 @@ class QueryService:
                 self.stats.completed += 1
 
     async def _execute(
-        self, queries: list[UCQT], key: object = None
+        self, key: tuple, batch: list[_Request]
     ) -> BatchOutcome:
-        """Run one admission batch on the session its admission ``key``
-        routes to (:meth:`_session_for`)."""
+        """Run one admission batch as its key configures it, on the
+        session pinned at its admission version, under the longest
+        remaining budget of its members."""
+        _fingerprint, version, backend, rewrite, options = key
+        queries = [request.query for request in batch]
+        deadlines = [request.deadline for request in batch]
+
         def run() -> BatchOutcome:
             with self._session_lock:
+                budget = (
+                    None
+                    if None in deadlines
+                    else max(max(deadlines) - time.monotonic(), 0.0)
+                )
                 return execute_batch(
-                    self._session_for(key),
+                    self._session_at(version, backend),
                     queries,
-                    self.backend,
-                    timeout_seconds=self.timeout_seconds,
-                    rewrite=self.rewrite,
-                    exec_options=self.exec_options,
+                    backend,
+                    timeout_seconds=budget,
+                    rewrite=rewrite,
+                    exec_options=options,
                 )
 
-        return await offload(self.backend, run)
+        return await asyncio.to_thread(run)
 
-    def _session_for(self, key: object) -> GraphSession:
-        """The session a batch admitted under ``key`` runs on; the base
-        service always uses the live one (subclasses route on the key —
-        e.g. to a snapshot session). Caller holds ``_session_lock``."""
-        return self.session
+    def _session_at(self, version: int, backend: str) -> GraphSession:
+        """The session a batch admitted at store ``version`` runs on.
+
+        Caller holds ``_session_lock`` — the lock every write holds too,
+        so nothing can move the store between these checks and the
+        batch's execution.
+        """
+        live = self.session.store.version
+        if version == live:
+            return self.session
+        if backend not in _SNAPSHOT_BACKENDS:
+            self.snapshot_fallbacks += 1
+            return self.session
+        cache_key = (version, live)
+        cached = self._snapshots.get(cache_key)
+        if cached is not None:
+            self._snapshots.move_to_end(cache_key)
+            self.snapshot_reads += 1
+            return cached
+        snapshot = self.session.snapshot_session(version)
+        if snapshot is None or snapshot is self.session:
+            # A non-append write barrier (or a truncated delta log)
+            # means the pinned view is unreconstructable; the live
+            # session is the best available answer.
+            self.snapshot_fallbacks += 1
+            return self.session
+        self.snapshot_sessions_built += 1
+        self._snapshots[cache_key] = snapshot
+        while len(self._snapshots) > _SNAPSHOT_CACHE_SIZE:
+            _, evicted = self._snapshots.popitem(last=False)
+            evicted.close()
+        self.snapshot_reads += 1
+        return snapshot
 
     async def _run_requests_individually(
-        self, key: object, batch: list[_Request]
+        self, key: tuple, batch: list[_Request]
     ) -> None:
         for request in batch:
             try:
-                outcome = await self._execute([request.query], key)
+                outcome = await self._execute(key, [request])
             except Exception as error:
                 if not request.future.cancelled():
                     request.future.set_exception(error)

@@ -2,7 +2,8 @@
 
 Layering: :mod:`repro.server.models` (wire models + the single
 error→HTTP mapping) → :mod:`repro.server.tenants` (quota gate,
-snapshot-isolated batcher, metrics) → :mod:`repro.server.http`
+metrics, the one read path into the snapshot-isolated
+:class:`~repro.serve.service.QueryService`) → :mod:`repro.server.http`
 (stdlib asyncio HTTP front end). ``repro serve --http HOST:PORT``
 boots the whole stack from the CLI.
 """
@@ -19,7 +20,6 @@ from repro.server.models import (
 from repro.server.tenants import (
     Tenant,
     TenantMetrics,
-    TenantQueryService,
     TenantQuotas,
     TenantRegistry,
 )
@@ -32,7 +32,6 @@ __all__ = [
     "QueryRequest",
     "Tenant",
     "TenantMetrics",
-    "TenantQueryService",
     "TenantQuotas",
     "TenantRegistry",
     "WriteRequest",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Set
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Mapping
 
 from repro.engine.options import DEFAULT_BACKEND
@@ -156,39 +156,28 @@ def _backend_field(payload: Mapping) -> str:
 
 
 def _options_field(payload: Mapping) -> "ExecOptions | None":
-    """The request's execution knobs as one ``ExecOptions``, validated.
+    """The request's ``options`` object as one ``ExecOptions``, validated.
 
-    The ``options`` object, with the top-level ``planner`` field (the
-    older spelling of ``options.planner``; it wins) folded in, so nothing
-    below the model sees two spellings. ``spill_path`` names a directory
-    on the server: a deployment setting (``repro serve --spill-path``),
-    never a request's.
+    ``spill_path`` names a directory on the server: a deployment setting
+    (``repro serve --spill-path``), never a request's.
     """
     from repro.engine.options import ExecOptions
+    from repro.planner import validate_planner
 
-    options = None
     value = payload.get("options")
-    if value is not None:
-        try:
-            options = ExecOptions.from_mapping(
-                _require_mapping(value, "options")
+    if value is None:
+        return None
+    try:
+        options = ExecOptions.from_mapping(_require_mapping(value, "options"))
+        if options.planner is not None:
+            validate_planner(options.planner)
+        if options.spill_path is not None:
+            raise ValueError(
+                "exec option 'spill_path' is a server deployment "
+                "setting and cannot be set by a request"
             )
-            if options.spill_path is not None:
-                raise ValueError(
-                    "exec option 'spill_path' is a server deployment "
-                    "setting and cannot be set by a request"
-                )
-        except ValueError as error:
-            raise RequestError(str(error), field="options") from error
-    planner = payload.get("planner")
-    if planner is not None:
-        from repro.planner import validate_planner
-
-        try:
-            validate_planner(planner)
-        except (ValueError, TypeError) as error:
-            raise RequestError(str(error), field="planner") from error
-        options = replace(options or ExecOptions(), planner=planner)
+    except ValueError as error:
+        raise RequestError(str(error), field="options") from error
     return options
 
 
@@ -230,8 +219,7 @@ class QueryRequest:
     options: "ExecOptions | None" = None
 
     FIELDS = frozenset(
-        {"query", "backend", "timeout_seconds", "rewrite", "planner",
-         "options"}
+        {"query", "backend", "timeout_seconds", "rewrite", "options"}
     )
 
     @classmethod
@@ -258,8 +246,7 @@ class BatchRequest:
     options: "ExecOptions | None" = None
 
     FIELDS = frozenset(
-        {"queries", "backend", "timeout_seconds", "rewrite", "planner",
-         "options"}
+        {"queries", "backend", "timeout_seconds", "rewrite", "options"}
     )
 
     @classmethod
@@ -361,7 +348,7 @@ class ExplainRequest:
     rewrite: bool = True
     options: "ExecOptions | None" = None
 
-    FIELDS = frozenset({"query", "backend", "rewrite", "planner", "options"})
+    FIELDS = frozenset({"query", "backend", "rewrite", "options"})
 
     @classmethod
     def from_payload(cls, payload: object) -> "ExplainRequest":

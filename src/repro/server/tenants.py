@@ -1,8 +1,9 @@
 """Tenancy: named graphs, admission quotas, snapshot-isolated reads.
 
 Each :class:`Tenant` owns one :class:`~repro.engine.session.GraphSession`
-and one :class:`TenantQueryService` (the admission batcher). Two layers
-guard a request on its way to execution:
+and one :class:`~repro.serve.service.QueryService` (the admission
+batcher). Every ``/query`` and ``/batch``, whatever its backend,
+``rewrite`` or options, takes the same path:
 
 1. **the quota gate** — a per-tenant semaphore sized
    ``max_concurrent``, with at most ``max_pending`` requests allowed to
@@ -14,25 +15,20 @@ guard a request on its way to execution:
 2. **the admission batcher** — the tenant's service is sized so the
    quota gate is the only place requests ever queue
    (``max_pending == max_concurrent``); whatever the gate admits is
-   accepted immediately.
+   accepted immediately, with the request's configuration (its
+   resource caps held to the quota) and what is left of its deadline.
 
-**Snapshot isolation.** :class:`TenantQueryService` extends the
-admission key with the store version current at submission, so every
-batch is homogeneous in the version its requests observed. When a batch
-executes *after* append-only writes moved the store on, the service
-routes it to a pinned read view rebuilt by
-:meth:`~repro.storage.relational.RelationalStore.snapshot_at` instead
-of the live session — reads never see a torn half-write and never see
-rows from a version newer than their admission. Snapshot views exist
-for the relational backends (``ra``/``vec``, the only engines that read
-the store); other backends fall back to the live session and the
-``snapshot_fallbacks`` counter says so.
+**Snapshot isolation.** The service files a request under the store
+version current at admission, which is the ``store_version`` the answer
+reports, and runs a batch that executes after append-only writes on a
+view pinned at that version — reads never see a torn half-write and
+never see rows newer than the version they report (``ra``/``vec``; the
+other backends read the live session and count a snapshot fallback).
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
 from typing import Iterator
 
@@ -47,7 +43,7 @@ from repro.errors import (
     UnknownTenantError,
 )
 from repro.exec.result import ResultSet
-from repro.serve.service import QueryService, offload
+from repro.serve.service import QueryService
 from repro.server.models import (
     BatchRequest,
     ExplainRequest,
@@ -56,11 +52,6 @@ from repro.server.models import (
     rows_payload,
     spliced_body,
 )
-
-#: Backends that evaluate against ``session.store`` and therefore have a
-#: meaningful pinned view; the rest derive state from the graph object
-#: and fall back to the live session.
-_SNAPSHOT_BACKENDS = frozenset({"ra", "vec"})
 
 
 @dataclass(frozen=True)
@@ -151,83 +142,6 @@ class WireMetrics:
     bytes_sent: int = 0
 
 
-class TenantQueryService(QueryService):
-    """A :class:`QueryService` whose batches are store-version-homogeneous.
-
-    The admission key is ``(schema_fingerprint, store.version)``; at
-    execution time the batch is routed to a session pinned at exactly
-    the version its requests were admitted under. Pinned sessions are
-    cached per ``(pinned, live)`` version pair — the live half matters
-    because a snapshot shares unchanged tables with the live store *by
-    reference*, so the moment another write lands, a previously built
-    view could watch shared tables mutate; keying on the live version
-    retires it instead. All routing happens under ``_session_lock``,
-    the same lock every execution and write holds.
-    """
-
-    def __init__(
-        self,
-        session: GraphSession,
-        backend: str = DEFAULT_BACKEND,
-        *,
-        snapshot_cache_size: int = 4,
-        **kwargs,
-    ):
-        super().__init__(session, backend, **kwargs)
-        self._snapshot_cache_size = snapshot_cache_size
-        self._snapshots: "OrderedDict[tuple[int, int], GraphSession]" = (
-            OrderedDict()
-        )
-        self.snapshot_reads = 0
-        self.snapshot_fallbacks = 0
-        self.snapshot_sessions_built = 0
-
-    def _admission_key(self) -> object:
-        return (self.session.schema_fingerprint, self.session.store.version)
-
-    def _session_for(self, key: object) -> GraphSession:
-        """The session a batch admitted under ``key`` must run on.
-
-        Caller holds ``_session_lock`` — nothing can move the store
-        version between the checks below and the batch's execution.
-        """
-        if not (isinstance(key, tuple) and len(key) == 2):
-            return self.session
-        pinned = key[1]
-        live = self.session.store.version
-        if pinned == live:
-            return self.session
-        if self.backend not in _SNAPSHOT_BACKENDS:
-            self.snapshot_fallbacks += 1
-            return self.session
-        cache_key = (pinned, live)
-        cached = self._snapshots.get(cache_key)
-        if cached is not None:
-            self._snapshots.move_to_end(cache_key)
-            self.snapshot_reads += 1
-            return cached
-        snapshot = self.session.snapshot_session(pinned)
-        if snapshot is None or snapshot is self.session:
-            # A non-append write barrier (or a truncated delta log)
-            # means the pinned view is unreconstructable; the live
-            # session is the best available answer.
-            self.snapshot_fallbacks += 1
-            return self.session
-        self.snapshot_sessions_built += 1
-        self._snapshots[cache_key] = snapshot
-        while len(self._snapshots) > self._snapshot_cache_size:
-            _, evicted = self._snapshots.popitem(last=False)
-            evicted.close()
-        self.snapshot_reads += 1
-        return snapshot
-
-    async def close(self) -> None:
-        await super().close()
-        for snapshot in self._snapshots.values():
-            snapshot.close()
-        self._snapshots.clear()
-
-
 class Tenant:
     """One named graph: a session, its service, quotas and counters."""
 
@@ -252,11 +166,10 @@ class Tenant:
         self.dataset = dataset
         self.backend = backend
         # ``exec_options`` are this tenant's server-level defaults (the
-        # ``repro serve`` flags): they hold for batched and bespoke
-        # requests alike. Served sessions degrade gracefully by default:
-        # retryable failures walk the backend chain instead of
-        # surfacing, and the quota's resource caps become the
-        # session-wide defaults.
+        # ``repro serve`` flags), which a request's own options overlay.
+        # Served sessions degrade gracefully by default: retryable
+        # failures walk the backend chain instead of surfacing, and the
+        # quota's resource caps become the session-wide defaults.
         session.exec_options = session.exec_options.merged(
             exec_options
         ).merged(
@@ -271,7 +184,7 @@ class Tenant:
             session._breakers.clear()
         if retry_policy is not None:
             session.retry_policy = retry_policy
-        self.service = TenantQueryService(
+        self.service = QueryService(
             session,
             backend,
             # The quota gate is the only queue: the service accepts
@@ -324,24 +237,6 @@ class Tenant:
             self.metrics.errors += 1
             raise
 
-    def _uses_service_shape(self, request) -> bool:
-        """Whether a request matches the service's fixed configuration.
-
-        Only such requests go through the admission batcher (and its
-        snapshot routing); anything bespoke executes directly under the
-        same session lock.
-        """
-        if (
-            request.backend != self.service.backend
-            or request.rewrite != self.service.rewrite
-        ):
-            return False
-        if request.options is None:
-            return True
-        # Options that change nothing the session runs under are its shape.
-        served = self.session.exec_options
-        return served.merged(request.options) == served
-
     # -- operations --------------------------------------------------------
     async def query(self, request: QueryRequest) -> dict:
         head, rows = await self._guard(self._query(request))
@@ -353,33 +248,18 @@ class Tenant:
         return self._body(head, "rows", self._wire_text(rows))
 
     async def _query(self, request: QueryRequest) -> tuple[dict, ResultSet]:
-        timeout = self.quotas.clamp(request.timeout_seconds)
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        await self._admit(timeout)
-        try:
-            admitted_version = self.session.store.version
-            if self._uses_service_shape(request):
-                rows = await self._await_with_deadline(
-                    self.service.submit(request.query), deadline, timeout
-                )
-            else:
-                rows = await self._execute_direct(request, deadline)
-            return {
-                "tenant": self.name,
-                "backend": request.backend,
-                "store_version": admitted_version,
-                "row_count": len(rows),
-            }, rows
-        finally:
-            self._release()
-
-    async def batch(self, request: BatchRequest) -> dict:
-        head, results = await self._guard(self._batch(request))
-        return {**head, "results": [rows_payload(rows) for rows in results]}
+        version, rows = await self._read(
+            request, self.service.submit, request.query
+        )
+        return {
+            "tenant": self.name,
+            "backend": request.backend,
+            "store_version": version,
+            "row_count": len(rows),
+        }, rows
 
     async def batch_body(self, request: BatchRequest) -> bytes:
-        """:meth:`batch` as the bytes of its compact JSON."""
+        """A ``/batch`` answer as the bytes of its compact JSON."""
         head, results = await self._guard(self._batch(request))
         texts = ",".join(map(self._wire_text, results))
         return self._body(head, "results", f"[{texts}]")
@@ -387,41 +267,45 @@ class Tenant:
     async def _batch(
         self, request: BatchRequest
     ) -> tuple[dict, list[ResultSet]]:
+        version, results = await self._read(
+            request, self.service.map, request.queries
+        )
+        return {
+            "tenant": self.name,
+            "backend": request.backend,
+            "store_version": version,
+            "queries": len(results),
+            "row_counts": [len(rows) for rows in results],
+        }, results
+
+    async def _read(self, request, submit, queries):
+        """One read through the quota gate and the admission batcher:
+        ``submit(queries)`` with the request's configuration, under its
+        deadline. Returns the store version the answer is from, and the
+        answer."""
         timeout = self.quotas.clamp(request.timeout_seconds)
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
         await self._admit(timeout)
         try:
-            admitted_version = self.session.store.version
-            if self._uses_service_shape(request):
-                results = await self._await_with_deadline(
-                    self.service.map(list(request.queries)),
-                    deadline,
-                    timeout,
-                )
-            else:
-                budget = max(deadline - loop.time(), 0.001)
-
-                def run() -> list[ResultSet]:
-                    with self.service._session_lock:
-                        return self.session.execute_batch(
-                            list(request.queries),
-                            request.backend,
-                            timeout_seconds=budget,
-                            rewrite=request.rewrite,
-                            exec_options=self.quotas.clamp_options(
-                                request.options
-                            ),
-                        )
-
-                results = await offload(request.backend, run)
-            return {
-                "tenant": self.name,
-                "backend": request.backend,
-                "store_version": admitted_version,
-                "queries": len(results),
-                "row_counts": [len(rows) for rows in results],
-            }, results
+            # Read in the same step as ``submit`` files the request under
+            # its version: nothing suspends in between.
+            version = self.session.store.version
+            try:
+                async with asyncio.timeout_at(deadline):
+                    answer = await submit(
+                        queries,
+                        backend=request.backend,
+                        rewrite=request.rewrite,
+                        exec_options=self.quotas.clamp_options(
+                            request.options
+                        ),
+                        timeout_seconds=deadline - loop.time(),
+                    )
+            except (TimeoutError, QueryTimeout):
+                # A batch that ran out of budget ran out of this one.
+                raise QueryTimeout(timeout) from None
+            return version, answer
         finally:
             self._release()
 
@@ -487,7 +371,7 @@ class Tenant:
                         exec_options=request.options,
                     )
 
-            report = await offload(request.backend, run)
+            report = await asyncio.to_thread(run)
             # "plan" stays the rendered text (the pre-report wire shape);
             # "report" is the same ExplainReport, structured.
             return {
@@ -513,35 +397,6 @@ class Tenant:
         body = spliced_body(head, field, text)
         self.wire.bytes_sent += len(body)
         return body
-
-    # -- execution helpers -------------------------------------------------
-    async def _await_with_deadline(self, awaitable, deadline, timeout):
-        loop = asyncio.get_running_loop()
-        remaining = max(deadline - loop.time(), 0.001)
-        try:
-            return await asyncio.wait_for(awaitable, remaining)
-        except (asyncio.TimeoutError, TimeoutError):
-            raise QueryTimeout(timeout) from None
-
-    async def _execute_direct(
-        self, request: QueryRequest, deadline: float
-    ) -> ResultSet:
-        """Run a bespoke-configuration request outside the batcher
-        (still serialised with it via the session lock)."""
-        loop = asyncio.get_running_loop()
-        budget = max(deadline - loop.time(), 0.001)
-
-        def run() -> ResultSet:
-            with self.service._session_lock:
-                return self.session.execute(
-                    request.query,
-                    request.backend,
-                    timeout_seconds=budget,
-                    rewrite=request.rewrite,
-                    exec_options=self.quotas.clamp_options(request.options),
-                )
-
-        return await offload(request.backend, run)
 
     # -- introspection -----------------------------------------------------
     def metrics_payload(self) -> dict:

@@ -16,6 +16,7 @@ from repro.datasets.random_graphs import (
     random_schema,
 )
 from repro.engine import GraphSession
+from repro.engine.options import ExecOptions
 from repro.graph.evaluator import evaluate_path
 from repro.query.model import single_relation_query
 
@@ -25,6 +26,7 @@ _SEEDS = st.integers(min_value=0, max_value=10_000)
 #: fallback profile and the UCQT-level candidate space, which
 #: test_session_agreement already covers for the rewrite choice).
 _BACKENDS = ("ra", "vec", "sqlite")
+COST = ExecOptions(planner="cost")
 
 
 @given(_SEEDS, _SEEDS, _SEEDS)
@@ -36,7 +38,7 @@ def test_cost_planner_preserves_semantics(schema_seed, graph_seed, expr_seed):
     query = single_relation_query(expr)
     expected = evaluate_path(graph, expr)
 
-    with GraphSession(graph, schema, planner="cost") as session:
+    with GraphSession(graph, schema, exec_options=COST) as session:
         for backend in _BACKENDS:
             for rewrite in (False, True):
                 rows = session.execute(query, backend, rewrite=rewrite)
@@ -59,7 +61,7 @@ def test_adaptive_replanning_preserves_semantics(
     expected = evaluate_path(graph, expr)
 
     with GraphSession(
-        graph, schema, planner="cost", replan_error_threshold=1.0
+        graph, schema, exec_options=COST, replan_error_threshold=1.0
     ) as session:
         for _ in range(3):
             assert session.execute(query, "vec") == expected

@@ -7,17 +7,19 @@ snapshot machinery directly:
 * :meth:`RelationalStore.snapshot_at` must reproduce *exactly* the
   pre-write table contents after any script of appends (and a session
   over the snapshot must answer exactly the pre-write rows).
-* :class:`TenantQueryService` must answer every read admitted *before*
-  a write with the pre-write result and every read admitted *after* it
+* :class:`QueryService` must answer every read admitted *before* a
+  write with the pre-write result and every read admitted *after* it
   with the post-write result, even though all of them execute after the
   store moved — the admission version, not the execution time, decides
   what a read sees.
+* A :class:`Tenant` read of any request shape must answer with the rows
+  of the ``store_version`` its body reports.
 """
 
 import asyncio
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.random_graphs import (
@@ -27,7 +29,9 @@ from repro.datasets.random_graphs import (
 )
 from repro.engine import GraphSession
 from repro.query.model import single_relation_query
-from repro.server.tenants import TenantQueryService
+from repro.serve import QueryService
+from repro.server.models import QueryRequest
+from repro.server.tenants import Tenant
 
 @pytest.fixture(autouse=True)
 def _incremental_on(monkeypatch):
@@ -132,7 +136,7 @@ def test_service_reads_see_their_admission_version(
             # rewrite=False keeps the service on the same plan shape as
             # the expected answers below — this property is about which
             # store version a read sees, not rewrite equivalence.
-            service = TenantQueryService(session, "vec", rewrite=False)
+            service = QueryService(session, "vec", rewrite=False)
             await service.start()
             try:
                 lock = service._session_lock
@@ -175,3 +179,67 @@ def test_service_reads_see_their_admission_version(
         if session.store.version > version_before:
             assert service.snapshot_reads >= 1
             assert service.snapshot_fallbacks == 0
+
+
+#: Request bodies (beside ``query``) a served read may arrive in.
+_SHAPES = {
+    "plain": {},
+    "no-rewrite": {"rewrite": False},
+    "cost-planner": {"options": {"planner": "cost"}},
+    "python-kernel": {"options": {"kernel": "python"}},
+}
+
+
+@pytest.mark.parametrize("shape", list(_SHAPES))
+@given(_SEEDS, _SEEDS, _SEEDS, _SCRIPTS)
+@example(schema_seed=0, graph_seed=0, expr_seed=1, script=[0])
+@settings(max_examples=8, deadline=None)
+def test_tenant_reads_answer_the_version_they_report(
+    shape, schema_seed, graph_seed, expr_seed, script
+):
+    schema, graph, query = _setting(schema_seed, graph_seed, expr_seed)
+    request = QueryRequest.from_payload(
+        {"query": str(query), **_SHAPES[shape]}
+    )
+    with GraphSession(graph, schema) as cold:
+        expected = {cold.store.version: cold.execute(query, "reference")}
+
+    with GraphSession(graph, schema) as session:
+        writes = _script_edges(session.store, script)
+
+        async def drive():
+            tenant = Tenant("t", session)
+            await tenant.service.start()
+            try:
+                lock = tenant.service._session_lock
+                lock.acquire()  # every read stalls at execution
+                try:
+                    early = [
+                        asyncio.ensure_future(tenant.query(request))
+                        for _ in range(2)
+                    ]
+                    while tenant._active < 2:
+                        await asyncio.sleep(0.001)
+                    for table, edge in writes:
+                        session.store.add_rows(table, [edge])
+                    late = [
+                        asyncio.ensure_future(tenant.query(request))
+                        for _ in range(2)
+                    ]
+                    while tenant._active < 4:
+                        await asyncio.sleep(0.001)
+                finally:
+                    lock.release()
+                return await asyncio.gather(*early, *late)
+            finally:
+                await tenant.service.close()
+
+        bodies = asyncio.run(drive())
+        expected[session.store.version] = session.execute(query, "reference")
+
+    for body in bodies:
+        rows = {tuple(row) for row in body["rows"]}
+        assert rows == set(expected[body["store_version"]]), body
+    assert [body["store_version"] for body in bodies] == [
+        min(expected), min(expected), max(expected), max(expected)
+    ]

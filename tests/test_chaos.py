@@ -24,13 +24,18 @@ import os
 
 import pytest
 
-from repro.engine import GraphSession
+from repro.engine import BreakerConfig, GraphSession
 from repro.engine.options import ExecOptions
 from repro.errors import InjectedFault, ReproError
 from repro.graph.model import yago_example_graph
 from repro.schema.builder import yago_example_schema
 from repro.serve import QueryService, execute_batch
-from repro.server import HTTPGraphServer, Tenant, TenantRegistry
+from repro.server import (
+    HTTPGraphServer,
+    QueryRequest,
+    Tenant,
+    TenantRegistry,
+)
 from repro.storage.relational import Table
 from repro.testing.faults import (
     KNOWN_SITES,
@@ -291,6 +296,58 @@ class TestChaosSweep:
             outcome = execute_batch(session, queries, exec_options=options)
             assert list(outcome.results) == reference
         assert answered > 0
+
+        # One tenant serving a concurrent mix of request shapes: each
+        # shape is its own admission batch, and all of them get the same
+        # guarantee.
+        shapes = (
+            {},
+            {"rewrite": False},
+            {"backend": "sqlite"},
+            {"options": {"planner": "cost"}},
+        )
+        requests = [
+            (QueryRequest.from_payload({"query": query, **shape}), rows)
+            for shape in shapes
+            for query, rows in zip(queries, reference)
+        ]
+        # Breakers half-open at once: whatever the schedule tripped, the
+        # tenant is serviceable the moment injection stops.
+        tenant = Tenant(
+            "toy",
+            _session(result_cache_size=8),
+            breaker_config=BreakerConfig(cooldown_seconds=0.0),
+        )
+
+        async def mix():
+            bodies = await asyncio.gather(
+                *(tenant.query(request) for request, _ in requests),
+                return_exceptions=True,
+            )
+            return list(zip(bodies, (rows for _, rows in requests)))
+
+        async def serve_tenant():
+            await tenant.service.start()
+            try:
+                with install(
+                    FaultInjector([FaultRule("*", rate=0.5)], seed=SEED)
+                ):
+                    chaotic = await mix()
+                return chaotic, await mix()
+            finally:
+                await tenant.service.close()
+                tenant.session.close()
+
+        chaotic, clean = asyncio.run(serve_tenant())
+        for body, expected_rows in chaotic:
+            if isinstance(body, BaseException):
+                assert isinstance(body, ReproError), body
+                continue
+            assert {tuple(row) for row in body["rows"]} == expected_rows
+        # Injection off: the tenant serves every shape cleanly again.
+        for body, expected_rows in clean:
+            assert not isinstance(body, BaseException), body
+            assert {tuple(row) for row in body["rows"]} == expected_rows
 
     def test_known_sites_is_the_complete_roster(self):
         for backend in BACKENDS:

@@ -37,7 +37,7 @@ class TestByteIdentity:
         assert report.render() == expected
 
     def test_cost_planned_explain_appends_candidate_table(self):
-        with _session(planner="cost") as session:
+        with _session(exec_options=COST) as session:
             report = session.explain(QUERY, "ra")
         assert report.choice is not None
         assert report.render() == (
@@ -96,7 +96,7 @@ class TestStringCompatibility:
 
 class TestToDict:
     def test_json_serializable_and_mirrors_sections(self):
-        with _session(planner="cost", result_cache_size=8) as session:
+        with _session(exec_options=COST, result_cache_size=8) as session:
             session.execute(QUERY, "vec")
             payload = session.explain(QUERY, "vec").to_dict()
         json.dumps(payload)  # must be wire-ready as-is

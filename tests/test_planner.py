@@ -40,7 +40,7 @@ GREEDY = ExecOptions(planner="greedy")
 @pytest.fixture(scope="module")
 def example_session():
     with GraphSession(
-        yago_example_graph(), yago_example_schema(), planner="cost"
+        yago_example_graph(), yago_example_schema(), exec_options=COST
     ) as session:
         yield session
 
@@ -188,7 +188,9 @@ class TestSessionIntegration:
             validate_planner("quantum")
         with pytest.raises(ValueError, match="unknown planner"):
             GraphSession(
-                yago_example_graph(), yago_example_schema(), planner="bogus"
+                yago_example_graph(),
+                yago_example_schema(),
+                exec_options=ExecOptions(planner="bogus"),
             )
 
     @pytest.mark.parametrize("query", [RECURSIVE_QUERY, TWO_RELATION_QUERY])
@@ -209,7 +211,7 @@ class TestSessionIntegration:
 
     def test_plan_cache_round_trip(self):
         with GraphSession(
-            yago_example_graph(), yago_example_schema(), planner="cost"
+            yago_example_graph(), yago_example_schema(), exec_options=COST
         ) as session:
             first = session.prepare(RECURSIVE_QUERY, "vec")
             second = session.prepare(RECURSIVE_QUERY, "vec")
@@ -221,7 +223,7 @@ class TestSessionIntegration:
 
     def test_execution_stats_surface_cardinality_error(self):
         with GraphSession(
-            yago_example_graph(), yago_example_schema(), planner="cost"
+            yago_example_graph(), yago_example_schema(), exec_options=COST
         ) as session:
             prepared = session.prepare(RECURSIVE_QUERY, "vec")
             rows = prepared.execute()
@@ -237,7 +239,7 @@ class TestSessionIntegration:
         with GraphSession(
             yago_example_graph(),
             yago_example_schema(),
-            planner="cost",
+            exec_options=COST,
             replan_error_threshold=1.0,
         ) as session:
             first = session.prepare(RECURSIVE_QUERY, "vec")
@@ -260,7 +262,7 @@ class TestSessionIntegration:
 
     def test_default_threshold_does_not_thrash(self):
         with GraphSession(
-            yago_example_graph(), yago_example_schema(), planner="cost"
+            yago_example_graph(), yago_example_schema(), exec_options=COST
         ) as session:
             session.execute(RECURSIVE_QUERY, "vec")
             session.execute(RECURSIVE_QUERY, "vec")

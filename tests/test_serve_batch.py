@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import threading
+import time
 
 import pytest
 
@@ -311,15 +313,29 @@ class TestQueryService:
         assert isinstance(bad_error, Exception)
         assert "nosuchlabel" in str(bad_error)
 
-    def test_sqlite_batches_run_inline(self, session):
-        # sqlite batches run inline on the loop, not on a worker thread.
+    def test_sqlite_read_waiting_on_the_lock_keeps_the_loop_responsive(
+        self, session
+    ):
+        # Another batch holds the session lock for 0.5 s; a sqlite read
+        # waits for it on a worker thread, not on the loop.
         async def drive():
             async with QueryService(session, "sqlite") as service:
-                return await service.map(QUERIES)
+                lock = service._session_lock
+                lock.acquire()
+                holder = threading.Timer(0.5, lock.release)
+                holder.start()
+                try:
+                    reads = asyncio.ensure_future(service.map(QUERIES))
+                    started = time.perf_counter()
+                    await asyncio.sleep(0.01)
+                    woke = time.perf_counter() - started
+                    return woke, await reads
+                finally:
+                    holder.join()
 
-        assert asyncio.run(drive()) == [
-            session.execute(q, "sqlite") for q in QUERIES
-        ]
+        woke, rows = asyncio.run(drive())
+        assert woke < 0.1
+        assert rows == [session.execute(q, "sqlite") for q in QUERIES]
 
     def test_schema_change_splits_admission_batches(self, session):
         async def drive():

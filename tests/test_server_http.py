@@ -192,7 +192,7 @@ class TestRoutes:
                     server.port, "POST", "/v1/toy/explain", {"query": CLOSURE}
                 ), await _request(
                     server.port, "POST", "/v1/toy/explain",
-                    {"query": CLOSURE, "planner": "cost"},
+                    {"query": CLOSURE, "options": {"planner": "cost"}},
                 )
 
         (status, body), (cost_status, cost_body) = _run(drive())
@@ -231,8 +231,8 @@ class TestRoutes:
     )
     def test_server_level_spill_options_reach_served_reads(self, tmp_path):
         # ``repro serve --spill-path D --spill-threshold-bytes 1``: a
-        # default-shape read goes through the admission batcher, a
-        # bespoke one (here: no rewrite) straight to the session.
+        # default-shape read and a bespoke one (here: no rewrite) both go
+        # through the admission batcher, and both spill.
         async def drive():
             registry = TenantRegistry()
             registry.add(
@@ -263,7 +263,7 @@ class TestRoutes:
         reads, spill_ops, tenant, spill_dirs = _run(drive())
         expected = len(_session().execute(CLOSURE))
         assert [(s, b["row_count"]) for s, b in reads] == [(200, expected)] * 2
-        assert tenant["service"]["batches"] == 1  # the second read was direct
+        assert tenant["service"]["batches"] == 2
         assert 0 < spill_ops[0] < spill_ops[1]
         assert len(spill_dirs) == 1  # the session's manager, under --spill-path
 
@@ -406,9 +406,12 @@ class TestQuotas:
         assert rejected["error"]["limit"] == 0
         assert metrics["tenants"]["toy"]["requests"]["rejected_quota"] == 1
 
-    def test_request_timeout_is_408(self):
+    @pytest.mark.parametrize(
+        "shape", [{}, {"rewrite": False}], ids=["plain", "no-rewrite"]
+    )
+    def test_request_timeout_is_408(self, shape):
         # A big batch under a vanishing deadline: the wall-clock cap
-        # must fire long before the work drains.
+        # must fire long before the work drains, whatever the shape.
         queries = [
             "x1, x2 <- (x1, " + "/".join(["isLocatedIn+"] * n) + ", x2)"
             for n in range(1, 41)
@@ -420,7 +423,7 @@ class TestQuotas:
                     server.port,
                     "POST",
                     "/v1/toy/batch",
-                    {"queries": queries, "timeout_seconds": 1e-9},
+                    {"queries": queries, "timeout_seconds": 1e-9, **shape},
                 )
 
         status, body = _run(drive())

@@ -38,7 +38,7 @@ class TestQueryRequest:
                 "backend": "ra",
                 "timeout_seconds": 2.5,
                 "rewrite": False,
-                "planner": "cost",
+                "options": {"planner": "cost"},
             }
         )
         assert request.backend == "ra"
@@ -55,12 +55,14 @@ class TestQueryRequest:
             ({"query": "   "}, "query"),
             ({"query": "x" * (MAX_QUERY_CHARS + 1)}, "query"),
             ({"query": QUERY, "backend": "warp"}, "backend"),
-            ({"query": QUERY, "planner": "psychic"}, "planner"),
+            # ``options.planner`` is the one spelling of the planner.
+            ({"query": QUERY, "planner": "cost"}, "planner"),
             ({"query": QUERY, "timeout_seconds": "fast"}, "timeout_seconds"),
             ({"query": QUERY, "timeout_seconds": 0}, "timeout_seconds"),
             ({"query": QUERY, "timeout_seconds": True}, "timeout_seconds"),
             ({"query": QUERY, "rewrite": "yes"}, "rewrite"),
             ({"query": QUERY, "querry": "typo"}, "querry"),
+            ({"query": QUERY, "options": {"planner": "psychic"}}, "options"),
         ],
     )
     def test_rejections(self, payload, field):
