@@ -11,9 +11,9 @@ LDBC tenant and a deliberately tiny-quota ``throttled`` tenant:
   checked against them, so *any* torn read, cross-tenant mix-up or
   snapshot violation shows up as a leak (the gate requires zero),
 * **write trickle** (~3% of requests) — appends to an edge table
-  *outside* every read query's scan set (chosen via
-  :func:`repro.engine.backends.plan_read_relations`), so expected read
-  rows stay constant while store versions advance under the readers,
+  *outside* every read query's scan set (the tables its ``vec`` plan
+  scans), so expected read rows stay constant while store versions
+  advance under the readers,
 * **quota pressure** — a concurrent burst at the ``throttled`` tenant
   (one slot, two pending) must produce 429s, and the count must agree
   with the tenant's ``rejected_quota`` metric.
@@ -87,14 +87,11 @@ def _read_queries(workload) -> list:
 
 def _expanded_read_set(session, queries) -> set[str]:
     """Every store relation the read queries may scan, aliases expanded."""
-    from repro.engine.backends import plan_read_relations
-
     reads: set[str] = set()
     for workload_query in queries:
-        prepared = session.prepare(workload_query.text, "vec")
-        relations = plan_read_relations(prepared.plan)
-        if relations:
-            reads.update(relations)
+        plan = session.prepare(workload_query.text, "vec").plan
+        if plan is not None:
+            reads.update(plan.program.scan_tables)
     for alias, members in session.store.aliases.items():
         if alias in reads:
             reads.update(members)
@@ -250,8 +247,6 @@ def serving_results():
     )
     from repro.workloads.ldbc_queries import LDBC_QUERIES
     from repro.workloads.yago_queries import YAGO_QUERIES
-
-    os.environ.setdefault("REPRO_INCREMENTAL", "1")
 
     sessions = {
         "yago": yago_session(scale=YAGO_SCALE, result_cache_size=256),

@@ -39,8 +39,7 @@ candidate selection instead of the linear rewrite pipeline);
 ``repro query --explain --candidates`` prints the ranked candidate table. The serving subcommands cache whole
 result sets unless ``--no-result-cache`` is given; after append-only
 store writes, stale cached results are incrementally maintained from
-the write delta unless ``--no-incremental`` (or
-``REPRO_INCREMENTAL=0``) disables maintenance.
+the write delta.
 """
 
 from __future__ import annotations
@@ -278,7 +277,6 @@ def _run_http_server(args: argparse.Namespace) -> int:
         TenantRegistry,
     )
 
-    _apply_incremental_argument(args)
     host, port = args.http
     quotas = TenantQuotas(
         max_concurrent=args.max_concurrent,
@@ -355,7 +353,6 @@ def _run_batch_inner(args: argparse.Namespace) -> int:
         print(f"repro {args.command}: no queries to run", file=sys.stderr)
         return 1
     rewrite = not args.baseline
-    _apply_incremental_argument(args)
     # Serving is repeated traffic: cache whole result sets unless the
     # caller opted out.
     result_cache_size = 0 if args.no_result_cache else 256
@@ -452,7 +449,6 @@ def _run_batch_inner(args: argparse.Namespace) -> int:
 
 
 def _run_query_inner(args: argparse.Namespace) -> int:
-    _apply_incremental_argument(args)
     session = _load_session(args.dataset, args.scale, **_session_kwargs(args))
     with session:
         rewrite = not args.baseline
@@ -588,21 +584,6 @@ def _add_governor_arguments(parser) -> None:
     )
 
 
-def _add_incremental_argument(parser) -> None:
-    parser.add_argument(
-        "--no-incremental", action="store_true",
-        help="disable incremental maintenance of cached results under "
-        "store writes (same as REPRO_INCREMENTAL=0): stale cached "
-        "results are recomputed instead of maintained from the append "
-        "delta",
-    )
-
-
-def _apply_incremental_argument(args: argparse.Namespace) -> None:
-    if getattr(args, "no_incremental", False):
-        os.environ["REPRO_INCREMENTAL"] = "0"
-
-
 def _add_planner_argument(parser) -> None:
     parser.add_argument(
         "--planner", choices=("greedy", "cost"), default=None,
@@ -698,7 +679,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_spill_arguments(query)
     _add_governor_arguments(query)
     _add_planner_argument(query)
-    _add_incremental_argument(query)
     _add_calibration_argument(query)
 
     calibrate = subparsers.add_parser(
@@ -784,7 +764,6 @@ def main(argv: list[str] | None = None) -> int:
         _add_spill_arguments(sub)
         _add_governor_arguments(sub)
         _add_planner_argument(sub)
-        _add_incremental_argument(sub)
         _add_calibration_argument(sub)
         if name == "serve":
             sub.add_argument(

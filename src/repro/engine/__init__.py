@@ -14,12 +14,8 @@ The same query string runs unchanged on every registered backend
 planning are cached per (query, schema fingerprint, options).
 """
 
-from repro.engine.cache import (
-    CachedResult,
-    CacheStats,
-    LruCache,
-    result_cache_key,
-)
+from repro.engine.cache import CachedResult, CacheStats, LruCache
+from repro.engine.frontend import schema_fingerprint
 from repro.engine.protocol import (
     Backend,
     available_backends,
@@ -27,11 +23,7 @@ from repro.engine.protocol import (
     register_backend,
 )
 from repro.engine.resilience import BreakerConfig, CircuitBreaker, RetryPolicy
-from repro.engine.session import (
-    GraphSession,
-    PreparedQuery,
-    schema_fingerprint,
-)
+from repro.engine.session import GraphSession, PreparedQuery
 
 __all__ = [
     "GraphSession",
@@ -47,5 +39,4 @@ __all__ = [
     "CacheStats",
     "CachedResult",
     "LruCache",
-    "result_cache_key",
 ]

@@ -265,20 +265,6 @@ class RaBackend(VecBackend):
         return explain_ra_term(plan.term, session.store)
 
 
-def plan_read_relations(plan) -> tuple[str, ...] | None:
-    """The store relations a prepared plan reads, when statically known.
-
-    Used by the result cache's maintenance flow: a stale entry whose
-    plan touches none of the changed relations is simply re-stamped to
-    the current store version. ``None`` means the read set is unknown
-    (``sqlite``/``gdb``/``reference`` plans) and the caller must fall
-    back to maintenance or invalidation.
-    """
-    if isinstance(plan, VecPlan):
-        return plan.program.scan_tables
-    return None
-
-
 # -- generated SQL on SQLite --------------------------------------------------
 @dataclass(frozen=True)
 class SqlPlan:

@@ -1,57 +1,46 @@
-"""Bounded LRU caches with hit/miss counters.
+"""The session's caches: bounded LRU maps, and the result-set cache.
 
-All three session cache layers — the rewrite cache, the per-backend plan
-cache and the (opt-in) result-set cache — are instances of
-:class:`LruCache`. Keys always embed the session's schema fingerprint,
-so a schema change invalidates entries *semantically* — stale entries
-simply never hit again and age out of the LRU order. Result-set entries
-carry the store version they were computed at *inside the value*
-(:class:`CachedResult`) rather than in the key: a stale entry is found
-again after a write, so the session can **maintain** it from the
-store's append delta (one delta pass over the plan, re-seeding the
-semi-naive executor over the materialised fixpoint states where the
-plan has fixpoints) instead of recomputing — falling back to eviction
-when no delta exists.
+The rewrite cache, the plan cache and the (opt-in) result-set cache are
+all :class:`LruCache` s. Keys always embed the session's schema
+fingerprint, so a schema change invalidates entries *semantically* —
+stale entries simply never hit again and age out of the LRU order.
+
+:class:`ResultCache` alone knows how a cached answer stays fresh. Its
+entries carry the store version they were computed at *inside the
+value* (:class:`CachedResult`) rather than in the key: a stale entry is
+found again after a write and **maintained** from the store's append
+delta — re-stamped when the plan reads none of the changed tables, else
+one delta pass over the columnar program, re-seeding the semi-naive
+executor over the materialised fixpoint states where the plan has
+fixpoints — and evicted when no delta exists (barrier writes) or the
+plan is not a maintainable columnar program.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, TypeVar
+from typing import TYPE_CHECKING, Callable, Hashable, TypeVar
 
+from repro.engine.backends import VecPlan
+from repro.errors import InjectedFault
+from repro.exec.executor import CAPTURE_KERNEL, ExecutionStats
+from repro.exec.kernels import default_kernel, get_kernel
+from repro.exec.maintain import maintain_program, maintainable
 from repro.exec.result import ResultSet
+from repro.graph.evaluator import EvalBudget, as_budget
+from repro.testing.faults import fault_point
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.engine.session import PreparedQuery
 
 V = TypeVar("V")
 
 _MISSING = object()
 
-
-def result_cache_key(
-    backend_name: str,
-    plan_token: Hashable,
-    fingerprint: str,
-    option_values: tuple,
-) -> tuple:
-    """The result-set cache key for one executable plan.
-
-    ``plan_token`` is the backend's *structural* plan identity (e.g. the
-    optimised µ-RA term plus head for ``ra``/``vec``, the generated SQL
-    text for ``sqlite``) — logically identical plans share one entry
-    however they were prepared. The store version deliberately stays
-    *out* of the key: it lives on the :class:`CachedResult` value, so a
-    lookup after a write still finds the stale entry and the session can
-    maintain it from the store's append delta instead of recomputing.
-    The schema fingerprint covers sessions whose store was rebuilt from
-    scratch. ``option_values`` are the values of the execution options
-    the backend reads (:meth:`~repro.engine.options.ExecOptions.key_for`)
-    and partition entries deliberately — even row-invariant tuning knobs
-    like ``spill_path`` keep separate entries. That is conservative (a
-    mixed-options caller re-executes once per setting) but safe for
-    options added later, and the serving flow fixes one options object
-    per service anyway.
-    """
-    return (backend_name, plan_token, fingerprint, option_values)
+#: Entries each keyed memo of a session keeps (parsed query texts,
+#: telemetry estimates per executed term); a full memo is emptied.
+MEMO_SIZE = 512
 
 
 @dataclass
@@ -124,16 +113,6 @@ class LruCache:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._data
 
-    def get(self, key: Hashable):
-        """The cached value for ``key`` (``None`` on a miss, counted)."""
-        value = self._data.get(key, _MISSING)
-        if value is not _MISSING:
-            self.hits += 1
-            self._data.move_to_end(key)
-            return value
-        self.misses += 1
-        return None
-
     def peek(self, key: Hashable):
         """The cached value for ``key`` without counting the lookup.
 
@@ -200,3 +179,175 @@ class LruCache:
             size=len(self._data),
             max_size=self.max_size,
         )
+
+
+class ResultCache:
+    """Whole answers of prepared plans, kept fresh across appends.
+
+    Off when ``max_size <= 0`` (the session default: timed comparisons
+    must measure execution, not cache hits); the serving entry points
+    switch it on. ``maintenance`` counts what keeping entries fresh did
+    (maintained vs invalidated entries, delta rows applied).
+    """
+
+    def __init__(self, max_size: int):
+        self._entries = LruCache(max_size)
+        self.maintenance = ExecutionStats()
+
+    @property
+    def enabled(self) -> bool:
+        return self._entries.max_size > 0
+
+    def key(self, prepared: "PreparedQuery") -> tuple | None:
+        """The result-cache key for one prepared plan, or None.
+
+        (backend, structural plan token, schema fingerprint, the values
+        of the options the backend reads). Only backends exposing a
+        ``result_token`` (the optimised term plus head, the SQL text)
+        participate: logically identical plans share one entry however
+        they were prepared. The store version stays out of the key — it
+        lives on the :class:`CachedResult`, so a lookup after a write
+        finds the stale entry and :meth:`lookup` can maintain it.
+        """
+        if prepared.plan is None or not self.enabled:
+            return None
+        backend = prepared.backend
+        token_of = getattr(backend, "result_token", None)
+        if token_of is None:
+            return None
+        return (
+            backend.name,
+            token_of(prepared.plan),
+            prepared.fingerprint,
+            prepared.exec_options.key_for(backend),
+        )
+
+    def peek(self, key: tuple) -> CachedResult | None:
+        """The entry under ``key``, as it is (no counting, no upkeep)."""
+        return self._entries.peek(key)
+
+    def lookup(
+        self,
+        prepared: "PreparedQuery",
+        key: tuple,
+        budget: "float | EvalBudget | None" = None,
+    ) -> ResultSet | None:
+        """Serve one lookup, maintaining a stale entry.
+
+        A fresh entry is a plain hit. A stale entry (the store moved on)
+        is brought up to date by :meth:`_maintain` when the write was
+        append-only and the plan is maintainable — counted as a hit —
+        otherwise evicted and counted as a miss.
+        """
+        cache = self._entries
+        entry = cache.peek(key)
+        if entry is None:
+            cache.count_miss()
+            return None
+        try:
+            fault_point("result_cache.load")
+        except InjectedFault:
+            # Containment: a faulted load degrades to a miss — the
+            # query recomputes and re-stores; the entry is untouched.
+            cache.count_miss()
+            return None
+        if entry.version == prepared.session.store.version:
+            cache.count_hit(key)
+            return entry.answer
+        rows = self._maintain(prepared, entry, budget)
+        if rows is not None:
+            cache.count_hit(key)
+            return rows
+        cache.evict(key)
+        self.maintenance.results_invalidated += 1
+        cache.count_miss()
+        return None
+
+    def _maintain(
+        self,
+        prepared: "PreparedQuery",
+        entry: CachedResult,
+        budget: "float | EvalBudget | None",
+    ) -> ResultSet | None:
+        """Bring one stale entry up to the current store version.
+
+        Returns the maintained answer, or None when the entry cannot be
+        maintained (barrier write, a plan that is not a columnar program
+        of monotone operators, tables coded by another kernel). Plans
+        that read none of the changed relations are re-stamped without
+        any evaluation; the others run one delta pass
+        (:func:`~repro.exec.maintain.maintain_program`), seeded with the
+        entry's fixpoint states when the plan has fixpoints. The entry
+        is updated only once the pass has finished: a run that raises
+        (budget, fault) leaves it as it was.
+        """
+        try:
+            fault_point("maintain.apply")
+        except InjectedFault:
+            # Containment: a faulted maintenance run degrades to the
+            # invalidation path (evict + recompute) before touching the
+            # entry — never a partially-maintained result.
+            return None
+        store = prepared.session.store
+        deltas = store.delta_since(entry.version)
+        plan = prepared.plan
+        if deltas is None or not isinstance(plan, VecPlan):
+            return None
+        if not set(plan.program.scan_tables) & set(deltas):
+            entry.version = store.version
+            self.maintenance.results_maintained += 1
+            return entry.answer
+        if not maintainable(plan.program):
+            return None
+        kernel = get_kernel(plan.kernel) if plan.kernel else default_kernel()
+        if entry.kernel_name != getattr(kernel, "NAME", None):
+            return None  # coded tables must not seed a different kernel
+        outcome = maintain_program(
+            plan.program,
+            store,
+            deltas,
+            entry.fix_states or {},
+            head=plan.head,
+            kernel=kernel,
+            budget=as_budget(budget),
+            prev=entry.answer,
+            prev_seen=entry.seen,
+        )
+        entry.answer = outcome.answer
+        entry.version = store.version
+        entry.fix_states = outcome.fix_states or None
+        entry.seen = outcome.seen
+        self.maintenance.merge(outcome.stats)
+        self.maintenance.results_maintained += 1
+        return outcome.answer
+
+    def put(
+        self,
+        key: tuple,
+        rows: ResultSet,
+        version: int,
+        capture: dict | None = None,
+    ) -> None:
+        """Cache ``rows`` computed at store ``version`` under ``key``.
+
+        ``capture`` is the executor's fix-capture dict: fixpoint totals
+        keyed by Fix term, plus the kernel name under its sentinel key.
+        """
+        try:
+            fault_point("result_cache.store")
+        except InjectedFault:
+            # Containment: a faulted store skips caching — the caller's
+            # result is already computed and correct; nothing partial
+            # enters the cache.
+            return
+        kernel_name = capture.pop(CAPTURE_KERNEL, None) if capture else None
+        self._entries.put(
+            key, CachedResult(rows, version, capture or None, kernel_name)
+        )
+
+    def stats(self) -> CacheStats:
+        return self._entries.stats()
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.maintenance = ExecutionStats()

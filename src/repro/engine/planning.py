@@ -1,0 +1,326 @@
+"""Plan selection: which compiled plan a query runs, and when to re-plan.
+
+:class:`Planning` alone decides how a query becomes an executable plan
+on one backend, and owns the plan cache that memoises the decision.
+``greedy`` compiles the rewriter's own choice; ``cost`` enumerates the
+query's candidates once (original, full and partial rewrites, join
+orders), ranks them under the backend's — possibly calibrated — cost
+profile and compiles the winner. It also ranks the backends for
+``backend="auto"`` and the degradation chain, and evicts a plan whose
+root estimate missed by more than ``replan_error_threshold``.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
+
+from repro.core.rewriter import RewriteOptions
+from repro.engine.cache import LruCache
+from repro.engine.options import ExecOptions
+from repro.engine.protocol import Backend
+from repro.exec.kernels import default_kernel, get_kernel
+from repro.exec.spill import default_spill_threshold, spill_supported
+from repro.planner import PlanChoice, PlanningPass
+from repro.query.model import UCQT, drop_unsatisfiable_disjuncts
+from repro.ra.stats import store_statistics
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.engine.session import GraphSession, PreparedQuery
+
+#: Backends the auto-chooser ranks when no calibration is loaded.
+AUTO_POOL = ("vec", "ra", "sqlite")
+
+#: Compiled winners one cost-planned entry keeps (one per backend /
+#: option-values / byte-cap combination asked for; oldest dropped).
+_MAX_COMPILED_PER_QUERY = 8
+
+
+@dataclass
+class PlannedQuery:
+    """A query's plan-cache entry under the cost planner.
+
+    Everything planning decided for one (query, rewrite, schema,
+    options, growth): the pass itself, the backend ranking
+    ``backend="auto"`` and the degradation chain read, and each winner
+    compiled so far. One entry, so evicting it re-plans all of it.
+    """
+
+    key: tuple
+    planning: PlanningPass
+    #: Wall-clock spent planning this entry (reported, never decided on).
+    seconds: float = 0.0
+    #: The eligible backends, cheapest winner first (None: not ranked).
+    backends: tuple[str, ...] | None = None
+    #: (backend, its option values, max_bytes) -> (plan, choice).
+    compiled: dict[tuple, tuple[object | None, PlanChoice]] = field(
+        default_factory=dict
+    )
+
+
+class Planning:
+    """A session's plan cache, plan choice and planner feedback."""
+
+    def __init__(self, cache_size: int, replan_error_threshold: float):
+        if replan_error_threshold < 1.0:
+            raise ValueError(
+                "replan_error_threshold is an error *factor* "
+                f"(max/min >= 1), got {replan_error_threshold!r}"
+            )
+        #: Estimated-vs-actual error factor beyond which a cost-planned
+        #: entry is evicted from the plan cache and planned again
+        #: against the corrected statistics.
+        self.replan_error_threshold = replan_error_threshold
+        self.plans = LruCache(cache_size)
+        self.observations = 0
+        self.replans = 0
+        self.candidates_enumerated = 0
+        self.plan_seconds = 0.0
+        #: Memory-dimension planning counters (``planner_stats``).
+        self.spill_decisions = 0
+        self.last_peak_estimate = 0.0
+
+    def plan(
+        self,
+        session: "GraphSession",
+        query: UCQT,
+        backend: Backend,
+        rewrite: bool,
+        options: RewriteOptions | None,
+        exec_options: ExecOptions,
+    ) -> tuple:
+        """Plan ``query`` on ``backend`` (``rewrite``: the front end lets
+        the schema rewrite run). Returns the executed query, the rewrite
+        behind it, the plan (None: unsatisfiable) and, cost-planned, the
+        ranked choice and the plan-cache entry it was drawn from."""
+        if exec_options.planner == "cost":
+            return self._plan_cost(
+                session, query, backend, rewrite, options, exec_options
+            )
+        rewrite_result = None
+        executed = query
+        if rewrite:
+            rewrite_result = session.frontend.rewrite(
+                query, options or session.rewrite_options
+            )
+            executed = rewrite_result.query
+        executed = drop_unsatisfiable_disjuncts(executed)
+        plan = None
+        if not executed.is_empty:
+            key = (
+                backend.name,
+                str(query),
+                rewrite,
+                session.schema_fingerprint,
+                options,
+                exec_options.key_for(backend),
+            )
+            plan = self.plans.get_or_create(
+                key, lambda: backend.prepare(session, executed, exec_options)
+            )
+        return executed, rewrite_result, plan, None, None
+
+    def _plan_cost(
+        self,
+        session: "GraphSession",
+        query: UCQT,
+        backend: Backend,
+        rewrite: bool,
+        options: RewriteOptions | None,
+        exec_options: ExecOptions,
+    ) -> tuple:
+        """The cost-based path of :meth:`plan`: rank the query's
+        planning pass (:meth:`planned`) under the backend's profile and
+        compile the winner, kept inside the query's planner entry."""
+        planned = self.planned(
+            session, query, rewrite, options, exec_options.fixpoint_growth
+        )
+        compiled_key = (
+            backend.name,
+            exec_options.key_for(backend),
+            exec_options.max_bytes,
+        )
+        compiled = planned.compiled.get(compiled_key)
+        if compiled is None:
+            started = time.perf_counter()
+            store = session.store
+            choice = planned.planning.choice(
+                store, backend.name, session.telemetry.profile(backend.name)
+            )
+            term = choice.winner.candidate.term
+            if term is not None and hasattr(backend, "prepare_from_term"):
+                # The backend executes this very term, so what telemetry
+                # will log for it is already in the pass's estimator.
+                session.telemetry.estimates(
+                    store, term, planned.planning.estimator
+                )
+            # Planned: what stays cached is the candidates and the
+            # rankings, not every estimate behind them.
+            planned.planning.release()
+            self._charge(planned, started)
+            compiled = self._compile_winner(
+                session, backend, choice, exec_options
+            )
+            if len(planned.compiled) >= _MAX_COMPILED_PER_QUERY:
+                del planned.compiled[next(iter(planned.compiled))]
+            planned.compiled[compiled_key] = compiled
+        plan, choice = compiled
+        self.last_peak_estimate = choice.peak_bytes
+        winner = choice.winner.candidate
+        return winner.query, winner.rewrite_result, plan, choice, planned
+
+    def planned(
+        self,
+        session: "GraphSession",
+        query: UCQT,
+        rewrite: bool,
+        options: RewriteOptions | None,
+        fixpoint_growth: float | None,
+    ) -> PlannedQuery:
+        """The query's cost-planner cache entry, enumerating the
+        candidates on a miss — the one enumeration every backend ranking
+        and every compiled plan of the query is drawn from."""
+        key = (
+            "planner",
+            str(query),
+            rewrite,
+            session.schema_fingerprint,
+            options,
+            fixpoint_growth,
+        )
+
+        def plan() -> PlannedQuery:
+            started = time.perf_counter()
+            planned = PlannedQuery(
+                key,
+                PlanningPass.for_query(
+                    query, session.schema, session.store,
+                    rewrite=rewrite, options=options,
+                    fixpoint_growth=fixpoint_growth,
+                ),
+            )
+            self.candidates_enumerated += len(planned.planning.candidates)
+            self._charge(planned, started)
+            return planned
+
+        return self.plans.get_or_create(key, plan)
+
+    def _charge(self, planned: PlannedQuery, started: float) -> None:
+        elapsed = time.perf_counter() - started
+        planned.seconds += elapsed
+        self.plan_seconds += elapsed
+
+    def rank_backends(
+        self,
+        session: "GraphSession",
+        query: UCQT,
+        rewrite: bool,
+        options: RewriteOptions | None,
+        fixpoint_growth: float | None,
+    ) -> tuple[str, ...]:
+        """All eligible backends for one query, cheapest first.
+
+        One walk costs the query's candidates under every eligible
+        profile: the fitted backends of a loaded calibration (measured
+        seconds, comparable across backends), else the built-in profiles
+        over :data:`AUTO_POOL` — never a mix of the two scales. The
+        ranking lives in the query's plan-cache entry.
+        """
+        planned = self.planned(session, query, rewrite, options, fixpoint_growth)
+        if planned.backends is None:
+            state = session.calibration
+            if state is not None and state.fitted_backends:
+                pool = [
+                    (name, state.profile_for(name))
+                    for name in state.fitted_backends
+                ]
+            else:
+                pool = [(name, None) for name in AUTO_POOL]
+            started = time.perf_counter()
+            planned.backends = planned.planning.rank_pool(session.store, pool)
+            self._charge(planned, started)
+            if planned.compiled:
+                # Ranked after the fact (a degradation chain asking):
+                # no compile follows to let the estimator go.
+                planned.planning.release()
+        return planned.backends
+
+    def _compile_winner(
+        self,
+        session: "GraphSession",
+        backend: Backend,
+        choice: PlanChoice,
+        exec_options: ExecOptions,
+    ) -> tuple[object | None, PlanChoice]:
+        winner = choice.winner.candidate
+        if winner.term is None:
+            return None, choice
+        if backend.name == "vec":
+            exec_options, choice = self._memory_decision(choice, exec_options)
+        from_term = getattr(backend, "prepare_from_term", None)
+        if from_term is not None:
+            plan = from_term(session, winner.term, winner.query, exec_options)
+        else:
+            plan = backend.prepare(session, winner.query, exec_options)
+        return plan, choice
+
+    def _memory_decision(self, choice: PlanChoice, options: ExecOptions):
+        """The out-of-core decision for one cost-planned vec query.
+
+        Spill turns on when the peak-memory estimate exceeds the
+        configured ``spill_threshold_bytes`` (option or
+        ``REPRO_SPILL_THRESHOLD_BYTES``) or, with none configured, the
+        hard ``max_bytes`` cap — which then becomes the threshold the
+        plan is compiled under (it spills rather than aborts). A kernel
+        that cannot memmap gets no decision. Returns the options and the
+        choice, the decision recorded.
+        """
+        threshold = options.spill_threshold_bytes
+        if threshold is None:
+            threshold = default_spill_threshold()
+        limit = threshold if threshold is not None else options.max_bytes
+        if limit is None or choice.peak_bytes <= limit:
+            return options, choice
+        if not spill_supported(
+            get_kernel(options.kernel) if options.kernel else default_kernel()
+        ):
+            return options, choice
+        self.spill_decisions += 1
+        if threshold is None:
+            options = replace(options, spill_threshold_bytes=limit)
+        return options, choice.with_memory(spill=True)
+
+    def observe(self, prepared: "PreparedQuery", actual_rows: int) -> None:
+        """Close the planning loop after one cost-planned execution.
+
+        The root estimated/actual pair goes into the per-store
+        :class:`~repro.ra.stats.StoreStatistics` correction table. When
+        the error factor exceeds :attr:`replan_error_threshold`, the
+        query's planner entry is evicted so the next ``prepare``
+        re-plans against the corrected statistics — once: a plan whose
+        previous feedback already exceeded it is kept, so a persistently
+        misestimated plan costs one re-plan per store snapshot.
+        """
+        choice = prepared.choice
+        if choice is None:
+            return
+        store_stats = store_statistics(prepared.session.store)
+        self.observations += 1
+        # Per-backend token: the same query may be planned to different
+        # candidates (and estimates) on different backends.
+        token = f"{prepared.backend.name}:{prepared.query}"
+        previous = store_stats.feedback.get(token)
+        error = store_stats.record_plan_feedback(
+            token, choice.winner.rows, actual_rows
+        )
+        already_replanned = (
+            previous is not None and previous[2] > self.replan_error_threshold
+        )
+        if (
+            error > self.replan_error_threshold
+            and not already_replanned
+            and prepared.planned is not None
+        ):
+            if self.plans.evict(prepared.planned.key):
+                self.replans += 1

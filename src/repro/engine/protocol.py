@@ -12,7 +12,7 @@ SQLite database, pattern engine) lives on the session, so one registry
 entry serves every session.
 
 The session calls the execution hooks from one place
-(:meth:`~repro.engine.session.GraphSession._run`): ``run_plans`` for
+(:meth:`~repro.engine.dispatch.Dispatcher.run`): ``run_plans`` for
 the plans of one columnar backend that run together, ``execute_with_stats``
 for a lone plan of such a backend, ``execute`` for everything else.
 """

@@ -105,6 +105,9 @@ class SpillManager:
     manager is shared by every execution on it.
     """
 
+    #: The counters :meth:`counters` reports, in its order.
+    COUNTERS = ("spilled_bytes", "spill_ops", "spill_reuses")
+
     def __init__(self, path: str | None = None):
         root = path or default_spill_path()
         if root:
@@ -118,6 +121,11 @@ class SpillManager:
         self._sequence = 0
         #: Named spill files: table name -> (version, path, ncols, nrows).
         self._named: dict[str, tuple[int, str, int, int]] = {}
+
+    def counters(self) -> dict[str, int]:
+        """The spill counters, JSON-ready (``planner_stats["memory"]``)."""
+        with self._lock:
+            return {name: getattr(self, name) for name in self.COUNTERS}
 
     # -- paths -------------------------------------------------------------
     def _next_path(self, tag: str) -> str:

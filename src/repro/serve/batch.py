@@ -4,8 +4,8 @@ A *batch* is a sequence of queries answered together. The planner side
 leans entirely on the session's cache layers — each **distinct**
 normalised query is rewritten and prepared once, however many times it
 occurs in the batch — and the execution side is the session's one
-runner (:meth:`~repro.engine.session.GraphSession._run`), the same code
-a single ``execute`` goes through: a single read is a batch of one.
+runner (:meth:`~repro.engine.dispatch.Dispatcher.answer`), the same
+code a single ``execute`` goes through: a single read is a batch of one.
 
 What a batch shares:
 
@@ -119,7 +119,7 @@ def execute_batch(
     if requested is None:
         merged = session.exec_options.merged(exec_options)
         requested = merged.backend or DEFAULT_BACKEND
-    parsed = [session._as_query(query) for query in queries]
+    parsed = [session.frontend.parse(query) for query in queries]
     # Collapse duplicates on the normalised query text — the same key the
     # session's caches use, so "distinct" here means "distinct plan".
     prepared: dict[str, "PreparedQuery"] = {}
@@ -135,7 +135,9 @@ def execute_batch(
                 options=options,
                 exec_options=exec_options,
             )
-    answers, stats = session._run(list(prepared.values()), timeout_seconds)
+    answers, stats = session.dispatcher.answer(
+        list(prepared.values()), timeout_seconds
+    )
     rows_by_key = dict(zip(prepared, answers))
     backend_choices: dict[str, int] | None = None
     if requested == "auto":

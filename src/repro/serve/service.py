@@ -294,7 +294,7 @@ class QueryService:
         # Parse before enqueueing: a malformed query fails its own
         # submitter here and never reaches (or poisons) a batch.
         request = _Request(
-            self.session._as_query(query),
+            self.session.frontend.parse(query),
             deadline,
             asyncio.get_running_loop().create_future(),
         )

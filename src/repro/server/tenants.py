@@ -180,10 +180,10 @@ class Tenant:
             )
         )
         if breaker_config is not None:
-            session.breaker_config = breaker_config
-            session._breakers.clear()
+            session.dispatcher.breaker_config = breaker_config
+            session.dispatcher.breakers.clear()
         if retry_policy is not None:
-            session.retry_policy = retry_policy
+            session.dispatcher.retry_policy = retry_policy
         self.service = QueryService(
             session,
             backend,

@@ -20,7 +20,6 @@ Three differentials:
 
 from __future__ import annotations
 
-import os
 from contextlib import ExitStack
 from unittest import mock
 
@@ -274,9 +273,7 @@ def test_maintained_fixpoint_after_growing_appends(kernel, writes):
     options = ExecOptions(backend="vec", kernel=kernel)
     # On numpy, every fixpoint state past the first round is a bitmap.
     constants = {} if npk is None else {"_BITS_MIN_ROWS": 0, "_BITS_PER_ROW": 1 << 40}
-    with _patched(**constants), mock.patch.dict(
-        os.environ, {"REPRO_INCREMENTAL": "1"}
-    ), GraphSession(
+    with _patched(**constants), GraphSession(
         yago_example_graph(), yago_example_schema(), result_cache_size=8
     ) as session:
         store = session.store

@@ -61,7 +61,7 @@ def test_injected_failure_leaves_shared_state_clean(
         # cache so the failed attempt cannot even *grow* it, and the
         # byte-identity check below is exact.
         session.prepare(query, backend, rewrite=False)
-        plans_before = list(session._plan_cache._data.items())
+        plans_before = list(session.planning.plans._data.items())
         recorded_before = session.calibration_log.total_recorded
         records_before = session.calibration_log.records
         injector = FaultInjector(
@@ -74,7 +74,7 @@ def test_injected_failure_leaves_shared_state_clean(
 
         # Nothing cached, nothing learned, no plan-cache churn.
         assert session.cache_stats["result"].size == 0
-        assert list(session._plan_cache._data.items()) == plans_before
+        assert list(session.planning.plans._data.items()) == plans_before
         assert session.calibration_log.total_recorded == recorded_before
         assert session.calibration_log.records == records_before
 

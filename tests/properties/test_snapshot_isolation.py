@@ -33,14 +33,6 @@ from repro.serve import QueryService
 from repro.server.models import QueryRequest
 from repro.server.tenants import Tenant
 
-@pytest.fixture(autouse=True)
-def _incremental_on(monkeypatch):
-    # Snapshots reconstruct from the delta log; pin maintenance on so
-    # the REPRO_INCREMENTAL=0 CI leg doesn't blank it (the disabled
-    # fallback has its own unit test).
-    monkeypatch.setenv("REPRO_INCREMENTAL", "1")
-
-
 _SEEDS = st.integers(min_value=0, max_value=10_000)
 _SCRIPTS = st.lists(
     st.integers(min_value=0, max_value=999), min_size=1, max_size=6

@@ -173,16 +173,16 @@ class TestCalibrationLog:
                         assert record.estimated_rows == handle.choice.winner.rows
 
     def test_warm_handle_walks_its_estimates_once(self, monkeypatch):
-        from repro.engine import session as session_module
+        from repro.engine import telemetry as telemetry_module
 
         built = []
 
-        class Counting(session_module.Estimator):
+        class Counting(telemetry_module.Estimator):
             def __init__(self, *args, **kwargs):
                 built.append(1)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(session_module, "Estimator", Counting)
+        monkeypatch.setattr(telemetry_module, "Estimator", Counting)
         with _session() as session:
             handle = session.prepare(WORKLOAD[2], "vec")
             for _ in range(4):
@@ -191,7 +191,7 @@ class TestCalibrationLog:
             # A cost-planned handle over a fixpoint-free term starts from
             # the planning pass's estimates and never walks at all.
             planned = session.prepare(WORKLOAD[3], "vec", exec_options=COST)
-            assert planned.plan.term in session._estimates
+            assert planned.plan.term in session.telemetry._estimates
             for _ in range(3):
                 planned.execute()
             assert len(built) == 1
@@ -200,17 +200,17 @@ class TestCalibrationLog:
         """The memo belongs to the cached plan, not to the handle: N
         ``execute(text)`` calls (a fresh handle each) walk the term once,
         and a write to a table the plan reads forces one more walk."""
-        from repro.engine import session as session_module
+        from repro.engine import telemetry as telemetry_module
 
         walked = []
-        walk = session_module._Estimates.walk
+        walk = telemetry_module._Estimates.walk
 
         def counting(cls, term, estimator):
             walked.append(term)
             return walk(term, estimator)
 
         monkeypatch.setattr(
-            session_module._Estimates, "walk", classmethod(counting)
+            telemetry_module._Estimates, "walk", classmethod(counting)
         )
         with _session() as session:
             for _ in range(5):

@@ -170,7 +170,7 @@ class TestSessionDegradation:
         )
         with _session() as session:
             prepared = session.prepare(CLOSURE, "ra", exec_options=pinned)
-            step = session._fallback_handle(prepared, "vec")
+            step = session.dispatcher._fallback_handle(prepared, "vec")
             assert step.backend_name == "vec"
             assert step.plan.kernel == "python"
             assert step.plan.spill_threshold_bytes == 1
@@ -222,7 +222,7 @@ class TestSessionDegradation:
             # The vec breaker reads a clock the test drives, so the
             # cool-down lapses exactly when the test says, not when a
             # busy box happens to get round to the next assertion.
-            session._breakers["vec"] = CircuitBreaker(
+            session.dispatcher.breakers["vec"] = CircuitBreaker(
                 config, clock=lambda: now[0]
             )
             # One injected failure opens the vec breaker...
@@ -260,6 +260,12 @@ class TestSessionDegradation:
             assert isinstance(outcome, BackendUnavailableError)
             assert outcome.retry_after_seconds > 0
             assert outcome.payload()["code"] == "backend_unavailable"
+            # Every backend of the chain was vetoed, named in chain order.
+            prepared = session.prepare(CLOSURE, "vec", exec_options=FALLBACK)
+            assert outcome.backends == tuple(
+                session.dispatcher.chain(prepared)
+            )
+            assert set(outcome.backends) >= {"vec", "ra", "sqlite", "reference"}
 
     def test_degrades_to_sqlite_from_worker_threads(self, expected_rows):
         # Served vec batches run on worker threads, while this thread

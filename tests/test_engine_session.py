@@ -173,16 +173,16 @@ class TestCaching:
         # The memo sits in front of the call: whoever swaps the module's
         # ``parse_query`` by name (the ledger's tracer does) sees every
         # real parse, and only those.
-        from repro.engine import session as session_module
+        from repro.engine import frontend as frontend_module
         from repro.errors import ParseError
 
-        real, parses = session_module.parse_query, []
+        real, parses = frontend_module.parse_query, []
 
         def counting(text):
             parses.append(text)
             return real(text)
 
-        monkeypatch.setattr(session_module, "parse_query", counting)
+        monkeypatch.setattr(frontend_module, "parse_query", counting)
         first = session.execute(QUERY)
         assert session.execute(QUERY) == first
         session.prepare(QUERY)

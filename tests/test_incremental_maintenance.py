@@ -4,9 +4,8 @@ Covers the append-only dictionary encoding (code stability, O(delta)
 appends, barrier rebuilds), the result-cache maintenance flow (stale
 recursive results re-seeded from the write delta instead of recomputed,
 with exact agreement against a cold recomputation), the non-maintainable
-fallbacks (barrier writes, plans that are not columnar programs,
-``REPRO_INCREMENTAL=0``),
-and the SQLite mirror's delta sync.
+fallbacks (barrier writes, plans that are not columnar programs) and
+the SQLite mirror's delta sync.
 
 Most queries run with ``rewrite=False``, which keeps the recursion in
 the plan (the seeded-fixpoint path); ``TestRewrittenPlans`` covers the
@@ -41,12 +40,7 @@ CHAIN = "x1, x2 <- (x1, livesIn/isLocatedIn+, x2)"
 
 
 @pytest.fixture()
-def session(monkeypatch):
-    # Pin maintenance on: these tests exercise the incremental path
-    # itself, whatever the ambient env (the REPRO_INCREMENTAL=0 CI leg
-    # must not turn them into invalidation tests). The disabled-path
-    # tests re-set the variable to "0" per test.
-    monkeypatch.setenv("REPRO_INCREMENTAL", "1")
+def session():
     with GraphSession(
         yago_example_graph(), yago_example_schema(), result_cache_size=64
     ) as s:
@@ -135,13 +129,11 @@ class TestAppendOnlyEncoding:
         assert rebuilt is not encoding
         assert rebuilt.appended_rows == 0
 
-    def test_disabled_incremental_rebuilds(self, session, monkeypatch):
+    def test_replacement_rebuilds_the_encoding(self, session):
         store = session.store
         encoding = encoding_for(store)
-        # The kill switch stops at the session: the encoding still folds
-        # an append in. A table replacement (the barrier the env var
-        # used to fake) is what rebuilds it.
-        monkeypatch.setenv("REPRO_INCREMENTAL", "0")
+        # An append folds into the encoding; a table replacement is a
+        # barrier and rebuilds it.
         store.add_rows("isLocatedIn", [_new_edge(store)])
         assert encoding_for(store) is encoding
         rows = set(store.table("isLocatedIn").rows)
@@ -170,7 +162,7 @@ class TestResultMaintenance:
     def test_cached_entry_captures_fixpoint_state(self, session):
         session.execute(CLOSURE, "vec", rewrite=False)
         prepared = session.prepare(CLOSURE, "vec", rewrite=False)
-        entry = session._result_cache.peek(prepared.result_cache_key())
+        entry = session.results.peek(prepared.result_cache_key())
         assert entry.fix_states
         fixops = [
             op
@@ -269,17 +261,6 @@ class TestFallbacks:
         assert rows != before
         assert session.cache_stats["maintenance"].results_invalidated == 1
 
-    def test_env_toggle_disables_maintenance(self, session, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-        store = session.store
-        session.execute(CLOSURE, "vec", rewrite=False)
-        store.add_rows("isLocatedIn", [_new_edge(store)])
-        rows = session.execute(CLOSURE, "vec", rewrite=False)
-        assert rows == _fresh_rows(store, CLOSURE)
-        counters = session.cache_stats["maintenance"]
-        assert counters.results_maintained == 0
-        assert counters.results_invalidated == 1
-
 
 _LDBC = {query.qid: query.text for query in LDBC_QUERIES}
 KNOWS_TWICE = "x1, x2 <- (x1, knows2..2, x2)"
@@ -291,8 +272,7 @@ class TestRewrittenPlans:
     conforming), fixpoint-free or not, are maintained from the delta."""
 
     @pytest.fixture()
-    def ldbc(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL", "1")
+    def ldbc(self):
         with ldbc_session(0.1, result_cache_size=64) as s:
             yield s
 
@@ -327,7 +307,7 @@ class TestRewrittenPlans:
     def _entry(session, text, kernel):
         options = ExecOptions(backend="vec", kernel=kernel)
         prepared = session.prepare(text, exec_options=options)
-        return session._result_cache.peek(prepared.result_cache_key())
+        return session.results.peek(prepared.result_cache_key())
 
     def test_nonrecursive_plan_is_maintained(self, session, kernel):
         # The schema rewriter eliminates the recursion; the plan keeps

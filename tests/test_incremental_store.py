@@ -11,14 +11,6 @@ from repro.errors import EvaluationError
 from repro.storage.relational import RelationalStore, Table, _DELTA_LOG_LIMIT
 
 
-@pytest.fixture(autouse=True)
-def _incremental_on(monkeypatch):
-    """Pin maintenance on: this file tests the delta log itself,
-    whatever the ambient env (the REPRO_INCREMENTAL=0 CI leg must not
-    blank every delta). The env-toggle test re-sets it per call."""
-    monkeypatch.setenv("REPRO_INCREMENTAL", "1")
-
-
 def _store():
     store = RelationalStore()
     store.add_table(Table("City", ("Sr",), {(1,), (2,)}), node_label=True)
@@ -158,18 +150,6 @@ class TestBarriers:
             store.add_rows("City", [(100 + step,)])
         assert store.delta_since(version) is None
         assert store.delta_since(store.version - _DELTA_LOG_LIMIT) is not None
-
-    def test_env_toggle_disables_deltas(self, monkeypatch):
-        # The maintenance kill switch is the session's, not the store's:
-        # the delta log is served under it. What hides a delta is a real
-        # barrier, here the table replacement the env var used to fake.
-        store = _store()
-        version = store.version
-        store.add_rows("City", [(7,)])
-        monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-        assert store.delta_since(version) == {"City": frozenset({(7,)})}
-        store.replace_table(Table("City", ("Sr",), {(1,), (2,), (7,)}))
-        assert store.delta_since(version) is None
 
 
 class TestAliasDeltas:

@@ -192,11 +192,7 @@ class TestMaintainedAnswers:
     def _options(self, kernel):
         return ExecOptions(backend="vec", kernel=kernel)
 
-    def test_answer_handed_out_before_a_write_is_unchanged(
-        self, kernel, monkeypatch
-    ):
-        # Maintenance itself is under test: pin it on, whatever the leg.
-        monkeypatch.setenv("REPRO_INCREMENTAL", "1")
+    def test_answer_handed_out_before_a_write_is_unchanged(self, kernel):
         session = _session(result_cache_size=4)
         options = self._options(kernel)
         before = session.execute(CLOSURE, rewrite=False, exec_options=options)
@@ -220,10 +216,7 @@ class TestMaintainedAnswers:
         assert (7, 2) in again and (7, 2) not in after
         assert len(again) == len(again.to_rows())
 
-    def test_an_unchanged_answer_keeps_its_object_and_text(
-        self, kernel, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_INCREMENTAL", "1")
+    def test_an_unchanged_answer_keeps_its_object_and_text(self, kernel):
         session = _session(result_cache_size=4)
         options = self._options(kernel)
 

@@ -433,13 +433,6 @@ class TestQuotas:
 
 
 class TestSnapshotIsolation:
-    @pytest.fixture(autouse=True)
-    def _incremental_on(self, monkeypatch):
-        # Snapshots reconstruct from the delta log; pin maintenance on
-        # so the REPRO_INCREMENTAL=0 CI leg doesn't blank it (that
-        # fallback is unit-tested in test_snapshot_store.py).
-        monkeypatch.setenv("REPRO_INCREMENTAL", "1")
-
     def test_reads_admitted_before_write_see_old_version(self):
         """A read admitted at version v, executing after a write bumped
         the store, must answer with exactly version v's rows.
@@ -709,9 +702,7 @@ class TestAnswersAreRenderedOnce:
             len(data) for _, _, data in (*singles, batch)
         )
 
-    def test_a_write_that_changes_no_answer_keeps_the_text(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL", "1")
-
+    def test_a_write_that_changes_no_answer_keeps_the_text(self):
         async def drive():
             async with HTTPGraphServer(
                 self._cached_registry(), port=0
@@ -737,13 +728,10 @@ class TestAnswersAreRenderedOnce:
         assert tenant["wire"]["texts_built"] == 1
         assert tenant["wire"]["texts_reused"] == 1
 
-    def test_an_append_a_rewritten_plan_reads_keeps_the_text(
-        self, monkeypatch
-    ):
+    def test_an_append_a_rewritten_plan_reads_keeps_the_text(self):
         # IC2 (knows/-hasCreator) is fixpoint-free once rewritten. Two
         # registered newcomers who created no message befriend each
         # other: the plan's knows scan changed, its answer did not.
-        monkeypatch.setenv("REPRO_INCREMENTAL", "1")
         session = ldbc_session(0.1, result_cache_size=8)
         person_columns = session.store.table("Person").columns
         a = max(session.graph.node_ids()) + 1

@@ -4,19 +4,14 @@ reads."""
 
 import pytest
 
+from repro.engine import BreakerConfig
+from repro.engine.options import ExecOptions
 from repro.engine.session import GraphSession
 from repro.errors import EvaluationError
 from repro.graph.model import yago_example_graph
 from repro.schema.builder import yago_example_schema
 from repro.storage.relational import RelationalStore, Table
-
-
-@pytest.fixture(autouse=True)
-def _incremental_on(monkeypatch):
-    # Snapshots are reconstructed from the delta log; pin it on so the
-    # REPRO_INCREMENTAL=0 CI leg exercises the *fallback* tests only
-    # where they re-set the env themselves.
-    monkeypatch.setenv("REPRO_INCREMENTAL", "1")
+from repro.testing.faults import FaultInjector, FaultRule, install
 
 
 def _store():
@@ -77,18 +72,6 @@ class TestSnapshotAt:
         )  # not append-only: a barrier
         assert store.snapshot_at(pinned) is None
 
-    def test_disabled_incremental_defeats_reconstruction(self, monkeypatch):
-        store = _store()
-        pinned = store.version
-        store.add_rows("City", [(3,)])
-        # The maintenance kill switch does not reach the store: the
-        # pinned view is still reconstructible under it. A table
-        # replacement (the barrier the env var used to fake) defeats it.
-        monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-        assert store.snapshot_at(pinned).table("City").rows == {(1,), (2,)}
-        store.replace_table(Table("City", ("Sr",), {(1,), (2,), (3,)}))
-        assert store.snapshot_at(pinned) is None
-
     def test_snapshot_refuses_writes(self):
         store = _store()
         pinned = store.version
@@ -145,3 +128,28 @@ class TestSnapshotSession:
                 Table("livesIn", ("Sr", "Tr"), {(2, 4)})
             )
             assert session.snapshot_session(pinned) is None
+
+    def test_snapshot_read_degrades_under_the_live_resilience_state(self):
+        # A read that straddled a write runs on a snapshot session. Its
+        # failure must trip the live session's (the tenant's) breaker,
+        # under the live config, and count in the live stats.
+        config = BreakerConfig(failure_threshold=1, cooldown_seconds=600.0)
+        with GraphSession(
+            yago_example_graph(), yago_example_schema(),
+            breaker_config=config, exec_options=ExecOptions(fallback=True),
+        ) as session:
+            before = session.execute(self.CLOSURE, "vec")
+            pinned = session.store.version
+            session.store.add_rows("isLocatedIn", [(100, 101), (101, 102)])
+            snapshot = session.snapshot_session(pinned)
+            try:
+                with install(
+                    FaultInjector([FaultRule("backend.execute.vec", limit=1)])
+                ):
+                    assert snapshot.execute(self.CLOSURE, "vec") == before
+            finally:
+                snapshot.close()
+            stats = session.resilience_stats()
+            assert stats["degraded"] == 1
+            assert stats["breaker_opens"] == 1
+            assert stats["breakers"]["vec"]["state"] == "open"

@@ -105,14 +105,6 @@ class TestFixpointGrowth:
 
 # -- StoreStatistics lifecycle ----------------------------------------------
 class TestStoreStatisticsLifecycle:
-    @pytest.fixture(autouse=True)
-    def _incremental_on(self, monkeypatch):
-        """Pin maintenance on: the carry-forward tests exercise the
-        append path itself, whatever the ambient env (the
-        REPRO_INCREMENTAL=0 CI leg falls back to barrier resets). The
-        barrier-reset test re-sets the variable to "0" per call."""
-        monkeypatch.setenv("REPRO_INCREMENTAL", "1")
-
     def test_memoisation_hits(self):
         """Counts are scanned once per snapshot, then served from memory
         (mutating Table.rows directly bypasses the version counter, so

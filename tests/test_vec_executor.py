@@ -314,7 +314,7 @@ class TestDedupKeyLifetime:
         ) as session:
             rows = session.execute(query, "vec")
             assert session.execute(query, "vec") == rows
-            entries = list(session._result_cache._data.values())
+            entries = list(session.results._entries._data.values())
             assert entries
             for entry in entries:
                 assert entry.answer.table.key is None
