@@ -22,7 +22,6 @@ from repro.bench.stats import (
     geometric_mean_speedup,
     paired_speedup,
     split_runs,
-    summarize,
     summarize_runs,
 )
 from repro.core.rewriter import RewriteOptions, rewrite_query

@@ -1,6 +1,6 @@
 """Command-line entry point (``python -m repro`` or the installed scripts).
 
-Five subcommands:
+Four subcommands:
 
 * ``bench <experiment> [--full] [--engine E]`` — reproduce the paper's
   tables and figures (experiments: table3, table5, table6, fig12, fig13,
@@ -18,13 +18,6 @@ Five subcommands:
 * ``serve [FILE] [--workers N] [--max-batch K] ...`` — the same workload
   through the asyncio :class:`~repro.serve.service.QueryService`
   (bounded worker pool, admission batching).
-* ``calibrate [FILE] [--backends B1,B2] [-o PATH]`` — measure a
-  workload on several backends, least-squares fit each backend's
-  :class:`~repro.planner.cost.CostProfile` from the telemetry and write
-  the fitted state (plus its Q-error snapshot) to JSON. ``query``,
-  ``batch`` and ``serve`` boot from that file via ``--calibration
-  PATH``, and ``--backend auto`` then picks the cheapest substrate per
-  query on the calibrated, seconds-scale costs.
 * ``serve --http HOST:PORT [--tenant NAME=DATASET[:SCALE]] ...`` — boot
   the multi-tenant HTTP serving tier (:mod:`repro.server`) instead of
   draining a file: each ``--tenant`` names a graph with its own session,
@@ -45,7 +38,6 @@ the write delta.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 EXPERIMENTS = (
@@ -68,40 +60,14 @@ def _backend_argument(value: str) -> str:
     so a typo fails with the registered names instead of deep inside the
     session after the dataset has been generated."""
     if value == "auto":
-        # Not a registered backend: the session's (calibrated) cost
-        # model picks the concrete substrate per query.
+        # Not a registered backend: the session's cost model picks the
+        # concrete substrate per query.
         return value
     names = _backend_names()
     if value not in names:
         raise argparse.ArgumentTypeError(
             f"unknown backend {value!r}; registered backends: "
             f"{', '.join(names)}, auto"
-        )
-    return value
-
-
-def _backend_list_argument(value: str) -> tuple[str, ...]:
-    """A comma-separated list of *registered* backends (no 'auto' —
-    calibration measures concrete substrates)."""
-    names = tuple(name.strip() for name in value.split(",") if name.strip())
-    if not names:
-        raise argparse.ArgumentTypeError(
-            "expected a comma-separated list of backends"
-        )
-    registered = _backend_names()
-    for name in names:
-        if name not in registered:
-            raise argparse.ArgumentTypeError(
-                f"unknown backend {name!r}; registered backends: "
-                f"{', '.join(registered)}"
-            )
-    return names
-
-
-def _calibration_argument(value: str) -> str:
-    if not os.path.exists(value):
-        raise argparse.ArgumentTypeError(
-            f"calibration file {value!r} not found"
         )
     return value
 
@@ -181,14 +147,6 @@ def _exec_options(args, planner: str | None = None):
     if getattr(args, "fallback", False):
         fields["fallback"] = True
     return ExecOptions(**fields) if fields else None
-
-
-def _session_kwargs(args) -> dict:
-    """Session construction kwargs shared by the subcommands."""
-    kwargs = {}
-    if getattr(args, "calibration", None) is not None:
-        kwargs["calibration"] = args.calibration
-    return kwargs
 
 
 def _run_query(args: argparse.Namespace) -> int:
@@ -293,8 +251,7 @@ def _run_http_server(args: argparse.Namespace) -> int:
     for name, dataset, scale in specs:
         print(f"-- loading tenant {name!r} ({dataset} @ scale {scale:g})")
         session = _load_session(
-            dataset, scale, result_cache_size=result_cache_size,
-            **_session_kwargs(args),
+            dataset, scale, result_cache_size=result_cache_size
         )
         registry.add(
             Tenant(
@@ -357,8 +314,7 @@ def _run_batch_inner(args: argparse.Namespace) -> int:
     # caller opted out.
     result_cache_size = 0 if args.no_result_cache else 256
     session = _load_session(
-        args.dataset, args.scale, result_cache_size=result_cache_size,
-        **_session_kwargs(args),
+        args.dataset, args.scale, result_cache_size=result_cache_size
     )
     exec_options = _exec_options(args)
     with session:
@@ -449,7 +405,7 @@ def _run_batch_inner(args: argparse.Namespace) -> int:
 
 
 def _run_query_inner(args: argparse.Namespace) -> int:
-    session = _load_session(args.dataset, args.scale, **_session_kwargs(args))
+    session = _load_session(args.dataset, args.scale)
     with session:
         rewrite = not args.baseline
         # --candidates implies cost-based planning: the candidate table
@@ -480,75 +436,6 @@ def _run_query_inner(args: argparse.Namespace) -> int:
         shown = min(len(rows), args.limit)
         print(f"-- {len(rows)} row(s) on backend {prepared.backend_name!r} "
               f"({shown} shown)")
-    return 0
-
-
-def _default_calibration_workload(session) -> list[str]:
-    """A schema-derived calibration workload: per edge label a scan, a
-    transitive closure and a two-step join — together they exercise
-    every operator kind the cost model prices."""
-    queries = []
-    for label in sorted(session.schema.edge_labels)[:6]:
-        queries.append(f"x1, x2 <- (x1, {label}, x2)")
-        queries.append(f"x1, x2 <- (x1, {label}+, x2)")
-        queries.append(
-            f"x1, x3 <- (x1, {label}, x2) && (x2, {label}, x3)"
-        )
-    return queries
-
-
-def _run_calibrate(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
-
-    try:
-        return _run_calibrate_inner(args)
-    except ReproError as error:
-        print(f"repro calibrate: error: {error}", file=sys.stderr)
-        return 1
-
-
-def _run_calibrate_inner(args: argparse.Namespace) -> int:
-    from repro.engine.options import ExecOptions
-
-    session = _load_session(args.dataset, args.scale, workload=args.dataset)
-    with session:
-        if args.file is not None:
-            queries = _read_batch_queries(args.file)
-        else:
-            queries = _default_calibration_workload(session)
-        if not queries:
-            print("repro calibrate: no queries to run", file=sys.stderr)
-            return 1
-        print(
-            f"-- calibrating {', '.join(args.backends)} on "
-            f"{len(queries)} quer(ies) x {args.repeat} pass(es) "
-            f"({args.dataset} @ scale {args.scale:g})"
-        )
-        # Cost-planned executions carry the predicted cost the scalar
-        # fit regresses against; ra/vec additionally log per-operator
-        # rows and exclusive timings for the per-kind least squares.
-        options = ExecOptions(planner="cost")
-        for _ in range(max(args.repeat, 1)):
-            for backend in args.backends:
-                for query in queries:
-                    session.execute(query, backend, exec_options=options)
-        state = session.calibrate(
-            persist_path=args.output, backends=args.backends
-        )
-        fitted = ", ".join(state.fitted_backends) or "none"
-        print(
-            f"-- fitted profile(s): {fitted} "
-            f"from {state.records} telemetry record(s)"
-        )
-        for workload, summary in state.q_error.items():
-            root = summary.get("root")
-            if root:
-                print(
-                    f"-- q-error [{workload}]: {root['count']} estimate(s), "
-                    f"p50 {root['p50']:.2f}, p90 {root['p90']:.2f}, "
-                    f"max {root['max']:.2f}"
-                )
-        print(f"-- calibration written to {args.output}")
     return 0
 
 
@@ -594,17 +481,6 @@ def _add_planner_argument(parser) -> None:
     )
 
 
-def _add_calibration_argument(parser) -> None:
-    parser.add_argument(
-        "--calibration", type=_calibration_argument, default=None,
-        metavar="PATH",
-        help="boot the session from a 'repro calibrate' JSON file: the "
-        "cost planner prices plans with the fitted per-backend "
-        "profiles, and --backend auto picks the cheapest substrate "
-        "per query on the calibrated (seconds-scale) costs",
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     from repro.engine.options import DEFAULT_BACKEND
 
@@ -613,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     # ``repro-bench --full table6``) without the subcommand word.
     if (
         argv
-        and argv[0] not in ("bench", "query", "batch", "serve", "calibrate")
+        and argv[0] not in ("bench", "query", "batch", "serve")
         and any(arg in EXPERIMENTS for arg in argv)
     ):
         argv = ["bench"] + argv
@@ -679,43 +555,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_spill_arguments(query)
     _add_governor_arguments(query)
     _add_planner_argument(query)
-    _add_calibration_argument(query)
-
-    calibrate = subparsers.add_parser(
-        "calibrate",
-        help="measure a workload on several backends, fit per-backend "
-        "cost profiles and write them to JSON",
-    )
-    calibrate.add_argument(
-        "file", nargs="?", default=None,
-        help="file with one UCQT per line as the calibration workload "
-        "('-': stdin; default: a workload generated from the dataset's "
-        "schema edges)",
-    )
-    calibrate.add_argument(
-        "--dataset", choices=DATASETS, default="yago-example"
-    )
-    calibrate.add_argument(
-        "--scale", type=float, default=0.5,
-        help="dataset scale factor (ignored for yago-example)",
-    )
-    calibrate.add_argument(
-        "--backends", type=_backend_list_argument,
-        default=("vec", "ra", "sqlite"),
-        metavar="B1,B2,...",
-        help="comma-separated backends to measure and fit "
-        "(default: vec,ra,sqlite)",
-    )
-    calibrate.add_argument(
-        "--repeat", type=int, default=2,
-        help="workload passes per backend — more passes, steadier "
-        "least-squares fits (default 2)",
-    )
-    calibrate.add_argument(
-        "--output", "-o", default="calibration.json", metavar="PATH",
-        help="where to write the fitted calibration state "
-        "(default calibration.json)",
-    )
 
     for name, help_text in (
         ("batch", "execute a file of queries as one shared batch"),
@@ -764,7 +603,6 @@ def main(argv: list[str] | None = None) -> int:
         _add_spill_arguments(sub)
         _add_governor_arguments(sub)
         _add_planner_argument(sub)
-        _add_calibration_argument(sub)
         if name == "serve":
             sub.add_argument(
                 "--workers", type=int, default=2,
@@ -805,8 +643,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "bench":
         return _run_bench(args)
-    if args.command == "calibrate":
-        return _run_calibrate(args)
     if args.command in ("batch", "serve"):
         return _run_batch(args)
     return _run_query(args)

@@ -18,7 +18,6 @@ skewed tag popularity.
 
 from __future__ import annotations
 
-import math
 import random
 
 from repro.graph.model import PropertyGraph

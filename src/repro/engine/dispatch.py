@@ -6,7 +6,7 @@ result cache and groups the misses: the columnar (``vec``/``ra``) plans
 of one backend and option set together, any other plan alone.
 :meth:`Dispatcher.run` runs one group with one backend call under one
 budget, then stores the answers, feeds the planner and writes one
-calibration record. A single ``execute`` is a batch of one. A
+Q-error record. A single ``execute`` is a batch of one. A
 ``fallback`` group takes the degradation loop instead, which calls
 :meth:`Dispatcher.run` once per attempt down the backend chain. The
 breakers, retry policy and counters are the dispatcher's state; snapshot
@@ -160,7 +160,6 @@ class Dispatcher:
             stats = ExecutionStats()
             captures = [None if key is None else {} for key in keys]
         version = session.store.version
-        started = time.perf_counter()
         if len(group) > 1:
             rows = backend.run_plans(
                 session, [handle.plan for handle in group],
@@ -175,7 +174,6 @@ class Dispatcher:
             ]
         else:
             rows = [backend.execute(session, first.plan, budget)]
-        elapsed = time.perf_counter() - started
         if any(handle.choice is not None for handle in group):
             if stats is None:
                 stats = ExecutionStats(programs=1)
@@ -202,9 +200,7 @@ class Dispatcher:
                     key, answer, version,
                     captures[position] if captures else None,
                 )
-        session.telemetry.record(
-            group, rows, stats, elapsed, session.workload_tag
-        )
+        session.telemetry.record(group, rows, stats)
         return rows
 
     # -- graceful degradation ----------------------------------------------
@@ -356,10 +352,10 @@ class Dispatcher:
 
     def chain(self, prepared: "PreparedQuery") -> list[str]:
         """Backends to try for one handle: primary, then cheapest next
-        (the ranking ``backend="auto"`` picks from), then the fitted and
-        default pools, ending on ``sqlite`` and ``reference``, which
-        share nothing with :mod:`repro.exec`: a kernel fault cannot
-        follow the query down the whole chain."""
+        (the ranking ``backend="auto"`` picks from, under the closure
+        growth the handle was planned with), ending on ``sqlite`` and
+        ``reference``, which share nothing with :mod:`repro.exec`: a
+        kernel fault cannot follow the query down the whole chain."""
         session = prepared.session
         chain = [prepared.backend_name]
 
@@ -375,14 +371,11 @@ class Dispatcher:
                     prepared.query,
                     prepared.rewrite_applied,
                     prepared.options,
-                    None,
+                    prepared.exec_options.fixpoint_growth,
                 )
             )
         except ReproError:
             pass  # unrankable query: fall through to the static order
-        state = session.calibration
-        if state is not None and state.fitted_backends:
-            extend(state.fitted_backends)
         extend(AUTO_POOL)
         extend(("sqlite", "reference"))
         return chain

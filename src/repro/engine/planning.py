@@ -4,8 +4,8 @@
 on one backend, and owns the plan cache that memoises the decision.
 ``greedy`` compiles the rewriter's own choice; ``cost`` enumerates the
 query's candidates once (original, full and partial rewrites, join
-orders), ranks them under the backend's — possibly calibrated — cost
-profile and compiles the winner. It also ranks the backends for
+orders), ranks them under the backend's built-in cost profile and
+compiles the winner. It also ranks the backends for
 ``backend="auto"`` and the degradation chain, and evicts a plan whose
 root estimate missed by more than ``replan_error_threshold``.
 """
@@ -29,7 +29,7 @@ from repro.ra.stats import store_statistics
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.session import GraphSession, PreparedQuery
 
-#: Backends the auto-chooser ranks when no calibration is loaded.
+#: Backends ``backend="auto"`` and the degradation chain rank.
 AUTO_POOL = ("vec", "ra", "sqlite")
 
 #: Compiled winners one cost-planned entry keeps (one per backend /
@@ -145,9 +145,7 @@ class Planning:
         if compiled is None:
             started = time.perf_counter()
             store = session.store
-            choice = planned.planning.choice(
-                store, backend.name, session.telemetry.profile(backend.name)
-            )
+            choice = planned.planning.choice(store, backend.name)
             term = choice.winner.candidate.term
             if term is not None and hasattr(backend, "prepare_from_term"):
                 # The backend executes this very term, so what telemetry
@@ -221,24 +219,16 @@ class Planning:
     ) -> tuple[str, ...]:
         """All eligible backends for one query, cheapest first.
 
-        One walk costs the query's candidates under every eligible
-        profile: the fitted backends of a loaded calibration (measured
-        seconds, comparable across backends), else the built-in profiles
-        over :data:`AUTO_POOL` — never a mix of the two scales. The
-        ranking lives in the query's plan-cache entry.
+        One walk costs the query's candidates under the built-in profile
+        of every backend in :data:`AUTO_POOL`. The ranking lives in the
+        query's plan-cache entry.
         """
         planned = self.planned(session, query, rewrite, options, fixpoint_growth)
         if planned.backends is None:
-            state = session.calibration
-            if state is not None and state.fitted_backends:
-                pool = [
-                    (name, state.profile_for(name))
-                    for name in state.fitted_backends
-                ]
-            else:
-                pool = [(name, None) for name in AUTO_POOL]
             started = time.perf_counter()
-            planned.backends = planned.planning.rank_pool(session.store, pool)
+            planned.backends = planned.planning.rank_pool(
+                session.store, AUTO_POOL
+            )
             self._charge(planned, started)
             if planned.compiled:
                 # Ranked after the fact (a degradation chain asking):

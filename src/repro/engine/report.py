@@ -46,7 +46,7 @@ class ExplainReport:
     choice: PlanChoice | None = None      # cost planner's ranked table
     result_cache: CacheStats | None = None
     maintenance: ExecutionStats | None = None
-    q_error: dict | None = None           # {"count","p50","p90","max","calibrated"}
+    q_error: dict | None = None           # {"count","p50","p90","max"}
     #: Degradation state (``session.resilience_stats()``); None when the
     #: session has never retried, degraded, or tripped a breaker, so the
     #: rendered text stays byte-identical for untouched sessions.
@@ -86,9 +86,8 @@ class ExplainReport:
                 )
         if self.q_error is not None:
             summary = self.q_error
-            calibrated = ", calibrated" if summary.get("calibrated") else ""
             text += (
-                f"\n\n-- q-error ({self.backend}{calibrated}): "
+                f"\n\n-- q-error ({self.backend}): "
                 f"{summary['count']} execution(s), "
                 f"p50 {summary['p50']:.2f}, p90 {summary['p90']:.2f}, "
                 f"max {summary['max']:.2f} --"

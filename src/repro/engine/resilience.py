@@ -3,7 +3,7 @@
 When a backend fails with a *retryable* error
 (:attr:`~repro.errors.ReproError.retryable` — kernel faults, injected
 faults, per-substrate resource exhaustion), the session retries the same
-query down the calibrated backend chain: cheapest surviving substrate
+query down the cost-ranked backend chain: cheapest surviving substrate
 next, bounded backoff between attempts, one shared wall-clock deadline
 across the whole sequence. A per-backend :class:`CircuitBreaker`
 remembers consecutive failures so a misbehaving substrate is skipped

@@ -9,14 +9,13 @@ then ``exec_options=``, then the positional ``backend``; unset is
 ``vec``). It is a façade over five owners, one decision each:
 ``frontend`` (parse, rewrite, conformance gate), ``planning`` (plan
 choice, plan cache), ``dispatcher`` (running plans, degradation),
-``results`` (the opt-in result cache) and ``telemetry`` (calibration).
+``results`` (the opt-in result cache) and ``telemetry`` (Q-error).
 ``planner_stats``, ``cache_stats`` and ``resilience_stats`` assemble
 their counters.
 """
 
 from __future__ import annotations
 
-import pathlib
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -42,12 +41,7 @@ from repro.exec.spill import SpillManager
 from repro.gdb.engine import PatternEngine
 from repro.graph.evaluator import EvalBudget, ResourceBudget
 from repro.graph.model import PropertyGraph
-from repro.planner import (
-    CalibrationLog,
-    CalibrationState,
-    PlanChoice,
-    validate_planner,
-)
+from repro.planner import CalibrationLog, PlanChoice, validate_planner
 from repro.query.model import UCQT
 from repro.ra.stats import store_statistics
 from repro.schema.model import GraphSchema
@@ -160,7 +154,9 @@ class PreparedQuery:
             choice=self.choice,
             result_cache=result_cache,
             maintenance=maintenance,
-            q_error=session.telemetry.q_error(self.backend_name),
+            q_error=session.calibration_log.backend_summary(
+                self.backend_name
+            ),
             resilience=resilience,
             planner=None if self.planned is None else {
                 "candidates": len(self.planned.planning.candidates),
@@ -184,8 +180,6 @@ class GraphSession:
         result_cache_size: int = 0,
         replan_error_threshold: float = 8.0,
         exec_options: ExecOptions | None = None,
-        calibration: "CalibrationState | str | pathlib.Path | None" = None,
-        workload: str = "default",
         breaker_config: BreakerConfig | None = None,
         retry_policy: RetryPolicy | None = None,
     ):
@@ -199,10 +193,7 @@ class GraphSession:
         self.planning = Planning(cache_size, replan_error_threshold)
         self.dispatcher = Dispatcher(breaker_config, retry_policy)
         self.results = ResultCache(result_cache_size)
-        self.telemetry = Telemetry(calibration)
-        #: Workload tag stamped onto telemetry records; callers may
-        #: reassign it between queries to segment the log.
-        self.workload_tag = workload
+        self.telemetry = Telemetry()
         self._sqlite: SqliteBackend | None = None
         self._pattern_engine: PatternEngine | None = None
         self._spill_manager: SpillManager | None = None
@@ -270,7 +261,6 @@ class GraphSession:
             self.graph, self.schema, store=snapshot,
             rewrite_options=self.rewrite_options,
             exec_options=self.exec_options,
-            calibration=self.calibration, workload=self.workload_tag,
         )
         session.dispatcher = self.dispatcher
         return session
@@ -402,28 +392,12 @@ class GraphSession:
         )
         return prepared.explain()
 
-    # -- calibration (telemetry → fit → exploit) ---------------------------
+    # -- introspection -----------------------------------------------------
     @property
     def calibration_log(self) -> CalibrationLog:
+        """Every execution's estimated and actual rows (Q-error)."""
         return self.telemetry.log
 
-    @property
-    def calibration(self) -> CalibrationState | None:
-        return self.telemetry.state
-
-    def calibrate(
-        self,
-        persist_path: "str | pathlib.Path | None" = None,
-        backends: "Sequence[str] | None" = None,
-    ) -> CalibrationState:
-        """Fit per-backend cost profiles from this session's telemetry
-        (:meth:`~repro.engine.telemetry.Telemetry.calibrate`) and clear
-        the plan cache so rankings recompute under the new weights."""
-        state = self.telemetry.calibrate(persist_path, backends)
-        self.planning.plans.clear()
-        return state
-
-    # -- introspection -----------------------------------------------------
     @property
     def result_cache_enabled(self) -> bool:
         return self.results.enabled

@@ -112,9 +112,7 @@ class ExecutionStats:
     The ``*_seconds`` counters are **exclusive** wall-clock time per
     operator kind — each operator's evaluation time minus the time its
     children spent, so the per-kind totals sum to (at most) the whole
-    execution. They are the measurements
-    :func:`repro.planner.calibration.fit_profile` regresses per-row
-    operator weights from.
+    execution.
     """
 
     programs: int = 0
@@ -158,7 +156,7 @@ class ExecutionStats:
     breaker_opens: int = 0
 
     def operator_rows(self) -> dict[str, int]:
-        """Actual output rows by operator kind (calibration features)."""
+        """Actual output rows by operator kind (Q-error telemetry)."""
         return {
             "scan": self.scan_rows,
             "join": self.join_rows,
@@ -166,17 +164,6 @@ class ExecutionStats:
             "select": self.select_rows,
             "project": self.project_rows,
             "fixpoint": self.fixpoint_rows,
-        }
-
-    def operator_seconds(self) -> dict[str, float]:
-        """Exclusive wall-clock seconds by operator kind."""
-        return {
-            "scan": self.scan_seconds,
-            "join": self.join_seconds,
-            "union": self.union_seconds,
-            "select": self.select_seconds,
-            "project": self.project_seconds,
-            "fixpoint": self.fixpoint_seconds,
         }
 
     @property
@@ -492,7 +479,7 @@ class _Runner:
         self.stats.ops_evaluated += 1
         # Actual cardinalities and exclusive timings per operator kind:
         # the feedback the adaptive planner compares against its
-        # estimates, and the measurements profile calibration fits.
+        # estimates, and the per-operator times the ledger reports.
         stats = self.stats
         if isinstance(op, ScanOp):
             stats.scan_rows += rows

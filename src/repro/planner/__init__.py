@@ -35,9 +35,6 @@ from repro.planner.candidates import (
 from repro.planner.calibration import (
     CalibrationLog,
     CalibrationRecord,
-    CalibrationState,
-    calibrate_from_log,
-    fit_profile,
     q_error,
     q_error_summary,
 )
@@ -86,9 +83,6 @@ __all__ = [
     "estimate_term_bytes",
     "CalibrationLog",
     "CalibrationRecord",
-    "CalibrationState",
-    "calibrate_from_log",
-    "fit_profile",
     "q_error",
     "q_error_summary",
     "DEFAULT_MAX_PARTIAL",

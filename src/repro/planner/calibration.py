@@ -1,53 +1,31 @@
-"""Cost-model calibration: Q-error telemetry and fitted operator weights.
+"""Q-error telemetry: the cost model's estimates next to what happened.
 
-PR 5's :class:`~repro.planner.cost.CostProfile` weights are hand-set
-constants. This module closes the loop with *measurements*:
-
-* every ``ra``/``vec`` execution appends a :class:`CalibrationRecord` to
-  the session's bounded :class:`CalibrationLog` — per-operator-kind
-  (estimated, actual) cardinality pairs plus exclusive wall-clock
-  timings, tagged with the session's workload;
-* :func:`q_error_summary` reports the estimator's Q-error distribution
-  (p50/p90/max — ``max(est, act)/min(est, act)``, both floored at one
-  row) per workload and per operator kind;
-* :func:`fit_profile` regresses per-row operator weights from the
-  timings by least squares through the origin, yielding a profile in
-  **seconds per row** — fitted profiles of different backends are
-  therefore directly comparable, which is what lets the batch planner
-  pick a different backend per query;
-* :class:`CalibrationState` bundles the fitted profiles with a Q-error
-  snapshot and round-trips through JSON, so a serving process can boot
-  with the profiles a ``repro calibrate`` run measured offline.
-
-Backends without per-operator telemetry (``sqlite``: the executor is a
-black box behind the SQL text) are calibrated by a single scalar: least
-squares of measured seconds against the planner's predicted cost maps
-the hand-set profile into the same seconds scale.
+Every ``ra``/``vec`` execution appends a :class:`CalibrationRecord` to
+the session's bounded :class:`CalibrationLog`: per-operator-kind
+(estimated, actual) cardinality pairs and the root pair.
+:func:`q_error_summary` reports the estimator's Q-error distribution
+(p50/p90/max of ``max(est, act)/min(est, act)``, both floored at one
+row) over the roots and per operator kind. Backends without per-operator
+telemetry (``sqlite``: the executor is a black box behind the SQL text)
+log the root pair only. The planner ranks under the built-in
+:class:`~repro.planner.cost.CostProfile` weights; the log measures how
+far its row estimates are off.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import pathlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.planner.cost import OPERATOR_KINDS, CostProfile, cost_profile
+from repro.planner.cost import OPERATOR_KINDS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.exec.executor import ExecutionStats
 
-#: Log format tag written into every persisted calibration file.
-CALIBRATION_FORMAT = "repro-calibration/v1"
-
 #: Default bound on the per-session telemetry log (oldest drop first).
 DEFAULT_LOG_SIZE = 2048
-
-#: An operator kind is fitted only when the log holds at least this many
-#: output rows for it — below that, per-row noise dominates the slope.
-MIN_KIND_ROWS = 16
 
 
 def q_error(estimated: float | None, actual: float) -> float | None:
@@ -87,25 +65,18 @@ def _distribution(values: list[float]) -> dict | None:
 class CalibrationRecord:
     """Telemetry of one execution: what was estimated, what happened.
 
-    ``op_rows``/``op_seconds`` are the executor's per-operator-kind
-    actual output rows and exclusive timings; ``op_estimates`` the
-    planner-side estimates from the same plan
+    ``op_rows`` holds the executor's actual output rows per operator
+    kind, ``op_estimates`` the planner-side estimates from the same plan
     (:func:`~repro.planner.cost.estimate_kind_rows`). Backends without
-    per-operator telemetry leave them empty and carry only the totals:
-    ``seconds``, the root (estimated, actual) pair and the planner's
-    ``predicted_cost``, which scalar calibration regresses against.
+    per-operator telemetry leave both empty and carry only the root
+    (estimated, actual) pair.
     """
 
     backend: str
-    workload: str
-    seconds: float
     op_rows: Mapping[str, int]
     op_estimates: Mapping[str, float]
-    op_seconds: Mapping[str, float]
-    ops_evaluated: int = 0
     estimated_rows: float | None = None
     actual_rows: int = 0
-    predicted_cost: float | None = None
 
     @property
     def root_q_error(self) -> float | None:
@@ -124,51 +95,29 @@ class CalibrationRecord:
                 errors[kind] = error
         return errors
 
-    def to_dict(self) -> dict:
-        return {
-            "backend": self.backend,
-            "workload": self.workload,
-            "seconds": self.seconds,
-            "op_rows": dict(self.op_rows),
-            "op_estimates": dict(self.op_estimates),
-            "op_seconds": dict(self.op_seconds),
-            "ops_evaluated": self.ops_evaluated,
-            "estimated_rows": self.estimated_rows,
-            "actual_rows": self.actual_rows,
-            "predicted_cost": self.predicted_cost,
-        }
-
 
 def q_error_summary(records: Iterable[CalibrationRecord]) -> dict:
-    """Q-error distributions per workload (plus per operator kind).
+    """Q-error distributions over ``records``, root and per operator kind.
 
-    ``{workload: {"count", "root": {count,p50,p90,max} | None,
-    "by_kind": {kind: {...}}}}`` — ``root`` is ``None`` when no record
-    of the workload carried a root estimate (cold greedy executions).
+    ``{"count", "root": {count,p50,p90,max} | None, "by_kind": {kind:
+    {...}}}``: ``root`` is ``None`` when no record carried a root
+    estimate (cold greedy executions).
     """
-    by_workload: dict[str, list[CalibrationRecord]] = {}
+    records = list(records)
+    roots = [
+        error
+        for error in (record.root_q_error for record in records)
+        if error is not None
+    ]
+    kinds: dict[str, list[float]] = {}
     for record in records:
-        by_workload.setdefault(record.workload, []).append(record)
-    summary: dict[str, dict] = {}
-    for workload in sorted(by_workload):
-        group = by_workload[workload]
-        roots = [
-            error
-            for error in (record.root_q_error for record in group)
-            if error is not None
-        ]
-        kinds: dict[str, list[float]] = {}
-        for record in group:
-            for kind, error in record.kind_q_errors().items():
-                kinds.setdefault(kind, []).append(error)
-        summary[workload] = {
-            "count": len(group),
-            "root": _distribution(roots),
-            "by_kind": {
-                kind: _distribution(kinds[kind]) for kind in sorted(kinds)
-            },
-        }
-    return summary
+        for kind, error in record.kind_q_errors().items():
+            kinds.setdefault(kind, []).append(error)
+    return {
+        "count": len(records),
+        "root": _distribution(roots),
+        "by_kind": {kind: _distribution(kinds[kind]) for kind in sorted(kinds)},
+    }
 
 
 class CalibrationLog:
@@ -198,35 +147,24 @@ class CalibrationLog:
         self,
         *,
         backend: str,
-        workload: str,
-        seconds: float,
         stats: "ExecutionStats | None" = None,
         op_estimates: Mapping[str, float] | None = None,
         estimated_rows: float | None = None,
         actual_rows: int = 0,
-        predicted_cost: float | None = None,
     ) -> CalibrationRecord:
         """Append one execution's telemetry; returns the record."""
         record = CalibrationRecord(
             backend=backend,
-            workload=workload,
-            seconds=seconds,
             op_rows=stats.operator_rows() if stats is not None else {},
             op_estimates=dict(op_estimates or {}),
-            op_seconds=stats.operator_seconds() if stats is not None else {},
-            ops_evaluated=stats.ops_evaluated if stats is not None else 0,
             estimated_rows=estimated_rows,
             actual_rows=actual_rows,
-            predicted_cost=predicted_cost,
         )
         self.record(record)
         return record
 
-    def backends(self) -> tuple[str, ...]:
-        return tuple(sorted({record.backend for record in self._records}))
-
     def summary(self) -> dict:
-        """Per-workload Q-error distributions over the whole log."""
+        """Q-error distributions over the whole log."""
         return q_error_summary(self._records)
 
     def backend_summary(self, backend: str) -> dict | None:
@@ -239,268 +177,3 @@ class CalibrationLog:
             if error is not None
         ]
         return _distribution(roots)
-
-    def clear(self) -> None:
-        self._records.clear()
-
-
-def _lsq_through_origin(pairs: list[tuple[float, float]]) -> float | None:
-    """Least-squares slope of ``y ~ w*x`` through the origin."""
-    sxx = sum(x * x for x, _ in pairs)
-    if sxx <= 0.0:
-        return None
-    return sum(x * y for x, y in pairs) / sxx
-
-
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    middle = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[middle]
-    return (ordered[middle - 1] + ordered[middle]) / 2.0
-
-
-def _fit_scalar(
-    records: list[CalibrationRecord], base: CostProfile
-) -> CostProfile:
-    """Scale a hand-set profile into measured seconds by one scalar.
-
-    For backends without per-operator telemetry: least squares of
-    measured seconds against the planner's predicted cost (both per
-    record) gives the cost-unit → seconds conversion, preserving the
-    profile's relative shape. Falls back to the base profile when no
-    record carries a predicted cost.
-    """
-    pairs = [
-        (record.predicted_cost, record.seconds)
-        for record in records
-        if record.predicted_cost is not None and record.predicted_cost > 0.0
-    ]
-    scale = _lsq_through_origin(pairs) if pairs else None
-    if scale is None or scale <= 0.0:
-        return base
-    return CostProfile(
-        name=base.name,
-        scan=base.scan * scale,
-        join_build=base.join_build * scale,
-        join_probe=base.join_probe * scale,
-        join_out=base.join_out * scale,
-        dedup=base.dedup * scale,
-        select=base.select * scale,
-        fixpoint_row=base.fixpoint_row * scale,
-        startup=base.startup * scale,
-    )
-
-
-def fit_profile(
-    records: Iterable[CalibrationRecord],
-    backend: str,
-    base: CostProfile | None = None,
-    min_kind_rows: int = MIN_KIND_ROWS,
-) -> CostProfile:
-    """Fit ``backend``'s cost profile from its telemetry records.
-
-    Each observed operator kind gets a per-row weight from least squares
-    through the origin of (output rows → exclusive seconds) over the
-    log. Kinds the log never exercised keep the hand-set base weight,
-    rescaled by the median fitted/base ratio so the whole profile stays
-    coherent in seconds. Composite weights:
-
-    * ``dedup`` pools union and projection (both are set-semantics
-      dedup work on every substrate),
-    * the three join weights cannot be separated from output-side
-      telemetry alone, so the measured slope lands on ``join_out`` and
-      ``join_build``/``join_probe`` keep the base profile's ratios to it,
-    * ``startup`` is fitted from the per-record residual (measured
-      seconds minus the per-row model) against the operator count,
-      clamped at zero.
-
-    Records without per-operator telemetry degrade to scalar fitting
-    (see :func:`_fit_scalar`); an empty log returns the base unchanged.
-    """
-    base = base or cost_profile(backend)
-    recs = [record for record in records if record.backend == backend]
-    if not recs:
-        return base
-    if not any(any(record.op_rows.values()) for record in recs):
-        return _fit_scalar(recs, base)
-
-    def kind_pairs(kinds: tuple[str, ...]) -> list[tuple[float, float]]:
-        return [
-            (
-                float(sum(record.op_rows.get(kind, 0) for kind in kinds)),
-                sum(record.op_seconds.get(kind, 0.0) for kind in kinds),
-            )
-            for record in recs
-        ]
-
-    def fit_kind(kinds: tuple[str, ...]) -> float | None:
-        pairs = kind_pairs(kinds)
-        if sum(x for x, _ in pairs) < min_kind_rows:
-            return None
-        if sum(y for _, y in pairs) <= 0.0:
-            return None
-        slope = _lsq_through_origin(pairs)
-        return slope if slope is not None and slope > 0.0 else None
-
-    fitted = {
-        "scan": fit_kind(("scan",)),
-        "join": fit_kind(("join",)),
-        "dedup": fit_kind(("union", "project")),
-        "select": fit_kind(("select",)),
-        "fixpoint": fit_kind(("fixpoint",)),
-    }
-    base_of = {
-        "scan": base.scan,
-        "join": base.join_out,
-        "dedup": base.dedup,
-        "select": base.select,
-        "fixpoint": base.fixpoint_row,
-    }
-    ratios = [
-        fitted[kind] / base_of[kind]
-        for kind in fitted
-        if fitted[kind] is not None and base_of[kind] > 0.0
-    ]
-    if not ratios:
-        return _fit_scalar(recs, base)
-    scale = _median(ratios)
-
-    def weight(kind: str) -> float:
-        value = fitted[kind]
-        return value if value is not None else base_of[kind] * scale
-
-    scan = weight("scan")
-    join_out = weight("join")
-    dedup = weight("dedup")
-    select = weight("select")
-    fixpoint_row = weight("fixpoint")
-    join_ratio = join_out / base.join_out if base.join_out > 0.0 else scale
-    join_build = base.join_build * join_ratio
-    join_probe = base.join_probe * join_ratio
-
-    # Startup: whatever the per-row model leaves unexplained, spread
-    # over the operator count (includes encode/decode overhead — a flat
-    # per-operator charge is the only non-row term the model has).
-    per_row = {
-        "scan": scan,
-        "join": join_out,
-        "union": dedup,
-        "project": dedup,
-        "select": select,
-        "fixpoint": fixpoint_row,
-    }
-    residual_pairs = []
-    for record in recs:
-        modeled = sum(
-            per_row[kind] * record.op_rows.get(kind, 0)
-            for kind in per_row
-        )
-        residual_pairs.append(
-            (float(record.ops_evaluated), record.seconds - modeled)
-        )
-    startup = _lsq_through_origin(residual_pairs)
-    startup = max(startup, 0.0) if startup is not None else 0.0
-
-    return CostProfile(
-        name=base.name,
-        scan=scan,
-        join_build=join_build,
-        join_probe=join_probe,
-        join_out=join_out,
-        dedup=dedup,
-        select=select,
-        fixpoint_row=fixpoint_row,
-        startup=startup,
-    )
-
-
-@dataclass
-class CalibrationState:
-    """Fitted profiles plus the Q-error snapshot they were fitted from.
-
-    The unit a serving process boots with: ``profiles`` maps backend
-    name → fitted :class:`CostProfile` (in seconds per row, mutually
-    comparable), ``q_error`` is the :func:`q_error_summary` snapshot at
-    fit time and ``records`` how many log records the fit consumed.
-    """
-
-    profiles: dict[str, CostProfile] = field(default_factory=dict)
-    q_error: dict = field(default_factory=dict)
-    records: int = 0
-
-    def profile_for(self, backend: str) -> CostProfile | None:
-        return self.profiles.get(backend)
-
-    @property
-    def fitted_backends(self) -> tuple[str, ...]:
-        return tuple(sorted(self.profiles))
-
-    def to_json(self) -> dict:
-        return {
-            "format": CALIBRATION_FORMAT,
-            "records": self.records,
-            "profiles": {
-                name: profile.to_dict()
-                for name, profile in sorted(self.profiles.items())
-            },
-            "q_error": self.q_error,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "CalibrationState":
-        if not isinstance(payload, dict):
-            raise ValueError(
-                f"calibration payload must be an object, got {type(payload).__name__}"
-            )
-        fmt = payload.get("format")
-        if fmt != CALIBRATION_FORMAT:
-            raise ValueError(
-                f"unsupported calibration format {fmt!r}; "
-                f"expected {CALIBRATION_FORMAT!r}"
-            )
-        profiles_raw = payload.get("profiles", {})
-        if not isinstance(profiles_raw, dict):
-            raise ValueError("calibration 'profiles' must be an object")
-        profiles = {
-            name: CostProfile.from_dict(entry)
-            for name, entry in profiles_raw.items()
-        }
-        records = payload.get("records", 0)
-        if not isinstance(records, int) or records < 0:
-            raise ValueError(
-                f"calibration 'records' must be a non-negative int, "
-                f"got {records!r}"
-            )
-        q_error_raw = payload.get("q_error", {})
-        if not isinstance(q_error_raw, dict):
-            raise ValueError("calibration 'q_error' must be an object")
-        return cls(profiles=profiles, q_error=q_error_raw, records=records)
-
-    def save(self, path: str | pathlib.Path) -> None:
-        pathlib.Path(path).write_text(
-            json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
-        )
-
-    @classmethod
-    def load(cls, path: str | pathlib.Path) -> "CalibrationState":
-        return cls.from_json(json.loads(pathlib.Path(path).read_text()))
-
-
-def calibrate_from_log(
-    log: CalibrationLog,
-    backends: Iterable[str] | None = None,
-) -> CalibrationState:
-    """Fit a :class:`CalibrationState` from one session's log."""
-    records = log.records
-    names = tuple(backends) if backends is not None else log.backends()
-    profiles = {
-        name: fit_profile(records, name)
-        for name in names
-        if any(record.backend == name for record in records)
-    }
-    return CalibrationState(
-        profiles=profiles,
-        q_error=q_error_summary(records),
-        records=len(records),
-    )

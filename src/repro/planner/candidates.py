@@ -250,7 +250,6 @@ def rank_candidates(
     store: RelationalStore,
     backend: str,
     estimator: Estimator | None = None,
-    profile: CostProfile | None = None,
     costs: Sequence[TermCost] | None = None,
 ) -> PlanChoice:
     """Cost every candidate under ``backend``'s profile; mark the winner.
@@ -269,7 +268,7 @@ def rank_candidates(
         for (cost,) in _cost_candidates(
             candidates,
             store,
-            (profile or cost_profile(backend),),
+            (cost_profile(backend),),
             estimator or Estimator(store),
         )
     ]
@@ -343,21 +342,19 @@ class PlanningPass:
         self.estimator = None
 
     def rank_pool(
-        self,
-        store: RelationalStore,
-        pool: Sequence[tuple[str, CostProfile | None]],
+        self, store: RelationalStore, pool: Sequence[str]
     ) -> tuple[str, ...]:
-        """Rank the candidates under every ``(backend, profile)`` of
-        ``pool`` (``None``: the backend's built-in profile) from one walk
-        per candidate; returns the backends, cheapest winner first."""
-        profiles = [
-            profile or cost_profile(backend) for backend, profile in pool
-        ]
+        """Rank the candidates under the profile of every backend in
+        ``pool`` from one walk per candidate; returns the backends,
+        cheapest winner first."""
         costs = _cost_candidates(
-            self.candidates, store, profiles, self._estimator(store)
+            self.candidates,
+            store,
+            [cost_profile(backend) for backend in pool],
+            self._estimator(store),
         )
         winners: list[tuple[float, str]] = []
-        for position, (backend, _profile) in enumerate(pool):
+        for position, backend in enumerate(pool):
             choice = rank_candidates(
                 self.candidates, store, backend,
                 costs=[cost[position] for cost in costs],
@@ -367,22 +364,15 @@ class PlanningPass:
         winners.sort()
         return tuple(backend for _cost, backend in winners)
 
-    def choice(
-        self,
-        store: RelationalStore,
-        backend: str,
-        profile: CostProfile | None = None,
-    ) -> PlanChoice:
+    def choice(self, store: RelationalStore, backend: str) -> PlanChoice:
         """``backend``'s ranked table with its winner's ``peak_bytes``
         estimated: the pass's memory walk, paid only for a winner that
-        is about to be compiled. A pass ranks a backend under one
-        profile; ``profile`` is read the first time only."""
+        is about to be compiled."""
         estimator = self._estimator(store)
         ranked = self.choices.get(backend)
         if ranked is None:
             ranked = self.choices[backend] = rank_candidates(
-                self.candidates, store, backend,
-                estimator=estimator, profile=profile,
+                self.candidates, store, backend, estimator=estimator
             )
         term = ranked.winner.candidate.term
         if term is None:
@@ -401,16 +391,11 @@ def plan_query(
     rewrite: bool = True,
     options: RewriteOptions | None = None,
     fixpoint_growth: float | None = None,
-    profile: CostProfile | None = None,
     max_partial: int = DEFAULT_MAX_PARTIAL,
     join_orders: int = DEFAULT_JOIN_ORDERS,
 ) -> PlanChoice:
-    """Enumerate, cost and rank every candidate plan for one query.
-
-    ``profile`` overrides the backend's built-in cost profile — the hook
-    a session's calibrated profile (fitted from measured operator
-    timings) enters the planner through.
-    """
+    """Enumerate, cost and rank every candidate plan for one query under
+    ``backend``'s built-in cost profile."""
     return PlanningPass.for_query(
         query,
         schema,
@@ -420,4 +405,4 @@ def plan_query(
         fixpoint_growth=fixpoint_growth,
         max_partial=max_partial,
         join_orders=join_orders,
-    ).choice(store, backend, profile)
+    ).choice(store, backend)

@@ -62,60 +62,10 @@ class CostProfile:
     fixpoint_row: float  # per row tracked across fixpoint rounds
     startup: float       # flat charge per physical operator
 
-    def to_dict(self) -> dict:
-        """JSON-serializable weight mapping (calibration persistence)."""
-        return {
-            "name": self.name,
-            "scan": self.scan,
-            "join_build": self.join_build,
-            "join_probe": self.join_probe,
-            "join_out": self.join_out,
-            "dedup": self.dedup,
-            "select": self.select,
-            "fixpoint_row": self.fixpoint_row,
-            "startup": self.startup,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CostProfile":
-        fields = {
-            "scan", "join_build", "join_probe", "join_out",
-            "dedup", "select", "fixpoint_row", "startup",
-        }
-        unknown = sorted(set(payload) - fields - {"name"})
-        if unknown:
-            raise ValueError(
-                f"unknown cost-profile field(s): {', '.join(unknown)}"
-            )
-        missing = sorted(fields - set(payload)) + (
-            [] if "name" in payload else ["name"]
-        )
-        if missing:
-            raise ValueError(
-                f"cost profile missing field(s): {', '.join(missing)}"
-            )
-        name = payload["name"]
-        if not isinstance(name, str):
-            raise ValueError(f"cost-profile name must be a string, got {name!r}")
-        weights = {}
-        for field in sorted(fields):
-            value = payload[field]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(
-                    f"cost-profile weight {field!r} must be a number, "
-                    f"got {value!r}"
-                )
-            if value < 0:
-                raise ValueError(
-                    f"cost-profile weight {field!r} must be >= 0, got {value!r}"
-                )
-            weights[field] = float(value)
-        return cls(name=name, **weights)
-
 
 #: The pure-Python kernel, sequential: per-row work dominates everything.
-#: Hand-set defaults, not measurements of that kernel — ``calibrate()``
-#: fits them.
+#: Hand-set weights, not measurements of that kernel: only the ratios
+#: between weights and across profiles matter.
 _RA_PROFILE = CostProfile(
     name="ra",
     scan=1.0,

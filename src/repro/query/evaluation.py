@@ -12,8 +12,6 @@ usable as a baseline, while remaining obviously correct.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.errors import EvaluationError
 from repro.graph.evaluator import EvalBudget, evaluate_path
 from repro.graph.model import PropertyGraph

@@ -9,7 +9,7 @@ properties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import SchemaError, UnknownLabelError

@@ -66,8 +66,8 @@ class BatchReport:
     distinct_plans: int
     execution: ExecutionStats | None = None
     #: Distinct plans per concrete backend when the batch ran with
-    #: ``backend="auto"`` (the calibrated cost model picks a substrate
-    #: per query); ``None`` for a uniform-backend batch.
+    #: ``backend="auto"`` (the cost model picks a substrate per query);
+    #: ``None`` for a uniform-backend batch.
     backend_choices: Mapping[str, int] | None = None
 
     @property
@@ -110,7 +110,7 @@ def execute_batch(
     that run carried, each through the session's degradation loop.
 
     With ``backend="auto"`` each distinct query is planned onto the
-    backend the (calibrated) cost model ranks cheapest for it — one
+    backend the cost model ranks cheapest for it — one
     batch can execute on several substrates, the columnar plans of each
     still sharing one runner. ``BatchReport.backend_choices`` records
     the split.

@@ -10,7 +10,6 @@ produced by :mod:`repro.sql.generate` is executed as-is.
 from __future__ import annotations
 
 import sqlite3
-from typing import Iterable
 
 from repro.errors import EvaluationError, QueryTimeout
 from repro.graph.evaluator import EvalBudget, as_budget

@@ -65,3 +65,28 @@ def test_adaptive_replanning_preserves_semantics(
     ) as session:
         for _ in range(3):
             assert session.execute(query, "vec") == expected
+
+
+@given(_SEEDS, _SEEDS, st.lists(_SEEDS, min_size=1, max_size=4))
+@settings(max_examples=20, deadline=None)
+def test_auto_backend_matches_uniform_backends(
+    schema_seed, graph_seed, expr_seeds
+):
+    """``backend="auto"`` picks a substrate per query from the cost
+    ranking, and the rows are those of every uniform backend."""
+    schema = random_schema(schema_seed)
+    graph = random_graph(schema, graph_seed, max_nodes=14, max_edges=36)
+    queries = [
+        single_relation_query(
+            random_path_expr(schema, expr_seed, max_depth=3)
+        )
+        for expr_seed in expr_seeds
+    ]
+
+    with GraphSession(graph, schema) as session:
+        for query in queries:
+            expected = session.execute(query, "ra", exec_options=COST)
+            for backend in _BACKENDS:
+                rows = session.execute(query, backend, exec_options=COST)
+                assert rows == expected, backend
+            assert session.execute(query, "auto") == expected

@@ -1,27 +1,16 @@
-"""Tests for cost-model calibration: the telemetry log, Q-error
-arithmetic and its edge cases, least-squares profile fitting, the JSON
-round-trip, and the session-level telemetry -> fit -> exploit loop
-(including ``backend="auto"`` per-query backend choice)."""
+"""Tests for the cost model's Q-error telemetry: the log, Q-error
+arithmetic and its edge cases, what sessions record and report, and
+``backend="auto"`` per-query backend choice under the built-in
+profiles."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.engine import GraphSession
 from repro.engine.options import ExecOptions
 from repro.graph.model import yago_example_graph
-from repro.planner import (
-    CalibrationLog,
-    CalibrationState,
-    CostProfile,
-    calibrate_from_log,
-    cost_profile,
-    fit_profile,
-    q_error,
-    q_error_summary,
-)
+from repro.planner import CalibrationLog, q_error, q_error_summary
 from repro.schema.builder import yago_example_schema
 from repro.serve import execute_batch
 
@@ -64,29 +53,23 @@ class TestQError:
     def test_missing_estimate_is_none(self):
         assert q_error(None, 42) is None
 
-    def test_summary_per_workload(self):
+    def test_summary_pools_every_record(self):
         log = CalibrationLog()
-        log.record_execution(
-            backend="ra", workload="a", seconds=0.1,
-            estimated_rows=10, actual_rows=10,
-        )
-        log.record_execution(
-            backend="ra", workload="a", seconds=0.1,
-            estimated_rows=10, actual_rows=40,
-        )
-        log.record_execution(
-            backend="ra", workload="b", seconds=0.1,
-            estimated_rows=None, actual_rows=5,
-        )
+        log.record_execution(backend="ra", estimated_rows=10, actual_rows=10)
+        log.record_execution(backend="vec", estimated_rows=10, actual_rows=40)
+        # No root estimate: counted, but not in the root distribution.
+        log.record_execution(backend="ra", estimated_rows=None, actual_rows=5)
         summary = log.summary()
-        assert summary["a"]["root"]["count"] == 2
-        assert summary["a"]["root"]["p50"] == 1.0
-        assert summary["a"]["root"]["max"] == 4.0
-        # No record of workload "b" carried a root estimate.
-        assert summary["b"]["root"] is None
+        assert summary["count"] == 3
+        assert summary["root"]["count"] == 2
+        assert summary["root"]["p50"] == 1.0
+        assert summary["root"]["max"] == 4.0
+        assert summary["by_kind"] == {}
 
     def test_summary_of_empty_log(self):
-        assert q_error_summary(()) == {}
+        assert q_error_summary(()) == {
+            "count": 0, "root": None, "by_kind": {},
+        }
 
 
 # -- the telemetry log --------------------------------------------------------
@@ -95,8 +78,7 @@ class TestCalibrationLog:
         log = CalibrationLog(max_records=2)
         for index in range(5):
             log.record_execution(
-                backend="ra", workload="w", seconds=0.1,
-                estimated_rows=index, actual_rows=index,
+                backend="ra", estimated_rows=index, actual_rows=index
             )
         assert len(log) == 2
         assert log.total_recorded == 5
@@ -109,9 +91,8 @@ class TestCalibrationLog:
             records = session.calibration_log.records
         assert {record.backend for record in records} == {"vec", "ra"}
         for record in records:
-            assert record.seconds >= 0.0
             assert any(record.op_rows.values())
-            assert record.op_seconds
+            assert any(record.op_estimates.values())
 
     def test_sqlite_records_are_totals_only(self):
         session = _session()
@@ -121,17 +102,9 @@ class TestCalibrationLog:
         assert records
         for record in records:
             assert record.backend == "sqlite"
-            # Black box: no per-operator telemetry, only totals.
+            # Black box: no per-operator telemetry, only the root pair.
             assert not any(record.op_rows.values())
-            assert not any(record.op_seconds.values())
-            assert record.predicted_cost is not None  # cost-planned
-
-    def test_workload_tag_reaches_records(self):
-        session = _session(workload="nightly")
-        with session:
-            session.execute(WORKLOAD[0], "ra", exec_options=COST)
-            record = session.calibration_log.records[-1]
-        assert record.workload == "nightly"
+            assert record.estimated_rows is not None  # cost-planned
 
     @pytest.mark.parametrize("planner", ["greedy", "cost"])
     def test_memoised_estimates_log_what_a_fresh_walk_would(self, planner):
@@ -264,99 +237,7 @@ class TestCalibrationLog:
                         assert record.estimated_rows == handle.choice.winner.rows
 
 
-# -- fitting ------------------------------------------------------------------
-class TestFitting:
-    def test_fit_yields_positive_seconds_scale_weights(self):
-        session = _session()
-        with session:
-            _run_workload(session)
-            state = session.calibrate()
-        assert set(state.fitted_backends) == {"ra", "sqlite", "vec"}
-        for profile in state.profiles.values():
-            for field in ("scan", "join_out", "dedup", "select",
-                          "fixpoint_row"):
-                assert getattr(profile, field) > 0.0
-
-    def test_empty_log_returns_base_profile(self):
-        base = cost_profile("vec")
-        assert fit_profile((), "vec", base) is base
-
-    def test_fit_ignores_other_backends(self):
-        log = CalibrationLog()
-        log.record_execution(
-            backend="ra", workload="w", seconds=1.0, estimated_rows=1,
-            actual_rows=1, predicted_cost=2.0,
-        )
-        base = cost_profile("vec")
-        assert fit_profile(log.records, "vec", base) is base
-
-    def test_scalar_fit_rescales_without_reshaping(self):
-        # Totals-only records (sqlite) scale the hand-set profile by one
-        # least-squares factor: relative weights are preserved.
-        log = CalibrationLog()
-        for cost, seconds in ((100.0, 1.0), (200.0, 2.0), (400.0, 4.0)):
-            log.record_execution(
-                backend="sqlite", workload="w", seconds=seconds,
-                estimated_rows=10, actual_rows=10, predicted_cost=cost,
-            )
-        base = cost_profile("sqlite")
-        fitted = fit_profile(log.records, "sqlite", base)
-        assert fitted.scan == pytest.approx(base.scan * 0.01)
-        assert fitted.join_out / fitted.scan == pytest.approx(
-            base.join_out / base.scan
-        )
-
-
-# -- persistence --------------------------------------------------------------
-class TestPersistence:
-    def test_json_round_trip(self, tmp_path):
-        session = _session()
-        with session:
-            _run_workload(session)
-            state = session.calibrate(
-                persist_path=tmp_path / "calibration.json"
-            )
-        loaded = CalibrationState.load(tmp_path / "calibration.json")
-        assert loaded.records == state.records
-        assert loaded.fitted_backends == state.fitted_backends
-        for name in state.fitted_backends:
-            assert loaded.profiles[name] == state.profiles[name]
-        assert loaded.q_error == json.loads(json.dumps(state.q_error))
-
-    def test_reload_reproduces_plan_choices(self, tmp_path):
-        path = tmp_path / "calibration.json"
-        session = _session()
-        with session:
-            _run_workload(session)
-            session.calibrate(persist_path=path)
-            original = {
-                query: session.prepare(
-                    query, "auto", exec_options=COST
-                ).backend_name
-                for query in WORKLOAD
-            }
-        # A fresh serving process boots from the persisted file and must
-        # route every query identically.
-        rebooted = _session(calibration=str(path))
-        with rebooted:
-            for query, backend_name in original.items():
-                prepared = rebooted.prepare(query, "auto", exec_options=COST)
-                assert prepared.backend_name == backend_name
-
-    def test_rejects_unknown_format(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format": "other/v9"}))
-        with pytest.raises(ValueError, match="unsupported calibration"):
-            CalibrationState.load(path)
-
-    def test_rejects_malformed_profiles(self):
-        with pytest.raises(ValueError):
-            CalibrationState.from_json(
-                {"format": "repro-calibration/v1", "profiles": []}
-            )
-
-
-# -- exploitation -------------------------------------------------------------
+# -- backend="auto" and the reports -------------------------------------------
 class TestAutoBackend:
     def test_auto_resolves_to_concrete_backend(self):
         session = _session()
@@ -367,11 +248,9 @@ class TestAutoBackend:
             uniform = session.execute(WORKLOAD[0], "ra")
         assert rows == uniform
 
-    def test_calibrated_batch_reports_choices(self):
+    def test_auto_batch_reports_choices(self):
         session = _session()
         with session:
-            _run_workload(session)
-            session.calibrate()
             outcome = execute_batch(session, WORKLOAD, "auto")
             report = outcome.report
             assert report.backend == "auto"
@@ -385,12 +264,14 @@ class TestAutoBackend:
         with session:
             _run_workload(session, backends=("ra",))
             stats = session.planner_stats["calibration"]
-            assert stats["records"] == len(WORKLOAD)
-            assert stats["fitted_backends"] == []
-            session.calibrate()
-            stats = session.planner_stats["calibration"]
-            assert stats["fitted_backends"] == ["ra"]
-            assert "default" in stats["q_error"]
+        assert stats["records"] == stats["total_recorded"] == len(WORKLOAD)
+        q_errors = stats["q_error"]
+        assert set(q_errors) == {"count", "root", "by_kind"}
+        assert q_errors["count"] == len(WORKLOAD)
+        # Cost-planned: every record carries a root estimate.
+        assert q_errors["root"]["count"] == len(WORKLOAD)
+        assert q_errors["root"]["p50"] >= 1.0
+        assert "scan" in q_errors["by_kind"]
 
     def test_explain_carries_q_error_after_executions(self):
         session = _session()

@@ -178,6 +178,25 @@ class TestSessionDegradation:
                 assert prepared.execute() == expected_rows
             assert session.resilience_stats()["degraded"] == 1
 
+    def test_degraded_read_ranks_under_the_handles_growth(
+        self, expected_rows
+    ):
+        # The chain reuses the planner entry the handle was drawn from:
+        # ranked under another closure growth it would enumerate the
+        # candidates again, into a second plan-cache entry.
+        options = ExecOptions(
+            backend="vec", planner="cost", fallback=True, fixpoint_growth=4.0
+        )
+        with _session() as session:
+            prepared = session.prepare(CLOSURE, exec_options=options)
+            enumerated = session.planner_stats["candidates_enumerated"]
+            entries = session.cache_stats["plan"].size
+            with install(FaultInjector([FaultRule("kernel.op", limit=1)])):
+                assert prepared.execute() == expected_rows
+            assert session.resilience_stats()["degraded"] == 1
+            assert session.planner_stats["candidates_enumerated"] == enumerated
+            assert session.cache_stats["plan"].size == entries
+
     def test_without_fallback_the_failure_surfaces(self):
         with _session() as session:
             with install(FaultInjector([FaultRule("backend.execute.vec")])):

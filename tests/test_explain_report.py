@@ -74,14 +74,11 @@ class TestByteIdentity:
             backend="vec",
             query=QUERY,
             plan_text="Scan(isLocatedIn)",
-            q_error={
-                "count": 3, "p50": 1.0, "p90": 2.5, "max": 4.125,
-                "calibrated": True,
-            },
+            q_error={"count": 3, "p50": 1.0, "p90": 2.5, "max": 4.125},
         )
         assert report.render() == (
             "Scan(isLocatedIn)\n\n"
-            "-- q-error (vec, calibrated): 3 execution(s), "
+            "-- q-error (vec): 3 execution(s), "
             "p50 1.00, p90 2.50, max 4.12 --"
         )
 

@@ -150,11 +150,8 @@ def _untimed(stats):
 
 
 def _last_record(session):
-    if not session.calibration_log.records:
-        return None
-    record = session.calibration_log.records[-1].to_dict()
-    del record["seconds"], record["op_seconds"]
-    return record
+    records = session.calibration_log.records
+    return records[-1] if records else None
 
 
 class TestBatchOfOne:

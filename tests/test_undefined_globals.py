@@ -1,14 +1,22 @@
-"""Every global a function reads is bound somewhere in its module.
+"""Every global a function reads is bound, and every import is read.
 
-A stdlib stand-in for a linter's undefined-name check (pyflakes F821),
-so tier-1 catches a name that only fails when its line finally runs:
-each ``src/repro/**/*.py`` is compiled to its symbol tables, and every
-name any scope reads as a global must be assigned, imported, defined or
-declared ``global`` and assigned in that module, or be a builtin.
+Stdlib stand-ins for two linter checks, so tier-1 catches what would
+otherwise wait for CI:
+
+* undefined names (pyflakes F821), which only fail when their line
+  finally runs: each ``src/repro/**/*.py`` is compiled to its symbol
+  tables, and every name any scope reads as a global must be assigned,
+  imported, defined or declared ``global`` and assigned in that module,
+  or be a builtin;
+* unused imports (pyflakes F401): every module-level import, those under
+  ``if TYPE_CHECKING:`` included, must bind a name the module reads,
+  in code or in a string annotation. Package ``__init__.py`` files, names
+  listed in ``__all__`` and lines marked ``# noqa: F401`` are exempt.
 """
 
 from __future__ import annotations
 
+import ast
 import builtins
 import pathlib
 import symtable
@@ -16,6 +24,7 @@ import symtable
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+MODULES = sorted(SRC.rglob("*.py"))
 
 _MODULE_NAMES = frozenset(dir(builtins)) | {
     "__file__", "__name__", "__doc__", "__spec__", "__loader__",
@@ -52,10 +61,75 @@ def undefined_globals(source: str, filename: str) -> list[str]:
     return missing
 
 
+def _module_imports(body: list[ast.stmt]):
+    """The import statements of a module body, through ``if``/``try``."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If):
+            yield from _module_imports(node.body)
+            yield from _module_imports(node.orelse)
+        elif isinstance(node, ast.Try):
+            for block in (node.body, node.orelse, node.finalbody):
+                yield from _module_imports(block)
+            for handler in node.handlers:
+                yield from _module_imports(handler.body)
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name the module reads, string annotations parsed too."""
+    read: set[str] = set()
+
+    def annotation(node: ast.expr | None) -> None:
+        for sub in ast.walk(node) if node is not None else ():
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                try:
+                    parsed = ast.parse(sub.value, mode="eval")
+                except SyntaxError:
+                    continue
+                read.update(_names_read(parsed))
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.arg):
+            annotation(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotation(node.annotation)
+    return read
+
+
+def unused_imports(source: str, filename: str) -> list[str]:
+    """``line: name`` for every module-level import nothing reads."""
+    tree = ast.parse(source, filename)
+    lines = source.splitlines()
+    used = _names_read(tree)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    unused = []
+    for node in _module_imports(tree.body):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any(
+            "# noqa: F401" in line
+            for line in lines[node.lineno - 1:node.end_lineno]
+        ):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name != "*" and name not in used:
+                unused.append(f"{node.lineno}: {name}")
+    return unused
+
+
 @pytest.mark.parametrize(
-    "path",
-    sorted(SRC.rglob("*.py")),
-    ids=lambda path: str(path.relative_to(SRC.parent)),
+    "path", MODULES, ids=lambda path: str(path.relative_to(SRC.parent))
 )
 def test_module_reads_no_unbound_global(path):
     assert undefined_globals(path.read_text(), str(path)) == []
@@ -73,3 +147,31 @@ def test_the_check_sees_an_unbound_name():
         "    return counter\n"
     )
     assert undefined_globals(source, "<probe>") == ["listcomp: chain"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in MODULES if path.name != "__init__.py"],
+    ids=lambda path: str(path.relative_to(SRC.parent)),
+)
+def test_module_imports_are_read(path):
+    assert unused_imports(path.read_text(), str(path)) == []
+
+
+def test_the_check_sees_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json, sys  # noqa: F401\n"
+        "from typing import TYPE_CHECKING, Iterable, Mapping\n"
+        "from collections import deque as ring\n"
+        "if TYPE_CHECKING:\n"
+        "    from decimal import Decimal\n"
+        "    from fractions import Fraction\n"
+        "__all__ = ['ring']\n"
+        "def f(items: 'Mapping[str, Decimal]') -> int:\n"
+        "    return len(os.path.sep)\n"
+    )
+    assert unused_imports(source, "<probe>") == [
+        "4: Iterable", "8: Fraction",
+    ]
