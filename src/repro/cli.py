@@ -27,8 +27,10 @@ Four subcommands:
 
 ``query``, ``batch`` and ``serve`` accept
 ``--spill-threshold-bytes N`` / ``--spill-path DIR`` (out-of-core
-memmap spill on ``vec``) and ``--planner {greedy,cost}`` (cost-based
-candidate selection instead of the linear rewrite pipeline);
+memmap spill on ``vec``), ``--planner {greedy,cost}`` (cost-based
+candidate selection instead of the linear rewrite pipeline) and
+``--backend auto`` (the default backend under the cost planner; ``bench
+--engine`` takes registered backends only);
 ``repro query --explain --candidates`` prints the ranked candidate table. The serving subcommands cache whole
 result sets unless ``--no-result-cache`` is given; after append-only
 store writes, stale cached results are incrementally maintained from
@@ -55,21 +57,24 @@ def _backend_names() -> tuple[str, ...]:
     return available_backends()
 
 
-def _backend_argument(value: str) -> str:
-    """Validate a backend name against the live registry at parse time,
-    so a typo fails with the registered names instead of deep inside the
-    session after the dataset has been generated."""
-    if value == "auto":
-        # Not a registered backend: the session's cost model picks the
-        # concrete substrate per query.
-        return value
-    names = _backend_names()
+def _engine_argument(value: str, extra: tuple[str, ...] = ()) -> str:
+    """Validate a backend name against the live registry (plus
+    ``extra``) at parse time, so a typo fails with the registered names
+    instead of deep inside the session after the dataset has been
+    generated."""
+    names = _backend_names() + extra
     if value not in names:
         raise argparse.ArgumentTypeError(
             f"unknown backend {value!r}; registered backends: "
-            f"{', '.join(names)}, auto"
+            f"{', '.join(names)}"
         )
     return value
+
+
+def _backend_argument(value: str) -> str:
+    """:func:`_engine_argument`, or ``auto``: the session's default
+    backend under the cost planner."""
+    return _engine_argument(value, ("auto",))
 
 
 def _run_tables78(full: bool):
@@ -376,12 +381,6 @@ def _run_batch_inner(args: argparse.Namespace) -> int:
                 f"{report.distinct_plans} distinct plan(s) on backend "
                 f"{report.backend!r}{shared_ops}"
             )
-            if report.backend_choices:
-                split = ", ".join(
-                    f"{count}x {name}"
-                    for name, count in sorted(report.backend_choices.items())
-                )
-                summary += f" (auto chose {split})"
         if args.json:
             print(
                 json.dumps(
@@ -467,7 +466,8 @@ def _add_governor_arguments(parser) -> None:
     parser.add_argument(
         "--fallback", action="store_true",
         help="degrade gracefully: retry retryable failures down the "
-        "cost-ranked backend chain (circuit breakers per backend)",
+        "backend chain (the backend, ra after vec, sqlite, reference; "
+        "circuit breakers per backend)",
     )
 
 
@@ -512,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
     bench.add_argument(
         "--engine",
         default="ra",
-        type=_backend_argument,
+        type=_engine_argument,
         metavar="ENGINE",
         help="execution engine for runtime experiments "
         f"(registered: {', '.join(_backend_names())})",

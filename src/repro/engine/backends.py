@@ -47,7 +47,6 @@ from repro.query.evaluation import evaluate_ucqt
 from repro.query.model import UCQT
 from repro.ra.optimizer import optimize_term
 from repro.ra.plan import explain as explain_ra_term
-from repro.ra.stats import Estimator
 from repro.ra.terms import RaTerm
 from repro.ra.translate import TranslationContext, ucqt_to_ra
 from repro.sql.generate import ucqt_to_sql
@@ -55,12 +54,6 @@ from repro.testing.faults import fault_point
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.session import GraphSession
-
-
-def _estimator_for(session: "GraphSession", options: ExecOptions):
-    if options.fixpoint_growth is None:
-        return None
-    return Estimator(session.store, fixpoint_growth=options.fixpoint_growth)
 
 
 # -- the µ-RA backends: one physical layer, two configurations ---------------
@@ -95,7 +88,6 @@ class VecBackend:
     #: are the options part of its plan- and result-cache keys.
     option_fields: tuple[str, ...] = (
         "kernel",
-        "fixpoint_growth",
         "spill_path",
         "spill_threshold_bytes",
     )
@@ -116,9 +108,7 @@ class VecBackend:
         self, session: "GraphSession", query: UCQT, options: ExecOptions
     ) -> VecPlan:
         term = optimize_term(
-            ucqt_to_ra(query, TranslationContext()),
-            session.store,
-            estimator=_estimator_for(session, options),
+            ucqt_to_ra(query, TranslationContext()), session.store
         )
         return self._plan(term, session.store, query, options)
 
@@ -243,7 +233,7 @@ class RaBackend(VecBackend):
     """
 
     name = "ra"
-    option_fields = ("fixpoint_growth",)
+    option_fields = ()
 
     def _plan(self, term: RaTerm, store, query: UCQT, options: ExecOptions):
         return VecPlan(term, compile_term(term, store), query.head, "python")

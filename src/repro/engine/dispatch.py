@@ -8,7 +8,8 @@ of one backend and option set together, any other plan alone.
 budget, then stores the answers, feeds the planner and writes one
 Q-error record. A single ``execute`` is a batch of one. A
 ``fallback`` group takes the degradation loop instead, which calls
-:meth:`Dispatcher.run` once per attempt down the backend chain. The
+:meth:`Dispatcher.run` once per attempt down the backend chain, a
+fixed list that consults no planner (:meth:`Dispatcher.chain`). The
 breakers, retry policy and counters are the dispatcher's state; snapshot
 sessions share their live session's dispatcher.
 """
@@ -19,7 +20,6 @@ import time
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.engine.planning import AUTO_POOL
 from repro.engine.resilience import BreakerConfig, CircuitBreaker, RetryPolicy
 from repro.errors import BackendUnavailableError, QueryTimeout, ReproError
 from repro.exec.executor import ExecutionStats
@@ -350,35 +350,18 @@ class Dispatcher:
             retry_after_seconds=min(horizons) if horizons else 1.0,
         )
 
-    def chain(self, prepared: "PreparedQuery") -> list[str]:
-        """Backends to try for one handle: primary, then cheapest next
-        (the ranking ``backend="auto"`` picks from, under the closure
-        growth the handle was planned with), ending on ``sqlite`` and
-        ``reference``, which share nothing with :mod:`repro.exec`: a
-        kernel fault cannot follow the query down the whole chain."""
-        session = prepared.session
-        chain = [prepared.backend_name]
-
-        def extend(names) -> None:
-            for name in names:
-                if name not in chain:
-                    chain.append(name)
-
-        try:
-            extend(
-                session.planning.rank_backends(
-                    session,
-                    prepared.query,
-                    prepared.rewrite_applied,
-                    prepared.options,
-                    prepared.exec_options.fixpoint_growth,
-                )
-            )
-        except ReproError:
-            pass  # unrankable query: fall through to the static order
-        extend(AUTO_POOL)
-        extend(("sqlite", "reference"))
-        return chain
+    @staticmethod
+    def chain(prepared: "PreparedQuery") -> list[str]:
+        """Backends to try for one handle, in a fixed order: the primary;
+        ``ra`` after ``vec``, the same executor on the pure-Python
+        kernel; then ``sqlite`` and ``reference``, which share nothing
+        with :mod:`repro.exec`, so a kernel fault cannot follow the
+        query down the whole chain."""
+        primary = prepared.backend_name
+        kernel_step = ("ra",) if primary == "vec" else ()
+        return list(
+            dict.fromkeys((primary, *kernel_step, "sqlite", "reference"))
+        )
 
     @staticmethod
     def _fallback_handle(

@@ -18,16 +18,15 @@ Every value is checked here, when the object is built, except the one
 check that depends on the install (``kernel`` names a kernel that can be
 imported), which the ``vec`` backend makes in ``prepare``. Each backend
 names the fields it reads in its ``option_fields`` attribute — ``vec``
-the kernel pin, the estimator growth and the out-of-core pair, ``ra``
-the growth only, the rest nothing — and the values of exactly those
-fields (:meth:`ExecOptions.key_for`) are the execution-options part of
-its plan- and result-cache keys, so one object can describe a
-mixed-backend batch without fragmenting anyone's cache.
+the kernel pin and the out-of-core pair, the rest nothing — and the
+values of exactly those fields (:meth:`ExecOptions.key_for`) are the
+execution-options part of its plan- and result-cache keys, so one
+object can describe a mixed-backend batch without fragmenting anyone's
+cache.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 from typing import Mapping
 
@@ -41,10 +40,9 @@ class ExecOptions:
     consumer applies its own default for fields still unset.
     """
 
-    backend: str | None = None           # execution substrate ("auto" allowed)
+    backend: str | None = None           # execution substrate, or auto
     planner: str | None = None           # "greedy" | "cost"
     kernel: str | None = None            # vec kernel pin ("numpy"/"python")
-    fixpoint_growth: float | None = None # estimator closure-growth override
     spill_path: str | None = None        # out-of-core spill directory root
     spill_threshold_bytes: int | None = None  # spill tables above this size
     max_rows: int | None = None          # ResourceBudget cumulative row cap
@@ -67,18 +65,6 @@ class ExecOptions:
                     f"exec option {name!r} must be a positive integer, "
                     f"got {value!r}"
                 )
-        growth = self.fixpoint_growth
-        if growth is not None and (
-            isinstance(growth, bool)
-            or not isinstance(growth, (int, float))
-            or not math.isfinite(growth)
-            or growth < 1
-        ):
-            # A transitive closure contains its base relation.
-            raise ValueError(
-                "exec option 'fixpoint_growth' must be a finite number "
-                f">= 1, got {growth!r}"
-            )
         if self.fallback is not None and not isinstance(self.fallback, bool):
             raise ValueError(
                 "exec option 'fallback' must be a boolean, "

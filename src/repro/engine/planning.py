@@ -4,10 +4,9 @@
 on one backend, and owns the plan cache that memoises the decision.
 ``greedy`` compiles the rewriter's own choice; ``cost`` enumerates the
 query's candidates once (original, full and partial rewrites, join
-orders), ranks them under the backend's built-in cost profile and
-compiles the winner. It also ranks the backends for
-``backend="auto"`` and the degradation chain, and evicts a plan whose
-root estimate missed by more than ``replan_error_threshold``.
+orders), ranks them once under the one cost profile and compiles the
+winner for the backend asked for. It evicts a plan whose root estimate
+missed by more than ``replan_error_threshold``.
 """
 
 from __future__ import annotations
@@ -29,9 +28,6 @@ from repro.ra.stats import store_statistics
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.session import GraphSession, PreparedQuery
 
-#: Backends ``backend="auto"`` and the degradation chain rank.
-AUTO_POOL = ("vec", "ra", "sqlite")
-
 #: Compiled winners one cost-planned entry keeps (one per backend /
 #: option-values / byte-cap combination asked for; oldest dropped).
 _MAX_COMPILED_PER_QUERY = 8
@@ -42,17 +38,14 @@ class PlannedQuery:
     """A query's plan-cache entry under the cost planner.
 
     Everything planning decided for one (query, rewrite, schema,
-    options, growth): the pass itself, the backend ranking
-    ``backend="auto"`` and the degradation chain read, and each winner
-    compiled so far. One entry, so evicting it re-plans all of it.
+    options): the pass itself and each winner compiled so far. One
+    entry, so evicting it re-plans all of it.
     """
 
     key: tuple
     planning: PlanningPass
     #: Wall-clock spent planning this entry (reported, never decided on).
     seconds: float = 0.0
-    #: The eligible backends, cheapest winner first (None: not ranked).
-    backends: tuple[str, ...] | None = None
     #: (backend, its option values, max_bytes) -> (plan, choice).
     compiled: dict[tuple, tuple[object | None, PlanChoice]] = field(
         default_factory=dict
@@ -131,11 +124,9 @@ class Planning:
         exec_options: ExecOptions,
     ) -> tuple:
         """The cost-based path of :meth:`plan`: rank the query's
-        planning pass (:meth:`planned`) under the backend's profile and
-        compile the winner, kept inside the query's planner entry."""
-        planned = self.planned(
-            session, query, rewrite, options, exec_options.fixpoint_growth
-        )
+        planning pass (:meth:`planned`) and compile the winner for the
+        backend, kept inside the query's planner entry."""
+        planned = self.planned(session, query, rewrite, options)
         compiled_key = (
             backend.name,
             exec_options.key_for(backend),
@@ -154,7 +145,7 @@ class Planning:
                     store, term, planned.planning.estimator
                 )
             # Planned: what stays cached is the candidates and the
-            # rankings, not every estimate behind them.
+            # ranking, not every estimate behind them.
             planned.planning.release()
             self._charge(planned, started)
             compiled = self._compile_winner(
@@ -174,18 +165,16 @@ class Planning:
         query: UCQT,
         rewrite: bool,
         options: RewriteOptions | None,
-        fixpoint_growth: float | None,
     ) -> PlannedQuery:
         """The query's cost-planner cache entry, enumerating the
-        candidates on a miss — the one enumeration every backend ranking
-        and every compiled plan of the query is drawn from."""
+        candidates on a miss — the one enumeration every compiled plan
+        of the query is drawn from."""
         key = (
             "planner",
             str(query),
             rewrite,
             session.schema_fingerprint,
             options,
-            fixpoint_growth,
         )
 
         def plan() -> PlannedQuery:
@@ -195,7 +184,6 @@ class Planning:
                 PlanningPass.for_query(
                     query, session.schema, session.store,
                     rewrite=rewrite, options=options,
-                    fixpoint_growth=fixpoint_growth,
                 ),
             )
             self.candidates_enumerated += len(planned.planning.candidates)
@@ -208,33 +196,6 @@ class Planning:
         elapsed = time.perf_counter() - started
         planned.seconds += elapsed
         self.plan_seconds += elapsed
-
-    def rank_backends(
-        self,
-        session: "GraphSession",
-        query: UCQT,
-        rewrite: bool,
-        options: RewriteOptions | None,
-        fixpoint_growth: float | None,
-    ) -> tuple[str, ...]:
-        """All eligible backends for one query, cheapest first.
-
-        One walk costs the query's candidates under the built-in profile
-        of every backend in :data:`AUTO_POOL`. The ranking lives in the
-        query's plan-cache entry.
-        """
-        planned = self.planned(session, query, rewrite, options, fixpoint_growth)
-        if planned.backends is None:
-            started = time.perf_counter()
-            planned.backends = planned.planning.rank_pool(
-                session.store, AUTO_POOL
-            )
-            self._charge(planned, started)
-            if planned.compiled:
-                # Ranked after the fact (a degradation chain asking):
-                # no compile follows to let the estimator go.
-                planned.planning.release()
-        return planned.backends
 
     def _compile_winner(
         self,
@@ -297,8 +258,8 @@ class Planning:
             return
         store_stats = store_statistics(prepared.session.store)
         self.observations += 1
-        # Per-backend token: the same query may be planned to different
-        # candidates (and estimates) on different backends.
+        # Per-backend token: each backend's executions feed back, and
+        # trigger their one re-plan, on their own.
         token = f"{prepared.backend.name}:{prepared.query}"
         previous = store_stats.feedback.get(token)
         error = store_stats.record_plan_feedback(

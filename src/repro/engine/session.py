@@ -307,19 +307,17 @@ class GraphSession:
         instance (:meth:`rewrite_sound`). The resolved options' values
         the backend reads are part of the plan-cache key. ``planner``
         picks the pipeline (:class:`~repro.engine.planning.Planning`);
-        ``backend="auto"`` lets the cost model pick the substrate too.
+        ``backend="auto"`` is :data:`DEFAULT_BACKEND` under the cost
+        planner.
         """
         query = self.frontend.parse(query)
         resolved = self.exec_options.merged(exec_options)
         backend_name = backend or resolved.backend or DEFAULT_BACKEND
         planner_mode = resolved.planner or self.planner
+        if backend_name == "auto":
+            backend_name, planner_mode = DEFAULT_BACKEND, "cost"
         applied = rewrite and self.frontend.gate(self.store)
         options = (options or self.rewrite_options) if rewrite else None
-        if backend_name == "auto":
-            backend_name = self.planning.rank_backends(
-                self, query, applied, options, resolved.fixpoint_growth
-            )[0]
-            planner_mode = "cost"
         backend_impl = get_backend(backend_name)
         resolved = replace(
             resolved,

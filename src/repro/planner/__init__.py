@@ -2,15 +2,14 @@
 
 The linear pipeline (rewrite, translate, optimise greedily, compile)
 commits to one plan per stage. This package turns each stage into a
-*candidate generator* and picks the cheapest end-to-end plan under a
-per-backend physical cost model:
+*candidate generator* and picks the cheapest end-to-end plan under one
+physical cost model:
 
 * :mod:`repro.planner.candidates` — enumerate semantically equivalent
   plans (original query, full and per-relation partial schema rewrites,
   bounded alternative join orders) and rank them,
-* :mod:`repro.planner.cost` — estimated rows × per-backend operator
-  weights, so ``vec``, ``ra`` and ``sqlite`` cost the same logical plan
-  differently.
+* :mod:`repro.planner.cost` — estimated rows × one profile of operator
+  weights.
 
 Sessions opt in with ``ExecOptions(planner="cost")``, as the session
 default (``GraphSession(..., exec_options=...)``) or per call
@@ -40,12 +39,10 @@ from repro.planner.calibration import (
 )
 from repro.planner.cost import (
     OPERATOR_KINDS,
-    PROFILES,
+    PROFILE,
     CostProfile,
     TermCost,
-    cost_profile,
     cost_term,
-    cost_term_profiles,
     estimate_kind_rows,
     estimate_term_bytes,
 )
@@ -74,11 +71,9 @@ __all__ = [
     "rank_candidates",
     "CostProfile",
     "TermCost",
-    "PROFILES",
+    "PROFILE",
     "OPERATOR_KINDS",
-    "cost_profile",
     "cost_term",
-    "cost_term_profiles",
     "estimate_kind_rows",
     "estimate_term_bytes",
     "CalibrationLog",

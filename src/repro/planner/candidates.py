@@ -15,20 +15,17 @@ all guaranteed equivalent to the original query:
 
 A query is planned in **one pass** (:class:`PlanningPass`): its
 candidates are enumerated once against one
-:class:`~repro.ra.stats.Estimator`, and everything else is ranked from
-that list — ``rank_candidates`` costs it against one backend's
-:class:`~repro.planner.cost.CostProfile` and returns a
-:class:`PlanChoice` with the winner marked; ``PlanningPass.rank_pool``
-costs it under several backends' profiles in a single walk per
-candidate, which is how ``backend="auto"`` picks a substrate without
-planning twice. Sessions cache the pass, execute the chosen backend's
-winner, and ``explain`` renders its ranked table.
+:class:`~repro.ra.stats.Estimator` and ranked once —
+``rank_candidates`` costs them under the one
+:data:`~repro.planner.cost.PROFILE` and returns a :class:`PlanChoice`
+with the winner marked. The ranking depends on the query alone, so
+every backend a query is prepared on executes the same winner. Sessions
+cache the pass, and ``explain`` renders its ranked table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 from repro.core.rewriter import (
     RewriteOptions,
@@ -39,10 +36,8 @@ from repro.core.rewriter import (
 from repro.errors import ReproError
 from repro.planner.cost import (
     CostMemo,
-    CostProfile,
     TermCost,
-    cost_profile,
-    cost_term_profiles,
+    cost_term,
     estimate_term_bytes,
 )
 from repro.query.model import UCQT, drop_unsatisfiable_disjuncts
@@ -73,7 +68,7 @@ class PlanCandidate:
 
 @dataclass(frozen=True)
 class RankedCandidate:
-    """A candidate with its estimated cost under one backend profile."""
+    """A candidate with its estimated cost."""
 
     candidate: PlanCandidate
     cost: float
@@ -96,7 +91,7 @@ class RankedCandidate:
 
 @dataclass(frozen=True)
 class PlanChoice:
-    """The ranked candidate table for one (query, backend) planning run.
+    """A query's ranked candidate table, as prepared on ``backend``.
 
     ``peak_bytes`` is the planner's soft estimate of the winner's peak
     materialised memory (:func:`~repro.planner.cost.estimate_term_bytes`);
@@ -222,55 +217,27 @@ def enumerate_plan_candidates(
     return candidates
 
 
-#: What a provably-empty candidate costs under any profile.
-_FREE = TermCost(0.0, 0.0)
-
-
-def _cost_candidates(
-    candidates: list[PlanCandidate],
-    store: RelationalStore,
-    profiles: Sequence[CostProfile],
-    estimator: Estimator,
-) -> list[tuple[TermCost, ...]]:
-    """Every candidate's cost under each of ``profiles``: one walk per
-    candidate, sub-terms costed once across all of them."""
-    memo: CostMemo = {}
-    free = (_FREE,) * len(profiles)
-    return [
-        free if candidate.term is None
-        else cost_term_profiles(
-            candidate.term, store, profiles, estimator, memo
-        )
-        for candidate in candidates
-    ]
-
-
 def rank_candidates(
     candidates: list[PlanCandidate],
     store: RelationalStore,
     backend: str,
     estimator: Estimator | None = None,
-    costs: Sequence[TermCost] | None = None,
 ) -> PlanChoice:
-    """Cost every candidate under ``backend``'s profile; mark the winner.
+    """Cost every candidate, sub-terms once across all of them; mark the
+    winner. ``backend`` names what the table is prepared on.
 
     Ties (and the provably-empty plan, which costs nothing) resolve to
     the earliest-enumerated candidate, so selection is deterministic and
     prefers simpler provenance (original before rewritten before
-    partial) at equal cost. ``costs`` hands in the candidates' costs
-    under this profile when the caller already has them
-    (:meth:`PlanningPass.rank_pool` costs every profile in one walk).
-    The choice's ``peak_bytes`` is left for whoever compiles the winner
-    (:meth:`PlanningPass.choice`).
+    partial) at equal cost. The choice's ``peak_bytes`` is left for
+    whoever compiles the winner (:meth:`PlanningPass.choice`).
     """
-    costed = costs if costs is not None else [
-        cost
-        for (cost,) in _cost_candidates(
-            candidates,
-            store,
-            (cost_profile(backend),),
-            estimator or Estimator(store),
-        )
+    estimator = estimator or Estimator(store)
+    memo: CostMemo = {}
+    costed = [
+        TermCost(0.0, 0.0) if candidate.term is None
+        else cost_term(candidate.term, store, estimator, memo)
+        for candidate in candidates
     ]
     order = sorted(
         range(len(candidates)), key=lambda index: (costed[index].total, index)
@@ -289,22 +256,22 @@ def rank_candidates(
 
 @dataclass
 class PlanningPass:
-    """One query planned once: its candidates and what was ranked from them.
+    """One query planned once: its candidates and their one ranking.
 
     The candidates are enumerated a single time against one
     :class:`~repro.ra.stats.Estimator`, whose memoised estimates and
-    columns every later step of the pass reuses; ``choices`` fills in
-    per backend as rankings are asked for. The pass is what a session
+    columns every later step of the pass reuses; ``ranking`` is filled
+    in when a winner is first asked for. The pass is what a session
     keeps in its plan cache for the query, so once a winner is compiled
     the estimator (its memos are the bulk of a pass's memory, and it
-    pins the store) is let go with :meth:`release`; a later ranking
-    builds a new one on the same ``fixpoint_growth``.
+    pins the store) is let go with :meth:`release`; a later memory
+    estimate builds a new one on the same ``fixpoint_growth``.
     """
 
     candidates: list[PlanCandidate]
     #: The closure growth every estimate of this pass assumes.
     fixpoint_growth: float
-    choices: dict[str, PlanChoice] = field(default_factory=dict)
+    ranking: PlanChoice | None = None
     estimator: Estimator | None = field(default=None, repr=False)
 
     @classmethod
@@ -316,11 +283,10 @@ class PlanningPass:
         *,
         rewrite: bool = True,
         options: RewriteOptions | None = None,
-        fixpoint_growth: float | None = None,
         max_partial: int = DEFAULT_MAX_PARTIAL,
         join_orders: int = DEFAULT_JOIN_ORDERS,
     ) -> "PlanningPass":
-        estimator = Estimator(store, fixpoint_growth=fixpoint_growth)
+        estimator = Estimator(store)
         candidates = enumerate_plan_candidates(
             query,
             schema,
@@ -341,39 +307,16 @@ class PlanningPass:
     def release(self) -> None:
         self.estimator = None
 
-    def rank_pool(
-        self, store: RelationalStore, pool: Sequence[str]
-    ) -> tuple[str, ...]:
-        """Rank the candidates under the profile of every backend in
-        ``pool`` from one walk per candidate; returns the backends,
-        cheapest winner first."""
-        costs = _cost_candidates(
-            self.candidates,
-            store,
-            [cost_profile(backend) for backend in pool],
-            self._estimator(store),
-        )
-        winners: list[tuple[float, str]] = []
-        for position, backend in enumerate(pool):
-            choice = rank_candidates(
-                self.candidates, store, backend,
-                costs=[cost[position] for cost in costs],
-            )
-            self.choices[backend] = choice
-            winners.append((choice.winner.cost, backend))
-        winners.sort()
-        return tuple(backend for _cost, backend in winners)
-
     def choice(self, store: RelationalStore, backend: str) -> PlanChoice:
-        """``backend``'s ranked table with its winner's ``peak_bytes``
-        estimated: the pass's memory walk, paid only for a winner that
-        is about to be compiled."""
+        """The pass's ranking as prepared on ``backend``, its winner's
+        ``peak_bytes`` estimated: the pass's memory walk, paid only for
+        a winner that is about to be compiled."""
         estimator = self._estimator(store)
-        ranked = self.choices.get(backend)
-        if ranked is None:
-            ranked = self.choices[backend] = rank_candidates(
+        if self.ranking is None:
+            self.ranking = rank_candidates(
                 self.candidates, store, backend, estimator=estimator
             )
+        ranked = replace(self.ranking, backend=backend)
         term = ranked.winner.candidate.term
         if term is None:
             return ranked
@@ -390,19 +333,17 @@ def plan_query(
     *,
     rewrite: bool = True,
     options: RewriteOptions | None = None,
-    fixpoint_growth: float | None = None,
     max_partial: int = DEFAULT_MAX_PARTIAL,
     join_orders: int = DEFAULT_JOIN_ORDERS,
 ) -> PlanChoice:
-    """Enumerate, cost and rank every candidate plan for one query under
-    ``backend``'s built-in cost profile."""
+    """Enumerate, cost and rank every candidate plan for one query, as
+    prepared on ``backend``."""
     return PlanningPass.for_query(
         query,
         schema,
         store,
         rewrite=rewrite,
         options=options,
-        fixpoint_growth=fixpoint_growth,
         max_partial=max_partial,
         join_orders=join_orders,
     ).choice(store, backend)

@@ -1,33 +1,24 @@
-"""Physical cost model: estimated rows × per-backend operator weights.
+"""Physical cost model: estimated rows × operator weights.
 
 :mod:`repro.ra.stats` answers *how many rows* an operator produces; this
-module answers *what those rows cost on a given substrate*. Each backend
-gets a :class:`CostProfile` of per-row weights for the operator kinds the
-executors actually spend time in — scan, hash-join build/probe/output,
+module answers *what those rows cost*. One :class:`CostProfile`,
+:data:`PROFILE`, holds per-row weights for the operator kinds the
+executor actually spends time in — scan, hash-join build/probe/output,
 dedup (set-semantics projection and union), fixpoint rounds — plus a
 per-operator startup charge.
 
-The absolute numbers are arbitrary; the *relative* shape is what the
-planner needs and it mirrors measured behaviour:
-
-* ``vec`` moves whole columns, so its per-row weights are tiny but every
-  operator pays a real kernel-dispatch startup — plans with many small
-  operators (e.g. a rewrite exploded into dozens of disjuncts) cost more
-  than the same rows through few operators;
-* ``ra`` runs the same operators on the pure-Python kernel, where every
-  row is interpreter work, so per-row weights dominate and operator
-  count barely matters;
-* ``sqlite`` sits in between (compiled loop, but row-at-a-time VM).
-
-Backends without a profile of their own (``gdb``, ``reference``,
-third-party registrations) fall back to the row-dominated ``ra`` default,
-which keeps ranking purely cardinality-driven for them.
+The planner chooses between equivalent plans of one query (the original,
+its schema rewrites, their join orders), never between backends, so
+every backend's candidates are ranked under the same weights. Their
+absolute numbers are arbitrary. The shape is the columnar executor's:
+per-row weights are tiny but every operator pays a dispatch startup, so
+plans with many small operators (e.g. a rewrite exploded into dozens of
+disjuncts) cost more than the same rows through few operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.errors import EvaluationError
 from repro.ra.stats import Estimator
@@ -50,9 +41,8 @@ _FIXPOINT_ROUNDS = 3.0
 
 @dataclass(frozen=True)
 class CostProfile:
-    """Per-row operator weights for one execution substrate."""
+    """Per-row operator weights."""
 
-    name: str
     scan: float          # per row scanned out of a base table
     join_build: float    # per build-side row (hash table insert)
     join_probe: float    # per probe-side row (hash lookup)
@@ -63,24 +53,10 @@ class CostProfile:
     startup: float       # flat charge per physical operator
 
 
-#: The pure-Python kernel, sequential: per-row work dominates everything.
-#: Hand-set weights, not measurements of that kernel: only the ratios
-#: between weights and across profiles matter.
-_RA_PROFILE = CostProfile(
-    name="ra",
-    scan=1.0,
-    join_build=1.6,
-    join_probe=1.2,
-    join_out=0.8,
-    dedup=0.9,
-    select=0.6,
-    fixpoint_row=1.2,
-    startup=2.0,
-)
-
-#: The vectorized executor: cheap rows, expensive operator dispatch.
-_VEC_PROFILE = CostProfile(
-    name="vec",
+#: The one profile every plan is ranked under, whatever backend runs it.
+#: Hand-set weights, not measurements: only their ratios matter. Rows
+#: are cheap and operator dispatch is expensive, the columnar shape.
+PROFILE = CostProfile(
     scan=0.05,
     join_build=0.25,
     join_probe=0.15,
@@ -91,30 +67,6 @@ _VEC_PROFILE = CostProfile(
     startup=40.0,
 )
 
-#: SQLite's compiled row-at-a-time VM: between the two.
-_SQLITE_PROFILE = CostProfile(
-    name="sqlite",
-    scan=0.30,
-    join_build=0.55,
-    join_probe=0.40,
-    join_out=0.25,
-    dedup=0.35,
-    select=0.20,
-    fixpoint_row=0.45,
-    startup=8.0,
-)
-
-PROFILES: dict[str, CostProfile] = {
-    "ra": _RA_PROFILE,
-    "vec": _VEC_PROFILE,
-    "sqlite": _SQLITE_PROFILE,
-}
-
-
-def cost_profile(backend: str) -> CostProfile:
-    """The cost profile for ``backend`` (row-dominated ``ra`` fallback)."""
-    return PROFILES.get(backend, _RA_PROFILE)
-
 
 @dataclass(frozen=True)
 class TermCost:
@@ -124,29 +76,24 @@ class TermCost:
     rows: float
 
 
-#: ``term -> (rows, one total per profile)``: what one planning pass has
-#: costed so far, under one fixed tuple of profiles.
-CostMemo = dict[RaTerm, tuple[float, tuple[float, ...]]]
+#: ``term -> (rows, total)``: what one planning pass has costed so far.
+CostMemo = dict[RaTerm, tuple[float, float]]
 
 
-def cost_term_profiles(
+def cost_term(
     term: RaTerm,
     store: RelationalStore,
-    profiles: Sequence[CostProfile],
     estimator: Estimator | None = None,
     memo: CostMemo | None = None,
-) -> tuple[TermCost, ...]:
-    """``term``'s cost under each of ``profiles``, from one bottom-up walk.
-
-    The model is linear in a profile's weights, so one visit of a node
-    (one cardinality lookup) yields every profile's total. ``memo``
-    carries costed sub-terms from one candidate of a planning pass to
-    the next; it must only ever see one ``profiles`` tuple.
-    """
+) -> TermCost:
+    """Walk ``term`` bottom-up, charging :data:`PROFILE` weights per
+    operator. ``memo`` carries costed sub-terms from one candidate of a
+    planning pass to the next."""
     estimator = estimator or Estimator(store)
     memo = {} if memo is None else memo
+    p = PROFILE
 
-    def visit(node: RaTerm) -> tuple[float, tuple[float, ...]]:
+    def visit(node: RaTerm) -> tuple[float, float]:
         if isinstance(node, Rename):
             # Renames are metadata-only on every substrate.
             return visit(node.child)
@@ -155,75 +102,51 @@ def cost_term_profiles(
             cached = memo[node] = charge(node)
         return cached
 
-    def charge(node: RaTerm) -> tuple[float, tuple[float, ...]]:
+    def charge(node: RaTerm) -> tuple[float, float]:
         rows = max(estimator.rows(node), 0.0)
         if isinstance(node, Rel):
-            return rows, tuple(p.startup + rows * p.scan for p in profiles)
+            return rows, p.startup + rows * p.scan
         if isinstance(node, Var):
             # Frontier scans are internal to a fixpoint round; the
             # fixpoint node charges for them.
-            return rows, tuple(0.0 for _ in profiles)
+            return rows, 0.0
         if isinstance(node, Project):
             child_rows, child = visit(node.child)
-            return rows, tuple(
-                total + p.startup + child_rows * p.dedup
-                for p, total in zip(profiles, child)
-            )
+            return rows, child + p.startup + child_rows * p.dedup
         if isinstance(node, SelectEq):
             child_rows, child = visit(node.child)
-            return rows, tuple(
-                total + p.startup + child_rows * p.select
-                for p, total in zip(profiles, child)
-            )
+            return rows, child + p.startup + child_rows * p.select
         if isinstance(node, Join):
             left_rows, left = visit(node.left)
             right_rows, right = visit(node.right)
             build, probe = sorted((left_rows, right_rows))
-            return rows, tuple(
-                left_total
-                + right_total
+            return rows, (
+                left
+                + right
                 + p.startup
                 + build * p.join_build
                 + probe * p.join_probe
                 + rows * p.join_out
-                for p, left_total, right_total in zip(profiles, left, right)
             )
         if isinstance(node, RaUnion):
             left_rows, left = visit(node.left)
             right_rows, right = visit(node.right)
-            return rows, tuple(
-                left_total
-                + right_total
-                + p.startup
-                + (left_rows + right_rows) * p.dedup
-                for p, left_total, right_total in zip(profiles, left, right)
+            return rows, (
+                left + right + p.startup + (left_rows + right_rows) * p.dedup
             )
         if isinstance(node, Fix):
             _base_rows, base = visit(node.base)
             _step_rows, step = visit(node.step)
             # The step body re-runs once per semi-naive round and every
             # produced row is set-differenced against the state.
-            return rows, tuple(
-                base_total
-                + _FIXPOINT_ROUNDS * step_total
-                + p.startup
+            return rows, (
+                base + _FIXPOINT_ROUNDS * step + p.startup
                 + rows * p.fixpoint_row
-                for p, base_total, step_total in zip(profiles, base, step)
             )
         raise TypeError(f"unknown RA term {node!r}")
 
-    rows, totals = visit(term)
-    return tuple(TermCost(total, rows) for total in totals)
-
-
-def cost_term(
-    term: RaTerm,
-    store: RelationalStore,
-    profile: CostProfile,
-    estimator: Estimator | None = None,
-) -> TermCost:
-    """Walk ``term`` bottom-up, charging ``profile`` weights per operator."""
-    return cost_term_profiles(term, store, (profile,), estimator)[0]
+    rows, total = visit(term)
+    return TermCost(total, rows)
 
 
 def estimate_term_bytes(

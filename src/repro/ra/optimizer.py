@@ -46,9 +46,8 @@ def optimize_term(
     The optimised term exposes the same columns in the same order as the
     input term (rewrites may shuffle column positions internally; a final
     projection restores the contract when needed). ``estimator`` lets
-    the caller pin cardinality assumptions (e.g. a validated
-    ``fixpoint_growth``); by default a fresh store-corrected estimator
-    drives the join ordering.
+    the caller share its memoised estimates; by default a fresh
+    store-corrected estimator drives the join ordering.
     """
     return optimize_term_candidates(term, store, 1, estimator)[0]
 

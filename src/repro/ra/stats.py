@@ -30,9 +30,8 @@ from repro.storage.relational import RelationalStore
 #: Assumed growth of a transitive closure over its base relation. Real
 #: engines estimate recursive CTEs crudely too (PostgreSQL assumes 10x the
 #: non-recursive term); 4x keeps plans sensible at our scales. The
-#: effective value is configurable per plan (``ExecOptions(fixpoint_growth=)``)
-#: and adaptively (the per-store correction table fed by observed
-#: fixpoint cardinalities).
+#: effective value adapts: the per-store correction table fed by
+#: observed fixpoint cardinalities replaces it.
 FIXPOINT_GROWTH = 4.0
 
 #: Observed fixpoint growth ratios are clamped into this band before they
@@ -257,8 +256,9 @@ class Estimator:
     """Estimates cardinalities for RA terms against a store.
 
     ``fixpoint_growth`` pins the assumed closure growth for this
-    estimator (the validated ``fixpoint_growth`` backend/planner
-    option). When left ``None`` the estimator starts from
+    estimator (a planning pass rebuilding its released estimator keeps
+    the growth it planned under). When left ``None`` the estimator
+    starts from
     :data:`FIXPOINT_GROWTH` and applies the store's adaptive
     correction: once executions have fed actual fixpoint cardinalities
     back into the :class:`StoreStatistics` snapshot, the observed

@@ -36,7 +36,7 @@ the CLI, tests) can see the batching effect instead of trusting it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.engine.options import DEFAULT_BACKEND
 from repro.exec.executor import ExecutionStats
@@ -65,10 +65,6 @@ class BatchReport:
     queries: int
     distinct_plans: int
     execution: ExecutionStats | None = None
-    #: Distinct plans per concrete backend when the batch ran with
-    #: ``backend="auto"`` (the cost model picks a substrate per query);
-    #: ``None`` for a uniform-backend batch.
-    backend_choices: Mapping[str, int] | None = None
 
     @property
     def duplicate_queries(self) -> int:
@@ -108,12 +104,8 @@ def execute_batch(
     root cardinalities and the peak memory estimate. With ``fallback``
     set, a retryable failure of a shared run re-executes only the plans
     that run carried, each through the session's degradation loop.
-
-    With ``backend="auto"`` each distinct query is planned onto the
-    backend the cost model ranks cheapest for it — one
-    batch can execute on several substrates, the columnar plans of each
-    still sharing one runner. ``BatchReport.backend_choices`` records
-    the split.
+    ``backend="auto"`` runs the whole batch on the default backend under
+    the cost planner (:meth:`~repro.engine.session.GraphSession.prepare`).
     """
     requested = backend
     if requested is None:
@@ -139,19 +131,12 @@ def execute_batch(
         list(prepared.values()), timeout_seconds
     )
     rows_by_key = dict(zip(prepared, answers))
-    backend_choices: dict[str, int] | None = None
-    if requested == "auto":
-        backend_choices = {}
-        for handle in prepared.values():
-            name = handle.backend_name
-            backend_choices[name] = backend_choices.get(name, 0) + 1
     report = BatchReport(
         backend=requested,
         fingerprint=session.schema_fingerprint,
         queries=len(parsed),
         distinct_plans=len(prepared),
         execution=stats,
-        backend_choices=backend_choices,
     )
     return BatchOutcome(
         results=tuple(rows_by_key[key] for key in keys), report=report

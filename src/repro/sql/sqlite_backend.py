@@ -19,8 +19,6 @@ from repro.sql.generate import ucqt_to_sql
 from repro.storage.relational import RelationalStore
 from repro.testing.faults import fault_point
 
-_SQL_TYPE = {int: "INTEGER", float: "REAL", str: "TEXT", bool: "INTEGER"}
-
 
 def _connect() -> sqlite3.Connection:
     # Not pinned to the opening thread: the serving tier holds its

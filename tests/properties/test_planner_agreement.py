@@ -72,8 +72,8 @@ def test_adaptive_replanning_preserves_semantics(
 def test_auto_backend_matches_uniform_backends(
     schema_seed, graph_seed, expr_seeds
 ):
-    """``backend="auto"`` picks a substrate per query from the cost
-    ranking, and the rows are those of every uniform backend."""
+    """``backend="auto"`` (the default backend under the cost planner)
+    answers the rows of every uniform backend."""
     schema = random_schema(schema_seed)
     graph = random_graph(schema, graph_seed, max_nodes=14, max_edges=36)
     queries = [

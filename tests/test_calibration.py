@@ -1,14 +1,13 @@
 """Tests for the cost model's Q-error telemetry: the log, Q-error
 arithmetic and its edge cases, what sessions record and report, and
-``backend="auto"`` per-query backend choice under the built-in
-profiles."""
+``backend="auto"``, the default backend under the cost planner."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.engine import GraphSession
-from repro.engine.options import ExecOptions
+from repro.engine.options import DEFAULT_BACKEND, ExecOptions
 from repro.graph.model import yago_example_graph
 from repro.planner import CalibrationLog, q_error, q_error_summary
 from repro.schema.builder import yago_example_schema
@@ -243,7 +242,12 @@ class TestAutoBackend:
         session = _session()
         with session:
             prepared = session.prepare(WORKLOAD[0], "auto")
-            assert prepared.backend_name in ("vec", "ra", "sqlite")
+            # The default backend under the cost planner, and what a
+            # re-prepare (schema change, degradation) starts from.
+            assert prepared.backend_name == DEFAULT_BACKEND
+            assert prepared.exec_options.backend == DEFAULT_BACKEND
+            assert prepared.exec_options.planner == "cost"
+            assert prepared.choice is not None
             rows = session.execute(WORKLOAD[0], "auto")
             uniform = session.execute(WORKLOAD[0], "ra")
         assert rows == uniform
@@ -254,8 +258,7 @@ class TestAutoBackend:
             outcome = execute_batch(session, WORKLOAD, "auto")
             report = outcome.report
             assert report.backend == "auto"
-            assert report.backend_choices
-            assert sum(report.backend_choices.values()) == len(WORKLOAD)
+            assert report.distinct_plans == len(WORKLOAD)
             for query, rows in zip(WORKLOAD, outcome.results):
                 assert rows == session.execute(query, "ra")
 

@@ -178,15 +178,40 @@ class TestSessionDegradation:
                 assert prepared.execute() == expected_rows
             assert session.resilience_stats()["degraded"] == 1
 
+    @pytest.mark.parametrize(
+        "primary, chain",
+        [
+            ("vec", ["vec", "ra", "sqlite", "reference"]),
+            ("ra", ["ra", "sqlite", "reference"]),
+            ("sqlite", ["sqlite", "reference"]),
+            ("gdb", ["gdb", "sqlite", "reference"]),
+        ],
+    )
+    def test_chain_is_a_fixed_list(self, primary, chain):
+        with _session() as session:
+            prepared = session.prepare(CLOSURE, primary, exec_options=FALLBACK)
+            assert session.dispatcher.chain(prepared) == chain
+            # Computing it planned nothing.
+            assert session.planner_stats["candidates_enumerated"] == 0
+
+    def test_kernel_fault_on_vec_answers_from_ra(self):
+        # The kernel step: the same executor on the pure-Python kernel.
+        with _session() as session:
+            expected = session.execute(CLOSURE, "reference")
+            with install(FaultInjector([FaultRule("kernel.op", limit=1)])):
+                rows = session.execute(CLOSURE, "vec", exec_options=FALLBACK)
+            assert rows == expected
+            breakers = session.resilience_stats()["breakers"]
+            assert sorted(breakers) == ["ra", "vec"]
+            assert breakers["vec"]["consecutive_failures"] == 1
+            assert breakers["ra"]["consecutive_failures"] == 0
+
     def test_degraded_read_ranks_under_the_handles_growth(
         self, expected_rows
     ):
-        # The chain reuses the planner entry the handle was drawn from:
-        # ranked under another closure growth it would enumerate the
-        # candidates again, into a second plan-cache entry.
-        options = ExecOptions(
-            backend="vec", planner="cost", fallback=True, fixpoint_growth=4.0
-        )
+        # The next step reuses the planner entry the handle was drawn
+        # from: no second enumeration, no second plan-cache entry.
+        options = ExecOptions(backend="vec", planner="cost", fallback=True)
         with _session() as session:
             prepared = session.prepare(CLOSURE, exec_options=options)
             enumerated = session.planner_stats["candidates_enumerated"]

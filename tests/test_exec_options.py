@@ -13,7 +13,7 @@ from repro.engine.options import DEFAULT_EXEC_OPTIONS, ExecOptions
 from repro.errors import RequestError
 from repro.graph.model import yago_example_graph
 from repro.schema.builder import yago_example_schema
-from repro.server.models import QueryRequest
+from repro.server.models import HTTP_STATUS_BY_CODE, QueryRequest
 from repro.serve import execute_batch
 
 QUERY = "x1, x2 <- (x1, isLocatedIn+, x2)"
@@ -40,10 +40,6 @@ class TestValidation:
             ("spill_threshold_bytes", True),
             ("spill_threshold_bytes", "4"),
             ("max_rows", -1),
-            ("fixpoint_growth", "fast"),
-            ("fixpoint_growth", True),
-            ("fixpoint_growth", 0.5),
-            ("fixpoint_growth", float("nan")),
         ],
     )
     def test_rejects_ill_typed_values(self, field, value):
@@ -66,7 +62,7 @@ class TestValidation:
     def test_session_scoped_values_are_not_exec_options(self, key):
         # They configure a session, not a call: a request that set them
         # used to be accepted and ignored.
-        assert len(dataclasses.fields(ExecOptions)) == 9
+        assert len(dataclasses.fields(ExecOptions)) == 8
         with pytest.raises(ValueError, match="unknown exec option"):
             ExecOptions.from_mapping({key: 0})
 
@@ -97,23 +93,19 @@ class TestProjection:
 
     OPTIONS = ExecOptions(
         kernel="python", spill_threshold_bytes=3, spill_path="/tmp/s",
-        fixpoint_growth=1.5, max_rows=9, planner="cost",
+        max_rows=9, planner="cost",
     )
 
     def test_vec_receives_its_knobs(self):
         vec = get_backend("vec")
         assert dict(zip(vec.option_fields, self.OPTIONS.key_for(vec))) == {
             "kernel": "python", "spill_threshold_bytes": 3,
-            "spill_path": "/tmp/s", "fixpoint_growth": 1.5,
+            "spill_path": "/tmp/s",
         }
 
-    def test_ra_receives_growth_only(self):
-        ra = get_backend("ra")
-        assert ra.option_fields == ("fixpoint_growth",)
-        assert self.OPTIONS.key_for(ra) == (1.5,)
-
     def test_black_box_backends_receive_nothing(self):
-        for backend in ("sqlite", "gdb", "reference"):
+        # ``ra`` pins its kernel and never spills: it reads nothing.
+        for backend in ("ra", "sqlite", "gdb", "reference"):
             assert self.OPTIONS.key_for(get_backend(backend)) == ()
 
     def test_option_fields_are_the_single_cache_key_path(self):
@@ -127,10 +119,11 @@ class TestProjection:
             )
             hit = session.cache_stats["plan"]
             assert (hit.hits, hit.misses) == (before.hits + 1, before.misses)
+            session.prepare(QUERY, "vec")
             session.prepare(
-                QUERY, "ra", exec_options=ExecOptions(fixpoint_growth=2.0)
+                QUERY, "vec", exec_options=ExecOptions(kernel="python")
             )
-            assert session.cache_stats["plan"].misses == before.misses + 1
+            assert session.cache_stats["plan"].misses == before.misses + 2
 
 
 # -- uniform acceptance -------------------------------------------------------
@@ -180,6 +173,12 @@ class TestHTTPModel:
             QueryRequest.from_payload(
                 {"query": QUERY, "options": {"bogus": 1}}
             )
+        # The estimator's closure growth is observed, not requested.
+        with pytest.raises(RequestError, match="'fixpoint_growth'") as error:
+            QueryRequest.from_payload(
+                {"query": QUERY, "options": {"fixpoint_growth": 2.0}}
+            )
+        assert HTTP_STATUS_BY_CODE[error.value.code] == 400
 
     def test_auto_backend_accepted(self):
         request = QueryRequest.from_payload(

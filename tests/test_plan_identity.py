@@ -1,12 +1,13 @@
 """Plan identity: what the planner decides is pinned to a committed table.
 
-For every workload query, with and without the schema rewrite and for
-each of ``auto``/``vec``/``ra``/``sqlite``, a fresh session's ``prepare``
-must pick the backend, the winning candidate and the ranked table that
-``tests/data/plan_identity.json`` records, and every candidate's query
-text (the fresh-variable names of the partial rewrites included) must
-match. A change that only makes planning cheaper leaves the table alone;
-one that is meant to change a plan regenerates it::
+For every workload query, with and without the schema rewrite, a fresh
+session's ``prepare`` on ``vec`` must pick the winning candidate and the
+ranked table that ``tests/data/plan_identity.json`` records, and every
+candidate's query text (the fresh-variable names of the partial
+rewrites included) must match. ``ra`` and ``sqlite`` must rank that
+same table, and ``auto`` must prepare it on ``vec``. A change that only
+makes planning cheaper leaves the table alone; one that is meant to
+change a plan regenerates it::
 
     PYTHONPATH=src python tests/test_plan_identity.py --write
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 import pathlib
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -35,12 +37,13 @@ DATASETS = {
     "yago": (YAGO_QUERIES, lambda: yago_session(0.05)),
     "ldbc": (LDBC_QUERIES, lambda: ldbc_session(0.1)),
 }
+#: The first backend's table is recorded; the others must rank it too.
 BACKENDS = ("vec", "ra", "sqlite", "auto")
 
 
 def plan_rows(session, text: str, rewrite: bool) -> dict:
-    """One query's planning decisions: the ranked table under each
-    backend's cost model, and the backend ``auto`` picks."""
+    """One query's planning decisions: the ranked table ``vec``
+    prepares, checked against every other backend's."""
     row: dict = {"candidates": {}, "plans": {}}
     for requested in BACKENDS:
         session.clear_caches()  # every backend plans from cold
@@ -48,9 +51,11 @@ def plan_rows(session, text: str, rewrite: bool) -> dict:
             text, rewrite=rewrite,
             exec_options=ExecOptions(backend=requested, planner="cost"),
         )
+        ran = "vec" if requested == "auto" else requested
+        assert handle.backend_name == ran
         # The spill CI leg stamps a memory line on vec plans; the
         # table records the decision-free rendering plus the estimate.
-        choice = handle.choice.with_memory(spill=False)
+        choice = replace(handle.choice, backend="vec").with_memory(spill=False)
         for entry in choice.ranked:
             row["candidates"].setdefault(
                 entry.label, str(entry.candidate.query)
@@ -61,13 +66,7 @@ def plan_rows(session, text: str, rewrite: bool) -> dict:
             "peak_bytes": choice.peak_bytes,
             "render": choice.render(),
         }
-        if requested == "auto":
-            # ``auto`` executes the very plan its chosen backend ranks.
-            row["auto"] = handle.backend_name
-            assert row["plans"][handle.backend_name] == plan
-        else:
-            assert handle.backend_name == requested
-            row["plans"][requested] = plan
+        assert row["plans"].setdefault("vec", plan) == plan, requested
     return row
 
 

@@ -17,7 +17,7 @@ import pytest
 
 from repro.datasets.ldbc import ldbc_session
 from repro.engine import GraphSession
-from repro.engine.options import ExecOptions
+from repro.engine.options import DEFAULT_BACKEND, ExecOptions
 from repro.exec import default_kernel, spill_supported
 from repro.graph.model import yago_example_graph
 from repro.schema.builder import yago_example_schema
@@ -139,6 +139,33 @@ class TestRoutes:
         assert body["rows"] == expected
         assert body["row_count"] == len(expected)
         assert body["tenant"] == "toy"
+
+    def test_auto_query_runs_the_default_backend_cost_planned(
+        self, monkeypatch
+    ):
+        expected = sorted(map(list, _session().execute(CLOSURE, "vec")))
+        handles: list = []
+        prepare = GraphSession.prepare
+        monkeypatch.setattr(
+            GraphSession, "prepare",
+            lambda self, *a, **k: handles.append(prepare(self, *a, **k))
+            or handles[-1],
+        )
+
+        async def drive():
+            async with HTTPGraphServer(_registry(), port=0) as server:
+                return await _request(
+                    server.port, "POST", "/v1/toy/query",
+                    {"query": CLOSURE, "backend": "auto"},
+                )
+
+        status, body = _run(drive())
+        assert status == 200
+        assert body["rows"] == expected
+        assert [
+            (handle.backend_name, handle.exec_options.planner)
+            for handle in handles
+        ] == [(DEFAULT_BACKEND, "cost")]
 
     def test_batch(self):
         session = _session()

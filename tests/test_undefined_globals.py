@@ -1,7 +1,8 @@
-"""Every global a function reads is bound, and every import is read.
+"""Every global a function reads is bound, every import is read, and
+every private helper is used.
 
-Stdlib stand-ins for two linter checks, so tier-1 catches what would
-otherwise wait for CI:
+Stdlib stand-ins for linter checks, so tier-1 catches what would
+otherwise wait for CI (or never come):
 
 * undefined names (pyflakes F821), which only fail when their line
   finally runs: each ``src/repro/**/*.py`` is compiled to its symbol
@@ -11,13 +12,17 @@ otherwise wait for CI:
 * unused imports (pyflakes F401): every module-level import, those under
   ``if TYPE_CHECKING:`` included, must bind a name the module reads,
   in code or in a string annotation. Package ``__init__.py`` files, names
-  listed in ``__all__`` and lines marked ``# noqa: F401`` are exempt.
+  listed in ``__all__`` and lines marked ``# noqa: F401`` are exempt;
+* orphaned private helpers: every module-level function, class or
+  assignment whose name starts with ``_`` (dunders aside) must be read
+  in its own module or imported by another ``src/repro`` module.
 """
 
 from __future__ import annotations
 
 import ast
 import builtins
+import functools
 import pathlib
 import symtable
 
@@ -90,7 +95,7 @@ def _names_read(tree: ast.AST) -> set[str]:
                 read.update(_names_read(parsed))
 
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             read.add(node.id)
         elif isinstance(node, ast.arg):
             annotation(node.annotation)
@@ -126,6 +131,63 @@ def unused_imports(source: str, filename: str) -> list[str]:
             if name != "*" and name not in used:
                 unused.append(f"{node.lineno}: {name}")
     return unused
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (
+        name.startswith("__") and name.endswith("__")
+    )
+
+
+def orphaned_privates(
+    source: str, filename: str, imported: frozenset[str] = frozenset()
+) -> list[str]:
+    """``line: name`` for every module-level private function, class or
+    assignment the module never reads and no name in ``imported`` (what
+    other modules import from it) covers."""
+    tree = ast.parse(source, filename)
+    used = _names_read(tree) | imported
+    orphans = []
+    for node in tree.body:
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [
+                target.id for target in node.targets
+                if isinstance(target, ast.Name)
+            ]
+        elif isinstance(node, ast.AnnAssign) and isinstance(
+            node.target, ast.Name
+        ):
+            names = [node.target.id]
+        else:
+            continue
+        orphans.extend(
+            f"{node.lineno}: {name}"
+            for name in names
+            if _is_private(name) and name not in used
+        )
+    return orphans
+
+
+def _module_name(path: pathlib.Path) -> str:
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+@functools.cache
+def _imported_from() -> dict[str, frozenset[str]]:
+    """module -> the names other ``src/repro`` modules import from it."""
+    imported: dict[str, set[str]] = {}
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                imported.setdefault(node.module, set()).update(
+                    alias.name for alias in node.names
+                )
+    return {module: frozenset(names) for module, names in imported.items()}
 
 
 @pytest.mark.parametrize(
@@ -175,3 +237,34 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source, "<probe>") == [
         "4: Iterable", "8: Fraction",
     ]
+
+
+@pytest.mark.parametrize(
+    "path", MODULES, ids=lambda path: str(path.relative_to(SRC.parent))
+)
+def test_module_private_names_are_read(path):
+    imported = _imported_from().get(_module_name(path), frozenset())
+    assert orphaned_privates(path.read_text(), str(path), imported) == []
+
+
+def test_the_check_sees_an_orphaned_private_name():
+    source = (
+        "_USED = 1\n"
+        "_UNUSED = 2\n"
+        "_EXPORTED: int = 3\n"
+        "__version__ = '1'\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "def _orphan():\n"
+        "    _UNUSED = 4\n"
+        "    return _helper()\n"
+        "class _Hidden:\n"
+        "    pass\n"
+        "def public(item: '_Annotated') -> None:\n"
+        "    pass\n"
+        "class _Annotated:\n"
+        "    pass\n"
+    )
+    assert orphaned_privates(
+        source, "<probe>", frozenset({"_EXPORTED"})
+    ) == ["2: _UNUSED", "7: _orphan", "10: _Hidden"]

@@ -616,9 +616,14 @@ class TestCliBackendValidation:
         assert "vec" in err and "ra" in err and "reference" in err
 
     def test_unknown_engine_lists_registry(self, capsys):
-        with pytest.raises(SystemExit):
-            cli_main(["bench", "table6", "--engine", "nope"])
-        assert "registered backends" in capsys.readouterr().err
+        # ``auto`` is no engine: bench runs one registered backend.
+        for engine in ("nope", "auto"):
+            with pytest.raises(SystemExit) as excinfo:
+                cli_main(["bench", "table6", "--engine", engine])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unknown backend {engine!r}" in err
+            assert "registered backends: " in err and "vec" in err
 
     def test_help_lists_registered_backends(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -672,16 +677,27 @@ class TestCliBackendValidation:
         )
 
     def test_auto_reports_the_backend_that_ran(self, capsys, monkeypatch):
-        from repro.engine import available_backends
+        from repro.engine.options import DEFAULT_BACKEND
+        from repro.engine.session import GraphSession
 
-        prepares = self._count_prepares(monkeypatch)
+        handles: list = []
+        prepare = GraphSession.prepare
+        monkeypatch.setattr(
+            GraphSession, "prepare",
+            lambda self, *a, **k: handles.append(prepare(self, *a, **k))
+            or handles[-1],
+        )
         assert (
             cli_main(
                 ["query", CLOSURE_QUERY, "--backend", "auto", "--explain"]
             )
             == 0
         )
-        last = capsys.readouterr().out.rstrip().splitlines()[-1]
-        assert len(prepares) == 1
-        ran = last.split("on backend ")[1].split()[0].strip("'")
-        assert ran in available_backends(), last
+        out = capsys.readouterr().out
+        assert len(handles) == 1
+        assert handles[0].backend_name == DEFAULT_BACKEND
+        assert handles[0].exec_options.planner == "cost"
+        assert f"(cost model: {DEFAULT_BACKEND})" in out
+        assert out.rstrip().splitlines()[-1].startswith(
+            f"-- 8 row(s) on backend {DEFAULT_BACKEND!r}"
+        )
