@@ -5,9 +5,9 @@ from conftest import write_output
 import pytest
 
 from repro.bench.experiments import PLAN_BASELINE_TEXT, fig15_16_17
+from repro.planner.cost import cost_term
 from repro.query.parser import parse_query
 from repro.ra.optimizer import optimize_term
-from repro.ra.plan import Planner
 from repro.ra.translate import TranslationContext, ucqt_to_ra
 from repro.sql.generate import ucqt_to_sql
 
@@ -88,5 +88,5 @@ def test_planner_benchmark(benchmark, ldbc_sf1_context):
     term = optimize_term(
         ucqt_to_ra(parse_query(PLAN_BASELINE_TEXT), TranslationContext()), store
     )
-    plan = benchmark(lambda: Planner(store).plan(term))
+    plan = benchmark(lambda: cost_term(term, store))
     assert plan.rows >= 0

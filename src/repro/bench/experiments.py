@@ -28,9 +28,9 @@ from repro.core.rewriter import RewriteOptions, rewrite_query
 from repro.datasets.ldbc import generate_ldbc, ldbc_schema, ldbc_store
 from repro.datasets.yago import generate_yago, yago_schema, yago_store
 from repro.gdb.cypher import cypher_expressible, to_cypher
+from repro.planner.cost import cost_term
 from repro.query.parser import parse_query
 from repro.ra.optimizer import optimize_term
-from repro.ra.plan import explain
 from repro.ra.translate import TranslationContext, ucqt_to_ra
 from repro.sql.generate import ucqt_to_sql
 from repro.workloads.ldbc_queries import LDBC_QUERIES
@@ -378,7 +378,7 @@ def fig15_16_17(
         sections.append(f"-- Fig. 16 {label} Cypher --\n{cypher}")
     for label, query in (("SCHEMA-ENRICHED (Q2)", enriched), ("BASELINE (Q1)", baseline)):
         term = optimize_term(ucqt_to_ra(query, TranslationContext()), store)
-        plan = explain(term, store)
+        plan = cost_term(term, store).render(store)
         plan_parts[label] = plan
         sections.append(f"-- Fig. 17 {label} query execution plan --\n{plan}")
     text = "\n\n".join(sections)

@@ -476,8 +476,8 @@ def _add_planner_argument(parser) -> None:
         "--planner", choices=("greedy", "cost"), default=None,
         help="plan selection: 'greedy' runs the linear rewrite pipeline, "
         "'cost' enumerates candidate plans (original / rewritten / "
-        "partial rewrites / join orders) and executes the cheapest under "
-        "the backend's cost model (default: greedy)",
+        "partial rewrites / join orders) and executes the one the cost "
+        "model ranks cheapest (default: greedy)",
     )
 
 

@@ -6,14 +6,13 @@ whatever the substrate actually executes:
 
 * ``ra`` / ``vec`` — the optimised µ-RA term compiled into a columnar
                   program for the one physical layer under µ-RA,
-                  :mod:`repro.exec`. ``vec``, the backend an unset
-                  ``backend`` resolves to, runs it on the fastest kernel
-                  that imports (numpy, else pure Python) with the
-                  out-of-core knobs (explained as the logical plan plus
-                  the physical operator tree); ``ra``, only ever asked
-                  for by name, pins the dependency-free pure-Python
-                  kernel, in memory (explained via the Fig. 17
-                  cost-based planner),
+                  :mod:`repro.exec`, and explained as the costed µ-RA
+                  plan tree (Fig. 17) plus the physical operator tree.
+                  ``vec``, the backend an unset ``backend`` resolves
+                  to, runs it on the fastest kernel that imports
+                  (numpy, else pure Python) with the out-of-core knobs;
+                  ``ra``, only ever asked for by name, pins the
+                  dependency-free pure-Python kernel, in memory,
 * ``sqlite``    — the generated ``WITH RECURSIVE`` SQL text (explained
                   via SQLite's own ``EXPLAIN QUERY PLAN``),
 * ``gdb``       — the compiled graph patterns (explained as Cypher when
@@ -43,10 +42,10 @@ from repro.exec.spill import default_spill_threshold, spill_supported
 from repro.gdb.cypher import cypher_expressible, to_cypher
 from repro.gdb.patterns import GraphPattern, ucqt_to_patterns
 from repro.graph.evaluator import EvalBudget, as_budget
+from repro.planner.cost import cost_term
 from repro.query.evaluation import evaluate_ucqt
 from repro.query.model import UCQT
 from repro.ra.optimizer import optimize_term
-from repro.ra.plan import explain as explain_ra_term
 from repro.ra.terms import RaTerm
 from repro.ra.translate import TranslationContext, ucqt_to_ra
 from repro.sql.generate import ucqt_to_sql
@@ -203,16 +202,19 @@ class VecBackend:
         )
 
     def explain(self, session: "GraphSession", plan: VecPlan) -> str:
-        logical = explain_ra_term(plan.term, session.store)
+        """The plan tree the cost planner ranks (rows and cumulative
+        cost per operator), then the compiled program and the kernel
+        and spill threshold it runs under."""
+        logical = cost_term(plan.term, session.store).render(session.store)
         physical = plan.program.render()
-        kernel = plan.kernel or default_kernel().NAME
-        config = f"{kernel} kernels"
+        kernel = get_kernel(plan.kernel) if plan.kernel else default_kernel()
+        config = f"{kernel.NAME} kernels"
         spill_threshold = (
             plan.spill_threshold_bytes
             if plan.spill_threshold_bytes is not None
             else default_spill_threshold()
         )
-        if spill_threshold is not None:
+        if spill_threshold is not None and spill_supported(kernel):
             config += f", spill_threshold_bytes={spill_threshold}"
         return (
             f"-- logical µ-RA plan --\n{logical}\n\n"
@@ -229,7 +231,7 @@ class RaBackend(VecBackend):
     ``ra`` plans are :class:`VecPlan` s pinned to the dependency-free
     pure-Python kernel and always run in memory — the ``REPRO_SPILL_*``
     defaults do not reach them — so the backend behaves the same on every
-    install. It explains itself as the Fig. 17 cost-based plan.
+    install.
     """
 
     name = "ra"
@@ -250,9 +252,6 @@ class RaBackend(VecBackend):
         return super().execute_with_stats(
             session, plan, timeout_seconds, stats, fix_capture
         )
-
-    def explain(self, session: "GraphSession", plan: VecPlan) -> str:
-        return explain_ra_term(plan.term, session.store)
 
 
 # -- generated SQL on SQLite --------------------------------------------------

@@ -136,7 +136,7 @@ class Planning:
         if compiled is None:
             started = time.perf_counter()
             store = session.store
-            choice = planned.planning.choice(store, backend.name)
+            choice = planned.planning.choice(store)
             term = choice.winner.candidate.term
             if term is not None and hasattr(backend, "prepare_from_term"):
                 # The backend executes this very term, so what telemetry

@@ -1,18 +1,13 @@
 """``ExplainReport`` — the structured result of ``session.explain()``.
 
-``explain`` used to hand back one opaque string, assembled inline from
-the backend's plan text plus whichever footers happened to apply. The
-CLI printed it, the HTTP tier shipped it, and nothing downstream could
-consume the pieces (the ranked-candidate table, the cache counters, the
-Q-error summary) without re-parsing text.
-
-:class:`ExplainReport` is those pieces as data. ``render()`` produces
-exactly the text ``explain`` always produced — byte-identical, section
-by section — and ``to_dict()`` produces the JSON form the HTTP
-``/explain`` endpoint returns next to it. The report also *behaves*
-like its rendered text for the common assertions (``str(report)``,
-``"join" in report``), so existing string-minded callers keep working
-unchanged.
+A report holds what ``explain`` knows about one prepared query as
+separate sections: the backend's plan text, the cost planner's ranked
+candidate table, the result-cache and maintenance counters, the Q-error
+summary and the degradation state. ``render()`` joins the sections
+that apply into the explain text the CLI prints, and ``to_dict()`` is
+the JSON form the HTTP ``/explain`` endpoint returns next to it. The
+report also behaves like its rendered text for the common assertions
+(``str(report)``, ``"join" in report``).
 """
 
 from __future__ import annotations
@@ -48,8 +43,8 @@ class ExplainReport:
     maintenance: ExecutionStats | None = None
     q_error: dict | None = None           # {"count","p50","p90","max"}
     #: Degradation state (``session.resilience_stats()``); None when the
-    #: session has never retried, degraded, or tripped a breaker, so the
-    #: rendered text stays byte-identical for untouched sessions.
+    #: session has never retried, degraded, or tripped a breaker, so an
+    #: untouched session's text has no resilience section.
     resilience: dict | None = None
     #: What planning this query cost, for cost-planned handles:
     #: ``{"candidates", "plan_seconds"}``. Data only — the rendered text
@@ -61,7 +56,7 @@ class ExplainReport:
         return self.plan_text is None
 
     def render(self) -> str:
-        """The classic ``explain`` text, assembled from the sections."""
+        """The ``explain`` text, assembled from the sections."""
         if self.plan_text is None:
             text = UNSATISFIABLE_TEXT
             if self.choice is not None:

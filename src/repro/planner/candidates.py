@@ -34,12 +34,7 @@ from repro.core.rewriter import (
     prune_schema_for_query,
 )
 from repro.errors import ReproError
-from repro.planner.cost import (
-    CostMemo,
-    TermCost,
-    cost_term,
-    estimate_term_bytes,
-)
+from repro.planner.cost import TermCost, cost_term, estimate_term_bytes
 from repro.query.model import UCQT, drop_unsatisfiable_disjuncts
 from repro.ra.optimizer import optimize_term_candidates
 from repro.ra.stats import Estimator
@@ -91,7 +86,7 @@ class RankedCandidate:
 
 @dataclass(frozen=True)
 class PlanChoice:
-    """A query's ranked candidate table, as prepared on ``backend``.
+    """A query's ranked candidate table.
 
     ``peak_bytes`` is the planner's soft estimate of the winner's peak
     materialised memory (:func:`~repro.planner.cost.estimate_term_bytes`);
@@ -101,7 +96,6 @@ class PlanChoice:
     from sessions without the memory dimension render unchanged.
     """
 
-    backend: str
     ranked: tuple[RankedCandidate, ...]
     peak_bytes: float = 0.0
     spill: bool = False
@@ -119,8 +113,7 @@ class PlanChoice:
 
     def to_dict(self) -> dict:
         """JSON-serializable candidate table (the ExplainReport form)."""
-        payload = {
-            "backend": self.backend,
+        payload: dict = {
             "candidates": [entry.to_dict() for entry in self.ranked],
         }
         if self.spill:
@@ -133,7 +126,7 @@ class PlanChoice:
     def render(self) -> str:
         """The EXPLAIN candidate table (``* `` marks the winner)."""
         lines = [
-            f"-- planner candidates (cost model: {self.backend}) --",
+            "-- planner candidates --",
             f"   {'rank':<5} {'candidate':<22} {'est. cost':>14} {'est. rows':>12}",
         ]
         for rank, entry in enumerate(self.ranked, start=1):
@@ -220,11 +213,10 @@ def enumerate_plan_candidates(
 def rank_candidates(
     candidates: list[PlanCandidate],
     store: RelationalStore,
-    backend: str,
     estimator: Estimator | None = None,
 ) -> PlanChoice:
     """Cost every candidate, sub-terms once across all of them; mark the
-    winner. ``backend`` names what the table is prepared on.
+    winner.
 
     Ties (and the provably-empty plan, which costs nothing) resolve to
     the earliest-enumerated candidate, so selection is deterministic and
@@ -233,10 +225,9 @@ def rank_candidates(
     whoever compiles the winner (:meth:`PlanningPass.choice`).
     """
     estimator = estimator or Estimator(store)
-    memo: CostMemo = {}
     costed = [
         TermCost(0.0, 0.0) if candidate.term is None
-        else cost_term(candidate.term, store, estimator, memo)
+        else cost_term(candidate.term, store, estimator)
         for candidate in candidates
     ]
     order = sorted(
@@ -251,7 +242,7 @@ def rank_candidates(
         )
         for index in order
     )
-    return PlanChoice(backend=backend, ranked=ranked)
+    return PlanChoice(ranked=ranked)
 
 
 @dataclass
@@ -307,21 +298,21 @@ class PlanningPass:
     def release(self) -> None:
         self.estimator = None
 
-    def choice(self, store: RelationalStore, backend: str) -> PlanChoice:
-        """The pass's ranking as prepared on ``backend``, its winner's
-        ``peak_bytes`` estimated: the pass's memory walk, paid only for
-        a winner that is about to be compiled."""
+    def choice(self, store: RelationalStore) -> PlanChoice:
+        """The pass's ranking, its winner's ``peak_bytes`` estimated:
+        the pass's memory walk, paid only for a winner that is about to
+        be compiled."""
         estimator = self._estimator(store)
         if self.ranking is None:
             self.ranking = rank_candidates(
-                self.candidates, store, backend, estimator=estimator
+                self.candidates, store, estimator=estimator
             )
-        ranked = replace(self.ranking, backend=backend)
-        term = ranked.winner.candidate.term
+        term = self.ranking.winner.candidate.term
         if term is None:
-            return ranked
+            return self.ranking
         return replace(
-            ranked, peak_bytes=estimate_term_bytes(term, store, estimator)
+            self.ranking,
+            peak_bytes=estimate_term_bytes(term, store, estimator),
         )
 
 
@@ -329,15 +320,13 @@ def plan_query(
     query: UCQT,
     schema: GraphSchema,
     store: RelationalStore,
-    backend: str,
     *,
     rewrite: bool = True,
     options: RewriteOptions | None = None,
     max_partial: int = DEFAULT_MAX_PARTIAL,
     join_orders: int = DEFAULT_JOIN_ORDERS,
 ) -> PlanChoice:
-    """Enumerate, cost and rank every candidate plan for one query, as
-    prepared on ``backend``."""
+    """Enumerate, cost and rank every candidate plan for one query."""
     return PlanningPass.for_query(
         query,
         schema,
@@ -346,4 +335,4 @@ def plan_query(
         options=options,
         max_partial=max_partial,
         join_orders=join_orders,
-    ).choice(store, backend)
+    ).choice(store)

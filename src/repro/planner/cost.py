@@ -14,11 +14,18 @@ absolute numbers are arbitrary. The shape is the columnar executor's:
 per-row weights are tiny but every operator pays a dispatch startup, so
 plans with many small operators (e.g. a rewrite exploded into dozens of
 disjuncts) cost more than the same rows through few operators.
+
+:func:`cost_term` is the one walk that charges these weights. It returns
+the plan's operator tree (:class:`TermCost`), and everything else that
+estimates a plan folds over that tree: the ranking reads its root, the
+peak-memory and per-kind row estimates sum over it, and ``explain``
+renders it (Fig. 17).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.errors import EvaluationError
 from repro.ra.stats import Estimator
@@ -35,7 +42,7 @@ from repro.ra.terms import (
 )
 from repro.storage.relational import RelationalStore
 
-#: Semi-naive rounds charged per fixpoint (same guess as ra.plan).
+#: Semi-naive rounds a fixpoint's step is charged for (a guess).
 _FIXPOINT_ROUNDS = 3.0
 
 
@@ -68,85 +75,140 @@ PROFILE = CostProfile(
 )
 
 
-@dataclass(frozen=True)
+#: The operator kinds telemetry is recorded under — one entry per
+#: ``*_rows``/``*_seconds`` counter pair on
+#: :class:`~repro.exec.executor.ExecutionStats`.
+OPERATOR_KINDS = ("scan", "join", "union", "select", "project", "fixpoint")
+
+
+@dataclass(slots=True)
 class TermCost:
-    """Estimated total cost and output cardinality of one term."""
+    """One costed operator: its estimated output rows, the cost of the
+    subtree it roots, and its costed inputs.
+
+    ``kind`` is one of :data:`OPERATOR_KINDS` or ``"frontier"`` (a
+    fixpoint's delta scan, charged by the fixpoint). Renames are
+    metadata-only on every substrate, so they have no operator of their
+    own. A bare ``TermCost(0.0, 0.0)`` is the provably empty plan.
+    """
 
     total: float
     rows: float
+    kind: str = ""
+    term: RaTerm | None = None
+    inputs: tuple["TermCost", ...] = ()
 
+    def render(self, store: RelationalStore, indent: int = 0) -> str:
+        """The tree as EXPLAIN text: an operator per line with its rows
+        and cumulative cost, what it reads or keeps on the next, its
+        inputs indented below it."""
+        pad = "  " * indent
+        lines = [
+            f"{pad}{self.kind.capitalize()} "
+            f"(cost = {self.total:,.1f} rows = {int(self.rows):,})"
+        ]
+        detail = self._detail(store)
+        if detail:
+            lines.append(f"{pad}  {detail}")
+        lines.extend(node.render(store, indent + 1) for node in self.inputs)
+        return "\n".join(lines)
 
-#: ``term -> (rows, total)``: what one planning pass has costed so far.
-CostMemo = dict[RaTerm, tuple[float, float]]
+    def _detail(self, store: RelationalStore) -> str:
+        # ``kind`` was set by ``cost_term`` from the term's type, so it
+        # says which fields the term has.
+        term: Any = self.term
+        kind = self.kind
+        if kind in ("scan", "frontier"):
+            return f"on {term.name}"
+        if kind == "join":
+            shared = sorted(
+                set(term.left.columns(store)) & set(term.right.columns(store))
+            )
+            return f"on ({', '.join(shared)})" if shared else "cartesian"
+        if kind == "project":
+            return f"keep: {', '.join(term.keep)}"
+        if kind == "select":
+            return f"{term.column_a} = {term.column_b}"
+        if kind == "fixpoint":
+            return f"recursion: {term.var}"
+        return ""
 
 
 def cost_term(
     term: RaTerm,
     store: RelationalStore,
     estimator: Estimator | None = None,
-    memo: CostMemo | None = None,
 ) -> TermCost:
     """Walk ``term`` bottom-up, charging :data:`PROFILE` weights per
-    operator. ``memo`` carries costed sub-terms from one candidate of a
-    planning pass to the next."""
+    operator; returns the costed operator tree. Costed sub-terms are
+    kept on the estimator, so the candidates of one planning pass, and
+    the folds over its winner, share them."""
     estimator = estimator or Estimator(store)
-    memo = {} if memo is None else memo
+    memo = estimator.costs
     p = PROFILE
 
-    def visit(node: RaTerm) -> tuple[float, float]:
+    def visit(node: RaTerm) -> TermCost:
         if isinstance(node, Rename):
-            # Renames are metadata-only on every substrate.
             return visit(node.child)
         cached = memo.get(node)
         if cached is None:
             cached = memo[node] = charge(node)
         return cached
 
-    def charge(node: RaTerm) -> tuple[float, float]:
+    def charge(node: RaTerm) -> TermCost:
         rows = max(estimator.rows(node), 0.0)
         if isinstance(node, Rel):
-            return rows, p.startup + rows * p.scan
+            return TermCost(p.startup + rows * p.scan, rows, "scan", node)
         if isinstance(node, Var):
             # Frontier scans are internal to a fixpoint round; the
             # fixpoint node charges for them.
-            return rows, 0.0
+            return TermCost(0.0, rows, "frontier", node)
         if isinstance(node, Project):
-            child_rows, child = visit(node.child)
-            return rows, child + p.startup + child_rows * p.dedup
+            child = visit(node.child)
+            return TermCost(
+                child.total + p.startup + child.rows * p.dedup,
+                rows, "project", node, (child,),
+            )
         if isinstance(node, SelectEq):
-            child_rows, child = visit(node.child)
-            return rows, child + p.startup + child_rows * p.select
+            child = visit(node.child)
+            return TermCost(
+                child.total + p.startup + child.rows * p.select,
+                rows, "select", node, (child,),
+            )
         if isinstance(node, Join):
-            left_rows, left = visit(node.left)
-            right_rows, right = visit(node.right)
-            build, probe = sorted((left_rows, right_rows))
-            return rows, (
-                left
-                + right
+            left = visit(node.left)
+            right = visit(node.right)
+            build, probe = sorted((left.rows, right.rows))
+            return TermCost(
+                left.total
+                + right.total
                 + p.startup
                 + build * p.join_build
                 + probe * p.join_probe
-                + rows * p.join_out
+                + rows * p.join_out,
+                rows, "join", node, (left, right),
             )
         if isinstance(node, RaUnion):
-            left_rows, left = visit(node.left)
-            right_rows, right = visit(node.right)
-            return rows, (
-                left + right + p.startup + (left_rows + right_rows) * p.dedup
+            left = visit(node.left)
+            right = visit(node.right)
+            return TermCost(
+                left.total + right.total + p.startup
+                + (left.rows + right.rows) * p.dedup,
+                rows, "union", node, (left, right),
             )
         if isinstance(node, Fix):
-            _base_rows, base = visit(node.base)
-            _step_rows, step = visit(node.step)
+            base = visit(node.base)
+            step = visit(node.step)
             # The step body re-runs once per semi-naive round and every
             # produced row is set-differenced against the state.
-            return rows, (
-                base + _FIXPOINT_ROUNDS * step + p.startup
-                + rows * p.fixpoint_row
+            return TermCost(
+                base.total + _FIXPOINT_ROUNDS * step.total + p.startup
+                + rows * p.fixpoint_row,
+                rows, "fixpoint", node, (base, step),
             )
         raise TypeError(f"unknown RA term {node!r}")
 
-    rows, total = visit(term)
-    return TermCost(total, rows)
+    return visit(term)
 
 
 def estimate_term_bytes(
@@ -159,56 +221,32 @@ def estimate_term_bytes(
     Mirrors the vec executor's residency model — every materialised
     table is one int64 code (8 bytes) per row per column — and the
     shape of batch evaluation: when an operator materialises its
-    output, its children's outputs are still alive, so the plan's peak
-    is the max over operators of *own output bytes + children's output
-    bytes*. Renames are metadata-only and frontier ``Var`` scans alias
-    state the enclosing fixpoint already accounts for. This is the
-    planner's **soft** memory estimate; a
+    output, its inputs' outputs are still alive, so the plan's peak is
+    the max over operators of *own output bytes + inputs' output
+    bytes*. Frontier scans alias state the enclosing fixpoint already
+    accounts for. This is the planner's **soft** memory estimate; a
     :class:`~repro.graph.evaluator.ResourceBudget`'s ``max_bytes``
     remains the hard runtime ceiling.
     """
     estimator = estimator or Estimator(store)
-
-    def bytes_of(node: RaTerm) -> float:
-        try:
-            node_width = max(len(estimator.columns(node)), 1)
-        except EvaluationError:  # width unknown: assume the binary-edge shape
-            node_width = 2
-        return max(estimator.rows(node), 0.0) * node_width * 8.0
-
     peak = 0.0
 
-    def visit(node: RaTerm) -> float:
-        """Post-order walk; returns the node's output bytes."""
+    def visit(node: TermCost) -> float:
+        """Post-order fold; returns the operator's output bytes."""
         nonlocal peak
-        if isinstance(node, Rename):
-            return visit(node.child)
-        if isinstance(node, Var):
+        if node.kind == "frontier":
             return 0.0
-        if isinstance(node, Rel):
-            own = bytes_of(node)
-            peak = max(peak, own)
-            return own
-        if isinstance(node, (Project, SelectEq)):
-            children = [visit(node.child)]
-        elif isinstance(node, (Join, RaUnion)):
-            children = [visit(node.left), visit(node.right)]
-        elif isinstance(node, Fix):
-            children = [visit(node.base), visit(node.step)]
-        else:
-            raise TypeError(f"unknown RA term {node!r}")
-        own = bytes_of(node)
-        peak = max(peak, own + sum(children))
+        inputs = sum(visit(child) for child in node.inputs)
+        try:
+            width = max(len(estimator.columns(node.term)), 1)
+        except EvaluationError:  # width unknown: assume the binary-edge shape
+            width = 2
+        own = node.rows * width * 8.0
+        peak = max(peak, own + inputs)
         return own
 
-    visit(term)
+    visit(cost_term(term, store, estimator))
     return peak
-
-
-#: The operator kinds telemetry is recorded under — one entry per
-#: ``*_rows``/``*_seconds`` counter pair on
-#: :class:`~repro.exec.executor.ExecutionStats`.
-OPERATOR_KINDS = ("scan", "join", "union", "select", "project", "fixpoint")
 
 
 def estimate_kind_rows(
@@ -221,49 +259,24 @@ def estimate_kind_rows(
     Mirrors the executors' per-kind actual-row counters (each operator
     contributes its *output* cardinality to its kind), so the pairs
     (estimate, actual) feed Q-error accounting directly. Operators
-    inside a fixpoint step are charged once per assumed semi-naive
-    round, matching :func:`cost_term`'s model — the Q-error then
-    measures the cost model's real estimation error, rounds included.
-    Renames and frontier scans contribute nothing, exactly like the
-    executors.
+    inside a fixpoint step are counted once per round the cost walk
+    charges the step for, so the Q-error measures the cost model's
+    real estimation error, rounds included. Frontier scans contribute
+    nothing, exactly like the executors.
     """
-    estimator = estimator or Estimator(store)
     totals = {kind: 0.0 for kind in OPERATOR_KINDS}
 
-    def visit(node: RaTerm, multiplier: float) -> None:
-        rows = max(estimator.rows(node), 0.0) * multiplier
-        if isinstance(node, Rel):
-            totals["scan"] += rows
+    def visit(node: TermCost, multiplier: float) -> None:
+        if node.kind == "frontier":
             return
-        if isinstance(node, Var):
+        totals[node.kind] += node.rows * multiplier
+        if node.kind == "fixpoint":
+            base, step = node.inputs
+            visit(base, multiplier)
+            visit(step, multiplier * _FIXPOINT_ROUNDS)
             return
-        if isinstance(node, Rename):
-            visit(node.child, multiplier)
-            return
-        if isinstance(node, Project):
-            totals["project"] += rows
-            visit(node.child, multiplier)
-            return
-        if isinstance(node, SelectEq):
-            totals["select"] += rows
-            visit(node.child, multiplier)
-            return
-        if isinstance(node, Join):
-            totals["join"] += rows
-            visit(node.left, multiplier)
-            visit(node.right, multiplier)
-            return
-        if isinstance(node, RaUnion):
-            totals["union"] += rows
-            visit(node.left, multiplier)
-            visit(node.right, multiplier)
-            return
-        if isinstance(node, Fix):
-            totals["fixpoint"] += rows
-            visit(node.base, multiplier)
-            visit(node.step, multiplier * _FIXPOINT_ROUNDS)
-            return
-        raise TypeError(f"unknown RA term {node!r}")
+        for child in node.inputs:
+            visit(child, multiplier)
 
-    visit(term, 1.0)
+    visit(cost_term(term, store, estimator), 1.0)
     return totals

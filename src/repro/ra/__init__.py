@@ -4,9 +4,9 @@ The translator (:mod:`repro.ra.translate`) compiles UCQT queries into RA
 terms including the paper's Table 2 rules for conjunction and branching;
 :mod:`repro.ra.evaluate` hands them to the one physical layer that runs
 them (:mod:`repro.exec`: columnar operators, semi-naive fixpoint
-iteration); the optimizer (:mod:`repro.ra.optimizer`) applies µ-RA-flavoured
-rewritings; and :mod:`repro.ra.plan` provides the cost-based EXPLAIN used
-to reproduce Fig. 17.
+iteration); and the optimizer (:mod:`repro.ra.optimizer`) applies
+µ-RA-flavoured rewritings. What a term costs, and its Fig. 17 plan tree,
+come from :mod:`repro.planner.cost`.
 """
 
 from repro.ra.evaluate import evaluate_term

@@ -3,7 +3,8 @@
 A deliberately PostgreSQL-flavoured estimator: per-table row counts and
 per-column distinct counts feed textbook selectivity formulas
 (``|L ⋈ R| = |L|·|R| / max(ndv_L, ndv_R)`` per shared column). Estimates
-drive the optimizer's join ordering and the Fig. 17 EXPLAIN costs.
+drive the optimizer's join ordering and the planner's costs
+(:mod:`repro.planner.cost`).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Hashable
+from typing import TYPE_CHECKING, Hashable
 from weakref import WeakKeyDictionary
 
 from repro.ra.terms import (
@@ -26,6 +27,9 @@ from repro.ra.terms import (
     Var,
 )
 from repro.storage.relational import RelationalStore
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.planner.cost import TermCost
 
 #: Assumed growth of a transitive closure over its base relation. Real
 #: engines estimate recursive CTEs crudely too (PostgreSQL assumes 10x the
@@ -283,6 +287,9 @@ class Estimator:
         self.fixpoint_growth = fixpoint_growth
         self._cache: dict[RaTerm, Estimate] = {}
         self._columns: dict[RaTerm, tuple[str, ...]] = {}
+        #: Costed operators per term, filled by
+        #: :func:`~repro.planner.cost.cost_term`.
+        self.costs: dict[RaTerm, TermCost] = {}
 
     def columns(self, term: RaTerm) -> tuple[str, ...]:
         """``term.columns(store)``, derived once per distinct term."""

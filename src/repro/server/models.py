@@ -142,8 +142,8 @@ def _backend_field(payload: Mapping) -> str:
 
     backend = payload.get("backend", DEFAULT_BACKEND)
     if backend == "auto":
-        # Not a registered backend: the session's cost model picks the
-        # concrete substrate per query.
+        # Not a registered backend: the session runs the default
+        # backend under the cost planner.
         return backend
     names = available_backends()
     if backend not in names:

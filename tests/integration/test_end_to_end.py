@@ -31,7 +31,7 @@ class TestExperimentFunctions:
         result = exp.fig15_16_17(scale_factor=0.1)
         assert "JOIN Organisation" in result.data["sql"]["SCHEMA-ENRICHED (Q2)"]
         assert "Organisation" in result.data["cypher"]["SCHEMA-ENRICHED (Q2)"]
-        assert "HashAggregate" in result.data["plans"]["BASELINE (Q1)"]
+        assert result.data["plans"]["BASELINE (Q1)"].startswith("Project")
 
     def test_table5_tiny(self):
         result = exp.table5_feasibility(

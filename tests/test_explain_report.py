@@ -1,16 +1,23 @@
-"""Tests for the structured :class:`ExplainReport`: render() must stay
-byte-identical to the pre-redesign opaque explain string, section by
-section, while to_dict() exposes the same pieces as data."""
+"""Tests for the structured :class:`ExplainReport`: render() joins the
+backend's plan text and the sections that apply in a fixed order and
+format, to_dict() exposes the same pieces as data, and the plan tree a
+cost-planned µ-RA explain prints is the one its candidate table ranked."""
 
 from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro.datasets.ldbc import ldbc_session
+from repro.datasets.yago import yago_session
 from repro.engine import GraphSession
 from repro.engine.options import ExecOptions
 from repro.engine.report import UNSATISFIABLE_TEXT, ExplainReport
 from repro.graph.model import yago_example_graph
+from repro.planner.cost import cost_term
 from repro.schema.builder import yago_example_schema
+from repro.workloads import LDBC_QUERIES, YAGO_QUERIES
 
 #: The pinned query for the byte-identity checks.
 QUERY = "x1, x2 <- (x1, isLocatedIn+, x2)"
@@ -43,7 +50,7 @@ class TestByteIdentity:
         assert report.render() == (
             f"{report.plan_text}\n\n{report.choice.render()}"
         )
-        assert "-- planner candidates (cost model: ra) --" in report.render()
+        assert "-- planner candidates --" in report.render()
 
     def test_result_cache_footer_format(self):
         with _session(result_cache_size=8) as session:
@@ -124,3 +131,43 @@ class TestToDict:
             payload = session.explain(UNSAT_QUERY, "ra").to_dict()
         assert payload["unsatisfiable"] is True
         assert payload["plan"] is None
+
+
+class TestTreeIsTheRankedPlan:
+    """The µ-RA plan tree and the candidate table come from one cost
+    walk: the tree's root is the winner's row, on every workload query
+    at the ``adhoc_small`` sizes, rewritten and not."""
+
+    @pytest.mark.parametrize(
+        "queries, open_session",
+        [
+            (YAGO_QUERIES, lambda: yago_session(0.05)),
+            (LDBC_QUERIES, lambda: ldbc_session(0.1)),
+        ],
+        ids=["yago", "ldbc"],
+    )
+    def test_root_is_the_winners_row(self, queries, open_session):
+        options = ExecOptions(backend="vec", planner="cost")
+        with open_session() as session:
+            for query in queries:
+                for rewrite in (True, False):
+                    # Every query plans from cold, and nothing executes:
+                    # the estimates are the ones the ranking saw.
+                    session.clear_caches()
+                    handle = session.prepare(
+                        query.text, rewrite=rewrite, exec_options=options
+                    )
+                    winner = handle.choice.winner
+                    key = (query.qid, rewrite)
+                    if handle.plan is None:
+                        assert winner.candidate.term is None, key
+                        continue
+                    root = cost_term(handle.plan.term, session.store)
+                    assert (root.total, root.rows) == (
+                        winner.cost, winner.rows
+                    ), key
+                    tree = handle.explain().plan_text.split("\n")[1]
+                    assert tree.endswith(
+                        f"(cost = {winner.cost:,.1f} "
+                        f"rows = {int(winner.rows):,})"
+                    ), key

@@ -21,8 +21,6 @@ from __future__ import annotations
 import json
 import pathlib
 import sys
-from dataclasses import replace
-
 import pytest
 
 from repro.datasets.ldbc import ldbc_session
@@ -55,7 +53,7 @@ def plan_rows(session, text: str, rewrite: bool) -> dict:
         assert handle.backend_name == ran
         # The spill CI leg stamps a memory line on vec plans; the
         # table records the decision-free rendering plus the estimate.
-        choice = replace(handle.choice, backend="vec").with_memory(spill=False)
+        choice = handle.choice.with_memory(spill=False)
         for entry in choice.ranked:
             row["candidates"].setdefault(
                 entry.label, str(entry.candidate.query)

@@ -1,5 +1,5 @@
 """Tests for the cost-based planner: candidate enumeration, the
-per-backend cost model, session integration (selection, explain,
+cost model, session integration (selection, explain,
 caching, adaptive feedback) and the CLI surface."""
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.rewriter import enumerate_rewrites
 from repro.engine import GraphSession
-from repro.engine.options import ExecOptions
+from repro.engine.options import DEFAULT_BACKEND, ExecOptions
 from repro.exec.executor import ExecutionStats
 from repro.graph.model import yago_example_graph
 from repro.planner import (
@@ -132,7 +132,7 @@ class TestCostModel:
         candidates = enumerate_plan_candidates(
             query, example_session.schema, example_session.store
         )
-        choice = rank_candidates(candidates, example_session.store, "vec")
+        choice = rank_candidates(candidates, example_session.store)
         assert sum(1 for entry in choice.ranked if entry.chosen) == 1
         costs = [entry.cost for entry in choice.ranked]
         assert costs == sorted(costs)
@@ -143,7 +143,6 @@ class TestCostModel:
             parse_query(RECURSIVE_QUERY),
             example_session.schema,
             example_session.store,
-            "vec",
         )
         table = choice.render()
         assert "planner candidates" in table
@@ -194,7 +193,7 @@ class TestSessionIntegration:
 
     def test_explain_includes_candidates(self, example_session):
         text = example_session.explain(RECURSIVE_QUERY, "vec", exec_options=COST)
-        assert "planner candidates (cost model: vec)" in text
+        assert "-- planner candidates --" in text
         assert " * " in text
         greedy = example_session.explain(
             RECURSIVE_QUERY, "vec", exec_options=GREEDY
@@ -346,7 +345,7 @@ class TestPlanOnce:
             )
             ranking = handle.planned.planning.ranking
             assert handle.choice.ranked == ranking.ranked
-            assert handle.choice.backend == handle.backend_name
+            assert handle.backend_name == DEFAULT_BACKEND
             # The estimator (and with it the store) is not cached.
             assert handle.planned.planning.estimator is None
 
@@ -433,7 +432,7 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "planner candidates (cost model: vec)" in out
+        assert "-- planner candidates --" in out
         assert " * " in out
 
     def test_query_planner_flag(self, capsys):

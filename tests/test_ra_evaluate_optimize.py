@@ -5,10 +5,10 @@ import pytest
 from repro.algebra.parser import parse
 from repro.errors import QueryTimeout
 from repro.graph.evaluator import EvalBudget, evaluate_path
+from repro.planner.cost import cost_term
 from repro.query.parser import parse_query
 from repro.ra.evaluate import evaluate_term
 from repro.ra.optimizer import optimize_term
-from repro.ra.plan import Planner, explain
 from repro.ra.stats import Estimator
 from repro.ra.terms import Fix, Join, Project, Rel, Rename, Var
 from repro.ra.translate import SR, TR, TranslationContext, path_to_ra, ucqt_to_ra
@@ -149,16 +149,16 @@ class TestStatsAndPlan:
         _, _, store = ldbc_small
         query = parse_query("x1, x2 <- (x1, knows/workAt, x2)")
         term = optimize_term(ucqt_to_ra(query), store)
-        text = explain(term, store)
-        assert "HashAggregate" in text
-        assert "Seq Scan" in text
+        text = cost_term(term, store).render(store)
+        assert text.startswith("Project")
+        assert "Scan" in text and "on knows" in text
         assert "rows =" in text
 
     def test_explain_recursive_union(self, ldbc_small):
         _, _, store = ldbc_small
         term = optimize_term(path_to_ra(parse("replyOf+")), store)
-        text = explain(term, store)
-        assert "Recursive Union" in text
+        text = cost_term(term, store).render(store)
+        assert text.startswith("Fixpoint")
 
     def test_fig17_property_semijoin_collapses_intermediate(self):
         """The schema-enriched plan prunes isLocatedIn through the
@@ -174,17 +174,16 @@ class TestStatsAndPlan:
         )
         base_term = optimize_term(ucqt_to_ra(baseline), store)
         enriched_term = optimize_term(ucqt_to_ra(enriched), store)
-        planner = Planner(store)
-        base_plan = planner.plan(base_term)
-        enriched_plan = planner.plan(enriched_term)
+        base_plan = cost_term(base_term, store)
+        enriched_plan = cost_term(enriched_term, store)
         # Same estimated final cardinality.
         assert abs(base_plan.rows - enriched_plan.rows) < 1.0
 
         def min_join_rows(node):
             best = float("inf")
-            if "Join" in node.operator:
+            if node.kind == "join":
                 best = node.rows
-            for child in node.children:
+            for child in node.inputs:
                 best = min(best, min_join_rows(child))
             return best
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import ParseError, QueryTimeout, UnknownLabelError
 from repro.graph.evaluator import EvalBudget
-from repro.ra.plan import PlanNode
+from repro.planner.cost import TermCost
+from repro.ra.terms import Project, Rel
 from repro.storage.relational import RelationalStore, Table
 
 
@@ -93,14 +94,19 @@ class TestRelationalStore:
 
 class TestPlanRendering:
     def test_render_indents_children(self):
-        leaf = PlanNode("Seq Scan", "on knows", 10.0, 100.0)
-        root = PlanNode("Hash Join", "Hash Cond: (m0)", 25.0, 50.0, [leaf])
-        text = root.render()
+        leaf = TermCost(10.0, 100.0, "scan", Rel("knows"))
+        root = TermCost(
+            25.0, 50.0, "project", Project(Rel("knows"), ("Sr",)), (leaf,)
+        )
+        text = root.render(RelationalStore())
         lines = text.splitlines()
-        assert lines[0].startswith("Hash Join")
-        assert lines[2].startswith("  Seq Scan")
+        assert lines[0].startswith("Project")
+        assert lines[1] == "  keep: Sr"
+        assert lines[2].startswith("  Scan")
+        assert lines[3] == "    on knows"
         assert "rows = 100" in text
 
     def test_large_numbers_comma_formatted(self):
-        node = PlanNode("Seq Scan", "", 1234567.89, 2085899.0)
-        assert "2,085,899" in node.render()
+        node = TermCost(1234567.89, 2085899.0, "scan", Rel("knows"))
+        text = node.render(RelationalStore())
+        assert "2,085,899" in text and "1,234,567.9" in text
