@@ -68,7 +68,8 @@ def test_tables_7_8_report(pooled_runs):
     """The paper reports 3.26x (RQ) / 2.58x (overall) mean speedups,
     heavily driven by the 30-minute timeout cap at 33-82 GB scale; our
     laptop-scale reproduction asserts parity-or-better with a tolerance
-    (see EXPERIMENTS.md for the full-profile numbers)."""
+    (``scripts/full_run.py`` writes the full-profile numbers to
+    ``results/``)."""
     result = table7_table8(pooled_runs)
     write_output("table7_8", result.text)
     print("\n" + result.text)

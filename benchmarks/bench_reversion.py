@@ -37,8 +37,8 @@ def test_yago_reversion_matches_paper(census):
 
 def test_paper_ldbc_revert_set_covered(census):
     """All ten queries the paper reports as reverting revert here too
-    (our finer-grained schema reverts some additional ones; see
-    EXPERIMENTS.md)."""
+    (our finer-grained schema reverts some additional ones, which the
+    census lists)."""
     assert len(census.data["agreement"]) == 10
 
 

@@ -57,7 +57,7 @@ def test_schema_never_less_feasible_recursive(table5):
     """Paper: the schema approach executes at least as many recursive
     queries as the baseline at every scale factor. A one-query margin
     absorbs cap-boundary jitter on queries whose runtime sits within a few
-    percent of the timeout (see EXPERIMENTS.md, deviation D4)."""
+    percent of the timeout."""
     for row in table5.data["rows"]:
         sf, rq_base, _, rq_schema = row[0], row[1], row[2], row[3]
         assert rq_schema >= rq_base - 1, f"SF {sf}"

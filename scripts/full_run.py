@@ -1,4 +1,4 @@
-"""Full-profile experiment run backing EXPERIMENTS.md.
+"""Full-profile experiment run (README, "Reproducing the paper's evaluation").
 
 Runs every table/figure at the paper's full scale-factor axis (LDBC SF
 0.1-30 mapped onto the generator's sizes) and writes the rendered outputs

@@ -46,6 +46,7 @@ from repro.planner.cost import cost_term
 from repro.query.evaluation import evaluate_ucqt
 from repro.query.model import UCQT
 from repro.ra.optimizer import optimize_term
+from repro.ra.stats import Estimator
 from repro.ra.terms import RaTerm
 from repro.ra.translate import TranslationContext, ucqt_to_ra
 from repro.sql.generate import ucqt_to_sql
@@ -106,10 +107,14 @@ class VecBackend:
     def prepare(
         self, session: "GraphSession", query: UCQT, options: ExecOptions
     ) -> VecPlan:
+        store = session.store
+        estimator = Estimator(store)
         term = optimize_term(
-            ucqt_to_ra(query, TranslationContext()), session.store
+            ucqt_to_ra(query, TranslationContext(estimator=estimator)),
+            store,
+            estimator,
         )
-        return self._plan(term, session.store, query, options)
+        return self._plan(term, store, query, options)
 
     def prepare_from_term(
         self,
@@ -236,6 +241,19 @@ class RaBackend(VecBackend):
 
     name = "ra"
     option_fields = ()
+
+    def prepare(
+        self, session: "GraphSession", query: UCQT, options: ExecOptions
+    ) -> VecPlan:
+        """The paper's translation, chains as parsed: PostgreSQL, which
+        the experiments run ``ra`` in place of, materialises a recursive
+        CTE in full before joining it, so no chain planner runs here.
+        A cost-planned ``ra`` plan is the ranked (chain-planned) winner,
+        like any other backend's."""
+        term = optimize_term(
+            ucqt_to_ra(query, TranslationContext()), session.store
+        )
+        return self._plan(term, session.store, query, options)
 
     def _plan(self, term: RaTerm, store, query: UCQT, options: ExecOptions):
         return VecPlan(term, compile_term(term, store), query.head, "python")

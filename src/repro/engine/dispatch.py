@@ -174,14 +174,9 @@ class Dispatcher:
             ]
         else:
             rows = [backend.execute(session, first.plan, budget)]
-        if any(handle.choice is not None for handle in group):
-            if stats is None:
-                stats = ExecutionStats(programs=1)
-            # Memoised subtrees make the run's fixpoint counters
-            # unattributable per plan: their growth is fed once.
-            growth = stats.observed_fixpoint_growth
-            if growth is not None:
-                store_statistics(session.store).observe_fixpoint_growth(growth)
+        cost_planned = any(handle.choice is not None for handle in group)
+        if cost_planned and stats is None:
+            stats = ExecutionStats(programs=1)
         for position, (handle, key, answer) in enumerate(
             zip(group, keys, rows)
         ):
@@ -201,6 +196,14 @@ class Dispatcher:
                     captures[position] if captures else None,
                 )
         session.telemetry.record(group, rows, stats)
+        if cost_planned and stats is not None:
+            # After the record: its estimates are the ones the plan was
+            # ranked under, which the observed growth would move.
+            # Memoised subtrees make the run's fixpoint counters
+            # unattributable per plan: their growth is fed once.
+            growth = stats.observed_fixpoint_growth
+            if growth is not None:
+                store_statistics(session.store).observe_fixpoint_growth(growth)
         return rows
 
     # -- graceful degradation ----------------------------------------------

@@ -187,7 +187,7 @@ def enumerate_plan_candidates(
             )
             continue
         try:
-            term = ucqt_to_ra(executed, TranslationContext())
+            term = ucqt_to_ra(executed, TranslationContext(estimator=estimator))
             orders = optimize_term_candidates(
                 term, store, limit=join_orders, estimator=estimator
             )

@@ -11,9 +11,14 @@ Local rewrites applied to a fixpoint:
   sharing columns with the accumulated prefix first — avoids accidental
   cartesian products).
 
-Join pushing *into fixpoints* happens at translation time
-(:func:`repro.ra.translate.cqt_to_ra`) where label-atom information is
-still available; this module keeps plans tidy and join orders sane.
+Join pushing *into fixpoints* and the bracketing of path chains happen
+at translation time (:mod:`repro.ra.translate`), where label atoms and
+chain structure are still visible: with an estimator, the translation
+seeds a closure with the neighbour that keeps it small. A composition is
+a projection over its join, so the chains below never flatten into one
+join chain here: this module reorders the joins *inside* a composition
+or a conjunctive query, keeps plans tidy and join orders sane, and never
+undoes a chain plan.
 """
 
 from __future__ import annotations

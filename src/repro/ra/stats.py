@@ -235,6 +235,42 @@ class Estimate:
                 return value
         return max(self.rows, 1.0)
 
+    def project(self, keep: tuple[str, ...]) -> "Estimate":
+        """Set-semantics projection onto ``keep``: at most the product
+        of the kept columns' distinct counts."""
+        limit = 1.0
+        for column in keep:
+            limit *= self.ndv(column)
+        rows = min(self.rows, limit)
+        return Estimate(rows, tuple((c, min(self.ndv(c), rows)) for c in keep))
+
+    def join(self, other: "Estimate") -> "Estimate":
+        """The natural join with ``other``: the product of both sides'
+        rows over the larger distinct count of each shared column."""
+        columns = {name for name, _ in self.distinct}
+        rows = self.rows * other.rows
+        for name, _ in other.distinct:
+            if name in columns:
+                rows /= max(self.ndv(name), other.ndv(name), 1.0)
+        rows = max(rows, 0.0)
+        distinct = [
+            (name, min(value, rows) if rows else 0.0)
+            for name, value in self.distinct
+        ]
+        distinct.extend(
+            (name, min(value, rows) if rows else 0.0)
+            for name, value in other.distinct
+            if name not in columns
+        )
+        return Estimate(rows, tuple(distinct))
+
+    def renamed(self, mapping: dict[str, str]) -> "Estimate":
+        """The same estimate with columns renamed (old name -> new)."""
+        return Estimate(
+            self.rows,
+            tuple((mapping.get(name, name), value) for name, value in self.distinct),
+        )
+
     def with_rows(self, rows: float) -> "Estimate":
         if rows <= 0.0:
             # No rows, no distinct values — do not clamp to 1.
@@ -321,22 +357,9 @@ class Estimator:
                 1000.0, tuple((c, 1000.0) for c in term.var_columns)
             )
         if isinstance(term, Project):
-            child = self.estimate(term.child)
-            limit = 1.0
-            for column in term.keep:
-                limit *= child.ndv(column)
-            rows = min(child.rows, limit)
-            distinct = tuple(
-                (c, min(child.ndv(c), rows)) for c in term.keep
-            )
-            return Estimate(rows, distinct)
+            return self.estimate(term.child).project(term.keep)
         if isinstance(term, Rename):
-            child = self.estimate(term.child)
-            mapping = dict(term.mapping)
-            distinct = tuple(
-                (mapping.get(name, name), value) for name, value in child.distinct
-            )
-            return Estimate(child.rows, distinct)
+            return self.estimate(term.child).renamed(dict(term.mapping))
         if isinstance(term, SelectEq):
             child = self.estimate(term.child)
             selectivity = 1.0 / max(
@@ -344,7 +367,7 @@ class Estimator:
             )
             return child.with_rows(max(1.0, child.rows * selectivity))
         if isinstance(term, Join):
-            return self._join(term)
+            return self.estimate(term.left).join(self.estimate(term.right))
         if isinstance(term, RaUnion):
             left = self.estimate(term.left)
             right = self.estimate(term.right)
@@ -355,27 +378,16 @@ class Estimator:
             )
             return Estimate(rows, distinct)
         if isinstance(term, Fix):
-            base = self.estimate(term.base)
-            rows = base.rows * self.fixpoint_growth
-            distinct = tuple(
-                (name, min(rows, value * 2.0)) for name, value in base.distinct
-            )
-            return Estimate(rows, distinct)
+            return self.closure(self.estimate(term.base))
         raise TypeError(f"unknown RA term {term!r}")
 
-    def _join(self, term: Join) -> Estimate:
-        left = self.estimate(term.left)
-        right = self.estimate(term.right)
-        left_columns = {name for name, _ in left.distinct}
-        shared = [name for name, _ in right.distinct if name in left_columns]
-        rows = left.rows * right.rows
-        for column in shared:
-            rows /= max(left.ndv(column), right.ndv(column), 1.0)
-        rows = max(rows, 0.0)
-        distinct: list[tuple[str, float]] = []
-        for name, value in left.distinct:
-            distinct.append((name, min(value, rows) if rows else 0.0))
-        for name, value in right.distinct:
-            if name not in left_columns:
-                distinct.append((name, min(value, rows) if rows else 0.0))
-        return Estimate(rows, tuple(distinct))
+    def closure(self, base: Estimate) -> Estimate:
+        """A fixpoint seeded with ``base``: the base grown by this
+        estimator's ``fixpoint_growth``, each distinct count at most
+        doubled."""
+        rows = base.rows * self.fixpoint_growth
+        distinct = tuple(
+            (name, min(rows, value * 2.0)) for name, value in base.distinct
+        )
+        return Estimate(rows, distinct)
+

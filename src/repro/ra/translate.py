@@ -10,6 +10,17 @@ source (resp. target) variable, the semi-join is *pushed into the fixpoint
 base* — with the recursion direction flipped to right-linear for target
 constraints — which is the µ-RA "join pushing" rewriting of Jachiet et al.
 that the paper's translator relies on.
+
+Concatenation chains are *planned* when the context carries the planning
+pass's :class:`~repro.ra.stats.Estimator`: a chain ``e0 /L0 e1 ... en``
+is flattened, and dynamic programming over its sub-chains picks the
+cheapest of every split point (a composition keeping its junction's
+guard) and, for a sub-chain that starts or ends with a closure, that
+closure seeded by the rest — ``R+ /L T = µX. (R /L T) ∪ (R ∘ X)``,
+``S /L R+ = µX. (S /L R) ∪ (X ∘ R)`` — which pushes the neighbour's join
+into the fixpoint. Without an estimator (SQL generation, the ``ra``
+backend's greedy prepare, the paper's plan figures), or past
+:data:`MAX_PLANNED_CHAIN` elements, a chain keeps its parsed bracketing.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ from repro.algebra.ast import (
 )
 from repro.errors import TranslationError
 from repro.query.model import CQT, UCQT
+from repro.ra.stats import Estimate, Estimator
 from repro.ra.terms import (
     Fix,
     Join,
@@ -59,6 +71,9 @@ class TranslationContext:
     """
 
     push_filters_into_fixpoints: bool = True
+    #: The planning pass's estimator; with one, concatenation chains
+    #: are bracketed and closures seeded by cost (:func:`_plan_chain`).
+    estimator: Estimator | None = None
     _counter: itertools.count = field(default_factory=itertools.count)
     _expr_cache: dict = field(default_factory=dict)
 
@@ -103,16 +118,8 @@ def _translate_uncached(expr: PathExpr, ctx: TranslationContext) -> RaTerm:
         return Rel(expr.label, (SR, TR))
     if isinstance(expr, Reverse):
         return Rename.of(Rel(expr.expr.label, (SR, TR)), {SR: TR, TR: SR})
-    if isinstance(expr, Concat):
-        return _concat(
-            _translate(expr.left, ctx), _translate(expr.right, ctx), ctx
-        )
-    if isinstance(expr, AnnotatedConcat):
-        middle = ctx.fresh_column()
-        left = Rename.of(_translate(expr.left, ctx), {TR: middle})
-        right = Rename.of(_translate(expr.right, ctx), {SR: middle})
-        guard = node_set_term(expr.labels, middle)
-        return Project(Join(Join(left, guard), right), (SR, TR))
+    if isinstance(expr, (Concat, AnnotatedConcat)):
+        return _translate_chain(expr, ctx)
     if isinstance(expr, Union):
         return RaUnion(_translate(expr.left, ctx), _translate(expr.right, ctx))
     if isinstance(expr, Conj):
@@ -136,15 +143,15 @@ def _translate_uncached(expr: PathExpr, ctx: TranslationContext) -> RaTerm:
     raise TranslationError(f"cannot translate path expression node {expr!r}")
 
 
-def _concat(left: RaTerm, right: RaTerm, ctx: TranslationContext) -> RaTerm:
-    middle = ctx.fresh_column()
-    return Project(
-        Join(
-            Rename.of(left, {TR: middle}),
-            Rename.of(right, {SR: middle}),
-        ),
-        (SR, TR),
-    )
+def _composition(
+    left: RaTerm, right: RaTerm, labels: frozenset[str] | None, middle: str
+) -> RaTerm:
+    """``left / right`` joined on column ``middle``; ``labels`` (an
+    annotated junction) semi-joins the middle against those node tables."""
+    joined: RaTerm = Rename.of(left, {TR: middle})
+    if labels is not None:
+        joined = Join(joined, node_set_term(labels, middle))
+    return Project(Join(joined, Rename.of(right, {SR: middle})), (SR, TR))
 
 
 def _closure(
@@ -182,6 +189,216 @@ def _closure(
     else:  # pragma: no cover - internal misuse
         raise TranslationError(f"unknown closure direction {direction!r}")
     return Fix(var_name, start, step)
+
+
+# -- the chain planner ---------------------------------------------------------
+#: Chains with more elements than this keep their parsed bracketing: the
+#: dynamic programme below is cubic in a chain's length.
+MAX_PLANNED_CHAIN = 8
+
+#: The junction column of the chain planner's arithmetic (never built).
+_JUNCTION = "junction"
+
+
+@dataclass(frozen=True)
+class _Chain:
+    """A concatenation chain ``e0 /L0 e1 /L1 ... en``, flattened.
+
+    ``junctions[k]`` is the label set guarding the node between
+    ``elements[k]`` and ``elements[k + 1]`` (None: a plain ``/``).
+    ``parsed`` maps each span ``(i, j)`` the parser bracketed to its
+    split point and its expression node.
+    """
+
+    elements: tuple[PathExpr, ...]
+    junctions: tuple[frozenset[str] | None, ...]
+    parsed: dict[tuple[int, int], tuple[int, PathExpr]]
+
+    @classmethod
+    def of(cls, expr: PathExpr) -> "_Chain":
+        elements: list[PathExpr] = []
+        junctions: list[frozenset[str] | None] = []
+        parsed: dict[tuple[int, int], tuple[int, PathExpr]] = {}
+
+        def flatten(node: PathExpr) -> None:
+            if not isinstance(node, (Concat, AnnotatedConcat)):
+                elements.append(node)
+                return
+            start = len(elements)
+            flatten(node.left)
+            split = len(elements)
+            junctions.append(
+                node.labels if isinstance(node, AnnotatedConcat) else None
+            )
+            flatten(node.right)
+            parsed[(start, len(elements))] = (split, node)
+
+        flatten(expr)
+        return cls(tuple(elements), tuple(junctions), parsed)
+
+    def key(self, i: int, j: int) -> tuple:
+        """The translation-memo key of span ``(i, j)``'s planned term."""
+        return ("chain", self.elements[i:j], self.junctions[i:j - 1])
+
+
+#: How span ``(i, j)`` is built: ``("split", k)`` composes ``(i, k)``
+#: with ``(k, j)``; ``("first",)`` is the leading closure seeded by the
+#: rest, ``("last",)`` the trailing closure seeded by the head.
+_Option = tuple
+
+
+def _translate_chain(expr: PathExpr, ctx: TranslationContext) -> RaTerm:
+    """A concatenation chain, bracketed and seeded by cost when the
+    context carries an estimator and the chain is short enough, else as
+    parsed."""
+    chain = _Chain.of(expr)
+    plan = None
+    if ctx.estimator is not None and len(chain.elements) <= MAX_PLANNED_CHAIN:
+        plan = _plan_chain(chain, ctx)
+    return _build_chain(chain, 0, len(chain.elements), plan, ctx)
+
+
+def _plan_chain(
+    chain: _Chain, ctx: TranslationContext
+) -> dict[tuple[int, int], _Option]:
+    """The cheapest way to build every span of ``chain`` (dynamic
+    programming over spans, shortest first).
+
+    Options are costed by arithmetic over the leaf estimates, never by
+    building them: a composition costs the rows its joins produce plus
+    the rows its projection keeps (what the optimiser's join ordering
+    ranks by), a closure the rows its step joins plus the rows it keeps.
+    The parsed split is tried first and the seeded closures last, and an
+    option replaces the best so far only when strictly cheaper, so ties
+    keep the parsed bracketing and the unseeded closure.
+    """
+    estimator = ctx.estimator
+    assert estimator is not None
+    elements, junctions = chain.elements, chain.junctions
+    count = len(elements)
+
+    guards = [
+        None if labels is None
+        else estimator.estimate(node_set_term(labels, SR)).renamed(
+            {SR: _JUNCTION}
+        )
+        for labels in junctions
+    ]
+
+    def compose(left: Estimate, right: Estimate, guard: Estimate | None):
+        """(rows joined, estimate kept) of ``left / right``."""
+        joined = left.renamed({TR: _JUNCTION})
+        examined = 0.0
+        if guard is not None:
+            joined = joined.join(guard)
+            examined += joined.rows
+        joined = joined.join(right.renamed({SR: _JUNCTION}))
+        return examined + joined.rows, joined.project((SR, TR))
+
+    def closure(inner: Estimate, seed: Estimate, first: bool):
+        """(cost, estimate) of the fixpoint of ``inner`` from ``seed``,
+        growing at the source end when ``first``, else the target end."""
+        total = estimator.closure(seed)
+        step = compose(inner, total, None) if first else compose(total, inner, None)
+        return step[0] + total.rows, total
+
+    inners: list[Estimate | None] = []
+    best: dict[tuple[int, int], tuple[float, Estimate, _Option]] = {}
+    for index, element in enumerate(elements):
+        inner = None
+        if isinstance(element, Plus):
+            inner = estimator.estimate(_translate(element.expr, ctx))
+            cost, total = closure(inner, inner, False)
+        else:
+            cost, total = 0.0, estimator.estimate(_translate(element, ctx))
+        inners.append(inner)
+        best[(index, index + 1)] = (cost, total, ("leaf",))
+
+    for length in range(2, count + 1):
+        for i in range(count - length + 1):
+            j = i + length
+            default = chain.parsed.get((i, j), (j - 1, None))[0]
+            candidates: list[tuple[float, Estimate, _Option]] = []
+            for k in [default, *(k for k in range(i + 1, j) if k != default)]:
+                left, right = best[(i, k)], best[(k, j)]
+                examined, kept = compose(left[1], right[1], guards[k - 1])
+                candidates.append(
+                    (left[0] + right[0] + examined + kept.rows, kept, ("split", k))
+                )
+            first, last = inners[i], inners[j - 1]
+            if first is not None:
+                rest = best[(i + 1, j)]
+                examined, seed = compose(first, rest[1], guards[i])
+                cost, total = closure(first, seed, True)
+                candidates.append(
+                    (rest[0] + examined + seed.rows + cost, total, ("first",))
+                )
+            if last is not None:
+                head = best[(i, j - 1)]
+                examined, seed = compose(head[1], last, guards[j - 2])
+                cost, total = closure(last, seed, False)
+                candidates.append(
+                    (head[0] + examined + seed.rows + cost, total, ("last",))
+                )
+            chosen = candidates[0]
+            for candidate in candidates[1:]:
+                if candidate[0] < chosen[0] * (1.0 - 1e-9):
+                    chosen = candidate
+            best[(i, j)] = chosen
+    return {span: entry[2] for span, entry in best.items()}
+
+
+def _build_chain(
+    chain: _Chain,
+    i: int,
+    j: int,
+    plan: dict[tuple[int, int], _Option] | None,
+    ctx: TranslationContext,
+) -> RaTerm:
+    """The term of span ``(i, j)``: as ``plan`` chose, else as parsed.
+
+    A planned span is memoised by its content, so an equal sub-chain
+    anywhere in the query is one term; a parsed one by its node, as
+    every other path expression is.
+    """
+    elements = chain.elements
+    if j - i == 1:
+        return _translate(elements[i], ctx)
+    if plan is None:
+        split, node = chain.parsed[(i, j)]
+        option: _Option = ("split", split)
+        key: object = node
+    else:
+        option, key = plan[(i, j)], chain.key(i, j)
+    cached = ctx._expr_cache.get(key)
+    if cached is not None:
+        return cached
+    if option[0] == "split":
+        split = option[1]
+        labels = chain.junctions[split - 1]
+        # Fresh names in the order the parsed translation drew them.
+        middle = ctx.fresh_column() if labels is not None else None
+        left = _build_chain(chain, i, split, plan, ctx)
+        right = _build_chain(chain, split, j, plan, ctx)
+        if middle is None:
+            middle = ctx.fresh_column()
+        term = _composition(left, right, labels, middle)
+    elif option[0] == "first":
+        # R+ /L T = µX. (R /L T) ∪ (R ∘ X)
+        inner = _translate(elements[i].expr, ctx)
+        rest = _build_chain(chain, i + 1, j, plan, ctx)
+        seed = _composition(inner, rest, chain.junctions[i], ctx.fresh_column())
+        term = _closure(inner, ctx, direction="right", seeded_base=seed)
+    else:
+        # S /L R+ = µX. (S /L R) ∪ (X ∘ R)
+        inner = _translate(elements[j - 1].expr, ctx)
+        head = _build_chain(chain, i, j - 1, plan, ctx)
+        seed = _composition(
+            head, inner, chain.junctions[j - 2], ctx.fresh_column()
+        )
+        term = _closure(inner, ctx, direction="left", seeded_base=seed)
+    ctx._expr_cache[key] = term
+    return term
 
 
 def _relation_term(

@@ -22,9 +22,9 @@ from repro.query.model import single_relation_query
 
 _SEEDS = st.integers(min_value=0, max_value=10_000)
 
-#: The backends with distinct cost profiles (gdb/reference share ra's
-#: fallback profile and the UCQT-level candidate space, which
-#: test_session_agreement already covers for the rewrite choice).
+#: The backends the cost planner compiles its one winner for: the two
+#: columnar configurations and generated SQL (gdb/reference execute the
+#: winner's UCQT, which test_session_agreement already covers).
 _BACKENDS = ("ra", "vec", "sqlite")
 COST = ExecOptions(planner="cost")
 

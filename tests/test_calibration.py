@@ -108,9 +108,10 @@ class TestCalibrationLog:
     @pytest.mark.parametrize("planner", ["greedy", "cost"])
     def test_memoised_estimates_log_what_a_fresh_walk_would(self, planner):
         """Every record carries the estimates a fresh unpinned estimator
-        walks out of the executed term at that moment — across repeat
-        executions (the growth observations of cost-planned ones move
-        the assumed closure growth under the memo) and a store write."""
+        walks out of the executed term as the run starts, before the run
+        feeds its own fixpoint growth back — across repeat executions
+        (the growth observations of cost-planned ones move the assumed
+        closure growth under the memo) and a store write."""
         from repro.planner import estimate_kind_rows
         from repro.ra.stats import Estimator
 
@@ -132,13 +133,12 @@ class TestCalibrationLog:
                         if a != b and (a, b) not in present
                     )])
                 for handle in handles:
-                    handle.execute()
-                    record = session.calibration_log.records[-1]
                     term = handle.plan.term
                     fresh = Estimator(store)
-                    assert record.op_estimates == estimate_kind_rows(
-                        term, store, fresh
-                    )
+                    expected = estimate_kind_rows(term, store, fresh)
+                    handle.execute()
+                    record = session.calibration_log.records[-1]
+                    assert record.op_estimates == expected
                     if handle.choice is None:
                         assert record.estimated_rows == fresh.rows(term)
                     else:
@@ -201,11 +201,35 @@ class TestCalibrationLog:
             assert len(walked) == 2
             assert walked[0] == walked[1] == handle.plan.term
 
+    def test_cold_recursive_cost_planned_runs_walk_once(self, monkeypatch):
+        """Planning seeds the telemetry estimates of the winner it
+        ranked, and the run records them before it feeds its fixpoint
+        growth back: a cold cost-planned recursive execution walks its
+        term once, not once to rank and again to log."""
+        from repro.engine import telemetry as telemetry_module
+
+        walked = []
+        walk = telemetry_module._Estimates.walk
+
+        def counting(cls, term, estimator):
+            walked.append(term)
+            return walk(term, estimator)
+
+        monkeypatch.setattr(
+            telemetry_module._Estimates, "walk", classmethod(counting)
+        )
+        recursive = [query for query in WORKLOAD if "+" in query]
+        with _session() as session:
+            for query in recursive:
+                session.execute(query, "vec", exec_options=COST, rewrite=False)
+            assert len(session.calibration_log.records) == len(recursive)
+            assert len(walked) == len(recursive)
+
     @pytest.mark.parametrize("planner", ["greedy", "cost"])
     def test_fresh_handles_log_what_a_per_handle_walk_would(self, planner):
         """The per-plan memo changes no record: each fresh handle's
         record holds exactly the estimates a walk of its own term, by a
-        fresh unpinned estimator, gives at that moment."""
+        fresh unpinned estimator, gives as the run starts."""
         from repro.planner import estimate_kind_rows
         from repro.ra.stats import Estimator
 
@@ -223,13 +247,12 @@ class TestCalibrationLog:
                 for query in WORKLOAD:
                     # What ``execute(text)`` does: a fresh handle per call.
                     handle = session.prepare(query, exec_options=options)
-                    handle.execute()
-                    record = session.calibration_log.records[-1]
                     term = handle.plan.term
                     fresh = Estimator(store)
-                    assert record.op_estimates == estimate_kind_rows(
-                        term, store, fresh
-                    )
+                    expected = estimate_kind_rows(term, store, fresh)
+                    handle.execute()
+                    record = session.calibration_log.records[-1]
+                    assert record.op_estimates == expected
                     if handle.choice is None:
                         assert record.estimated_rows == fresh.rows(term)
                     else:

@@ -48,10 +48,33 @@ for queries, session in (
 """
 
 
-def _render(seed: str, padding: int) -> bytes:
+#: A chain over one symmetric relation: every bracketing of its
+#: sub-chains ties in estimate, so the chain planner keeps the parsed one
+#: (ties break by position, never by hash order).
+TIED = "x1, x2 <- (x1, knows/knows/knows, x2)"
+
+#: Prints the cost-planned explain of :data:`TIED` on the columnar
+#: backend, rewritten and not.
+RENDER_TIED = f"""
+import sys
+
+from repro.datasets.ldbc import ldbc_session
+from repro.engine.options import ExecOptions
+from repro.ra.terms import Rel
+
+padding = [Rel(f"padding{{index}}") for index in range(int(sys.argv[1]))]
+with ldbc_session(0.05) as session:
+    for rewrite in (True, False):
+        options = ExecOptions(backend="vec", planner="cost")
+        report = session.explain({TIED!r}, rewrite=rewrite, exec_options=options)
+        print(report.render())
+"""
+
+
+def _render(seed: str, padding: int, script: str = RENDER) -> bytes:
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     done = subprocess.run(
-        [sys.executable, "-c", RENDER, str(padding)],
+        [sys.executable, "-c", script, str(padding)],
         env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
         capture_output=True,
         timeout=300,
@@ -64,3 +87,23 @@ def test_explain_text_is_the_same_across_hash_seeds_and_addresses():
     first, second = _render("1", 0), _render("2", 3)
     assert first.count(b"\n== ") + 1 == 2 * 2 * 48
     assert first == second
+
+
+def test_tied_chain_keeps_its_parsed_bracketing_under_any_hash_seed():
+    from repro.datasets.ldbc import ldbc_session
+    from repro.query.parser import parse_query
+    from repro.ra.stats import Estimator
+    from repro.ra.translate import TranslationContext, ucqt_to_ra
+
+    first = _render("1", 0, RENDER_TIED)
+    assert first == _render("2", 3, RENDER_TIED)
+    query = parse_query(TIED)
+    with ldbc_session(0.05) as session:
+        knows = Estimator(session.store).estimate(
+            ucqt_to_ra(parse_query("x1, x2 <- (x1, knows, x2)"))
+        )
+        assert knows.ndv("x1") == knows.ndv("x2")  # symmetric
+        planned = ucqt_to_ra(
+            query, TranslationContext(estimator=Estimator(session.store))
+        )
+    assert planned is ucqt_to_ra(query, TranslationContext())

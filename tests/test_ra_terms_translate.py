@@ -197,6 +197,51 @@ class TestCqtTranslation:
         assert {row[0] for row in rows} == set(expected)
 
 
+class TestChainPlanner:
+    """With an estimator the translator plans each concatenation chain;
+    without one, or past ``MAX_PLANNED_CHAIN`` elements, it keeps the
+    parsed bracketing."""
+
+    @staticmethod
+    def _planned(store, text):
+        from repro.ra.stats import Estimator
+
+        query = parse_query(f"x1, x2 <- (x1, {text}, x2)")
+        return query, ucqt_to_ra(
+            query, TranslationContext(estimator=Estimator(store))
+        )
+
+    @pytest.mark.parametrize(
+        "text, seed_table",
+        [
+            # S / R+: the closure grows from the head's targets.
+            ("knows/replyOf+", "knows"),
+            # R+ / T: the closure grows back from the rest's sources.
+            ("replyOf+/hasCreator", "hasCreator"),
+        ],
+    )
+    def test_closure_is_seeded_by_its_neighbour(
+        self, ldbc_small, text, seed_table
+    ):
+        _, graph, store = ldbc_small
+        query, term = self._planned(store, text)
+        (fix,) = [node for node in term.walk() if isinstance(node, Fix)]
+        assert seed_table in {
+            node.name for node in fix.base.walk() if isinstance(node, Rel)
+        }
+        columns, rows = evaluate_term(term, store)
+        assert frozenset(rows) == evaluate_path(graph, parse(text))
+
+    def test_long_chain_keeps_parsed_bracketing(self, ldbc_small):
+        from repro.ra.translate import MAX_PLANNED_CHAIN
+
+        _, _, store = ldbc_small
+        text = "/".join(["knows", "workAt", "-workAt"] * 3)
+        assert text.count("/") + 1 > MAX_PLANNED_CHAIN
+        query, term = self._planned(store, text)
+        assert term is ucqt_to_ra(query, TranslationContext())
+
+
 #: A term spec is ``(class name, *fields)``, with a nested spec in each
 #: field that holds a sub-term; these are those fields' positions.
 _CHILD_FIELDS = {
