@@ -143,7 +143,7 @@ class VecBackend:
         fix_capture: dict | None = None,
     ) -> ResultSet:
         """Execute, optionally collecting per-operator actual
-        cardinalities (the adaptive planner's feedback signal).
+        cardinalities (the Q-error telemetry's actual rows).
 
         ``fix_capture``, when a dict, receives the materialised totals
         of the program's closed fixpoints (integer-code rows keyed by

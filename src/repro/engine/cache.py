@@ -159,7 +159,7 @@ class LruCache:
         return value
 
     def evict(self, key: Hashable) -> bool:
-        """Drop one entry (the adaptive planner's re-plan path).
+        """Drop one entry (a stale result-cache entry).
 
         Returns True when the key was cached. Counters are untouched —
         eviction is bookkeeping, not a lookup.

@@ -25,7 +25,6 @@ from repro.errors import BackendUnavailableError, QueryTimeout, ReproError
 from repro.exec.executor import ExecutionStats
 from repro.exec.result import EMPTY, ResultSet
 from repro.graph.evaluator import EvalBudget, as_budget
-from repro.ra.stats import store_statistics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.session import PreparedQuery
@@ -146,9 +145,10 @@ class Dispatcher:
         ``execute_with_stats`` for a lone columnar plan, else ``execute``.
 
         Answers with a result-cache key are stored with the fixpoint
-        totals their maintenance needs, cost-planned plans feed the
-        planner, and the handles report the run's counters as
-        ``last_execution_stats``. Failures raise as they are.
+        totals their maintenance needs, cost-planned plans add their
+        root estimate next to their result size, and the handles report
+        the run's counters as ``last_execution_stats``. Failures raise
+        as they are.
         """
         first = group[0]
         session = first.session
@@ -188,7 +188,6 @@ class Dispatcher:
                     stats.peak_estimate_bytes = max(
                         stats.peak_estimate_bytes, choice.peak_bytes
                     )
-                    session.planning.observe(handle, len(answer))
                 handle.last_execution_stats = stats
             if key is not None:
                 session.results.put(
@@ -196,14 +195,6 @@ class Dispatcher:
                     captures[position] if captures else None,
                 )
         session.telemetry.record(group, rows, stats)
-        if cost_planned and stats is not None:
-            # After the record: its estimates are the ones the plan was
-            # ranked under, which the observed growth would move.
-            # Memoised subtrees make the run's fixpoint counters
-            # unattributable per plan: their growth is fed once.
-            growth = stats.observed_fixpoint_growth
-            if growth is not None:
-                store_statistics(session.store).observe_fixpoint_growth(growth)
         return rows
 
     # -- graceful degradation ----------------------------------------------

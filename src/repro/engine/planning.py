@@ -1,12 +1,13 @@
-"""Plan selection: which compiled plan a query runs, and when to re-plan.
+"""Plan selection: which compiled plan a query runs.
 
 :class:`Planning` alone decides how a query becomes an executable plan
 on one backend, and owns the plan cache that memoises the decision.
 ``greedy`` compiles the rewriter's own choice; ``cost`` enumerates the
 query's candidates once (original, full and partial rewrites, join
 orders), ranks them once under the one cost profile and compiles the
-winner for the backend asked for. It evicts a plan whose root estimate
-missed by more than ``replan_error_threshold``.
+winner for the backend asked for. Either way a query is planned once per
+plan-cache lifetime: the choice depends on the query, the schema and the
+store snapshot, never on what ran before it.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from repro.exec.kernels import default_kernel, get_kernel
 from repro.exec.spill import default_spill_threshold, spill_supported
 from repro.planner import PlanChoice, PlanningPass
 from repro.query.model import UCQT, drop_unsatisfiable_disjuncts
-from repro.ra.stats import store_statistics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.session import GraphSession, PreparedQuery
+    from repro.engine.session import GraphSession
 
 #: Compiled winners one cost-planned entry keeps (one per backend /
 #: option-values / byte-cap combination asked for; oldest dropped).
@@ -42,7 +42,6 @@ class PlannedQuery:
     entry, so evicting it re-plans all of it.
     """
 
-    key: tuple
     planning: PlanningPass
     #: Wall-clock spent planning this entry (reported, never decided on).
     seconds: float = 0.0
@@ -53,21 +52,10 @@ class PlannedQuery:
 
 
 class Planning:
-    """A session's plan cache, plan choice and planner feedback."""
+    """A session's plan cache and plan choice."""
 
-    def __init__(self, cache_size: int, replan_error_threshold: float):
-        if replan_error_threshold < 1.0:
-            raise ValueError(
-                "replan_error_threshold is an error *factor* "
-                f"(max/min >= 1), got {replan_error_threshold!r}"
-            )
-        #: Estimated-vs-actual error factor beyond which a cost-planned
-        #: entry is evicted from the plan cache and planned again
-        #: against the corrected statistics.
-        self.replan_error_threshold = replan_error_threshold
+    def __init__(self, cache_size: int):
         self.plans = LruCache(cache_size)
-        self.observations = 0
-        self.replans = 0
         self.candidates_enumerated = 0
         self.plan_seconds = 0.0
         #: Memory-dimension planning counters (``planner_stats``).
@@ -180,11 +168,10 @@ class Planning:
         def plan() -> PlannedQuery:
             started = time.perf_counter()
             planned = PlannedQuery(
-                key,
                 PlanningPass.for_query(
                     query, session.schema, session.store,
                     rewrite=rewrite, options=options,
-                ),
+                )
             )
             self.candidates_enumerated += len(planned.planning.candidates)
             self._charge(planned, started)
@@ -241,37 +228,3 @@ class Planning:
         if threshold is None:
             options = replace(options, spill_threshold_bytes=limit)
         return options, choice.with_memory(spill=True)
-
-    def observe(self, prepared: "PreparedQuery", actual_rows: int) -> None:
-        """Close the planning loop after one cost-planned execution.
-
-        The root estimated/actual pair goes into the per-store
-        :class:`~repro.ra.stats.StoreStatistics` correction table. When
-        the error factor exceeds :attr:`replan_error_threshold`, the
-        query's planner entry is evicted so the next ``prepare``
-        re-plans against the corrected statistics — once: a plan whose
-        previous feedback already exceeded it is kept, so a persistently
-        misestimated plan costs one re-plan per store snapshot.
-        """
-        choice = prepared.choice
-        if choice is None:
-            return
-        store_stats = store_statistics(prepared.session.store)
-        self.observations += 1
-        # Per-backend token: each backend's executions feed back, and
-        # trigger their one re-plan, on their own.
-        token = f"{prepared.backend.name}:{prepared.query}"
-        previous = store_stats.feedback.get(token)
-        error = store_stats.record_plan_feedback(
-            token, choice.winner.rows, actual_rows
-        )
-        already_replanned = (
-            previous is not None and previous[2] > self.replan_error_threshold
-        )
-        if (
-            error > self.replan_error_threshold
-            and not already_replanned
-            and prepared.planned is not None
-        ):
-            if self.plans.evict(prepared.planned.key):
-                self.replans += 1

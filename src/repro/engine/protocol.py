@@ -81,7 +81,7 @@ class Backend(Protocol):
           :class:`~repro.exec.executor.ExecutionStats` with actual
           per-operator cardinalities; the session runs a lone plan of
           such a backend through it and feeds the counters to the
-          Q-error log and the adaptive feedback loop.
+          Q-error log.
         * ``run_plans(session, plans, budget, stats, fix_captures) ->
           [rows]`` — the batched hook: several plans prepared under one
           :class:`ExecOptions` run through one executor under one

@@ -43,7 +43,6 @@ from repro.graph.evaluator import EvalBudget, ResourceBudget
 from repro.graph.model import PropertyGraph
 from repro.planner import CalibrationLog, PlanChoice, validate_planner
 from repro.query.model import UCQT
-from repro.ra.stats import store_statistics
 from repro.schema.model import GraphSchema
 from repro.sql.sqlite_backend import SqliteBackend
 from repro.storage.relational import RelationalStore
@@ -178,7 +177,6 @@ class GraphSession:
         rewrite_options: RewriteOptions | None = None,
         cache_size: int = 256,
         result_cache_size: int = 0,
-        replan_error_threshold: float = 8.0,
         exec_options: ExecOptions | None = None,
         breaker_config: BreakerConfig | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -190,7 +188,7 @@ class GraphSession:
         self._store = store
         self.rewrite_options = rewrite_options or RewriteOptions()
         self.frontend = Frontend(graph, schema, aliases, store, cache_size)
-        self.planning = Planning(cache_size, replan_error_threshold)
+        self.planning = Planning(cache_size)
         self.dispatcher = Dispatcher(breaker_config, retry_policy)
         self.results = ResultCache(result_cache_size)
         self.telemetry = Telemetry()
@@ -406,18 +404,16 @@ class GraphSession:
 
     @property
     def planner_stats(self) -> dict:
-        """Counters of the adaptive planning loop (cost planner only)."""
+        """What planning did: candidates enumerated and time spent by the
+        cost planner, the rewrites gated, the memory decisions and the
+        Q-error telemetry. A query is ranked once per plan-cache
+        lifetime, so no counter here moves a plan."""
         planning = self.planning
-        store_stats = store_statistics(self.store)
         spill = self._spill_manager
         return {
             "mode": self.planner,
-            "observations": planning.observations,
-            "replans": planning.replans,
             "candidates_enumerated": planning.candidates_enumerated,
             "plan_seconds": planning.plan_seconds,
-            "observed_fixpoint_growth": store_stats.observed_fixpoint_growth,
-            "feedback_entries": len(store_stats.feedback),
             "rewrites_gated": self.frontend.rewrites_gated,
             "instance_conforming": self.frontend.conforming,
             "resilience": self.resilience_stats(),

@@ -18,8 +18,8 @@ from repro.engine.cache import MEMO_SIZE
 from repro.exec.executor import ExecutionStats
 from repro.exec.result import ResultSet
 from repro.planner import CalibrationLog, estimate_kind_rows
-from repro.ra.stats import Estimator, unpinned_fixpoint_growth
-from repro.ra.terms import Fix, RaTerm
+from repro.ra.stats import Estimator
+from repro.ra.terms import RaTerm
 from repro.storage.relational import RelationalStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -30,31 +30,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class _Estimates:
     """What the calibration log records as estimated for one term.
 
-    Valid while a fresh unpinned :class:`Estimator` over the store would
-    walk the same numbers: at store ``version`` and, when the term holds
-    a fixpoint, under closure growth ``growth`` (``None``: no fixpoint,
-    the estimates do not depend on it). Telemetry memoises one per
+    Valid while the store is at ``version``: a fresh :class:`Estimator`
+    walks the same numbers until a write. Telemetry memoises one per
     executed term (:meth:`Telemetry.estimates`), so every handle of a
     cached plan shares it.
     """
 
     version: int
-    growth: float | None
     op_rows: Mapping[str, float]
     root_rows: float
 
-    def current(self, store: RelationalStore) -> bool:
-        return self.version == store.version and (
-            self.growth is None
-            or self.growth == unpinned_fixpoint_growth(store)
-        )
-
     @classmethod
     def walk(cls, term: RaTerm, estimator: Estimator) -> "_Estimates":
-        recursive = any(isinstance(node, Fix) for node in term.walk())
         return cls(
             estimator.version,
-            estimator.fixpoint_growth if recursive else None,
             estimate_kind_rows(term, estimator.store, estimator),
             estimator.rows(term),
         )
@@ -85,8 +74,8 @@ class Telemetry:
         each executed term (ra/vec; black-box backends contribute
         root-only records), a root estimate from the planner's winning
         candidate when cost-planned, else from the estimator directly.
-        The walk is what a fresh unpinned estimator sees at the time of
-        the execution, memoised per executed term (:meth:`estimates`).
+        The walk is what a fresh estimator sees at the time of the
+        execution, memoised per executed term (:meth:`estimates`).
         """
         store = handles[0].session.store
         op_estimates: Counter | None = None
@@ -122,13 +111,12 @@ class Telemetry:
 
         Keyed by the term, so every handle drawn from one cached plan —
         a fresh handle per ``execute(text)`` — shares one walk. The walk
-        is redone (over ``estimator``, else a fresh unpinned one) only
-        when a write or a change in fixpoint growth could have moved its
-        numbers (:meth:`_Estimates.current`). Plain dict operations: two
-        threads racing here cost at most a duplicate walk.
+        is redone (over ``estimator``, else a fresh one) after a write.
+        Plain dict operations: two threads racing here cost at most a
+        duplicate walk.
         """
         estimates = self._estimates.get(term)
-        if estimates is None or not estimates.current(store):
+        if estimates is None or estimates.version != store.version:
             if estimator is None:
                 estimator = Estimator(store)
             estimates = _Estimates.walk(term, estimator)

@@ -103,9 +103,9 @@ class ExecutionStats:
     the store's dictionary encoding instead of triggering a rebuild.
 
     The ``*_rows`` counters are **actual cardinalities** per operator
-    kind, counted as each operator materialises its output — the
-    feedback signal of the adaptive cost planner (fixpoint total vs base
-    rows corrects the growth assumption). ``estimated_rows`` /
+    kind, counted as each operator materialises its output — the Q-error
+    telemetry compares them with the cost model's estimates, and never
+    feeds them back into a plan. ``estimated_rows`` /
     ``actual_rows`` carry the planner's root-level estimate next to the
     observed result size; :attr:`cardinality_error` is their ratio.
 
@@ -137,7 +137,6 @@ class ExecutionStats:
     union_rows: int = 0
     select_rows: int = 0
     project_rows: int = 0
-    fixpoint_base_rows: int = 0
     fixpoint_rows: int = 0
     scan_seconds: float = 0.0
     join_seconds: float = 0.0
@@ -179,13 +178,6 @@ class ExecutionStats:
         estimated = max(self.estimated_rows, 1.0)
         actual = max(float(self.actual_rows), 1.0)
         return max(estimated, actual) / min(estimated, actual)
-
-    @property
-    def observed_fixpoint_growth(self) -> float | None:
-        """Actual total/base row ratio over every fixpoint evaluated."""
-        if self.fixpoint_base_rows <= 0:
-            return None
-        return self.fixpoint_rows / self.fixpoint_base_rows
 
     def merge(self, other: "ExecutionStats") -> None:
         # Total over every counter field: a counter added to this class
@@ -478,8 +470,8 @@ class _Runner:
         ``exclusive`` seconds of its own, in the stats and the budget."""
         self.stats.ops_evaluated += 1
         # Actual cardinalities and exclusive timings per operator kind:
-        # the feedback the adaptive planner compares against its
-        # estimates, and the per-operator times the ledger reports.
+        # what the Q-error telemetry compares with the estimates, and
+        # the per-operator times the ledger reports.
         stats = self.stats
         if isinstance(op, ScanOp):
             stats.scan_rows += rows
@@ -628,7 +620,6 @@ class _Runner:
     def _eval_fixpoint(self, op: FixOp, env: dict):
         kernel = self.kernel
         base = self._eval(op.base, env)
-        self.stats.fixpoint_base_rows += kernel.nrows(base)
         state = kernel.empty_state()
         delta, state = kernel.difference(base, state, self.domain)
         empty = kernel.empty(len(op.columns))

@@ -13,11 +13,10 @@ physical cost model:
 
 Sessions opt in with ``ExecOptions(planner="cost")``, as the session
 default (``GraphSession(..., exec_options=...)``) or per call
-(``session.execute(query, exec_options=...)``);
-execution feeds actual cardinalities back into the per-store
-:class:`~repro.ra.stats.StoreStatistics` correction table, and plans
-whose estimates drift past the session's re-plan threshold are planned
-again against the corrected statistics.
+(``session.execute(query, exec_options=...)``).
+A query is ranked once per plan-cache lifetime, from the store's
+statistics alone; executions log their actual cardinalities for Q-error
+telemetry (:class:`CalibrationLog`) but never move a plan.
 """
 
 from repro.planner.candidates import (

@@ -256,12 +256,10 @@ class PlanningPass:
     keeps in its plan cache for the query, so once a winner is compiled
     the estimator (its memos are the bulk of a pass's memory, and it
     pins the store) is let go with :meth:`release`; a later memory
-    estimate builds a new one on the same ``fixpoint_growth``.
+    estimate builds a new one.
     """
 
     candidates: list[PlanCandidate]
-    #: The closure growth every estimate of this pass assumes.
-    fixpoint_growth: float
     ranking: PlanChoice | None = None
     estimator: Estimator | None = field(default=None, repr=False)
 
@@ -288,11 +286,11 @@ class PlanningPass:
             max_partial=max_partial,
             join_orders=join_orders,
         )
-        return cls(candidates, estimator.fixpoint_growth, estimator=estimator)
+        return cls(candidates, estimator=estimator)
 
     def _estimator(self, store: RelationalStore) -> Estimator:
         if self.estimator is None:
-            self.estimator = Estimator(store, self.fixpoint_growth)
+            self.estimator = Estimator(store)
         return self.estimator
 
     def release(self) -> None:

@@ -9,10 +9,9 @@ drive the optimizer's join ordering and the planner's costs
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING
 from weakref import WeakKeyDictionary
 
 from repro.ra.terms import (
@@ -33,42 +32,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Assumed growth of a transitive closure over its base relation. Real
 #: engines estimate recursive CTEs crudely too (PostgreSQL assumes 10x the
-#: non-recursive term); 4x keeps plans sensible at our scales. The
-#: effective value adapts: the per-store correction table fed by
-#: observed fixpoint cardinalities replaces it.
+#: non-recursive term); 4x keeps plans sensible at our scales. Every
+#: estimate uses it, so a plan depends only on the query, the schema and
+#: the store snapshot, never on which queries ran before it.
 FIXPOINT_GROWTH = 4.0
-
-#: Observed fixpoint growth ratios are clamped into this band before they
-#: enter the correction table: a closure is at least its base, and a
-#: single pathological query must not poison every later estimate.
-_GROWTH_OBSERVATION_BAND = (1.0, 64.0)
-_MAX_OBSERVATIONS = 64
-_MAX_FEEDBACK_ENTRIES = 256
-
-
-def validate_fixpoint_growth(value) -> float:
-    """Validate a fixpoint-growth setting; returns it as a float.
-
-    Accepts any finite number >= 1 (a transitive closure contains its
-    base relation, so growth below 1 is meaningless).
-    """
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"fixpoint growth must be a number, got {value!r}"
-        ) from None
-    if not math.isfinite(number) or number < 1.0:
-        raise ValueError(
-            f"fixpoint growth must be a finite number >= 1, got {value!r}"
-        )
-    return number
-
-
-def default_fixpoint_growth() -> float:
-    """The fixpoint growth assumed before anything was observed or
-    pinned: :data:`FIXPOINT_GROWTH`."""
-    return FIXPOINT_GROWTH
 
 
 class StoreStatistics:
@@ -78,16 +45,8 @@ class StoreStatistics:
     same counts on every call (one fresh :class:`Estimator` per
     ``optimize_term``), so the scans are cached here per
     ``(store, store.version)`` snapshot. Store writes bump the version,
-    which retires the snapshot on the next lookup.
-
-    The snapshot doubles as the planner's **correction table**: sessions
-    feed actual cardinalities observed during execution back in
-    (:meth:`observe_fixpoint_growth`, :meth:`record_plan_feedback`), and
-    later estimates consult the corrections
-    (:attr:`observed_fixpoint_growth`). Barrier writes retire the
-    corrections together with the row and NDV counts they were observed
-    under; append-only writes carry them into the successor snapshot
-    (:meth:`carry_from`) so the planner keeps what it has learned.
+    which retires the snapshot on the next lookup; append-only writes
+    carry the memos into the successor snapshot (:meth:`carry_from`).
     """
 
     def __init__(self, store: RelationalStore):
@@ -97,10 +56,6 @@ class StoreStatistics:
         self.version = store.version
         self._rows: dict[str, int] = {}
         self._ndv: dict[tuple[str, str], int] = {}
-        self._growth_observations: list[float] = []
-        #: token -> (estimated rows, actual rows, error factor); the
-        #: latest execution feedback per plan, bounded FIFO.
-        self._feedback: dict[Hashable, tuple[float, float, float]] = {}
 
     def _table(self, name: str):
         store = self._store_ref()
@@ -123,65 +78,16 @@ class StoreStatistics:
             self._ndv[key] = cached
         return cached
 
-    # -- the adaptive correction table ------------------------------------
-    def observe_fixpoint_growth(self, ratio: float) -> None:
-        """Record one actual total/base cardinality ratio of a fixpoint."""
-        low, high = _GROWTH_OBSERVATION_BAND
-        ratio = min(max(float(ratio), low), high)
-        self._growth_observations.append(ratio)
-        if len(self._growth_observations) > _MAX_OBSERVATIONS:
-            del self._growth_observations[0]
-
-    @property
-    def observed_fixpoint_growth(self) -> float | None:
-        """Geometric mean of the observed growth ratios (None: no data).
-
-        The geometric mean is the right average for a multiplicative
-        quantity — one 16x and one 1x observation should correct towards
-        4x, not 8.5x.
-        """
-        if not self._growth_observations:
-            return None
-        log_sum = sum(math.log(r) for r in self._growth_observations)
-        return math.exp(log_sum / len(self._growth_observations))
-
-    def record_plan_feedback(
-        self, token: Hashable, estimated: float, actual: float
-    ) -> float:
-        """Record one estimated-vs-actual root cardinality pair.
-
-        Returns the *error factor* ``max(e, a) / min(e, a)`` (>= 1.0,
-        with both sides floored at one row so empty results do not
-        divide by zero). The caller decides whether the error warrants
-        re-planning.
-        """
-        est = max(float(estimated), 1.0)
-        act = max(float(actual), 1.0)
-        error = max(est, act) / min(est, act)
-        self._feedback[token] = (estimated, actual, error)
-        if len(self._feedback) > _MAX_FEEDBACK_ENTRIES:
-            self._feedback.pop(next(iter(self._feedback)))
-        return error
-
-    @property
-    def feedback(self) -> dict[Hashable, tuple[float, float, float]]:
-        """The recorded (estimated, actual, error) triples per plan token."""
-        return dict(self._feedback)
-
     def carry_from(
         self, previous: "StoreStatistics", appended: dict[str, frozenset]
     ) -> None:
         """Seed this snapshot from its predecessor across an append delta.
 
-        Growth observations and plan feedback are learned corrections,
-        not row scans — appends do not falsify them, so the planner must
-        not re-learn from scratch after every write. Memoised row counts
-        of changed tables are advanced by exactly the delta size (delta
-        rows are genuinely new); their distinct counts are dropped and
-        rescanned lazily. Unchanged tables keep every memo.
+        Memoised row counts of changed tables are advanced by exactly
+        the delta size (delta rows are genuinely new); their distinct
+        counts are dropped and rescanned lazily. Unchanged tables keep
+        every memo.
         """
-        self._growth_observations = list(previous._growth_observations)
-        self._feedback = dict(previous._feedback)
         for name, count in previous._rows.items():
             self._rows[name] = count + len(appended.get(name, ()))
         for key, value in previous._ndv.items():
@@ -198,8 +104,8 @@ def store_statistics(store: RelationalStore) -> StoreStatistics:
     """The memoised statistics snapshot for ``store``'s current version.
 
     Across append-only writes the fresh snapshot inherits its
-    predecessor's adaptive corrections (and delta-adjusted row memos)
-    via :meth:`StoreStatistics.carry_from`; barrier writes start clean.
+    predecessor's delta-adjusted memos via
+    :meth:`StoreStatistics.carry_from`; barrier writes start clean.
     """
     stats = _STATISTICS.get(store)
     if stats is None or stats.version != store.version:
@@ -212,14 +118,6 @@ def store_statistics(store: RelationalStore) -> StoreStatistics:
             stats.carry_from(previous, deltas)
         _STATISTICS[store] = stats
     return stats
-
-
-def unpinned_fixpoint_growth(store: RelationalStore) -> float:
-    """The closure growth an :class:`Estimator` assumes when none is
-    pinned: the growth observed on ``store`` so far, else the process
-    default."""
-    observed = store_statistics(store).observed_fixpoint_growth
-    return default_fixpoint_growth() if observed is None else observed
 
 
 @dataclass(frozen=True)
@@ -295,14 +193,8 @@ class Estimate:
 class Estimator:
     """Estimates cardinalities for RA terms against a store.
 
-    ``fixpoint_growth`` pins the assumed closure growth for this
-    estimator (a planning pass rebuilding its released estimator keeps
-    the growth it planned under). When left ``None`` the estimator
-    starts from
-    :data:`FIXPOINT_GROWTH` and applies the store's adaptive
-    correction: once executions have fed actual fixpoint cardinalities
-    back into the :class:`StoreStatistics` snapshot, the observed
-    geometric-mean growth replaces the guess.
+    A closure is assumed to grow :data:`FIXPOINT_GROWTH` times over its
+    base, so two estimators over one store snapshot agree on every term.
 
     One estimator serves one planning pass: estimates and output columns
     are memoised per distinct term (terms are interned, so a lookup is
@@ -310,17 +202,10 @@ class Estimator:
     the pass's candidates shares them through it.
     """
 
-    def __init__(
-        self, store: RelationalStore, fixpoint_growth: float | None = None
-    ):
+    def __init__(self, store: RelationalStore):
         self.store = store
         #: The store version the memoised estimates were taken at.
         self.version = store.version
-        if fixpoint_growth is not None:
-            fixpoint_growth = validate_fixpoint_growth(fixpoint_growth)
-        else:
-            fixpoint_growth = unpinned_fixpoint_growth(store)
-        self.fixpoint_growth = fixpoint_growth
         self._cache: dict[RaTerm, Estimate] = {}
         self._columns: dict[RaTerm, tuple[str, ...]] = {}
         #: Costed operators per term, filled by
@@ -382,10 +267,9 @@ class Estimator:
         raise TypeError(f"unknown RA term {term!r}")
 
     def closure(self, base: Estimate) -> Estimate:
-        """A fixpoint seeded with ``base``: the base grown by this
-        estimator's ``fixpoint_growth``, each distinct count at most
-        doubled."""
-        rows = base.rows * self.fixpoint_growth
+        """A fixpoint seeded with ``base``: the base grown by
+        :data:`FIXPOINT_GROWTH`, each distinct count at most doubled."""
+        rows = base.rows * FIXPOINT_GROWTH
         distinct = tuple(
             (name, min(rows, value * 2.0)) for name, value in base.distinct
         )

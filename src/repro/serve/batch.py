@@ -98,8 +98,8 @@ def execute_batch(
     set twice at the cost of one execution. ``exec_options`` overlays
     the session's defaults for the whole batch; its ``planner="cost"``
     plans every distinct query through the shared cost model (the
-    per-store statistics snapshot and its adaptive corrections are
-    shared across the whole batch), and the batch's
+    per-store statistics snapshot is shared across the whole batch),
+    and the batch's
     :class:`ExecutionStats` then carry the summed estimated-vs-actual
     root cardinalities and the peak memory estimate. With ``fallback``
     set, a retryable failure of a shared run re-executes only the plans

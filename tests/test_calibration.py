@@ -107,11 +107,10 @@ class TestCalibrationLog:
 
     @pytest.mark.parametrize("planner", ["greedy", "cost"])
     def test_memoised_estimates_log_what_a_fresh_walk_would(self, planner):
-        """Every record carries the estimates a fresh unpinned estimator
-        walks out of the executed term as the run starts, before the run
-        feeds its own fixpoint growth back — across repeat executions
-        (the growth observations of cost-planned ones move the assumed
-        closure growth under the memo) and a store write."""
+        """Every record carries the estimates a fresh estimator walks
+        out of the executed term as the run starts — across repeat
+        executions, which leave the memo valid, and a store write, which
+        retires it."""
         from repro.planner import estimate_kind_rows
         from repro.ra.stats import Estimator
 

@@ -1,4 +1,5 @@
-"""Plans do not depend on object addresses or the string-hash seed.
+"""Plans do not depend on object addresses, the string-hash seed or
+the queries that ran before them.
 
 µ-RA terms hash by identity (they are interned), so any set or dict of
 terms iterated in hash order would order a plan by memory address, and
@@ -8,7 +9,9 @@ every workload query, rewritten and not, on the columnar and the SQL
 backend, in two fresh processes, and compares the two byte for byte.
 The processes differ in their hash seed and in where their terms land:
 one first builds a few terms it keeps alive, which shifts the addresses
-of every later one.
+of every later one. A third test renders the same explains in one
+process before and after executing every query, and asserts that the
+executions moved no plan.
 """
 
 from __future__ import annotations
@@ -107,3 +110,41 @@ def test_tied_chain_keeps_its_parsed_bracketing_under_any_hash_seed():
             query, TranslationContext(estimator=Estimator(session.store))
         )
     assert planned is ucqt_to_ra(query, TranslationContext())
+
+
+def _cost_explains(session, queries, options) -> dict[tuple, str]:
+    """The cost-planned explain of each query, rewritten and not, cut
+    above its Q-error footer (the one section executions must move)."""
+    texts = {}
+    for query in queries:
+        for rewrite in (True, False):
+            text = session.explain(
+                query.text, rewrite=rewrite, exec_options=options
+            ).render()
+            texts[query.qid, rewrite] = text.split("\n\n-- q-error", 1)[0]
+    return texts
+
+
+def test_explain_text_does_not_depend_on_earlier_executions():
+    from repro.datasets.ldbc import ldbc_session
+    from repro.datasets.yago import yago_session
+    from repro.engine.options import ExecOptions
+    from repro.workloads import LDBC_QUERIES, YAGO_QUERIES
+
+    options = ExecOptions(backend="vec", planner="cost")
+    for queries, session in (
+        (YAGO_QUERIES, yago_session(0.02)),
+        (LDBC_QUERIES, ldbc_session(0.05)),
+    ):
+        with session:
+            cold = _cost_explains(session, queries, options)
+            for query in queries:
+                for rewrite in (True, False):
+                    for _ in range(2):
+                        session.execute(
+                            query.text, rewrite=rewrite, exec_options=options
+                        )
+            session.clear_caches()
+            warm = _cost_explains(session, queries[::-1], options)
+        assert len(cold) == 2 * len(queries)
+        assert warm == cold

@@ -1,7 +1,7 @@
 """Tests for :mod:`repro.ra.stats`: the ``with_rows`` zero-row guard,
-the configurable fixpoint growth and the ``StoreStatistics`` snapshot
-lifecycle (memoisation, version invalidation, weakref retirement, the
-adaptive correction table)."""
+the constant fixpoint growth and the ``StoreStatistics`` snapshot
+lifecycle (memoisation, version invalidation, the append carry, weakref
+retirement)."""
 
 from __future__ import annotations
 
@@ -14,10 +14,7 @@ from repro.ra.stats import (
     FIXPOINT_GROWTH,
     Estimate,
     Estimator,
-    StoreStatistics,
-    default_fixpoint_growth,
     store_statistics,
-    validate_fixpoint_growth,
 )
 from repro.ra.terms import Fix, Rel, Var
 from repro.storage.relational import RelationalStore, Table
@@ -65,42 +62,24 @@ class TestWithRows:
         assert grown.ndv("x") == 40.0  # growth never inflates NDV
 
 
-# -- configurable fixpoint growth -------------------------------------------
+# -- the constant fixpoint growth --------------------------------------------
+def _closure() -> Fix:
+    return Fix("X", Rel("edge"), Var("X", ("Sr", "Tr")))
+
+
 class TestFixpointGrowth:
-    def test_validate_accepts_numbers(self):
-        assert validate_fixpoint_growth(2) == 2.0
-        assert validate_fixpoint_growth("6.5") == 6.5
-
-    @pytest.mark.parametrize("bad", ["nope", None, 0.5, -3, float("inf"), float("nan")])
-    def test_validate_rejects(self, bad):
-        with pytest.raises(ValueError):
-            validate_fixpoint_growth(bad)
-
     def test_deleted_environment_default_changes_nothing(self, monkeypatch):
-        # The knob is ``ExecOptions(fixpoint_growth=)``; no process-wide
-        # spelling stays behind.
+        # No process-wide spelling of the growth stays behind.
         monkeypatch.setenv("REPRO_FIXPOINT_GROWTH", "9")
-        assert default_fixpoint_growth() == FIXPOINT_GROWTH
-        assert Estimator(_store()).fixpoint_growth == FIXPOINT_GROWTH
+        estimator = Estimator(_store())
+        assert estimator.rows(_closure()) == FIXPOINT_GROWTH * 3
 
     def test_estimator_uses_growth(self):
-        store = _store()
-        closure = Fix(
-            "X",
-            Rel("edge"),
-            Var("X", ("Sr", "Tr")),
+        estimator = Estimator(_store())
+        closure = _closure()
+        assert estimator.rows(closure) == pytest.approx(
+            FIXPOINT_GROWTH * estimator.rows(closure.base)
         )
-        default = Estimator(store).rows(closure)
-        doubled = Estimator(store, fixpoint_growth=8.0).rows(closure)
-        assert doubled == pytest.approx(2.0 * default)
-
-    def test_observed_growth_replaces_default(self):
-        store = _store()
-        snapshot = store_statistics(store)
-        snapshot.observe_fixpoint_growth(16.0)
-        assert Estimator(store).fixpoint_growth == pytest.approx(16.0)
-        # An explicit option still wins over observations.
-        assert Estimator(store, fixpoint_growth=2.0).fixpoint_growth == 2.0
 
 
 # -- StoreStatistics lifecycle ----------------------------------------------
@@ -130,32 +109,17 @@ class TestStoreStatisticsLifecycle:
         assert second.version == store.version
         assert second.row_count("other") == 1
 
-    def test_version_bump_resets_corrections(self):
-        """The correction table rides the snapshot: observations made
-        against one store version do not leak into the next."""
-        store = _store()
-        store_statistics(store).observe_fixpoint_growth(32.0)
-        store.add_table(
-            Table("other", ("Sr", "Tr"), {(7, 8)}), node_label=False
-        )
-        assert store_statistics(store).observed_fixpoint_growth is None
-
     def test_append_carries_corrections_forward(self):
-        """Append-only writes must not make the planner re-learn: the
-        successor snapshot inherits growth observations and feedback,
-        and row memos advance by exactly the delta size."""
+        """Append-only writes do not rescan what they cannot have moved:
+        row memos advance by exactly the delta size."""
         store = _store()
         first = store_statistics(store)
-        first.observe_fixpoint_growth(32.0)
-        first.record_plan_feedback("plan", 10.0, 20.0)
         assert first.row_count("edge") == 3
         assert first.distinct_count("edge", "Sr") == 3
         store.add_rows("edge", [(4, 40), (5, 50)])
         second = store_statistics(store)
         assert second is not first
         assert second.version == store.version
-        assert second.observed_fixpoint_growth == pytest.approx(32.0)
-        assert "plan" in second.feedback
         assert second._rows["edge"] == 5  # memo advanced, no rescan
         # NDV memos of changed tables are dropped and rescan lazily.
         assert ("edge", "Sr") not in second._ndv
@@ -172,11 +136,15 @@ class TestStoreStatisticsLifecycle:
         second = store_statistics(store)
         assert second._ndv[("other", "Sr")] == 1
 
-    def test_barrier_still_resets_corrections(self):
+    def test_barrier_write_starts_clean(self):
         store = _store()
-        store_statistics(store).observe_fixpoint_growth(32.0)
+        first = store_statistics(store)
+        assert first.row_count("edge") == 3
+        assert first.distinct_count("edge", "Sr") == 3
         store.replace_table(Table("edge", ("Sr", "Tr"), {(4, 40)}))
-        assert store_statistics(store).observed_fixpoint_growth is None
+        second = store_statistics(store)
+        assert not second._rows and not second._ndv
+        assert second.row_count("edge") == 1
 
     def test_weakref_retirement(self):
         store = _store()
@@ -195,34 +163,3 @@ class TestStoreStatisticsLifecycle:
         gc.collect()
         with pytest.raises(ReferenceError):
             snapshot.row_count("edge")
-
-
-# -- the correction table ----------------------------------------------------
-class TestCorrectionTable:
-    def test_observed_growth_geometric_mean(self):
-        snapshot = StoreStatistics(_store())
-        snapshot.observe_fixpoint_growth(16.0)
-        snapshot.observe_fixpoint_growth(1.0)
-        assert snapshot.observed_fixpoint_growth == pytest.approx(4.0)
-
-    def test_observations_clamped(self):
-        snapshot = StoreStatistics(_store())
-        snapshot.observe_fixpoint_growth(0.001)  # below the band
-        assert snapshot.observed_fixpoint_growth == pytest.approx(1.0)
-        snapshot2 = StoreStatistics(_store())
-        snapshot2.observe_fixpoint_growth(1e9)  # above the band
-        assert snapshot2.observed_fixpoint_growth == pytest.approx(64.0)
-
-    def test_record_plan_feedback_error_factor(self):
-        snapshot = StoreStatistics(_store())
-        assert snapshot.record_plan_feedback("q", 10.0, 1000.0) == pytest.approx(100.0)
-        assert snapshot.record_plan_feedback("q", 10.0, 10.0) == pytest.approx(1.0)
-        # Empty results do not divide by zero.
-        assert snapshot.record_plan_feedback("q", 0.0, 0.0) == pytest.approx(1.0)
-        assert snapshot.feedback["q"][2] == pytest.approx(1.0)
-
-    def test_feedback_bounded(self):
-        snapshot = StoreStatistics(_store())
-        for i in range(400):
-            snapshot.record_plan_feedback(f"q{i}", 1.0, 2.0)
-        assert len(snapshot.feedback) <= 256
