@@ -3,17 +3,19 @@
 For every workload query, with and without the schema rewrite, a fresh
 session's ``prepare`` on ``vec`` must pick the winning candidate and the
 ranked table that ``tests/data/plan_identity.json`` records, and every
-candidate's query text (the fresh-variable names of the partial
-rewrites included) must match. ``ra`` and ``sqlite`` must rank that
-same table, and ``auto`` must prepare it on ``vec``. A change that only
-makes planning cheaper leaves the table alone; one that is meant to
-change a plan regenerates it::
+candidate's query text (the rewrite's fresh-variable names included)
+must match. ``ra`` and ``sqlite`` must rank that same table, and
+``auto`` must prepare it on ``vec``. The greedy ``vec`` plan's logical
+tree is recorded beside it. A change that only makes planning cheaper
+leaves the table alone; one that is meant to change a plan regenerates
+it, and lists the entries whose winner changed against a saved copy::
 
+    cp tests/data/plan_identity.json OLD.json
     PYTHONPATH=src python tests/test_plan_identity.py --write
+    PYTHONPATH=src python tests/test_plan_identity.py --diff OLD.json
 
-Sessions are prepared, never executed: executions feed observed fixpoint
-growth back into the estimator, which would make the table depend on the
-order the queries ran in.
+Sessions are prepared, never executed, so the table holds what a cold
+prepare decides from the query, the schema and the store alone.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import pytest
 from repro.datasets.ldbc import ldbc_session
 from repro.datasets.yago import yago_session
 from repro.engine.options import ExecOptions
+from repro.planner.cost import cost_term
 from repro.workloads import LDBC_QUERIES, YAGO_QUERIES
 
 TABLE = pathlib.Path(__file__).parent / "data" / "plan_identity.json"
@@ -41,7 +44,8 @@ BACKENDS = ("vec", "ra", "sqlite", "auto")
 
 def plan_rows(session, text: str, rewrite: bool) -> dict:
     """One query's planning decisions: the ranked table ``vec``
-    prepares, checked against every other backend's."""
+    prepares, checked against every other backend's, and the greedy
+    ``vec`` plan's logical tree."""
     row: dict = {"candidates": {}, "plans": {}}
     for requested in BACKENDS:
         session.clear_caches()  # every backend plans from cold
@@ -65,6 +69,16 @@ def plan_rows(session, text: str, rewrite: bool) -> dict:
             "render": choice.render(),
         }
         assert row["plans"].setdefault("vec", plan) == plan, requested
+    session.clear_caches()
+    handle = session.prepare(
+        text, rewrite=rewrite,
+        exec_options=ExecOptions(backend="vec", planner="greedy"),
+    )
+    # The logical tree alone: it reads neither the kernel nor the spill
+    # setting, so every CI leg renders it the same.
+    row["greedy"] = cost_term(handle.plan.term, session.store).render(
+        session.store
+    )
     return row
 
 
@@ -88,7 +102,29 @@ def test_plans_match_the_committed_table(dataset):
         assert row == expected[key], key
 
 
+def winner_changes(old: dict, new: dict) -> list[str]:
+    """``dataset query/rewrite: old → new`` for every entry whose winner
+    differs between two tables (``-`` where an entry is missing)."""
+    lines = []
+    for dataset in sorted(set(old) | set(new)):
+        before, after = old.get(dataset, {}), new.get(dataset, {})
+        for key in sorted(set(before) | set(after)):
+            was = before.get(key, {}).get("plans", {}).get("vec", {})
+            now = after.get(key, {}).get("plans", {}).get("vec", {})
+            if was.get("winner") != now.get("winner"):
+                lines.append(
+                    f"{dataset} {key}: {was.get('winner', '-')} → "
+                    f"{now.get('winner', '-')}"
+                )
+    return lines
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--diff"] and len(sys.argv) == 3:
+        old = json.loads(pathlib.Path(sys.argv[2]).read_text())
+        for line in winner_changes(old, json.loads(TABLE.read_text())):
+            print(line)
+        sys.exit(0)
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
     TABLE.parent.mkdir(exist_ok=True)
