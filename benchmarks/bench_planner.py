@@ -4,8 +4,8 @@ The planner acceptance gate. Every workload query is prepared twice on
 the ``vec`` backend — once through the classic greedy pipeline
 (``planner="greedy"``: rewrite when the rewriter's own heuristic says
 so, one greedy join order) and once through the cost-based planner
-(``planner="cost"``: original / full rewrite / partial rewrites /
-alternative join orders, ranked under the vec cost profile). Rows are
+(``planner="cost"``: the original query and its schema rewrite, each
+in its greedy join order, ranked under the one cost profile). Rows are
 checked equal before timing; the artifact records per-query times, the
 winning candidate label and whether selection diverged from greedy.
 

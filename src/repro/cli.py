@@ -27,8 +27,9 @@ Four subcommands:
 
 ``query``, ``batch`` and ``serve`` accept
 ``--spill-threshold-bytes N`` / ``--spill-path DIR`` (out-of-core
-memmap spill on ``vec``), ``--planner {greedy,cost}`` (cost-based
-candidate selection instead of the linear rewrite pipeline) and
+memmap spill on ``vec``), ``--planner {greedy,cost}`` (the cost model
+chooses between the query as written and its schema rewrite, where the
+linear pipeline runs the rewrite) and
 ``--backend auto`` (the default backend under the cost planner; ``bench
 --engine`` takes registered backends only);
 ``repro query --explain --candidates`` prints the ranked candidate table. The serving subcommands cache whole
@@ -475,9 +476,8 @@ def _add_planner_argument(parser) -> None:
     parser.add_argument(
         "--planner", choices=("greedy", "cost"), default=None,
         help="plan selection: 'greedy' runs the linear rewrite pipeline, "
-        "'cost' enumerates candidate plans (original / rewritten / "
-        "partial rewrites / join orders) and executes the one the cost "
-        "model ranks cheapest (default: greedy)",
+        "'cost' plans the query as written and its schema rewrite and "
+        "executes the one the cost model ranks cheaper (default: greedy)",
     )
 
 

@@ -102,8 +102,7 @@ class RewriteResult:
 
 #: ``path expression -> (merged triples or None, stats it contributes)``:
 #: the naming-independent half of rewriting a relation, computed once per
-#: distinct expression of a query under one (schema, options) and shared
-#: by the full rewrite and every partial site.
+#: distinct expression of one query's rewrite.
 RelationAnalyses = dict[
     PathExpr, tuple[list[MergedTriple] | None, RewriteStats]
 ]
@@ -359,7 +358,7 @@ def _rewrite_cqt(
 
     Returns None if nothing changed, [] if the CQT is unsatisfiable.
     """
-    per_relation: list[list[QueryFragment] | None] = []
+    per_relation: list[list[QueryFragment]] = []
     any_change = False
     for relation in cqt.relations:
         stats.relations_total += 1
@@ -379,27 +378,11 @@ def _rewrite_cqt(
     if not any_change:
         return None
 
-    rewritten = _combine_fragments(cqt, per_relation, options, stats)
-    if rewritten is None:
-        stats.relations_reverted_by_guard += 1
-    return rewritten
-
-
-def _combine_fragments(
-    cqt: CQT,
-    per_relation: list[list[QueryFragment]],
-    options: RewriteOptions,
-    stats: RewriteStats,
-) -> list[CQT] | None:
-    """Distribute per-relation alternatives over the CQT.
-
-    Returns None when the product would exceed ``max_disjuncts`` (the
-    caller decides whether that counts as a guard reversion).
-    """
     combo_count = 1
     for alternatives in per_relation:
         combo_count *= len(alternatives)
     if combo_count > options.max_disjuncts:
+        stats.relations_reverted_by_guard += 1
         return None
 
     rewritten: list[CQT] = []
@@ -418,16 +401,10 @@ def rewrite_query(
     query: UCQT,
     schema: GraphSchema,
     options: RewriteOptions | None = None,
-    analyses: RelationAnalyses | None = None,
 ) -> RewriteResult:
-    """Run the full Rewriter pipeline on a UCQT query.
-
-    ``analyses`` lets a caller that goes on rewriting the same query
-    under the same schema and options (:func:`enumerate_rewrites`) keep
-    each relation's analysis instead of repeating it.
-    """
+    """Run the full Rewriter pipeline on a UCQT query."""
     options = options or RewriteOptions()
-    analyses = {} if analyses is None else analyses
+    analyses: RelationAnalyses = {}
     stats = RewriteStats()
     fresh = _fresh_namer(query)
 
@@ -449,162 +426,19 @@ def rewrite_query(
     return RewriteResult(query, result, reverted=False, stats=stats)
 
 
-def _rewrite_cqt_site(
-    cqt: CQT,
-    schema: GraphSchema,
-    options: RewriteOptions,
-    stats: RewriteStats,
-    fresh,
-    site: int,
-    analyses: RelationAnalyses,
-) -> list[CQT] | None:
-    """Rewrite exactly one relation of a CQT, keeping the others original.
-
-    The masked variant of :func:`_rewrite_cqt` behind the planner's
-    partial-rewrite candidates: relation ``site`` gets its schema
-    alternatives, every other relation is kept verbatim. Returns None if
-    the site yields nothing (no change or guard tripped), [] if the site
-    is unsatisfiable (the disjunct disappears).
-    """
-    per_relation: list[list[QueryFragment]] = []
-    for index, relation in enumerate(cqt.relations):
-        if index != site:
-            per_relation.append([QueryFragment(relations=[relation])])
-            continue
-        alternatives = _relation_alternatives(
-            relation, schema, options, stats, fresh, analyses
-        )
-        if alternatives == []:
-            return []
-        if alternatives is None:
-            return None
-        per_relation.append(alternatives)
-
-    return _combine_fragments(cqt, per_relation, options, stats)
-
-
 def enumerate_rewrites(
     query: UCQT,
     schema: GraphSchema,
     options: RewriteOptions | None = None,
-    max_partial: int = 6,
 ) -> list[tuple[str, RewriteResult]]:
-    """Candidate rewrites of a query, labelled, for the cost-based planner.
+    """The cost planner's rewrite candidate: ``[("rewritten", result)]``
+    for the full rewrite of ``query``, or ``[]`` when it reverted.
 
-    Today's pipeline is all-or-nothing: :func:`rewrite_query` either
-    commits to rewriting *every* relation that the schema can enrich or
-    reverts wholesale. This enumerates the middle ground as explicit
-    candidates:
-
-    * ``"rewritten"`` — the full rewrite (absent when it reverted),
-    * ``"partial[d.r]"`` — the schema rewriting applied to relation ``r``
-      of disjunct ``d`` only, every other relation kept original (at most
-      ``max_partial`` of these, only emitted when they differ from both
-      the original and the full rewrite).
-
-    Partial sites are tried even when the full rewrite *reverted*: the
-    all-or-nothing guard trips on the product of every relation's
-    alternatives, so a single-site rewrite can fit comfortably under
-    ``max_disjuncts`` where the full rewrite blew past it — exactly the
-    middle ground the boolean revert used to discard.
-
-    Each relation is analysed against the schema once for the whole
-    enumeration (the full rewrite does it, the sites reuse it), so a
-    relation the schema teaches nothing about is skipped before its
-    site is built; only the translation into fragments, with each
-    site's own fresh variable names, runs per site.
-
-    The original query itself is *not* in the list — it is always a
-    candidate and the caller adds it unconditionally.
+    The original query is *not* in the list — it is always a candidate
+    and the caller adds it unconditionally.
     """
-    options = options or RewriteOptions()
-    analyses: RelationAnalyses = {}
-    full = rewrite_query(query, schema, options, analyses)
-    candidates: list[tuple[str, RewriteResult]] = []
-    seen = {str(query)}
-    if not full.reverted:
-        candidates.append(("rewritten", full))
-        seen.add(str(full.query))
-
-    # Partial sites only make sense when there is more than one relation
-    # to toggle — with a single relation, "partial" IS the full rewrite.
-    if sum(len(cqt.relations) for cqt in query.disjuncts) < 2:
-        return candidates
-
-    partial_count = 0
-    for disjunct_index, cqt in enumerate(query.disjuncts):
-        for relation_index, relation in enumerate(cqt.relations):
-            if partial_count >= max_partial:
-                return candidates
-            analysis = analyses.get(relation.expr)
-            if analysis is not None and analysis[0] is None:
-                continue  # reverted: nothing to build a site from
-            stats = RewriteStats()  # throwaway: stats belong to the full run
-            fresh = _fresh_namer(query)
-            rewritten = _rewrite_cqt_site(
-                cqt, schema, options, stats, fresh, relation_index, analyses
-            )
-            if rewritten is None:
-                continue
-            disjuncts: list[CQT] = []
-            for index, original_cqt in enumerate(query.disjuncts):
-                if index == disjunct_index:
-                    disjuncts.extend(rewritten)
-                else:
-                    disjuncts.append(original_cqt)
-            partial = UCQT(query.head, tuple(disjuncts))
-            if str(partial) in seen:
-                continue
-            seen.add(str(partial))
-            partial_count += 1
-            candidates.append(
-                (
-                    f"partial[{disjunct_index}.{relation_index}]",
-                    RewriteResult(query, partial, reverted=False, stats=stats),
-                )
-            )
-    return candidates
-
-
-def prune_schema_for_query(schema: GraphSchema, query: UCQT) -> GraphSchema:
-    """The sub-schema reachable from the query's own labels.
-
-    Keeps exactly the schema edges whose edge label occurs in some
-    relation's path expression, their endpoint nodes, and any node
-    labels the query's label atoms mention. Sound for rewriting because
-    the inference engine and the redundancy remover only ever consult
-    the schema through the labels of the expression being rewritten
-    (``edges_for_label`` and the endpoint labels of those triples) —
-    edges of unrelated labels can never enter ``TS(ϕ)``.
-
-    Planning cost is what this buys: candidate enumeration over a
-    hundreds-of-relations schema stays proportional to the handful of
-    relations one query touches. Returns ``schema`` itself (no copy)
-    when nothing can be pruned.
-    """
-    edge_labels: set[str] = set()
-    atom_labels: set[str] = set()
-    for cqt in query.disjuncts:
-        for relation in cqt.relations:
-            edge_labels |= relation.expr.edge_labels()
-        for atom in cqt.atoms:
-            atom_labels |= set(atom.labels)
-    kept_edges = [
-        edge for edge in schema.edges() if edge.edge_label in edge_labels
-    ]
-    if len(kept_edges) == len(list(schema.edges())):
-        return schema
-    nodes_by_label = {node.label: node for node in schema.nodes()}
-    kept_labels: set[str] = set()
-    for edge in kept_edges:
-        kept_labels.add(edge.source_label)
-        kept_labels.add(edge.target_label)
-    kept_labels |= atom_labels & set(nodes_by_label)
-    return GraphSchema(
-        nodes=[nodes_by_label[label] for label in sorted(kept_labels)],
-        edges=kept_edges,
-        name=f"{schema.name}|pruned",
-    )
+    full = rewrite_query(query, schema, options)
+    return [] if full.reverted else [("rewritten", full)]
 
 
 def _fresh_namer(query: UCQT):

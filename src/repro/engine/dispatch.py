@@ -5,8 +5,7 @@ steps. :meth:`Dispatcher.answer` looks each plan up in its session's
 result cache and groups the misses: the columnar (``vec``/``ra``) plans
 of one backend and option set together, any other plan alone.
 :meth:`Dispatcher.run` runs one group with one backend call under one
-budget, then stores the answers, feeds the planner and writes one
-Q-error record. A single ``execute`` is a batch of one. A
+budget, then stores the answers and writes one Q-error record. A single ``execute`` is a batch of one. A
 ``fallback`` group takes the degradation loop instead, which calls
 :meth:`Dispatcher.run` once per attempt down the backend chain, a
 fixed list that consults no planner (:meth:`Dispatcher.chain`). The

@@ -2,10 +2,10 @@
 
 :class:`Planning` alone decides how a query becomes an executable plan
 on one backend, and owns the plan cache that memoises the decision.
-``greedy`` compiles the rewriter's own choice; ``cost`` enumerates the
-query's candidates once (original, full and partial rewrites, join
-orders), ranks them once under the one cost profile and compiles the
-winner for the backend asked for. Either way a query is planned once per
+``greedy`` compiles the rewriter's own choice; ``cost`` plans the
+query's two candidates once (the original and its schema rewrite),
+ranks them once under the one cost profile and compiles the winner for
+the backend asked for. Either way a query is planned once per
 plan-cache lifetime: the choice depends on the query, the schema and the
 store snapshot, never on what ran before it.
 """

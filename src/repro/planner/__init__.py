@@ -1,13 +1,13 @@
 """Cost-based planning across the rewrite → µ-RA → backend pipeline.
 
 The linear pipeline (rewrite, translate, optimise greedily, compile)
-commits to one plan per stage. This package turns each stage into a
-*candidate generator* and picks the cheapest end-to-end plan under one
-physical cost model:
+always runs the schema rewrite. This package makes the paper's one
+choice by cost instead: it plans the query as written and its rewrite,
+and picks the cheaper end-to-end plan under one physical cost model:
 
-* :mod:`repro.planner.candidates` — enumerate semantically equivalent
-  plans (original query, full and per-relation partial schema rewrites,
-  bounded alternative join orders) and rank them,
+* :mod:`repro.planner.candidates` — the query as written and its
+  schema rewrite (the paper's one choice), each translated and
+  optimised once, ranked against each other,
 * :mod:`repro.planner.cost` — estimated rows × one profile of operator
   weights.
 
@@ -20,8 +20,6 @@ telemetry (:class:`CalibrationLog`) but never move a plan.
 """
 
 from repro.planner.candidates import (
-    DEFAULT_JOIN_ORDERS,
-    DEFAULT_MAX_PARTIAL,
     PlanCandidate,
     PlanChoice,
     PlanningPass,
@@ -79,6 +77,4 @@ __all__ = [
     "CalibrationRecord",
     "q_error",
     "q_error_summary",
-    "DEFAULT_MAX_PARTIAL",
-    "DEFAULT_JOIN_ORDERS",
 ]

@@ -1,17 +1,17 @@
 """Plan-candidate enumeration and cost-based selection.
 
 The unit the planner ranks is a :class:`PlanCandidate`: one semantically
-equivalent way of answering a query. Candidates come from three sources,
-all guaranteed equivalent to the original query:
+equivalent way of answering a query. There are at most two, the paper's
+one choice (both sound by Prop. 4.3):
 
 * the **original** query, untouched (the rewriter's revert path, now a
   first-class candidate instead of a boolean),
-* the **schema rewrites** — the full rewrite plus the per-relation
-  partial rewrites :func:`repro.core.rewriter.enumerate_rewrites` emits
-  (soundness of each follows from soundness of the relation rewriting
-  itself, paper §3),
-* alternative **join orders** of each rewrite's µ-RA translation, from
-  the optimizer's bounded enumeration (pure RA equivalences).
+* the **rewritten** query, the schema rewrite of
+  :func:`repro.core.rewriter.enumerate_rewrites`, when the rewrite did
+  not revert and translates to a term the original does not.
+
+Each is translated with chain planning and optimised once, in the
+greedy join order of :func:`repro.ra.optimizer.optimize_term`.
 
 A query is planned in **one pass** (:class:`PlanningPass`): its
 candidates are enumerated once against one
@@ -27,35 +27,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.core.rewriter import (
-    RewriteOptions,
-    RewriteResult,
-    enumerate_rewrites,
-    prune_schema_for_query,
-)
+from repro.core.rewriter import RewriteOptions, RewriteResult, enumerate_rewrites
 from repro.errors import ReproError
 from repro.planner.cost import TermCost, cost_term, estimate_term_bytes
 from repro.query.model import UCQT, drop_unsatisfiable_disjuncts
-from repro.ra.optimizer import optimize_term_candidates
+from repro.ra.optimizer import optimize_term
 from repro.ra.stats import Estimator
 from repro.ra.translate import TranslationContext, ucqt_to_ra
 from repro.schema.model import GraphSchema
 from repro.storage.relational import RelationalStore
 from repro.ra.terms import RaTerm
 
-#: Bounded enumeration knobs: partial-rewrite sites and join orders per
-#: rewrite. Small on purpose — the planner must stay cheap relative to
-#: execution, and the candidates are ranked, not exhaustively searched.
-DEFAULT_MAX_PARTIAL = 4
-DEFAULT_JOIN_ORDERS = 3
-
-
 @dataclass(frozen=True)
 class PlanCandidate:
     """One executable way of answering the query."""
 
-    label: str                 # "original", "rewritten", "partial[0.1]#2", ...
-    source: str                # "original" | "rewritten" | "partial"
+    label: str                 # "original" | "rewritten"
     query: UCQT                # normalised query (unsatisfiable disjuncts dropped)
     term: RaTerm | None        # optimised µ-RA term; None = provably empty
     rewrite_result: RewriteResult | None
@@ -77,7 +64,7 @@ class RankedCandidate:
     def to_dict(self) -> dict:
         return {
             "label": self.label,
-            "source": self.candidate.source,
+            "source": self.label,
             "cost": self.cost,
             "rows": self.rows,
             "chosen": self.chosen,
@@ -151,59 +138,46 @@ def enumerate_plan_candidates(
     rewrite: bool = True,
     options: RewriteOptions | None = None,
     estimator: Estimator | None = None,
-    max_partial: int = DEFAULT_MAX_PARTIAL,
-    join_orders: int = DEFAULT_JOIN_ORDERS,
 ) -> list[PlanCandidate]:
-    """All candidates for ``query``: rewrites × bounded join orders.
+    """The query's candidates: ``original``, then ``rewritten`` when the
+    rewrite did not revert and translates to a different term.
 
-    Candidates whose µ-RA translation fails are dropped (the original
-    query is translated first, so at least one candidate survives for
-    any query the ``ra`` backend could run; a query *no* candidate can
-    translate re-raises the original's error).
+    A candidate whose µ-RA translation fails is dropped (the original is
+    translated first, so a query the ``ra`` backend could run keeps at
+    least one candidate; a query neither candidate can translate
+    re-raises the original's error).
     """
     estimator = estimator or Estimator(store)
-    sources: list[tuple[str, str, UCQT, RewriteResult | None]] = [
-        ("original", "original", query, None)
+    sources: list[tuple[str, UCQT, RewriteResult | None]] = [
+        ("original", query, None)
     ]
     if rewrite:
-        # Rewrite enumeration only ever consults the schema through the
-        # query's own labels — prune it first so candidate generation
-        # stays flat however wide the full schema grows.
-        for label, result in enumerate_rewrites(
-            query, prune_schema_for_query(schema, query), options,
-            max_partial=max_partial,
-        ):
-            source = "rewritten" if label == "rewritten" else "partial"
-            sources.append((label, source, result.query, result))
+        for label, result in enumerate_rewrites(query, schema, options):
+            sources.append((label, result.query, result))
 
     candidates: list[PlanCandidate] = []
     seen_terms: set[RaTerm] = set()
     first_error: ReproError | None = None
-    for label, source, variant, rewrite_result in sources:
+    for label, variant, rewrite_result in sources:
         executed = drop_unsatisfiable_disjuncts(variant)
         if executed.is_empty:
             candidates.append(
-                PlanCandidate(label, source, executed, None, rewrite_result)
+                PlanCandidate(label, executed, None, rewrite_result)
             )
             continue
         try:
-            term = ucqt_to_ra(executed, TranslationContext(estimator=estimator))
-            orders = optimize_term_candidates(
-                term, store, limit=join_orders, estimator=estimator
+            term = optimize_term(
+                ucqt_to_ra(executed, TranslationContext(estimator=estimator)),
+                store,
+                estimator,
             )
         except ReproError as error:
             first_error = first_error or error
             continue
-        for index, ordered in enumerate(orders):
-            if ordered in seen_terms:
-                continue
-            seen_terms.add(ordered)
-            suffix = "" if index == 0 else f"#{index + 1}"
-            candidates.append(
-                PlanCandidate(
-                    f"{label}{suffix}", source, executed, ordered, rewrite_result
-                )
-            )
+        if term in seen_terms:
+            continue
+        seen_terms.add(term)
+        candidates.append(PlanCandidate(label, executed, term, rewrite_result))
     if not candidates:
         assert first_error is not None
         raise first_error
@@ -220,9 +194,9 @@ def rank_candidates(
 
     Ties (and the provably-empty plan, which costs nothing) resolve to
     the earliest-enumerated candidate, so selection is deterministic and
-    prefers simpler provenance (original before rewritten before
-    partial) at equal cost. The choice's ``peak_bytes`` is left for
-    whoever compiles the winner (:meth:`PlanningPass.choice`).
+    prefers the original to the rewrite at equal cost. The choice's
+    ``peak_bytes`` is left for whoever compiles the winner
+    (:meth:`PlanningPass.choice`).
     """
     estimator = estimator or Estimator(store)
     costed = [
@@ -272,19 +246,11 @@ class PlanningPass:
         *,
         rewrite: bool = True,
         options: RewriteOptions | None = None,
-        max_partial: int = DEFAULT_MAX_PARTIAL,
-        join_orders: int = DEFAULT_JOIN_ORDERS,
     ) -> "PlanningPass":
         estimator = Estimator(store)
         candidates = enumerate_plan_candidates(
-            query,
-            schema,
-            store,
-            rewrite=rewrite,
-            options=options,
-            estimator=estimator,
-            max_partial=max_partial,
-            join_orders=join_orders,
+            query, schema, store,
+            rewrite=rewrite, options=options, estimator=estimator,
         )
         return cls(candidates, estimator=estimator)
 
@@ -321,16 +287,8 @@ def plan_query(
     *,
     rewrite: bool = True,
     options: RewriteOptions | None = None,
-    max_partial: int = DEFAULT_MAX_PARTIAL,
-    join_orders: int = DEFAULT_JOIN_ORDERS,
 ) -> PlanChoice:
-    """Enumerate, cost and rank every candidate plan for one query."""
+    """Enumerate, cost and rank the candidate plans of one query."""
     return PlanningPass.for_query(
-        query,
-        schema,
-        store,
-        rewrite=rewrite,
-        options=options,
-        max_partial=max_partial,
-        join_orders=join_orders,
+        query, schema, store, rewrite=rewrite, options=options
     ).choice(store)

@@ -7,9 +7,9 @@ executor actually spends time in — scan, hash-join build/probe/output,
 dedup (set-semantics projection and union), fixpoint rounds — plus a
 per-operator startup charge.
 
-The planner chooses between equivalent plans of one query (the original,
-its schema rewrites, their join orders), never between backends, so
-every backend's candidates are ranked under the same weights. Their
+The planner chooses between equivalent plans of one query (the original
+and its schema rewrite), never between backends, so every backend's
+candidates are ranked under the same weights. Their
 absolute numbers are arbitrary. The shape is the columnar executor's:
 per-row weights are tiny but every operator pays a dispatch startup, so
 plans with many small operators (e.g. a rewrite exploded into dozens of

@@ -19,6 +19,10 @@ a projection over its join, so the chains below never flatten into one
 join chain here: this module reorders the joins *inside* a composition
 or a conjunctive query, keeps plans tidy and join orders sane, and never
 undoes a chain plan.
+
+Each term gets one join order, the greedy one, under the greedy and the
+cost planner alike: the cost planner ranks the query against its schema
+rewrite, not join orders.
 """
 
 from __future__ import annotations
@@ -37,10 +41,6 @@ from repro.ra.terms import (
 from repro.storage.relational import RelationalStore
 
 
-#: ``term -> (reordered term, whether the seed rank could change it)``.
-_ReorderMemo = dict[RaTerm, tuple[RaTerm, bool]]
-
-
 def optimize_term(
     term: RaTerm,
     store: RelationalStore,
@@ -54,44 +54,23 @@ def optimize_term(
     the caller share its memoised estimates; by default a fresh
     store-corrected estimator drives the join ordering.
     """
-    return optimize_term_candidates(term, store, 1, estimator)[0]
+    estimator = estimator or Estimator(store)
+    rewritten = _rewrite_memo(term, estimator, {})
+    result = _reorder_memo(rewritten, estimator, {})
+    original_columns = estimator.columns(term)
+    if estimator.columns(result) != original_columns:
+        result = Project(result, original_columns)
+    return result
 
 
 def optimize_term_candidates(
     term: RaTerm,
     store: RelationalStore,
-    limit: int = 3,
     estimator: Estimator | None = None,
 ) -> list[RaTerm]:
-    """Bounded enumeration of alternative optimised terms.
-
-    The greedy join ordering commits to *one* order: start from the
-    smallest part, grow by cheapest estimated join. This enumerates up
-    to ``limit`` complete orders by seeding the greedy loop from the
-    k-th smallest part instead (k = 0..limit-1) in every join chain,
-    then deduplicates — the cost-based planner ranks the survivors
-    instead of trusting the k=0 prefix. The first candidate is always
-    the plain greedy result, so callers can treat it as the baseline.
-
-    The seed only matters inside a join chain of three or more parts.
-    One memo serves every seed and keeps what a seed cannot change, and
-    a term without such a chain is ordered once.
-    """
-    estimator = estimator or Estimator(store)
-    rewritten = _rewrite_memo(term, estimator, {})
-    original_columns = estimator.columns(term)
-    candidates: list[RaTerm] = []
-    memo: _ReorderMemo = {}
-    for start_rank in range(max(1, limit)):
-        result, seeded = _reorder_memo(rewritten, estimator, memo, start_rank)
-        if estimator.columns(result) != original_columns:
-            result = Project(result, original_columns)
-        if result not in candidates:
-            candidates.append(result)
-        if not seeded:
-            break
-        memo = {key: hit for key, hit in memo.items() if not hit[1]}
-    return candidates
+    """``[optimize_term(term, store, estimator)]``. Kept because the
+    benchmark ledger's tracer resolves this name."""
+    return [optimize_term(term, store, estimator)]
 
 
 def _rewrite_memo(
@@ -107,12 +86,12 @@ def _rewrite_memo(
 
 
 def _reorder_memo(
-    term: RaTerm, estimator: Estimator, memo: _ReorderMemo, start_rank: int
-) -> tuple[RaTerm, bool]:
-    hit = memo.get(term)
-    if hit is None:
-        hit = memo[term] = _reorder_joins(term, estimator, memo, start_rank)
-    return hit
+    term: RaTerm, estimator: Estimator, memo: dict[RaTerm, RaTerm]
+) -> RaTerm:
+    result = memo.get(term)
+    if result is None:
+        result = memo[term] = _reorder_joins(term, estimator, memo)
+    return result
 
 
 def _rewrite(
@@ -189,31 +168,23 @@ def _flatten_join(term: RaTerm) -> list[RaTerm]:
 
 
 def _reorder_joins(
-    term: RaTerm, estimator: Estimator, memo: _ReorderMemo, start_rank: int
-) -> tuple[RaTerm, bool]:
-    """``term`` with its join chains reordered, and whether ``start_rank``
-    had a say in it (some chain below has three or more parts)."""
+    term: RaTerm, estimator: Estimator, memo: dict[RaTerm, RaTerm]
+) -> RaTerm:
+    """``term`` with its join chains reordered."""
     children = (
         _flatten_join(term) if isinstance(term, Join) else term.children()
     )
     if not children:
-        return term, False
-    seeded = False
-    parts: list[RaTerm] = []
-    for child in children:
-        part, part_seeded = _reorder_memo(child, estimator, memo, start_rank)
-        parts.append(part)
-        seeded = seeded or part_seeded
+        return term
+    parts = [_reorder_memo(child, estimator, memo) for child in children]
     if isinstance(term, Join) and len(parts) > 2:
         # Greedy left-deep join ordering by estimated *result* size: start
         # from the smallest base, then repeatedly pick the connected part
         # whose join with the running prefix is estimated cheapest (this is
         # what makes semi-joins against node tables fire early — the
-        # Fig. 17 plan shape). ``start_rank`` seeds the loop from the
-        # k-th smallest part instead (bounded enumeration for the
-        # cost-based planner; 0 = plain greedy).
+        # Fig. 17 plan shape).
         remaining = sorted(parts, key=estimator.rows)
-        current = remaining.pop(min(start_rank, len(remaining) - 1))
+        current = remaining.pop(0)
         current_columns = set(estimator.columns(current))
         while remaining:
             connected = [
@@ -226,17 +197,17 @@ def _reorder_joins(
             remaining.remove(best)
             current = Join(current, best)
             current_columns.update(estimator.columns(best))
-        return current, True
+        return current
     if all(part is child for part, child in zip(parts, children)):
-        return term, seeded
+        return term
     if isinstance(term, Project):
-        return Project(parts[0], term.keep), seeded
+        return Project(parts[0], term.keep)
     if isinstance(term, Rename):
-        return Rename(parts[0], term.mapping), seeded
+        return Rename(parts[0], term.mapping)
     if isinstance(term, SelectEq):
-        return SelectEq(parts[0], term.column_a, term.column_b), seeded
+        return SelectEq(parts[0], term.column_a, term.column_b)
     if isinstance(term, Fix):
-        return Fix(term.var, parts[0], parts[1]), seeded
+        return Fix(term.var, parts[0], parts[1])
     if isinstance(term, (Join, RaUnion)):
-        return type(term)(parts[0], parts[1]), seeded
+        return type(term)(parts[0], parts[1])
     raise TypeError(f"unknown RA term {term!r}")

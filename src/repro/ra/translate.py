@@ -70,7 +70,6 @@ class TranslationContext:
     then compute/emit exactly once.
     """
 
-    push_filters_into_fixpoints: bool = True
     #: The planning pass's estimator; with one, concatenation chains
     #: are bracketed and closures seeded by cost (:func:`_plan_chain`).
     estimator: Estimator | None = None
@@ -413,7 +412,7 @@ def _relation_term(
     caller whether the label constraints were already absorbed into the
     term (pushed into a fixpoint) or still need an outer semi-join.
     """
-    if not ctx.push_filters_into_fixpoints or not isinstance(expr, Plus):
+    if not isinstance(expr, Plus):
         return _translate(expr, ctx), False, False
 
     inner = _translate(expr.expr, ctx)

@@ -1,8 +1,8 @@
 """Cost-based selection is semantics-preserving.
 
-Whatever candidate the cost planner picks — original, full rewrite,
-partial rewrite or an alternative join order — executing it on any
-backend must produce exactly the original query's result. Random
+Whichever candidate the cost planner picks — the original query or its
+schema rewrite — executing it on any backend must produce exactly the
+original query's result. Random
 schemas, random conforming databases, random path queries; compared
 against the direct path-semantics evaluator.
 """

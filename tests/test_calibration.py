@@ -202,9 +202,9 @@ class TestCalibrationLog:
 
     def test_cold_recursive_cost_planned_runs_walk_once(self, monkeypatch):
         """Planning seeds the telemetry estimates of the winner it
-        ranked, and the run records them before it feeds its fixpoint
-        growth back: a cold cost-planned recursive execution walks its
-        term once, not once to rank and again to log."""
+        ranked, and the run records them from there: a cold cost-planned
+        recursive execution walks its term once, not once to rank and
+        again to log."""
         from repro.engine import telemetry as telemetry_module
 
         walked = []

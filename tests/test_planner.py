@@ -20,15 +20,14 @@ from repro.planner import (
 )
 from repro.planner.cost import estimate_term_bytes
 from repro.query.parser import parse_query
-from repro.ra.optimizer import optimize_term_candidates
 from repro.ra.stats import Estimator
 from repro.ra.terms import Project, Rel
 from repro.ra.translate import TranslationContext, ucqt_to_ra
 from repro.schema.builder import yago_example_schema
 
 RECURSIVE_QUERY = "x1, x2 <- (x1, livesIn/isLocatedIn+, x2)"
-# Both closures are independently enrichable, so the planner sees true
-# partial rewrites (apply the schema to one site, keep the other).
+# Both closures are independently enrichable: their alternatives'
+# product is what trips a small ``max_disjuncts``.
 TWO_RELATION_QUERY = (
     "x1, x3 <- (x1, isLocatedIn+, x2) && (x2, isLocatedIn+, x3)"
 )
@@ -46,54 +45,40 @@ def example_session():
 
 # -- candidate enumeration ---------------------------------------------------
 class TestCandidates:
-    def test_enumerate_rewrites_full_and_partial(self, example_session):
-        query = parse_query(TWO_RELATION_QUERY)
-        labelled = enumerate_rewrites(
-            query, example_session.schema, example_session.rewrite_options
-        )
-        labels = [label for label, _ in labelled]
-        assert labels[0] == "rewritten"
-        assert any(label.startswith("partial[") for label in labels)
-        # Partial rewrites must differ from both endpoints of the
-        # all-or-nothing spectrum.
-        texts = {str(result.query) for _, result in labelled}
-        assert str(query) not in texts
-        assert len(texts) == len(labelled)
-
     def test_single_relation_has_no_partials(self, example_session):
         query = parse_query(RECURSIVE_QUERY)
         labelled = enumerate_rewrites(query, example_session.schema)
         assert [label for label, _ in labelled] == ["rewritten"]
 
     def test_partials_survive_full_rewrite_revert(self, example_session):
-        """The motivating case: the full rewrite trips the blow-up
-        guard (product of both relations' alternatives) and reverts,
-        but a single-site rewrite fits under the cap — the partials
-        must still be enumerated."""
+        """The full rewrite trips the blow-up guard (product of both
+        relations' alternatives) and reverts, so the original is the
+        only candidate."""
         from repro.core.rewriter import RewriteOptions, rewrite_query
 
         query = parse_query(TWO_RELATION_QUERY)
         options = RewriteOptions(max_disjuncts=3)
         assert rewrite_query(query, example_session.schema, options).reverted
-        labelled = enumerate_rewrites(
-            query, example_session.schema, options
+        assert enumerate_rewrites(query, example_session.schema, options) == []
+        candidates = enumerate_plan_candidates(
+            query, example_session.schema, example_session.store,
+            options=options,
         )
-        labels = [label for label, _ in labelled]
-        assert "rewritten" not in labels
-        assert labels and all(l.startswith("partial[") for l in labels)
-        for _, result in labelled:
-            assert len(result.query.disjuncts) <= options.max_disjuncts
+        assert [c.label for c in candidates] == ["original"]
 
     def test_enumerate_plan_candidates_sources(self, example_session):
         query = parse_query(TWO_RELATION_QUERY)
         candidates = enumerate_plan_candidates(
             query, example_session.schema, example_session.store
         )
-        sources = {candidate.source for candidate in candidates}
-        assert {"original", "rewritten", "partial"} <= sources
+        assert [c.label for c in candidates] == ["original", "rewritten"]
         # Every candidate carries either a term or a provably-empty query.
         for candidate in candidates:
             assert candidate.term is not None or candidate.query.is_empty
+        # The explain wire shape keeps its ``source`` key: the label.
+        choice = rank_candidates(candidates, example_session.store)
+        for entry in choice.to_dict()["candidates"]:
+            assert entry["source"] == entry["label"]
 
     def test_rewrite_false_keeps_only_original(self, example_session):
         query = parse_query(RECURSIVE_QUERY)
@@ -101,21 +86,7 @@ class TestCandidates:
             query, example_session.schema, example_session.store,
             rewrite=False,
         )
-        assert {c.source for c in candidates} == {"original"}
-
-    def test_join_order_enumeration_bounded_and_distinct(
-        self, example_session
-    ):
-        term = ucqt_to_ra(
-            parse_query(TWO_RELATION_QUERY), TranslationContext()
-        )
-        orders = optimize_term_candidates(
-            term, example_session.store, limit=3
-        )
-        assert 1 <= len(orders) <= 3
-        assert len(set(orders)) == len(orders)
-        columns = {o.columns(example_session.store) for o in orders}
-        assert len(columns) == 1  # all orders expose the same contract
+        assert [c.label for c in candidates] == ["original"]
 
 
 # -- the cost model ----------------------------------------------------------
