@@ -38,6 +38,7 @@ from repro.schema.model import GraphSchema
 from repro.storage.relational import RelationalStore
 from repro.ra.terms import RaTerm
 
+
 @dataclass(frozen=True)
 class PlanCandidate:
     """One executable way of answering the query."""
