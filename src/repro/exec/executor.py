@@ -22,6 +22,19 @@ optional ``compose`` hook runs that pair as one operation that never
 materialises the join, which still counts as a join of its real size in
 the stats and the budget.
 
+A linear fixpoint whose step is such a composition of the recursion
+variable with a closed relation ``S`` — ``X = B ∪ X/S`` or ``B ∪ S/X``,
+the variable's kept column staying in its place — runs, on a kernel
+with the optional ``closure`` hook, as one iteration over the closure's
+own dense ids: ``S`` is laid out once and each round only expands the
+frontier. Each round is still accounted as the loop would account it
+(deadline check, ``kernel.op`` fault sites, operator counts, memo hits,
+row ticks and byte charges, in the same order), the hook's time is join
+time, and it ends in an ordinary ``difference`` state, so fix captures
+and maintenance see no difference. Everything else iterates the loop:
+the python kernel, spilling runs, non-linear steps, steps that are not
+such a composition, and a maintenance run resuming a cached fixpoint.
+
 All base tables referenced by the program are dictionary-encoded up
 front, so the value-id space is frozen for the whole execution — packed
 multi-column keys stay stable across fixpoint rounds.
@@ -50,6 +63,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from repro.errors import EvaluationError, InjectedFault
 from repro.exec.compile import (
@@ -243,6 +257,20 @@ class _SpillState:
         self.base_ops = manager.spill_ops
 
 
+class _ClosureShape(NamedTuple):
+    """A fixpoint step the ``closure`` hook can run: the recursion
+    variable (``chain``, the renames down to its :class:`VarOp`) joined
+    to a closed ``relation`` on the relation's column ``key``; the
+    variable's column ``fixed`` stays, the relation's ``column`` fills
+    the other."""
+
+    chain: list
+    relation: PhysOp
+    fixed: int
+    key: int
+    column: int
+
+
 def execute_batch_programs(
     programs,
     store: RelationalStore,
@@ -362,6 +390,7 @@ class _Runner:
         #: the whole total back into a state.
         self.fix_final_states: dict[int, object] = {}
         self._compose_kernel = getattr(kernel, "compose", None)
+        self._closure_kernel = getattr(kernel, "closure", None)
         # Encode every table referenced anywhere in the batch before
         # executing: operators never intern new values, so the packing
         # domain is fixed from here on — across all programs.
@@ -622,8 +651,91 @@ class _Runner:
         base = self._eval(op.base, env)
         state = kernel.empty_state()
         delta, state = kernel.difference(base, state, self.domain)
+        shape = self._closure_shape(op)
+        if shape is not None:
+            closure = self._closure_kernel(
+                delta, state, shape.fixed, self.domain
+            )
+            if closure is not None:
+                return self._close(op, env, shape, closure)
         empty = kernel.empty(len(op.columns))
         return self._iterate_fixpoint(op, env, state, empty, delta)[0]
+
+    def _closure_shape(self, op: FixOp) -> "_ClosureShape | None":
+        """How the kernel's ``closure`` hook runs ``op``, or None when it
+        cannot: ``op`` must be linear over two columns, its step a
+        composition of the recursion variable with a closed relation that
+        leaves the variable's kept column in its place."""
+        if (
+            self._closure_kernel is None
+            or not op.linear
+            or len(op.columns) != 2
+            or not isinstance(op.step, ProjectOp)
+        ):
+            return None
+        sides = self._composition(op.step)
+        if sides is None:
+            return None
+        join = op.step.child
+        children = (join.left, join.right)
+        for out, (side, _, fixed) in enumerate(sides):
+            chain = self._var_chain(children[side], op.var)
+            if chain is not None:
+                break
+        else:
+            return None
+        side, key, column = sides[1 - out]
+        placed = out if op.step_perm is None else op.step_perm.index(out)
+        if placed != fixed or not children[side].closed:
+            return None
+        return _ClosureShape(chain, children[side], fixed, key, column)
+
+    @staticmethod
+    def _var_chain(op: PhysOp, var: str) -> list | None:
+        """The renames from ``op`` down to a scan of ``var``, that scan
+        last; None when ``op`` is anything else."""
+        chain = []
+        while isinstance(op, RenameOp):
+            chain.append(op)
+            op = op.child
+        if not isinstance(op, VarOp) or op.name != var:
+            return None
+        return [*chain, op]
+
+    def _close(self, op: FixOp, env: dict, shape: "_ClosureShape", closure):
+        """Semi-naive iteration of a linear closure through the kernel's
+        ``closure`` hook, accounted round by round as
+        :meth:`_iterate_fixpoint` accounts it with the step run through
+        ``compose``: the same deadline checks, ``kernel.op`` fault
+        sites, operator counts, memo hits, row ticks and byte charges, in
+        the same order. The hook's own time is join time."""
+        step = op.step
+        join = step.child
+        row_bytes = len(op.columns) * 8
+        while closure.rows:
+            self.budget.check_now()
+            fault_point("kernel.op")  # the step's ProjectOp
+            for child in (join.left, join.right):
+                if child is shape.relation:
+                    relation = self._eval(child, env)
+                    continue
+                for node in shape.chain:  # the renames, then the VarOp
+                    fault_point("kernel.op")
+                for node in reversed(shape.chain):
+                    self._count(node, closure.rows, 0.0)
+                    self.budget.charge_bytes(closure.rows * row_bytes)
+            fault_point("kernel.op")  # the join
+            started = time.perf_counter()
+            joined, produced = closure.step(relation, shape.key, shape.column)
+            elapsed = time.perf_counter() - started
+            self._child_seconds[-1] += elapsed
+            self._count(join, joined, elapsed)
+            self.budget.charge_bytes(joined * len(join.columns) * 8)
+            self._count(step, produced, 0.0)
+            self.budget.charge_bytes(produced * row_bytes)
+        total, state = closure.result()
+        self.fix_final_states[id(op)] = state
+        return total
 
     def _iterate_fixpoint(self, op: FixOp, env: dict, state, total, delta):
         """Semi-naive iteration from an arbitrary sound starting point.

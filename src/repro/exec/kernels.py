@@ -42,7 +42,25 @@ needs over tables of integer-code columns:
                         dedup pass). The executor runs ``ProjectOp(distinct)``
                         over such a ``JoinOp`` through it; a kernel without
                         it runs the join, then ``distinct``
-``release``             drop any scratch a table carries before it is kept
+``closure`` (optional)  ``closure(base, state, fixed, domain)``: semi-naive
+                        iteration of a linear fixpoint ``X = base ∪
+                        π(X ⋈ S)`` whose step keeps ``X``'s column
+                        ``fixed`` and fills the other from the ``S`` rows
+                        it joins (``base`` and ``state`` as ``difference``
+                        left the base rows), or None when it cannot run
+                        one. The object it returns has ``rows`` (the
+                        frontier's), ``step(S, key, column)`` for one
+                        round, returning its join and step row counts, and
+                        ``result()``: the total and a ``difference`` state
+                        holding it at ``domain`` (numpy: over the
+                        closure's own renumbered ids, ``S``'s successors
+                        laid out once, the pairs reached held as sorted
+                        runs of local keys or as bit rows). The executor
+                        runs such a fixpoint through it, accounted round
+                        by round as the loop it replaces; a kernel
+                        without it, a spilling run and a maintenance
+                        resume run the loop
+``release``           drop any scratch a table carries before it is kept
                         (numpy: the sorted key ``distinct`` leaves for the
                         ``difference`` that follows); returns the table
 ======================  ======================================================

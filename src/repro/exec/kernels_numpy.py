@@ -19,7 +19,11 @@ state is big enough for one bit per possible row to be cheap.
 side of a single-key join, without the join: over locally renumbered
 codes it is the set cells of a dense boolean product of bit-packed rows
 when that product is cheap next to the join, else pair codes built
-from the probe and build gathers and deduplicated in one pass. No
+from the probe and build gathers and deduplicated in one pass.
+``closure`` iterates a whole linear closure ``X = B ∪ X/S`` the same
+way: over the closure's own renumbered codes, ``S``'s successors laid
+out once, each round expanding only the frontier into sorted local pair
+keys or, once dense, OR-ed bit rows. No
 kernel calls BLAS: its worker threads would compete with a caller
 pinned to one CPU. Multi-column join
 keys sort the packed key once and binary-search it per probe row; rows
@@ -478,26 +482,43 @@ def _bit_product(
     (``reduceat``), a block of words at a time so the gathered rows stay
     small. No BLAS call: a multithreaded one would compete with a caller
     pinned to one CPU."""
-    marks = np.zeros((n_key, n_packed), dtype=bool)
-    marks[packed_key, packed_code] = True
-    words = _words(n_packed)
-    rows = np.zeros((n_key, words * 8), dtype=np.uint8)
-    rows[:, : (n_packed + 7) >> 3] = np.packbits(marks, axis=1, bitorder="little")
-    rows = rows.view(np.uint64)
+    rows = _bit_rows(packed_key, packed_code, n_key, n_packed)
     order = _stable_order(probe_code, n_probe)
     probe_key, probe_code = probe_key[order], probe_code[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], probe_code[1:] != probe_code[:-1]))
-    )
-    product = np.empty((n_probe, words), dtype=np.uint64)
-    block = max(1, _GATHER_WORDS // len(probe_key))
-    for low in range(0, words, block):
-        product[:, low : low + block] = np.bitwise_or.reduceat(
-            rows[probe_key, low : low + block], starts, axis=0
-        )
+    product = _or_rows(rows, probe_key, _run_starts(probe_code))
     return np.unpackbits(
         product.view(np.uint8), axis=1, count=n_packed, bitorder="little"
     )
+
+
+def _bit_rows(row: np.ndarray, bit: np.ndarray, n_rows: int, n_bits: int):
+    """An ``(n_rows, _words(n_bits))`` ``uint64`` matrix with bit
+    ``bit[i]`` of row ``row[i]`` set, every other bit clear."""
+    words = _words(n_bits)
+    marks = np.zeros(n_rows * words * 64, dtype=np.uint8)
+    marks[row * (words * 64) + bit] = 1
+    return np.packbits(marks, bitorder="little").view(np.uint64).reshape(
+        n_rows, words
+    )
+
+
+def _run_starts(codes: np.ndarray) -> np.ndarray:
+    """Where each run of equal neighbours in ``codes`` starts."""
+    return np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+
+
+def _or_rows(rows: np.ndarray, picks: np.ndarray, starts: np.ndarray):
+    """One row per group of ``picks`` (groups start at ``starts``): the OR
+    of the ``rows`` the group picks, gathered a block of words at a time
+    so the picked rows stay small."""
+    words = rows.shape[1]
+    product = np.empty((len(starts), words), dtype=np.uint64)
+    block = max(1, _GATHER_WORDS // max(len(picks), 1))
+    for low in range(0, words, block):
+        product[:, low : low + block] = np.bitwise_or.reduceat(
+            rows[:, low : low + block].take(picks, axis=0), starts, axis=0
+        )
+    return product
 
 
 def _fused_pairs(ok, oc, ik, ic, per_key, joined: int, n_out: int, n_in: int):
@@ -621,3 +642,264 @@ def _add_run(runs: tuple, key: np.ndarray):
             merged.sort(kind="stable")  # two sorted runs: one merge pass
             runs = (*runs[:-2], merged)
     return runs[0] if len(runs) == 1 else runs
+
+
+#: A closure holds the pairs it has reached as sorted runs of local pair
+#: keys, 64 bits a pair, until bit rows over its whole pair space (one row
+#: of moving-value bits per fixed value, and the relation's successors
+#: likewise) cost at most this many bits per pair reached; and, as a
+#: fixpoint state does, while it holds fewer than ``_BITS_MIN_ROWS``.
+_CLOSURE_BITS_PER_ROW = 64
+
+#: The set bits of each byte value.
+_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=_INT)
+
+
+def closure(base: NpTable, state, fixed: int, domain: int) -> "Closure | None":
+    """Semi-naive iteration of a linear fixpoint whose step keeps its
+    column ``fixed`` and moves the other along a relation: ``X = base ∪
+    π(X ⋈ S)``, one ``S`` column joined to the moving one and another
+    put in its place. ``base`` and ``state`` are what :func:`difference`
+    made of the base rows. None when a row of the fixpoint does not pack
+    (the caller iterates as usual)."""
+    if domain * domain >= _PACK_LIMIT:
+        return None
+    return Closure(base, state, fixed, domain)
+
+
+class Closure:
+    """A linear closure iterated over its own dense ids.
+
+    The first :meth:`step` renumbers the moving values it meets (the
+    base's moving column and the relation's kept column) ``0..nM`` in
+    code order and lays the relation's successors out once, as a
+    counting layout over them; a base none of whose rows has a successor
+    is the whole closure, and stops there. Otherwise it renumbers the
+    base's fixed values ``0..nF`` too: set-up scales with the closure's
+    rows, not the domain. Every round then only expands the frontier.
+    Reached pairs are local keys ``first * n_second + second`` (first
+    column major), sorted, deduplicated and searched in sorted runs as a
+    fixpoint's membership state is, until the ``nF x nM`` and ``nM x nM``
+    bit rows are cheap next to them (``_CLOSURE_BITS_PER_ROW``); from
+    then on a round ORs each fixed value's frontier successor rows.
+    :meth:`result` maps the pairs back to codes and to packed row keys at
+    ``domain``: ascending local order is ascending packed order, so the
+    state is sorted runs with no sort.
+    """
+
+    __slots__ = (
+        "rows", "_base", "_state", "_fixed", "_domain", "_n", "_values",
+        "_joins", "_fanout", "_first", "_successors", "_reached",
+        "_frontier", "_bits",
+    )
+
+    def __init__(self, base: NpTable, state, fixed: int, domain: int):
+        #: Rows of the current frontier (the base rows before a step).
+        self.rows = base.n
+        self._base = base
+        self._state = state
+        self._fixed = fixed
+        self._domain = domain
+        self._joins = None
+        self._reached = None  # None: the base is the whole closure
+        self._bits = False
+
+    def step(self, relation: NpTable, key: int, column: int) -> tuple[int, int]:
+        """Expand the frontier along ``relation`` (the same table every
+        round: ``key`` joins the moving column, ``column`` replaces it).
+        Returns ``(join rows, step rows)``: the rows of the frontier's
+        join with ``relation`` and of that join's distinct projection,
+        the counts the round's join and project stand for."""
+        if self._joins is None:
+            self._lay_out(relation.cols[key], relation.cols[column])
+        if self._reached is None:  # no base row joins: nothing to add
+            self.rows = 0
+            return 0, 0
+        fixed, moving = self._frontier
+        joined = int(self._joins.take(moving).sum())
+        live = self._fanout.take(moving) != 0
+        if not live.all():
+            fixed, moving = fixed[live], moving[live]
+        if not len(moving):
+            self._frontier, self.rows = (fixed, moving), 0
+            return joined, 0
+        if self._bits:
+            return joined, self._bits_step(fixed, moving)
+        produced = self._keys_step(fixed, moving)
+        self._bits_when_cheap()
+        return joined, produced
+
+    def result(self) -> tuple[NpTable, object]:
+        """``(total, state)``: the closure's rows and a :func:`difference`
+        state holding them, at the domain it was built with."""
+        if self._reached is None:
+            return self._base, self._state
+        if self._bits:
+            marks = _marks(self._reached, self._n[1])
+            # Fixed-major cells; moving-major when the moving column is
+            # the first.
+            runs = (np.flatnonzero(marks.T if self._fixed else marks),)
+        else:
+            runs = self._runs()
+        # One pass over every pair, in place where it can be: the output
+        # is as big as the closure, so each fresh array is page faults.
+        key = np.concatenate(runs) if len(runs) > 1 else runs[0]
+        first_values, second_values = self._values
+        first, second = np.divmod(key, len(second_values))
+        first_values.take(first, out=first, mode="clip")
+        second_values.take(second, out=second, mode="clip")
+        np.multiply(first, self._domain, out=key)
+        key += second
+        ends = np.cumsum([len(run) for run in runs])
+        state = tuple(
+            key[end - len(run) : end] for run, end in zip(runs, ends)
+        )
+        total = NpTable([first, second], len(key))
+        return total, state[0] if len(state) == 1 else state
+
+    def _lay_out(self, source: np.ndarray, target: np.ndarray) -> None:
+        """Renumber, lay the successors out (``_successors`` holds their
+        targets, ``_first`` and ``_fanout`` address each moving value's
+        run) and seed the frontier with the base, unless no base row
+        joins the relation at all."""
+        base, fixed, domain = self._base, self._fixed, self._domain
+        rows = base.n + len(source)
+        moving_values, moving_rank = _local_ids(
+            [base.cols[1 - fixed], target], domain, rows
+        )
+        n_moving = len(moving_values)
+        source, target = moving_rank(source), moving_rank(target)
+        joins = source >= 0  # a relation row off the moving values never joins
+        if not joins.all():
+            source, target = source[joins], target[joins]
+        self._joins = np.bincount(source, minlength=n_moving)
+        moving = moving_rank(base.cols[1 - fixed])
+        if not self._joins.take(moving).any():
+            return
+        edges = _sorted_unique(source * n_moving + target)
+        source, self._successors = np.divmod(edges, n_moving)
+        self._fanout = np.bincount(source, minlength=n_moving)
+        self._first = np.cumsum(self._fanout) - self._fanout
+        fixed_values, fixed_rank = _local_ids([base.cols[fixed]], domain, rows)
+        self._n = (len(fixed_values), n_moving)
+        self._values = (
+            (fixed_values, moving_values)
+            if fixed == 0
+            else (moving_values, fixed_values)
+        )
+        key = _sorted_unique(self._pair_key(fixed_rank(base.cols[fixed]), moving))
+        self._reached = key
+        self._frontier = self._pair_ids(key)
+        self._bits_when_cheap()
+
+    def _bits_when_cheap(self) -> None:
+        """Hold the reached pairs and the successors as bit rows from now
+        on (the frontier fixed-major), if those are cheap next to the
+        pairs held."""
+        held = sum(map(len, self._runs()))
+        n_fixed, n_moving = self._n
+        if held < _BITS_MIN_ROWS or (
+            (n_fixed + n_moving) * n_moving > _CLOSURE_BITS_PER_ROW * held
+        ):
+            return
+        fixed, moving = self._pair_ids(np.concatenate(self._runs()))
+        self._reached = _bit_rows(fixed, moving, n_fixed, n_moving)
+        source = np.repeat(np.arange(n_moving, dtype=_INT), self._fanout)
+        self._successors = _bit_rows(
+            source, self._successors, n_moving, n_moving
+        )
+        fixed, moving = self._frontier
+        order = _stable_order(fixed, n_fixed)
+        self._frontier = (fixed.take(order), moving.take(order))
+        self._bits = True
+
+    def _runs(self) -> tuple:
+        reached = self._reached
+        return reached if isinstance(reached, tuple) else (reached,)
+
+    def _bits_step(self, fixed: np.ndarray, moving: np.ndarray) -> int:
+        # The frontier is fixed-major, so each fixed value's rows are one
+        # run: OR its moving values' successor rows together, count the
+        # pairs that makes and keep those not reached before.
+        starts = _run_starts(fixed)
+        fixed = fixed.take(starts)
+        product = _or_rows(self._successors, moving, starts)
+        produced = int(_POPCOUNT.take(product.view(np.uint8)).sum())
+        reached = self._reached[fixed]
+        product &= ~reached
+        reached |= product
+        self._reached[fixed] = reached
+        n_moving = self._n[1]
+        rows, moving = np.divmod(
+            np.flatnonzero(_marks(product, n_moving)), n_moving
+        )
+        self._frontier = (fixed.take(rows), moving)
+        self.rows = len(moving)
+        return produced
+
+    def _keys_step(self, fixed: np.ndarray, moving: np.ndarray) -> int:
+        counts = self._fanout.take(moving)
+        ends = np.cumsum(counts)
+        index = np.repeat(self._first.take(moving) - (ends - counts), counts)
+        index += np.arange(int(ends[-1]), dtype=_INT)
+        target = self._successors.take(index)
+        key = _sorted_unique(self._pair_key(np.repeat(fixed, counts), target))
+        produced = len(key)
+        runs = self._runs()
+        for run in runs:
+            if len(key):
+                positions = np.searchsorted(run, key)
+                fresh = run.take(positions, mode="clip") != key
+                if not fresh.all():
+                    key = key[fresh]
+        self._reached = _add_run(runs, key)
+        self._frontier = self._pair_ids(key)
+        self.rows = len(key)
+        return produced
+
+    def _pair_key(self, fixed: np.ndarray, moving: np.ndarray) -> np.ndarray:
+        """Local pair keys, first column major."""
+        n_fixed, n_moving = self._n
+        if self._fixed:
+            return moving * n_fixed + fixed
+        return fixed * n_moving + moving
+
+    def _pair_ids(self, key: np.ndarray):
+        """``(fixed, moving)`` local ids of local pair keys."""
+        n_fixed, n_moving = self._n
+        if self._fixed:
+            moving, fixed = np.divmod(key, n_fixed)
+        else:
+            fixed, moving = np.divmod(key, n_moving)
+        return fixed, moving
+
+
+def _local_ids(columns: list[np.ndarray], domain: int, rows: int):
+    """The distinct codes of ``columns``, ascending, and a function
+    mapping codes to their positions among them (-1 for a code not
+    there): a direct address over the domain while that is cheap next to
+    ``rows`` (as a join's counting layout is), else a sort."""
+    if domain <= 4 * rows + _DIRECT_SLACK:
+        used = np.zeros(domain, dtype=bool)
+        for column in columns:
+            used[column] = True
+        values = np.flatnonzero(used)
+        rank = np.full(domain, -1, dtype=_INT)
+        rank[values] = np.arange(len(values))
+        return values, rank.take
+    values = _sorted_unique(np.concatenate(columns))
+
+    def rank_of(codes: np.ndarray) -> np.ndarray:
+        at = np.searchsorted(values, codes)
+        at[values.take(at, mode="clip") != codes] = -1
+        return at
+
+    return values, rank_of
+
+
+def _marks(rows: np.ndarray, n_bits: int) -> np.ndarray:
+    """The first ``n_bits`` bits of each of a ``uint64`` bit-row matrix's
+    rows, as booleans (whose ``flatnonzero`` is numpy's fast one)."""
+    return np.unpackbits(
+        rows.view(np.uint8), axis=1, count=n_bits, bitorder="little"
+    ).view(bool)

@@ -12,14 +12,24 @@ Three differentials:
 * numpy's ``difference`` with a bitmap state against the sorted-run
   state: the same delta, row for row, round after round, and a forked
   state leaves its original as it was.
+* numpy's ``closure`` hook against the semi-naive loop it replaces: a
+  linear closure over a drawn edge relation, narrow or wide domain,
+  either orientation and join order, with or without a ``step_perm``,
+  from a plain or a seeded base, gives the same rows, operator counts
+  and final-state membership through the hook as through
+  ``_iterate_fixpoint``, whichever way through the hook the module
+  constants force (sorted runs of local pair keys, bit rows, or a
+  switch from one to the other).
 * maintained fixpoint answers after appends, some of which grow the
   dictionary (and so the packing domain), against the closure computed
   directly — on every available kernel, so the pure-Python one (which
-  has no ``compose``) runs it too.
+  has no ``compose`` or ``closure``) runs it too, and on numpy from a
+  fixpoint state the ``closure`` hook built, in each of its ways.
 """
 
 from __future__ import annotations
 
+import os
 from contextlib import ExitStack
 from unittest import mock
 
@@ -29,10 +39,14 @@ from hypothesis import strategies as st
 
 from repro.engine import GraphSession
 from repro.engine.options import ExecOptions
+from repro.exec import ExecutionStats, compile_term, encoding_for, execute_program
 from repro.exec.kernels import available_kernels
 from repro.exec.kernels import kernels_numpy as npk
+from repro.exec.spill import SPILL_THRESHOLD_ENV
 from repro.graph.model import yago_example_graph
+from repro.ra.terms import Fix, Join, Project, Rel, Rename, Var
 from repro.schema.builder import yago_example_schema
+from repro.storage.relational import RelationalStore, Table
 
 needs_numpy = pytest.mark.skipif(npk is None, reason="numpy kernel absent")
 
@@ -242,11 +256,139 @@ def test_bitmap_difference_equals_sorted_runs(data, dedup_first):
         assert set(npk.to_rows(again)) == {(0,) * width} - seen
 
 
+# -- the closure hook against the semi-naive loop ------------------------------
+#: Module constants that force one way through ``closure``: sorted runs of
+#: local pair keys throughout, bit rows from the base on, or runs that
+#: switch to bit rows once four pairs are held.
+_CLOSURE_MODES = {
+    "default": {},
+    "keys": {"_CLOSURE_BITS_PER_ROW": 0},
+    "bits": {"_BITS_MIN_ROWS": 0, "_CLOSURE_BITS_PER_ROW": 1 << 40},
+    "switch": {"_BITS_MIN_ROWS": 4, "_CLOSURE_BITS_PER_ROW": 1 << 40},
+}
+#: Values a wide-domain store encodes before the closure's own, so that
+#: the domain is far past a counting layout's reach for its few rows.
+_WIDE = 6000
+
+
+@st.composite
+def _closures(draw):
+    """A store holding an edge relation ``e`` and a base relation ``b``,
+    and a linear closure over them: ``X = base ∪ X/e`` (the fixed column
+    first) or ``X = base ∪ e/X`` (the fixed column second), the join's
+    sides in either order, the step's columns in either order (the
+    compiler then adds a ``step_perm``), from ``b`` or from ``b/e``. A
+    *crossed* step puts the variable's kept column in the other place,
+    which is not a closure the hook may run."""
+    nodes = draw(st.integers(1, 12))
+    node = st.integers(0, nodes - 1)
+    edges = draw(st.sets(st.tuples(node, node), max_size=40))
+    base = draw(st.sets(st.tuples(node, node), max_size=12))
+    wide, forward, relation_first, swapped, seeded, crossed = (
+        draw(st.booleans()) for _ in range(6)
+    )
+    store = RelationalStore()
+    if wide:
+        pad = {(f"pad{i}",) for i in range(_WIDE)}
+        store.add_table(Table("pad", ("Sr",), pad), node_label=False)
+    store.add_table(Table("e", ("Sr", "Tr"), edges), node_label=False)
+    store.add_table(Table("b", ("Sr", "Tr"), base), node_label=False)
+
+    def chain(left, right, crossed=False):
+        # left.Tr = right.Sr, keeping left.Sr and right.Tr under their
+        # own names, or under each other's when crossed.
+        if crossed:
+            return Join(
+                Rename.of(left, {"Sr": "Tr", "Tr": "m"}),
+                Rename.of(right, {"Sr": "m", "Tr": "Sr"}),
+            )
+        return Join(
+            Rename.of(left, {"Tr": "m"}), Rename.of(right, {"Sr": "m"})
+        )
+
+    var = Var("X", ("Sr", "Tr"))
+    sides = (var, Rel("e")) if forward else (Rel("e"), var)
+    joined = chain(*sides, crossed)
+    if relation_first == forward:  # the relation on the join's left
+        joined = Join(joined.right, joined.left)
+    step = Project(joined, ("Tr", "Sr") if swapped else ("Sr", "Tr"))
+    seed = Project(chain(Rel("b"), Rel("e")), ("Sr", "Tr")) if seeded else Rel("b")
+    if seeded:
+        base = {(a, d) for a, b in base for c, d in edges if b == c}
+    return store, Fix("X", seed, step), wide, forward, crossed, base, edges
+
+
+def _lfp(base: set, edges: set, forward: bool, crossed: bool) -> set:
+    closure = set(base)
+    while True:
+        left, right = (closure, edges) if forward else (edges, closure)
+        step = {(a, d) for a, b in left for c, d in right if b == c}
+        if crossed:
+            step = {(d, a) for a, d in step}
+        if step <= closure:
+            return closure
+        closure |= step
+
+
+def _held(state, domain: int, probe) -> set:
+    """The rows of ``probe`` a :func:`difference` state holds."""
+    fresh, _ = npk.difference(probe, npk.fork_state(state), domain)
+    return set(npk.to_rows(probe)) - set(npk.to_rows(fresh))
+
+
+@needs_numpy
+@pytest.mark.parametrize("mode", sorted(_CLOSURE_MODES))
+@given(data=_closures())
+@settings(max_examples=60, deadline=None)
+def test_closure_equals_the_semi_naive_loop(mode, data):
+    store, term, wide, forward, crossed, base, edges = data
+    program = compile_term(term, store)
+    encoding = encoding_for(store)
+    if wide:
+        encoding.table("pad")
+        assert encoding.domain_size > 4 * (len(base) + len(edges)) + 4096
+
+    def run():
+        capture, stats = {}, ExecutionStats()
+        answer = execute_program(
+            program, store, kernel=npk, stats=stats, fix_capture=capture
+        )
+        return answer, stats, capture[term]
+
+    with _patched(**_CLOSURE_MODES[mode]):
+        with mock.patch.object(npk, "closure", wraps=npk.closure) as closure:
+            hooked, hook_stats, hook_fix = run()
+        with mock.patch.object(npk, "closure", None):  # the loop
+            looped, loop_stats, loop_fix = run()
+    # The hook ran, once, unless the step was crossed.
+    assert closure.call_count == (not crossed)
+    assert hooked == looped == _lfp(base, edges, forward, crossed)
+    for name in (
+        "ops_evaluated", "join_rows", "project_rows", "fixpoint_rows",
+        "memo_hits",
+    ):
+        assert getattr(hook_stats, name) == getattr(loop_stats, name)
+    (total, state, domain), (_, loop_state, loop_domain) = hook_fix, loop_fix
+    assert domain == loop_domain == encoding.domain_size
+    held = set(npk.to_rows(total))
+    assert len(held) == npk.nrows(total)  # a set, as the loop's total is
+    codes = {code for row in held for code in row} | {0, domain - 1}
+    probe = npk.from_rows([(a, b) for a in codes for b in codes], 2)
+    assert _held(state, domain, probe) == _held(loop_state, domain, probe) == held
+
+
 # -- maintained fixpoints after dictionary-growing appends ---------------------
 CLOSURE = "x1, x2 <- (x1, isLocatedIn+, x2)"
 #: Existing ids of the example graph's places, then ids it has not seen
 #: (appending those grows the dictionary, so the packing domain moves).
 _IDS = [5, 6, 7, 8, 9, 100, 101, 102, 103, 104, 105]
+_WRITES = st.lists(
+    st.lists(
+        st.tuples(st.sampled_from(_IDS), st.sampled_from(_IDS)),
+        min_size=1, max_size=4,
+    ),
+    min_size=1, max_size=4,
+)
 
 
 def _closure(edges) -> set:
@@ -258,21 +400,8 @@ def _closure(edges) -> set:
         closure |= step
 
 
-@pytest.mark.parametrize("kernel", available_kernels())
-@given(
-    st.lists(
-        st.lists(
-            st.tuples(st.sampled_from(_IDS), st.sampled_from(_IDS)),
-            min_size=1, max_size=4,
-        ),
-        min_size=1, max_size=4,
-    )
-)
-@settings(max_examples=25, deadline=None)
-def test_maintained_fixpoint_after_growing_appends(kernel, writes):
+def _check_maintained(kernel, writes, constants):
     options = ExecOptions(backend="vec", kernel=kernel)
-    # On numpy, every fixpoint state past the first round is a bitmap.
-    constants = {} if npk is None else {"_BITS_MIN_ROWS": 0, "_BITS_PER_ROW": 1 << 40}
     with _patched(**constants), GraphSession(
         yago_example_graph(), yago_example_schema(), result_cache_size=8
     ) as session:
@@ -290,3 +419,28 @@ def test_maintained_fixpoint_after_growing_appends(kernel, writes):
             check()
         maintained = session.cache_stats["maintenance"].results_maintained
         assert maintained >= 1 or not added
+
+
+@pytest.mark.parametrize("kernel", available_kernels())
+@given(_WRITES)
+@settings(max_examples=25, deadline=None)
+def test_maintained_fixpoint_after_growing_appends(kernel, writes):
+    # On numpy, every fixpoint state past the first round is a bitmap.
+    constants = {} if npk is None else {"_BITS_MIN_ROWS": 0, "_BITS_PER_ROW": 1 << 40}
+    _check_maintained(kernel, writes, constants)
+
+
+@needs_numpy
+@pytest.mark.parametrize("mode", sorted(_CLOSURE_MODES))
+@given(_WRITES)
+@settings(max_examples=15, deadline=None)
+def test_maintained_closure_after_growing_appends(mode, writes):
+    # The cached fixpoint state the maintenance run resumes from is the
+    # one the ``closure`` hook returned; a spilling run would have
+    # iterated the loop instead, so this one stays in memory.
+    with mock.patch.dict(os.environ), mock.patch.object(
+        npk, "closure", wraps=npk.closure
+    ) as closure:
+        os.environ.pop(SPILL_THRESHOLD_ENV, None)
+        _check_maintained("numpy", writes, _CLOSURE_MODES[mode])
+    assert closure.called

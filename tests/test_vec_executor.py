@@ -436,6 +436,101 @@ class TestComposition:
         }
 
 
+class _WithoutClosure:
+    """The numpy kernel minus its optional ``closure`` hook."""
+
+    def __init__(self, kernel):
+        self._kernel = kernel
+
+    def __getattr__(self, name):
+        if name == "closure":
+            raise AttributeError(name)
+        return getattr(self._kernel, name)
+
+
+@pytest.mark.skipif("numpy" not in KERNELS, reason="closure is numpy's")
+class TestClosure:
+    """A linear closure through the kernel's ``closure`` hook is, to the
+    answer, the stats and the budget, the semi-naive loop it replaces
+    (with its step run through ``compose``)."""
+
+    PLANS = [("BI10", True), ("Y1", False)]
+
+    @pytest.fixture(scope="class")
+    def plans(self):
+        from repro.datasets.ldbc import ldbc_session
+        from repro.workloads.ldbc_queries import LDBC_QUERIES
+
+        texts = {q.qid: q.text for q in LDBC_QUERIES}
+        with ldbc_session(0.3) as session:
+            yield {
+                (qid, rewrite): (
+                    session.prepare(texts[qid], "vec", rewrite=rewrite)
+                    .plan.program,
+                    session.store,
+                )
+                for qid, rewrite in self.PLANS
+            }
+
+    @staticmethod
+    def _run(plan, kernel, budget):
+        program, store = plan
+        stats = ExecutionStats()
+        answer = execute_program(
+            program, store, budget=budget, kernel=kernel, stats=stats
+        )
+        return answer, stats
+
+    @pytest.mark.parametrize("plan_id", PLANS, ids=str)
+    def test_same_answer_stats_ticks_and_charges_as_the_loop(
+        self, plans, plan_id, monkeypatch
+    ):
+        from repro.exec import kernels_numpy
+
+        numpy_kernel = get_kernel("numpy")
+        closure = mock.Mock(wraps=kernels_numpy.closure)
+        monkeypatch.setattr(kernels_numpy, "closure", closure)
+        hook_budget, loop_budget = _RecordingBudget(), _RecordingBudget()
+        hooked, hook_stats = self._run(plans[plan_id], numpy_kernel, hook_budget)
+        looped, loop_stats = self._run(
+            plans[plan_id], _WithoutClosure(numpy_kernel), loop_budget
+        )
+        assert closure.called  # knows+ at least
+        assert hooked == looped
+        assert hook_budget.ticks == loop_budget.ticks
+        assert hook_budget.charges == loop_budget.charges
+        for name in (
+            "ops_evaluated", "join_rows", "project_rows", "fixpoint_rows",
+            "memo_hits",
+        ):
+            assert getattr(hook_stats, name) == getattr(loop_stats, name)
+
+    @pytest.mark.parametrize("plan_id", PLANS, ids=str)
+    def test_row_cap_trips_at_the_same_tick(self, plans, plan_id, monkeypatch):
+        from repro.exec import kernels_numpy
+
+        numpy_kernel = get_kernel("numpy")
+        probe = _RecordingBudget()
+        # A round's join tick is the first tick after its ``step``.
+        join_ticks = []
+        step = kernels_numpy.Closure.step
+
+        def recording_step(closure, *args):
+            join_ticks.append(len(probe.ticks))
+            return step(closure, *args)
+
+        with mock.patch.object(kernels_numpy.Closure, "step", recording_step):
+            self._run(plans[plan_id], numpy_kernel, probe)
+        # A cap halfway through the largest round inside a closure.
+        largest = max(join_ticks, key=probe.ticks.__getitem__)
+        cap = sum(probe.ticks[:largest]) + probe.ticks[largest] // 2
+        for kernel in (numpy_kernel, _WithoutClosure(numpy_kernel)):
+            budget = _RecordingBudget(max_rows=cap)
+            with pytest.raises(ResourceExhaustedError):
+                self._run(plans[plan_id], kernel, budget)
+            assert budget.ticks == probe.ticks[: largest + 1]
+
+
 # -- backend integration ------------------------------------------------------
 class TestVecBackend:
     def test_explain_shows_logical_and_physical_plans(self, example_session):
