@@ -506,7 +506,7 @@ class TestClosure:
             assert getattr(hook_stats, name) == getattr(loop_stats, name)
 
     @pytest.mark.parametrize("plan_id", PLANS, ids=str)
-    def test_row_cap_trips_at_the_same_tick(self, plans, plan_id, monkeypatch):
+    def test_row_cap_trips_at_the_same_tick(self, plans, plan_id):
         from repro.exec import kernels_numpy
 
         numpy_kernel = get_kernel("numpy")
