@@ -2,7 +2,9 @@
 
 Covers dictionary-encoding round trips, encoding-snapshot invalidation,
 kernel parity (numpy vs pure-Python fallback), empty and degenerate
-fixpoints, the ``vec`` backend-option validation, the totality of
+fixpoints, the numpy ``compose`` and ``closure`` hooks against the plain
+operators they replace (answers, stats, ticks and byte charges), the
+``vec`` backend-option validation, the totality of
 :meth:`ExecutionStats.merge`, the memoised optimizer statistics, and the
 CLI's live-registry backend validation.
 """
