@@ -15,7 +15,12 @@ survive, new constants get fresh codes, and the cost is O(delta), not
 O(store). Only barrier writes (new tables, replacements) rebuild the
 snapshot. Individual tables are encoded lazily on first scan and the
 encoded columns are additionally cached per kernel, so repeated
-executions touch no Python-object hashing at all.
+executions touch no Python-object hashing at all. The numpy kernel's
+cached table also keeps the join layout of each key column it has been
+joined on (:func:`repro.exec.kernels_numpy.from_columns`); an append
+to the table drops that cache entry and with it the layouts, while one
+to another table, even one that grows the dictionary, leaves them
+valid.
 """
 
 from __future__ import annotations
@@ -84,7 +89,8 @@ class EncodedTable:
         self._kernel_tables: dict[str, object] = {}
 
     def kernel_table(self, kernel):
-        """The kernel-native column container (cached per kernel)."""
+        """The kernel-native column container (cached per kernel, and
+        with it any join layouts the kernel keeps on it)."""
         table = self._kernel_tables.get(kernel.NAME)
         if table is None:
             table = kernel.from_columns(self.codes, self.nrows)

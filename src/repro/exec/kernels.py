@@ -21,7 +21,12 @@ needs over tables of integer-code columns:
                         smaller side is indexed by key (a counting layout —
                         the build rows of one key are one run of a stable
                         ``order`` — addressed by the code itself in numpy,
-                        through a dict in python), the larger side probes it
+                        through a dict in python), the larger side probes it.
+                        numpy: a stored table's key column (``from_columns``,
+                        and its ``select_columns`` views) keeps its layout
+                        for the table's lifetime, sized by the column's own
+                        largest code; a single-key join probes it with the
+                        other side, whatever the sizes
 ``empty_state()``       fresh seen-row state for fixpoint difference
 ``difference``          the set of a table's rows not yet in the state
                         (duplicates in the input are dropped, like
@@ -60,7 +65,7 @@ needs over tables of integer-code columns:
                         by round as the loop it replaces; a kernel
                         without it, a spilling run and a maintenance
                         resume run the loop
-``release``           drop any scratch a table carries before it is kept
+``release``             drop any scratch a table carries before it is kept
                         (numpy: the sorted key ``distinct`` leaves for the
                         ``difference`` that follows); returns the table
 ======================  ======================================================

@@ -2,9 +2,16 @@
 
 Tables are lists of ``int64`` arrays. Every code is a dense dictionary
 id in ``[0, domain)``, which the kernels use twice. A single-column join
-key *is* an array index: the build side is a counting layout over the
-code domain (``bincount``, exclusive ``cumsum``, one stable ``order``)
-and a probe is two gathers, nothing sorted or searched. And a row over
+key *is* an array index: the build side is a counting layout (one
+stable ``order``, and per code its first slot in it and its row count)
+and a probe is two gathers, nothing sorted or searched. A stored table
+(:func:`from_columns`) keeps that layout per key column, laid out on
+its first join, for as long as the table lives, and its column views
+share it; sized by the column's own largest code, it stays valid as
+the dictionary grows, and a join with a stored side probes it whatever
+the sizes. Any other join lays the layout out over the domain for the
+call, at the cost of its rows: the first slots are scattered from the
+runs of the stable order, not summed over the domain. And a row over
 ``k`` columns packs into the one integer ``c_0·domain^(k-1) + … + c_k``
 whenever ``domain^k`` fits in an int64, so ``distinct`` is an in-place
 ``sort`` of the packed key, a neighbour mask and a ``divmod`` unpack of
@@ -47,9 +54,14 @@ SUPPORTS_MEMMAP = True
 #: Packed keys must stay below this bound (headroom under 2^63 - 1).
 _PACK_LIMIT = 1 << 62
 
-#: A counting layout costs O(domain) to lay out, so a join gets one only
-#: while ``domain <= 4 * rows + _DIRECT_SLACK``, ``rows`` counting both
-#: sides; small tables in a huge domain keep the sorted layout.
+#: A join's counting layout zeroes two arrays over the code domain and
+#: is otherwise linear in its rows, so a join gets one while ``domain <=
+#: _LAYOUT_PER_ROW * rows + _DIRECT_SLACK``, ``rows`` counting both
+#: sides; small tables in a huge domain keep the sorted layout. The
+#: other direct addresses over the domain (``compose``'s per-key counts,
+#: a closure's renumbering) still pay O(domain) passes and keep
+#: ``4 * rows``.
+_LAYOUT_PER_ROW = 32
 _DIRECT_SLACK = 4096
 
 #: A composition runs as a bit-matrix product while the cells, rows and
@@ -64,14 +76,17 @@ _INT = np.int64
 
 class NpTable:
     """Columns of integer codes over an explicit row count; fresh out
-    of :func:`distinct`, also ``key = (domain, its sorted packed rows)``."""
+    of :func:`distinct`, also ``key = (domain, its sorted packed rows)``;
+    a stored table (:func:`from_columns`) and its column views, also
+    ``index``: one :class:`_ColumnIndex` per column."""
 
-    __slots__ = ("cols", "n", "key")
+    __slots__ = ("cols", "n", "key", "index")
 
-    def __init__(self, cols: list[np.ndarray], n: int, key=None):
+    def __init__(self, cols: list[np.ndarray], n: int, key=None, index=None):
         self.cols = cols
         self.n = n
         self.key = key
+        self.index = index
 
     def sorted_ranks(self, values) -> tuple[list, list] | None:
         """:func:`repro.exec.result._sorted_ranks` in array operations;
@@ -80,7 +95,7 @@ class NpTable:
         ranked_values: list[list] = []
         key, span = np.zeros(self.n, dtype=_INT), 1
         for column in self.cols:
-            distinct = np.unique(column)
+            distinct = _sorted_unique(np.array(column))
             ranked = sorted(distinct.tolist(), key=value_of)  # TypeError
             span *= len(ranked) or 1
             if span >= _PACK_LIMIT:
@@ -103,8 +118,23 @@ def release(table: NpTable) -> NpTable:
     return table
 
 
+class _ColumnIndex:
+    """A stored column's counting layout ``(order, starts, counts)``, laid
+    out on its first join. It is sized by the column's own largest code
+    plus one always-empty slot, which a probe code past it clips to, so
+    a dictionary that grows leaves it valid. It lives as long as the
+    kernel table holding it; that table's column views share it."""
+
+    __slots__ = ("layout",)
+
+    def __init__(self) -> None:
+        self.layout: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+
 def from_columns(codes: list[list[int]], nrows: int) -> NpTable:
-    return NpTable([np.asarray(column, dtype=_INT) for column in codes], nrows)
+    """A stored table: each column keeps a :class:`_ColumnIndex`."""
+    cols = [np.asarray(column, dtype=_INT) for column in codes]
+    return NpTable(cols, nrows, index=[_ColumnIndex() for _ in cols])
 
 
 def from_rows(rows: Iterable[tuple[int, ...]], width: int) -> NpTable:
@@ -134,7 +164,12 @@ def empty(width: int) -> NpTable:
 
 
 def select_columns(table: NpTable, indices: list[int]) -> NpTable:
-    return NpTable([table.cols[i] for i in indices], table.n)
+    index = table.index
+    return NpTable(
+        [table.cols[i] for i in indices],
+        table.n,
+        index=None if index is None else [index[i] for i in indices],
+    )
 
 
 def concat_many(tables: list[NpTable], width: int) -> NpTable:
@@ -244,19 +279,60 @@ def join_build(
     """Index the build side once; ``None`` when the key won't pack.
 
     ``probe_rows`` is the size of the side that will probe: the counting
-    layout's O(domain) is paid once for both sides, so a small build
-    side probed by a big one still gets it."""
-    if len(key) == 1 and domain <= 4 * (build.n + probe_rows) + _DIRECT_SLACK:
-        codes = build.cols[key[0]]
-        counts = np.bincount(codes, minlength=domain)
-        starts = np.cumsum(counts)
-        starts -= counts
-        return JoinBuild(build, _stable_order(codes, domain), starts, counts)
+    layout's zeroed arrays are paid once for both sides, so a small
+    build side probed by a big one still gets it."""
+    if len(key) == 1 and (
+        domain <= _LAYOUT_PER_ROW * (build.n + probe_rows) + _DIRECT_SLACK
+    ):
+        return JoinBuild(build, *_counting_layout(build.cols[key[0]], domain))
     packed = _pack(build, key, domain)
     if packed is None:
         return None
     order = np.argsort(packed, kind="stable")
     return JoinBuild(build, order, sorted_keys=packed[order])
+
+
+def _counting_layout(
+    codes: np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, starts, counts)`` over codes below ``size``: the rows
+    holding code ``k`` are ``order[starts[k]:starts[k] + counts[k]]``.
+    When ``size`` exceeds the rows, ``starts`` is scattered from the
+    first position of each run of the stable order rather than summed
+    over ``size``, so past two zeroed arrays the rows set the cost."""
+    order = _stable_order(codes, size)
+    counts = np.bincount(codes, minlength=size)
+    if size <= len(codes):
+        starts = np.cumsum(counts)
+        starts -= counts
+    else:
+        starts = np.zeros(size, dtype=_INT)
+        if len(codes):
+            ordered = codes.take(order)
+            first = _run_starts(ordered)
+            starts[ordered.take(first)] = first
+    return order, starts, counts
+
+
+def _kept_side(left: NpTable, right: NpTable) -> int | None:
+    """The side of a single-key join whose kept layout it uses: the
+    stored one (the larger when both are, so the smaller probes); None
+    when neither keeps one."""
+    if left.index is None:
+        return None if right.index is None else 1
+    return 0 if right.index is None or left.n >= right.n else 1
+
+
+def _kept_layout(table: NpTable, column: int) -> JoinBuild:
+    """The stored ``table``'s layout of ``column``, laid out now if this
+    is its first join."""
+    slot = table.index[column]
+    layout = slot.layout
+    if layout is None:
+        codes = table.cols[column]
+        size = int(codes.max()) + 2 if table.n else 1
+        layout = slot.layout = _counting_layout(codes, size)
+    return JoinBuild(table, *layout)
 
 
 def join_probe(
@@ -275,9 +351,11 @@ def join_probe(
     """
     build = handle.table
     if handle.starts is not None:
+        # A stored column's layout ends at its own largest code, and its
+        # last slot is empty: a code past it clips there, to no rows.
         codes = probe.cols[probe_key[0]]
-        starts = handle.starts[codes]
-        counts = handle.counts[codes]
+        starts = handle.starts.take(codes, mode="clip")
+        counts = handle.counts.take(codes, mode="clip")
     else:
         packed = _pack(probe, probe_key, domain)
         starts = np.searchsorted(handle.sorted_keys, packed, side="left")
@@ -318,20 +396,24 @@ def join(
     layout: list[tuple[int, int]],
     domain: int,
 ) -> NpTable:
-    """Natural join; ``layout`` maps output columns to (side, column)."""
-    # Index the smaller side, probe with the larger.
-    if left.n <= right.n:
-        build, probe = left, right
-        build_key, probe_key = left_key, right_key
-        build_side = 0
-    else:
-        build, probe = right, left
-        build_key, probe_key = right_key, left_key
-        build_side = 1
+    """Natural join; ``layout`` maps output columns to (side, column).
 
-    handle = join_build(build, build_key, domain, probe.n)
-    if handle is None:
-        return _join_unpackable(left, right, left_key, right_key, layout)
+    On a single key, a stored side's kept layout is probed by the other
+    side whatever their sizes; otherwise the smaller side is indexed and
+    the larger probes it."""
+    kept = _kept_side(left, right) if len(left_key) == 1 else None
+    build_side = kept if kept is not None else int(left.n > right.n)
+    sides = ((left, left_key), (right, right_key))
+    (build, build_key), (probe, probe_key) = (
+        sides[build_side], sides[1 - build_side]
+    )
+    handle: JoinBuild | None
+    if kept is not None:
+        handle = _kept_layout(build, build_key[0])
+    else:
+        handle = join_build(build, build_key, domain, probe.n)
+        if handle is None:
+            return _join_unpackable(left, right, left_key, right_key, layout)
     return join_probe(handle, probe, probe_key, layout, build_side, domain)
 
 
@@ -351,7 +433,9 @@ def _join_unpackable(
     joined = kernels_python.join(
         lists[0], lists[1], left_key, right_key, layout, 0
     )
-    return from_columns(joined.cols, joined.n)
+    return NpTable(
+        [np.asarray(column, dtype=_INT) for column in joined.cols], joined.n
+    )
 
 
 def compose(
@@ -371,25 +455,34 @@ def compose(
     order, which is ``distinct``'s own order whenever it drops a row)
     and the row count of the join they stand for.
 
-    In a domain too big for a counting layout, or for a join too small
-    to pay for O(domain) passes, that join and ``distinct`` are what
-    runs. Otherwise the per-key row counts of both sides give the join
-    size (their dot product) and the keys both sides hold, and the codes
-    of each column are renumbered ``0..n`` in code order. While a dense
-    boolean product (outer x key) · (key x inner) is cheap next to the
-    join (``_BITS_PER_JOIN_ROW``) the pairs are the set cells of that
-    product, computed over bit-packed rows. Else one local pair code per
-    join row comes straight from the probe and build gathers and is
-    deduplicated by a mark over the local pair space, or a sort when
-    that space is large. Either way the cells come out row-major, which
-    is packed-key order.
+    The join's size comes first: from a stored side's kept layout, the
+    counts of the other side's keys (O(that side)); else, while the
+    domain is small next to the rows, the dot product of both sides'
+    per-key row counts. In a domain too big for those, or for a join too
+    small to pay for O(domain) passes, that join and ``distinct`` are
+    what runs. Otherwise the per-key row counts of both sides give the
+    keys both sides hold, and the codes of each column are renumbered
+    ``0..n`` in code order. While a dense boolean product (outer x key)
+    · (key x inner) is cheap next to the join (``_BITS_PER_JOIN_ROW``)
+    the pairs are the set cells of that product, computed over
+    bit-packed rows. Else one local pair code per join row comes
+    straight from the probe and build gathers and is deduplicated by a
+    mark over the local pair space, or a sort when that space is large.
+    Either way the cells come out row-major, which is packed-key order.
     """
     ok, ik = outer.cols[outer_key], inner.cols[inner_key]
     joined = 0
-    if domain <= 4 * (outer.n + inner.n) + _DIRECT_SLACK:
-        outer_per_key = np.bincount(ok, minlength=domain)
-        inner_per_key = np.bincount(ik, minlength=domain)
-        joined = int(outer_per_key @ inner_per_key)
+    key_counts: tuple[np.ndarray, np.ndarray] | None = None
+    kept = _kept_side(outer, inner)
+    if kept is not None:
+        if kept:
+            counts, keys = _kept_layout(inner, inner_key).counts, ok
+        else:
+            counts, keys = _kept_layout(outer, outer_key).counts, ik
+        joined = int(counts.take(keys, mode="clip").sum())
+    elif domain <= 4 * (outer.n + inner.n) + _DIRECT_SLACK:
+        key_counts = _per_key(ok, ik, domain)
+        joined = int(key_counts[0] @ key_counts[1])
     if joined <= 2 * domain + _DIRECT_SLACK:
         # A huge domain, or too few join rows to pay for the O(domain)
         # renumbering passes.
@@ -398,6 +491,7 @@ def compose(
             [(0, outer_col), (1, inner_col)], domain,
         )
         return distinct(pairs, domain), pairs.n
+    outer_per_key, inner_per_key = key_counts or _per_key(ok, ik, domain)
     # Only rows whose key both sides hold take part, and from here on a
     # code is its rank among the codes of its column in use.
     shared = (outer_per_key != 0) & (inner_per_key != 0)
@@ -431,6 +525,13 @@ def compose(
     # ``distinct`` keys whatever it dedups, and passes one row through.
     dedup_key = (domain, key) if joined > 1 else None
     return NpTable([first, second], len(key), dedup_key), joined
+
+
+def _per_key(
+    ok: np.ndarray, ik: np.ndarray, domain: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each side's row count per key code."""
+    return np.bincount(ok, minlength=domain), np.bincount(ik, minlength=domain)
 
 
 def _rows_on(keys: np.ndarray, key: np.ndarray, column: np.ndarray):

@@ -1,6 +1,10 @@
-"""Shared fixtures: the paper's running example and small datasets."""
+"""Shared fixtures: the paper's running example and small datasets, and
+a wall-clock limit on every test."""
 
 from __future__ import annotations
+
+import signal
+import threading
 
 import pytest
 
@@ -8,6 +12,40 @@ from repro.datasets.ldbc import generate_ldbc, ldbc_schema, ldbc_store
 from repro.datasets.yago import generate_yago, yago_schema, yago_store
 from repro.graph.model import yago_example_graph
 from repro.schema.builder import yago_example_schema
+
+
+#: Seconds a test may run (setup included) before it fails. No test needs
+#: more than a few; a runaway case fails with its test id and frees the
+#: host rather than hanging it.
+_TEST_SECONDS = 120
+
+
+class _Overran(BaseException):
+    """A test ran past ``_TEST_SECONDS``. Not an ``Exception``: hypothesis
+    treats those as a failing example to shrink (re-running it) and to
+    save (for every later run to replay), where this must end the test."""
+
+
+@pytest.fixture(autouse=True)
+def _wall_clock_limit(request):
+    """Fail the test from a ``SIGALRM`` once it overruns, where the
+    platform has the signal and the test runs in the main thread."""
+    if not hasattr(signal, "SIGALRM") or (
+        threading.current_thread() is not threading.main_thread()
+    ):
+        yield
+        return
+
+    def overran(signum, frame):
+        raise _Overran(f"{request.node.nodeid} ran past {_TEST_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.alarm(_TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,14 @@ code domain and the packed sorted one), the 16-bit boundary of the
 counting layout's radix sort, a single code, and keys and rows too wide
 to pack; tables are also run memmap-backed, as the spill path hands
 them over.
+
+Stored tables (built through ``from_columns``, as a store's encoded
+tables are) keep a layout per key column, sized by the column's own
+largest code, that every join on that column reuses: joins with a
+stored left side, right side or both, through column views, on empty
+stored tables and with probe codes past the stored column's largest are
+checked against the reference too, and so is ``compose`` with a stored
+side, in every way through it that ``_COMPOSE_MODES`` forces.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ from repro.exec.spill import SpillManager, is_spilled, spill_kernel_table
 
 if npk is None:
     pytest.skip("compares the numpy kernel", allow_module_level=True)
+
+from test_compose_agreement import _COMPOSE_MODES, _patched  # noqa: E402
 
 #: One code; many-to-many; sparse; the sorted layout at the test's table
 #: sizes (either side of 2^16, and two columns of it too wide to pack).
@@ -182,3 +192,132 @@ def test_difference_rounds_agree(data, dedup_first, spilled):
             assert _set(npk, np_delta) == _set(pyk, py_delta) == fresh
             assert npk.width(np_delta) == width
             seen |= fresh
+
+
+def _stored(rows, width):
+    """The same rows as a stored numpy table and as a Python-kernel
+    table."""
+    columns = [[row[i] for row in rows] for i in range(width)]
+    return npk.from_columns(columns, len(rows)), pyk.from_rows(rows, width)
+
+
+def _viewed(data, np_table, py_table, width, label):
+    """Both tables, or the same column view of each (columns permuted,
+    dropped or repeated: a stored table's view shares its layouts)."""
+    if not data.draw(st.booleans(), label=f"{label} viewed"):
+        return np_table, py_table, width
+    indices = data.draw(
+        st.lists(st.integers(0, width - 1), min_size=1, max_size=3),
+        label=f"{label} view",
+    )
+    return (
+        npk.select_columns(np_table, indices),
+        pyk.select_columns(py_table, indices),
+        len(indices),
+    )
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_stored_join_agrees(data):
+    """Single-key joins with a stored left side, right side or both (both
+    may be one stored table) give the reference's bag, run after run on
+    the same tables: each through its own column views and keys, so a
+    layout laid out by one join is reused by the next join on that
+    column, through whatever view. A stored side's codes may stop short
+    of the domain, so the other side probes with codes past the stored
+    column's largest."""
+    domain = data.draw(_DOMAINS)
+    width = data.draw(st.sampled_from([1, 2, 3]), label="width")
+    ceiling = data.draw(st.integers(0, min(domain, 64) - 1), label="ceiling")
+    stored_code = st.integers(0, ceiling)
+    any_code = st.integers(0, domain - 1)
+    stored = data.draw(
+        st.sampled_from(["left", "right", "both", "shared"]), label="stored"
+    )
+
+    def side(label, is_stored):
+        code = stored_code if is_stored else any_code
+        rows = data.draw(
+            st.lists(st.tuples(*[code] * width), max_size=24), label=label
+        )
+        if is_stored:
+            return _stored(rows, width)
+        return _tables(rows, width)
+
+    tables = {"left": side("left", stored != "right")}
+    tables["right"] = (
+        tables["left"] if stored == "shared"
+        else side("right", stored != "left")
+    )
+    for _ in range(data.draw(st.integers(2, 4), label="joins")):
+        (np_left, py_left, left_width), (np_right, py_right, right_width) = (
+            _viewed(data, *tables[name], width, name)
+            for name in ("left", "right")
+        )
+        left_key = [data.draw(st.integers(0, left_width - 1), label="left key")]
+        right_key = [
+            data.draw(st.integers(0, right_width - 1), label="right key")
+        ]
+        layout = _layout(data, left_width, right_width)
+        got = npk.join(np_left, np_right, left_key, right_key, layout, domain)
+        want = pyk.join(py_left, py_right, left_key, right_key, layout, domain)
+        assert _bag(npk, got) == _bag(pyk, want)
+        assert got.index is None
+
+
+def test_stored_layout_is_sized_by_the_column_and_clips_past_it():
+    """A stored column's layout ends one empty slot past its largest
+    code, whatever the domain; a probe code past it, or an empty stored
+    table, finds no row."""
+    stored, py_stored = _stored([(2, 7), (5, 8), (2, 9)], 2)
+    probe_rows = [(2, 0), (5, 1), (6, 2), (7, 3), (1 << 40, 4)]
+    probe, py_probe = _tables(probe_rows, 2)
+    layout = [(0, 0), (0, 1), (1, 1)]
+    got = npk.join(stored, probe, [0], [0], layout, 1 << 41)
+    want = pyk.join(py_stored, py_probe, [0], [0], layout, 1 << 41)
+    assert _bag(npk, got) == _bag(pyk, want) == [
+        (2, 7, 0), (2, 9, 0), (5, 8, 1),
+    ]
+    order, starts, counts = stored.index[0].layout
+    assert len(starts) == len(counts) == 7 and counts[-1] == 0
+    assert stored.index[1].layout is None  # only the key column laid out
+    empty, _ = _stored([], 2)
+    for left, right in ((empty, probe), (probe, empty), (empty, empty)):
+        assert npk.nrows(npk.join(left, right, [0], [0], layout, 64)) == 0
+    assert len(empty.index[0].layout[1]) == 1
+
+
+@pytest.mark.parametrize("mode", sorted(_COMPOSE_MODES))
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_compose_with_a_stored_side_agrees(mode, data):
+    """``compose`` with a stored outer side, inner side or both, against
+    ``distinct`` of the Python kernel's join: the same pairs, the join's
+    row count, and the dedup key of the pairs it leaves."""
+    domain = data.draw(st.integers(1, 12), label="domain")
+    stored = data.draw(st.sampled_from(["outer", "inner", "both"]))
+    sides = []
+    for name in ("outer", "inner"):
+        width = data.draw(st.integers(2, 3), label=f"{name} width")
+        ceiling = data.draw(st.integers(0, domain - 1), label=f"{name} ceiling")
+        code = st.integers(0, ceiling)
+        rows = data.draw(
+            st.lists(st.tuples(*[code] * width), max_size=60), label=name
+        )
+        make = _stored if stored in (name, "both") else _tables
+        key, column = data.draw(st.permutations(range(width)))[:2]
+        sides.append((*make(rows, width), key, column))
+    (np_outer, py_outer, ok, oc), (np_inner, py_inner, ik, ic) = sides
+    joined = pyk.join(
+        py_outer, py_inner, [ok], [ik], [(0, oc), (1, ic)], domain
+    )
+    with _patched(**_COMPOSE_MODES[mode]):
+        got, rows = npk.compose(np_outer, ok, oc, np_inner, ik, ic, domain)
+    assert rows == pyk.nrows(joined)
+    assert _set(npk, got) == _set(pyk, pyk.distinct(joined, domain))
+    if got.key is not None:
+        assert got.key[0] == domain
+        assert got.key[1].tolist() == sorted(
+            first * domain + second for first, second in npk.to_rows(got)
+        )

@@ -344,6 +344,36 @@ def test_payload_of_coded_columns_is_the_row_wise_payload(kernel, query):
     assert rows_payload(frozenset(answer)) == expected
 
 
+@pytest.mark.skipif("numpy" not in KERNELS, reason="numpy kernel only")
+def test_json_rows_of_a_numpy_answer_imports_no_numpy_ma():
+    """Ranking a coded answer's columns for the wire (``np.unique`` would
+    import ``numpy.ma`` on the first read a server answers)."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    check = (
+        "import sys\n"
+        "from repro.engine import GraphSession\n"
+        "from repro.graph.model import yago_example_graph\n"
+        "from repro.schema.builder import yago_example_schema\n"
+        "session = GraphSession(yago_example_graph(), yago_example_schema())\n"
+        f"answer = session.execute({CLOSURE!r}, 'vec')\n"
+        "assert answer.json_rows().startswith('[[')\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", check],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+
+
 @pytest.mark.parametrize("command", ["batch", "serve"])
 def test_cli_json_orders_rows_as_the_wire_does(
     command, tmp_path, monkeypatch, capsys

@@ -2,8 +2,11 @@
 
 Covers dictionary-encoding round trips, encoding-snapshot invalidation,
 kernel parity (numpy vs pure-Python fallback), empty and degenerate
-fixpoints, the numpy ``compose`` and ``closure`` hooks against the plain
-operators they replace (answers, stats, ticks and byte charges), the
+fixpoints, the numpy kernel's join layouts kept per stored table (reused
+across executions, replaced by an append to their table, kept across
+one that grows the dictionary, absent on spilled tables), the numpy
+``compose`` and ``closure`` hooks against the plain operators they
+replace (answers, stats, ticks and byte charges), the
 ``vec`` backend-option validation, the totality of
 :meth:`ExecutionStats.merge`, the memoised optimizer statistics, and the
 CLI's live-registry backend validation.
@@ -322,6 +325,94 @@ class TestDedupKeyLifetime:
                 assert entry.answer.table.key is None
                 for total, _state, _domain in (entry.fix_states or {}).values():
                     assert total.key is None
+
+
+@pytest.mark.skipif("numpy" not in KERNELS, reason="numpy kernel only")
+class TestStoredJoinLayouts:
+    """A stored table's numpy kernel table keeps its key columns' join
+    layouts for as long as it lives: an append to the table replaces the
+    kernel table, one to another table leaves it (a code the dictionary
+    gained since finds no row), and a spilled table keeps none."""
+
+    #: ``f``'s targets probe ``e``'s sources; ``e`` is the larger side.
+    TERM = Project(
+        Join(
+            Rename.of(Rel("f"), {"Tr": "m"}),
+            Rename.of(Rel("e"), {"Sr": "m"}),
+        ),
+        ("Sr", "Tr"),
+    )
+    EDGES = {(i, i + 1) for i in range(20)} | {(3, 7), (5, 0)}
+    STARTS = {(100, 3), (101, 5), (102, 19)}
+
+    @classmethod
+    def _store(cls, edges=(), starts=()):
+        store = RelationalStore()
+        store.add_table(
+            Table("e", ("Sr", "Tr"), cls.EDGES | set(edges)), node_label=False
+        )
+        store.add_table(
+            Table("f", ("Sr", "Tr"), cls.STARTS | set(starts)), node_label=False
+        )
+        return store
+
+    def _run(self, store):
+        """The answer, and the layout of ``e``'s source column."""
+        kernel = get_kernel("numpy")
+        answer = execute_program(
+            compile_term(self.TERM, store), store, kernel=kernel
+        )
+        stored = encoding_for(store).table("e").kernel_table(kernel)
+        return answer, stored.index[0].layout
+
+    def test_a_second_execution_reuses_the_layout(self):
+        store = self._store()
+        answer, layout = self._run(store)
+        assert answer == {(100, 4), (100, 7), (101, 6), (101, 0), (102, 20)}
+        assert layout is not None
+        again, kept = self._run(store)
+        assert again == answer and kept is layout
+        assert all(a is b for a, b in zip(kept, layout))
+
+    def test_an_append_to_the_table_lays_it_out_again(self):
+        store = self._store()
+        _, layout = self._run(store)
+        store.add_rows("e", [(19, 3)])
+        answer, fresh = self._run(store)
+        assert fresh is not None and fresh is not layout
+        assert (102, 3) in answer
+        assert answer == self._run(self._store(edges=[(19, 3)]))[0]
+
+    def test_an_append_growing_the_dictionary_keeps_it(self):
+        store = self._store()
+        _, layout = self._run(store)
+        assert layout is not None
+        domain = encoding_for(store).domain_size
+        new_starts = [(103, 500), (104, 501), (105, 19)]
+        store.add_rows("f", new_starts)
+        answer, kept = self._run(store)
+        assert encoding_for(store).domain_size > domain
+        assert kept is layout  # the new codes 500, 501 clip to no row
+        assert answer == self._run(self._store(starts=new_starts))[0]
+        assert (105, 20) in answer
+
+    def test_a_spilled_table_keeps_none(self):
+        from repro.exec.spill import SpillManager, is_spilled
+
+        store = self._store()
+        kernel = get_kernel("numpy")
+        program = compile_term(self.TERM, store)
+        with SpillManager() as manager:
+            answer = execute_program(
+                program, store, kernel=kernel,
+                spill_threshold_bytes=1, spill_manager=manager,
+            )
+            encoding = encoding_for(store)
+            spilled = encoding.table("e").spilled_kernel_table(
+                kernel, manager, encoding.version
+            )
+            assert is_spilled(spilled) and spilled.index is None
+        assert answer == self._run(self._store())[0]
 
 
 class _WithoutCompose:
