@@ -25,9 +25,9 @@ Four subcommands:
   ``--request-timeout``) and snapshot-isolated reads; ``SIGINT``/
   ``SIGTERM`` drain in-flight requests before exiting.
 
-``query``, ``batch`` and ``serve`` accept
-``--spill-threshold-bytes N`` / ``--spill-path DIR`` (out-of-core
-memmap spill on ``vec``), ``--planner {greedy,cost}`` (the cost model
+``query``, ``batch`` and ``serve`` accept ``--max-rows N`` /
+``--max-bytes N`` (hard caps: a run over either fails with
+``resource_exhausted``), ``--planner {greedy,cost}`` (the cost model
 chooses between the query as written and its schema rewrite, where the
 linear pipeline runs the rewrite) and
 ``--backend auto`` (the default backend under the cost planner; ``bench
@@ -142,10 +142,6 @@ def _exec_options(args, planner: str | None = None):
     )
     if planner is not None:
         fields["planner"] = planner
-    if getattr(args, "spill_path", None) is not None:
-        fields["spill_path"] = args.spill_path
-    if getattr(args, "spill_threshold_bytes", None) is not None:
-        fields["spill_threshold_bytes"] = args.spill_threshold_bytes
     if getattr(args, "max_rows", None) is not None:
         fields["max_rows"] = args.max_rows
     if getattr(args, "max_bytes", None) is not None:
@@ -439,20 +435,6 @@ def _run_query_inner(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_spill_arguments(parser) -> None:
-    parser.add_argument(
-        "--spill-path", default=None, metavar="DIR",
-        help="vec backend: root directory for memmap spill files "
-        "(default: system tempdir, or $REPRO_SPILL_PATH)",
-    )
-    parser.add_argument(
-        "--spill-threshold-bytes", type=int, default=None, metavar="N",
-        help="vec backend: spill encoded tables and intermediates whose "
-        "estimated size exceeds N bytes to memmap-backed files "
-        "(default: off, or $REPRO_SPILL_THRESHOLD_BYTES)",
-    )
-
-
 def _add_governor_arguments(parser) -> None:
     parser.add_argument(
         "--max-rows", type=int, default=None, metavar="N",
@@ -552,7 +534,6 @@ def main(argv: list[str] | None = None) -> int:
     query.add_argument(
         "--limit", type=int, default=20, help="rows to print (default 20)"
     )
-    _add_spill_arguments(query)
     _add_governor_arguments(query)
     _add_planner_argument(query)
 
@@ -600,7 +581,6 @@ def main(argv: list[str] | None = None) -> int:
             help="disable the session's result-set cache (on by default "
             "for serving: repeated queries skip execution entirely)",
         )
-        _add_spill_arguments(sub)
         _add_governor_arguments(sub)
         _add_planner_argument(sub)
         if name == "serve":

@@ -10,9 +10,9 @@ whatever the substrate actually executes:
                   plan tree (Fig. 17) plus the physical operator tree.
                   ``vec``, the backend an unset ``backend`` resolves
                   to, runs it on the fastest kernel that imports
-                  (numpy, else pure Python) with the out-of-core knobs;
-                  ``ra``, only ever asked for by name, pins the
-                  dependency-free pure-Python kernel, in memory,
+                  (numpy, else pure Python) or the one ``kernel``
+                  pins; ``ra``, only ever asked for by name, pins the
+                  dependency-free pure-Python kernel,
 * ``sqlite``    — the generated ``WITH RECURSIVE`` SQL text (explained
                   via SQLite's own ``EXPLAIN QUERY PLAN``),
 * ``gdb``       — the compiled graph patterns (explained as Cypher when
@@ -38,7 +38,6 @@ from repro.exec.compile import CompiledProgram, compile_term
 from repro.exec.executor import ExecutionStats, execute_batch_programs
 from repro.exec.kernels import default_kernel, get_kernel
 from repro.exec.result import ResultSet
-from repro.exec.spill import default_spill_threshold, spill_supported
 from repro.gdb.cypher import cypher_expressible, to_cypher
 from repro.gdb.patterns import GraphPattern, ucqt_to_patterns
 from repro.graph.evaluator import EvalBudget, as_budget
@@ -63,18 +62,13 @@ class VecPlan:
 
     ``kernel`` pins a kernel implementation by name (the ``kernel``
     option; ``ra`` plans always pin ``"python"``); ``None`` means the
-    fastest available one. ``spill_threshold_bytes`` (``None`` defers to
-    ``REPRO_SPILL_THRESHOLD_BYTES``, off when unset) turns on memmap
-    spill of oversized tables under ``spill_path`` (default
-    ``REPRO_SPILL_PATH``).
+    fastest available one.
     """
 
     term: RaTerm
     program: CompiledProgram
     head: tuple[str, ...]
     kernel: str | None = None
-    spill_path: str | None = None
-    spill_threshold_bytes: int | None = None
 
 
 class VecBackend:
@@ -86,22 +80,13 @@ class VecBackend:
     name = "vec"
     #: The :class:`ExecOptions` fields this backend reads; their values
     #: are the options part of its plan- and result-cache keys.
-    option_fields: tuple[str, ...] = (
-        "kernel",
-        "spill_path",
-        "spill_threshold_bytes",
-    )
+    option_fields: tuple[str, ...] = ("kernel",)
 
     def _plan(self, term: RaTerm, store, query: UCQT, options: ExecOptions):
         if options.kernel is not None:
             get_kernel(options.kernel)  # fail at prepare time, not execute time
         return VecPlan(
-            term,
-            compile_term(term, store),
-            query.head,
-            options.kernel,
-            options.spill_path,
-            options.spill_threshold_bytes,
+            term, compile_term(term, store), query.head, options.kernel
         )
 
     def prepare(
@@ -170,29 +155,11 @@ class VecBackend:
         a plan's knobs become an ``execute_batch_programs`` call.
 
         The plans come from one :class:`ExecOptions`, so the first one's
-        kernel and spill path stand for all; the spill threshold is the
-        smallest any plan carries (the cost planner may have stamped a
-        byte cap onto some of them), else ``REPRO_SPILL_THRESHOLD_BYTES``.
-        A kernel that cannot memmap runs in memory whatever the
-        threshold (``ra`` always does); the others spill through the
-        session's long-lived manager, so named base-table spills persist
-        across executions at one store version.
+        kernel stands for all.
         """
         fault_point(f"backend.execute.{self.name}")
         first = plans[0]
         kernel = get_kernel(first.kernel) if first.kernel else default_kernel()
-        spill_threshold = spill_manager = None
-        if spill_supported(kernel):
-            spill_threshold = min(
-                (
-                    plan.spill_threshold_bytes
-                    for plan in plans
-                    if plan.spill_threshold_bytes is not None
-                ),
-                default=default_spill_threshold(),
-            )
-            if spill_threshold is not None:
-                spill_manager = session.spill_manager(first.spill_path)
         return execute_batch_programs(
             [plan.program for plan in plans],
             session.store,
@@ -201,29 +168,19 @@ class VecBackend:
             kernel=kernel,
             stats=stats,
             fix_captures=fix_captures,
-            spill_threshold_bytes=spill_threshold,
-            spill_path=first.spill_path,
-            spill_manager=spill_manager,
         )
 
     def explain(self, session: "GraphSession", plan: VecPlan) -> str:
         """The plan tree the cost planner ranks (rows and cumulative
         cost per operator), then the compiled program and the kernel
-        and spill threshold it runs under."""
+        it runs on."""
         logical = cost_term(plan.term, session.store).render(session.store)
         physical = plan.program.render()
         kernel = get_kernel(plan.kernel) if plan.kernel else default_kernel()
-        config = f"{kernel.NAME} kernels"
-        spill_threshold = (
-            plan.spill_threshold_bytes
-            if plan.spill_threshold_bytes is not None
-            else default_spill_threshold()
-        )
-        if spill_threshold is not None and spill_supported(kernel):
-            config += f", spill_threshold_bytes={spill_threshold}"
         return (
             f"-- logical µ-RA plan --\n{logical}\n\n"
-            f"-- physical columnar plan ({config}) --\n{physical}"
+            f"-- physical columnar plan ({kernel.NAME} kernels) --\n"
+            f"{physical}"
         )
 
     def result_token(self, plan: VecPlan):
@@ -234,8 +191,7 @@ class RaBackend(VecBackend):
     """The PostgreSQL stand-in: the same layer with nothing to choose.
 
     ``ra`` plans are :class:`VecPlan` s pinned to the dependency-free
-    pure-Python kernel and always run in memory — the ``REPRO_SPILL_*``
-    defaults do not reach them — so the backend behaves the same on every
+    pure-Python kernel, so the backend behaves the same on every
     install.
     """
 

@@ -18,7 +18,7 @@ Every value is checked here, when the object is built, except the one
 check that depends on the install (``kernel`` names a kernel that can be
 imported), which the ``vec`` backend makes in ``prepare``. Each backend
 names the fields it reads in its ``option_fields`` attribute — ``vec``
-the kernel pin and the out-of-core pair, the rest nothing — and the
+the kernel pin, the rest nothing — and the
 values of exactly those fields (:meth:`ExecOptions.key_for`) are the
 execution-options part of its plan- and result-cache keys, so one
 object can describe a mixed-backend batch without fragmenting anyone's
@@ -43,20 +43,19 @@ class ExecOptions:
     backend: str | None = None           # execution substrate, or auto
     planner: str | None = None           # "greedy" | "cost"
     kernel: str | None = None            # vec kernel pin ("numpy"/"python")
-    spill_path: str | None = None        # out-of-core spill directory root
-    spill_threshold_bytes: int | None = None  # spill tables above this size
     max_rows: int | None = None          # ResourceBudget cumulative row cap
     max_bytes: int | None = None         # ResourceBudget intermediate-bytes cap
+                                         # (hard: over it, the run fails)
     fallback: bool | None = None         # retry down the backend chain
 
     def __post_init__(self) -> None:
-        for name in ("backend", "planner", "kernel", "spill_path"):
+        for name in ("backend", "planner", "kernel"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 raise ValueError(
                     f"exec option {name!r} must be a string, got {value!r}"
                 )
-        for name in ("max_rows", "max_bytes", "spill_threshold_bytes"):
+        for name in ("max_rows", "max_bytes"):
             value = getattr(self, name)
             if value is None:
                 continue

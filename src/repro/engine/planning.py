@@ -13,15 +13,13 @@ store snapshot, never on what ran before it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.rewriter import RewriteOptions
 from repro.engine.cache import LruCache
 from repro.engine.options import ExecOptions
 from repro.engine.protocol import Backend
-from repro.exec.kernels import default_kernel, get_kernel
-from repro.exec.spill import default_spill_threshold, spill_supported
 from repro.planner import PlanChoice, PlanningPass
 from repro.query.model import UCQT, drop_unsatisfiable_disjuncts
 
@@ -29,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.session import GraphSession
 
 #: Compiled winners one cost-planned entry keeps (one per backend /
-#: option-values / byte-cap combination asked for; oldest dropped).
+#: option-values combination asked for; oldest dropped).
 _MAX_COMPILED_PER_QUERY = 8
 
 
@@ -45,7 +43,7 @@ class PlannedQuery:
     planning: PlanningPass
     #: Wall-clock spent planning this entry (reported, never decided on).
     seconds: float = 0.0
-    #: (backend, its option values, max_bytes) -> (plan, choice).
+    #: (backend, its option values) -> (plan, choice).
     compiled: dict[tuple, tuple[object | None, PlanChoice]] = field(
         default_factory=dict
     )
@@ -58,8 +56,8 @@ class Planning:
         self.plans = LruCache(cache_size)
         self.candidates_enumerated = 0
         self.plan_seconds = 0.0
-        #: Memory-dimension planning counters (``planner_stats``).
-        self.spill_decisions = 0
+        #: The last cost-planned winner's peak-memory estimate
+        #: (``planner_stats``).
         self.last_peak_estimate = 0.0
 
     def plan(
@@ -115,11 +113,7 @@ class Planning:
         planning pass (:meth:`planned`) and compile the winner for the
         backend, kept inside the query's planner entry."""
         planned = self.planned(session, query, rewrite, options)
-        compiled_key = (
-            backend.name,
-            exec_options.key_for(backend),
-            exec_options.max_bytes,
-        )
+        compiled_key = (backend.name, exec_options.key_for(backend))
         compiled = planned.compiled.get(compiled_key)
         if compiled is None:
             started = time.perf_counter()
@@ -136,8 +130,9 @@ class Planning:
             # ranking, not every estimate behind them.
             planned.planning.release()
             self._charge(planned, started)
-            compiled = self._compile_winner(
-                session, backend, choice, exec_options
+            compiled = (
+                self._compile_winner(session, backend, choice, exec_options),
+                choice,
             )
             if len(planned.compiled) >= _MAX_COMPILED_PER_QUERY:
                 del planned.compiled[next(iter(planned.compiled))]
@@ -190,41 +185,11 @@ class Planning:
         backend: Backend,
         choice: PlanChoice,
         exec_options: ExecOptions,
-    ) -> tuple[object | None, PlanChoice]:
+    ) -> object | None:
         winner = choice.winner.candidate
         if winner.term is None:
-            return None, choice
-        if backend.name == "vec":
-            exec_options, choice = self._memory_decision(choice, exec_options)
+            return None
         from_term = getattr(backend, "prepare_from_term", None)
         if from_term is not None:
-            plan = from_term(session, winner.term, winner.query, exec_options)
-        else:
-            plan = backend.prepare(session, winner.query, exec_options)
-        return plan, choice
-
-    def _memory_decision(self, choice: PlanChoice, options: ExecOptions):
-        """The out-of-core decision for one cost-planned vec query.
-
-        Spill turns on when the peak-memory estimate exceeds the
-        configured ``spill_threshold_bytes`` (option or
-        ``REPRO_SPILL_THRESHOLD_BYTES``) or, with none configured, the
-        hard ``max_bytes`` cap — which then becomes the threshold the
-        plan is compiled under (it spills rather than aborts). A kernel
-        that cannot memmap gets no decision. Returns the options and the
-        choice, the decision recorded.
-        """
-        threshold = options.spill_threshold_bytes
-        if threshold is None:
-            threshold = default_spill_threshold()
-        limit = threshold if threshold is not None else options.max_bytes
-        if limit is None or choice.peak_bytes <= limit:
-            return options, choice
-        if not spill_supported(
-            get_kernel(options.kernel) if options.kernel else default_kernel()
-        ):
-            return options, choice
-        self.spill_decisions += 1
-        if threshold is None:
-            options = replace(options, spill_threshold_bytes=limit)
-        return options, choice.with_memory(spill=True)
+            return from_term(session, winner.term, winner.query, exec_options)
+        return backend.prepare(session, winner.query, exec_options)

@@ -1,8 +1,8 @@
 """``GraphSession`` — the single entry point over all execution substrates.
 
 A session over one graph and schema lazily builds and owns the derived
-artefacts (relational store, SQLite database, pattern engine, spill
-directory) and answers ``prepare`` / ``execute`` / ``explain`` on every
+artefacts (relational store, SQLite database, pattern engine) and
+answers ``prepare`` / ``execute`` / ``explain`` on every
 registered backend, under one resolved
 :class:`~repro.engine.options.ExecOptions` per call (session defaults,
 then ``exec_options=``, then the positional ``backend``; unset is
@@ -37,7 +37,6 @@ from repro.engine.telemetry import Telemetry
 from repro.exec.dictionary import encoding_appends, tables_encoded
 from repro.exec.executor import ExecutionStats
 from repro.exec.result import ResultSet
-from repro.exec.spill import SpillManager
 from repro.gdb.engine import PatternEngine
 from repro.graph.evaluator import EvalBudget, ResourceBudget
 from repro.graph.model import PropertyGraph
@@ -194,7 +193,6 @@ class GraphSession:
         self.telemetry = Telemetry()
         self._sqlite: SqliteBackend | None = None
         self._pattern_engine: PatternEngine | None = None
-        self._spill_manager: SpillManager | None = None
 
     # -- derived artefacts (built lazily, owned by the session) -----------
     @property
@@ -405,11 +403,10 @@ class GraphSession:
     @property
     def planner_stats(self) -> dict:
         """What planning did: candidates enumerated and time spent by the
-        cost planner, the rewrites gated, the memory decisions and the
-        Q-error telemetry. A query is ranked once per plan-cache
+        cost planner, the rewrites gated, the last peak-memory estimate
+        and the Q-error telemetry. A query is ranked once per plan-cache
         lifetime, so no counter here moves a plan."""
         planning = self.planning
-        spill = self._spill_manager
         return {
             "mode": self.planner,
             "candidates_enumerated": planning.candidates_enumerated,
@@ -418,26 +415,10 @@ class GraphSession:
             "instance_conforming": self.frontend.conforming,
             "resilience": self.resilience_stats(),
             "memory": {
-                "spill_decisions": planning.spill_decisions,
                 "last_peak_estimate_bytes": planning.last_peak_estimate,
-                **(
-                    spill.counters()
-                    if spill is not None
-                    else dict.fromkeys(SpillManager.COUNTERS, 0)
-                ),
             },
             "calibration": self.telemetry.stats(),
         }
-
-    def spill_manager(self, path: str | None = None) -> SpillManager:
-        """The session's spill-directory owner, created on first use
-        (``path`` roots it then): named base-table spill files persist
-        across executions at one store version. Closed with the session."""
-        if self._spill_manager is None or self._spill_manager.closed:
-            self._spill_manager = SpillManager(
-                path or self.exec_options.spill_path
-            )
-        return self._spill_manager
 
     @property
     def backends(self) -> tuple[str, ...]:
@@ -468,9 +449,6 @@ class GraphSession:
         if self._sqlite is not None:
             self._sqlite.close()
             self._sqlite = None
-        if self._spill_manager is not None:
-            self._spill_manager.close()
-            self._spill_manager = None
 
     def __enter__(self) -> "GraphSession":
         return self

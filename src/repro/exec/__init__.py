@@ -21,16 +21,13 @@ over columns of dense integer codes:
   value list, decoded once and only when read,
 * :mod:`repro.exec.maintain` — incrementally maintains cached results
   after append-only store writes: one delta pass over the program,
-  re-seeding semi-naive iteration where it kept a fixpoint,
-* :mod:`repro.exec.spill` — out-of-core execution: encoded tables and
-  oversized intermediates are rewritten as flat int64 files and mapped
-  back as ``np.memmap`` views (:class:`~repro.exec.spill.SpillManager`).
+  re-seeding semi-naive iteration where it kept a fixpoint.
 
 The :class:`~repro.engine.backends.VecBackend` registered in the engine
 layer wires the pieces behind the standard ``prepare``/``execute``/
 ``explain`` protocol; :class:`~repro.engine.backends.RaBackend` is the
-same wiring with the pure-Python kernel pinned and the out-of-core
-knobs off.
+same wiring with the pure-Python kernel pinned. Everything runs in
+memory: a ``max_bytes`` cap is a hard limit on every kernel.
 """
 
 from repro.exec.compile import CompiledProgram, compile_term, render_program
@@ -53,36 +50,24 @@ from repro.exec.maintain import (
 )
 from repro.exec.kernels import available_kernels, default_kernel, get_kernel
 from repro.exec.result import ResultSet
-from repro.exec.spill import (
-    SpillManager,
-    default_spill_path,
-    default_spill_threshold,
-    is_spilled,
-    spill_supported,
-)
 
 __all__ = [
     "CompiledProgram",
     "ExecutionStats",
     "MaintenanceOutcome",
     "ResultSet",
-    "SpillManager",
     "StoreEncoding",
     "ValueDictionary",
     "available_kernels",
     "compile_term",
     "default_kernel",
-    "default_spill_path",
-    "default_spill_threshold",
     "encoding_appends",
     "encoding_for",
     "execute_batch_programs",
     "execute_program",
     "get_kernel",
-    "is_spilled",
     "maintain_program",
     "maintainable",
     "render_program",
-    "spill_supported",
     "tables_encoded",
 ]

@@ -97,29 +97,6 @@ class EncodedTable:
             self._kernel_tables[kernel.NAME] = table
         return table
 
-    def spilled_kernel_table(self, kernel, manager, version: int):
-        """A memmap-backed kernel table (cached per kernel, like above).
-
-        The spill file is keyed ``(table name, version)`` inside the
-        manager, so repeat executions at the same store version reuse
-        one file and a version move (append delta — which also clears
-        this cache — or barrier rebuild) rewrites it. Falls back to the
-        in-RAM table on kernels without memmap support.
-        """
-        from repro.exec.spill import spill_supported, table_from_memmap
-
-        if not spill_supported(kernel):
-            return self.kernel_table(kernel)
-        key = f"{kernel.NAME}@spill"
-        table = self._kernel_tables.get(key)
-        if table is None:
-            mapped = manager.spill_table(
-                self.name, version, self.codes, self.nrows
-            )
-            table = table_from_memmap(kernel, mapped, self.nrows)
-            self._kernel_tables[key] = table
-        return table
-
 
 class StoreEncoding:
     """Dictionary-encoded snapshot of one relational store."""

@@ -32,8 +32,8 @@ frontier. Each round is still accounted as the loop would account it
 row ticks and byte charges, in the same order), the hook's time is join
 time, and it ends in an ordinary ``difference`` state, so fix captures
 and maintenance see no difference. Everything else iterates the loop:
-the python kernel, spilling runs, non-linear steps, steps that are not
-such a composition, and a maintenance run resuming a cached fixpoint.
+the python kernel, non-linear steps, steps that are not such a
+composition, and a maintenance run resuming a cached fixpoint.
 
 All base tables referenced by the program are dictionary-encoded up
 front, so the value-id space is frozen for the whole execution — packed
@@ -49,14 +49,10 @@ closed-operator memo spans every program — because the compiler hands
 equal closed subtrees the same operator node, a fixpoint or join shared
 by many queries in the batch is materialised exactly once.
 
-With ``spill_threshold_bytes`` set (and a memmap-capable kernel), base
-tables and operator outputs whose estimated encoded size exceeds the
-threshold are rewritten onto disk (:mod:`repro.exec.spill`) and the
-execution proceeds over ``np.memmap`` views. Spilled tables are *not*
-charged against the budget's ``max_bytes`` ceiling — the cap governs
-materialised RAM, spilling trades it for disk — which is what lets a
-graph larger than the cap complete out-of-core while the same query
-in-memory exhausts the budget.
+Every materialised operator output is charged against the budget's
+``max_bytes`` ceiling (one int64 code per row and column): a run over
+the cap raises :class:`~repro.errors.ResourceExhaustedError` on every
+kernel.
 """
 
 from __future__ import annotations
@@ -65,7 +61,7 @@ import time
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from repro.errors import EvaluationError, InjectedFault
+from repro.errors import EvaluationError
 from repro.exec.compile import (
     CompiledProgram,
     FixOp,
@@ -81,12 +77,6 @@ from repro.exec.compile import (
 from repro.exec.dictionary import StoreEncoding, encoding_for
 from repro.exec.kernels import default_kernel
 from repro.exec.result import ResultSet
-from repro.exec.spill import (
-    SpillManager,
-    is_spilled,
-    spill_kernel_table,
-    spill_supported,
-)
 from repro.graph.evaluator import EvalBudget
 from repro.testing.faults import fault_point
 from repro.storage.relational import RelationalStore
@@ -132,12 +122,8 @@ class ExecutionStats:
     programs: int = 0
     ops_evaluated: int = 0
     memo_hits: int = 0
-    # Out-of-core counters: bytes/files actually written to spill during
-    # this execution, tables the lazy store encoding has materialised,
-    # and the planner's peak-memory estimate for the chosen plan
-    # (max-merged, not summed).
-    spilled_bytes: int = 0
-    spill_ops: int = 0
+    # Tables the lazy store encoding has materialised, and the planner's
+    # peak-memory estimate for the chosen plan (max-merged, not summed).
     tables_encoded: int = 0
     peak_estimate_bytes: float = 0.0
     result_cache_hits: int = 0
@@ -218,9 +204,6 @@ def execute_program(
     kernel=None,
     stats: ExecutionStats | None = None,
     fix_capture: dict | None = None,
-    spill_threshold_bytes: int | None = None,
-    spill_path: str | None = None,
-    spill_manager: SpillManager | None = None,
 ) -> ResultSet:
     """Run ``program`` on ``store``; the head-ordered answer stays coded."""
     return execute_batch_programs(
@@ -231,30 +214,7 @@ def execute_program(
         kernel=kernel,
         stats=stats,
         fix_captures=None if fix_capture is None else [fix_capture],
-        spill_threshold_bytes=spill_threshold_bytes,
-        spill_path=spill_path,
-        spill_manager=spill_manager,
     )[0]
-
-
-class _SpillState:
-    """The per-execution spill policy: a manager plus the byte threshold.
-
-    ``owns`` marks an ephemeral manager created for this execution only
-    (closed in the run's ``finally``); a session-provided manager
-    outlives the run so named base-table spills are reused across
-    executions at the same store version. Counter baselines let the run
-    report only its *own* writes even through a shared manager.
-    """
-
-    __slots__ = ("manager", "threshold", "owns", "base_bytes", "base_ops")
-
-    def __init__(self, manager: SpillManager, threshold: int, owns: bool):
-        self.manager = manager
-        self.threshold = threshold
-        self.owns = owns
-        self.base_bytes = manager.spilled_bytes
-        self.base_ops = manager.spill_ops
 
 
 class _ClosureShape(NamedTuple):
@@ -279,9 +239,6 @@ def execute_batch_programs(
     kernel=None,
     stats: ExecutionStats | None = None,
     fix_captures: list | None = None,
-    spill_threshold_bytes: int | None = None,
-    spill_path: str | None = None,
-    spill_manager: SpillManager | None = None,
 ) -> list[ResultSet]:
     """Run several compiled programs with shared encoding and shared memo.
 
@@ -304,27 +261,8 @@ def execute_batch_programs(
     later write can continue semi-naive iteration instead of
     recomputing. Capturing is O(1) per fixpoint: the tables are the
     runner's own materialisations, shared not copied.
-
-    ``spill_threshold_bytes`` turns on out-of-core execution on
-    memmap-capable kernels: base tables and operator outputs estimated
-    above the threshold are rewritten under a spill directory
-    (``spill_manager`` when given — typically the session's, so named
-    files are reused across executions — else an ephemeral one rooted
-    at ``spill_path``).
     """
     kernel = kernel or default_kernel()
-    spill: _SpillState | None = None
-    if (
-        spill_threshold_bytes is not None
-        and spill_threshold_bytes >= 1
-        and spill_supported(kernel)
-    ):
-        if spill_manager is not None and not spill_manager.closed:
-            spill = _SpillState(spill_manager, spill_threshold_bytes, False)
-        else:
-            spill = _SpillState(
-                SpillManager(spill_path), spill_threshold_bytes, True
-            )
     encoding = encoding_for(store)
     programs = list(programs)
     heads = list(heads) if heads is not None else [None] * len(programs)
@@ -332,35 +270,24 @@ def execute_batch_programs(
         raise ValueError(
             f"{len(programs)} program(s) but {len(heads)} head(s)"
         )
-    try:
-        runner = _Runner(
-            programs, encoding, kernel, budget or _NO_BUDGET, spill=spill
-        )
-        values = encoding.dictionary.values
-        results: list[ResultSet] = []
-        if fix_captures is None:
-            fix_captures = [None] * len(programs)
-        for program, head, capture in zip(programs, heads, fix_captures):
-            table = runner.run(program)
-            columns = program.columns
-            if head is not None and head != columns:
-                table = kernel.select_columns(
-                    table, [columns.index(column) for column in head]
-                )
-            results.append(ResultSet(table, values))
-            if capture is None:
-                continue
-            capture[CAPTURE_KERNEL] = kernel.NAME
-            capture.update(runner.fix_states(program))
-    finally:
-        if spill is not None and spill.owns:
-            spill.manager.close()
-    if stats is not None:
-        if spill is not None:
-            runner.stats.spilled_bytes = (
-                spill.manager.spilled_bytes - spill.base_bytes
+    runner = _Runner(programs, encoding, kernel, budget or _NO_BUDGET)
+    values = encoding.dictionary.values
+    results: list[ResultSet] = []
+    if fix_captures is None:
+        fix_captures = [None] * len(programs)
+    for program, head, capture in zip(programs, heads, fix_captures):
+        table = runner.run(program)
+        columns = program.columns
+        if head is not None and head != columns:
+            table = kernel.select_columns(
+                table, [columns.index(column) for column in head]
             )
-            runner.stats.spill_ops = spill.manager.spill_ops - spill.base_ops
+        results.append(ResultSet(table, values))
+        if capture is None:
+            continue
+        capture[CAPTURE_KERNEL] = kernel.NAME
+        capture.update(runner.fix_states(program))
+    if stats is not None:
         stats.merge(runner.stats)
     return results
 
@@ -372,12 +299,10 @@ class _Runner:
         encoding: StoreEncoding,
         kernel,
         budget: EvalBudget,
-        spill: _SpillState | None = None,
     ):
         self.encoding = encoding
         self.kernel = kernel
         self.budget = budget
-        self.spill = spill
         self.stats = ExecutionStats(programs=len(programs))
         self._memo: dict[int, object] = {}
         # Stack of accumulated child-evaluation seconds, one slot per
@@ -418,30 +343,6 @@ class _Runner:
             and id(op) in self._memo
         }
 
-    def _scan_table(self, name: str):
-        """The kernel table for one base-table scan, spilled when big.
-
-        A ``spill.write`` fault (or real I/O error) is contained — the
-        scan falls back to the in-RAM columns; a ``spill.read`` fault
-        (stale named file reuse) raises, since a lost spill file aborts
-        the execution as retryable.
-        """
-        encoded = self.encoding.table(name)
-        spill = self.spill
-        if spill is not None:
-            estimated = encoded.nrows * max(len(encoded.columns), 1) * 8
-            if estimated > spill.threshold:
-                try:
-                    return encoded.spilled_kernel_table(
-                        self.kernel, spill.manager, self.encoding.version
-                    )
-                except InjectedFault as fault:
-                    if fault.site != "spill.write":
-                        raise
-                except OSError:
-                    pass
-        return encoded.kernel_table(self.kernel)
-
     def _eval(self, op: PhysOp, env: dict):
         if op.closed:
             hit = self._memo.get(id(op))
@@ -459,7 +360,7 @@ class _Runner:
     def _metered(self, op: PhysOp, compute, env: dict):
         """``compute(op, env)`` as one accounted operator evaluation:
         fault site, exclusive per-kind time and rows, budget ticks and
-        byte charges, spilling. ``None`` (the maintenance runner's "no
+        byte charges. ``None`` (the maintenance runner's "no
         row gained") passes through uncounted."""
         fault_point("kernel.op")
         started = time.perf_counter()
@@ -476,22 +377,8 @@ class _Runner:
         rows = self.kernel.nrows(result)
         self._count(op, rows, max(elapsed - child, 0.0))
         # Approximate bytes of this materialised intermediate: every
-        # encoded column is one int64 code per row. Disk-backed tables
-        # (already spilled, or rewritten to spill just below) are not
-        # charged — ``max_bytes`` caps materialised RAM and spilling is
-        # exactly the trade of that RAM for disk.
-        approx_bytes = rows * max(self.kernel.width(result), 1) * 8
-        spill = self.spill
-        if spill is not None and is_spilled(result):
-            pass
-        elif spill is not None and approx_bytes > spill.threshold:
-            spilled = self._spill_result(op, result)
-            if spilled is not None:
-                result = spilled
-            else:
-                self.budget.charge_bytes(approx_bytes)
-        else:
-            self.budget.charge_bytes(approx_bytes)
+        # encoded column is one int64 code per row.
+        self.budget.charge_bytes(rows * max(self.kernel.width(result), 1) * 8)
         return result
 
     def _count(self, op: PhysOp, rows: int, exclusive: float) -> None:
@@ -522,31 +409,10 @@ class _Runner:
             stats.fixpoint_seconds += exclusive
         self.budget.tick(rows)
 
-    def _spill_result(self, op: PhysOp, result):
-        """Rewrite one oversized operator output onto disk.
-
-        ``spill.write`` faults (and real I/O errors) are contained: the
-        caller keeps the in-RAM table and charges the budget normally.
-        Returns ``None`` when the rewrite did not happen.
-        """
-        try:
-            return spill_kernel_table(
-                self.spill.manager,
-                self.kernel,
-                result,
-                type(op).__name__.lower(),
-            )
-        except InjectedFault as fault:
-            if fault.site != "spill.write":
-                raise
-            return None
-        except OSError:
-            return None
-
     def _eval_uncached(self, op: PhysOp, env: dict):
         kernel = self.kernel
         if isinstance(op, ScanOp):
-            table = self._scan_table(op.table)
+            table = self.encoding.table(op.table).kernel_table(kernel)
             if op.indices is None:
                 return table
             return self._project(table, op.indices, op.dedup)
@@ -593,7 +459,6 @@ class _Runner:
         """``((side, key, column), (side, key, column))`` when ``op`` is
         ``distinct`` of one non-key column from each side of a single-key
         join the kernel can compose (in output order), else None. A
-        spilling run keeps the join, so that it can go to disk, and a
         closed join already in the memo is reused, not recomputed."""
         join = op.child
         if (
@@ -602,7 +467,6 @@ class _Runner:
             or not isinstance(join, JoinOp)
             or len(op.indices) != 2
             or len(join.left_key) != 1
-            or self.spill is not None
             or id(join) in self._memo
         ):
             return None

@@ -63,8 +63,8 @@ needs over tables of integer-code columns:
                         runs of local keys or as bit rows). The executor
                         runs such a fixpoint through it, accounted round
                         by round as the loop it replaces; a kernel
-                        without it, a spilling run and a maintenance
-                        resume run the loop
+                        without it and a maintenance resume run the
+                        loop
 ``release``             drop any scratch a table carries before it is kept
                         (numpy: the sorted key ``distinct`` leaves for the
                         ``difference`` that follows); returns the table

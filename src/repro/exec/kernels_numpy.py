@@ -47,10 +47,6 @@ from repro.exec import kernels_python
 
 NAME = "numpy"
 
-#: Tables can be built over ``np.memmap`` column views — the out-of-core
-#: spill path (:mod:`repro.exec.spill`) is available on this kernel.
-SUPPORTS_MEMMAP = True
-
 #: Packed keys must stay below this bound (headroom under 2^63 - 1).
 _PACK_LIMIT = 1 << 62
 
@@ -192,7 +188,7 @@ def _keyless(table: NpTable) -> NpTable:
 
 def _pack(table: NpTable, indices: list[int], domain: int) -> np.ndarray | None:
     """Pack the keyed columns into one fresh int64 key array (None on
-    overflow); a plain ndarray even over memmap columns."""
+    overflow)."""
     span = 1
     for _ in indices:
         span *= domain

@@ -24,10 +24,6 @@ class PyTable:
 
 NAME = "python"
 
-#: Columns are plain lists copied at construction, so a disk-backed
-#: buffer buys nothing — the spill path degrades to a no-op here.
-SUPPORTS_MEMMAP = False
-
 
 def from_columns(codes: list[list[int]], nrows: int) -> PyTable:
     return PyTable([list(column) for column in codes], nrows)

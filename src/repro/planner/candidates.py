@@ -77,16 +77,11 @@ class PlanChoice:
     """A query's ranked candidate table.
 
     ``peak_bytes`` is the planner's soft estimate of the winner's peak
-    materialised memory (:func:`~repro.planner.cost.estimate_term_bytes`);
-    ``spill`` records the session's out-of-core decision for this plan
-    (on when the estimate exceeds the configured threshold or the hard
-    ``ResourceBudget.max_bytes`` ceiling). It defaults to off so plans
-    from sessions without the memory dimension render unchanged.
+    materialised memory (:func:`~repro.planner.cost.estimate_term_bytes`).
     """
 
     ranked: tuple[RankedCandidate, ...]
     peak_bytes: float = 0.0
-    spill: bool = False
 
     @property
     def winner(self) -> RankedCandidate:
@@ -95,21 +90,9 @@ class PlanChoice:
                 return entry
         return self.ranked[0]
 
-    def with_memory(self, *, spill: bool) -> "PlanChoice":
-        """This choice with the session's out-of-core decision stamped."""
-        return replace(self, spill=spill)
-
     def to_dict(self) -> dict:
         """JSON-serializable candidate table (the ExplainReport form)."""
-        payload: dict = {
-            "candidates": [entry.to_dict() for entry in self.ranked],
-        }
-        if self.spill:
-            payload["memory"] = {
-                "peak_bytes": self.peak_bytes,
-                "spill": self.spill,
-            }
-        return payload
+        return {"candidates": [entry.to_dict() for entry in self.ranked]}
 
     def render(self) -> str:
         """The EXPLAIN candidate table (``* `` marks the winner)."""
@@ -122,11 +105,6 @@ class PlanChoice:
             lines.append(
                 f"{marker}{rank:<5} {entry.label:<22} "
                 f"{entry.cost:>14,.1f} {int(entry.rows):>12,}"
-            )
-        if self.spill:
-            lines.append(
-                f"-- memory: est. peak {int(self.peak_bytes):,} bytes, "
-                "spill=on"
             )
         return "\n".join(lines)
 

@@ -156,11 +156,7 @@ def _backend_field(payload: Mapping) -> str:
 
 
 def _options_field(payload: Mapping) -> "ExecOptions | None":
-    """The request's ``options`` object as one ``ExecOptions``, validated.
-
-    ``spill_path`` names a directory on the server: a deployment setting
-    (``repro serve --spill-path``), never a request's.
-    """
+    """The request's ``options`` object as one ``ExecOptions``, validated."""
     from repro.engine.options import ExecOptions
     from repro.planner import validate_planner
 
@@ -171,11 +167,6 @@ def _options_field(payload: Mapping) -> "ExecOptions | None":
         options = ExecOptions.from_mapping(_require_mapping(value, "options"))
         if options.planner is not None:
             validate_planner(options.planner)
-        if options.spill_path is not None:
-            raise ValueError(
-                "exec option 'spill_path' is a server deployment "
-                "setting and cannot be set by a request"
-            )
     except ValueError as error:
         raise RequestError(str(error), field="options") from error
     return options

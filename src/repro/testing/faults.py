@@ -14,19 +14,15 @@ site                            boundary
 ``result_cache.store``          storing a fresh result into the result cache
 ``result_cache.load``           serving a hit from the result cache
 ``maintain.apply``              incremental maintenance of a stale cache entry
-``spill.write``                 writing a spill file for an out-of-core table
-``spill.read``                  remapping a spill file reused across executions
 ==============================  ================================================
 
 ``fault_point(site)`` is a cheap attribute check when no injector is
 active. When one is active, matching rules raise
 :class:`~repro.errors.InjectedFault` — the *raising* sites above — while
-contained sites (the cache/maintenance ones, plus ``spill.write``) catch
-the fault locally and degrade (skip the store, treat the load as a miss,
-fall back to invalidation, keep the table in RAM), which the chaos suite
-asserts never corrupts shared state. ``spill.read`` is raising — a lost
-spill file aborts the execution with a retryable error, so the
-degradation loop may re-run the query.
+contained sites (the cache/maintenance ones) catch the fault locally
+and degrade (skip the store, treat the load as a miss, fall back to
+invalidation), which the chaos suite asserts never corrupts shared
+state.
 
 Determinism: each rule draws from its own ``random.Random`` seeded with
 ``f"{seed}:{site}"``, so whether the *k*-th arrival at a site fires is a
@@ -47,7 +43,9 @@ Activation, in precedence order:
 
 A rule's site matches an arrival exactly, as a dotted prefix
 (``backend.execute`` matches ``backend.execute.vec``), or via the
-wildcard ``*`` (every site).
+wildcard ``*`` (every site). :func:`parse_faults` rejects a rule whose
+site matches none of :data:`KNOWN_SITES`, so a misspelt site fails
+loudly instead of injecting nothing.
 """
 
 from __future__ import annotations
@@ -77,8 +75,6 @@ KNOWN_SITES: tuple[str, ...] = (
     "result_cache.store",
     "result_cache.load",
     "maintain.apply",
-    "spill.write",
-    "spill.read",
 )
 
 
@@ -164,7 +160,8 @@ def parse_faults(spec: str, seed: int = 0) -> FaultInjector:
     """Build an injector from ``REPRO_FAULTS`` syntax.
 
     ``spec`` is ``site[:rate[:limit]]`` rules joined by commas; empty
-    segments (``site::1``) take the field's default.
+    segments (``site::1``) take the field's default. A site must be
+    ``*``, one of :data:`KNOWN_SITES` or a dotted prefix of one.
     """
     rules = []
     for chunk in spec.split(","):
@@ -188,7 +185,14 @@ def parse_faults(spec: str, seed: int = 0) -> FaultInjector:
             raise RequestError(
                 f"malformed fault rule {chunk!r}: {exc}", field="faults"
             ) from exc
-        rules.append(FaultRule(site, rate=rate, limit=limit))
+        rule = FaultRule(site, rate=rate, limit=limit)
+        if not any(rule.matches(known) for known in KNOWN_SITES):
+            raise RequestError(
+                f"fault rule {chunk!r} names no injection site "
+                f"(known: *, {', '.join(KNOWN_SITES)})",
+                field="faults",
+            )
+        rules.append(rule)
     return FaultInjector(rules, seed=seed)
 
 

@@ -29,7 +29,6 @@ Three differentials:
 
 from __future__ import annotations
 
-import os
 from contextlib import ExitStack
 from unittest import mock
 
@@ -42,7 +41,6 @@ from repro.engine.options import ExecOptions
 from repro.exec import ExecutionStats, compile_term, encoding_for, execute_program
 from repro.exec.kernels import available_kernels
 from repro.exec.kernels import kernels_numpy as npk
-from repro.exec.spill import SPILL_THRESHOLD_ENV
 from repro.graph.model import yago_example_graph
 from repro.ra.terms import Fix, Join, Project, Rel, Rename, Var
 from repro.schema.builder import yago_example_schema
@@ -436,11 +434,7 @@ def test_maintained_fixpoint_after_growing_appends(kernel, writes):
 @settings(max_examples=15, deadline=None)
 def test_maintained_closure_after_growing_appends(mode, writes):
     # The cached fixpoint state the maintenance run resumes from is the
-    # one the ``closure`` hook returned; a spilling run would have
-    # iterated the loop instead, so this one stays in memory.
-    with mock.patch.dict(os.environ), mock.patch.object(
-        npk, "closure", wraps=npk.closure
-    ) as closure:
-        os.environ.pop(SPILL_THRESHOLD_ENV, None)
+    # one the ``closure`` hook returned.
+    with mock.patch.object(npk, "closure", wraps=npk.closure) as closure:
         _check_maintained("numpy", writes, _CLOSURE_MODES[mode])
     assert closure.called

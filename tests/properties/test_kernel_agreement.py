@@ -9,8 +9,7 @@ output is checked to hold no duplicate.
 The domains cover both numpy join layouts (the counting layout over the
 code domain and the packed sorted one), the 16-bit boundary of the
 counting layout's radix sort, a single code, and keys and rows too wide
-to pack; tables are also run memmap-backed, as the spill path hands
-them over.
+to pack.
 
 Stored tables (built through ``from_columns``, as a store's encoded
 tables are) keep a layout per key column, sized by the column's own
@@ -31,7 +30,6 @@ from hypothesis import strategies as st
 
 from repro.exec import kernels_python as pyk
 from repro.exec.kernels import kernels_numpy as npk
-from repro.exec.spill import SpillManager, is_spilled, spill_kernel_table
 
 if npk is None:
     pytest.skip("compares the numpy kernel", allow_module_level=True)
@@ -53,14 +51,9 @@ def _coded(draw, widths=(1, 2, 3), max_rows=24):
     return domain, width, rows
 
 
-def _tables(rows, width, manager=None):
-    """The same rows as a numpy table (memmap-backed when ``manager``)
-    and as a Python-kernel table."""
-    table = npk.from_rows(rows, width)
-    if manager is not None and rows and width:
-        table = spill_kernel_table(manager, npk, table, "prop")
-        assert is_spilled(table)
-    return table, pyk.from_rows(rows, width)
+def _tables(rows, width):
+    """The same rows as a numpy table and as a Python-kernel table."""
+    return npk.from_rows(rows, width), pyk.from_rows(rows, width)
 
 
 def _bag(kernel, table):
@@ -82,9 +75,9 @@ def _layout(data, left_width, right_width):
     )
 
 
-@given(st.data(), st.booleans())
+@given(st.data())
 @settings(max_examples=150, deadline=None)
-def test_join_agrees(data, spilled):
+def test_join_agrees(data):
     domain, width, rows = data.draw(_coded(widths=(2, 3)))
     left_rows, right_rows = data.draw(rows), data.draw(rows)
     key_width = data.draw(st.sampled_from([1, 2]), label="key width")
@@ -93,13 +86,11 @@ def test_join_agrees(data, spilled):
     )
     left_key, right_key = data.draw(columns), data.draw(columns)
     layout = _layout(data, width, width)
-    with SpillManager() as manager:
-        spill = manager if spilled else None
-        np_left, py_left = _tables(left_rows, width, spill)
-        np_right, py_right = _tables(right_rows, width, spill)
-        got = npk.join(np_left, np_right, left_key, right_key, layout, domain)
-        want = pyk.join(py_left, py_right, left_key, right_key, layout, domain)
-        assert _bag(npk, got) == _bag(pyk, want)
+    np_left, py_left = _tables(left_rows, width)
+    np_right, py_right = _tables(right_rows, width)
+    got = npk.join(np_left, np_right, left_key, right_key, layout, domain)
+    want = pyk.join(py_left, py_right, left_key, right_key, layout, domain)
+    assert _bag(npk, got) == _bag(pyk, want)
 
 
 @given(st.data())
@@ -155,22 +146,21 @@ def test_counting_layout_around_the_radix_boundary(domain):
     assert _bag(npk, got) == _bag(pyk, want)
 
 
-@given(st.data(), st.booleans())
+@given(st.data())
 @settings(max_examples=150, deadline=None)
-def test_distinct_agrees(data, spilled):
+def test_distinct_agrees(data):
     domain, width, rows = data.draw(_coded(widths=(0, 1, 2, 3)))
     drawn = data.draw(rows)
-    with SpillManager() as manager:
-        np_table, py_table = _tables(drawn, width, manager if spilled else None)
-        got = npk.distinct(np_table, domain)
-        want = pyk.distinct(py_table, domain)
-        assert _set(npk, got) == _set(pyk, want) == set(drawn)
-        assert npk.width(got) == width
+    np_table, py_table = _tables(drawn, width)
+    got = npk.distinct(np_table, domain)
+    want = pyk.distinct(py_table, domain)
+    assert _set(npk, got) == _set(pyk, want) == set(drawn)
+    assert npk.width(got) == width
 
 
-@given(st.data(), st.booleans(), st.booleans())
+@given(st.data(), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_difference_rounds_agree(data, dedup_first, spilled):
+def test_difference_rounds_agree(data, dedup_first):
     """Several rounds threading the state: every delta is the same set
     on both kernels whether or not a ``distinct`` ran in front (inputs
     hold duplicates when none did), and the deltas partition the union."""
@@ -178,20 +168,17 @@ def test_difference_rounds_agree(data, dedup_first, spilled):
     rounds = data.draw(st.lists(rows, min_size=1, max_size=5), label="rounds")
     np_state, py_state = npk.empty_state(), pyk.empty_state()
     seen: set = set()
-    with SpillManager() as manager:
-        for drawn in rounds:
-            np_table, py_table = _tables(
-                drawn, width, manager if spilled else None
-            )
-            if dedup_first:
-                np_table = npk.distinct(np_table, domain)
-                py_table = pyk.distinct(py_table, domain)
-            np_delta, np_state = npk.difference(np_table, np_state, domain)
-            py_delta, py_state = pyk.difference(py_table, py_state, domain)
-            fresh = set(drawn) - seen
-            assert _set(npk, np_delta) == _set(pyk, py_delta) == fresh
-            assert npk.width(np_delta) == width
-            seen |= fresh
+    for drawn in rounds:
+        np_table, py_table = _tables(drawn, width)
+        if dedup_first:
+            np_table = npk.distinct(np_table, domain)
+            py_table = pyk.distinct(py_table, domain)
+        np_delta, np_state = npk.difference(np_table, np_state, domain)
+        py_delta, py_state = pyk.difference(py_table, py_state, domain)
+        fresh = set(drawn) - seen
+        assert _set(npk, np_delta) == _set(pyk, py_delta) == fresh
+        assert npk.width(np_delta) == width
+        seen |= fresh
 
 
 def _stored(rows, width):

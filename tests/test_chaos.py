@@ -21,10 +21,13 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import pathlib
+import re
 
 import pytest
 
-from repro.engine import BreakerConfig, GraphSession
+import repro
+from repro.engine import BreakerConfig, GraphSession, available_backends
 from repro.engine.options import ExecOptions
 from repro.errors import InjectedFault, ReproError
 from repro.graph.model import yago_example_graph
@@ -162,75 +165,6 @@ class TestContainedFaults:
             assert session.execute(CLOSURE, "vec") == after_faulted
 
 
-# -- out-of-core sites: a failed write degrades, a lost file aborts cleanly ----
-class TestOutOfCoreFaults:
-    OOC_OPTIONS = ExecOptions(spill_threshold_bytes=1)
-
-    def test_spill_write_fault_keeps_tables_in_memory(self, expected):
-        with _session() as session:
-            with install(_injector("spill.write")):
-                rows = session.execute(
-                    CLOSURE, "vec", rewrite=False,
-                    exec_options=self.OOC_OPTIONS,
-                )
-            assert rows == expected
-
-    def test_spill_read_fault_surfaces_and_recovers(self, expected):
-        from repro.exec import default_kernel, spill_supported
-        from repro.exec.dictionary import encoding_for
-
-        with _session() as session:
-            options = self.OOC_OPTIONS
-            # First run writes the named base-table spill files through
-            # the session-scoped manager. Dropping the encoded tables'
-            # kernel-table caches (as memory pressure would) forces the
-            # second run down the named-file *reuse* path — where
-            # spill.read fires.
-            assert session.execute(
-                CLOSURE, "vec", rewrite=False, exec_options=options
-            ) == expected
-            for encoded in encoding_for(session.store)._tables.values():
-                encoded._kernel_tables.clear()
-            with install(_injector("spill.read")):
-                if spill_supported(default_kernel()):
-                    with pytest.raises(InjectedFault):
-                        session.execute(
-                            CLOSURE, "vec", rewrite=False,
-                            exec_options=options,
-                        )
-                else:
-                    # Spill is a no-op on this kernel: no file, no read.
-                    assert session.execute(
-                        CLOSURE, "vec", rewrite=False,
-                        exec_options=options,
-                    ) == expected
-            assert session.execute(
-                CLOSURE, "vec", rewrite=False, exec_options=options
-            ) == expected
-
-    def test_out_of_core_chaos_sweep(self, expected):
-        completed = 0
-        with _session(result_cache_size=8) as session:
-            with install(
-                FaultInjector([FaultRule("*", rate=0.5)], seed=SEED)
-            ):
-                for _ in range(8):
-                    try:
-                        rows = session.execute(
-                            CLOSURE, "vec", rewrite=False,
-                            exec_options=self.OOC_OPTIONS,
-                        )
-                    except ReproError:
-                        continue
-                    completed += 1
-                    assert rows == expected
-            assert session.execute(
-                CLOSURE, "vec", rewrite=False,
-                exec_options=self.OOC_OPTIONS,
-            ) == expected
-        assert completed >= 0  # documented: the sweep may fault every run
-
-
 # -- the sweep: every site, probabilistic schedule -----------------------------
 class TestChaosSweep:
     def test_wildcard_chaos_never_yields_partial_results(self, expected):
@@ -350,10 +284,22 @@ class TestChaosSweep:
             assert {tuple(row) for row in body["rows"]} == expected_rows
 
     def test_known_sites_is_the_complete_roster(self):
-        for backend in BACKENDS:
-            assert f"backend.execute.{backend}" in KNOWN_SITES
-        for site in ("spill.write", "spill.read"):
-            assert site in KNOWN_SITES
+        # Exactly the sites the source instruments: every literal
+        # ``fault_point("...")`` under ``src/`` plus the one each
+        # registered backend's ``execute`` names. A site that lost its
+        # call, or a call missing from the roster, fails here.
+        source = pathlib.Path(repro.__file__).parent
+        literal = {
+            match.group(1)
+            for path in source.rglob("*.py")
+            for match in re.finditer(
+                r'fault_point\(\s*"([^"]+)"', path.read_text()
+            )
+        }
+        backends = {f"backend.execute.{name}" for name in available_backends()}
+        assert backends == {f"backend.execute.{name}" for name in BACKENDS}
+        assert len(KNOWN_SITES) == len(set(KNOWN_SITES))
+        assert set(KNOWN_SITES) == literal | backends
 
 
 # -- the HTTP surface ----------------------------------------------------------

@@ -165,15 +165,13 @@ class TestSessionDegradation:
     def test_per_call_knobs_survive_a_degradation_step(self, expected_rows):
         # The next substrate is prepared from the failing handle's own
         # options, not from the session's defaults.
-        pinned = ExecOptions(
-            fallback=True, kernel="python", spill_threshold_bytes=1
-        )
+        pinned = ExecOptions(fallback=True, kernel="python", max_rows=10**6)
         with _session() as session:
             prepared = session.prepare(CLOSURE, "ra", exec_options=pinned)
             step = session.dispatcher._fallback_handle(prepared, "vec")
             assert step.backend_name == "vec"
             assert step.plan.kernel == "python"
-            assert step.plan.spill_threshold_bytes == 1
+            assert step.exec_options.max_rows == 10**6
             with install(FaultInjector([FaultRule("backend.execute.ra")])):
                 assert prepared.execute() == expected_rows
             assert session.resilience_stats()["degraded"] == 1

@@ -110,21 +110,6 @@ class TestDefaultBackend:
             )
             assert rows == s.execute(QUERY, "reference", rewrite=False)
 
-    def test_default_spills_when_asked(self):
-        from repro.exec.kernels import default_kernel
-        from repro.exec.spill import spill_supported
-
-        if not spill_supported(default_kernel()):
-            pytest.skip("spill is numpy-only")
-        with GraphSession(
-            yago_example_graph(), yago_example_schema(),
-            exec_options=ExecOptions(spill_threshold_bytes=1),
-        ) as session:
-            prepared = session.prepare(QUERY)
-            rows = prepared.execute()
-            assert prepared.last_execution_stats.spill_ops > 0
-            assert rows == session.execute(QUERY, "reference", rewrite=False)
-
     @pytest.mark.parametrize("rewrite", [True, False])
     @pytest.mark.parametrize("dataset", ["yago_small", "ldbc_small"])
     def test_default_matches_reference_on_the_workloads(
@@ -273,9 +258,7 @@ class TestPreparedQuery:
         assert prepared.fingerprint == session.schema_fingerprint
 
     def test_refreshed_handle_keeps_what_it_was_prepared_with(self, session):
-        pinned = ExecOptions(
-            kernel="python", spill_threshold_bytes=1, max_rows=10**6
-        )
+        pinned = ExecOptions(kernel="python", max_bytes=10**9, max_rows=10**6)
         prepared = session.prepare(QUERY, "vec", exec_options=pinned)
         rows = prepared.execute()
         stale_plan = prepared.plan
@@ -291,10 +274,9 @@ class TestPreparedQuery:
         assert prepared.execute() == rows
         assert prepared.plan is not stale_plan
         assert prepared.plan.kernel == "python"
-        assert prepared.plan.spill_threshold_bytes == 1
         assert prepared.exec_options == ExecOptions(
             backend="vec", planner="greedy", kernel="python",
-            spill_threshold_bytes=1, max_rows=10**6,
+            max_bytes=10**9, max_rows=10**6,
         )
 
     def test_reverted_flag(self, session):

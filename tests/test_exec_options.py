@@ -36,9 +36,9 @@ class TestValidation:
             ("backend", 3),
             ("planner", b"cost"),
             ("kernel", 1.5),
-            ("spill_threshold_bytes", 0),
-            ("spill_threshold_bytes", True),
-            ("spill_threshold_bytes", "4"),
+            ("max_bytes", 0),
+            ("max_bytes", True),
+            ("max_bytes", "4"),
             ("max_rows", -1),
         ],
     )
@@ -62,24 +62,22 @@ class TestValidation:
     def test_session_scoped_values_are_not_exec_options(self, key):
         # They configure a session, not a call: a request that set them
         # used to be accepted and ignored.
-        assert len(dataclasses.fields(ExecOptions)) == 8
+        assert len(dataclasses.fields(ExecOptions)) == 6
         with pytest.raises(ValueError, match="unknown exec option"):
             ExecOptions.from_mapping({key: 0})
 
     def test_round_trips_through_dict(self):
-        options = ExecOptions(
-            backend="vec", spill_threshold_bytes=4, fallback=False
-        )
+        options = ExecOptions(backend="vec", max_bytes=4, fallback=False)
         assert ExecOptions.from_mapping(options.to_dict()) == options
 
 
 class TestResolution:
     def test_merged_overlays_set_fields_only(self):
-        base = ExecOptions(backend="vec", spill_threshold_bytes=2)
-        override = ExecOptions(spill_threshold_bytes=8, planner="cost")
+        base = ExecOptions(backend="vec", max_bytes=2)
+        override = ExecOptions(max_bytes=8, planner="cost")
         merged = base.merged(override)
         assert merged == ExecOptions(
-            backend="vec", spill_threshold_bytes=8, planner="cost"
+            backend="vec", max_bytes=8, planner="cost"
         )
 
     def test_merged_none_is_identity(self):
@@ -92,19 +90,17 @@ class TestProjection:
     options part of its plan- and result-cache keys."""
 
     OPTIONS = ExecOptions(
-        kernel="python", spill_threshold_bytes=3, spill_path="/tmp/s",
-        max_rows=9, planner="cost",
+        kernel="python", max_bytes=3, max_rows=9, planner="cost",
     )
 
     def test_vec_receives_its_knobs(self):
         vec = get_backend("vec")
         assert dict(zip(vec.option_fields, self.OPTIONS.key_for(vec))) == {
-            "kernel": "python", "spill_threshold_bytes": 3,
-            "spill_path": "/tmp/s",
+            "kernel": "python",
         }
 
     def test_black_box_backends_receive_nothing(self):
-        # ``ra`` pins its kernel and never spills: it reads nothing.
+        # ``ra`` pins its kernel: it reads nothing.
         for backend in ("ra", "sqlite", "gdb", "reference"):
             assert self.OPTIONS.key_for(get_backend(backend)) == ()
 
@@ -178,6 +174,15 @@ class TestHTTPModel:
             QueryRequest.from_payload(
                 {"query": QUERY, "options": {"fixpoint_growth": 2.0}}
             )
+        assert HTTP_STATUS_BY_CODE[error.value.code] == 400
+        # The deleted out-of-core knob is an unknown option like any other.
+        with pytest.raises(
+            RequestError, match="'spill_threshold_bytes'"
+        ) as error:
+            QueryRequest.from_payload(
+                {"query": QUERY, "options": {"spill_threshold_bytes": 1}}
+            )
+        assert error.value.field == "options"
         assert HTTP_STATUS_BY_CODE[error.value.code] == 400
 
     def test_auto_backend_accepted(self):

@@ -123,6 +123,18 @@ class TestParseFaults:
             parse_faults("kernel.op:1:2:3")
         with pytest.raises(RequestError):
             parse_faults(":")
+        # A site that names no injection point would inject nothing.
+        for spec in ("kernal.op", "spill.write", "spill.read:0.5",
+                     "kernel.op,backend.execute.fortran", "backend.exec",
+                     "kernel.op.extra"):
+            with pytest.raises(
+                RequestError, match="names no injection site"
+            ) as error:
+                parse_faults(spec)
+            assert error.value.field == "faults"
+        # The wildcard and dotted prefixes of known sites stay valid.
+        for spec in ("*", "backend.execute", "backend", "snapshot.rebuild"):
+            assert len(parse_faults(spec).rules) == 1
 
 
 class TestActivation:

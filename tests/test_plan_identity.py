@@ -55,9 +55,7 @@ def plan_rows(session, text: str, rewrite: bool) -> dict:
         )
         ran = "vec" if requested == "auto" else requested
         assert handle.backend_name == ran
-        # The spill CI leg stamps a memory line on vec plans; the
-        # table records the decision-free rendering plus the estimate.
-        choice = handle.choice.with_memory(spill=False)
+        choice = handle.choice
         for entry in choice.ranked:
             row["candidates"].setdefault(
                 entry.label, str(entry.candidate.query)

@@ -439,6 +439,11 @@ class TestTermKeys:
         gc.collect()
         before = len(terms._INTERNED)
         cost = ExecOptions(planner="cost")
+        # Both sessions stay open until the count is read: a store that
+        # outlives this test (a session-scoped fixture's) may already
+        # hold every term one dataset's plans intern, so only their
+        # union is sure to add terms, and only while it is alive.
+        sessions = []
         for queries, open_session in (
             (YAGO_QUERIES, lambda: yago_session(0.02)),
             (LDBC_QUERIES, lambda: ldbc_session(0.05)),
@@ -447,8 +452,10 @@ class TestTermKeys:
                 for query in queries:
                     session.prepare(query.text, exec_options=cost)
                     session.prepare(query.text, rewrite=False)
-            assert len(terms._INTERNED) > before
-        del session
+            sessions.append(session)
+        gc.collect()
+        assert len(terms._INTERNED) > before
+        del session, sessions
         gc.collect()
         assert len(terms._INTERNED) == before
 

@@ -16,7 +16,7 @@ import pytest
 from repro.engine import GraphSession
 from repro.engine.options import ExecOptions
 from repro.errors import QueryTimeout, ResourceExhaustedError
-from repro.exec import available_kernels, get_kernel, spill_supported
+from repro.exec import available_kernels
 from repro.graph.evaluator import EvalBudget, ResourceBudget, as_budget
 
 BACKENDS = ("ra", "vec", "sqlite", "gdb", "reference")
@@ -110,33 +110,28 @@ class TestSessionResourceCaps:
         )
         assert capped == expected
 
+    @pytest.mark.parametrize("planner", ("greedy", "cost"))
     @pytest.mark.parametrize("kernel", available_kernels())
-    def test_spill_decision_matches_what_the_kernel_does(
-        self, ldbc_session, kernel, monkeypatch
+    def test_byte_cap_is_a_hard_failure_on_every_kernel(
+        self, ldbc_session, kernel, planner
     ):
-        # A byte cap below the plan's estimated peak turns spill on, but
-        # only where the kernel can memmap: the explain footer, the
-        # decision counter and the bytes actually written must agree.
-        monkeypatch.delenv("REPRO_SPILL_THRESHOLD_BYTES", raising=False)
-        spills = spill_supported(get_kernel(kernel))
+        # Everything runs in memory: a cap below what the plan
+        # materialises fails typed, whatever the kernel or the planner,
+        # and no plan renders a memory decision.
         prepared = ldbc_session.prepare(
             KNOWS_CLOSURE,
             exec_options=ExecOptions(
-                backend="vec", kernel=kernel, planner="cost", max_bytes=64
+                backend="vec", kernel=kernel, planner=planner, max_bytes=64
             ),
         )
-        assert ("spill=on" in str(prepared.explain())) == spills
-        if spills:
-            assert prepared.execute() == ldbc_session.execute(
-                KNOWS_CLOSURE, "vec"
-            )
-            assert prepared.last_execution_stats.spilled_bytes > 0
-        else:
-            with pytest.raises(ResourceExhaustedError):
-                prepared.execute()
-        memory = ldbc_session.planner_stats["memory"]
-        assert memory["spill_decisions"] == int(spills)
-        assert (memory["spilled_bytes"] > 0) == spills
+        assert "-- memory:" not in str(prepared.explain())
+        with pytest.raises(ResourceExhaustedError) as excinfo:
+            prepared.execute()
+        assert excinfo.value.resource == "bytes"
+        assert excinfo.value.limit == 64
+        assert set(ldbc_session.planner_stats["memory"]) == {
+            "last_peak_estimate_bytes"
+        }
 
     def test_invalid_caps_rejected(self):
         with pytest.raises(ValueError, match="max_rows"):

@@ -13,7 +13,8 @@ from repro.cli import main as cli_main
 from repro.datasets.ldbc import ldbc_session
 from repro.engine import GraphSession
 from repro.engine.options import ExecOptions
-from repro.exec import ExecutionStats, default_kernel, spill_supported
+from repro.errors import ResourceExhaustedError
+from repro.exec import ExecutionStats, available_kernels
 from repro.graph.model import yago_example_graph
 from repro.schema.builder import yago_example_schema
 from repro.serve import QueryService, execute_batch, serve_queries
@@ -95,35 +96,23 @@ class TestExecuteBatch:
         assert session.execute_batch([CLOSURE], "vec") == before
 
 
-@pytest.mark.skipif(
-    not spill_supported(default_kernel()), reason="spill is numpy-only"
-)
-class TestBatchSpills:
-    """The shared batch runner honours the spill knobs a single
-    execution does (it used to drop them)."""
+class TestBatchByteCap:
+    """The shared batch runner honours the byte cap a single execution
+    does: over it, the batch fails typed on every kernel."""
 
-    def test_spill_threshold_reaches_the_batch_runner(self, session):
-        outcome = execute_batch(
-            session, QUERIES,
-            exec_options=ExecOptions(backend="vec", spill_threshold_bytes=1),
-        )
-        assert outcome.report.execution.spill_ops > 0
-        assert list(outcome.results) == [
-            session.execute(q, "vec") for q in QUERIES
-        ]
-
-    def test_byte_cap_is_satisfied_by_spilling(self, ldbc_small, monkeypatch):
-        # The planner stamps the cap onto the plan as its spill
-        # threshold; the batch must then spill instead of aborting.
-        monkeypatch.delenv("REPRO_SPILL_THRESHOLD_BYTES", raising=False)
+    @pytest.mark.parametrize("planner", ("greedy", "cost"))
+    @pytest.mark.parametrize("kernel", available_kernels())
+    def test_byte_cap_fails_the_batch_typed(self, ldbc_small, kernel, planner):
         schema, graph, _ = ldbc_small
         query = "x1, x2 <- (x1, knows+, x2)"
-        capped = ExecOptions(backend="vec", planner="cost", max_bytes=64)
+        capped = ExecOptions(
+            backend="vec", kernel=kernel, planner=planner, max_bytes=64
+        )
         with GraphSession(graph, schema) as ldbc:
-            expected = ldbc.execute(query, exec_options=capped)
-            outcome = execute_batch(ldbc, [query], exec_options=capped)
-            assert outcome.results[0] == expected == ldbc.execute(query)
-        assert outcome.report.execution.spill_ops > 0
+            with pytest.raises(ResourceExhaustedError) as excinfo:
+                execute_batch(ldbc, [query, query], exec_options=capped)
+        assert excinfo.value.resource == "bytes"
+        assert excinfo.value.limit == 64
 
 
 def _spy_prepare(session, monkeypatch):

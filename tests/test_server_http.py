@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
-import tempfile
 
 import pytest
 
 from repro.datasets.ldbc import ldbc_session
 from repro.engine import GraphSession
 from repro.engine.options import DEFAULT_BACKEND, ExecOptions
-from repro.exec import default_kernel, spill_supported
 from repro.graph.model import yago_example_graph
 from repro.schema.builder import yago_example_schema
 from repro.server import (
@@ -31,10 +28,6 @@ from repro.workloads import LDBC_QUERIES
 
 CLOSURE = "x1, x2 <- (x1, isLocatedIn+, x2)"
 CHAIN = "x1, x2 <- (x1, livesIn/isLocatedIn+, x2)"
-#: A directory a request must never get the server to create.
-WIRE_SPILL_PATH = os.path.join(
-    tempfile.gettempdir(), f"repro-wire-spill-{os.getpid()}", "a", "b"
-)
 
 
 def _session() -> GraphSession:
@@ -253,47 +246,6 @@ class TestRoutes:
         assert tenant["store"]["version"] >= 0
         assert tenant["planner"]["mode"] in ("greedy", "cost")
 
-    @pytest.mark.skipif(
-        not spill_supported(default_kernel()), reason="spill is numpy-only"
-    )
-    def test_server_level_spill_options_reach_served_reads(self, tmp_path):
-        # ``repro serve --spill-path D --spill-threshold-bytes 1``: a
-        # default-shape read and a bespoke one (here: no rewrite) both go
-        # through the admission batcher, and both spill.
-        async def drive():
-            registry = TenantRegistry()
-            registry.add(
-                Tenant(
-                    "toy",
-                    _session(),
-                    exec_options=ExecOptions(
-                        spill_path=str(tmp_path), spill_threshold_bytes=1
-                    ),
-                )
-            )
-            async with HTTPGraphServer(registry, port=0) as server:
-                reads, spill_ops = [], []
-                for extra in ({}, {"rewrite": False}):
-                    reads.append(
-                        await _request(
-                            server.port, "POST", "/v1/toy/query",
-                            {"query": CLOSURE, **extra},
-                        )
-                    )
-                    _, metrics = await _request(
-                        server.port, "GET", "/metrics"
-                    )
-                    tenant = metrics["tenants"]["toy"]
-                    spill_ops.append(tenant["planner"]["memory"]["spill_ops"])
-                return reads, spill_ops, tenant, os.listdir(tmp_path)
-
-        reads, spill_ops, tenant, spill_dirs = _run(drive())
-        expected = len(_session().execute(CLOSURE))
-        assert [(s, b["row_count"]) for s, b in reads] == [(200, expected)] * 2
-        assert tenant["service"]["batches"] == 2
-        assert 0 < spill_ops[0] < spill_ops[1]
-        assert len(spill_dirs) == 1  # the session's manager, under --spill-path
-
     def test_keep_alive_serves_multiple_requests(self):
         async def drive():
             async with HTTPGraphServer(_registry(), port=0) as server:
@@ -350,12 +302,9 @@ class TestErrorsOnTheWire:
             ("POST", "/v1/toy/query",
              {"query": CLOSURE, "options": {"shard_workers": 2}}, 400,
              "bad_request"),
-            # Where the server writes spill files is its deployment's
-            # choice, not a request's.
             ("POST", "/v1/toy/query",
-             {"query": CLOSURE, "options": {
-                 "spill_path": WIRE_SPILL_PATH, "spill_threshold_bytes": 1,
-             }}, 400, "bad_request"),
+             {"query": CLOSURE, "options": {"spill_threshold_bytes": 1}},
+             400, "bad_request"),
         ],
     )
     def test_structured_errors(self, method, path, payload, status, code):
@@ -366,7 +315,11 @@ class TestErrorsOnTheWire:
         got_status, body = _run(drive())
         assert got_status == status
         assert body["error"]["code"] == code
-        assert not os.path.exists(os.path.dirname(WIRE_SPILL_PATH))
+        if "options" in (payload or {}):
+            assert body["error"]["field"] == "options"
+            assert repr(next(iter(payload["options"]))) in (
+                body["error"]["message"]
+            )
 
     def test_unparseable_json_body(self):
         async def drive():

@@ -15,7 +15,10 @@ otherwise wait for CI (or never come):
   listed in ``__all__`` and lines marked ``# noqa: F401`` are exempt;
 * orphaned private helpers: every module-level function, class or
   assignment whose name starts with ``_`` (dunders aside) must be read
-  in its own module or imported by another ``src/repro`` module.
+  in its own module or imported by another ``src/repro`` module;
+* the environment knobs: the ``REPRO_*`` names that string literals
+  under ``src/repro`` spell are exactly the fault injector's two, so a
+  new environment variable shows up as an edit to this file.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import ast
 import builtins
 import functools
 import pathlib
+import re
 import symtable
 
 import pytest
@@ -268,3 +272,35 @@ def test_the_check_sees_an_orphaned_private_name():
     assert orphaned_privates(
         source, "<probe>", frozenset({"_EXPORTED"})
     ) == ["2: _UNUSED", "7: _orphan", "10: _Hidden"]
+
+
+#: Every environment variable ``src/repro`` may read.
+ENV_KNOBS = frozenset({"REPRO_FAULTS", "REPRO_FAULTS_SEED"})
+
+
+def env_knobs(source: str, filename: str) -> set[str]:
+    """The ``REPRO_*`` names spelled in the module's string literals
+    (docstrings included)."""
+    return {
+        name
+        for node in ast.walk(ast.parse(source, filename))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for name in re.findall(r"REPRO_[A-Z0-9_]+", node.value)
+    }
+
+
+def test_environment_knobs_are_pinned():
+    spelled = set()
+    for path in MODULES:
+        spelled |= env_knobs(path.read_text(), str(path))
+    assert spelled == ENV_KNOBS
+
+
+def test_the_check_sees_an_environment_knob():
+    source = (
+        '"""Reads ``REPRO_DOC``."""\n'
+        "import os\n"
+        "LIMIT = os.environ.get('REPRO_LIMIT_2', 'REPRO_lower')\n"
+        "# REPRO_COMMENT\n"
+    )
+    assert env_knobs(source, "<probe>") == {"REPRO_DOC", "REPRO_LIMIT_2"}

@@ -2,9 +2,10 @@
 
 Covers dictionary-encoding round trips, encoding-snapshot invalidation,
 kernel parity (numpy vs pure-Python fallback), empty and degenerate
-fixpoints, the numpy kernel's join layouts kept per stored table (reused
-across executions, replaced by an append to their table, kept across
-one that grows the dictionary, absent on spilled tables), the numpy
+fixpoints, the lazy store encoding (only scanned tables are encoded),
+the numpy kernel's join layouts kept per stored table (reused across
+executions, replaced by an append to their table, kept across one that
+grows the dictionary), the numpy
 ``compose`` and ``closure`` hooks against the plain operators they
 replace (answers, stats, ticks and byte charges), the
 ``vec`` backend-option validation, the totality of
@@ -25,6 +26,7 @@ from repro.engine.options import ExecOptions
 from repro.errors import ResourceExhaustedError
 from repro.exec import (
     ExecutionStats,
+    StoreEncoding,
     ValueDictionary,
     available_kernels,
     compile_term,
@@ -91,6 +93,21 @@ class TestStoreEncoding:
         assert encoding_for(store) is first
         store.add_table(Table("f", ("Sr", "Tr"), set()), node_label=False)
         assert encoding_for(store) is not first
+
+
+class TestLazyEncoding:
+    def test_only_scanned_tables_are_encoded(self):
+        store = RelationalStore.from_graph(yago_example_graph())
+        encoding = StoreEncoding(store)
+        assert encoding.tables_encoded == 0
+        encoding.table("isLocatedIn")
+        assert encoding.tables_encoded == 1
+        assert len(store.edge_tables | store.node_tables) > 1
+
+    def test_session_surfaces_tables_encoded(self, example_session):
+        example_session.execute(CLOSURE_QUERY, "vec", rewrite=False)
+        maintenance = example_session.cache_stats["maintenance"]
+        assert maintenance.tables_encoded == 1
 
 
 # -- kernel parity ------------------------------------------------------------
@@ -271,8 +288,6 @@ class TestDedupKeyLifetime:
         assert set(kernel.to_rows(delta)) == {(0, 5), (1, 2), (3, 4)}
 
     def test_every_other_constructor_drops_it(self):
-        from repro.exec.spill import SpillManager, spill_kernel_table
-
         kernel, table = self._deduped()
         none = kernel.empty(2)
         derived = [
@@ -283,9 +298,7 @@ class TestDedupKeyLifetime:
             kernel.concat_many([none, table], 2),
             kernel.concat_many([table, table], 2),
         ]
-        with SpillManager() as manager:
-            derived.append(spill_kernel_table(manager, kernel, table, "t"))
-            assert [t.key for t in derived] == [None] * len(derived)
+        assert [t.key for t in derived] == [None] * len(derived)
         assert table.key is not None  # and none of them took it away
         assert kernel.release(table) is table and table.key is None
 
@@ -332,7 +345,7 @@ class TestStoredJoinLayouts:
     """A stored table's numpy kernel table keeps its key columns' join
     layouts for as long as it lives: an append to the table replaces the
     kernel table, one to another table leaves it (a code the dictionary
-    gained since finds no row), and a spilled table keeps none."""
+    gained since finds no row)."""
 
     #: ``f``'s targets probe ``e``'s sources; ``e`` is the larger side.
     TERM = Project(
@@ -395,24 +408,6 @@ class TestStoredJoinLayouts:
         assert kept is layout  # the new codes 500, 501 clip to no row
         assert answer == self._run(self._store(starts=new_starts))[0]
         assert (105, 20) in answer
-
-    def test_a_spilled_table_keeps_none(self):
-        from repro.exec.spill import SpillManager, is_spilled
-
-        store = self._store()
-        kernel = get_kernel("numpy")
-        program = compile_term(self.TERM, store)
-        with SpillManager() as manager:
-            answer = execute_program(
-                program, store, kernel=kernel,
-                spill_threshold_bytes=1, spill_manager=manager,
-            )
-            encoding = encoding_for(store)
-            spilled = encoding.table("e").spilled_kernel_table(
-                kernel, manager, encoding.version
-            )
-            assert is_spilled(spilled) and spilled.index is None
-        assert answer == self._run(self._store())[0]
 
 
 class _WithoutCompose:
@@ -671,18 +666,18 @@ class TestVecBackendOptions:
             ExecOptions.from_mapping({unknown: 8})
         message = str(excinfo.value)
         assert repr(unknown) in message
-        for accepted in ("kernel", "spill_path", "spill_threshold_bytes"):
+        for accepted in ("kernel", "max_bytes", "planner"):
             assert accepted in message
 
     @pytest.mark.parametrize(
         "options",
         [
-            {"spill_threshold_bytes": 0},
-            {"spill_threshold_bytes": -2},
-            {"spill_threshold_bytes": "4"},
-            {"spill_threshold_bytes": True},
-            {"spill_threshold_bytes": 2.5},
-            {"spill_path": 7},
+            {"max_bytes": 0},
+            {"max_bytes": -2},
+            {"max_bytes": "4"},
+            {"max_bytes": True},
+            {"max_bytes": 2.5},
+            {"kernel": 7},
             {"kernel": "fortran"},
         ],
     )
@@ -692,23 +687,14 @@ class TestVecBackendOptions:
                 CLOSURE_QUERY, "vec", exec_options=ExecOptions(**options)
             )
 
-    def test_ra_ignores_the_vec_environment_defaults(
-        self, example_session, monkeypatch
-    ):
-        # ``ra`` is the same layer with nothing to choose: whatever the
-        # environment tells ``vec``, it runs in memory.
-        import repro.exec.executor as executor
-
+    def test_ra_ignores_the_vec_kernel_pin(self, example_session):
+        # ``ra`` is the same layer with nothing to choose: whatever
+        # kernel ``vec`` is pinned to, it runs the python one.
         expected = example_session.execute(CHAIN_QUERY, "ra", rewrite=False)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("ra left the in-memory path")
-
-        monkeypatch.setattr(executor, "SpillManager", refuse)
-        monkeypatch.setenv("REPRO_SPILL_THRESHOLD_BYTES", "1")
-        monkeypatch.setenv("REPRO_SPILL_PATH", "/nonexistent/spill")
-        example_session.clear_caches()
-        prepared = example_session.prepare(CHAIN_QUERY, "ra", rewrite=False)
+        prepared = example_session.prepare(
+            CHAIN_QUERY, "ra", rewrite=False,
+            exec_options=ExecOptions(kernel="numpy"),
+        )
         assert prepared.plan.kernel == "python"
         assert prepared.execute() == expected
 
@@ -727,6 +713,8 @@ class TestVecBackendOptions:
         before = run()
         monkeypatch.setenv("REPRO_VEC_PARALLELISM", "4")
         monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
+        monkeypatch.setenv("REPRO_SPILL_THRESHOLD_BYTES", "1")
+        monkeypatch.setenv("REPRO_SPILL_PATH", "/nonexistent/spill")
         assert run() == before
 
 
@@ -746,8 +734,7 @@ class TestExecutionStats:
 
     def test_new_counters_default_to_zero(self):
         stats = ExecutionStats()
-        assert stats.spilled_bytes == 0
-        assert stats.spill_ops == 0
+        assert stats.tables_encoded == 0
         assert stats.result_cache_hits == 0
         assert stats.result_cache_misses == 0
 
