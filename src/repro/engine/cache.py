@@ -11,7 +11,7 @@ value* (:class:`CachedResult`) rather than in the key: a stale entry is
 found again after a write and **maintained** from the store's append
 delta — re-stamped when the plan reads none of the changed tables, else
 one delta pass over the columnar program, re-seeding the semi-naive
-executor over the materialised fixpoint states where the plan has
+executor over the materialised fixpoint totals where the plan has
 fixpoints — and evicted when no delta exists (barrier writes) or the
 plan is not a maintainable columnar program.
 """
@@ -55,25 +55,21 @@ class CachedResult:
     maintained: the delta pass appends the coded rows the write added
     to its table. ``fix_states`` (None for a fixpoint-free plan) maps
     each closed fixpoint's source :class:`~repro.ra.terms.Fix` term to
-    a ``(total, state, domain)`` triple — its materialised total as a
-    *kernel-native* table of integer codes, the membership state
-    iteration converged with, and the packing domain of that state; a
-    maintenance run replaces the triples of the fixpoints it entered
-    and leaves the others as they are. ``seen`` is the ``(membership
-    state, domain)`` of the answer's own table once a maintenance run
-    has built one. Codes are domain-independent and survive append-only
-    writes (the dictionary is append-only), so maintenance can seed the
-    executor with these tables as-is, continue semi-naive iteration
-    from where the cached execution converged and append the coded rows
-    the write added. ``kernel_name`` records which kernel produced the
-    tables; a lookup under a different kernel must not reuse them.
+    its materialised total as a *kernel-native* table of integer codes;
+    a maintenance run replaces the totals of the fixpoints it entered
+    and leaves the others as they are. Codes are domain-independent and
+    survive append-only writes (the dictionary is append-only), so
+    maintenance can seed the executor with these tables as-is, continue
+    semi-naive iteration from where the cached execution converged and
+    append the coded rows the write added. ``kernel_name`` records which
+    kernel produced the tables; a lookup under a different kernel must
+    not reuse them.
     """
 
     answer: ResultSet
     version: int
     fix_states: dict | None = None
     kernel_name: str | None = None
-    seen: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -277,7 +273,7 @@ class ResultCache:
         that read none of the changed relations are re-stamped without
         any evaluation; the others run one delta pass
         (:func:`~repro.exec.maintain.maintain_program`), seeded with the
-        entry's fixpoint states when the plan has fixpoints. The entry
+        entry's fixpoint totals when the plan has fixpoints. The entry
         is updated only once the pass has finished: a run that raises
         (budget, fault) leaves it as it was.
         """
@@ -311,12 +307,10 @@ class ResultCache:
             kernel=kernel,
             budget=as_budget(budget),
             prev=entry.answer,
-            prev_seen=entry.seen,
         )
         entry.answer = outcome.answer
         entry.version = store.version
         entry.fix_states = outcome.fix_states or None
-        entry.seen = outcome.seen
         self.maintenance.merge(outcome.stats)
         self.maintenance.results_maintained += 1
         return outcome.answer

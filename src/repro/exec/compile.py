@@ -179,9 +179,9 @@ class FixOp(PhysOp):
     step_perm: list[int] | None
     linear: bool
     #: The source :class:`~repro.ra.terms.Fix` term (interned). Cached
-    #: fixpoint states are keyed on it, so incremental maintenance
+    #: fixpoint totals are keyed on it, so incremental maintenance
     #: survives recompilation: a logically equal fixpoint in a rebuilt
-    #: program is the same term and finds the state of its predecessor.
+    #: program is the same term and finds the total of its predecessor.
     source: object | None = field(default=None, repr=False)
 
     def children(self) -> tuple[PhysOp, ...]:

@@ -11,10 +11,11 @@ non-linear steps); the frontiers are stacked into the total once, when
 the fixpoint converges. On the numpy kernel a round packs and sorts its
 output once: the step's closing ``distinct`` dedups by sorting the
 packed row key and leaves that key on its table, and ``difference``
-tests it against the state (sorted runs, or a bitmap once that is
-cheap). The key is scratch, charged to no budget, so it is released
-from every table the runner keeps (the memo, and with it answers and fix
-captures).
+tests it against the state (sorted runs of packed keys). The key is
+scratch, charged to no budget, so it is released from every table the
+runner keeps (the memo, and with it answers and fix captures). So is
+the state: it lives as long as its fixpoint's iteration, and a fix
+capture keeps the total alone.
 
 Path concatenation compiles to ``ProjectOp(distinct)`` over a single-key
 ``JoinOp`` keeping one non-key column of each side; a kernel with the
@@ -30,10 +31,10 @@ own dense ids: ``S`` is laid out once and each round only expands the
 frontier. Each round is still accounted as the loop would account it
 (deadline check, ``kernel.op`` fault sites, operator counts, memo hits,
 row ticks and byte charges, in the same order), the hook's time is join
-time, and it ends in an ordinary ``difference`` state, so fix captures
-and maintenance see no difference. Everything else iterates the loop:
-the python kernel, non-linear steps, steps that are not such a
-composition, and a maintenance run resuming a cached fixpoint.
+time, and it ends in the same total, so fix captures and maintenance
+see no difference. Everything else iterates the loop: the python
+kernel, non-linear steps, steps that are not such a composition, and a
+maintenance run resuming a cached fixpoint.
 
 All base tables referenced by the program are dictionary-encoded up
 front, so the value-id space is frozen for the whole execution — packed
@@ -84,7 +85,7 @@ from repro.storage.relational import RelationalStore
 _NO_BUDGET = EvalBudget(None)
 
 #: Sentinel key a fix-capture dict carries alongside its Fix-term keys:
-#: the kernel that produced every captured table (states from one kernel
+#: the kernel that produced every captured table (tables from one kernel
 #: must not seed another).
 CAPTURE_KERNEL = "__kernel__"
 
@@ -252,10 +253,8 @@ def execute_batch_programs(
 
     ``fix_captures[i]``, when a dict, receives, for every *closed*
     fixpoint in program ``i`` keyed by its source
-    :class:`~repro.ra.terms.Fix` term, a ``(total, state, domain)``
-    triple — the materialised total as a kernel-native coded table, the
-    membership state iteration converged with, and the packing domain
-    that state was built at — plus the kernel name under
+    :class:`~repro.ra.terms.Fix` term, its materialised total as a
+    kernel-native coded table, plus the kernel name under
     :data:`CAPTURE_KERNEL`. These are what the result cache stores
     beside the answer (which owns the head-ordered root table) so a
     later write can continue semi-naive iteration instead of
@@ -309,11 +308,6 @@ class _Runner:
         # in-flight _eval frame: exclusive per-operator time is the
         # frame's elapsed wall clock minus what its children consumed.
         self._child_seconds: list[float] = []
-        #: id(FixOp) -> the membership state its iteration converged
-        #: with, kept so fix captures can store (total, state, domain)
-        #: and a later maintenance run can resume without re-sorting
-        #: the whole total back into a state.
-        self.fix_final_states: dict[int, object] = {}
         self._compose_kernel = getattr(kernel, "compose", None)
         self._closure_kernel = getattr(kernel, "closure", None)
         # Encode every table referenced anywhere in the batch before
@@ -328,14 +322,10 @@ class _Runner:
         return self._eval(program.root, {})
 
     def fix_states(self, program: CompiledProgram) -> dict:
-        """``(total, state, domain)`` of every closed fixpoint of
-        ``program`` this runner materialised, keyed by its Fix term."""
+        """The total of every closed fixpoint of ``program`` this runner
+        materialised, keyed by its Fix term."""
         return {
-            op.source: (
-                self._memo[id(op)],
-                self.fix_final_states.get(id(op)),
-                self.domain,
-            )
+            op.source: self._memo[id(op)]
             for op in program.root.walk()
             if isinstance(op, FixOp)
             and op.closed
@@ -517,9 +507,7 @@ class _Runner:
         delta, state = kernel.difference(base, state, self.domain)
         shape = self._closure_shape(op)
         if shape is not None:
-            closure = self._closure_kernel(
-                delta, state, shape.fixed, self.domain
-            )
+            closure = self._closure_kernel(delta, shape.fixed, self.domain)
             if closure is not None:
                 return self._close(op, env, shape, closure)
         empty = kernel.empty(len(op.columns))
@@ -597,9 +585,7 @@ class _Runner:
             self.budget.charge_bytes(joined * len(join.columns) * 8)
             self._count(step, produced, 0.0)
             self.budget.charge_bytes(produced * row_bytes)
-        total, state = closure.result()
-        self.fix_final_states[id(op)] = state
-        return total
+        return closure.result()
 
     def _iterate_fixpoint(self, op: FixOp, env: dict, state, total, delta):
         """Semi-naive iteration from an arbitrary sound starting point.
@@ -629,7 +615,6 @@ class _Runner:
                 total = frontier = kernel.concat_many([total, delta], width)
             produced = self._step(op, env, frontier)
             delta, state = kernel.difference(produced, state, self.domain)
-        self.fix_final_states[id(op)] = state
         if op.linear:
             total = kernel.concat_many([total, *rounds], width)
         return total, rounds

@@ -33,11 +33,9 @@ needs over tables of integer-code columns:
                         ``distinct``); returns (delta, state) and may
                         update the state it was given in place (python: a
                         set of rows; numpy: sorted runs of packed row keys,
-                        or a bitmap over the packed span once that is
-                        cheap next to the rows held)
-``fork_state``          a copy of a state ``difference`` may update while the
-                        original stays as it is (what a resumed fixpoint
-                        starts from)
+                        never written to, or a set of rows too wide to
+                        pack). A state lives inside one execution: nothing
+                        keeps it past the fixpoint that built it
 ``compose`` (optional)  ``compose(outer, ok, oc, inner, ik, ic, domain)``:
                         ``distinct`` of the ``(oc, ic)`` columns of the
                         single-key join ``outer.ok = inner.ik`` and the
@@ -47,24 +45,22 @@ needs over tables of integer-code columns:
                         dedup pass). The executor runs ``ProjectOp(distinct)``
                         over such a ``JoinOp`` through it; a kernel without
                         it runs the join, then ``distinct``
-``closure`` (optional)  ``closure(base, state, fixed, domain)``: semi-naive
+``closure`` (optional)  ``closure(base, fixed, domain)``: semi-naive
                         iteration of a linear fixpoint ``X = base ∪
                         π(X ⋈ S)`` whose step keeps ``X``'s column
                         ``fixed`` and fills the other from the ``S`` rows
-                        it joins (``base`` and ``state`` as ``difference``
-                        left the base rows), or None when it cannot run
-                        one. The object it returns has ``rows`` (the
-                        frontier's), ``step(S, key, column)`` for one
-                        round, returning its join and step row counts, and
-                        ``result()``: the total and a ``difference`` state
-                        holding it at ``domain`` (numpy: over the
-                        closure's own renumbered ids, ``S``'s successors
-                        laid out once, the pairs reached held as sorted
-                        runs of local keys or as bit rows). The executor
-                        runs such a fixpoint through it, accounted round
-                        by round as the loop it replaces; a kernel
-                        without it and a maintenance resume run the
-                        loop
+                        it joins (``base`` as ``difference`` left the
+                        base rows), or None when it cannot run one. The
+                        object it returns has ``rows`` (the frontier's),
+                        ``step(S, key, column)`` for one round, returning
+                        its join and step row counts, and ``result()``:
+                        the total (numpy: over the closure's own
+                        renumbered ids, ``S``'s successors laid out once,
+                        the pairs reached held as sorted runs of local
+                        keys or as bit rows). The executor runs such a
+                        fixpoint through it, accounted round by round as
+                        the loop it replaces; a kernel without it and a
+                        maintenance resume run the loop
 ``release``             drop any scratch a table carries before it is kept
                         (numpy: the sorted key ``distinct`` leaves for the
                         ``difference`` that follows); returns the table

@@ -19,8 +19,7 @@ the survivors. ``distinct`` leaves that key on its table for the
 ``difference`` that follows (every other constructor drops it;
 :func:`release` strips it from a table that is kept), which tests it
 against a fixpoint's state: sorted runs of packed keys, binary-searched
-and merged as they grow, or a bitmap over the packed span once the
-state is big enough for one bit per possible row to be cheap.
+and merged as they grow.
 
 ``compose`` is path concatenation, ``distinct`` of one column from each
 side of a single-key join, without the join: over locally renumbered
@@ -639,60 +638,19 @@ def _fused_pairs(ok, oc, ik, ic, per_key, joined: int, n_out: int, n_in: int):
     return _sorted_unique(pair)
 
 
-#: A fixpoint's membership state is sorted runs of packed row keys (64
-#: bits a row) until a bitmap over the whole packed span costs at most
-#: ``_BITS_PER_ROW`` bits per row the state holds or is about to test.
-#: Below ``_BITS_MIN_ROWS`` held rows a binary search is as cheap as a
-#: bit test, so small states stay runs whatever the span.
-_BITS_PER_ROW = 128
-_BITS_MIN_ROWS = 1024
-
-
 def empty_state():
     return None
-
-
-class _Bits:
-    """A membership state over packed row keys in ``[0, span)``, one bit
-    per key; :func:`difference` sets bits in place."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: np.ndarray):
-        self.bits = bits
-
-    def holds(self, key: np.ndarray) -> np.ndarray:
-        return self.bits[key >> 3] & _bit(key) != 0
-
-    def add(self, key: np.ndarray) -> None:
-        np.bitwise_or.at(self.bits, key >> 3, _bit(key))
-
-
-def _bit(key: np.ndarray) -> np.ndarray:
-    return np.left_shift(np.uint8(1), (key & 7).astype(np.uint8))
-
-
-def fork_state(state):
-    """A state :func:`difference` may update while ``state`` stays as it
-    is (sorted runs are never written to, so they are shared)."""
-    if isinstance(state, _Bits):
-        return _Bits(state.bits.copy())
-    if isinstance(state, set):
-        return set(state)
-    return state
 
 
 def difference(table: NpTable, state, domain: int):
     """Rows of ``table`` not yet in ``state``; returns (delta, state).
 
-    When the row width packs into int64 the state holds packed row keys:
-    sorted runs (one array, or a tuple of them) that are searched one by
-    one and never copied to take a delta — the delta becomes a run of
-    its own and runs of similar size merge — or, once big enough for
-    its bits to be cheap (``_BITS_*``), a bitmap over the packed span,
-    updated in place. Rows too wide to pack keep a Python set of row
-    tuples, also updated in place. ``delta`` is a set whatever ``table``
-    held, in key order.
+    When the row width packs into int64 the state holds packed row keys
+    as sorted runs (one array, or a tuple of them) that are searched one
+    by one and never written to: the delta becomes a run of its own and
+    runs of similar size merge. Rows too wide to pack keep a Python set
+    of row tuples, updated in place. ``delta`` is a set whatever
+    ``table`` held, in key order.
     """
     if table.key is not None and table.key[0] == domain:
         key = table.key[1]  # distinct already packed, sorted and deduped
@@ -707,24 +665,21 @@ def difference(table: NpTable, state, domain: int):
         key = _sorted_unique(key)
     if state is None:
         return _unpacked(table, key, domain), key
-    if not isinstance(state, _Bits):
-        runs = state if isinstance(state, tuple) else (state,)
-        held = sum(len(run) for run in runs)
-        span = domain ** len(table.cols)
-        if held < _BITS_MIN_ROWS or span > _BITS_PER_ROW * (held + len(key)):
-            for run in runs:
-                if len(run) and len(key):
-                    positions = np.searchsorted(run, key)
-                    fresh = run.take(positions, mode="clip") != key
-                    if not fresh.all():
-                        key = key[fresh]
-            return _unpacked(table, key, domain), _add_run(runs, key)
-        state = _Bits(np.zeros((span + 7) >> 3, dtype=np.uint8))
-        for run in runs:
-            state.add(run)
-    key = key[~state.holds(key)]
-    state.add(key)
-    return _unpacked(table, key, domain), state
+    runs = state if isinstance(state, tuple) else (state,)
+    key = _fresh(runs, key)
+    return _unpacked(table, key, domain), _add_run(runs, key)
+
+
+def _fresh(runs: tuple, key: np.ndarray) -> np.ndarray:
+    """The keys of the sorted, duplicate-free ``key`` that none of the
+    sorted ``runs`` holds."""
+    for run in runs:
+        if len(run) and len(key):
+            positions = np.searchsorted(run, key)
+            fresh = run.take(positions, mode="clip") != key
+            if not fresh.all():
+                key = key[fresh]
+    return key
 
 
 def _add_run(runs: tuple, key: np.ndarray):
@@ -744,24 +699,26 @@ def _add_run(runs: tuple, key: np.ndarray):
 #: A closure holds the pairs it has reached as sorted runs of local pair
 #: keys, 64 bits a pair, until bit rows over its whole pair space (one row
 #: of moving-value bits per fixed value, and the relation's successors
-#: likewise) cost at most this many bits per pair reached; and, as a
-#: fixpoint state does, while it holds fewer than ``_BITS_MIN_ROWS``.
+#: likewise) cost at most this many bits per pair reached.
 _CLOSURE_BITS_PER_ROW = 64
+#: Below this many pairs reached a binary search is as cheap as a bit
+#: test, so a small closure stays sorted runs whatever its pair space.
+_BITS_MIN_ROWS = 1024
 
 #: The set bits of each byte value.
 _POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=_INT)
 
 
-def closure(base: NpTable, state, fixed: int, domain: int) -> "Closure | None":
+def closure(base: NpTable, fixed: int, domain: int) -> "Closure | None":
     """Semi-naive iteration of a linear fixpoint whose step keeps its
     column ``fixed`` and moves the other along a relation: ``X = base ∪
     π(X ⋈ S)``, one ``S`` column joined to the moving one and another
-    put in its place. ``base`` and ``state`` are what :func:`difference`
-    made of the base rows. None when a row of the fixpoint does not pack
-    (the caller iterates as usual)."""
+    put in its place. ``base`` is what :func:`difference` left of the
+    base rows. None when a row of the fixpoint does not pack (the caller
+    iterates as usual)."""
     if domain * domain >= _PACK_LIMIT:
         return None
-    return Closure(base, state, fixed, domain)
+    return Closure(base, fixed, domain)
 
 
 class Closure:
@@ -775,26 +732,24 @@ class Closure:
     base's fixed values ``0..nF`` too: set-up scales with the closure's
     rows, not the domain. Every round then only expands the frontier.
     Reached pairs are local keys ``first * n_second + second`` (first
-    column major), sorted, deduplicated and searched in sorted runs as a
-    fixpoint's membership state is, until the ``nF x nM`` and ``nM x nM``
-    bit rows are cheap next to them (``_CLOSURE_BITS_PER_ROW``); from
-    then on a round ORs each fixed value's frontier successor rows.
-    :meth:`result` maps the pairs back to codes and to packed row keys at
-    ``domain``: ascending local order is ascending packed order, so the
-    state is sorted runs with no sort.
+    column major), sorted, deduplicated and searched in sorted runs as
+    :func:`difference` searches packed row keys, until the ``nF x nM``
+    and ``nM x nM`` bit rows are cheap next to them
+    (``_CLOSURE_BITS_PER_ROW``); from then on a round ORs each fixed
+    value's frontier successor rows. :meth:`result` maps the pairs back
+    to codes.
     """
 
     __slots__ = (
-        "rows", "_base", "_state", "_fixed", "_domain", "_n", "_values",
+        "rows", "_base", "_fixed", "_domain", "_n", "_values",
         "_joins", "_fanout", "_first", "_successors", "_reached",
         "_frontier", "_bits",
     )
 
-    def __init__(self, base: NpTable, state, fixed: int, domain: int):
+    def __init__(self, base: NpTable, fixed: int, domain: int):
         #: Rows of the current frontier (the base rows before a step).
         self.rows = base.n
         self._base = base
-        self._state = state
         self._fixed = fixed
         self._domain = domain
         self._joins = None
@@ -826,33 +781,25 @@ class Closure:
         self._bits_when_cheap()
         return joined, produced
 
-    def result(self) -> tuple[NpTable, object]:
-        """``(total, state)``: the closure's rows and a :func:`difference`
-        state holding them, at the domain it was built with."""
+    def result(self) -> NpTable:
+        """The closure's total: every pair it reached, as codes."""
         if self._reached is None:
-            return self._base, self._state
+            return self._base
         if self._bits:
             marks = _marks(self._reached, self._n[1])
             # Fixed-major cells; moving-major when the moving column is
             # the first.
-            runs = (np.flatnonzero(marks.T if self._fixed else marks),)
+            key = np.flatnonzero(marks.T if self._fixed else marks)
         else:
             runs = self._runs()
-        # One pass over every pair, in place where it can be: the output
-        # is as big as the closure, so each fresh array is page faults.
-        key = np.concatenate(runs) if len(runs) > 1 else runs[0]
+            key = np.concatenate(runs) if len(runs) > 1 else runs[0]
+        # In place where it can be: the output is as big as the
+        # closure, so each fresh array is page faults.
         first_values, second_values = self._values
         first, second = np.divmod(key, len(second_values))
         first_values.take(first, out=first, mode="clip")
         second_values.take(second, out=second, mode="clip")
-        np.multiply(first, self._domain, out=key)
-        key += second
-        ends = np.cumsum([len(run) for run in runs])
-        state = tuple(
-            key[end - len(run) : end] for run, end in zip(runs, ends)
-        )
-        total = NpTable([first, second], len(key))
-        return total, state[0] if len(state) == 1 else state
+        return NpTable([first, second], len(key))
 
     def _lay_out(self, source: np.ndarray, target: np.ndarray) -> None:
         """Renumber, lay the successors out (``_successors`` holds their
@@ -943,12 +890,7 @@ class Closure:
         key = _sorted_unique(self._pair_key(np.repeat(fixed, counts), target))
         produced = len(key)
         runs = self._runs()
-        for run in runs:
-            if len(key):
-                positions = np.searchsorted(run, key)
-                fresh = run.take(positions, mode="clip") != key
-                if not fresh.all():
-                    key = key[fresh]
+        key = _fresh(runs, key)
         self._reached = _add_run(runs, key)
         self._frontier = self._pair_ids(key)
         self.rows = len(key)

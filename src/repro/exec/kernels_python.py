@@ -199,12 +199,6 @@ def empty_state():
     return set()
 
 
-def fork_state(state: set) -> set:
-    """A state :func:`difference` may update while ``state`` stays as it
-    is."""
-    return set(state)
-
-
 def difference(table: PyTable, state: set, domain: int):
     """Rows of ``table`` not yet in ``state``; updates and returns state."""
     fresh = [row for row in set(to_rows(table)) if row not in state]

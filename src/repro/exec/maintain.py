@@ -25,9 +25,9 @@ Soundness is multilinearity: outside fixpoints every operator is
 multilinear in its changed leaves, so ``new(L ⋈ R) \\ old(L ⋈ R) ⊆
 ΔL ⋈ R_new ∪ L_new ⋈ ΔR``. Every delta is a subset of the operator's
 new output; where it is a superset of the gained rows (an appended row
-that projects onto an old one), the answer's membership state and the
-fixpoint states filter it. Every concat is followed by ``distinct``, so
-each delta is a duplicate-free table.
+that projects onto an old one), the membership states built from the
+previous answer and fixpoint totals filter it. Every concat is followed
+by ``distinct``, so each delta is a duplicate-free table.
 
 A seeded fixpoint restarts semi-naive iteration from ``R₀``: every
 operator is monotone, so ``R₀ = lfp(F_old) ⊆ lfp(F_new)``, and Kleene
@@ -102,14 +102,11 @@ class MaintenanceOutcome:
 
     ``fix_states`` and ``answer.table`` are kernel-native coded tables,
     ready to seed the *next* maintenance round without any conversion.
-    ``seen`` is ``(membership state of answer.table, packing domain)``
-    when the run kept one.
     """
 
     answer: ResultSet
     fix_states: dict
     stats: ExecutionStats
-    seen: tuple | None = None
 
 
 def maintain_program(
@@ -121,26 +118,25 @@ def maintain_program(
     kernel=None,
     budget: EvalBudget | None = None,
     prev: ResultSet | None = None,
-    prev_seen: tuple | None = None,
 ) -> MaintenanceOutcome:
     """Bring a cached result of ``program`` up to ``store``'s version.
 
     ``deltas`` is the store's append delta since the cached version and
-    ``fix_states`` the captured ``(total, state, domain)`` fixpoint
-    triples (kernel-native, produced by the *same* kernel that runs
-    here — see :data:`~repro.exec.executor.CAPTURE_KERNEL`; empty for a
+    ``fix_states`` the captured fixpoint totals (kernel-native, produced
+    by the *same* kernel that runs here — see
+    :data:`~repro.exec.executor.CAPTURE_KERNEL`; empty for a
     fixpoint-free plan). When ``prev`` is the entry's answer, the new
     output is its coded table with the rows of the root's delta it does
     not hold yet appended — every operator is monotone, so the new
-    output is a superset of the old. ``prev_seen`` is the ``seen`` pair
-    of the previous outcome; it saves rebuilding the output's membership
-    state. Without ``prev`` the root is evaluated in full over the
-    seeded fixpoints. Nothing is decoded and the previous table is never
-    written to: an answer handed out before keeps its rows, and a run
-    that adds no row hands back ``prev`` itself. The outcome's
-    ``fix_states`` are the given ones with every fixpoint the run
-    entered replaced by its new triple. Exactness relies on monotonicity
-    only, so the outcome always equals a cold recomputation.
+    output is a superset of the old. Without ``prev`` the root is
+    evaluated in full over the seeded fixpoints. Nothing is decoded and
+    no captured table is ever written to: an answer handed out before
+    keeps its rows, a run that aborts leaves the entry's tables as they
+    were, and a run that adds no row hands back ``prev`` itself. The
+    outcome's ``fix_states`` are the given ones with every fixpoint the
+    run entered replaced by its new total. Exactness relies on
+    monotonicity only, so the outcome always equals a cold
+    recomputation.
     """
     if kernel is None:
         from repro.exec.kernels import default_kernel
@@ -156,31 +152,20 @@ def maintain_program(
         if head is not None and head != columns
         else None
     )
-    domain = runner.domain
-    seen = None
     if prev is not None:
-        # Only what the root gained is evaluated, O(write delta). It is
-        # filtered against the output's membership state, which is
-        # carried from run to run and rebuilt only when new values moved
-        # the packing domain. Updating that state is the last step that
-        # can fail, so an aborted run leaves the cached pair consistent.
+        # Only what the root gained is evaluated, O(write delta), and
+        # filtered against a membership state built from the previous
+        # answer.
         table = prev.table
         delta_out = runner._delta(program.root, {})
-        if delta_out is None:
-            seen = prev_seen
-        else:
+        if delta_out is not None:
             if head_indices is not None:
                 delta_out = kernel.select_columns(delta_out, head_indices)
-            if prev_seen is not None and prev_seen[1] == domain:
-                state = prev_seen[0]
-            else:
-                _, state = kernel.difference(
-                    table, kernel.empty_state(), domain
-                )
-            added, state = kernel.difference(delta_out, state, domain)
+            domain = runner.domain
+            _, state = kernel.difference(table, kernel.empty_state(), domain)
+            added, _ = kernel.difference(delta_out, state, domain)
             if kernel.nrows(added):
                 table = kernel.concat(table, added)
-            seen = (state, domain)
     else:
         table = runner.run(program)
         if head_indices is not None:
@@ -195,7 +180,6 @@ def maintain_program(
         answer=answer,
         fix_states={**fix_states, **runner.fix_states(program)},
         stats=runner.stats,
-        seen=seen,
     )
 
 
@@ -299,18 +283,14 @@ class _MaintainRunner(_Runner):
         )
 
     def _eval_fixpoint(self, op: FixOp, env: dict):
-        seed = (
+        total = (
             self._fix_states.get(op.source)
             if op.closed and op.source is not None
             else None
         )
-        if seed is None:
+        if total is None:
             return super()._eval_fixpoint(op, env)
         kernel = self.kernel
-        # ``seed`` is (total, state, domain) from the previous run.
-        total, state, seed_domain = seed
-        if seed_domain != self.domain:
-            state = None  # packed at another domain: rebuilt when needed
         # Round-0 frontier: what each arm gained with the variable bound
         # to the previous total.
         step_env = dict(env)
@@ -322,18 +302,13 @@ class _MaintainRunner(_Runner):
             [self._delta(op.base, env), stepped], len(op.columns)
         )
         gained = None
-        if frontier is None:
-            self.fix_final_states[id(op)] = state
-        else:
-            if state is None:
-                _, state = kernel.difference(
-                    total, kernel.empty_state(), self.domain
-                )
-            else:
-                # ``difference`` may update a state in place: resume
-                # from a fork so the cached entry stays intact if this
-                # run aborts mid-way.
-                state = kernel.fork_state(state)
+        if frontier is not None:
+            # The state is this run's own, built from the total: the
+            # captured table is never written to, so a run that aborts
+            # leaves the cached entry as it was.
+            _, state = kernel.difference(
+                total, kernel.empty_state(), self.domain
+            )
             delta, state = kernel.difference(frontier, state, self.domain)
             # Everything beyond the seed is this fixpoint's own delta,
             # collected at O(gained) instead of re-diffing the total.

@@ -1,5 +1,6 @@
-"""Shared fixtures: the paper's running example and small datasets, and
-a wall-clock limit on every test."""
+"""Shared fixtures: the paper's running example and small datasets, a
+wall-clock limit on every test and an address-space limit on the test
+process."""
 
 from __future__ import annotations
 
@@ -7,6 +8,11 @@ import signal
 import threading
 
 import pytest
+
+try:
+    import resource
+except ImportError:  # pragma: no cover - not a Unix platform
+    resource = None
 
 from repro.datasets.ldbc import generate_ldbc, ldbc_schema, ldbc_store
 from repro.datasets.yago import generate_yago, yago_schema, yago_store
@@ -24,6 +30,23 @@ class _Overran(BaseException):
     """A test ran past ``_TEST_SECONDS``. Not an ``Exception``: hypothesis
     treats those as a failing example to shrink (re-running it) and to
     save (for every later run to replay), where this must end the test."""
+
+
+def _cap_address_space() -> None:
+    """Lower the soft ``RLIMIT_AS`` to 4 GiB where the platform has it
+    and it is higher, never raising a limit. A full run maps under 1 GB;
+    a runaway native allocation, which ``SIGALRM`` cannot interrupt,
+    then fails with ``MemoryError`` instead of exhausting the host."""
+    limit = getattr(resource, "RLIMIT_AS", None)
+    if limit is None:
+        return
+    cap = 4 << 30
+    soft, hard = resource.getrlimit(limit)
+    if soft == resource.RLIM_INFINITY or soft > cap:
+        resource.setrlimit(limit, (cap, hard))
+
+
+_cap_address_space()
 
 
 @pytest.fixture(autouse=True)

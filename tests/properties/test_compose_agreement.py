@@ -1,4 +1,4 @@
-"""Property: path composition and fixpoint states agree with the plain path.
+"""Property: path composition and closures agree with the plain path.
 
 Three differentials:
 
@@ -9,22 +9,18 @@ Three differentials:
   forced in turn — the join it falls back to, the bit-matrix product
   and the fused pass (mark and sort dedup) — and the size gates are
   checked at their boundaries.
-* numpy's ``difference`` with a bitmap state against the sorted-run
-  state: the same delta, row for row, round after round, and a forked
-  state leaves its original as it was.
 * numpy's ``closure`` hook against the semi-naive loop it replaces: a
   linear closure over a drawn edge relation, narrow or wide domain,
   either orientation and join order, with or without a ``step_perm``,
   from a plain or a seeded base, gives the same rows, operator counts
-  and final-state membership through the hook as through
-  ``_iterate_fixpoint``, whichever way through the hook the module
-  constants force (sorted runs of local pair keys, bit rows, or a
-  switch from one to the other).
+  and captured total through the hook as through ``_iterate_fixpoint``,
+  whichever way through the hook the module constants force (sorted
+  runs of local pair keys, bit rows, or a switch from one to the other).
 * maintained fixpoint answers after appends, some of which grow the
   dictionary (and so the packing domain), against the closure computed
   directly — on every available kernel, so the pure-Python one (which
   has no ``compose`` or ``closure``) runs it too, and on numpy from a
-  fixpoint state the ``closure`` hook built, in each of its ways.
+  fixpoint total the ``closure`` hook built, in each of its ways.
 """
 
 from __future__ import annotations
@@ -197,63 +193,6 @@ def test_compose_fused_dedup(keys, fan, sorts):
     assert sorted_ == sorts
 
 
-@st.composite
-def _rounds(draw):
-    domain = draw(st.integers(1, 30))
-    width = draw(st.integers(1, 3))
-    code = st.integers(0, domain - 1)
-    rows = st.lists(st.tuples(*[code] * width), max_size=40)
-    return domain, width, draw(st.lists(rows, min_size=1, max_size=6))
-
-
-def _run_rounds(domain, width, rounds, dedup_first, **constants):
-    deltas, state = [], npk.empty_state()
-    with _patched(**constants):
-        for drawn in rounds:
-            table = npk.from_rows(drawn, width)
-            if dedup_first:
-                table = npk.distinct(table, domain)
-            delta, state = npk.difference(table, state, domain)
-            deltas.append(npk.to_rows(delta))
-    return deltas, state
-
-
-@needs_numpy
-@given(_rounds(), st.booleans())
-@settings(max_examples=150, deadline=None)
-def test_bitmap_difference_equals_sorted_runs(data, dedup_first):
-    domain, width, rounds = data
-    runs, runs_state = _run_rounds(
-        domain, width, rounds, dedup_first, _BITS_PER_ROW=0
-    )
-    bits, bits_state = _run_rounds(
-        domain, width, rounds, dedup_first,
-        _BITS_MIN_ROWS=0, _BITS_PER_ROW=1 << 40,
-    )
-    # Switching from runs to a bitmap part-way (here: once two rows are
-    # held) is the third way through.
-    mixed, _ = _run_rounds(
-        domain, width, rounds, dedup_first,
-        _BITS_MIN_ROWS=2, _BITS_PER_ROW=1 << 40,
-    )
-    assert bits == runs == mixed
-    seen: set = set()
-    for drawn, delta in zip(rounds, runs):
-        assert set(delta) == set(drawn) - seen and len(delta) == len(set(delta))
-        seen |= set(delta)
-    assert isinstance(bits_state, npk._Bits) == (len(rounds) > 1 and bool(seen))
-
-    # A fork takes the next round; the original still answers as before.
-    probe = npk.from_rows(sorted(seen) + [(0,) * width], width)
-    for state in (runs_state, bits_state):
-        if state is None:
-            continue
-        with _patched(_BITS_MIN_ROWS=0, _BITS_PER_ROW=1 << 40):
-            npk.difference(probe, npk.fork_state(state), domain)
-            again, _ = npk.difference(probe, state, domain)
-        assert set(npk.to_rows(again)) == {(0,) * width} - seen
-
-
 # -- the closure hook against the semi-naive loop ------------------------------
 #: Module constants that force one way through ``closure``: sorted runs of
 #: local pair keys throughout, bit rows from the base on, or runs that
@@ -328,12 +267,6 @@ def _lfp(base: set, edges: set, forward: bool, crossed: bool) -> set:
         closure |= step
 
 
-def _held(state, domain: int, probe) -> set:
-    """The rows of ``probe`` a :func:`difference` state holds."""
-    fresh, _ = npk.difference(probe, npk.fork_state(state), domain)
-    return set(npk.to_rows(probe)) - set(npk.to_rows(fresh))
-
-
 @needs_numpy
 @pytest.mark.parametrize("mode", sorted(_CLOSURE_MODES))
 @given(data=_closures())
@@ -366,13 +299,10 @@ def test_closure_equals_the_semi_naive_loop(mode, data):
         "memo_hits",
     ):
         assert getattr(hook_stats, name) == getattr(loop_stats, name)
-    (total, state, domain), (_, loop_state, loop_domain) = hook_fix, loop_fix
-    assert domain == loop_domain == encoding.domain_size
-    held = set(npk.to_rows(total))
-    assert len(held) == npk.nrows(total)  # a set, as the loop's total is
-    codes = {code for row in held for code in row} | {0, domain - 1}
-    probe = npk.from_rows([(a, b) for a in codes for b in codes], 2)
-    assert _held(state, domain, probe) == _held(loop_state, domain, probe) == held
+    # The captured totals: the same rows, each held once.
+    held = set(npk.to_rows(hook_fix))
+    assert held == set(npk.to_rows(loop_fix))
+    assert npk.nrows(hook_fix) == npk.nrows(loop_fix) == len(held)
 
 
 # -- maintained fixpoints after dictionary-growing appends ---------------------
@@ -423,9 +353,7 @@ def _check_maintained(kernel, writes, constants):
 @given(_WRITES)
 @settings(max_examples=25, deadline=None)
 def test_maintained_fixpoint_after_growing_appends(kernel, writes):
-    # On numpy, every fixpoint state past the first round is a bitmap.
-    constants = {} if npk is None else {"_BITS_MIN_ROWS": 0, "_BITS_PER_ROW": 1 << 40}
-    _check_maintained(kernel, writes, constants)
+    _check_maintained(kernel, writes, {})
 
 
 @needs_numpy
@@ -433,7 +361,7 @@ def test_maintained_fixpoint_after_growing_appends(kernel, writes):
 @given(_WRITES)
 @settings(max_examples=15, deadline=None)
 def test_maintained_closure_after_growing_appends(mode, writes):
-    # The cached fixpoint state the maintenance run resumes from is the
+    # The cached fixpoint total the maintenance run resumes from is the
     # one the ``closure`` hook returned.
     with mock.patch.object(npk, "closure", wraps=npk.closure) as closure:
         _check_maintained("numpy", writes, _CLOSURE_MODES[mode])

@@ -25,7 +25,7 @@ from repro.exec.compile import FixOp, compile_term
 from repro.exec.dictionary import encoding_for
 from repro.exec.executor import CAPTURE_KERNEL, execute_program
 from repro.exec.kernels import available_kernels, get_kernel
-from repro.exec.maintain import maintain_program
+from repro.exec.maintain import _MaintainRunner, maintain_program
 from repro.graph.evaluator import ResourceBudget
 from repro.graph.model import UNLABELLED, yago_example_graph
 from repro.ra.terms import Fix, Join, Project, Rel, Rename, Var
@@ -181,19 +181,24 @@ class TestResultMaintenance:
         assert (stats.hits, stats.misses) == (2, 1)
         assert session.cache_stats["maintenance"].results_maintained == 1
 
-    def test_repeated_appends_maintain_repeatedly(self, session):
+    @pytest.mark.parametrize("kernel", available_kernels())
+    def test_repeated_appends_maintain_repeatedly(self, session, kernel):
+        # Edges between existing nodes leave the packing domain where it
+        # was: three resumes in a row at one domain.
         store = session.store
-        session.execute(CHAIN, "vec", rewrite=False)
+        options = ExecOptions(backend="vec", kernel=kernel)
+        session.execute(CHAIN, rewrite=False, exec_options=options)
         for _ in range(3):
             store.add_rows("isLocatedIn", [_new_edge(store)])
-            rows = session.execute(CHAIN, "vec", rewrite=False)
+            rows = session.execute(CHAIN, rewrite=False, exec_options=options)
             assert rows == _fresh_rows(store, CHAIN)
         assert session.cache_stats["maintenance"].results_maintained == 3
 
     def test_append_with_new_constants_still_maintains(self, session):
-        # Fresh node ids grow the dictionary, so the cached membership
-        # state's packing domain is stale — maintenance must rebuild the
-        # state rather than resume it, and still agree with a cold run.
+        # Fresh node ids grow the dictionary, so the packing domain moves
+        # under the cached totals. Maintenance builds every membership
+        # state it needs from those totals at the new domain, as it does
+        # after any write, and still agrees with a cold run.
         store = session.store
         session.execute(CLOSURE, "vec", rewrite=False)
         store.add_rows("isLocatedIn", [(777_777, 888_888)])
@@ -379,6 +384,38 @@ class TestRewrittenPlans:
         rows = self._read(ldbc, _LDBC["IC1"], kernel)
         assert rows == self._cold(ldbc, _LDBC["IC1"])
         assert ldbc.cache_stats["maintenance"].results_maintained == 1
+
+    def test_aborted_seeded_fixpoint_leaves_the_entry(
+        self, ldbc, kernel, monkeypatch
+    ):
+        # The run fails in the second round of knows+'s seeded fixpoint,
+        # after it built its state from the captured total: the entry
+        # keeps its answer, its version and each total, the same objects.
+        text = "x1, x2 <- (x1, knows+, x2)"
+        before = self._read(ldbc, text, kernel)
+        entry = self._entry(ldbc, text, kernel)
+        version, captured = entry.version, dict(entry.fix_states)
+        assert captured
+        self._befriend_newcomers(ldbc)
+        step, calls = _MaintainRunner._step, []
+
+        def second_round_fails(runner, *args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise InjectedFault("kernel.op", 1)
+            return step(runner, *args)
+
+        monkeypatch.setattr(_MaintainRunner, "_step", second_round_fails)
+        with pytest.raises(InjectedFault):
+            self._read(ldbc, text, kernel)
+        monkeypatch.undo()
+        assert self._entry(ldbc, text, kernel) is entry
+        assert entry.answer is before and entry.version == version
+        assert entry.fix_states.keys() == captured.keys()
+        assert all(entry.fix_states[fix] is captured[fix] for fix in captured)
+        after = self._read(ldbc, text, kernel)
+        assert ldbc.cache_stats["maintenance"].results_maintained == 1
+        assert after == self._cold(ldbc, text) and len(after) > len(before)
 
     @pytest.mark.parametrize("failure", ["kernel.op", "max_rows"])
     def test_aborted_delta_pass_leaves_the_entry(self, ldbc, kernel, failure):

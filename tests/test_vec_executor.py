@@ -317,7 +317,7 @@ class TestDedupKeyLifetime:
         )
         assert len(answer) == 21 and answer.table.key is None
         assert capture.pop(CAPTURE_KERNEL) == "numpy"
-        [(total, _state, _domain)] = capture.values()
+        [total] = capture.values()
         assert total.key is None
         runner = _Runner([program], encoding_for(store), kernel, _NO_BUDGET)
         runner.run(program)
@@ -336,7 +336,7 @@ class TestDedupKeyLifetime:
             assert entries
             for entry in entries:
                 assert entry.answer.table.key is None
-                for total, _state, _domain in (entry.fix_states or {}).values():
+                for total in (entry.fix_states or {}).values():
                     assert total.key is None
 
 
