@@ -4,15 +4,14 @@ A full reproduction of the SIGMOD 2025 paper by Sharma, Genevès, Gesbert
 and Layaïda (arXiv:2403.01863): UCQT graph queries over Tarski's algebra,
 graph schemas, the schema-based rewriting pipeline (type inference, PlC,
 triple merging, redundancy removal), plus the execution substrates used by
-the paper's evaluation — a recursive relational algebra engine, a
-``WITH RECURSIVE`` SQL backend (executed on SQLite), and a graph-pattern
-engine with Cypher emission.
-
-All substrates sit behind one façade, :class:`~repro.engine.session.
-GraphSession`: construct it once from a graph and a schema, and it owns
-the derived artefacts (relational store, SQLite database, pattern engine)
-plus two cache layers (schema rewriting, per-backend plans) keyed on the
-schema fingerprint.
+the paper's evaluation — a recursive relational algebra engine and a
+``WITH RECURSIVE`` SQL backend (executed on SQLite) behind one façade,
+:class:`~repro.engine.session.GraphSession`: construct it once from a
+graph and a schema, and it owns the derived artefacts (relational store,
+SQLite database) plus two cache layers (schema rewriting, per-backend
+plans) keyed on the schema fingerprint. The graph-pattern engine with
+Cypher emission (:mod:`repro.gdb`, the paper's Neo4j stand-in) runs the
+Fig. 14 comparison from :mod:`repro.bench`.
 
 Quickstart::
 
@@ -22,7 +21,7 @@ Quickstart::
     query = "x1, x2 <- (x1, livesIn/isLocatedIn+/dealsWith+, x2)"
     rows = session.execute(query)                      # µ-RA on vec
     assert rows == session.execute(query, "sqlite")    # same on SQLite
-    assert rows == session.execute(query, "gdb")       # and on patterns
+    assert rows == session.execute(query, "reference") # and naively
     print(session.explain(query, "ra"))                # Fig. 17 plan
     prepared = session.prepare(query, "sqlite")        # skip rewrite+plan
     prepared.execute()

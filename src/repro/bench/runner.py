@@ -6,7 +6,9 @@ Engines (the paper's four, §5.1.6 / §5.5, plus the columnar runtime):
 * ``vec``       — the same optimised plans on the vectorized columnar
                   engine (:mod:`repro.exec`),
 * ``sqlite``    — generated recursive SQL executed on real SQLite,
-* ``gdb``       — the graph-pattern expansion engine (the Neo4j stand-in),
+* ``gdb``       — the graph-pattern expansion engine (the Neo4j stand-in,
+                  :mod:`repro.gdb`), run here directly: it is figure code,
+                  not a serving backend,
 * ``reference`` — the naive Fig. 5 evaluator (sanity baseline).
 
 A run that exceeds the timeout is recorded as infeasible with the cap as
@@ -20,10 +22,10 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.rewriter import RewriteOptions, RewriteResult
-from repro.engine.protocol import available_backends
 from repro.engine.session import GraphSession
 from repro.errors import QueryTimeout
 from repro.gdb.engine import PatternEngine
+from repro.graph.evaluator import EvalBudget
 from repro.graph.model import PropertyGraph
 from repro.query.model import UCQT
 from repro.schema.model import GraphSchema
@@ -58,8 +60,8 @@ class BenchmarkContext:
     """A dataset loaded for benchmarking, dispatching through a
     :class:`~repro.engine.session.GraphSession`.
 
-    The session owns the derived artefacts (SQLite database, pattern
-    engine) and both cache layers, so repeated measurements of the same
+    The session owns the derived artefacts (SQLite database, graph
+    replay) and both cache layers, so repeated measurements of the same
     query pay rewriting and planning once — the warm-path behaviour the
     engine layer exists for. The ``variant`` split stays here: baseline
     runs bypass the rewriter (``rewrite=False``), schema runs go through
@@ -111,10 +113,6 @@ class BenchmarkContext:
     def sqlite(self) -> SqliteBackend:
         return self.session.sqlite
 
-    @property
-    def pattern_engine(self) -> PatternEngine:
-        return self.session.pattern_engine
-
     def rewrite(self, workload_query: WorkloadQuery) -> RewriteResult:
         return self.session.rewrite(
             workload_query.query, options=self.rewrite_options
@@ -125,16 +123,20 @@ class BenchmarkContext:
         """Run ``query`` on ``engine``; returns the result cardinality.
 
         ``query`` is the already-chosen variant (baseline or rewritten),
-        so the session executes it verbatim (``rewrite=False``).
+        so the session executes it verbatim (``rewrite=False``); ``gdb``
+        evaluates it on a :class:`PatternEngine` over the session's graph.
         Raises QueryTimeout when the per-query budget expires.
         """
         if query.is_empty:
             return 0
-        if engine not in available_backends():
+        if engine not in ENGINES:
             raise ValueError(
-                f"unknown engine {engine!r}; expected one of "
-                f"{available_backends()}"
+                f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
+        if engine == "gdb":
+            patterns = PatternEngine(self.session.graph)
+            budget = EvalBudget(self.timeout_seconds)
+            return len(patterns.evaluate_ucqt(query, budget))
         result = self.session.execute(
             query,
             backend=engine,

@@ -31,7 +31,8 @@ Four subcommands:
 chooses between the query as written and its schema rewrite, where the
 linear pipeline runs the rewrite) and
 ``--backend auto`` (the default backend under the cost planner; ``bench
---engine`` takes registered backends only);
+--engine`` takes :data:`repro.bench.runner.ENGINES` only, the backends
+plus the Fig. 14 pattern engine ``gdb``);
 ``repro query --explain --candidates`` prints the ranked candidate table. The serving subcommands cache whole
 result sets unless ``--no-result-cache`` is given; after append-only
 store writes, stale cached results are incrementally maintained from
@@ -58,12 +59,12 @@ def _backend_names() -> tuple[str, ...]:
     return available_backends()
 
 
-def _engine_argument(value: str, extra: tuple[str, ...] = ()) -> str:
-    """Validate a backend name against the live registry (plus
-    ``extra``) at parse time, so a typo fails with the registered names
-    instead of deep inside the session after the dataset has been
-    generated."""
-    names = _backend_names() + extra
+def _backend_argument(value: str) -> str:
+    """Validate a backend name against the live registry, or ``auto``
+    (the session's default backend under the cost planner), at parse
+    time, so a typo fails with the registered names instead of deep
+    inside the session after the dataset has been generated."""
+    names = _backend_names() + ("auto",)
     if value not in names:
         raise argparse.ArgumentTypeError(
             f"unknown backend {value!r}; registered backends: "
@@ -72,10 +73,17 @@ def _engine_argument(value: str, extra: tuple[str, ...] = ()) -> str:
     return value
 
 
-def _backend_argument(value: str) -> str:
-    """:func:`_engine_argument`, or ``auto``: the session's default
-    backend under the cost planner."""
-    return _engine_argument(value, ("auto",))
+def _engine_argument(value: str) -> str:
+    """A ``bench --engine`` name: one of
+    :data:`repro.bench.runner.ENGINES`, the backends plus ``gdb`` (the
+    Fig. 14 pattern engine, which serves no session)."""
+    from repro.bench.runner import ENGINES
+
+    if value not in ENGINES:
+        raise argparse.ArgumentTypeError(
+            f"unknown engine {value!r}; expected one of {', '.join(ENGINES)}"
+        )
+    return value
 
 
 def _run_tables78(full: bool):
@@ -464,6 +472,7 @@ def _add_planner_argument(parser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.bench.runner import ENGINES
     from repro.engine.options import DEFAULT_BACKEND
 
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -497,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
         type=_engine_argument,
         metavar="ENGINE",
         help="execution engine for runtime experiments "
-        f"(registered: {', '.join(_backend_names())})",
+        f"(one of: {', '.join(ENGINES)})",
     )
 
     query = subparsers.add_parser(

@@ -10,7 +10,7 @@ Quickstart::
                           backend="sqlite"))
 
 The same query string runs unchanged on every registered backend
-(``ra``, ``vec``, ``sqlite``, ``gdb``, ``reference``); rewriting and
+(``ra``, ``vec``, ``sqlite``, ``reference``); rewriting and
 planning are cached per (query, schema fingerprint, options).
 """
 

@@ -1,4 +1,4 @@
-"""Backend adapters for the five execution substrates.
+"""Backend adapters for the four execution substrates.
 
 Each adapter wraps an existing engine behind the :class:`~repro.engine.
 protocol.Backend` contract. Plan artefacts are tiny frozen carriers of
@@ -15,9 +15,6 @@ whatever the substrate actually executes:
                   dependency-free pure-Python kernel,
 * ``sqlite``    — the generated ``WITH RECURSIVE`` SQL text (explained
                   via SQLite's own ``EXPLAIN QUERY PLAN``),
-* ``gdb``       — the compiled graph patterns (explained as Cypher when
-                  the query is Cypher-expressible, else as a pattern
-                  listing),
 * ``reference`` — the UCQT itself (the naive Fig. 5 evaluator has no
                   plan to speak of).
 
@@ -38,8 +35,6 @@ from repro.exec.compile import CompiledProgram, compile_term
 from repro.exec.executor import ExecutionStats, execute_batch_programs
 from repro.exec.kernels import default_kernel, get_kernel
 from repro.exec.result import ResultSet
-from repro.gdb.cypher import cypher_expressible, to_cypher
-from repro.gdb.patterns import GraphPattern, ucqt_to_patterns
 from repro.graph.evaluator import EvalBudget, as_budget
 from repro.planner.cost import cost_term
 from repro.query.evaluation import evaluate_ucqt
@@ -266,53 +261,6 @@ class SqliteEngineBackend:
         return plan.sql
 
 
-# -- graph-pattern expansion (the Neo4j stand-in) -----------------------------
-@dataclass(frozen=True)
-class GdbPlan:
-    """Compiled graph patterns, plus Cypher when expressible."""
-
-    patterns: tuple[GraphPattern, ...]
-    cypher: str | None
-
-
-class GdbBackend:
-    name = "gdb"
-
-    def prepare(
-        self,
-        session: "GraphSession",
-        query: UCQT,
-        options: ExecOptions,
-    ) -> GdbPlan:
-        cypher = to_cypher(query) if cypher_expressible(query) else None
-        return GdbPlan(patterns=tuple(ucqt_to_patterns(query)), cypher=cypher)
-
-    def execute(
-        self,
-        session: "GraphSession",
-        plan: GdbPlan,
-        timeout_seconds: float | EvalBudget | None = None,
-    ) -> ResultSet:
-        fault_point("backend.execute.gdb")
-        budget = as_budget(timeout_seconds)
-        result: set[tuple] = set()
-        for pattern in plan.patterns:
-            result |= session.pattern_engine.evaluate_pattern(pattern, budget)
-        return ResultSet.from_rows(result)
-
-    def explain(self, session: "GraphSession", plan: GdbPlan) -> str:
-        if plan.cypher is not None:
-            return plan.cypher
-        lines = []
-        for index, pattern in enumerate(plan.patterns):
-            lines.append(f"-- pattern {index + 1}/{len(plan.patterns)} --")
-            for edge in pattern.edges:
-                lines.append(f"  ({edge.source})-[{edge.expr}]->({edge.target})")
-            for var, labels in pattern.node_labels:
-                lines.append(f"  {var} in {{{', '.join(sorted(labels))}}}")
-        return "\n".join(lines)
-
-
 # -- naive reference evaluator ------------------------------------------------
 @dataclass(frozen=True)
 class ReferencePlan:
@@ -352,5 +300,4 @@ class ReferenceBackend:
 register_backend(RaBackend())
 register_backend(VecBackend())
 register_backend(SqliteEngineBackend())
-register_backend(GdbBackend())
 register_backend(ReferenceBackend())

@@ -184,9 +184,6 @@ class Dispatcher:
                 if choice is not None:
                     stats.estimated_rows += choice.winner.rows
                     stats.actual_rows += len(answer)
-                    stats.peak_estimate_bytes = max(
-                        stats.peak_estimate_bytes, choice.peak_bytes
-                    )
                 handle.last_execution_stats = stats
             if key is not None:
                 session.results.put(

@@ -121,11 +121,10 @@ class Frontend:
         """The property graph, caught up with ``store``'s appends.
 
         The relational store is the write surface; the graph model is
-        replayed from its append deltas on read so the ``gdb`` and
-        ``reference`` engines answer over the same data as ``ra``/
-        ``vec``/``sqlite``. Barrier writes (replacements, new tables)
-        cannot be replayed — the graph then keeps its pre-write
-        contents for those tables.
+        replayed from its append deltas on read so the ``reference``
+        backend answers over the same data as ``ra``/``vec``/``sqlite``.
+        Barrier writes (replacements, new tables) cannot be replayed —
+        the graph then keeps its pre-write contents for those tables.
         """
         graph = self._graph
         if store is None or store.version == self._graph_version:

@@ -56,9 +56,6 @@ class Planning:
         self.plans = LruCache(cache_size)
         self.candidates_enumerated = 0
         self.plan_seconds = 0.0
-        #: The last cost-planned winner's peak-memory estimate
-        #: (``planner_stats``).
-        self.last_peak_estimate = 0.0
 
     def plan(
         self,
@@ -138,7 +135,6 @@ class Planning:
                 del planned.compiled[next(iter(planned.compiled))]
             planned.compiled[compiled_key] = compiled
         plan, choice = compiled
-        self.last_peak_estimate = choice.peak_bytes
         winner = choice.winner.candidate
         return winner.query, winner.rewrite_result, plan, choice, planned
 

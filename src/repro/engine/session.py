@@ -37,7 +37,6 @@ from repro.engine.telemetry import Telemetry
 from repro.exec.dictionary import encoding_appends, tables_encoded
 from repro.exec.executor import ExecutionStats
 from repro.exec.result import ResultSet
-from repro.gdb.engine import PatternEngine
 from repro.graph.evaluator import EvalBudget, ResourceBudget
 from repro.graph.model import PropertyGraph
 from repro.planner import CalibrationLog, PlanChoice, validate_planner
@@ -192,7 +191,6 @@ class GraphSession:
         self.results = ResultCache(result_cache_size)
         self.telemetry = Telemetry()
         self._sqlite: SqliteBackend | None = None
-        self._pattern_engine: PatternEngine | None = None
 
     # -- derived artefacts (built lazily, owned by the session) -----------
     @property
@@ -226,13 +224,6 @@ class GraphSession:
         else:
             self._sqlite.sync()
         return self._sqlite
-
-    @property
-    def pattern_engine(self) -> PatternEngine:
-        graph = self.graph  # the engine reads the graph live
-        if self._pattern_engine is None:
-            self._pattern_engine = PatternEngine(graph)
-        return self._pattern_engine
 
     def snapshot_session(self, version: int) -> "GraphSession | None":
         """A session over this session's store *as of* ``version``.
@@ -403,8 +394,7 @@ class GraphSession:
     @property
     def planner_stats(self) -> dict:
         """What planning did: candidates enumerated and time spent by the
-        cost planner, the rewrites gated, the last peak-memory estimate
-        and the Q-error telemetry. A query is ranked once per plan-cache
+        cost planner, the rewrites gated and the Q-error telemetry. A query is ranked once per plan-cache
         lifetime, so no counter here moves a plan."""
         planning = self.planning
         return {
@@ -414,9 +404,6 @@ class GraphSession:
             "rewrites_gated": self.frontend.rewrites_gated,
             "instance_conforming": self.frontend.conforming,
             "resilience": self.resilience_stats(),
-            "memory": {
-                "last_peak_estimate_bytes": planning.last_peak_estimate,
-            },
             "calibration": self.telemetry.stats(),
         }
 

@@ -123,10 +123,8 @@ class ExecutionStats:
     programs: int = 0
     ops_evaluated: int = 0
     memo_hits: int = 0
-    # Tables the lazy store encoding has materialised, and the planner's
-    # peak-memory estimate for the chosen plan (max-merged, not summed).
+    # Tables the lazy store encoding has materialised.
     tables_encoded: int = 0
-    peak_estimate_bytes: float = 0.0
     result_cache_hits: int = 0
     result_cache_misses: int = 0
     delta_rows_applied: int = 0
@@ -182,14 +180,8 @@ class ExecutionStats:
 
     def merge(self, other: "ExecutionStats") -> None:
         # Total over every counter field: a counter added to this class
-        # is merged automatically instead of being silently dropped. The
-        # peak-memory estimate is a high-water mark, not a total.
+        # is merged automatically instead of being silently dropped.
         for field_ in fields(self):
-            if field_.name == "peak_estimate_bytes":
-                self.peak_estimate_bytes = max(
-                    self.peak_estimate_bytes, other.peak_estimate_bytes
-                )
-                continue
             setattr(
                 self,
                 field_.name,

@@ -120,8 +120,7 @@ class ResultSet(Set):
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple]) -> "ResultSet":
-        """Wrap rows that never were coded (``sqlite``/``gdb``/
-        ``reference``)."""
+        """Wrap rows that never were coded (``sqlite``/``reference``)."""
         answer = cls.__new__(cls)
         answer.table = answer.values = None
         answer._rows = rows if isinstance(rows, frozenset) else frozenset(rows)

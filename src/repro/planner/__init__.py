@@ -41,7 +41,6 @@ from repro.planner.cost import (
     TermCost,
     cost_term,
     estimate_kind_rows,
-    estimate_term_bytes,
 )
 
 #: The planner modes a session accepts.
@@ -72,7 +71,6 @@ __all__ = [
     "OPERATOR_KINDS",
     "cost_term",
     "estimate_kind_rows",
-    "estimate_term_bytes",
     "CalibrationLog",
     "CalibrationRecord",
     "q_error",

@@ -25,11 +25,11 @@ cache the pass, and ``explain`` renders its ranked table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.rewriter import RewriteOptions, RewriteResult, enumerate_rewrites
 from repro.errors import ReproError
-from repro.planner.cost import TermCost, cost_term, estimate_term_bytes
+from repro.planner.cost import TermCost, cost_term
 from repro.query.model import UCQT, drop_unsatisfiable_disjuncts
 from repro.ra.optimizer import optimize_term
 from repro.ra.stats import Estimator
@@ -74,14 +74,9 @@ class RankedCandidate:
 
 @dataclass(frozen=True)
 class PlanChoice:
-    """A query's ranked candidate table.
-
-    ``peak_bytes`` is the planner's soft estimate of the winner's peak
-    materialised memory (:func:`~repro.planner.cost.estimate_term_bytes`).
-    """
+    """A query's ranked candidate table."""
 
     ranked: tuple[RankedCandidate, ...]
-    peak_bytes: float = 0.0
 
     @property
     def winner(self) -> RankedCandidate:
@@ -173,9 +168,7 @@ def rank_candidates(
 
     Ties (and the provably-empty plan, which costs nothing) resolve to
     the earliest-enumerated candidate, so selection is deterministic and
-    prefers the original to the rewrite at equal cost. The choice's
-    ``peak_bytes`` is left for whoever compiles the winner
-    (:meth:`PlanningPass.choice`).
+    prefers the original to the rewrite at equal cost.
     """
     estimator = estimator or Estimator(store)
     costed = [
@@ -208,8 +201,7 @@ class PlanningPass:
     in when a winner is first asked for. The pass is what a session
     keeps in its plan cache for the query, so once a winner is compiled
     the estimator (its memos are the bulk of a pass's memory, and it
-    pins the store) is let go with :meth:`release`; a later memory
-    estimate builds a new one.
+    pins the store) is let go with :meth:`release`.
     """
 
     candidates: list[PlanCandidate]
@@ -233,30 +225,16 @@ class PlanningPass:
         )
         return cls(candidates, estimator=estimator)
 
-    def _estimator(self, store: RelationalStore) -> Estimator:
-        if self.estimator is None:
-            self.estimator = Estimator(store)
-        return self.estimator
-
     def release(self) -> None:
         self.estimator = None
 
     def choice(self, store: RelationalStore) -> PlanChoice:
-        """The pass's ranking, its winner's ``peak_bytes`` estimated:
-        the pass's memory walk, paid only for a winner that is about to
-        be compiled."""
-        estimator = self._estimator(store)
+        """The pass's ranking, costed on first use."""
         if self.ranking is None:
             self.ranking = rank_candidates(
-                self.candidates, store, estimator=estimator
+                self.candidates, store, estimator=self.estimator
             )
-        term = self.ranking.winner.candidate.term
-        if term is None:
-            return self.ranking
-        return replace(
-            self.ranking,
-            peak_bytes=estimate_term_bytes(term, store, estimator),
-        )
+        return self.ranking
 
 
 def plan_query(

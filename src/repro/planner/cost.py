@@ -18,8 +18,8 @@ disjuncts) cost more than the same rows through few operators.
 :func:`cost_term` is the one walk that charges these weights. It returns
 the plan's operator tree (:class:`TermCost`), and everything else that
 estimates a plan folds over that tree: the ranking reads its root, the
-peak-memory and per-kind row estimates sum over it, and ``explain``
-renders it (Fig. 17).
+per-kind row estimates sum over it, and ``explain`` renders it
+(Fig. 17).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import EvaluationError
 from repro.ra.stats import Estimator
 from repro.ra.terms import (
     Fix,
@@ -209,44 +208,6 @@ def cost_term(
         raise TypeError(f"unknown RA term {node!r}")
 
     return visit(term)
-
-
-def estimate_term_bytes(
-    term: RaTerm,
-    store: RelationalStore,
-    estimator: Estimator | None = None,
-) -> float:
-    """Estimated peak bytes of materialised encoded columns for ``term``.
-
-    Mirrors the vec executor's residency model — every materialised
-    table is one int64 code (8 bytes) per row per column — and the
-    shape of batch evaluation: when an operator materialises its
-    output, its inputs' outputs are still alive, so the plan's peak is
-    the max over operators of *own output bytes + inputs' output
-    bytes*. Frontier scans alias state the enclosing fixpoint already
-    accounts for. This is the planner's **soft** memory estimate; a
-    :class:`~repro.graph.evaluator.ResourceBudget`'s ``max_bytes``
-    remains the hard runtime ceiling.
-    """
-    estimator = estimator or Estimator(store)
-    peak = 0.0
-
-    def visit(node: TermCost) -> float:
-        """Post-order fold; returns the operator's output bytes."""
-        nonlocal peak
-        if node.kind == "frontier":
-            return 0.0
-        inputs = sum(visit(child) for child in node.inputs)
-        try:
-            width = max(len(estimator.columns(node.term)), 1)
-        except EvaluationError:  # width unknown: assume the binary-edge shape
-            width = 2
-        own = node.rows * width * 8.0
-        peak = max(peak, own + inputs)
-        return own
-
-    visit(cost_term(term, store, estimator))
-    return peak
 
 
 def estimate_kind_rows(

@@ -101,7 +101,7 @@ def execute_batch(
     per-store statistics snapshot is shared across the whole batch),
     and the batch's
     :class:`ExecutionStats` then carry the summed estimated-vs-actual
-    root cardinalities and the peak memory estimate. With ``fallback``
+    root cardinalities. With ``fallback``
     set, a retryable failure of a shared run re-executes only the plans
     that run carried, each through the session's degradation loop.
     ``backend="auto"`` runs the whole batch on the default backend under

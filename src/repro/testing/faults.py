@@ -68,7 +68,6 @@ KNOWN_SITES: tuple[str, ...] = (
     "backend.execute.ra",
     "backend.execute.vec",
     "backend.execute.sqlite",
-    "backend.execute.gdb",
     "backend.execute.reference",
     "snapshot.rebuild",
     "snapshot.rebuild.sqlite",

@@ -35,10 +35,6 @@ class WorkloadQuery:
     def query(self) -> UCQT:
         return _parse(self.text)
 
-    @property
-    def query_type(self) -> str:
-        return "RQ" if self.recursive else "NQ"
-
 
 @lru_cache(maxsize=None)
 def _parse(text: str) -> UCQT:

@@ -105,7 +105,7 @@ def test_reversed_closure_node_test_cross_engine(random59_engines, text, count):
     _assert_engines_agree(*random59_engines, query)
     with GraphSession(graph, schema) as session:
         assert session.execute(text) == reference, "default backend"
-        for backend in ("ra", "vec", "sqlite", "gdb", "reference"):
+        for backend in ("ra", "vec", "sqlite", "reference"):
             for rewrite in (True, False):
                 assert (
                     session.execute(text, backend, rewrite=rewrite) == reference

@@ -32,7 +32,7 @@ from repro.errors import InjectedFault, ReproError
 from repro.query.model import single_relation_query
 from repro.testing.faults import FaultInjector, FaultRule, install
 
-BACKENDS = ("ra", "vec", "sqlite", "gdb", "reference")
+BACKENDS = ("ra", "vec", "sqlite", "reference")
 
 _SEEDS = st.integers(min_value=0, max_value=10_000)
 _BACKEND_IDX = st.integers(min_value=0, max_value=len(BACKENDS) - 1)

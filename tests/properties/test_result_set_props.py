@@ -28,7 +28,7 @@ _SEEDS = st.integers(min_value=0, max_value=10_000)
 
 _CONFIGURATIONS = [
     ExecOptions(backend=backend)
-    for backend in ("ra", "sqlite", "gdb", "reference")
+    for backend in ("ra", "sqlite", "reference")
 ] + [
     ExecOptions(backend="vec", kernel=kernel) for kernel in available_kernels()
 ]

@@ -48,7 +48,7 @@ from repro.testing.faults import (
 )
 
 SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
-BACKENDS = ("ra", "vec", "sqlite", "gdb", "reference")
+BACKENDS = ("ra", "vec", "sqlite", "reference")
 CLOSURE = "x1, x2 <- (x1, isLocatedIn+, x2)"
 CHAIN = "x1, x2 <- (x1, livesIn/isLocatedIn+, x2)"
 
@@ -112,7 +112,7 @@ class TestBackendFaults:
             assert failures["vec"] == 1 and failures["ra"] == 1
             answered = [name for name, n in failures.items() if n == 0]
             assert len(answered) == 1
-            assert answered[0] in ("sqlite", "gdb", "reference")
+            assert answered[0] in ("sqlite", "reference")
 
     def test_snapshot_rebuild_fault_surfaces(self):
         with _session() as session:

@@ -182,7 +182,6 @@ class TestSessionDegradation:
             ("vec", ["vec", "ra", "sqlite", "reference"]),
             ("ra", ["ra", "sqlite", "reference"]),
             ("sqlite", ["sqlite", "reference"]),
-            ("gdb", ["gdb", "sqlite", "reference"]),
         ],
     )
     def test_chain_is_a_fixed_list(self, primary, chain):

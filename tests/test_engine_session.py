@@ -31,7 +31,7 @@ def session():
 
 class TestBackendRegistry:
     def test_all_four_substrates_registered(self):
-        assert set(available_backends()) >= {"ra", "sqlite", "gdb", "reference"}
+        assert available_backends() == ("ra", "vec", "sqlite", "reference")
 
     def test_unknown_backend_rejected(self, session):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -311,10 +311,6 @@ class TestExplain:
     def test_sqlite_explain_includes_sql_and_plan(self, session):
         text = session.explain(QUERY, "sqlite")
         assert "SELECT" in text and "EXPLAIN QUERY PLAN" in text
-
-    def test_gdb_explain_renders_cypher_when_expressible(self, session):
-        text = session.explain("x1, x2 <- (x1, livesIn, x2)", "gdb")
-        assert "MATCH" in text
 
     def test_reference_explain_prints_the_query(self, session):
         text = session.explain(QUERY, "reference", rewrite=False)

@@ -101,7 +101,7 @@ class TestProjection:
 
     def test_black_box_backends_receive_nothing(self):
         # ``ra`` pins its kernel: it reads nothing.
-        for backend in ("ra", "sqlite", "gdb", "reference"):
+        for backend in ("ra", "sqlite", "reference"):
             assert self.OPTIONS.key_for(get_backend(backend)) == ()
 
     def test_option_fields_are_the_single_cache_key_path(self):

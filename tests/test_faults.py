@@ -165,7 +165,7 @@ class TestActivation:
 
     def test_known_sites_cover_the_instrumented_boundaries(self):
         assert "kernel.op" in KNOWN_SITES
-        for backend in ("ra", "vec", "sqlite", "gdb", "reference"):
+        for backend in ("ra", "vec", "sqlite", "reference"):
             assert f"backend.execute.{backend}" in KNOWN_SITES
         assert "result_cache.store" in KNOWN_SITES
         assert "result_cache.load" in KNOWN_SITES

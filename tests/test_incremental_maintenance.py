@@ -26,8 +26,10 @@ from repro.exec.dictionary import encoding_for
 from repro.exec.executor import CAPTURE_KERNEL, execute_program
 from repro.exec.kernels import available_kernels, get_kernel
 from repro.exec.maintain import _MaintainRunner, maintain_program
+from repro.gdb.engine import PatternEngine
 from repro.graph.evaluator import ResourceBudget
 from repro.graph.model import UNLABELLED, yago_example_graph
+from repro.query.parser import parse_query
 from repro.ra.terms import Fix, Join, Project, Rel, Rename, Var
 from repro.schema.builder import yago_example_schema
 from repro.serve import execute_batch
@@ -499,18 +501,24 @@ class TestSqliteSync:
         assert rows == _fresh_rows(store, CLOSURE)
 
 
+def _pattern_rows(session, query):
+    """The pattern engine's answer over the session's replayed graph."""
+    return PatternEngine(session.graph).evaluate_ucqt(parse_query(query))
+
+
 class TestGraphModelSync:
-    """Store appends replay onto the graph model, so the ``gdb`` and
-    ``reference`` engines keep agreeing with the relational backends."""
+    """Store appends replay onto the graph model, so the ``reference``
+    backend and the pattern engine keep agreeing with the relational
+    backends."""
 
     def test_append_visible_to_graph_backends(self, session):
         store = session.store
-        before = session.execute(CLOSURE, "gdb", rewrite=False)
+        before = _pattern_rows(session, CLOSURE)
         edge = _new_edge(store)
         store.add_rows("isLocatedIn", [edge])
         fresh = _fresh_rows(store, CLOSURE)
         assert len(fresh) > len(before)
-        assert session.execute(CLOSURE, "gdb", rewrite=False) == fresh
+        assert _pattern_rows(session, CLOSURE) == fresh
         assert session.execute(CLOSURE, "reference", rewrite=False) == fresh
 
     def test_dangling_endpoints_materialise_as_unlabelled_nodes(self, session):
@@ -523,9 +531,7 @@ class TestGraphModelSync:
         # A label-constrained query excludes the unlabelled endpoints
         # in both models (no node table holds them).
         labelled = "x1, x2 <- (x1, isLocatedIn+, x2) && CITY(x1)"
-        assert session.execute(labelled, "gdb", rewrite=False) == _fresh_rows(
-            store, labelled
-        )
+        assert _pattern_rows(session, labelled) == _fresh_rows(store, labelled)
 
     def test_node_table_append_upgrades_sentinel_label(self, session):
         store = session.store
@@ -535,9 +541,7 @@ class TestGraphModelSync:
         assert session.graph.node_label(777_777) == "CITY"
         assert session.graph.node_properties(777_777) == {"name": "Newtown"}
         labelled = "x1, x2 <- (x1, isLocatedIn, x2) && CITY(x1)"
-        assert session.execute(labelled, "gdb", rewrite=False) == _fresh_rows(
-            store, labelled
-        )
+        assert _pattern_rows(session, labelled) == _fresh_rows(store, labelled)
 
 
 class TestBatchMaintenance:

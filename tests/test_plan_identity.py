@@ -63,7 +63,6 @@ def plan_rows(session, text: str, rewrite: bool) -> dict:
             assert row["candidates"][entry.label] == str(entry.candidate.query)
         plan = {
             "winner": choice.winner.label,
-            "peak_bytes": choice.peak_bytes,
             "render": choice.render(),
         }
         assert row["plans"].setdefault("vec", plan) == plan, requested

@@ -18,10 +18,7 @@ from repro.planner import (
     rank_candidates,
     validate_planner,
 )
-from repro.planner.cost import estimate_term_bytes
 from repro.query.parser import parse_query
-from repro.ra.stats import Estimator
-from repro.ra.terms import Project, Rel
 from repro.ra.translate import TranslationContext, ucqt_to_ra
 from repro.schema.builder import yago_example_schema
 
@@ -120,27 +117,6 @@ class TestCostModel:
         assert " * " in table
         assert "est. cost" in table and "est. rows" in table
 
-    def test_peak_bytes_assume_two_columns_for_an_unknown_column(
-        self, example_session
-    ):
-        store = example_session.store
-        scan = Rel("isLocatedIn")
-        rows = Estimator(store).rows(scan)
-        # Columns of the projection are unknown: it is charged as a
-        # binary edge, on top of its (two-column) input.
-        peak = estimate_term_bytes(Project(scan, ("Nope",)), store)
-        assert peak == rows * 2 * 8 + rows * 2 * 8
-
-    def test_peak_bytes_do_not_hide_other_errors(self, example_session):
-        store = example_session.store
-
-        class Broken(Estimator):
-            def columns(self, term):
-                raise RuntimeError("broken term")
-
-        with pytest.raises(RuntimeError, match="broken term"):
-            estimate_term_bytes(Rel("isLocatedIn"), store, Broken(store))
-
 
 # -- session integration -----------------------------------------------------
 class TestSessionIntegration:
@@ -203,7 +179,6 @@ class TestSessionIntegration:
             "rewrites_gated",
             "instance_conforming",
             "resilience",
-            "memory",
             "calibration",
         }
 

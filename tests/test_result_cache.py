@@ -100,7 +100,6 @@ class TestResultCache:
     def test_non_store_backends_are_not_cached(self, session):
         session.execute(CLOSURE, "reference")
         session.execute(CLOSURE, "reference")
-        session.execute(CLOSURE, "gdb")
         assert session.cache_stats["result"].lookups == 0
 
     def test_sqlite_results_cached_by_sql_text(self, session):

@@ -34,7 +34,7 @@ from repro.workloads import LDBC_QUERIES, YAGO_QUERIES
 
 CLOSURE = "x1, x2 <- (x1, isLocatedIn+, x2)"
 KERNELS = available_kernels()
-BACKENDS = ("ra", "vec", "sqlite", "gdb", "reference")
+BACKENDS = ("ra", "vec", "sqlite", "reference")
 
 
 class CountingValues(list):

@@ -20,7 +20,7 @@ from repro.engine.session import GraphSession
 #: repetitions, both lower bounds >= 2.
 QUERY = "x1, x2 <- (x1, ((-e2)2..3)2..2, x2)"
 
-BACKENDS = ("ra", "vec", "sqlite", "gdb", "reference")
+BACKENDS = ("ra", "vec", "sqlite", "reference")
 
 
 def _nonconforming_session() -> GraphSession:
