@@ -15,12 +15,15 @@ import pytest
 
 from repro.datasets.random_graphs import random_graph, random_schema
 from repro.engine.session import GraphSession
+from repro.gdb.engine import PatternEngine
 
 #: The ROADMAP reproduction: a reversed edge under nested bounded
 #: repetitions, both lower bounds >= 2.
 QUERY = "x1, x2 <- (x1, ((-e2)2..3)2..2, x2)"
 
-BACKENDS = ("ra", "vec", "sqlite", "reference")
+#: The registered backends plus ``gdb``, the pattern engine, which runs
+#: the query the session prepared over the session's graph.
+BACKENDS = ("ra", "vec", "sqlite", "gdb", "reference")
 
 
 def _nonconforming_session() -> GraphSession:
@@ -32,13 +35,20 @@ def _nonconforming_session() -> GraphSession:
     return session
 
 
+def _answer(session: GraphSession, backend: str, rewrite: bool):
+    if backend == "gdb":
+        executed = session.prepare(QUERY, "reference", rewrite=rewrite).executed
+        return PatternEngine(session.graph).evaluate_ucqt(executed)
+    return session.execute(QUERY, backend, rewrite=rewrite)
+
+
 class TestNestedRepetitionRegression:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_rewritten_matches_unrewritten(self, backend):
         session = _nonconforming_session()
         with session:
-            baseline = session.execute(QUERY, backend, rewrite=False)
-            rewritten = session.execute(QUERY, backend, rewrite=True)
+            baseline = _answer(session, backend, rewrite=False)
+            rewritten = _answer(session, backend, rewrite=True)
         assert (0, 0) in baseline
         assert rewritten == baseline
 
