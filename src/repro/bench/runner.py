@@ -18,6 +18,7 @@ its time — matching how the paper's Table 7 reports ``Max = 1800.0``
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 
@@ -150,21 +151,31 @@ class BenchmarkContext:
     ) -> QueryRun:
         """Time one query variant; the reported time is the best of
         ``repetitions`` runs (the paper averages 5 hot runs; minimum of a
-        few runs is the standard low-noise estimator at our time scales)."""
+        few runs is the standard low-noise estimator at our time scales).
+
+        The cyclic garbage collector is off while the repetitions run:
+        a full collection walks the whole loaded graph, so its timing,
+        not the engine, would otherwise decide which run is best."""
         rewrite = self.rewrite(workload_query)
         query = workload_query.query if variant == "baseline" else rewrite.query
         best = float("inf")
         rows = 0
         timed_out = False
-        for _ in range(max(1, self.repetitions)):
-            start = time.perf_counter()
-            try:
-                rows = self.execute(engine, query)
-            except QueryTimeout:
-                timed_out = True
-                best = self.timeout_seconds
-                break
-            best = min(best, time.perf_counter() - start)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(max(1, self.repetitions)):
+                start = time.perf_counter()
+                try:
+                    rows = self.execute(engine, query)
+                except QueryTimeout:
+                    timed_out = True
+                    best = self.timeout_seconds
+                    break
+                best = min(best, time.perf_counter() - start)
+        finally:
+            if collecting:
+                gc.enable()
         return QueryRun(
             qid=workload_query.qid,
             variant=variant,

@@ -23,7 +23,11 @@ Four subcommands:
   draining a file: each ``--tenant`` names a graph with its own session,
   admission quotas (``--max-concurrent``/``--max-pending``/
   ``--request-timeout``) and snapshot-isolated reads; ``SIGINT``/
-  ``SIGTERM`` drain in-flight requests before exiting.
+  ``SIGTERM`` drain in-flight requests before exiting. ``serve``'s
+  file-mode options (FILE, ``--baseline``, ``--timeout``, ``--limit``,
+  ``--json``, ``--workers``, ``--max-batch``) are usage errors here, as
+  is a tenant name given twice. A tenant's scale, like ``--scale`` on
+  ``query``/``batch``/``serve``, must be a finite number above zero.
 
 ``query``, ``batch`` and ``serve`` accept ``--max-rows N`` /
 ``--max-bytes N`` (hard caps: a run over either fails with
@@ -42,6 +46,7 @@ the write delta.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 EXPERIMENTS = (
@@ -50,6 +55,18 @@ EXPERIMENTS = (
 )
 
 DATASETS = ("yago", "ldbc", "yago-example")
+
+#: ``serve``'s file-mode options (dest -> flag); ``--http`` serves no
+#: file, so it refuses each of them when given.
+_FILE_MODE_FLAGS = {
+    "file": "FILE",
+    "baseline": "--baseline",
+    "timeout": "--timeout",
+    "limit": "--limit",
+    "json": "--json",
+    "workers": "--workers",
+    "max_batch": "--max-batch",
+}
 
 
 def _backend_names() -> tuple[str, ...]:
@@ -211,6 +228,19 @@ def _parse_host_port(value: str) -> tuple[str, int]:
     return host or "127.0.0.1", port
 
 
+def _scale_argument(value: str) -> float:
+    """A dataset scale: a finite number above zero."""
+    try:
+        scale = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid scale {value!r}") from None
+    if not math.isfinite(scale) or scale <= 0:
+        raise argparse.ArgumentTypeError(
+            f"scale must be a finite number > 0, got {value!r}"
+        )
+    return scale
+
+
 def _parse_tenant_spec(value: str) -> tuple[str, str, float]:
     """``NAME=DATASET[:SCALE]`` -> (name, dataset, scale)."""
     name, separator, rest = value.partition("=")
@@ -227,11 +257,9 @@ def _parse_tenant_spec(value: str) -> tuple[str, str, float]:
     scale = 0.5
     if separator:
         try:
-            scale = float(scale_text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid scale {scale_text!r} in {value!r}"
-            ) from None
+            scale = _scale_argument(scale_text)
+        except argparse.ArgumentTypeError as error:
+            raise argparse.ArgumentTypeError(f"{error} in {value!r}") from None
     return name, dataset, scale
 
 
@@ -515,7 +543,7 @@ def main(argv: list[str] | None = None) -> int:
     query.add_argument("text", help='e.g. "x1, x2 <- (x1, isLocatedIn+, x2)"')
     query.add_argument("--dataset", choices=DATASETS, default="yago-example")
     query.add_argument(
-        "--scale", type=float, default=0.5,
+        "--scale", type=_scale_argument, default=0.5,
         help="dataset scale factor (ignored for yago-example)",
     )
     query.add_argument(
@@ -558,7 +586,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         sub.add_argument("--dataset", choices=DATASETS, default="yago-example")
         sub.add_argument(
-            "--scale", type=float, default=0.5,
+            "--scale", type=_scale_argument, default=0.5,
             help="dataset scale factor (ignored for yago-example)",
         )
         sub.add_argument(
@@ -628,8 +656,25 @@ def main(argv: list[str] | None = None) -> int:
                 help="per-request wall-clock cap in seconds, slot wait "
                 "included; expiries answer HTTP 408 (default 30)",
             )
+            serve, file_mode_defaults = sub, {
+                dest: sub.get_default(dest) for dest in _FILE_MODE_FLAGS
+            }
+            # Unset reads None, so an explicitly given default still counts.
+            sub.set_defaults(**dict.fromkeys(_FILE_MODE_FLAGS))
 
     args = parser.parse_args(argv)
+    if args.command == "serve":
+        for dest, flag in _FILE_MODE_FLAGS.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, file_mode_defaults[dest])
+            elif args.http is not None:
+                serve.error(
+                    f"argument {flag}: not allowed with argument --http"
+                )
+        names = [name for name, _, _ in args.tenant or ()]
+        for position, name in enumerate(names):
+            if name in names[:position]:
+                serve.error(f"argument --tenant: tenant {name!r} given twice")
     if args.command == "bench":
         return _run_bench(args)
     if args.command in ("batch", "serve"):

@@ -144,10 +144,9 @@ class Dispatcher:
         ``execute_with_stats`` for a lone columnar plan, else ``execute``.
 
         Answers with a result-cache key are stored with the fixpoint
-        totals their maintenance needs, cost-planned plans add their
-        root estimate next to their result size, and the handles report
-        the run's counters as ``last_execution_stats``. Failures raise
-        as they are.
+        totals their maintenance needs, the handles report the run's
+        counters as ``last_execution_stats`` and the session's telemetry
+        logs the run. Failures raise as they are.
         """
         first = group[0]
         session = first.session
@@ -173,17 +172,10 @@ class Dispatcher:
             ]
         else:
             rows = [backend.execute(session, first.plan, budget)]
-        cost_planned = any(handle.choice is not None for handle in group)
-        if cost_planned and stats is None:
-            stats = ExecutionStats(programs=1)
         for position, (handle, key, answer) in enumerate(
             zip(group, keys, rows)
         ):
             if stats is not None:
-                choice = handle.choice
-                if choice is not None:
-                    stats.estimated_rows += choice.winner.rows
-                    stats.actual_rows += len(answer)
                 handle.last_execution_stats = stats
             if key is not None:
                 session.results.put(

@@ -32,7 +32,7 @@ class ExplainReport:
     omit them: ``result_cache`` only when the plan participates in the
     session's result cache, ``maintenance`` only when maintenance
     counters are nonzero, ``q_error`` only when the session's
-    calibration log holds completed executions for this backend.
+    telemetry log holds executions of this backend with a root estimate.
     """
 
     backend: str                          # backend name the plan targets

@@ -33,13 +33,13 @@ from repro.engine.planning import PlannedQuery, Planning
 from repro.engine.protocol import Backend, available_backends, get_backend
 from repro.engine.report import ExplainReport
 from repro.engine.resilience import BreakerConfig, RetryPolicy
-from repro.engine.telemetry import Telemetry
+from repro.engine.telemetry import Telemetry, q_error_summary
 from repro.exec.dictionary import encoding_appends, tables_encoded
 from repro.exec.executor import ExecutionStats
 from repro.exec.result import ResultSet
 from repro.graph.evaluator import EvalBudget, ResourceBudget
 from repro.graph.model import PropertyGraph
-from repro.planner import CalibrationLog, PlanChoice, validate_planner
+from repro.planner import PlanChoice, validate_planner
 from repro.query.model import UCQT
 from repro.schema.model import GraphSchema
 from repro.sql.sqlite_backend import SqliteBackend
@@ -151,9 +151,9 @@ class PreparedQuery:
             choice=self.choice,
             result_cache=result_cache,
             maintenance=maintenance,
-            q_error=session.calibration_log.backend_summary(
-                self.backend_name
-            ),
+            q_error=q_error_summary(
+                session.telemetry.records, self.backend_name
+            )["root"],
             resilience=resilience,
             planner=None if self.planned is None else {
                 "candidates": len(self.planned.planning.candidates),
@@ -378,11 +378,6 @@ class GraphSession:
         return prepared.explain()
 
     # -- introspection -----------------------------------------------------
-    @property
-    def calibration_log(self) -> CalibrationLog:
-        """Every execution's estimated and actual rows (Q-error)."""
-        return self.telemetry.log
-
     @property
     def result_cache_enabled(self) -> bool:
         return self.results.enabled

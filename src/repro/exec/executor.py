@@ -110,9 +110,7 @@ class ExecutionStats:
     The ``*_rows`` counters are **actual cardinalities** per operator
     kind, counted as each operator materialises its output — the Q-error
     telemetry compares them with the cost model's estimates, and never
-    feeds them back into a plan. ``estimated_rows`` /
-    ``actual_rows`` carry the planner's root-level estimate next to the
-    observed result size; :attr:`cardinality_error` is their ratio.
+    feeds them back into a plan.
 
     The ``*_seconds`` counters are **exclusive** wall-clock time per
     operator kind — each operator's evaluation time minus the time its
@@ -143,8 +141,6 @@ class ExecutionStats:
     select_seconds: float = 0.0
     project_seconds: float = 0.0
     fixpoint_seconds: float = 0.0
-    estimated_rows: float = 0.0
-    actual_rows: int = 0
     # Resilience counters, stamped by the session's degradation loop:
     # extra execution attempts after a retryable failure, executions
     # answered by a backend other than the planned one, and circuit
@@ -163,20 +159,6 @@ class ExecutionStats:
             "project": self.project_rows,
             "fixpoint": self.fixpoint_rows,
         }
-
-    @property
-    def cardinality_error(self) -> float:
-        """Estimated-vs-actual root cardinality error factor.
-
-        ``max(estimated, actual) / min(estimated, actual)`` with both
-        sides floored at one row; 0.0 when no estimate was recorded
-        (greedy executions do not carry one).
-        """
-        if self.estimated_rows <= 0.0:
-            return 0.0
-        estimated = max(self.estimated_rows, 1.0)
-        actual = max(float(self.actual_rows), 1.0)
-        return max(estimated, actual) / min(estimated, actual)
 
     def merge(self, other: "ExecutionStats") -> None:
         # Total over every counter field: a counter added to this class

@@ -15,8 +15,9 @@ Sessions opt in with ``ExecOptions(planner="cost")``, as the session
 default (``GraphSession(..., exec_options=...)``) or per call
 (``session.execute(query, exec_options=...)``).
 A query is ranked once per plan-cache lifetime, from the store's
-statistics alone; executions log their actual cardinalities for Q-error
-telemetry (:class:`CalibrationLog`) but never move a plan.
+statistics alone: nothing an execution observes moves a plan. The
+session's Q-error telemetry (:mod:`repro.engine.telemetry`) measures how
+far its row estimates are off.
 """
 
 from repro.planner.candidates import (
@@ -27,12 +28,6 @@ from repro.planner.candidates import (
     enumerate_plan_candidates,
     plan_query,
     rank_candidates,
-)
-from repro.planner.calibration import (
-    CalibrationLog,
-    CalibrationRecord,
-    q_error,
-    q_error_summary,
 )
 from repro.planner.cost import (
     OPERATOR_KINDS,
@@ -71,8 +66,4 @@ __all__ = [
     "OPERATOR_KINDS",
     "cost_term",
     "estimate_kind_rows",
-    "CalibrationLog",
-    "CalibrationRecord",
-    "q_error",
-    "q_error_summary",
 ]

@@ -99,9 +99,9 @@ def execute_batch(
     the session's defaults for the whole batch; its ``planner="cost"``
     plans every distinct query through the shared cost model (the
     per-store statistics snapshot is shared across the whole batch),
-    and the batch's
-    :class:`ExecutionStats` then carry the summed estimated-vs-actual
-    root cardinalities. With ``fallback``
+    and each run's record in the session's telemetry
+    (:class:`~repro.engine.telemetry.Telemetry`) then carries the
+    summed estimated-vs-actual root cardinalities. With ``fallback``
     set, a retryable failure of a shared run re-executes only the plans
     that run carried, each through the session's degradation loop.
     ``backend="auto"`` runs the whole batch on the default backend under

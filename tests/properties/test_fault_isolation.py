@@ -5,7 +5,7 @@ injected failure and assert the blast radius is zero:
 
 * the result cache holds no entry for the aborted run (no partial or
   phantom rows can ever be served later);
-* the calibration log records no telemetry from the aborted run, so the
+* the telemetry log records nothing from the aborted run, so the
   cost model never learns from a lie;
 * a healthy rerun on the *same* session — through whatever plan-cache
   entries the failed attempt left behind — returns exactly the rows an
@@ -62,8 +62,8 @@ def test_injected_failure_leaves_shared_state_clean(
         # byte-identity check below is exact.
         session.prepare(query, backend, rewrite=False)
         plans_before = list(session.planning.plans._data.items())
-        recorded_before = session.calibration_log.total_recorded
-        records_before = session.calibration_log.records
+        recorded_before = session.telemetry.total_recorded
+        records_before = session.telemetry.records
         injector = FaultInjector(
             [FaultRule(f"backend.execute.{backend}")], seed=schema_seed
         )
@@ -75,8 +75,8 @@ def test_injected_failure_leaves_shared_state_clean(
         # Nothing cached, nothing learned, no plan-cache churn.
         assert session.cache_stats["result"].size == 0
         assert list(session.planning.plans._data.items()) == plans_before
-        assert session.calibration_log.total_recorded == recorded_before
-        assert session.calibration_log.records == records_before
+        assert session.telemetry.total_recorded == recorded_before
+        assert session.telemetry.records == records_before
 
         # The same session, through any plan the failed attempt left in
         # the plan cache, still answers exactly the control rows.

@@ -174,6 +174,31 @@ class TestRunner:
         runs = run_workload(context, [LDBC_QUERIES[1]], engine="reference")
         assert {r.variant for r in runs} == {"baseline", "schema"}
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_timing_leaves_gc_state_as_found(
+        self, context, monkeypatch, enabled
+    ):
+        import gc
+
+        seen = []
+        execute = context.execute
+
+        def spy(engine, query):
+            seen.append(gc.isenabled())
+            return execute(engine, query)
+
+        monkeypatch.setattr(context, "execute", spy)
+        frozen = gc.get_freeze_count()
+        collecting = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            run_workload(context, [LDBC_QUERIES[1]], engine="reference")
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == frozen
+        finally:
+            (gc.enable if collecting else gc.disable)()
+        assert seen and not any(seen)  # no collection inside a timed run
+
     def test_rewrite_cached(self, context):
         workload_query = LDBC_QUERIES[0]
         assert context.rewrite(workload_query) is context.rewrite(workload_query)

@@ -4,12 +4,15 @@ arithmetic and its edge cases, what sessions record and report, and
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.engine import GraphSession
+from repro.engine import telemetry as telemetry_module
 from repro.engine.options import DEFAULT_BACKEND, ExecOptions
+from repro.engine.telemetry import TelemetryRecord, q_error, q_error_summary
 from repro.graph.model import yago_example_graph
-from repro.planner import CalibrationLog, q_error, q_error_summary
 from repro.schema.builder import yago_example_schema
 from repro.serve import execute_batch
 
@@ -26,6 +29,10 @@ def _session(**kwargs) -> GraphSession:
     return GraphSession(
         yago_example_graph(), yago_example_schema(), **kwargs
     )
+
+
+def _record(backend: str, **rows) -> TelemetryRecord:
+    return TelemetryRecord(backend, op_rows={}, op_estimates={}, **rows)
 
 
 def _run_workload(session, backends=("vec", "ra", "sqlite")) -> None:
@@ -53,12 +60,13 @@ class TestQError:
         assert q_error(None, 42) is None
 
     def test_summary_pools_every_record(self):
-        log = CalibrationLog()
-        log.record_execution(backend="ra", estimated_rows=10, actual_rows=10)
-        log.record_execution(backend="vec", estimated_rows=10, actual_rows=40)
-        # No root estimate: counted, but not in the root distribution.
-        log.record_execution(backend="ra", estimated_rows=None, actual_rows=5)
-        summary = log.summary()
+        log = [
+            _record("ra", estimated_rows=10, actual_rows=10),
+            _record("vec", estimated_rows=10, actual_rows=40),
+            # No root estimate: counted, but not in the root distribution.
+            _record("ra", estimated_rows=None, actual_rows=5),
+        ]
+        summary = q_error_summary(log)
         assert summary["count"] == 3
         assert summary["root"]["count"] == 2
         assert summary["root"]["p50"] == 1.0
@@ -73,21 +81,21 @@ class TestQError:
 
 # -- the telemetry log --------------------------------------------------------
 class TestCalibrationLog:
-    def test_bounded_oldest_drop_first(self):
-        log = CalibrationLog(max_records=2)
-        for index in range(5):
-            log.record_execution(
-                backend="ra", estimated_rows=index, actual_rows=index
-            )
-        assert len(log) == 2
-        assert log.total_recorded == 5
-        assert [record.estimated_rows for record in log.records] == [3, 4]
+    def test_bounded_oldest_drop_first(self, monkeypatch):
+        monkeypatch.setattr(telemetry_module, "LOG_SIZE", 2)
+        queries = WORKLOAD + WORKLOAD[:1]
+        with _session() as session:
+            sizes = [len(session.execute(query, "ra")) for query in queries]
+            log = session.telemetry
+            assert len(log) == 2
+            assert log.total_recorded == 5
+            assert [record.actual_rows for record in log.records] == sizes[3:]
 
     def test_session_records_vec_and_ra_operator_telemetry(self):
         session = _session()
         with session:
             _run_workload(session, backends=("vec", "ra"))
-            records = session.calibration_log.records
+            records = session.telemetry.records
         assert {record.backend for record in records} == {"vec", "ra"}
         for record in records:
             assert any(record.op_rows.values())
@@ -97,7 +105,7 @@ class TestCalibrationLog:
         session = _session()
         with session:
             _run_workload(session, backends=("sqlite",))
-            records = session.calibration_log.records
+            records = session.telemetry.records
         assert records
         for record in records:
             assert record.backend == "sqlite"
@@ -136,7 +144,7 @@ class TestCalibrationLog:
                     fresh = Estimator(store)
                     expected = estimate_kind_rows(term, store, fresh)
                     handle.execute()
-                    record = session.calibration_log.records[-1]
+                    record = session.telemetry.records[-1]
                     assert record.op_estimates == expected
                     if handle.choice is None:
                         assert record.estimated_rows == fresh.rows(term)
@@ -144,8 +152,6 @@ class TestCalibrationLog:
                         assert record.estimated_rows == handle.choice.winner.rows
 
     def test_warm_handle_walks_its_estimates_once(self, monkeypatch):
-        from repro.engine import telemetry as telemetry_module
-
         built = []
 
         class Counting(telemetry_module.Estimator):
@@ -171,8 +177,6 @@ class TestCalibrationLog:
         """The memo belongs to the cached plan, not to the handle: N
         ``execute(text)`` calls (a fresh handle each) walk the term once,
         and a write to a table the plan reads forces one more walk."""
-        from repro.engine import telemetry as telemetry_module
-
         walked = []
         walk = telemetry_module._Estimates.walk
 
@@ -205,8 +209,6 @@ class TestCalibrationLog:
         ranked, and the run records them from there: a cold cost-planned
         recursive execution walks its term once, not once to rank and
         again to log."""
-        from repro.engine import telemetry as telemetry_module
-
         walked = []
         walk = telemetry_module._Estimates.walk
 
@@ -221,7 +223,7 @@ class TestCalibrationLog:
         with _session() as session:
             for query in recursive:
                 session.execute(query, "vec", exec_options=COST, rewrite=False)
-            assert len(session.calibration_log.records) == len(recursive)
+            assert len(session.telemetry.records) == len(recursive)
             assert len(walked) == len(recursive)
 
     @pytest.mark.parametrize("planner", ["greedy", "cost"])
@@ -250,7 +252,7 @@ class TestCalibrationLog:
                     fresh = Estimator(store)
                     expected = estimate_kind_rows(term, store, fresh)
                     handle.execute()
-                    record = session.calibration_log.records[-1]
+                    record = session.telemetry.records[-1]
                     assert record.op_estimates == expected
                     if handle.choice is None:
                         assert record.estimated_rows == fresh.rows(term)
@@ -306,3 +308,50 @@ class TestAutoBackend:
         assert report.q_error is not None
         assert "-- q-error (ra): " in report.render()
         assert report.q_error["count"] >= 1
+
+
+# -- one log, several backends ------------------------------------------------
+class TestMixedBackends:
+    def test_explain_q_error_summarises_its_own_backend(self):
+        """Explain's q-error section counts only its backend's records,
+        and its percentiles are those of that backend's root pairs."""
+        greedy = ExecOptions(planner="greedy")
+        runs = {
+            "vec": [(query, COST) for query in WORKLOAD],
+            "ra": [(query, greedy) for query in WORKLOAD[1:3]],
+            # Greedy sqlite runs log no root estimate.
+            "sqlite": [(query, greedy) for query in WORKLOAD]
+            + [(WORKLOAD[0], COST)],
+        }
+        with _session() as session:
+            for backend in ("sqlite", "vec", "ra"):
+                for query, options in runs[backend]:
+                    session.execute(query, backend, exec_options=options)
+            records = session.telemetry.records
+            assert len(records) == sum(map(len, runs.values()))
+            for backend in runs:
+                pairs = [
+                    (max(record.estimated_rows, 1), max(record.actual_rows, 1))
+                    for record in records
+                    if record.backend == backend
+                    and record.estimated_rows is not None
+                ]
+                errors = sorted(max(pair) / min(pair) for pair in pairs)
+
+                def nearest(fraction):
+                    rank = max(math.ceil(fraction * len(errors)), 1)
+                    return errors[rank - 1]
+
+                expected = {
+                    "count": len(errors),
+                    "p50": nearest(0.5),
+                    "p90": nearest(0.9),
+                    "max": errors[-1],
+                }
+                report = session.explain(WORKLOAD[0], backend)
+                assert report.q_error == expected, backend
+                assert report.to_dict()["q_error"] == expected, backend
+            assert [
+                session.explain(WORKLOAD[0], backend).q_error["count"]
+                for backend in runs
+            ] == [4, 2, 1]

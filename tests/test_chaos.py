@@ -72,13 +72,13 @@ class TestBackendFaults:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_injected_failure_leaves_no_trace(self, backend, expected):
         with _session(result_cache_size=8) as session:
-            recorded_before = session.calibration_log.total_recorded
+            recorded_before = session.telemetry.total_recorded
             with install(_injector(f"backend.execute.{backend}")):
                 with pytest.raises(InjectedFault):
                     session.execute(CLOSURE, backend)
             # The aborted run contributed no telemetry and cached nothing.
             assert (
-                session.calibration_log.total_recorded == recorded_before
+                session.telemetry.total_recorded == recorded_before
             )
             assert session.cache_stats["result"].size == 0
             # A healthy rerun on the same session is complete and correct.

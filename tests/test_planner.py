@@ -9,6 +9,7 @@ import pytest
 from repro.core.rewriter import enumerate_rewrites
 from repro.engine import GraphSession
 from repro.engine.options import DEFAULT_BACKEND, ExecOptions
+from repro.engine.telemetry import q_error
 from repro.exec.executor import ExecutionStats
 from repro.graph.model import yago_example_graph
 from repro.planner import (
@@ -165,11 +166,11 @@ class TestSessionIntegration:
         ) as session:
             prepared = session.prepare(RECURSIVE_QUERY, "vec")
             rows = prepared.execute()
-            stats = prepared.last_execution_stats
-            assert stats is not None
-            assert stats.actual_rows == len(rows)
-            assert stats.estimated_rows > 0.0
-            assert stats.cardinality_error >= 1.0
+            assert prepared.last_execution_stats is not None
+            record = session.telemetry.records[-1]
+            assert record.actual_rows == len(rows)
+            assert record.estimated_rows > 0.0
+            assert q_error(record.estimated_rows, record.actual_rows) >= 1.0
 
     def test_planner_stats_key_set(self, example_session):
         assert set(example_session.planner_stats) == {

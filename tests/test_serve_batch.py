@@ -139,7 +139,7 @@ def _untimed(stats):
 
 
 def _last_record(session):
-    records = session.calibration_log.records
+    records = session.telemetry.records
     return records[-1] if records else None
 
 
@@ -151,18 +151,18 @@ class TestBatchOfOne:
         with ldbc_session(0.1) as single:
             prepared = single.prepare(LDBC["IC1"], exec_options=options)
             prepared.execute()
-            stats = prepared.last_execution_stats
-            expected = (stats.estimated_rows, stats.actual_rows)
+            record = _last_record(single)
+            expected = (record.estimated_rows, record.actual_rows)
         assert expected[0] > 0
         with ldbc_session(0.1) as batched:
             handles = _spy_prepare(batched, monkeypatch)
             outcome = execute_batch(
                 batched, [LDBC["IC1"]], exec_options=options
             )
-        for stats in (
-            outcome.report.execution, handles[0].last_execution_stats
-        ):
-            assert (stats.estimated_rows, stats.actual_rows) == expected
+            record = _last_record(batched)
+        assert (record.estimated_rows, record.actual_rows) == expected
+        assert handles[0].last_execution_stats is not None
+        assert outcome.report.execution is not None
 
     @pytest.mark.parametrize("cache", [0, 64])
     @pytest.mark.parametrize("planner", ["greedy", "cost"])
@@ -193,7 +193,7 @@ class TestBatchOfOne:
                     assert batched.cache_stats[layer] == (
                         single.cache_stats[layer]
                     ), layer
-            assert len(batched.calibration_log) == len(single.calibration_log)
+            assert len(batched.telemetry) == len(single.telemetry)
 
 
 def _befriend_two_persons(session):
@@ -378,3 +378,72 @@ class TestCli:
         monkeypatch.setattr("sys.stdin", io.StringIO("# only comments\n"))
         assert cli_main(["batch"]) == 1
         assert "no queries" in capsys.readouterr().err
+
+
+class TestCliRejectsBeforeLoading:
+    """Usage errors exit 2 with a message naming the cause, before any
+    dataset loads."""
+
+    @pytest.fixture(autouse=True)
+    def no_loading(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dataset loaded before validation")
+
+        monkeypatch.setattr("repro.cli._load_session", refuse)
+
+    @staticmethod
+    def _usage_error(capsys, argv) -> str:
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "given, flag",
+        [
+            (["queries.txt"], "FILE"),
+            (["-"], "FILE"),
+            (["--baseline"], "--baseline"),
+            (["--timeout", "3"], "--timeout"),
+            (["--limit", "5"], "--limit"),  # serve's default, given
+            (["--json"], "--json"),
+            (["--workers", "4"], "--workers"),
+            (["--max-batch", "3"], "--max-batch"),
+        ],
+    )
+    def test_http_refuses_file_mode_flags(self, capsys, given, flag):
+        err = self._usage_error(
+            capsys, ["serve", "--http", "127.0.0.1:0", *given]
+        )
+        assert f"argument {flag}: not allowed with argument --http" in err
+
+    @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf", "-0.5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "x1, x2 <- (x1, isLocatedIn, x2)", "--scale"],
+            ["batch", "--scale"],
+            ["serve", "--scale"],
+        ],
+    )
+    def test_scale_must_be_finite_and_positive(self, capsys, argv, scale):
+        err = self._usage_error(capsys, [*argv, scale])
+        assert "argument --scale: scale must be a finite number > 0" in err
+
+    @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf"])
+    def test_tenant_scale_must_be_finite_and_positive(self, capsys, scale):
+        err = self._usage_error(
+            capsys,
+            ["serve", "--http", "127.0.0.1:0", "--tenant", f"a=ldbc:{scale}"],
+        )
+        assert "argument --tenant: scale must be a finite number > 0" in err
+
+    def test_tenant_names_are_distinct(self, capsys):
+        err = self._usage_error(
+            capsys,
+            [
+                "serve", "--http", "127.0.0.1:0",
+                "--tenant", "a=yago-example", "--tenant", "a=ldbc:0.1",
+            ],
+        )
+        assert "argument --tenant: tenant 'a' given twice" in err
