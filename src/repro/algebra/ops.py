@@ -78,17 +78,6 @@ def strip_annotations(expr: PathExpr) -> PathExpr:
     return transform_bottom_up(expr, drop)
 
 
-def expand_repeats(expr: PathExpr) -> PathExpr:
-    """Desugar every bounded repetition into unions of concatenations."""
-
-    def expand(node: PathExpr) -> PathExpr:
-        if isinstance(node, Repeat):
-            return node.expand()
-        return node
-
-    return transform_bottom_up(expr, expand)
-
-
 def count_nodes(expr: PathExpr, kind: type) -> int:
     """Number of AST nodes of the given type."""
     return sum(1 for node in expr.walk() if isinstance(node, kind))

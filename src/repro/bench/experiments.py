@@ -307,7 +307,7 @@ def table7_table8(runs: list[QueryRun]) -> ExperimentResult:
 def fig14_backends(
     scale_factors: tuple = (0.1, 0.3, 1, 3),
     timeout_seconds: float = 2.5,
-    repetitions: int = 1,
+    repetitions: int = 3,
 ) -> ExperimentResult:
     expressible = [
         workload_query

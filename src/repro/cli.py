@@ -41,12 +41,16 @@ plus the Fig. 14 pattern engine ``gdb``);
 result sets unless ``--no-result-cache`` is given; after append-only
 store writes, stale cached results are incrementally maintained from
 the write delta.
+
+A subcommand whose reader closes stdout early (``repro batch --json |
+head``) exits quietly with :data:`EXIT_STDOUT_CLOSED`.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 EXPERIMENTS = (
@@ -55,6 +59,9 @@ EXPERIMENTS = (
 )
 
 DATASETS = ("yago", "ldbc", "yago-example")
+
+#: Exit status when the reader closed stdout early (128 + SIGPIPE).
+EXIT_STDOUT_CLOSED = 141
 
 #: ``serve``'s file-mode options (dest -> flag); ``--http`` serves no
 #: file, so it refuses each of them when given.
@@ -675,11 +682,15 @@ def main(argv: list[str] | None = None) -> int:
         for position, name in enumerate(names):
             if name in names[:position]:
                 serve.error(f"argument --tenant: tenant {name!r} given twice")
-    if args.command == "bench":
-        return _run_bench(args)
-    if args.command in ("batch", "serve"):
-        return _run_batch(args)
-    return _run_query(args)
+    run = {"bench": _run_bench, "batch": _run_batch, "serve": _run_batch}
+    try:
+        status = run.get(args.command, _run_query)(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at /dev/null so the exit flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
+    return status
 
 
 if __name__ == "__main__":

@@ -14,8 +14,12 @@ the inference rules exactly:
   expression's endpoints.
 * **TPLUS** — delegates to ``PlC`` (Def. 8, :mod:`repro.core.plus`).
 
-Bounded repetitions (``knows1..3``) are UCQT sugar and are expanded before
-inference.
+Bounded repetitions (``knows1..3``) are UCQT sugar, expanded before
+inference: one triple per schema path of every length up to ``hi``, and
+nested repetitions multiply those lengths. So no rule may build a set of
+over ``4 × max_disjuncts`` triples (1024 at the default); each set is
+checked as it grows, and :class:`TriplesBoundExceeded` makes the rewriter
+keep the relation as written (sound by Prop. 4.3).
 
 The engine memoises per sub-expression: ``TS`` is requested repeatedly for
 shared subterms (e.g. by TPLUS and by Table 6 statistics collection).
@@ -24,6 +28,8 @@ shared subterms (e.g. by TPLUS and by Table 6 statistics collection).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Callable
 
 from repro.algebra.ast import (
     AnnotatedConcat,
@@ -39,7 +45,7 @@ from repro.algebra.ast import (
     Union,
 )
 from repro.core.plus import (
-    DEFAULT_MAX_PATHS,
+    DEFAULT_MAX_DISJUNCTS,
     PlusStatistics,
     plus_compatibility_with_stats,
 )
@@ -48,33 +54,54 @@ from repro.schema.model import GraphSchema
 from repro.schema.triples import SchemaTriple, triples_for_edge_label
 
 
+_SOURCE = attrgetter("source")
+_TARGET = attrgetter("target")
+_ENDS = attrgetter("source", "target")
+
+
+class TriplesBoundExceeded(Exception):
+    """A ``TS`` set grew past :attr:`InferenceEngine.max_triples`."""
+
+
 @dataclass
 class InferenceEngine:
     """Computes ``TS(ϕ)`` against a fixed schema, with memoisation.
 
     Attributes:
         schema: the graph schema S.
-        max_paths: the simple-path cap handed to ``PlC``.
+        max_disjuncts: the rewriter's expansion bound: ``PlC`` stops after
+            twice as many path steps, and no set exceeds :attr:`max_triples`.
         strict_labels: when True (default), an edge label absent from the
             schema raises :class:`UnknownLabelError`; when False it simply
             yields no triples (the query is unsatisfiable under S).
     """
 
     schema: GraphSchema
-    max_paths: int = DEFAULT_MAX_PATHS
+    max_disjuncts: int = DEFAULT_MAX_DISJUNCTS
     strict_labels: bool = True
     _cache: dict[PathExpr, frozenset[SchemaTriple]] = field(default_factory=dict)
     #: PlC statistics per closed subterm, for Table 6.
     plus_stats: dict[Plus, PlusStatistics] = field(default_factory=dict)
 
+    @property
+    def max_triples(self) -> int:
+        """The largest ``TS`` set any rule may build."""
+        return 4 * self.max_disjuncts
+
     def triples(self, expr: PathExpr) -> frozenset[SchemaTriple]:
-        """``TS(expr)`` — all schema triples compatible with ``expr``."""
+        """``TS(expr)`` — all schema triples compatible with ``expr``
+        (:class:`TriplesBoundExceeded` past :attr:`max_triples`)."""
         cached = self._cache.get(expr)
         if cached is not None:
             return cached
         result = self._compute(expr)
+        self._check(result)
         self._cache[expr] = result
         return result
+
+    def _check(self, triples: set[SchemaTriple] | frozenset[SchemaTriple]):
+        if len(triples) > self.max_triples:
+            raise TriplesBoundExceeded(f"over {self.max_triples} triples")
 
     # -- rule dispatch ---------------------------------------------------
     def _compute(self, expr: PathExpr) -> frozenset[SchemaTriple]:
@@ -82,16 +109,38 @@ class InferenceEngine:
             return self._basic(expr.label, reverse=False)
         if isinstance(expr, Reverse):
             return self._basic(expr.expr.label, reverse=True)
-        if isinstance(expr, Concat):
-            return self._concat(expr)
+        if isinstance(expr, Concat):  # TCONCAT: chain through a label
+            return self._join(
+                expr.left, expr.right, _TARGET, _SOURCE,
+                lambda t1, t2: SchemaTriple(
+                    t1.source,
+                    AnnotatedConcat(t1.expr, t2.expr, frozenset({t1.target})),
+                    t2.target,
+                ),
+            )
         if isinstance(expr, Union):
             return self.triples(expr.left) | self.triples(expr.right)
-        if isinstance(expr, Conj):
-            return self._conj(expr)
-        if isinstance(expr, BranchRight):
-            return self._branch_right(expr)
-        if isinstance(expr, BranchLeft):
-            return self._branch_left(expr)
+        if isinstance(expr, Conj):  # TCONJ: both ends must agree
+            return self._join(
+                expr.left, expr.right, _ENDS, _ENDS,
+                lambda t1, t2: SchemaTriple(
+                    t1.source, Conj(t1.expr, t2.expr), t1.target
+                ),
+            )
+        if isinstance(expr, BranchRight):  # TBRANCH R: off main's target
+            return self._join(
+                expr.main, expr.branch, _TARGET, _SOURCE,
+                lambda main, branch: SchemaTriple(
+                    main.source, BranchRight(main.expr, branch.expr), main.target
+                ),
+            )
+        if isinstance(expr, BranchLeft):  # TBRANCH L: off main's source
+            return self._join(
+                expr.main, expr.branch, _SOURCE, _SOURCE,
+                lambda main, branch: SchemaTriple(
+                    main.source, BranchLeft(branch.expr, main.expr), main.target
+                ),
+            )
         if isinstance(expr, Plus):
             return self._plus(expr)
         if isinstance(expr, Repeat):
@@ -117,78 +166,32 @@ class InferenceEngine:
             SchemaTriple(t.target, Reverse(Edge(label)), t.source) for t in base
         )
 
-    def _concat(self, expr: Concat) -> frozenset[SchemaTriple]:
-        """TCONCAT: chain left and right triples through a shared label."""
-        left = self.triples(expr.left)
-        right_by_source: dict[str, list[SchemaTriple]] = {}
-        for triple in self.triples(expr.right):
-            right_by_source.setdefault(triple.source, []).append(triple)
+    def _join(
+        self,
+        left: PathExpr,
+        right: PathExpr,
+        left_key: Callable[[SchemaTriple], object],
+        right_key: Callable[[SchemaTriple], object],
+        build: Callable[[SchemaTriple, SchemaTriple], SchemaTriple],
+    ) -> frozenset[SchemaTriple]:
+        """``build`` over every pair of ``TS(left)`` and ``TS(right)``
+        triples whose keys match, checked against the bound per triple."""
+        left_triples = self.triples(left)
+        right_by_key: dict[object, list[SchemaTriple]] = {}
+        for triple in self.triples(right):
+            right_by_key.setdefault(right_key(triple), []).append(triple)
         result: set[SchemaTriple] = set()
-        for t1 in left:
-            for t2 in right_by_source.get(t1.target, ()):
-                junction = frozenset({t1.target})
-                result.add(
-                    SchemaTriple(
-                        t1.source,
-                        AnnotatedConcat(t1.expr, t2.expr, junction),
-                        t2.target,
-                    )
-                )
-        return frozenset(result)
-
-    def _conj(self, expr: Conj) -> frozenset[SchemaTriple]:
-        """TCONJ: both sides must share source and target labels."""
-        left = self.triples(expr.left)
-        right_by_ends: dict[tuple[str, str], list[SchemaTriple]] = {}
-        for triple in self.triples(expr.right):
-            right_by_ends.setdefault((triple.source, triple.target), []).append(
-                triple
-            )
-        result: set[SchemaTriple] = set()
-        for t1 in left:
-            for t2 in right_by_ends.get((t1.source, t1.target), ()):
-                result.add(
-                    SchemaTriple(t1.source, Conj(t1.expr, t2.expr), t1.target)
-                )
-        return frozenset(result)
-
-    def _branch_right(self, expr: BranchRight) -> frozenset[SchemaTriple]:
-        """TBRANCH R: the branch hangs off the main expression's target."""
-        main = self.triples(expr.main)
-        branch_sources: dict[str, list[SchemaTriple]] = {}
-        for triple in self.triples(expr.branch):
-            branch_sources.setdefault(triple.source, []).append(triple)
-        result: set[SchemaTriple] = set()
-        for t1 in main:
-            for t2 in branch_sources.get(t1.target, ()):
-                result.add(
-                    SchemaTriple(
-                        t1.source, BranchRight(t1.expr, t2.expr), t1.target
-                    )
-                )
-        return frozenset(result)
-
-    def _branch_left(self, expr: BranchLeft) -> frozenset[SchemaTriple]:
-        """TBRANCH L: the branch hangs off the main expression's source."""
-        main = self.triples(expr.main)
-        branch_sources: dict[str, list[SchemaTriple]] = {}
-        for triple in self.triples(expr.branch):
-            branch_sources.setdefault(triple.source, []).append(triple)
-        result: set[SchemaTriple] = set()
-        for t2 in main:
-            for t1 in branch_sources.get(t2.source, ()):
-                result.add(
-                    SchemaTriple(
-                        t2.source, BranchLeft(t1.expr, t2.expr), t2.target
-                    )
-                )
+        for t1 in left_triples:
+            for t2 in right_by_key.get(left_key(t1), ()):
+                result.add(build(t1, t2))
+                self._check(result)
         return frozenset(result)
 
     def _plus(self, expr: Plus) -> frozenset[SchemaTriple]:
         """TPLUS via PlC (Def. 8)."""
         inner = self.triples(expr.expr)
         result, stats = plus_compatibility_with_stats(
-            expr.expr, inner, self.max_paths
+            expr.expr, inner, self.max_disjuncts
         )
         self.plus_stats[expr] = stats
         return result
@@ -197,9 +200,7 @@ class InferenceEngine:
 def compatible_triples(
     schema: GraphSchema,
     expr: PathExpr,
-    max_paths: int = DEFAULT_MAX_PATHS,
     strict_labels: bool = True,
 ) -> frozenset[SchemaTriple]:
     """One-shot ``TS(ϕ)`` (constructs a fresh :class:`InferenceEngine`)."""
-    engine = InferenceEngine(schema, max_paths=max_paths, strict_labels=strict_labels)
-    return engine.triples(expr)
+    return InferenceEngine(schema, strict_labels=strict_labels).triples(expr)

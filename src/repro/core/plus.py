@@ -14,9 +14,9 @@ directed *label multigraph* ``G`` whose vertices are node labels and whose
 * a ``K``-free path contributes the *annotated concatenation* of its
   triples — a fixed-length, closure-free path expression.
 
-If the number of simple paths exceeds ``max_paths`` we conservatively fall
-back to ``(A, ϕ+, B)`` for every connected label pair, which is always
-sound and complete (it is the "keep the closure" outcome).
+If the enumeration takes more than ``2 × max_disjuncts`` path steps we
+conservatively fall back to ``(A, ϕ+, B)`` for every connected label pair,
+which is always sound and complete (it is the "keep the closure" outcome).
 """
 
 from __future__ import annotations
@@ -26,8 +26,10 @@ from dataclasses import dataclass
 from repro.algebra.ast import AnnotatedConcat, PathExpr, Plus
 from repro.schema.triples import SchemaTriple
 
-#: Safety cap on simple-path enumeration; beyond this the closure is kept.
-DEFAULT_MAX_PATHS = 512
+#: The rewriter's one expansion bound (``RewriteOptions.max_disjuncts``):
+#: PlC keeps the closure past twice as many path steps, and inference
+#: gives up past four times as many triples.
+DEFAULT_MAX_DISJUNCTS = 256
 
 
 @dataclass(frozen=True)
@@ -118,17 +120,17 @@ def _concatenate(path: list[SchemaTriple]) -> PathExpr:
 def plus_compatibility(
     phi: PathExpr,
     triples: frozenset[SchemaTriple],
-    max_paths: int = DEFAULT_MAX_PATHS,
+    max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
 ) -> frozenset[SchemaTriple]:
     """``PlC(ϕ, T)`` per Def. 8, with a conservative fallback on blow-up."""
-    result, _stats = plus_compatibility_with_stats(phi, triples, max_paths)
+    result, _stats = plus_compatibility_with_stats(phi, triples, max_disjuncts)
     return result
 
 
 def plus_compatibility_with_stats(
     phi: PathExpr,
     triples: frozenset[SchemaTriple],
-    max_paths: int = DEFAULT_MAX_PATHS,
+    max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
 ) -> tuple[frozenset[SchemaTriple], PlusStatistics]:
     """``PlC`` plus the fixed-length-path statistics reported in Table 6."""
     closed = Plus(phi)
@@ -158,7 +160,7 @@ def plus_compatibility_with_stats(
             for edge in graph.get(tail, ()):
                 nxt = edge.target
                 paths_seen += 1
-                if paths_seen > max_paths:
+                if paths_seen > 2 * max_disjuncts:
                     overflow = True
                     stack.clear()
                     break

@@ -11,8 +11,9 @@
 The rewriting is *opportunistic* (paper §5.2): when the schema yields no
 optimisation for any relation, the original query is returned unchanged and
 the result is flagged ``reverted`` — guaranteeing no performance
-regression. A blow-up guard reverts individual relations whose rewriting
-would exceed ``max_disjuncts`` alternatives.
+regression. One bound caps the work: a relation whose rewriting would
+exceed ``max_disjuncts`` alternatives, or whose inference builds a set of
+over ``4 × max_disjuncts`` triples, keeps its original form.
 """
 
 from __future__ import annotations
@@ -20,12 +21,24 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from repro.algebra.ast import PathExpr, Plus
-from repro.algebra.ops import strip_annotations
+from repro.algebra.ast import (
+    AnnotatedConcat,
+    BranchLeft,
+    BranchRight,
+    Concat,
+    Conj,
+    Edge,
+    PathExpr,
+    Plus,
+    Repeat,
+    Reverse,
+    Union,
+)
+from repro.algebra.ops import rebuild, strip_annotations
 from repro.algebra.printer import to_text
-from repro.core.inference import InferenceEngine
+from repro.core.inference import InferenceEngine, TriplesBoundExceeded
 from repro.core.merge import MergedTriple, merge_triples
-from repro.core.plus import DEFAULT_MAX_PATHS
+from repro.core.plus import DEFAULT_MAX_DISJUNCTS
 from repro.core.redundancy import remove_redundant_annotations
 from repro.core.simplify import simplify
 from repro.core.translate import QueryFragment, q_translate
@@ -42,17 +55,17 @@ class RewriteOptions:
         apply_merge: merge compatible triples (Def. 9); disabling emits one
             CQT per raw triple.
         apply_redundancy_removal: drop schema-implied annotations (§3.2.2).
-        max_paths: simple-path cap for ``PlC``.
-        max_disjuncts: cap on the number of CQTs a single rewritten query
-            may contain before the rewriter falls back to the original.
+        max_disjuncts: the one expansion bound. A relation or CQT that
+            would rewrite into more CQTs, or whose ``TS`` set (or union
+            expansion) passes ``4 × max_disjuncts`` triples, keeps its
+            original form; ``PlC`` keeps a closure past ``2 ×`` as many paths.
         strict_labels: raise on edge labels missing from the schema.
     """
 
     apply_simplification: bool = True
     apply_merge: bool = True
     apply_redundancy_removal: bool = True
-    max_paths: int = DEFAULT_MAX_PATHS
-    max_disjuncts: int = 256
+    max_disjuncts: int = DEFAULT_MAX_DISJUNCTS
     strict_labels: bool = True
 
 
@@ -124,10 +137,12 @@ def _analyse_relation(
     if options.apply_simplification:
         expr = simplify(expr)
 
-    engine = InferenceEngine(
-        schema, max_paths=options.max_paths, strict_labels=options.strict_labels
-    )
-    triples = engine.triples(expr)
+    engine = InferenceEngine(schema, options.max_disjuncts, options.strict_labels)
+    try:
+        triples = engine.triples(expr)
+    except TriplesBoundExceeded:
+        stats.relations_reverted_by_guard += 1
+        return None, stats
 
     if not triples:
         stats.relations_unsatisfiable += 1
@@ -160,7 +175,7 @@ def _analyse_relation(
         t.sources is None and t.targets is None and not t.expr.is_annotated()
         for t in merged
     ):
-        expansion = _union_expansion(expr, limit=4 * options.max_disjuncts)
+        expansion = _union_expansion(expr, limit=engine.max_triples)
         if expansion is not None and {t.expr for t in merged} == expansion:
             return None, stats
 
@@ -225,7 +240,7 @@ def _record_closure_stats(
     plus_terms = list(engine.plus_stats)
     if not plus_terms:
         return
-    expansion = _union_expansion(expr, limit=1024) or {expr}
+    expansion = _union_expansion(expr, limit=engine.max_triples) or {expr}
     surviving_lengths: list[int] = []
     for triple in merged:
         for candidate in expansion:
@@ -255,8 +270,6 @@ def _record_closure_stats(
 
 def _spine_parts(expr: PathExpr) -> int:
     """Number of parts along the top concatenation spine."""
-    from repro.algebra.ast import AnnotatedConcat, Concat
-
     if isinstance(expr, (Concat, AnnotatedConcat)):
         return _spine_parts(expr.left) + _spine_parts(expr.right)
     return 1
@@ -267,8 +280,6 @@ def _match_plus_lengths(
 ) -> list[int] | None:
     """Match a merged expression against an expansion candidate, returning
     the chain lengths that replaced eliminated closures (None = no match)."""
-    from repro.algebra.ast import AnnotatedConcat, BranchLeft, BranchRight, Concat, Conj
-
     if isinstance(original, Plus):
         if strip_annotations(merged) == original:
             return []  # closure kept: nothing replaced
@@ -307,18 +318,6 @@ def _union_expansion(
     (annotations never live under ``+``). Returns None when the expansion
     exceeds ``limit`` (the caller then skips the reversion check).
     """
-    from repro.algebra.ast import (
-        BranchLeft,
-        BranchRight,
-        Concat,
-        Conj,
-        Edge,
-        Repeat,
-        Reverse,
-        Union,
-    )
-    from repro.algebra.ops import rebuild
-
     def expand(node: PathExpr) -> set[PathExpr] | None:
         if isinstance(node, (Edge, Reverse, Plus)):
             return {node}
@@ -335,12 +334,10 @@ def _union_expansion(
             first, second = node.children()
             left = expand(first)
             right = expand(second)
-            if left is None or right is None:
+            # Distinct pairs rebuild into distinct nodes.
+            if left is None or right is None or len(left) * len(right) > limit:
                 return None
-            combos = {
-                rebuild(node, (a, b)) for a in left for b in right
-            }
-            return combos if len(combos) <= limit else None
+            return {rebuild(node, (a, b)) for a in left for b in right}
         return None
 
     return expand(expr)

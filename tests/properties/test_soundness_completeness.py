@@ -7,12 +7,15 @@ whole pipeline (simplify → infer → merge → de-redundant → translate) wit
 randomly generated schemas, conforming databases and expressions.
 """
 
-from hypothesis import given, settings
+import time
+
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from repro.algebra.ast import Concat, Edge, Plus, Repeat, Reverse, Union
 from repro.algebra.ops import strip_annotations
 from repro.algebra.printer import to_text
-from repro.core.inference import compatible_triples
+from repro.core.inference import TriplesBoundExceeded, compatible_triples
 from repro.core.rewriter import RewriteOptions, rewrite_query
 from repro.core.simplify import simplify
 from repro.datasets.random_graphs import (
@@ -23,12 +26,28 @@ from repro.datasets.random_graphs import (
 from repro.graph.evaluator import evaluate_path
 from repro.query.evaluation import evaluate_ucqt
 from repro.query.model import single_relation_query
+from repro.schema.model import GraphSchema, SchemaEdge, SchemaNode
 
 _SEEDS = st.integers(min_value=0, max_value=10_000)
+
+#: Seconds one nested-repetition case may spend rewriting; the worst
+#: case seen takes a fraction of a second once inference is bounded.
+_REWRITE_SECONDS = 5.0
+
+
+def _bounded_triples(schema, expr):
+    """``TS(expr)``, rejecting the example when it crosses the engine's
+    bound (the rewriter keeps such a relation as written)."""
+    try:
+        return compatible_triples(schema, expr)
+    except TriplesBoundExceeded:
+        reject()
 
 
 @given(_SEEDS, _SEEDS, _SEEDS)
 @settings(max_examples=120, deadline=None)
+# (e0+2..4)1..3: a TCONCAT of 699 x 699 triples once grew without bound.
+@example(3335, 0, 4252)
 def test_rewriting_preserves_semantics(schema_seed, graph_seed, expr_seed):
     """Theorem 1, end to end: baseline and rewritten queries agree on
     every conforming database."""
@@ -84,7 +103,7 @@ def test_compatible_triples_sound(schema_seed, graph_seed, expr_seed):
     expr = random_path_expr(schema, expr_seed, max_depth=3)
     expr = simplify(expr)
     expected = evaluate_path(graph, expr)
-    for triple in compatible_triples(schema, expr):
+    for triple in _bounded_triples(schema, expr):
         sources = graph.nodes_with_label(triple.source)
         targets = graph.nodes_with_label(triple.target)
         for pair in evaluate_path(graph, triple.expr):
@@ -100,7 +119,7 @@ def test_compatible_triples_complete(schema_seed, graph_seed, expr_seed):
     schema = random_schema(schema_seed)
     graph = random_graph(schema, graph_seed, max_nodes=15, max_edges=40)
     expr = simplify(random_path_expr(schema, expr_seed, max_depth=3))
-    triples = compatible_triples(schema, expr)
+    triples = _bounded_triples(schema, expr)
     triple_results = [
         (t, evaluate_path(graph, t.expr)) for t in triples
     ]
@@ -129,9 +148,65 @@ def test_triples_strip_back_to_expansion(schema_seed, expr_seed):
     expansion = _union_expansion(expr, limit=100_000)
     if expansion is None:
         return
-    for triple in compatible_triples(schema, expr):
+    for triple in _bounded_triples(schema, expr):
         stripped = strip_annotations(triple.expr)
         assert any(
             _match_plus_lengths(candidate, stripped) is not None
             for candidate in expansion
         ), f"{stripped} does not instantiate {expr}"
+
+
+def _cyclic_schema(seed: int) -> GraphSchema:
+    """``random_schema(seed)`` with its first edge also run backwards, so
+    that edge's label lies on a cycle (or is already a self-loop)."""
+    schema = random_schema(seed)
+    edges = list(schema.edges())
+    first = edges[0]
+    closing = SchemaEdge(first.target_label, first.edge_label, first.source_label)
+    return GraphSchema(
+        [SchemaNode(label) for label in sorted(schema.node_labels)],
+        [*edges, closing],
+        name=schema.name,
+    )
+
+
+@st.composite
+def _nested_repetitions(draw, labels):
+    """A repetition nested at least three deep, each level possibly
+    closed (``ϕ+``) or joined with one more edge before it repeats."""
+
+    def atom():
+        label = Edge(draw(st.sampled_from(labels)))
+        return Reverse(label) if draw(st.booleans()) else label
+
+    expr = atom()
+    for _ in range(draw(st.integers(3, 4))):
+        step = draw(st.sampled_from(("plain", "plus", "concat", "union")))
+        if step == "plus":
+            expr = Plus(expr)
+        elif step == "concat":
+            expr = Concat(expr, atom())
+        elif step == "union":
+            expr = Union(expr, atom())
+        lo = draw(st.integers(1, 2))
+        expr = Repeat(expr, lo, lo + draw(st.integers(0, 2)))
+    return expr
+
+
+@given(st.data(), _SEEDS, _SEEDS)
+@settings(max_examples=40, deadline=None)
+def test_nested_repetition_rewrites_in_time(data, schema_seed, graph_seed):
+    """Nested repetitions multiply the path lengths inference enumerates
+    (``(((e0)2..4)1..3)2..4`` reaches 48 steps): the rewrite must stay
+    within its bound, finish in a time cap, and answer as the original."""
+    schema = _cyclic_schema(schema_seed)
+    expr = data.draw(_nested_repetitions(sorted(schema.edge_labels)))
+    graph = random_graph(schema, graph_seed, max_nodes=12, max_edges=30)
+    query = single_relation_query(expr)
+    started = time.perf_counter()
+    result = rewrite_query(query, schema)
+    elapsed = time.perf_counter() - started
+    assert elapsed < _REWRITE_SECONDS, f"{to_text(expr)} took {elapsed:.1f} s"
+    assert evaluate_ucqt(graph, result.query) == evaluate_path(graph, expr), (
+        f"schema={schema.name} expr={to_text(expr)}"
+    )

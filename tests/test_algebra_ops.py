@@ -17,7 +17,6 @@ from repro.algebra.ast import (
 from repro.algebra.ops import (
     closure_subterms,
     count_nodes,
-    expand_repeats,
     rebuild,
     strip_annotations,
     transform_bottom_up,
@@ -96,11 +95,6 @@ class TestTransform:
         assert transform_bottom_up(expr, bump) == Concat(
             Edge("A"), Plus(Edge("B"))
         )
-
-    def test_expand_repeats_nested(self):
-        expr = Concat(Repeat(Edge("a"), 1, 2), Edge("b"))
-        expanded = expand_repeats(expr)
-        assert not any(isinstance(n, Repeat) for n in expanded.walk())
 
     def test_count_nodes(self):
         expr = Union(Plus(Edge("a")), Plus(Edge("b")))

@@ -4,7 +4,9 @@ import pytest
 
 from repro.algebra.ast import Edge, Plus
 from repro.algebra.parser import parse
+from repro.core.inference import InferenceEngine
 from repro.core.plus import plus_compatibility, plus_compatibility_with_stats
+from repro.schema.model import GraphSchema, SchemaEdge, SchemaNode
 from repro.schema.triples import SchemaTriple
 
 
@@ -94,7 +96,7 @@ class TestOverflowFallback:
                 for j in range(3):
                     triples.append(t(f"L{layer}_{i}", "e", f"L{layer+1}_{j}"))
         result, stats = plus_compatibility_with_stats(
-            Edge("e"), frozenset(triples), max_paths=50
+            Edge("e"), frozenset(triples), max_disjuncts=25
         )
         assert stats.fixed_paths == 0
         assert stats.closure_kept == len(result)
@@ -102,10 +104,34 @@ class TestOverflowFallback:
         endpoints = {(r.source, r.target) for r in result}
         assert ("L0_0", f"L{layers-1}_2") in endpoints
 
+    def test_small_max_disjuncts_keeps_the_closure(self):
+        # Three labels in a row, each joined to the next by three parallel
+        # triples: e+ has 3 + 3 + 9 closure-free paths.
+        labels = ("A", "B", "C")
+        schema = GraphSchema(
+            [SchemaNode(label) for label in labels],
+            [
+                SchemaEdge(source, f"e{i}", target)
+                for source, target in zip(labels, labels[1:])
+                for i in range(3)
+            ],
+        )
+        expr = parse("(e0 | e1 | e2)+")
+        default = InferenceEngine(schema)
+        assert all(not t.expr.is_recursive() for t in default.triples(expr))
+        assert default.plus_stats[expr].fixed_paths == 15
+        small = InferenceEngine(schema, max_disjuncts=2)  # 4 path steps
+        kept = small.triples(expr)
+        assert {t.expr for t in kept} == {expr}
+        assert {(t.source, t.target) for t in kept} == {
+            ("A", "B"), ("B", "C"), ("A", "C"),
+        }
+        assert small.plus_stats[expr].fixed_paths == 0
+
     def test_no_fallback_when_under_cap(self):
         triples = frozenset([t("A", "e", "B"), t("B", "e", "C")])
         result, stats = plus_compatibility_with_stats(
-            Edge("e"), triples, max_paths=1000
+            Edge("e"), triples, max_disjuncts=500
         )
         assert stats.fixed_paths == 3
 

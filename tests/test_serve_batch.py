@@ -379,6 +379,44 @@ class TestCli:
         assert cli_main(["batch"]) == 1
         assert "no queries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["batch", "{file}", "--json"],
+            ["serve", "{file}"],
+            ["query", CLOSURE],
+            ["bench", "table6"],
+        ],
+        ids=["batch", "serve", "query", "bench"],
+    )
+    def test_closed_stdout_exits_quietly(self, argv, query_file):
+        """A reader that has gone away (``repro batch --json | head``)
+        ends the command with ``EXIT_STDOUT_CLOSED`` and no traceback."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        from repro.cli import EXIT_STDOUT_CLOSED
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the first write
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro"]
+                + [arg.format(file=query_file) for arg in argv],
+                env={**os.environ, "PYTHONPATH": src},
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        stderr = done.stderr.decode()
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+        assert done.returncode == EXIT_STDOUT_CLOSED, stderr
+
 
 class TestCliRejectsBeforeLoading:
     """Usage errors exit 2 with a message naming the cause, before any

@@ -781,3 +781,33 @@ class TestAnswersAreRenderedOnce:
         assert json.loads(data)["error"]["code"] == "parse_error"
         assert late == 408 and late_headers["retry-after"] == "1"
         assert late_data == _compact(json.loads(late_data))
+
+
+class TestNestedRepetition:
+    def test_seed_770_query_answers_within_its_budget(self):
+        """A repetition nested three deep once kept the rewriter busy
+        for 42 s before a ``MemoryError``; the bounded rewrite keeps the
+        relation as written and the read answers inside 1 s."""
+        from repro.datasets.random_graphs import random_graph, random_schema
+
+        schema = random_schema(770)
+        query = "x1, x2 <- (x1, (((e0)2..4)1..3)2..4, x2)"
+        reference = GraphSession(random_graph(schema, 770), schema)
+        expected = sorted(
+            map(list, reference.execute(query, "reference", rewrite=False))
+        )
+
+        async def drive():
+            registry = TenantRegistry()
+            registry.add(
+                Tenant("rand", GraphSession(random_graph(schema, 770), schema))
+            )
+            async with HTTPGraphServer(registry, port=0) as server:
+                return await _request(
+                    server.port, "POST", "/v1/rand/query",
+                    {"query": query, "timeout_seconds": 1.0},
+                )
+
+        status, body = _run(drive())
+        assert status == 200, body
+        assert expected and body["rows"] == expected

@@ -167,6 +167,50 @@ class TestRewriterPipeline:
             )
 
 
+class TestExpansionBound:
+    """Inference stops at ``4 × max_disjuncts`` triples per set, and the
+    relation that crosses it keeps its original form."""
+
+    def test_nested_repetition_reverts_in_time(self):
+        import time
+
+        from repro.datasets.random_graphs import random_path_expr, random_schema
+        from repro.query.model import single_relation_query
+
+        schema = random_schema(3335)
+        expr = random_path_expr(schema, 4252, max_depth=4)
+        assert str(expr) == "(e0+2..4)1..3"
+        started = time.perf_counter()
+        result = rewrite_query(single_relation_query(expr), schema)
+        assert time.perf_counter() - started < 1.0
+        assert result.reverted
+        assert result.query == result.original
+        assert result.stats.relations_reverted_by_guard == 1
+
+    def test_bound_follows_max_disjuncts(self, fig1_schema):
+        from repro.core.inference import InferenceEngine, TriplesBoundExceeded
+
+        expr = parse("isLocatedIn1..3")
+        assert len(InferenceEngine(fig1_schema).triples(expr)) == 6
+        with pytest.raises(TriplesBoundExceeded):
+            InferenceEngine(fig1_schema, max_disjuncts=1).triples(expr)
+        query = parse_query("x1, x2 <- (x1, isLocatedIn1..3, x2)")
+        result = rewrite_query(query, fig1_schema, RewriteOptions(max_disjuncts=1))
+        assert result.reverted
+        assert result.stats.relations_reverted_by_guard == 1
+
+    def test_seed_770_query_answers_within_its_budget(self):
+        from repro.datasets.random_graphs import random_graph, random_schema
+        from repro.engine import GraphSession
+
+        schema = random_schema(770)
+        query = "x1, x2 <- (x1, (((e0)2..4)1..3)2..4, x2)"
+        with GraphSession(random_graph(schema, 770), schema) as session:
+            expected = session.execute(query, "reference", rewrite=False)
+            answer = session.execute(query, timeout_seconds=1.0)
+        assert expected and answer == expected
+
+
 class TestOptions:
     def test_max_disjuncts_guard_reverts(self, fig1_schema):
         options = RewriteOptions(max_disjuncts=1)
