@@ -99,7 +99,7 @@ class InferenceEngine:
         self._cache[expr] = result
         return result
 
-    def _check(self, triples: set[SchemaTriple] | frozenset[SchemaTriple]):
+    def _check(self, triples: set[SchemaTriple] | frozenset[SchemaTriple]) -> None:
         if len(triples) > self.max_triples:
             raise TriplesBoundExceeded(f"over {self.max_triples} triples")
 
