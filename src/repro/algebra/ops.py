@@ -76,13 +76,3 @@ def strip_annotations(expr: PathExpr) -> PathExpr:
         return node
 
     return transform_bottom_up(expr, drop)
-
-
-def count_nodes(expr: PathExpr, kind: type) -> int:
-    """Number of AST nodes of the given type."""
-    return sum(1 for node in expr.walk() if isinstance(node, kind))
-
-
-def closure_subterms(expr: PathExpr) -> list[Plus]:
-    """All transitive-closure subterms, outermost first."""
-    return [node for node in expr.walk() if isinstance(node, Plus)]

@@ -243,8 +243,9 @@ def _record_closure_stats(
     expansion = _union_expansion(expr, limit=engine.max_triples) or {expr}
     surviving_lengths: list[int] = []
     for triple in merged:
+        stripped = strip_annotations(triple.expr)  # once, not per node
         for candidate in expansion:
-            lengths = _match_plus_lengths(candidate, triple.expr)
+            lengths = _match_plus_lengths(candidate, triple.expr, stripped)
             if lengths is not None:
                 surviving_lengths.extend(lengths)
                 break
@@ -276,12 +277,13 @@ def _spine_parts(expr: PathExpr) -> int:
 
 
 def _match_plus_lengths(
-    original: PathExpr, merged: PathExpr
+    original: PathExpr, merged: PathExpr, stripped: PathExpr
 ) -> list[int] | None:
     """Match a merged expression against an expansion candidate, returning
-    the chain lengths that replaced eliminated closures (None = no match)."""
+    the chain lengths that replaced eliminated closures (None = no match).
+    ``stripped`` is ``strip_annotations(merged)``, walked in step with it."""
     if isinstance(original, Plus):
-        if strip_annotations(merged) == original:
+        if stripped == original:
             return []  # closure kept: nothing replaced
         if merged.is_recursive():
             return None
@@ -289,20 +291,20 @@ def _match_plus_lengths(
     if isinstance(original, Concat) and isinstance(
         merged, (Concat, AnnotatedConcat)
     ):
-        left = _match_plus_lengths(original.left, merged.left)
-        right = _match_plus_lengths(original.right, merged.right)
+        left = _match_plus_lengths(original.left, merged.left, stripped.left)
+        right = _match_plus_lengths(original.right, merged.right, stripped.right)
         if left is None or right is None:
             return None
         return left + right
     if isinstance(original, (Conj, BranchRight, BranchLeft)) and type(
         original
     ) is type(merged):
-        first = _match_plus_lengths(original.children()[0], merged.children()[0])
-        second = _match_plus_lengths(original.children()[1], merged.children()[1])
+        pairs = zip(original.children(), merged.children(), stripped.children())
+        first, second = (_match_plus_lengths(*pair) for pair in pairs)
         if first is None or second is None:
             return None
         return first + second
-    if strip_annotations(merged) == original:
+    if stripped == original:
         return []
     return None
 

@@ -34,7 +34,11 @@ from repro.engine.protocol import Backend, available_backends, get_backend
 from repro.engine.report import ExplainReport
 from repro.engine.resilience import BreakerConfig, RetryPolicy
 from repro.engine.telemetry import Telemetry, q_error_summary
-from repro.exec.dictionary import encoding_appends, tables_encoded
+from repro.exec.dictionary import (
+    closures_kept,
+    encoding_appends,
+    tables_encoded,
+)
 from repro.exec.executor import ExecutionStats
 from repro.exec.result import ResultSet
 from repro.graph.evaluator import EvalBudget, ResourceBudget
@@ -410,9 +414,11 @@ class GraphSession:
     def cache_stats(self) -> "dict[str, CacheStats | ExecutionStats]":
         maintenance = self.results.maintenance
         maintenance.encoding_appends = maintenance.tables_encoded = 0
+        maintenance.closures_kept = 0
         if self._store is not None:
             maintenance.encoding_appends = encoding_appends(self._store)
             maintenance.tables_encoded = tables_encoded(self._store)
+            maintenance.closures_kept = closures_kept(self._store)
         return {
             "rewrite": self.frontend.rewrites.stats(),
             "plan": self.planning.plans.stats(),

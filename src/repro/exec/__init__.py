@@ -34,6 +34,7 @@ from repro.exec.compile import CompiledProgram, compile_term, render_program
 from repro.exec.dictionary import (
     StoreEncoding,
     ValueDictionary,
+    closures_kept,
     encoding_appends,
     encoding_for,
     tables_encoded,
@@ -59,6 +60,7 @@ __all__ = [
     "StoreEncoding",
     "ValueDictionary",
     "available_kernels",
+    "closures_kept",
     "compile_term",
     "default_kernel",
     "encoding_appends",

@@ -21,6 +21,10 @@ joined on (:func:`repro.exec.kernels_numpy.from_columns`); an append
 to the table drops that cache entry and with it the layouts, while one
 to another table, even one that grows the dictionary, leaves them
 valid.
+
+The same cache keeps the closure ``R+`` the executor built on a table
+``R`` (:meth:`EncodedTable.keep_closure`), a stored table with layouts
+of its own; an append to ``R`` drops it with the layouts.
 """
 
 from __future__ import annotations
@@ -95,6 +99,17 @@ class EncodedTable:
         if table is None:
             table = kernel.from_columns(self.codes, self.nrows)
             self._kernel_tables[kernel.NAME] = table
+        return table
+
+    def closure(self, slot: tuple):
+        """The closure kept under ``slot`` (kernel name, shape), or None."""
+        return self._kernel_tables.get(slot)
+
+    def keep_closure(self, slot: tuple, kernel, total):
+        """Keep ``total``, a closure of this table, as a stored table
+        (arrays wrapped, not copied), published by one assignment."""
+        table = kernel.from_columns(total.cols, total.n)
+        self._kernel_tables[slot] = table
         return table
 
 
@@ -215,3 +230,11 @@ def tables_encoded(store: RelationalStore) -> int:
     (0 when no encoding exists yet) — the lazy-encoding counter."""
     encoding = _ENCODINGS.get(store)
     return encoding.tables_encoded if encoding is not None else 0
+
+
+def closures_kept(store: RelationalStore) -> int:
+    """Closures ``store``'s live encoding keeps, as of the last execution
+    (copied first: another thread may be adding)."""
+    encoding = _ENCODINGS.get(store)
+    tables = [] if encoding is None else list(encoding._tables.values())
+    return sum(isinstance(s, tuple) for t in tables for s in list(t._kernel_tables))

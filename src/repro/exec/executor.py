@@ -36,6 +36,12 @@ see no difference. Everything else iterates the loop: the python
 kernel, non-linear steps, steps that are not such a composition, and a
 maintenance run resuming a cached fixpoint.
 
+Such a closure of a stored relation ``R`` whose base is ``R`` itself
+(renames aside) is a fact of the store: the hook's total is kept on
+``R``'s encoding, and later executions read it as one scan of a stored
+table until an append to ``R`` drops it. Seeded closures, and every
+closure on the python kernel, are computed in every execution.
+
 All base tables referenced by the program are dictionary-encoded up
 front, so the value-id space is frozen for the whole execution — packed
 multi-column keys stay stable across fixpoint rounds.
@@ -121,8 +127,9 @@ class ExecutionStats:
     programs: int = 0
     ops_evaluated: int = 0
     memo_hits: int = 0
-    # Tables the lazy store encoding has materialised.
+    # Tables the lazy store encoding has materialised; closures it keeps.
     tables_encoded: int = 0
+    closures_kept: int = 0
     result_cache_hits: int = 0
     result_cache_misses: int = 0
     delta_rows_applied: int = 0
@@ -161,14 +168,13 @@ class ExecutionStats:
         }
 
     def merge(self, other: "ExecutionStats") -> None:
-        # Total over every counter field: a counter added to this class
-        # is merged automatically instead of being silently dropped.
-        for field_ in fields(self):
-            setattr(
-                self,
-                field_.name,
-                getattr(self, field_.name) + getattr(other, field_.name),
-            )
+        # Total over every counter (``_COUNTERS``, read off the fields
+        # once): a counter added to this class is merged, never dropped.
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+
+_COUNTERS = tuple(field_.name for field_ in fields(ExecutionStats))
 
 
 def execute_program(
@@ -313,7 +319,12 @@ class _Runner:
             if hit is not None:
                 self.stats.memo_hits += 1
                 return hit
-        result = self._metered(op, self._eval_uncached, env)
+        scan, table, slot = self._stored_closure(op)
+        kept = None if table is None else table.closure(slot)
+        if kept is not None:  # read as one scan of its relation
+            result = self._metered(scan, lambda *_: kept, env)
+        else:
+            result = self._metered(op, self._eval_uncached, env)
         if op.closed:
             # A memoised table outlives this operator (answers, fix
             # captures and the result cache are drawn from the memo), so
@@ -483,7 +494,11 @@ class _Runner:
         if shape is not None:
             closure = self._closure_kernel(delta, shape.fixed, self.domain)
             if closure is not None:
-                return self._close(op, env, shape, closure)
+                total = self._close(op, env, shape, closure)
+                _, table, slot = self._stored_closure(op)
+                if table is None:
+                    return total
+                return table.keep_closure(slot, kernel, total)
         empty = kernel.empty(len(op.columns))
         return self._iterate_fixpoint(op, env, state, empty, delta)[0]
 
@@ -515,6 +530,22 @@ class _Runner:
         if placed != fixed or not children[side].closed:
             return None
         return _ClosureShape(chain, children[side], fixed, key, column)
+
+    def _stored_closure(self, op: PhysOp) -> tuple:
+        """``(scan, encoded table, slot)`` (else Nones) when ``op`` is a
+        closure the hook runs whose base and step relation are both the
+        unprojected ``scan``, renames aside: its total is kept at ``slot``."""
+        none = (None, None, None)
+        if not isinstance(op, FixOp) or not op.closed:
+            return none
+        scan = _unrenamed(op.base)
+        if not isinstance(scan, ScanOp) or scan.indices is not None:
+            return none
+        shape = self._closure_shape(op)
+        if shape is None or _unrenamed(shape.relation) is not scan:
+            return none
+        slot = (self.kernel.NAME, shape.fixed, shape.key, shape.column)
+        return scan, self.encoding.table(scan.table), slot
 
     @staticmethod
     def _var_chain(op: PhysOp, var: str) -> list | None:
@@ -592,3 +623,9 @@ class _Runner:
         if op.linear:
             total = kernel.concat_many([total, *rounds], width)
         return total, rounds
+
+
+def _unrenamed(op: PhysOp) -> PhysOp:
+    while isinstance(op, RenameOp):
+        op = op.child
+    return op

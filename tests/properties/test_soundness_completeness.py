@@ -151,7 +151,7 @@ def test_triples_strip_back_to_expansion(schema_seed, expr_seed):
     for triple in _bounded_triples(schema, expr):
         stripped = strip_annotations(triple.expr)
         assert any(
-            _match_plus_lengths(candidate, stripped) is not None
+            _match_plus_lengths(candidate, triple.expr, stripped) is not None
             for candidate in expansion
         ), f"{stripped} does not instantiate {expr}"
 

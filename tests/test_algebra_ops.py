@@ -15,8 +15,6 @@ from repro.algebra.ast import (
     Union,
 )
 from repro.algebra.ops import (
-    closure_subterms,
-    count_nodes,
     rebuild,
     strip_annotations,
     transform_bottom_up,
@@ -95,14 +93,3 @@ class TestTransform:
         assert transform_bottom_up(expr, bump) == Concat(
             Edge("A"), Plus(Edge("B"))
         )
-
-    def test_count_nodes(self):
-        expr = Union(Plus(Edge("a")), Plus(Edge("b")))
-        assert count_nodes(expr, Plus) == 2
-        assert count_nodes(expr, Edge) == 2
-
-    def test_closure_subterms_outermost_first(self):
-        expr = Plus(Concat(Edge("a"), Plus(Edge("b"))))
-        subterms = closure_subterms(expr)
-        assert len(subterms) == 2
-        assert subterms[0] == expr

@@ -211,6 +211,96 @@ class TestExpansionBound:
         assert expected and answer == expected
 
 
+def _match_stripping_every_node(original, merged):
+    """Table 6's matcher as it stood before it was handed the stripped
+    expression: it strips the merged subterm at every node it visits."""
+    from repro.algebra.ast import BranchLeft, BranchRight, Concat, Conj, Plus
+    from repro.algebra.ops import strip_annotations
+    from repro.core.rewriter import _spine_parts
+
+    if isinstance(original, Plus):
+        if strip_annotations(merged) == original:
+            return []
+        return None if merged.is_recursive() else [_spine_parts(merged)]
+    if isinstance(original, Concat) and isinstance(
+        merged, (Concat, AnnotatedConcat)
+    ):
+        left = _match_stripping_every_node(original.left, merged.left)
+        right = _match_stripping_every_node(original.right, merged.right)
+        return None if left is None or right is None else left + right
+    if isinstance(original, (Conj, BranchRight, BranchLeft)) and type(
+        original
+    ) is type(merged):
+        first, second = (
+            _match_stripping_every_node(*pair)
+            for pair in zip(original.children(), merged.children())
+        )
+        return None if first is None or second is None else first + second
+    return [] if strip_annotations(merged) == original else None
+
+
+def _closure_statistics_cases():
+    """The 48 workload queries on their schemas, and a nested repetition
+    over random schema 8220 with its first edge also run backwards that
+    rewrites into 102 CQTs."""
+    from repro.datasets.ldbc import ldbc_schema
+    from repro.datasets.random_graphs import random_schema
+    from repro.datasets.yago import yago_schema
+    from repro.query.model import single_relation_query
+    from repro.schema.model import GraphSchema, SchemaEdge, SchemaNode
+    from repro.workloads.ldbc_queries import ldbc_queries
+    from repro.workloads.yago_queries import yago_queries
+
+    cases = [(yago_schema(), q.query) for q in yago_queries()]
+    cases += [(ldbc_schema(), q.query) for q in ldbc_queries()]
+    schema = random_schema(8220)
+    edges = list(schema.edges())
+    first = edges[0]
+    closing = SchemaEdge(first.target_label, first.edge_label, first.source_label)
+    schema = GraphSchema(
+        [SchemaNode(label) for label in sorted(schema.node_labels)],
+        [*edges, closing],
+        name=schema.name,
+    )
+    expr = parse("(((-e2/-e2)1..1+2..4 | e1)1..2/-e1)1..2")
+    cases.append((schema, single_relation_query(expr)))
+    return cases
+
+
+class TestClosureStatistics:
+    """Table 6 bookkeeping strips each merged expression once, and reads
+    the statistics that stripping at every visited node read."""
+
+    def test_stats_equal_stripping_at_every_node(self, monkeypatch):
+        from repro.core import rewriter
+
+        cases = _closure_statistics_cases()
+        assert len(cases) == 49
+        stats = [rewrite_query(query, schema).stats for schema, query in cases]
+        monkeypatch.setattr(
+            rewriter,
+            "_match_plus_lengths",
+            lambda original, merged, _: _match_stripping_every_node(
+                original, merged
+            ),
+        )
+        for (schema, query), fast in zip(cases, stats):
+            assert rewrite_query(query, schema).stats == fast
+
+    def test_each_merged_expression_is_stripped_once(self, monkeypatch):
+        from unittest import mock
+
+        from repro.core import rewriter
+
+        schema, query = _closure_statistics_cases()[-1]
+        strip = mock.Mock(wraps=rewriter.strip_annotations)
+        monkeypatch.setattr(rewriter, "strip_annotations", strip)
+        result = rewrite_query(query, schema)
+        assert len(result.query.disjuncts) == 102
+        # 115,702 calls when the matcher stripped at every node.
+        assert strip.call_count == 102
+
+
 class TestOptions:
     def test_max_disjuncts_guard_reverts(self, fig1_schema):
         options = RewriteOptions(max_disjuncts=1)

@@ -15,6 +15,7 @@ CLI's live-registry backend validation.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from unittest import mock
 
@@ -444,8 +445,10 @@ class TestComposition:
     """``π distinct(L ⋈ R)`` through the kernel's ``compose`` is still
     one join plus one project to the stats and the budget."""
 
-    @pytest.fixture(scope="class")
+    @pytest.fixture()
     def bi10(self):
+        # A fresh store per test: a run of BI10's closure on a store
+        # whose encoding already keeps it reads the kept total instead.
         from repro.datasets.ldbc import ldbc_session
         from repro.workloads.ldbc_queries import LDBC_QUERIES
 
@@ -544,21 +547,23 @@ class TestClosure:
 
     PLANS = [("BI10", True), ("Y1", False)]
 
-    @pytest.fixture(scope="class")
+    @pytest.fixture()
     def plans(self):
+        """``plans(plan_id)``: the plan on a fresh store, whose encoding
+        keeps no closure yet (a kept one is read, not iterated)."""
         from repro.datasets.ldbc import ldbc_session
         from repro.workloads.ldbc_queries import LDBC_QUERIES
 
         texts = {q.qid: q.text for q in LDBC_QUERIES}
-        with ldbc_session(0.3) as session:
-            yield {
-                (qid, rewrite): (
-                    session.prepare(texts[qid], "vec", rewrite=rewrite)
-                    .plan.program,
-                    session.store,
-                )
-                for qid, rewrite in self.PLANS
-            }
+        with contextlib.ExitStack() as sessions:
+
+            def fresh(plan_id):
+                qid, rewrite = plan_id
+                session = sessions.enter_context(ldbc_session(0.3))
+                prepared = session.prepare(texts[qid], "vec", rewrite=rewrite)
+                return prepared.plan.program, session.store
+
+            yield fresh
 
     @staticmethod
     def _run(plan, kernel, budget):
@@ -579,9 +584,9 @@ class TestClosure:
         closure = mock.Mock(wraps=kernels_numpy.closure)
         monkeypatch.setattr(kernels_numpy, "closure", closure)
         hook_budget, loop_budget = _RecordingBudget(), _RecordingBudget()
-        hooked, hook_stats = self._run(plans[plan_id], numpy_kernel, hook_budget)
+        hooked, hook_stats = self._run(plans(plan_id), numpy_kernel, hook_budget)
         looped, loop_stats = self._run(
-            plans[plan_id], _WithoutClosure(numpy_kernel), loop_budget
+            plans(plan_id), _WithoutClosure(numpy_kernel), loop_budget
         )
         assert closure.called  # knows+ at least
         assert hooked == looped
@@ -608,15 +613,112 @@ class TestClosure:
             return step(closure, *args)
 
         with mock.patch.object(kernels_numpy.Closure, "step", recording_step):
-            self._run(plans[plan_id], numpy_kernel, probe)
+            self._run(plans(plan_id), numpy_kernel, probe)
         # A cap halfway through the largest round inside a closure.
         largest = max(join_ticks, key=probe.ticks.__getitem__)
         cap = sum(probe.ticks[:largest]) + probe.ticks[largest] // 2
         for kernel in (numpy_kernel, _WithoutClosure(numpy_kernel)):
             budget = _RecordingBudget(max_rows=cap)
             with pytest.raises(ResourceExhaustedError):
-                self._run(plans[plan_id], kernel, budget)
+                self._run(plans(plan_id), kernel, budget)
             assert budget.ticks == probe.ticks[: largest + 1]
+
+
+@pytest.mark.skipif("numpy" not in KERNELS, reason="closures are numpy's")
+class TestKeptClosure:
+    """An unseeded closure of a stored relation is built once per store
+    version, kept on the encoding and read as one scan after that."""
+
+    QUERY = "x1, x2 <- (x1, knows+, x2)"
+
+    @pytest.fixture()
+    def session(self):
+        from repro.datasets.ldbc import ldbc_session
+
+        with ldbc_session(0.1) as session:
+            yield session
+
+    def _run(self, session, kernel="numpy", budget=None):
+        program = session.prepare(self.QUERY, "vec", rewrite=False).plan.program
+        stats = ExecutionStats()
+        answer = execute_program(
+            program, session.store, budget=budget,
+            kernel=get_kernel(kernel), stats=stats,
+        )
+        return answer, stats
+
+    def test_a_second_execution_reads_the_kept_total_as_one_scan(
+        self, session, monkeypatch
+    ):
+        from repro.exec import closures_kept, executor, kernels_numpy
+
+        closure = mock.Mock(wraps=kernels_numpy.closure)
+        monkeypatch.setattr(kernels_numpy, "closure", closure)
+        built, build_stats = self._run(session)
+        assert closure.call_count == 1
+        assert closures_kept(session.store) == 1
+        sites = mock.Mock(wraps=executor.fault_point)
+        monkeypatch.setattr(executor, "fault_point", sites)
+        budget = _RecordingBudget()
+        read, read_stats = self._run(session, budget=budget)
+        assert closure.call_count == 1  # no closure rounds
+        assert read == built
+        rows = len(read)
+        assert read_stats.fixpoint_rows == read_stats.join_rows == 0
+        assert read_stats.scan_rows == rows
+        # The kept read, then the head's rename: one site, tick and
+        # charge each, a scan's.
+        assert read_stats.ops_evaluated == 2 < build_stats.ops_evaluated
+        assert sites.call_count == 2
+        assert budget.ticks == [rows, rows]
+        assert budget.charges == [rows * 16, rows * 16]
+
+    def test_an_append_drops_the_kept_closure(self, session):
+        from repro.exec import closures_kept
+
+        self._run(session)
+        persons = sorted(
+            {row[0] for row in session.store.table("knows").rows}
+        )
+        assert session.store.add_rows(
+            "knows", [(persons[0], persons[-1]), (persons[-1], 900001)]
+        ) == 2
+        fresh, _ = self._run(session, kernel="python")
+        assert closures_kept(session.store) == 0
+        answer, stats = self._run(session)
+        assert answer == fresh
+        assert (persons[0], 900001) in answer
+        assert stats.fixpoint_rows and closures_kept(session.store) == 1
+
+    def test_the_python_kernel_never_keeps_a_closure(self, session):
+        from repro.exec import closures_kept
+
+        first, _ = self._run(session, kernel="python")
+        second, stats = self._run(session, kernel="python")
+        assert first == second and stats.fixpoint_rows == len(second)
+        assert closures_kept(session.store) == 0
+        session.execute(self.QUERY, "ra", rewrite=False)
+        assert closures_kept(session.store) == 0
+
+    def test_a_seeded_closure_is_not_kept(self, example_session):
+        from repro.exec import closures_kept
+
+        for _ in range(2):
+            example_session.execute(CHAIN_QUERY, "vec", rewrite=False)
+        assert closures_kept(example_session.store) == 0
+
+    def test_the_session_reports_the_kept_closures(self, session):
+        def kept():
+            stats = dataclasses.asdict(session.cache_stats["maintenance"])
+            return stats["closures_kept"]
+
+        assert kept() == 0
+        session.execute(self.QUERY, "vec", rewrite=False)
+        assert kept() == 1
+        session.store.add_rows("knows", [(900001, 900002)])
+        # The encoding drops it as the next execution folds the append in.
+        session.execute("x1, x2 <- (x1, hasCreator, x2)", "vec")
+        assert kept() == 0
 
 
 # -- backend integration ------------------------------------------------------
@@ -727,9 +829,19 @@ class TestExecutionStats:
         for name in field_names:
             assert getattr(accumulated, name) == 3, name
 
+    def test_merge_reads_the_counter_names_off_the_fields(self):
+        # The names are computed once, at import, from the fields: a
+        # counter added to the class is merged without being listed.
+        from repro.exec import executor
+
+        assert executor._COUNTERS == tuple(
+            f.name for f in dataclasses.fields(ExecutionStats)
+        )
+
     def test_new_counters_default_to_zero(self):
         stats = ExecutionStats()
         assert stats.tables_encoded == 0
+        assert stats.closures_kept == 0
         assert stats.result_cache_hits == 0
         assert stats.result_cache_misses == 0
 
